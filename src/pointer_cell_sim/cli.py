@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``run``, ``sweep``, ``ldp``, ``perturb``, ``verify``; each takes
-``--config <path>``, ``--out <dir>``, ``--workers <k>`` and ``--oracle``.
+``--config <path>``, ``--out <dir>`` and ``--oracle``.
 Exit codes: 0 success, 2 config error, 3 capacity error, 4 property-suite
 failure.
 """
@@ -42,22 +42,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, base_dir = _load(args)
-    points, fit, fit_status, oracle_info = runner.sweep(
-        cfg, workers=args.workers, oracle=args.oracle)
+    points, fit, fit_status, oracle_info = runner.sweep(cfg, oracle=args.oracle)
     out = Path(args.out)
-    extra = None
-    if oracle_info is not None:
-        worst, checked = oracle_info
-        extra = [("oracle_max_discrepancy", runner.fmt_float(worst)),
-                 ("oracle_points_checked", str(checked))]
     _write(out / "sweep.csv", render_csv(SWEEP_COLUMNS, runner.sweep_rows(points)))
-    _write(out / "sweep_fit.txt", runner.render_fit_summary(cfg, fit, fit_status, extra))
+    _write(out / "sweep_fit.txt", runner.render_fit_summary(
+        cfg, fit, fit_status, runner.oracle_items(oracle_info)))
     return 0
 
 
 def _cmd_ldp(args) -> int:
     cfg, base_dir = _load(args)
-    rows, estimates, oracle_info = runner.ldp_rows(cfg, workers=args.workers, oracle=args.oracle)
+    rows, estimates, oracle_info = runner.ldp_rows(cfg, oracle=args.oracle)
     out = Path(args.out)
     text = runner.ldp_conditions_text(cfg, estimates)
     if oracle_info is not None:
@@ -71,13 +66,14 @@ def _cmd_ldp(args) -> int:
 
 def _cmd_perturb(args) -> int:
     cfg, base_dir = _load(args)
-    base_points, pert_points, base_fit, pert_fit, base_status, pert_status, result = \
-        runner.perturb(cfg, workers=args.workers, oracle=args.oracle)
+    base_points, pert_points, base_fit, pert_fit, base_status, pert_status, result, \
+        oracle_info = runner.perturb(cfg, oracle=args.oracle)
     out = Path(args.out)
     _write(out / "perturb_base.csv", render_csv(SWEEP_COLUMNS, runner.sweep_rows(base_points)))
     _write(out / "perturb_perturbed.csv", render_csv(SWEEP_COLUMNS, runner.sweep_rows(pert_points)))
     _write(out / "stability.txt",
-           runner.render_stability(cfg, base_fit, pert_fit, base_status, pert_status, result))
+           runner.render_stability(cfg, base_fit, pert_fit, base_status, pert_status, result,
+                                   oracle_info))
     return 0
 
 
@@ -112,7 +108,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text[name])
         p.add_argument("--config", required=True, help="experiment config path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel point evaluations")
         p.add_argument("--oracle", action="store_true",
                        help="force the dense cross-check where applicable")
     args = parser.parse_args(argv)

@@ -36,6 +36,7 @@ BASIS_MAP_MAX_SITES = 14
 class IntensiveObservable:
     """Spectrum of a fine-grained extensive observable divided by N.
 
+    ``spectrum`` is stored as a read-only, strictly increasing float array.
     ``multiplicity`` maps a spectrum index to its exact dimension count; for
     product systems it is a generating rule (binomial coefficients for spin
     chains), which avoids materialising astronomically large integers.
@@ -44,19 +45,20 @@ class IntensiveObservable:
     projector construction for the dense backend.
     """
 
-    spectrum: tuple[float, ...]
+    spectrum: np.ndarray
     multiplicity: Callable[[int], int] = None
     N: int = 1
     basis_value_index: np.ndarray | None = None
 
     def __post_init__(self):
-        spec = tuple(float(x) for x in self.spectrum)
-        if len(spec) == 0:
-            raise StructuralError("spectrum must be non-empty")
-        if list(spec) != sorted(set(spec)):
+        spec = np.array(self.spectrum, dtype=float)
+        if spec.ndim != 1 or spec.size == 0:
+            raise StructuralError("spectrum must be a non-empty sequence")
+        if not np.all(spec[1:] > spec[:-1]):
             raise StructuralError("spectrum must be sorted and free of duplicates")
         if self.N < 1:
             raise StructuralError("particle count must be at least 1")
+        spec.setflags(write=False)
         object.__setattr__(self, "spectrum", spec)
         rule = self.multiplicity
         if rule is None:
@@ -77,7 +79,7 @@ class IntensiveObservable:
     def __eq__(self, other):
         if not isinstance(other, IntensiveObservable):
             return NotImplemented
-        return (self.spectrum, self.N) == (other.spectrum, other.N)
+        return self.N == other.N and np.array_equal(self.spectrum, other.spectrum)
 
     def multiplicities(self) -> tuple[int, ...]:
         """Materialised counts; only sensible for modest spectra."""
@@ -88,11 +90,11 @@ class IntensiveObservable:
 
     @property
     def lo(self) -> float:
-        return self.spectrum[0]
+        return float(self.spectrum[0])
 
     @property
     def hi(self) -> float:
-        return self.spectrum[-1]
+        return float(self.spectrum[-1])
 
     @property
     def max_gap(self) -> float:
@@ -105,7 +107,7 @@ class IntensiveObservable:
         """Mean z-magnetisation of N two-level sites: values (2j - N) / N."""
         if N < 1:
             raise StructuralError("chain must have at least one site")
-        spectrum = tuple((2 * j - N) / N for j in range(N + 1))
+        spectrum = (2 * np.arange(N + 1) - N) / N
         if with_basis_map is None:
             with_basis_map = N <= BASIS_MAP_MAX_SITES
         basis = None
@@ -125,15 +127,16 @@ class CellPartitionSpec:
     """Equal-length interval partition of the spectrum range.
 
     Intervals are left-closed, right-open, with the last interval closed, so
-    every spectrum point belongs to exactly one cell.  ``cell_means`` average
-    the distinct spectrum points inside each interval (``nan`` for an empty
-    cell) and ``spectrum_cells`` records the cell of each spectrum point.
+    every spectrum point belongs to exactly one cell.  Because the spectrum
+    is sorted, each cell is a contiguous run of spectrum indices: cell ``a``
+    holds indices ``bounds[a]:bounds[a + 1]``, and ``bounds[-1]`` is the
+    spectrum length.  ``cell_means`` average the distinct spectrum points
+    inside each interval (``nan`` for an empty cell).
     """
 
     edges: tuple[float, ...]
+    bounds: tuple[int, ...]
     cell_means: tuple[float, ...]
-    spectrum_cells: tuple[int, ...]
-    spectrum: tuple[float, ...]
     labels: tuple[str, ...]
 
     @property
@@ -141,22 +144,15 @@ class CellPartitionSpec:
         return len(self.edges) - 1
 
     @property
-    def intervals(self) -> tuple[tuple[float, float], ...]:
-        return tuple((self.edges[i], self.edges[i + 1]) for i in range(self.n_cells))
-
-    @property
     def empty_cells(self) -> tuple[int, ...]:
-        present = set(self.spectrum_cells)
-        return tuple(a for a in range(self.n_cells) if a not in present)
+        b = self.bounds
+        return tuple(a for a in range(self.n_cells) if b[a] == b[a + 1])
 
     def cell_of_value(self, m: float) -> int:
         if m < self.edges[0] or m > self.edges[-1]:
             raise PreconditionError(f"value {m!r} outside the spectrum range")
         idx = int(np.searchsorted(self.edges, m, side="right")) - 1
         return min(idx, self.n_cells - 1)
-
-    def value_indices(self, alpha: int) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.spectrum_cells) if a == alpha)
 
 
 def coarse_grain(
@@ -181,30 +177,24 @@ def coarse_grain(
                 f"spectrum gap {obs.max_gap:.3e} exceeds {gap_cap:.3e}; the partition "
                 "may not sharpen as N grows", stacklevel=2)
     edges = tuple(lo + (hi - lo) * k / n_cells for k in range(n_cells + 1))
-    spectrum_arr = np.asarray(obs.spectrum)
-    assignment = np.minimum(
-        np.searchsorted(np.asarray(edges), spectrum_arr, side="right") - 1,
-        n_cells - 1)
-    spectrum_cells = [int(a) for a in assignment]
+    # first index at or above each left edge: the same comparisons as placing
+    # every point by searchsorted(edges, point, "right") - 1
+    starts = np.searchsorted(obs.spectrum, edges[:-1], side="left")
+    bounds = tuple(int(b) for b in starts) + (len(obs.spectrum),)
     means = []
     for a in range(n_cells):
-        pts = spectrum_arr[assignment == a]
+        pts = obs.spectrum[bounds[a]:bounds[a + 1]]
         means.append(float(pts.mean()) if pts.size else float("nan"))
     labels = tuple(str(a) for a in range(n_cells))
     if n_cells == 2:
         labels = ("-", "+")
-    spec = CellPartitionSpec(
-        edges=edges,
-        cell_means=tuple(means),
-        spectrum_cells=tuple(spectrum_cells),
-        spectrum=obs.spectrum,
-        labels=labels,
-    )
+    spec = CellPartitionSpec(edges=edges, bounds=bounds, cell_means=tuple(means), labels=labels)
     if spec.empty_cells:
         warnings.warn(f"cells {spec.empty_cells} contain no spectrum points", stacklevel=2)
     partition = None
     if obs.basis_value_index is not None:
-        cell_of_basis = np.asarray([spectrum_cells[v] for v in obs.basis_value_index])
+        cell_of_point = np.repeat(np.arange(n_cells), np.diff(bounds))
+        cell_of_basis = cell_of_point[obs.basis_value_index]
         sets = [np.nonzero(cell_of_basis == a)[0] for a in range(n_cells)]
         partition = PhaseCellPartition(
             cells=[frozenset(int(i) for i in s) for s in sets],
@@ -269,14 +259,14 @@ def up_count_log_pmf(state: BernoulliProduct) -> np.ndarray:
 
 def cell_log_probability(state: BernoulliProduct, cells: CellPartitionSpec) -> np.ndarray:
     """Log-probability of each cell under the product state."""
-    if state.N + 1 != len(cells.spectrum):
+    if state.N + 1 != cells.bounds[-1]:
         raise StructuralError("partition was built for a different chain length")
     log_pmf = up_count_log_pmf(state)
     out = np.full(cells.n_cells, -np.inf)
     for a in range(cells.n_cells):
-        js = cells.value_indices(a)
-        if js:
-            out[a] = lc_real_logsumexp(log_pmf[list(js)])
+        lo, hi = cells.bounds[a], cells.bounds[a + 1]
+        if hi > lo:
+            out[a] = lc_real_logsumexp(log_pmf[lo:hi])
     return out
 
 
@@ -329,13 +319,6 @@ class RateFunctionEstimate:
         if self.analytic is None:
             return None
         return self.samples - self.analytic[None, :]
-
-    @property
-    def fitted_max_location(self) -> float:
-        if self.p is not None:
-            return 2.0 * self.p - 1.0
-        curve = self.samples[-1]
-        return float(self.grid[int(np.nanargmax(curve))])
 
     def curve(self, analytic_preferred: bool = True) -> np.ndarray:
         if analytic_preferred and self.analytic is not None:

@@ -45,9 +45,5 @@ class ConfigError(SimulationError):
         super().__init__("; ".join(self.errors))
 
 
-class UnderflowWarning(UserWarning):
-    """A magnitude left the double-precision range and is carried in log space."""
-
-
 class AccumulationWarning(UserWarning):
     """A mixed-phase sum above the safe size fell back to direct accumulation."""

@@ -1,15 +1,14 @@
 """Experiment orchestration: build models from configs and produce artifacts.
 
 Every entry point is deterministic for a fixed config: random draws come from
-the config seed, sweep and grid points are evaluated independently (optionally
-on a thread pool) and assembled in sorted order, and artifacts contain no
-timestamps or machine state beyond library versions.
+the config seed, sweep points are evaluated one after the other and assembled
+in sorted order, and artifacts contain no timestamps or machine state beyond
+library versions.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,11 +153,22 @@ def composite_cross_check(micro, apparatus, t, tensor, c, observable=None) -> fl
     return float(worst)
 
 
-def _dense_chain_discrepancy(cfg: ExperimentConfig, N: int, tensor, overrides=None) -> float:
-    spec = chain_spec_from_config(cfg, N=N, overrides=overrides)
+def dense_chain_tensor(spec: coleman_hepp.ChainSpec) -> core.FTensor:
+    """The chain tensor through the dense backend: the oracle for small N."""
     micro, apparatus = coleman_hepp.build_dense(spec)
-    dense = core.f_tensor(core.evolve_sectors(micro, apparatus, spec.t), apparatus.cells)
-    return float(np.abs(dense.values - tensor.values).max())
+    return core.f_tensor(core.evolve_sectors(micro, apparatus, spec.t), apparatus.cells)
+
+
+def _dense_chain_discrepancy(spec: coleman_hepp.ChainSpec, tensor) -> float:
+    return float(np.abs(dense_chain_tensor(spec).values - tensor.values).max())
+
+
+def _sector_family(cfg: ExperimentConfig, r: int, overrides=None):
+    """Chain size -> product state of the evolved diagonal sector r."""
+    def family(N: int) -> coarse_ldp.BernoulliProduct:
+        spec = chain_spec_from_config(cfg, N=N, overrides=overrides)
+        return coarse_ldp.BernoulliProduct(coleman_hepp.diagonal_sector_product(spec, r))
+    return family
 
 
 @dataclass
@@ -209,10 +219,7 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None, oracle: bool = Fals
                 raise CapacityError(
                     f"oracle cross-check needs the dense backend, capped at "
                     f"{coleman_hepp.DENSE_SITE_CAP} sites (got {spec.N})")
-            micro, apparatus = coleman_hepp.build_dense(spec)
-            states = core.evolve_sectors(micro, apparatus, spec.t)
-            dense = core.f_tensor(states, apparatus.cells)
-            oracle_disc = float(np.abs(dense.values - tensor.values).max())
+            oracle_disc = _dense_chain_discrepancy(spec, tensor)
             backend = "factorized+dense-oracle"
     else:
         micro, apparatus = _build_generic_dense(cfg, base_dir)
@@ -368,18 +375,11 @@ def _sweep_point(cfg: ExperimentConfig, N: int, overrides=None) -> SweepPoint:
                           offdiag_max=math.nan, status=f"failed: {exc}")
 
 
-def _map_points(worker, items, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
-
-
-def sweep(cfg: ExperimentConfig, workers: int = 1, overrides=None, oracle: bool = False):
+def sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
     """Evaluate the sweep list; returns (points, fit or None, fit_status, oracle_info)."""
     if cfg.sweep is None:
         raise ConfigError(["sweep requested but the config has no [sweep] section"])
-    points = _map_points(lambda N: _sweep_point(cfg, N, overrides=overrides), cfg.sweep, workers)
+    points = [_sweep_point(cfg, N, overrides=overrides) for N in cfg.sweep]
     points.sort(key=lambda pt: pt.N)
     usable = [(pt.N, pt.tensor, pt.pointer) for pt in points if pt.tensor is not None]
     fit = None
@@ -398,8 +398,9 @@ def sweep(cfg: ExperimentConfig, workers: int = 1, overrides=None, oracle: bool 
             raise CapacityError(
                 "no sweep point fits the dense backend "
                 f"(cap {coleman_hepp.DENSE_SITE_CAP} sites); oracle cross-check impossible")
-        worst = max(_dense_chain_discrepancy(cfg, pt.N, pt.tensor, overrides=overrides)
-                    for pt in checkable)
+        worst = max(_dense_chain_discrepancy(
+            chain_spec_from_config(cfg, N=pt.N, overrides=overrides), pt.tensor)
+            for pt in checkable)
         oracle_info = (worst, len(checkable))
     return points, fit, fit_status, oracle_info
 
@@ -433,7 +434,16 @@ def render_fit_summary(cfg: ExperimentConfig, fit, fit_status: str,
     return render_report([("decay_fit", items)])
 
 
-def ldp_rows(cfg: ExperimentConfig, workers: int = 1, oracle: bool = False):
+def oracle_items(oracle_info) -> list[tuple[str, str]]:
+    """Report lines for a sweep oracle result ``(worst, points_checked)``."""
+    if oracle_info is None:
+        return []
+    worst, checked = oracle_info
+    return [("oracle_max_discrepancy", fmt_float(worst)),
+            ("oracle_points_checked", str(checked))]
+
+
+def ldp_rows(cfg: ExperimentConfig, oracle: bool = False):
     """Rate-function series for the spin-up sector family, plus estimates."""
     if cfg.ldp_grid is None:
         raise ConfigError(["ldp requested but the config has no [ldp] section"])
@@ -450,25 +460,15 @@ def ldp_rows(cfg: ExperimentConfig, workers: int = 1, oracle: bool = False):
                 "no chain size fits the dense backend "
                 f"(cap {coleman_hepp.DENSE_SITE_CAP} sites); oracle cross-check impossible")
         N0 = max(checkable)
-        spec = chain_spec_from_config(cfg, N=N0)
-        micro, apparatus = coleman_hepp.build_dense(spec)
-        dense = core.f_tensor(core.evolve_sectors(micro, apparatus, spec.t), apparatus.cells)
+        dense = dense_chain_tensor(chain_spec_from_config(cfg, N=N0))
         cells_spec, _ = coleman_hepp.chain_cells(N0)
         worst = 0.0
         for r in range(2):
-            probs = coarse_ldp.cell_probability(
-                coarse_ldp.BernoulliProduct(coleman_hepp.diagonal_sector_product(spec, r)),
-                cells_spec)
+            probs = coarse_ldp.cell_probability(_sector_family(cfg, r)(N0), cells_spec)
             worst = max(worst, float(np.abs(dense.values[r, r].real - probs).max()))
         oracle_info = (worst, N0)
 
-    def family_for(r: int, overrides=None):
-        def family(N: int) -> coarse_ldp.BernoulliProduct:
-            spec = chain_spec_from_config(cfg, N=N, overrides=overrides)
-            return coarse_ldp.BernoulliProduct(coleman_hepp.diagonal_sector_product(spec, r))
-        return family
-
-    estimates = [coarse_ldp.estimate_rate(family_for(r), grid, Ns) for r in range(2)]
+    estimates = [coarse_ldp.estimate_rate(_sector_family(cfg, r), grid, Ns) for r in range(2)]
     up = estimates[0]
     rows = []
     for i, N in enumerate(up.N_values):
@@ -496,20 +496,11 @@ def ldp_conditions_text(cfg: ExperimentConfig, estimates) -> str:
         overrides = perturbation_states(cfg)
         grid = list(cfg.ldp_grid)
         Ns = list(cfg.sweep)
-
-        def pfam(r):
-            def family(N: int) -> coarse_ldp.BernoulliProduct:
-                pspec = chain_spec_from_config(cfg, N=N, overrides=overrides)
-                return coarse_ldp.BernoulliProduct(coleman_hepp.diagonal_sector_product(pspec, r))
-            return family
-
-        perturbed = [coarse_ldp.estimate_rate(pfam(r), grid, Ns) for r in range(2)]
-        base_state = coarse_ldp.BernoulliProduct(
-            coleman_hepp.diagonal_sector_product(chain_spec_from_config(cfg, N=min(Ns)), 0))
-        pert_state = coarse_ldp.BernoulliProduct(
-            coleman_hepp.diagonal_sector_product(
-                chain_spec_from_config(cfg, N=min(Ns), overrides=overrides), 0))
-        bound = coarse_ldp.perturbation_residual_bound(base_state, pert_state) / min(Ns)
+        perturbed = [coarse_ldp.estimate_rate(_sector_family(cfg, r, overrides), grid, Ns)
+                     for r in range(2)]
+        N0 = min(Ns)
+        bound = coarse_ldp.perturbation_residual_bound(
+            _sector_family(cfg, 0)(N0), _sector_family(cfg, 0, overrides)(N0)) / N0
     report = coarse_ldp.check_ldp_conditions(estimates, cells, pointer,
                                              perturbed=perturbed, stability_bound=bound)
     items = [
@@ -530,16 +521,24 @@ def ldp_conditions_text(cfg: ExperimentConfig, estimates) -> str:
     return render_report([("ldp_conditions", items)])
 
 
-def perturb(cfg: ExperimentConfig, workers: int = 1, oracle: bool = False):
-    """Stability run: base sweep, perturbed sweep, band comparison."""
+def perturb(cfg: ExperimentConfig, oracle: bool = False):
+    """Stability run: base sweep, perturbed sweep, band comparison.
+
+    With ``oracle``, both sweeps are cross-checked against the dense backend;
+    the last element of the result is then ``(worst discrepancy over both
+    sweeps, points checked over both sweeps)``, otherwise ``None``.
+    """
     if cfg.sweep is None:
         raise ConfigError(["perturb requires a [sweep] section"])
     if not cfg.perturbation:
         raise ConfigError(["perturb requires a [perturbation] section"])
     overrides = perturbation_states(cfg)
-    base_points, base_fit, base_status, _ = sweep(cfg, workers=workers, oracle=oracle)
-    pert_points, pert_fit, pert_status, _ = sweep(cfg, workers=workers,
-                                                  overrides=overrides, oracle=oracle)
+    base_points, base_fit, base_status, base_oracle = sweep(cfg, oracle=oracle)
+    pert_points, pert_fit, pert_status, pert_oracle = sweep(
+        cfg, overrides=overrides, oracle=oracle)
+    oracle_info = None
+    if oracle:
+        oracle_info = (max(base_oracle[0], pert_oracle[0]), base_oracle[1] + pert_oracle[1])
     result = None
     if base_fit is not None and pert_fit is not None:
         rel = (abs(pert_fit.c - base_fit.c) / abs(base_fit.c)
@@ -550,10 +549,12 @@ def perturb(cfg: ExperimentConfig, workers: int = 1, oracle: bool = False):
         result = verify.StabilityResult(
             base_fit=base_fit, perturbed_fit=pert_fit, relative_change=rel,
             tolerance_band=verify.STABILITY_BAND, bound_satisfied=bound_ok)
-    return base_points, pert_points, base_fit, pert_fit, base_status, pert_status, result
+    return (base_points, pert_points, base_fit, pert_fit, base_status, pert_status, result,
+            oracle_info)
 
 
-def render_stability(cfg, base_fit, pert_fit, base_status, pert_status, result) -> str:
+def render_stability(cfg, base_fit, pert_fit, base_status, pert_status, result,
+                     oracle_info=None) -> str:
     items = [("base_status", base_status), ("perturbed_status", pert_status)]
     if result is not None:
         items += [
@@ -567,6 +568,7 @@ def render_stability(cfg, base_fit, pert_fit, base_status, pert_status, result) 
         ]
     sites = ", ".join(f"site_{site}={edit}" for site, edit in (cfg.perturbation or ()))
     items.append(("perturbation", sites or "none"))
+    items += oracle_items(oracle_info)
     return render_report([("stability", items)])
 
 
@@ -648,10 +650,8 @@ def verify_suite(cfg: ExperimentConfig, base_dir: Path | None = None) -> tuple[b
         spec = coleman_hepp.ChainSpec(N=N, m0=float(rng.uniform(0.2, 1.0)),
                                       theta=float(rng.uniform(0.3, 5.9)),
                                       energies=(float(rng.normal()), float(rng.normal())))
-        micro, apparatus = coleman_hepp.build_dense(spec)
-        dense = core.f_tensor(core.evolve_sectors(micro, apparatus, spec.t), apparatus.cells)
         fact = coleman_hepp.factorized_f_tensor(spec)
-        backend_disc = max(backend_disc, float(np.abs(dense.values - fact.values).max()))
+        backend_disc = max(backend_disc, _dense_chain_discrepancy(spec, fact))
     if backend_disc > 1e-9:
         failures.append(f"backend discrepancy {backend_disc:.3e} above 1e-9")
 

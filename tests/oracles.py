@@ -72,6 +72,28 @@ def chain_minus_cell_counts(N: int):
     return [j for j in range(N + 1) if 2 * j - N < 0]
 
 
+def chain_trace_product(spec, r: int, s: int) -> tuple[float, float]:
+    """Log magnitude and summed phase of prod_k Tr(A_r^dag rho_k A_s).
+
+    ``rho_k`` are the chain's initial site states and ``A_1`` the full
+    traversal rotation ``exp(i theta sigma_x / 2)`` (``A_0`` the identity),
+    written out here rather than taken from the package.
+    """
+    half = spec.theta / 2
+    rot = np.array([[math.cos(half), 1j * math.sin(half)],
+                    [1j * math.sin(half), math.cos(half)]])
+    a = rot if r == 1 else np.eye(2)
+    b = rot if s == 1 else np.eye(2)
+    lm, ph = 0.0, 0.0
+    for rho in spec.site_states():
+        tr = complex(np.trace(a.conj().T @ rho @ b))
+        if tr == 0:
+            return -math.inf, 0.0
+        lm += math.log(abs(tr))
+        ph += math.atan2(tr.imag, tr.real)
+    return lm, ph
+
+
 def kl_bernoulli(q: float, p: float) -> float:
     """Relative entropy, written independently of the package helper."""
     out = 0.0

@@ -140,14 +140,6 @@ class TestSweep:
         sections, _ = tokenize_kv("\n".join(fit_text.splitlines()[1:]))
         assert sections["decay_fit"]["status"].startswith("refused")
 
-    def test_workers_do_not_change_bytes(self, workdir):
-        cfg = write_config(workdir, BASE + SWEEP)
-        out1, out2 = workdir / "o1", workdir / "o2"
-        run_cli("sweep", "--config", cfg, "--out", out1)
-        run_cli("sweep", "--config", cfg, "--out", out2, "--workers", "4")
-        assert read_all(out1) == read_all(out2)
-
-
 class TestLdp:
     def test_series_and_conditions(self, workdir):
         cfg = write_config(workdir, BASE + SWEEP + LDP)
@@ -342,6 +334,17 @@ class TestOracleModes:
     def test_sweep_oracle_over_capacity(self, workdir):
         cfg = write_config(workdir, BASE + "\n[sweep]\nN = 20, 40, 60, 80\n")
         assert run_cli("sweep", "--config", cfg, "--out", workdir / "out", "--oracle") == 3
+
+    def test_perturb_oracle_reports_discrepancy(self, workdir):
+        cfg = write_config(workdir, BASE + "\n[sweep]\nN = 6, 8, 24\n" + PERTURB)
+        out = workdir / "out"
+        assert run_cli("perturb", "--config", cfg, "--out", out, "--oracle") == 0
+        text = (out / "stability.txt").read_text(encoding="utf-8")
+        sections, _ = tokenize_kv("\n".join(text.splitlines()[1:]))
+        stats = sections["stability"]
+        assert float(stats["oracle_max_discrepancy"]) < 1e-9
+        # N = 6 and 8 in both the base and the perturbed sweep
+        assert stats["oracle_points_checked"] == "4"
 
     def test_ldp_oracle_identification(self, workdir):
         cfg = write_config(workdir, BASE + "\n[sweep]\nN = 4, 8, 16, 32\n" + LDP)

@@ -25,6 +25,7 @@ from oracles import (
     binom_range_fraction,
     chain_minus_cell_counts,
     chain_plus_cell_counts,
+    chain_trace_product,
     poisson_binomial_fraction,
 )
 
@@ -173,7 +174,7 @@ class TestOverlapInvariants:
         spec = ChainSpec(N=7, m0=0.6, theta=2.2, site_overrides=overrides)
         ov = sector_overlap(spec, *pair)
         dp_lm, dp_ph = ov.dp_total()
-        tr_lm, tr_ph = ov.trace_product()
+        tr_lm, tr_ph = chain_trace_product(spec, *pair)
         assert abs(math.exp(dp_lm - tr_lm) - 1.0) < 1e-9
         assert (math.cos(dp_ph - tr_ph)) == pytest.approx(1.0, abs=1e-9)
 
@@ -273,3 +274,11 @@ class TestSpecHelpers:
         with warnings.catch_warnings():
             warnings.simplefilter("error", AccumulationWarning)
             sector_overlap(ChainSpec(N=10_050, m0=0.6, theta=2.0), 0, 0)
+
+    def test_chain_cells_never_warn(self):
+        # the sign partition has no empty cell and a spectrum gap inside the cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for N in range(1, 65):
+                cells, _ = chain_cells(N)
+                assert cells.empty_cells == ()
