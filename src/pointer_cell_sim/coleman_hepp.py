@@ -29,7 +29,7 @@ from .core import (
     _check_hermitian,
 )
 from .errors import AccumulationWarning, CapacityError, StructuralError
-from .logspace import lc_convolve, lc_sum, log_binom, power_pair_log
+from .logspace import lc_convolve, lc_cumsum, lc_sum, log_binom, power_pair_log
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
@@ -185,36 +185,71 @@ class ChainFTensor(FTensor):
 class FactorizedSectorOverlap:
     """Product-structure evaluation of one sector pair against the cells.
 
-    ``(log_mag, phase)[j]`` is the exact log-coded coefficient of the
-    up-count-j subspace; their sum over j reproduces the product of the
-    per-site traces.
+    The sector operator's coefficient on the up-count-j subspace is the
+    j-th coefficient of the product polynomial ``A * B`` of two log-coded
+    factors ``a`` and ``b`` (each an ``(lm, ph)`` pair over up-counts), times
+    ``exp(1j * global_phase)``.  The product itself is never formed: the
+    cells are collapsed directly from the factors, so the work is linear in
+    the chain length.  When a single bulk block remains (full traversal,
+    or a sector pair the traversal does not touch) ``b`` is the one-term
+    polynomial ``[1]`` and ``a`` holds every coefficient.
     """
 
-    log_mag: np.ndarray  # (N + 1,)
-    phase: np.ndarray  # (N + 1,)
+    a: tuple[np.ndarray, np.ndarray]
+    b: tuple[np.ndarray, np.ndarray]
     global_phase: float
 
     def dp_total(self) -> tuple[float, float]:
-        return lc_sum(self.log_mag, self.phase)
+        """Sum over every up-count: the product of the per-site traces."""
+        lm_a, ph_a = lc_sum(*self.a)
+        lm_b, ph_b = lc_sum(*self.b)
+        return lm_a + lm_b, ph_a + ph_b
+
+    def cell_log_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Log-coded cell sums ``(log magnitudes, phases)`` over a two-cell partition.
+
+        The partition must split the up-counts into a prefix and a suffix,
+        as ``chain_cells`` does.  With ``h = cells.bounds[1]`` the "-" cell
+        is ``j < h`` and the "+" cell ``j >= h``, so
+        ``sum_{j in cell} (A * B)_j = sum_k A_k * tail_B(cell - k)`` where
+        the tails are running sums of ``B`` from its low and its high end.
+        Nothing is subtracted, and each cell is one ``lc_sum``; when ``B``
+        has a single term the cells are slice sums of ``A`` times ``B_0``.
+        """
+        (a_lm, a_ph), (b_lm, b_ph) = self.a, self.b
+        na, nb = a_lm.size, b_lm.size
+        if cells.n_cells != 2 or cells.bounds[-1] != na + nb - 1:
+            raise StructuralError(
+                "the factorized chain collapses only onto a two-cell prefix/suffix "
+                f"partition of its {na + nb - 1} up-counts (got bounds {cells.bounds})")
+        h = int(cells.bounds[1])
+        if nb == 1:
+            # a one-term B scales every coefficient alike: slice sums of A
+            sums = [lc_sum(a_lm[:h], a_ph[:h]), lc_sum(a_lm[h:], a_ph[h:])]
+            sums = [(lm + b_lm[0], ph + b_ph[0]) for lm, ph in sums]
+        else:
+            hi = min(h, na)  # "-" cell: k < hi, tail B_0 + ... + B_{h-1-k}
+            lo = max(h - nb + 1, 0)  # "+" cell: k >= lo, tail B_{h-k} + ... + B_{nb-1}
+            pre_lm, pre_ph = lc_cumsum(b_lm, b_ph)
+            suf_lm, suf_ph = (x[::-1] for x in lc_cumsum(b_lm[::-1], b_ph[::-1]))
+            i_minus = np.minimum(h - 1 - np.arange(hi), nb - 1)
+            i_plus = np.maximum(h - np.arange(lo, na), 0)
+            sums = [lc_sum(a_lm[:hi] + pre_lm[i_minus], a_ph[:hi] + pre_ph[i_minus]),
+                    lc_sum(a_lm[lo:] + suf_lm[i_plus], a_ph[lo:] + suf_ph[i_plus])]
+        log_mags = np.array([lm for lm, _ in sums])
+        phases = np.array([ph + self.global_phase for _, ph in sums])
+        return log_mags, phases
 
     def cell_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Collapse the accumulator onto the cells: values, log mags, flags."""
-        values = np.zeros(cells.n_cells, dtype=complex)
-        log_mags = np.full(cells.n_cells, -np.inf)
-        flags = np.zeros(cells.n_cells, dtype=bool)
-        for a in range(cells.n_cells):
-            lo, hi = cells.bounds[a], cells.bounds[a + 1]
-            if lo == hi:
-                continue
-            lm, ph = lc_sum(self.log_mag[lo:hi], self.phase[lo:hi])
-            ph += self.global_phase
-            log_mags[a] = lm
+        """The cell sums as complex values, log magnitudes and underflow flags."""
+        log_mags, phases = self.cell_log_values(cells)
+        values = np.zeros(2, dtype=complex)
+        flags = np.zeros(2, dtype=bool)
+        for cell, (lm, ph) in enumerate(zip(log_mags, phases)):
             if lm == -np.inf:
                 continue
-            value = np.exp(lm) * complex(math.cos(ph), math.sin(ph))
-            values[a] = value
-            if value == 0.0:
-                flags[a] = True
+            values[cell] = np.exp(lm) * complex(math.cos(ph), math.sin(ph))
+            flags[cell] = values[cell] == 0.0
         return values, log_mags, flags
 
 
@@ -231,14 +266,32 @@ def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, 
     return log_binom(size, j) + lm_up + lm_dn, ph_up + ph_dn
 
 
+def _warn_mixed_phase(N: int, x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> None:
+    # combining blocks whose live terms disagree in phase cancels in the
+    # compensated complex accumulation; beyond the safe size, say so
+    if N <= MIXED_PHASE_SAFE_SITES:
+        return
+    live = [ph[np.isfinite(lm)] for lm, ph in (x, y)]
+    merged = np.concatenate(live)
+    if merged.size and float(np.ptp(np.mod(merged, 2.0 * math.pi))) > 1e-12:
+        warnings.warn(
+            "mixed-phase convolution beyond the compensated-accumulation range; "
+            "expect reduced relative accuracy",
+            AccumulationWarning, stacklevel=3)
+
+
 def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None) -> FactorizedSectorOverlap:
     """Build the factorized accumulator for sector pair (r, s).
 
     Sites with index below ``rotated_count`` have been passed by the
     traversing particle and carry the conditional rotation in the spin-down
     sector; the remainder are untouched.  Identical sites collapse into
-    binomial closed forms; distinct blocks are combined by log-space
-    convolution in a fixed site order.
+    binomial closed forms.  When one bulk block remains (full traversal, or
+    a sector pair the traversal does not touch) the single-site override
+    blocks are folded into it by log-space convolution in site order and
+    the second factor is ``[1]``; a partial traversal keeps its rotated and
+    unrotated bulk blocks as the two factors, with the overrides folded
+    into the shorter one.  The full ``(N + 1)``-term product is never built.
     """
     if rotated_count is None:
         rotated_count = spec.N
@@ -255,45 +308,35 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     x_rot = site_operator(base, True)
     x_plain = site_operator(base, False)
     override_sites = sorted(spec.site_overrides)
-    # identical sites collapse into closed-form blocks, in fixed site order:
-    # rotated bulk, unrotated bulk, then each overridden site
     n_rot = rotated_count - sum(1 for k in override_sites if k < rotated_count)
     n_plain = (spec.N - rotated_count) - sum(1 for k in override_sites if k >= rotated_count)
     rot_key = (complex(x_rot[0, 0]), complex(x_rot[1, 1]))
     plain_key = (complex(x_plain[0, 0]), complex(x_plain[1, 1]))
-    groups: list[tuple[int, complex, complex]] = []
+    bulk: list[tuple[int, complex, complex]] = []
     if rot_key == plain_key:
         # sectors the traversal does not touch: one closed form for the bulk
         if n_rot + n_plain:
-            groups.append((n_rot + n_plain, *rot_key))
+            bulk.append((n_rot + n_plain, *rot_key))
     else:
         if n_rot:
-            groups.append((n_rot, *rot_key))
+            bulk.append((n_rot, *rot_key))
         if n_plain:
-            groups.append((n_plain, *plain_key))
+            bulk.append((n_plain, *plain_key))
+    # B: the longer of two bulk blocks, else the unit polynomial [1];
+    # A: the remaining bulk block with every override folded in, in site order
+    polys = sorted((_group_polynomial(*group) for group in bulk), key=lambda p: p[0].size)
+    b = polys.pop() if len(polys) == 2 else (np.zeros(1), np.zeros(1))
     for k in override_sites:
         x = site_operator(spec.site_overrides[k], k < rotated_count)
-        groups.append((1, complex(x[0, 0]), complex(x[1, 1])))
-    polys = [_group_polynomial(size, d0, d1) for size, d0, d1 in groups]
-
-    def phase_spread(*blocks) -> float:
-        live = [block_ph[np.isfinite(block_lm)] for block_lm, block_ph in blocks]
-        live = [p for p in live if p.size]
-        if not live:
-            return 0.0
-        merged = np.concatenate(live)
-        return float(np.ptp(np.mod(merged, 2.0 * math.pi)))
-
-    lm, ph = polys[0]
+        polys.append(_group_polynomial(1, complex(x[0, 0]), complex(x[1, 1])))
+    a = polys[0]
     for extra in polys[1:]:
-        if spec.N > MIXED_PHASE_SAFE_SITES and phase_spread((lm, ph), extra) > 1e-12:
-            warnings.warn(
-                "mixed-phase convolution beyond the compensated-accumulation range; "
-                "expect reduced relative accuracy",
-                AccumulationWarning, stacklevel=2)
-        lm, ph = lc_convolve((lm, ph), extra)
+        _warn_mixed_phase(spec.N, a, extra)
+        a = lc_convolve(a, extra)
+    if b[0].size > 1:
+        _warn_mixed_phase(spec.N, a, b)
     delta_e = (spec.energies[s] - spec.energies[r]) * spec.t
-    return FactorizedSectorOverlap(log_mag=lm, phase=ph, global_phase=float(delta_e))
+    return FactorizedSectorOverlap(a=a, b=b, global_phase=float(delta_e))
 
 
 def _assemble_tensor(spec: ChainSpec, rotated_count: int) -> ChainFTensor:

@@ -70,8 +70,42 @@ def lc_real_logsumexp(lm: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(lm[finite] - m))))
 
 
+def lc_cumsum(lm: np.ndarray, ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums of log-coded terms: (lm, ph) of ``x_0 + ... + x_i`` for every i.
+
+    The terms are split into four nonnegative real parts (the positive and
+    negative halves of their real and imaginary parts), and each part is
+    accumulated exactly in log space by ``np.logaddexp.accumulate``.  For
+    nonnegative real terms this is an exact log-space prefix sum; mixed
+    phases cancel when the parts are recombined after rescaling by their
+    common maximum, the same compensated accumulation as ``lc_sum``.
+    """
+    lm = np.asarray(lm, dtype=float)
+    ph = np.asarray(ph, dtype=float)
+    cos, sin = np.cos(ph), np.sin(ph)
+    with np.errstate(divide="ignore"):
+        parts = [np.logaddexp.accumulate(lm + np.log(np.maximum(x, 0.0)))
+                 for x in (cos, -cos, sin, -sin)]
+    m = np.maximum.reduce(parts)
+    safe_m = np.where(np.isfinite(m), m, 0.0)
+    re_pos, re_neg, im_pos, im_neg = (np.exp(part - safe_m) for part in parts)
+    acc = (re_pos - re_neg) + 1j * (im_pos - im_neg)
+    mag = np.abs(acc)
+    live = mag > 0
+    out_lm = np.where(live, safe_m + np.log(np.where(live, mag, 1.0)), -np.inf)
+    out_ph = np.where(live, np.angle(acc), 0.0)
+    return out_lm, out_ph
+
+
 def lc_convolve(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution of two log-coded coefficient arrays (polynomial product)."""
+    """Convolution of two log-coded coefficient arrays (polynomial product).
+
+    A side of at most 64 terms is handled by one vectorised pass; longer
+    sides take a Python loop with one ``lc_sum`` per output term, quadratic
+    in the length.  That branch now serves only ``up_count_log_pmf``, which
+    needs the full up-count distribution; the chain collapses its sectors
+    onto the cells without ever forming the full product.
+    """
     lma, pha = a
     lmb, phb = b
     if len(lma) < len(lmb):

@@ -425,6 +425,7 @@ def render_fit_summary(cfg: ExperimentConfig, fit, fit_status: str,
             ("intercept", fmt_float(fit.intercept)),
             ("c_fit", fmt_float(fit.c)),
             ("r_squared", fmt_float(fit.r_squared)),
+            ("is_exponential", "true" if fit.is_exponential() else "false"),
         ]
         c_ref = analytic_boundary_rate(cfg)
         if c_ref is not None:
@@ -544,7 +545,7 @@ def perturb(cfg: ExperimentConfig, oracle: bool = False):
         rel = (abs(pert_fit.c - base_fit.c) / abs(base_fit.c)
                if base_fit.c != 0 else math.inf)
         bound_ok = all(
-            pt.eps_max <= math.exp(-pert_fit.c * pt.N) or pt.status == "underflow"
+            verify.exponential_bound_holds(pt.tensor, pt.pointer, pt.N, pert_fit.c)
             for pt in pert_points if pt.tensor is not None)
         result = verify.StabilityResult(
             base_fit=base_fit, perturbed_fit=pert_fit, relative_change=rel,

@@ -184,6 +184,15 @@ def log_pointer_errors(f: FTensor, pmap: PointerMap) -> np.ndarray:
     return out
 
 
+def exponential_bound_holds(f: FTensor, pmap: PointerMap, N: int, c: float) -> bool:
+    """Whether ``max_r error_r <= exp(-c N)``, decided as ``log error <= -c N``.
+
+    Both sides are compared in log space: once ``exp(-c N)`` and the errors
+    underflow to zero, the float comparison would pass as ``0 <= 0``.
+    """
+    return bool(log_pointer_errors(f, pmap).max() <= -c * N)
+
+
 def ideal_tensor(pmap: PointerMap) -> np.ndarray:
     """The tensor of a perfect measurement: all mass on the assigned diagonal."""
     n = pmap.n
@@ -241,7 +250,7 @@ def check_exact_condition(f: FTensor, pmap: PointerMap, draws: int = 24, seed: i
 
 def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
                              draws: int = 24, seed: int = 20) -> MeasurementVerdict:
-    """Test the exponential condition ``max_r error_r <= exp(-c N)``.
+    """Test the exponential condition ``max_r error_r <= exp(-c N)`` in log space.
 
     Also reports the reconstruction residuals together with the constant K
     such that they equal ``K * exp(-c N / 2)``; K is reported, not asserted.
@@ -251,7 +260,6 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
     if not (c > 0.0):
         raise PreconditionError("decay constant must be positive")
     eps = pointer_errors(f, pmap)
-    bound = math.exp(-c * N)
     recon = _reconstruction_residuals(f, pmap, draws, seed)
     half_bound = math.exp(-c * N / 2.0)
     correction = max(recon) / half_bound if half_bound > 0 else math.inf
@@ -259,7 +267,7 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
         errors=tuple(float(e) for e in eps),
         N=int(N),
         bound_constant=float(c),
-        satisfied=bool(eps.max() <= bound),
+        satisfied=exponential_bound_holds(f, pmap, N, c),
         von_neumann_residuals=recon,
         correction_constant=float(correction),
     )
@@ -350,10 +358,7 @@ def stability_test(
     base_fit = fit_decay_rate(base_sweep)
     pert_fit = fit_decay_rate(pert_sweep)
     rel = abs(pert_fit.c - base_fit.c) / abs(base_fit.c) if base_fit.c != 0 else math.inf
-    bound_ok = True
-    for N, f, pmap in pert_sweep:
-        if pointer_errors(f, pmap).max() > math.exp(-pert_fit.c * N):
-            bound_ok = False
+    bound_ok = all(exponential_bound_holds(f, pmap, N, pert_fit.c) for N, f, pmap in pert_sweep)
     return StabilityResult(
         base_fit=base_fit,
         perturbed_fit=pert_fit,

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's computational paths: the
 composite evolution materialises the full tensor-product space and uses
-scipy's scaled-squaring exponential, and the probability oracles run on exact
-rational arithmetic.
+scipy's scaled-squaring exponential, the probability oracles run on exact
+rational arithmetic, and the chain sectors are summed from their full
+product polynomial, which the package never forms.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 
 def full_composite_phi_t(sector_hams, c, Omega, t):
@@ -92,6 +94,77 @@ def chain_trace_product(spec, r: int, s: int) -> tuple[float, float]:
         lm += math.log(abs(tr))
         ph += math.atan2(tr.imag, tr.real)
     return lm, ph
+
+
+def _log_coded_sum(lm, ph) -> tuple[float, float]:
+    """Sum of terms ``exp(lm) * exp(1j * ph)``, rescaled by the largest one."""
+    finite = lm > -np.inf
+    if not finite.any():
+        return -math.inf, 0.0
+    m = lm[finite].max()
+    acc = complex(np.sum(np.exp(lm[finite] - m) * np.exp(1j * ph[finite])))
+    if acc == 0:
+        return -math.inf, 0.0
+    return m + math.log(abs(acc)), math.atan2(acc.imag, acc.real)
+
+
+def _binomial_block(size: int, d0: complex, d1: complex):
+    """Log-coded coefficients of ``(d1 + d0 z)**size`` over the power of z."""
+    j = np.arange(size + 1, dtype=float)
+    lm = gammaln(size + 1.0) - gammaln(j + 1.0) - gammaln(size - j + 1.0)
+    ph = np.zeros(size + 1)
+    for count, d in ((j, d0), (size - j, d1)):
+        if d == 0:
+            lm = np.where(count == 0, lm, -np.inf)
+        else:
+            lm = lm + count * math.log(abs(d))
+            ph = ph + count * math.atan2(d.imag, d.real)
+    return lm, ph
+
+
+def _product_polynomial(x, y):
+    """Full product of two log-coded polynomials, one rescaled sum per output term."""
+    (x_lm, x_ph), (y_lm, y_ph) = x, y
+    out_len = len(x_lm) + len(y_lm) - 1
+    out_lm, out_ph = np.full(out_len, -np.inf), np.zeros(out_len)
+    for j in range(out_len):
+        ks = np.arange(max(0, j - len(y_lm) + 1), min(len(x_lm) - 1, j) + 1)
+        out_lm[j], out_ph[j] = _log_coded_sum(x_lm[ks] + y_lm[j - ks], x_ph[ks] + y_ph[j - ks])
+    return out_lm, out_ph
+
+
+def full_product_sector_cells(spec, r: int, s: int, rotated_count: int):
+    """Sector pair (r, s) of a partially traversed chain, by the quadratic route.
+
+    Each site contributes the polynomial ``d1 + d0 z`` over its up-count,
+    with ``d`` the diagonal of ``A_r^dag rho_k A_s`` (the rotation only on
+    the first ``rotated_count`` sites); identical sites are grouped into
+    binomial blocks, the blocks are multiplied into the full ``(N + 1)``-term
+    polynomial and the magnetisation-sign cells are summed from it.  Returns
+    ``(total, (minus_cell, plus_cell))`` as ``(log magnitude, phase)`` pairs;
+    the cells carry the energy phase, the total (the product of the per-site
+    traces) does not.
+    """
+    half = spec.theta / 2
+    rot = np.array([[math.cos(half), 1j * math.sin(half)],
+                    [1j * math.sin(half), math.cos(half)]])
+    if spec.theta == math.pi:
+        rot = np.array([[0, 1j], [1j, 0]])  # the exact flip, as the package defines it
+    blocks: dict[tuple[complex, complex], int] = {}
+    for k, rho in enumerate(spec.site_states()):
+        a = rot if (r == 1 and k < rotated_count) else np.eye(2)
+        b = rot if (s == 1 and k < rotated_count) else np.eye(2)
+        x = a.conj().T @ rho @ b
+        key = (complex(x[0, 0]), complex(x[1, 1]))
+        blocks[key] = blocks.get(key, 0) + 1
+    polys = [_binomial_block(size, d0, d1) for (d0, d1), size in blocks.items()]
+    lm, ph = polys[0]
+    for extra in polys[1:]:
+        lm, ph = _product_polynomial((lm, ph), extra)
+    h = len(chain_minus_cell_counts(spec.N))
+    energy = (spec.energies[s] - spec.energies[r]) * spec.t
+    cells = (_log_coded_sum(lm[:h], ph[:h]), _log_coded_sum(lm[h:], ph[h:]))
+    return _log_coded_sum(lm, ph), tuple((c_lm, c_ph + energy) for c_lm, c_ph in cells)
 
 
 def kl_bernoulli(q: float, p: float) -> float:

@@ -130,6 +130,19 @@ class TestSweep:
         assert fit["status"] == "ok"
         assert float(fit["r_squared"]) > 0.99
         assert float(fit["c_fit"]) > 0.0
+        assert fit["is_exponential"] == "true"
+
+    def test_half_traversal_fit_is_not_exponential(self, workdir):
+        # the error does not decay before the crossing; the fit says so
+        text = BASE.replace("seed = 7", "seed = 7\nmeasurement_time = 0.5")
+        cfg = write_config(workdir, text + SWEEP)
+        out = workdir / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+        fit_text = (out / "sweep_fit.txt").read_text(encoding="utf-8")
+        sections, _ = tokenize_kv("\n".join(fit_text.splitlines()[1:]))
+        fit = sections["decay_fit"]
+        assert fit["status"] == "ok"
+        assert fit["is_exponential"] == "false"
 
     def test_single_point_sweep_fit_refused(self, workdir):
         cfg = write_config(workdir, BASE + "\n[sweep]\nN = 100\n")
@@ -194,6 +207,23 @@ class TestPerturb:
         pert = (out / "perturb_perturbed.csv").read_text(encoding="utf-8").splitlines()
         assert base[0] == pert[0] == "N,eps_max,log_eps_max,w_plus,w_minus,offdiag_max,status"
         assert base[1:] != pert[1:]
+
+    def test_underflowed_rows_can_break_the_bound(self, workdir):
+        # every row underflows (eps_max = 0 and exp(-c N) = 0), yet eight
+        # flipped sites lift log eps about 2 nats above -c_fit N at N = 4000
+        flips = "".join(f"site_{k} = flip\n" for k in range(8))
+        text = (BASE + "\n[sweep]\nN = 4000, 8000, 16000, 32000\n"
+                + "\n[perturbation]\n" + flips)
+        out = workdir / "out"
+        assert run_cli("perturb", "--config", write_config(workdir, text), "--out", out) == 0
+        rows = (out / "perturb_perturbed.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert all(row.split(",")[-1] == "underflow" for row in rows)
+        stability = (out / "stability.txt").read_text(encoding="utf-8")
+        sections, _ = tokenize_kv("\n".join(stability.splitlines()[1:]))
+        stats = sections["stability"]
+        assert stats["within_band"] == "true"
+        assert stats["exponential_bound_satisfied"] == "false"
+        assert stats["passed"] == "false"
 
     def test_deterministic(self, workdir):
         cfg = write_config(workdir, BASE + SWEEP + PERTURB)

@@ -7,7 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pointer_cell_sim import core
-from pointer_cell_sim.coarse_ldp import BernoulliProduct, cell_probability
+from pointer_cell_sim.coarse_ldp import (
+    BernoulliProduct,
+    IntensiveObservable,
+    cell_probability,
+    coarse_grain,
+)
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     build_dense,
@@ -26,8 +31,12 @@ from oracles import (
     chain_minus_cell_counts,
     chain_plus_cell_counts,
     chain_trace_product,
+    full_product_sector_cells,
     poisson_binomial_fraction,
 )
+
+# a coherent site state: its cross-sector factors are complex, not just signed
+COMPLEX_OVERRIDE = {1: np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])}
 
 
 def dense_tensor(spec: ChainSpec) -> core.FTensor:
@@ -235,6 +244,51 @@ class TestTraversal:
         assert all(b <= a + 1e-15 for a, b in zip(eps, eps[1:]))
 
 
+def assert_matches_full_product(spec: ChainSpec, fraction: float) -> None:
+    """Every sector's total and cell sums agree with the quadratic oracle.
+
+    Log magnitudes and phases must agree to 1e-12 relative (absolute below
+    magnitude 1, where a log difference is the relative value error).
+    """
+    rotated = int(math.floor(fraction * spec.N + 1e-12))
+    cells, _ = chain_cells(spec.N)
+    for r in range(2):
+        for s in range(2):
+            ov = sector_overlap(spec, r, s, rotated)
+            got = [ov.dp_total(), *zip(*ov.cell_log_values(cells))]
+            ref_total, ref_cells = full_product_sector_cells(spec, r, s, rotated)
+            for (lm, ph), (ref_lm, ref_ph) in zip(got, [ref_total, *ref_cells]):
+                if ref_lm == -math.inf:
+                    assert lm == -math.inf, (r, s)
+                    continue
+                assert abs(lm - ref_lm) <= 1e-12 * max(1.0, abs(ref_lm)), (r, s, lm, ref_lm)
+                assert abs(math.remainder(ph - ref_ph, 2 * math.pi)) <= 1e-12 * max(1.0, abs(ref_ph)), \
+                    (r, s, ph, ref_ph)
+
+
+class TestPartialTraversalOracle:
+    @pytest.mark.parametrize("overrides", [None, COMPLEX_OVERRIDE], ids=["plain", "override"])
+    @pytest.mark.parametrize("theta", [math.pi, 2.2, 1.0, 4.0])
+    @pytest.mark.parametrize("N, fraction", [(9, 0.37), (10, 0.5), (120, 1.0), (501, 0.62)])
+    def test_cells_match_full_product(self, N, fraction, theta, overrides):
+        spec = ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.2),
+                         site_overrides=overrides)
+        assert_matches_full_product(spec, fraction)
+
+    def test_cells_match_full_product_at_four_thousand_sites(self):
+        spec = ChainSpec(N=4000, m0=0.6, theta=1.0, site_overrides=COMPLEX_OVERRIDE)
+        assert_matches_full_product(spec, 0.5)
+
+    def test_rejects_partitions_other_than_prefix_suffix(self):
+        ov = sector_overlap(ChainSpec(N=30, m0=0.6, theta=2.2), 0, 1, 15)
+        three, _ = coarse_grain(IntensiveObservable.magnetization_chain(30), 3)
+        with pytest.raises(StructuralError):
+            ov.cell_values(three)
+        shorter, _ = chain_cells(29)
+        with pytest.raises(StructuralError):
+            ov.cell_values(shorter)
+
+
 class TestLargeN:
     def test_hundred_thousand_sites(self):
         f = factorized_f_tensor(ChainSpec(N=100_000, m0=0.6))
@@ -245,6 +299,12 @@ class TestLargeN:
         assert rate == pytest.approx(0.22314355131420976, rel=1e-3)
         assert f.underflow.any()
         assert core.check_f_properties(f).passed
+
+    def test_half_traversal_at_hundred_thousand_sites(self):
+        f = traversal_schedule(ChainSpec(N=100_000, m0=0.6), 0.5)
+        assert core.check_f_properties(f).passed
+        for r in range(2):
+            assert abs(f.values[r, r].real.sum() - 1.0) <= 1e-10
 
 
 class TestSpecHelpers:

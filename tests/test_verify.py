@@ -16,6 +16,7 @@ from pointer_cell_sim.verify import (
     PointerMap,
     check_exact_condition,
     check_weakened_condition,
+    exponential_bound_holds,
     find_pointer_map,
     fit_decay_rate,
     ideal_tensor,
@@ -207,6 +208,19 @@ class TestWeakenedCondition:
         verdict = check_weakened_condition(f, pm, N=N, c=BOUNDARY_RATE / 2)
         assert verdict.satisfied
         assert max(verdict.errors) <= math.exp(-BOUNDARY_RATE / 2 * N)
+
+    def test_underflowed_errors_still_break_the_bound(self):
+        # at N = 5000 the pointer error (about exp(-1115)) and exp(-c N) both
+        # underflow to 0.0; the verdict must come from the logs, not 0 <= 0
+        N = 5000
+        f = factorized_f_tensor(ChainSpec(N=N, m0=0.6))
+        pm = find_pointer_map(f)
+        assert pointer_errors(f, pm).max() == 0.0
+        assert not check_weakened_condition(f, pm, N=N, c=2 * BOUNDARY_RATE).satisfied
+        assert check_weakened_condition(f, pm, N=N, c=BOUNDARY_RATE / 2).satisfied
+        log_eps = log_pointer_errors(f, pm).max()
+        assert exponential_bound_holds(f, pm, N, -log_eps / N * (1 - 1e-9))
+        assert not exponential_bound_holds(f, pm, N, -log_eps / N * (1 + 1e-9))
 
     def test_precondition_checks(self):
         f = ideal_f([0, 1])
