@@ -320,8 +320,9 @@ class RateFunctionEstimate:
             return None
         return self.samples - self.analytic[None, :]
 
-    def curve(self, analytic_preferred: bool = True) -> np.ndarray:
-        if analytic_preferred and self.analytic is not None:
+    def curve(self) -> np.ndarray:
+        """The analytic rates when known, else the largest chain's samples."""
+        if self.analytic is not None:
             return self.analytic
         return self.samples[-1]
 

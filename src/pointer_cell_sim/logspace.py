@@ -100,11 +100,10 @@ def lc_cumsum(lm: np.ndarray, ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lc_convolve(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Convolution of two log-coded coefficient arrays (polynomial product).
 
-    A side of at most 64 terms is handled by one vectorised pass; longer
-    sides take a Python loop with one ``lc_sum`` per output term, quadratic
-    in the length.  That branch now serves only ``up_count_log_pmf``, which
-    needs the full up-count distribution; the chain collapses its sectors
-    onto the cells without ever forming the full product.
+    One pass over the shifts of the shorter side finds each output's largest
+    term; a second pass adds every shifted copy of the longer side, rescaled
+    by that maximum, into its slice of the output.  The cost is the product
+    of the two lengths.
     """
     lma, pha = a
     lmb, phb = b
@@ -114,29 +113,20 @@ def lc_convolve(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarra
     out_len = na + nb - 1
     if not np.isfinite(lma).any() or not np.isfinite(lmb).any():
         return np.full(out_len, -np.inf), np.zeros(out_len)
-    if nb <= 64:
-        # stack the shifted copies: one vectorised normalised sum per output
-        stack_lm = np.full((nb, out_len), -np.inf)
-        stack_ph = np.zeros((nb, out_len))
+    m = np.full(out_len, -np.inf)
+    for shift in range(nb):
+        np.maximum(m[shift:shift + na], lma + lmb[shift], out=m[shift:shift + na])
+    safe_m = np.where(np.isfinite(m), m, 0.0)
+    acc = np.zeros(out_len, dtype=complex)
+    with np.errstate(invalid="ignore"):
         for shift in range(nb):
-            stack_lm[shift, shift:shift + na] = lma + lmb[shift]
-            stack_ph[shift, shift:shift + na] = pha + phb[shift]
-        m = stack_lm.max(axis=0)
-        safe_m = np.where(np.isfinite(m), m, 0.0)
-        with np.errstate(invalid="ignore"):
-            acc = np.sum(np.exp(stack_lm - safe_m) * np.exp(1j * stack_ph), axis=0)
-        mag = np.abs(acc)
-        out_lm = np.where(np.isfinite(m) & (mag > 0),
-                          safe_m + np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-        out_ph = np.where(np.isfinite(out_lm), np.angle(acc), 0.0)
-        return out_lm, out_ph
-    out_lm = np.full(out_len, -np.inf)
-    out_ph = np.zeros(out_len)
-    for j in range(out_len):
-        lo = max(0, j - nb + 1)
-        hi = min(na - 1, j)
-        ks = np.arange(lo, hi + 1)
-        out_lm[j], out_ph[j] = lc_sum(lma[ks] + lmb[j - ks], pha[ks] + phb[j - ks])
+            window = slice(shift, shift + na)
+            acc[window] += (np.exp(lma + lmb[shift] - safe_m[window])
+                            * np.exp(1j * (pha + phb[shift])))
+    mag = np.abs(acc)
+    out_lm = np.where(np.isfinite(m) & (mag > 0),
+                      safe_m + np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
+    out_ph = np.where(np.isfinite(out_lm), np.angle(acc), 0.0)
     return out_lm, out_ph
 
 

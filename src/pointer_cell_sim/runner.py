@@ -1,5 +1,10 @@
 """Experiment orchestration: build models from configs and produce artifacts.
 
+Each CLI command is one function here, ``run``, ``sweep``, ``ldp``,
+``perturb`` and ``verify_suite``, called as ``(cfg, base_dir, oracle)``; it
+computes and renders its own files and returns ``(artifacts, exit code)``
+with ``artifacts`` mapping file names to their text.
+
 Every entry point is deterministic for a fixed config: random draws come from
 the config seed, sweep points are evaluated one after the other and assembled
 in sorted order, and artifacts contain no timestamps or machine state beyond
@@ -20,7 +25,8 @@ from . import coarse_ldp, coleman_hepp, core, verify
 from .config import ExperimentConfig, fmt_float
 from .errors import AmbiguousPointerError, CapacityError, ConfigError, SimulationError
 from .logspace import bernoulli_relative_entropy
-from .report import f_tensor_items, parse_f_tensor_text, property_items, render_report
+from .report import (LDP_COLUMNS, SWEEP_COLUMNS, f_tensor_items, parse_f_tensor_text,
+                     property_items, render_csv, render_report)
 
 CELL_MINUS, CELL_PLUS = 0, 1
 
@@ -75,24 +81,15 @@ def perturbation_states(cfg: ExperimentConfig) -> dict[int, np.ndarray]:
 def _build_generic_dense(cfg: ExperimentConfig, base_dir: Path):
     params = cfg.params
     problems = []
-    try:
-        K = load_matrix_text(base_dir / str(params["k_file"]))
-    except ConfigError as exc:
-        problems += exc.errors
-        K = None
-    Vs = []
-    for vf in params["v_files"]:
+    matrices = []
+    for name in (str(params["k_file"]), *params["v_files"], str(params["omega_file"])):
         try:
-            Vs.append(load_matrix_text(base_dir / vf))
+            matrices.append(load_matrix_text(base_dir / name))
         except ConfigError as exc:
             problems += exc.errors
-    try:
-        Omega = load_matrix_text(base_dir / str(params["omega_file"]))
-    except ConfigError as exc:
-        problems += exc.errors
-        Omega = None
     if problems:
         raise ConfigError(problems)
+    K, *Vs, Omega = matrices
     groups = [[int(tok) for tok in grp.split()] for grp in str(params["cells"]).split("|")]
     labels = None
     if "labels" in params:
@@ -163,32 +160,27 @@ def _dense_chain_discrepancy(spec: coleman_hepp.ChainSpec, tensor) -> float:
     return float(np.abs(dense_chain_tensor(spec).values - tensor.values).max())
 
 
+def _dense_sizes(Ns) -> list[int]:
+    """The chain sizes the dense oracle can check; a capacity error if none."""
+    fits = [N for N in Ns if N <= coleman_hepp.DENSE_SITE_CAP]
+    if not fits:
+        raise CapacityError(
+            f"oracle cross-check needs the dense backend, capped at "
+            f"{coleman_hepp.DENSE_SITE_CAP} sites (got N = {', '.join(str(N) for N in Ns)})")
+    return fits
+
+
+def _require_full_traversal(cfg: ExperimentConfig) -> None:
+    if cfg.measurement_time != 1.0:
+        raise ConfigError(["oracle mode requires measurement_time = 1"])
+
+
 def _sector_family(cfg: ExperimentConfig, r: int, overrides=None):
     """Chain size -> product state of the evolved diagonal sector r."""
     def family(N: int) -> coarse_ldp.BernoulliProduct:
         spec = chain_spec_from_config(cfg, N=N, overrides=overrides)
         return coarse_ldp.BernoulliProduct(coleman_hepp.diagonal_sector_product(spec, r))
     return family
-
-
-@dataclass
-class RunResult:
-    """Everything a single run produces, ready to render."""
-
-    backend: str
-    tensor: core.FTensor
-    weights: np.ndarray
-    cell_labels: tuple[str, ...]
-    properties: core.FPropertyReport
-    pointer: verify.PointerMap | None
-    pointer_error: str | None
-    exact: verify.ExactConditionResult | None
-    weakened: verify.MeasurementVerdict | None
-    c_reference: float | None
-    expectation: float | None
-    conditional: list[tuple[str, float | None]]
-    oracle_discrepancy: float | None
-    config_sha: str
 
 
 def analytic_boundary_rate(cfg: ExperimentConfig) -> float | None:
@@ -201,24 +193,24 @@ def analytic_boundary_rate(cfg: ExperimentConfig) -> float | None:
     return bernoulli_relative_entropy(0.5, p)
 
 
-def run(cfg: ExperimentConfig, base_dir: Path | None = None, oracle: bool = False) -> RunResult:
-    """Execute one experiment: tensor, weights, verdicts, property report."""
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def run(cfg: ExperimentConfig, base_dir: Path | None = None,
+        oracle: bool = False) -> tuple[dict[str, str], int]:
+    """``report.txt`` of one experiment: tensor, weights, verdicts, properties."""
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
     c = np.array(cfg.amplitudes, dtype=complex)
     oracle_disc = None
     if cfg.model == "coleman_hepp":
         spec = chain_spec_from_config(cfg)
         tensor = coleman_hepp.traversal_schedule(spec, cfg.measurement_time)
-        cells_spec, _ = coleman_hepp.chain_cells(spec.N)
-        cell_labels = cells_spec.labels
+        cell_labels = coleman_hepp.chain_cells(spec.N)[0].labels
         backend = "factorized"
         if oracle:
-            if cfg.measurement_time != 1.0:
-                raise ConfigError(["oracle mode requires measurement_time = 1"])
-            if spec.N > coleman_hepp.DENSE_SITE_CAP:
-                raise CapacityError(
-                    f"oracle cross-check needs the dense backend, capped at "
-                    f"{coleman_hepp.DENSE_SITE_CAP} sites (got {spec.N})")
+            _require_full_traversal(cfg)
+            _dense_sizes([spec.N])
             oracle_disc = _dense_chain_discrepancy(spec, tensor)
             backend = "factorized+dense-oracle"
     else:
@@ -238,101 +230,67 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None, oracle: bool = Fals
 
     weights = core.pointer_weights(tensor, c)
     properties = core.check_f_properties(tensor)
+    pointer_items = _pointer_items(cfg, tensor)
+    sections = [
+        ("provenance", [
+            ("config_sha256", cfg.sha256()),
+            ("backend", backend),
+            ("package_version", _package_version),
+            ("numpy_version", np.__version__),
+            ("scipy_version", scipy.__version__),
+        ]),
+        ("f_tensor", f_tensor_items(tensor)),
+        ("weights", [(f"w[{label}]", fmt_float(float(w)))
+                     for label, w in zip(cell_labels, weights)]),
+    ]
+    if cfg.observable_file is not None:
+        A = core.ObservableS(matrix=load_matrix_text(base_dir / cfg.observable_file))
+        items = [("E", fmt_float(core.expectation_s(tensor, c, A)))]
+        for alpha, label in enumerate(cell_labels):
+            items.append((f"E_given[{label}]",
+                          fmt_float(core.conditional_expectation(tensor, c, A, alpha))
+                          if weights[alpha] > core.WEIGHT_FLOOR
+                          else "undefined (null macrostate)"))
+        sections.append(("expectation", items))
+    sections.append(("pointer", pointer_items))
+    sections.append(("properties", property_items(properties)))
+    if oracle_disc is not None:
+        sections.append(("oracle", [("dense_max_discrepancy", fmt_float(oracle_disc))]))
+    return {"report.txt": render_report(sections)}, 0
 
-    pointer = None
-    pointer_error = None
-    exact = None
-    weakened = None
-    c_ref = analytic_boundary_rate(cfg)
+
+def _pointer_items(cfg: ExperimentConfig, tensor) -> list[tuple[str, str]]:
+    """The pointer map with the exact and, for the chain, the weakened verdict."""
     try:
         pointer = verify.find_pointer_map(tensor)
     except AmbiguousPointerError as exc:
-        pointer_error = str(exc)
-    if pointer is not None:
-        exact = verify.check_exact_condition(tensor, pointer, seed=cfg.seed + 11)
-        if c_ref is not None and cfg.model == "coleman_hepp":
-            weakened = verify.check_weakened_condition(
-                tensor, pointer, N=int(cfg.params["N"]), c=c_ref, seed=cfg.seed + 13)
-
-    expectation = None
-    conditional: list[tuple[str, float | None]] = []
-    if cfg.observable_file is not None:
-        A = core.ObservableS(matrix=load_matrix_text(base_dir / cfg.observable_file))
-        expectation = core.expectation_s(tensor, c, A)
-        for alpha, label in enumerate(cell_labels):
-            if weights[alpha] > core.WEIGHT_FLOOR:
-                conditional.append((label, core.conditional_expectation(tensor, c, A, alpha)))
-            else:
-                conditional.append((label, None))
-
-    return RunResult(
-        backend=backend,
-        tensor=tensor,
-        weights=weights,
-        cell_labels=cell_labels,
-        properties=properties,
-        pointer=pointer,
-        pointer_error=pointer_error,
-        exact=exact,
-        weakened=weakened,
-        c_reference=c_ref,
-        expectation=expectation,
-        conditional=conditional,
-        oracle_discrepancy=oracle_disc,
-        config_sha=cfg.sha256(),
-    )
-
-
-def render_run_report(result: RunResult) -> str:
-    sections = [("provenance", [
-        ("config_sha256", result.config_sha),
-        ("backend", result.backend),
-        ("package_version", _package_version),
-        ("numpy_version", np.__version__),
-        ("scipy_version", scipy.__version__),
-    ])]
-    sections.append(("f_tensor", f_tensor_items(result.tensor)))
-    sections.append(("weights", [
-        (f"w[{label}]", fmt_float(float(w)))
-        for label, w in zip(result.cell_labels, result.weights)
-    ]))
-    if result.expectation is not None:
-        items = [("E", fmt_float(result.expectation))]
-        for label, value in result.conditional:
-            items.append((f"E_given[{label}]",
-                          fmt_float(value) if value is not None else "undefined (null macrostate)"))
-        sections.append(("expectation", items))
-    pointer_items: list[tuple[str, str]] = []
-    if result.pointer is not None:
-        pointer_items.append(("phi", ", ".join(str(r) for r in result.pointer.phi)))
-        pointer_items.append(("confidence", ", ".join(fmt_float(v) for v in result.pointer.confidence)))
-        if result.pointer.uninformative:
-            pointer_items.append(("uninformative_microstates",
-                                  ", ".join(str(r) for r in result.pointer.uninformative)))
-        if result.exact is not None:
-            pointer_items += [
-                ("exact_satisfied", "true" if result.exact.satisfied else "false"),
-                ("exact_residual", fmt_float(result.exact.residual)),
-                ("ideal_form_residual", fmt_float(result.exact.ideal_residual)),
-                ("reconstruction_residual_expectation", fmt_float(result.exact.von_neumann_residuals[0])),
-                ("reconstruction_residual_conditional", fmt_float(result.exact.von_neumann_residuals[1])),
-            ]
-        if result.weakened is not None:
-            pointer_items += [
-                ("weakened_c_reference", fmt_float(result.weakened.bound_constant)),
-                ("weakened_satisfied", "true" if result.weakened.satisfied else "false"),
-                ("pointer_errors", ", ".join(fmt_float(e) for e in result.weakened.errors)),
-                ("correction_constant", fmt_float(result.weakened.correction_constant)),
-            ]
-    else:
-        pointer_items.append(("error", result.pointer_error or "unavailable"))
-    sections.append(("pointer", pointer_items))
-    sections.append(("properties", property_items(result.properties)))
-    if result.oracle_discrepancy is not None:
-        sections.append(("oracle", [
-            ("dense_max_discrepancy", fmt_float(result.oracle_discrepancy)),
-        ]))
-    return render_report(sections)
+        return [("error", str(exc))]
+    items = [("phi", ", ".join(str(r) for r in pointer.phi)),
+             ("confidence", ", ".join(fmt_float(v) for v in pointer.confidence))]
+    if pointer.uninformative:
+        items.append(("uninformative_microstates",
+                      ", ".join(str(r) for r in pointer.uninformative)))
+    exact = verify.check_exact_condition(tensor, pointer, seed=cfg.seed + 11)
+    items += [
+        ("exact_satisfied", _flag(exact.satisfied)),
+        ("exact_residual", fmt_float(exact.residual)),
+        ("ideal_form_residual", fmt_float(exact.ideal_residual)),
+        ("reconstruction_residual_expectation", fmt_float(exact.von_neumann_residuals[0])),
+        ("reconstruction_residual_conditional", fmt_float(exact.von_neumann_residuals[1])),
+    ]
+    c_ref = analytic_boundary_rate(cfg)
+    if c_ref is not None:
+        weakened = verify.check_weakened_condition(
+            tensor, pointer, N=int(cfg.params["N"]), c=c_ref, seed=cfg.seed + 13)
+        items += [
+            ("weakened_c_reference", fmt_float(weakened.bound_constant)),
+            ("weakened_satisfied", _flag(weakened.satisfied)),
+            ("pointer_errors", ", ".join(fmt_float(e) for e in weakened.errors)),
+            ("log_pointer_errors", ", ".join(fmt_float(e) for e in weakened.log_errors)),
+            ("correction_constant", fmt_float(weakened.correction_constant)),
+            ("log_correction_constant", fmt_float(weakened.log_correction_constant)),
+        ]
+    return items
 
 
 @dataclass
@@ -375,47 +333,50 @@ def _sweep_point(cfg: ExperimentConfig, N: int, overrides=None) -> SweepPoint:
                           offdiag_max=math.nan, status=f"failed: {exc}")
 
 
-def sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
-    """Evaluate the sweep list; returns (points, fit or None, fit_status, oracle_info)."""
+def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
+    """Evaluate the sweep list; returns (points, fit or None, fit status,
+    oracle (worst discrepancy, points checked) or None)."""
     if cfg.sweep is None:
         raise ConfigError(["sweep requested but the config has no [sweep] section"])
-    points = [_sweep_point(cfg, N, overrides=overrides) for N in cfg.sweep]
-    points.sort(key=lambda pt: pt.N)
-    usable = [(pt.N, pt.tensor, pt.pointer) for pt in points if pt.tensor is not None]
+    points = sorted((_sweep_point(cfg, N, overrides=overrides) for N in cfg.sweep),
+                    key=lambda pt: pt.N)
     fit = None
     fit_status = "ok"
     try:
-        fit = verify.fit_decay_rate(usable)
+        fit = verify.fit_decay_rate(
+            [(pt.N, pt.tensor, pt.pointer) for pt in points if pt.tensor is not None])
     except SimulationError as exc:
         fit_status = f"refused: {exc}"
     oracle_info = None
     if oracle:
-        if cfg.measurement_time != 1.0:
-            raise ConfigError(["oracle mode requires measurement_time = 1"])
-        checkable = [pt for pt in points
-                     if pt.tensor is not None and pt.N <= coleman_hepp.DENSE_SITE_CAP]
-        if not checkable:
-            raise CapacityError(
-                "no sweep point fits the dense backend "
-                f"(cap {coleman_hepp.DENSE_SITE_CAP} sites); oracle cross-check impossible")
+        _require_full_traversal(cfg)
+        fits = _dense_sizes([pt.N for pt in points if pt.tensor is not None])
         worst = max(_dense_chain_discrepancy(
             chain_spec_from_config(cfg, N=pt.N, overrides=overrides), pt.tensor)
-            for pt in checkable)
-        oracle_info = (worst, len(checkable))
+            for pt in points if pt.tensor is not None and pt.N in fits)
+        oracle_info = (worst, len(fits))
     return points, fit, fit_status, oracle_info
 
 
-def sweep_rows(points) -> list[tuple[str, ...]]:
-    rows = []
-    for pt in points:
-        rows.append((str(pt.N), fmt_float(pt.eps_max), fmt_float(pt.log_eps_max),
-                     fmt_float(pt.w_plus), fmt_float(pt.w_minus),
-                     fmt_float(pt.offdiag_max), pt.status))
-    return rows
+def _sweep_csv(points) -> str:
+    return render_csv(SWEEP_COLUMNS, [
+        (str(pt.N), fmt_float(pt.eps_max), fmt_float(pt.log_eps_max), fmt_float(pt.w_plus),
+         fmt_float(pt.w_minus), fmt_float(pt.offdiag_max), pt.status) for pt in points])
 
 
-def render_fit_summary(cfg: ExperimentConfig, fit, fit_status: str,
-                       extra: list[tuple[str, str]] | None = None) -> str:
+def _oracle_items(oracle_info) -> list[tuple[str, str]]:
+    """Report lines for a sweep oracle result ``(worst, points_checked)``."""
+    if oracle_info is None:
+        return []
+    worst, checked = oracle_info
+    return [("oracle_max_discrepancy", fmt_float(worst)),
+            ("oracle_points_checked", str(checked))]
+
+
+def sweep(cfg: ExperimentConfig, base_dir: Path | None = None,
+          oracle: bool = False) -> tuple[dict[str, str], int]:
+    """``sweep.csv`` and the decay fit ``sweep_fit.txt``."""
+    points, fit, fit_status, oracle_info = _sweep(cfg, oracle=oracle)
     items = [("status", fit_status)]
     if fit is not None:
         items += [
@@ -425,27 +386,20 @@ def render_fit_summary(cfg: ExperimentConfig, fit, fit_status: str,
             ("intercept", fmt_float(fit.intercept)),
             ("c_fit", fmt_float(fit.c)),
             ("r_squared", fmt_float(fit.r_squared)),
-            ("is_exponential", "true" if fit.is_exponential() else "false"),
+            ("is_exponential", _flag(fit.is_exponential())),
         ]
         c_ref = analytic_boundary_rate(cfg)
         if c_ref is not None:
             items.append(("c_analytic_boundary", fmt_float(c_ref)))
-    if extra:
-        items += extra
-    return render_report([("decay_fit", items)])
+    items += _oracle_items(oracle_info)
+    return {"sweep.csv": _sweep_csv(points),
+            "sweep_fit.txt": render_report([("decay_fit", items)])}, 0
 
 
-def oracle_items(oracle_info) -> list[tuple[str, str]]:
-    """Report lines for a sweep oracle result ``(worst, points_checked)``."""
-    if oracle_info is None:
-        return []
-    worst, checked = oracle_info
-    return [("oracle_max_discrepancy", fmt_float(worst)),
-            ("oracle_points_checked", str(checked))]
-
-
-def ldp_rows(cfg: ExperimentConfig, oracle: bool = False):
-    """Rate-function series for the spin-up sector family, plus estimates."""
+def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
+        oracle: bool = False) -> tuple[dict[str, str], int]:
+    """``ldp.csv``, the rate-function series of the spin-up sector family, and
+    ``ldp_conditions.txt``, the structural conditions on both families."""
     if cfg.ldp_grid is None:
         raise ConfigError(["ldp requested but the config has no [ldp] section"])
     if cfg.sweep is None:
@@ -453,50 +407,39 @@ def ldp_rows(cfg: ExperimentConfig, oracle: bool = False):
     grid = list(cfg.ldp_grid)
     Ns = list(cfg.sweep)
 
-    oracle_info = None
+    oracle_section = None
     if oracle:
-        checkable = [N for N in Ns if N <= coleman_hepp.DENSE_SITE_CAP]
-        if not checkable:
-            raise CapacityError(
-                "no chain size fits the dense backend "
-                f"(cap {coleman_hepp.DENSE_SITE_CAP} sites); oracle cross-check impossible")
-        N0 = max(checkable)
+        N0 = max(_dense_sizes(Ns))
         dense = dense_chain_tensor(chain_spec_from_config(cfg, N=N0))
         cells_spec, _ = coleman_hepp.chain_cells(N0)
         worst = 0.0
         for r in range(2):
             probs = coarse_ldp.cell_probability(_sector_family(cfg, r)(N0), cells_spec)
             worst = max(worst, float(np.abs(dense.values[r, r].real - probs).max()))
-        oracle_info = (worst, N0)
+        oracle_section = ("oracle", [("identification_max_discrepancy", fmt_float(worst)),
+                                     ("dense_chain_size", str(N0))])
 
     estimates = [coarse_ldp.estimate_rate(_sector_family(cfg, r), grid, Ns) for r in range(2)]
     up = estimates[0]
     rows = []
     for i, N in enumerate(up.N_values):
         for k, m in enumerate(up.grid):
+            ana = float(up.analytic[k]) if up.analytic is not None else math.nan
             if up.dropped[i, k]:
-                rows.append((fmt_float(m), str(N), "nan",
-                             fmt_float(float(up.analytic[k])) if up.analytic is not None else "nan",
-                             "nan", "dropped: zero window probability"))
+                rows.append((fmt_float(m), str(N), "nan", fmt_float(ana), "nan",
+                             "dropped: zero window probability"))
             else:
                 emp = float(up.samples[i, k])
-                ana = float(up.analytic[k]) if up.analytic is not None else math.nan
                 rows.append((fmt_float(m), str(N), fmt_float(emp), fmt_float(ana),
                              fmt_float(emp - ana), "ok"))
-    return rows, estimates, oracle_info
 
-
-def ldp_conditions_text(cfg: ExperimentConfig, estimates) -> str:
-    spec = chain_spec_from_config(cfg, N=max(cfg.sweep))
-    cells, _ = coleman_hepp.chain_cells(spec.N)
-    tensor = coleman_hepp.factorized_f_tensor(chain_spec_from_config(cfg, N=min(cfg.sweep)))
+    cells, _ = coleman_hepp.chain_cells(max(Ns))
+    tensor = coleman_hepp.factorized_f_tensor(chain_spec_from_config(cfg, N=min(Ns)))
     pointer = verify.find_pointer_map(tensor)
     perturbed = None
     bound = None
     if cfg.perturbation:
         overrides = perturbation_states(cfg)
-        grid = list(cfg.ldp_grid)
-        Ns = list(cfg.sweep)
         perturbed = [coarse_ldp.estimate_rate(_sector_family(cfg, r, overrides), grid, Ns)
                      for r in range(2)]
         N0 = min(Ns)
@@ -506,71 +449,65 @@ def ldp_conditions_text(cfg: ExperimentConfig, estimates) -> str:
                                              perturbed=perturbed, stability_bound=bound)
     items = [
         ("maximizers", ", ".join(fmt_float(m) for m in report.maximizers)),
-        ("unique_max", "true" if report.unique_max else "false"),
-        ("interior", "true" if report.interior else "false"),
-        ("distinct_cells", "true" if report.distinct_cells else "false"),
+        ("unique_max", _flag(report.unique_max)),
+        ("interior", _flag(report.interior)),
+        ("distinct_cells", _flag(report.distinct_cells)),
         ("gap", fmt_float(report.gap)),
-        ("gap_positive", "true" if report.gap_positive else "false"),
+        ("gap_positive", _flag(report.gap_positive)),
     ]
     if report.stability_residual is not None:
         items += [
             ("stability_residual", fmt_float(report.stability_residual)),
             ("stability_bound", fmt_float(report.stability_bound)),
-            ("stability_ok", "true" if report.stability_ok else "false"),
+            ("stability_ok", _flag(report.stability_ok)),
         ]
-    items.append(("passed", "true" if report.passed else "false"))
-    return render_report([("ldp_conditions", items)])
+    items.append(("passed", _flag(report.passed)))
+    sections = [("ldp_conditions", items)]
+    if oracle_section is not None:
+        sections.append(oracle_section)
+    return {"ldp.csv": render_csv(LDP_COLUMNS, rows),
+            "ldp_conditions.txt": render_report(sections)}, 0
 
 
-def perturb(cfg: ExperimentConfig, oracle: bool = False):
-    """Stability run: base sweep, perturbed sweep, band comparison.
+def perturb(cfg: ExperimentConfig, base_dir: Path | None = None,
+            oracle: bool = False) -> tuple[dict[str, str], int]:
+    """Stability run: ``perturb_base.csv``, ``perturb_perturbed.csv`` and the
+    band comparison ``stability.txt``.
 
-    With ``oracle``, both sweeps are cross-checked against the dense backend;
-    the last element of the result is then ``(worst discrepancy over both
-    sweeps, points checked over both sweeps)``, otherwise ``None``.
+    With ``oracle``, both sweeps are cross-checked against the dense backend
+    and ``stability.txt`` reports the worst discrepancy and the points checked
+    over both.
     """
     if cfg.sweep is None:
         raise ConfigError(["perturb requires a [sweep] section"])
     if not cfg.perturbation:
         raise ConfigError(["perturb requires a [perturbation] section"])
     overrides = perturbation_states(cfg)
-    base_points, base_fit, base_status, base_oracle = sweep(cfg, oracle=oracle)
-    pert_points, pert_fit, pert_status, pert_oracle = sweep(
+    base_points, base_fit, base_status, base_oracle = _sweep(cfg, oracle=oracle)
+    pert_points, pert_fit, pert_status, pert_oracle = _sweep(
         cfg, overrides=overrides, oracle=oracle)
-    oracle_info = None
-    if oracle:
-        oracle_info = (max(base_oracle[0], pert_oracle[0]), base_oracle[1] + pert_oracle[1])
-    result = None
-    if base_fit is not None and pert_fit is not None:
-        rel = (abs(pert_fit.c - base_fit.c) / abs(base_fit.c)
-               if base_fit.c != 0 else math.inf)
-        bound_ok = all(
-            verify.exponential_bound_holds(pt.tensor, pt.pointer, pt.N, pert_fit.c)
-            for pt in pert_points if pt.tensor is not None)
-        result = verify.StabilityResult(
-            base_fit=base_fit, perturbed_fit=pert_fit, relative_change=rel,
-            tolerance_band=verify.STABILITY_BAND, bound_satisfied=bound_ok)
-    return (base_points, pert_points, base_fit, pert_fit, base_status, pert_status, result,
-            oracle_info)
-
-
-def render_stability(cfg, base_fit, pert_fit, base_status, pert_status, result,
-                     oracle_info=None) -> str:
     items = [("base_status", base_status), ("perturbed_status", pert_status)]
-    if result is not None:
+    if base_fit is not None and pert_fit is not None:
+        result = verify.stability_verdict(
+            base_fit, pert_fit,
+            [(pt.N, pt.tensor, pt.pointer) for pt in pert_points if pt.tensor is not None])
         items += [
             ("c_base", fmt_float(result.base_fit.c)),
             ("c_perturbed", fmt_float(result.perturbed_fit.c)),
             ("relative_change", fmt_float(result.relative_change)),
             ("tolerance_band", fmt_float(result.tolerance_band)),
-            ("within_band", "true" if result.within_band else "false"),
-            ("exponential_bound_satisfied", "true" if result.bound_satisfied else "false"),
-            ("passed", "true" if result.passed else "false"),
+            ("within_band", _flag(result.within_band)),
+            ("exponential_bound_satisfied", _flag(result.bound_satisfied)),
+            ("passed", _flag(result.passed)),
         ]
-    sites = ", ".join(f"site_{site}={edit}" for site, edit in (cfg.perturbation or ()))
-    items.append(("perturbation", sites or "none"))
-    items += oracle_items(oracle_info)
-    return render_report([("stability", items)])
+    sites = ", ".join(f"site_{site}={edit}" for site, edit in cfg.perturbation)
+    items.append(("perturbation", sites))
+    if oracle:
+        items += _oracle_items((max(base_oracle[0], pert_oracle[0]),
+                                base_oracle[1] + pert_oracle[1]))
+    return {"perturb_base.csv": _sweep_csv(base_points),
+            "perturb_perturbed.csv": _sweep_csv(pert_points),
+            "stability.txt": render_report([("stability", items)])}, 0
 
 
 # random-instance generation for the verify suite (and reusable in tests)
@@ -627,8 +564,11 @@ def random_amplitudes(rng: np.random.Generator, n: int, floor: float = 0.0) -> n
             return c
 
 
-def verify_suite(cfg: ExperimentConfig, base_dir: Path | None = None) -> tuple[bool, str]:
-    """Seeded random-instance property suite; returns (passed, report text)."""
+def verify_suite(cfg: ExperimentConfig, base_dir: Path | None = None,
+                 oracle: bool = False) -> tuple[dict[str, str], int]:
+    """``verify.txt`` of the seeded random-instance property suite; exit code 4
+    on any failure.  The chain backends are always cross-checked, so
+    ``oracle`` adds nothing."""
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
@@ -674,8 +614,8 @@ def verify_suite(cfg: ExperimentConfig, base_dir: Path | None = None) -> tuple[b
     ]
     for j, msg in enumerate(failures):
         items.append((f"failure_{j}", msg))
-    items.append(("passed", "true" if passed else "false"))
+    items.append(("passed", _flag(passed)))
     sections = [("verify", items)]
     if file_items:
         sections.append(("tensor_file_properties", file_items))
-    return passed, render_report(sections)
+    return {"verify.txt": render_report(sections)}, 0 if passed else 4

@@ -26,6 +26,8 @@ TIE_EPSILON = 1e-9
 UNINFORMATIVE_FLOOR = 0.5
 EXACT_CONDITION_TOL = 1e-10
 STABILITY_BAND = 0.25
+EXPONENTIAL_R_SQUARED = 0.99
+RECONSTRUCTION_DRAWS = 24
 
 
 @dataclass(frozen=True)
@@ -60,14 +62,21 @@ class PointerMap:
 
 @dataclass(frozen=True)
 class MeasurementVerdict:
-    """Outcome of the weakened (exponential) measurement condition."""
+    """Outcome of the weakened (exponential) measurement condition.
+
+    ``log_errors`` and ``log_correction_constant`` carry the pointer errors
+    and the constant K in log space, where they stay finite after ``errors``
+    underflow to zero and ``correction_constant`` overflows.
+    """
 
     errors: tuple[float, ...]
+    log_errors: tuple[float, ...]
     N: int
     bound_constant: float
     satisfied: bool
     von_neumann_residuals: tuple[float, float]
     correction_constant: float
+    log_correction_constant: float
 
 
 @dataclass(frozen=True)
@@ -95,8 +104,8 @@ class DecayFit:
         """Empirical decay constant (magnitude of the fitted slope)."""
         return -self.slope
 
-    def is_exponential(self, r_squared_floor: float = 0.99) -> bool:
-        return self.slope < 0.0 and self.r_squared >= r_squared_floor
+    def is_exponential(self) -> bool:
+        return self.slope < 0.0 and self.r_squared >= EXPONENTIAL_R_SQUARED
 
 
 @dataclass(frozen=True)
@@ -118,12 +127,12 @@ class StabilityResult:
         return self.within_band and self.bound_satisfied and self.perturbed_fit.slope < 0.0
 
 
-def find_pointer_map(f: FTensor, tie_epsilon: float = TIE_EPSILON) -> PointerMap:
+def find_pointer_map(f: FTensor) -> PointerMap:
     """Assign each cell to a microstate by maximum-weight bipartite matching.
 
     The matching maximises the total diagonal tensor mass, which guarantees a
     bijection even when individual rows are noisy.  If a second assignment
-    comes within ``tie_epsilon`` of the optimum the correspondence is not
+    comes within ``TIE_EPSILON`` of the optimum the correspondence is not
     unique and an :class:`AmbiguousPointerError` is raised.
     """
     W = f.diagonal().T  # W[alpha, r]
@@ -143,10 +152,10 @@ def find_pointer_map(f: FTensor, tie_epsilon: float = TIE_EPSILON) -> PointerMap
                 sub = np.delete(np.delete(W, alpha, axis=0), r, axis=1)
                 srows, scols = linear_sum_assignment(-sub)
                 second_total = max(second_total, float(W[alpha, r] + sub[srows, scols].sum()))
-        if best_total - second_total <= tie_epsilon:
+        if best_total - second_total <= TIE_EPSILON:
             raise AmbiguousPointerError(
                 "no unique pointer correspondence: competing assignment within "
-                f"{tie_epsilon:.0e} of the optimum")
+                f"{TIE_EPSILON:.0e} of the optimum")
     uninformative = tuple(r for r in range(n) if W[:, r].max() < UNINFORMATIVE_FLOOR)
     confidence = tuple(float(W[alpha, phi[alpha]]) for alpha in range(n))
     return PointerMap(phi=tuple(phi), confidence=confidence, uninformative=uninformative)
@@ -202,14 +211,14 @@ def ideal_tensor(pmap: PointerMap) -> np.ndarray:
     return ideal
 
 
-def _reconstruction_residuals(f: FTensor, pmap: PointerMap, draws: int, seed: int) -> tuple[float, float]:
+def _reconstruction_residuals(f: FTensor, pmap: PointerMap, seed: int) -> tuple[float, float]:
     """Max deviation of the Born-rule expectation and the per-cell collapse
     values over random amplitude/observable draws."""
     rng = np.random.default_rng(seed)
     n = f.n
     e_expect = 0.0
     e_cond = 0.0
-    for _ in range(draws):
+    for _ in range(RECONSTRUCTION_DRAWS):
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         c /= np.linalg.norm(c)
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -227,7 +236,7 @@ def _reconstruction_residuals(f: FTensor, pmap: PointerMap, draws: int, seed: in
     return e_expect, e_cond
 
 
-def check_exact_condition(f: FTensor, pmap: PointerMap, draws: int = 24, seed: int = 20) -> ExactConditionResult:
+def check_exact_condition(f: FTensor, pmap: PointerMap, seed: int = 20) -> ExactConditionResult:
     """Test the exact measurement condition and its structural consequences.
 
     Satisfied iff every assigned diagonal entry is 1 to ``1e-10``.  The result
@@ -239,7 +248,7 @@ def check_exact_condition(f: FTensor, pmap: PointerMap, draws: int = 24, seed: i
     inv = pmap.inverse
     residual = max(abs(1.0 - diag[r, inv[r]]) for r in range(f.n))
     ideal_residual = float(np.abs(f.values - ideal_tensor(pmap)).max())
-    recon = _reconstruction_residuals(f, pmap, draws, seed)
+    recon = _reconstruction_residuals(f, pmap, seed)
     return ExactConditionResult(
         satisfied=bool(residual < EXACT_CONDITION_TOL),
         residual=float(residual),
@@ -249,7 +258,7 @@ def check_exact_condition(f: FTensor, pmap: PointerMap, draws: int = 24, seed: i
 
 
 def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
-                             draws: int = 24, seed: int = 20) -> MeasurementVerdict:
+                             seed: int = 20) -> MeasurementVerdict:
     """Test the exponential condition ``max_r error_r <= exp(-c N)`` in log space.
 
     Also reports the reconstruction residuals together with the constant K
@@ -260,16 +269,20 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
     if not (c > 0.0):
         raise PreconditionError("decay constant must be positive")
     eps = pointer_errors(f, pmap)
-    recon = _reconstruction_residuals(f, pmap, draws, seed)
+    recon = _reconstruction_residuals(f, pmap, seed)
+    worst = max(recon)
     half_bound = math.exp(-c * N / 2.0)
-    correction = max(recon) / half_bound if half_bound > 0 else math.inf
+    correction = worst / half_bound if half_bound > 0 else math.inf
+    log_correction = (math.log(worst) if worst > 0 else -math.inf) + c * N / 2.0
     return MeasurementVerdict(
         errors=tuple(float(e) for e in eps),
+        log_errors=tuple(float(e) for e in log_pointer_errors(f, pmap)),
         N=int(N),
         bound_constant=float(c),
         satisfied=exponential_bound_holds(f, pmap, N, c),
         von_neumann_residuals=recon,
         correction_constant=float(correction),
+        log_correction_constant=float(log_correction),
     )
 
 
@@ -326,7 +339,6 @@ def stability_test(
     run_model: RunModel,
     perturbation: Mapping[int, np.ndarray] | Callable[[int], Mapping[int, np.ndarray]],
     N_values: Sequence[int],
-    tolerance_band: float = STABILITY_BAND,
 ) -> StabilityResult:
     """Re-run a chain-size sweep with a localized initial-state edit.
 
@@ -338,31 +350,30 @@ def stability_test(
     sweep point with the refitted constant.
     """
     Ns = sorted(int(N) for N in N_values)
-    if callable(perturbation):
-        per_n = {N: dict(perturbation(N)) for N in Ns}
-        sizes = {len(v) for v in per_n.values()}
-        if len(sizes) > 1:
-            raise NonLocalPerturbationError(
-                f"perturbation size varies with N ({sorted(sizes)}); not a localized edit")
-    else:
-        fixed = dict(perturbation)
-        per_n = {N: fixed for N in Ns}
+    per_n = {N: dict(perturbation(N) if callable(perturbation) else perturbation) for N in Ns}
+    sizes = {len(v) for v in per_n.values()}
+    if len(sizes) > 1:
+        raise NonLocalPerturbationError(
+            f"perturbation size varies with N ({sorted(sizes)}); not a localized edit")
+    base_sweep = [(N, *run_model(N, None)) for N in Ns]
+    pert_sweep = [(N, *run_model(N, per_n[N] or None)) for N in Ns]
+    return stability_verdict(fit_decay_rate(base_sweep), fit_decay_rate(pert_sweep), pert_sweep)
 
-    base_sweep = []
-    pert_sweep = []
-    for N in Ns:
-        fb, mb = run_model(N, None)
-        base_sweep.append((N, fb, mb))
-        fp, mp = run_model(N, per_n[N] if per_n[N] else None)
-        pert_sweep.append((N, fp, mp))
-    base_fit = fit_decay_rate(base_sweep)
-    pert_fit = fit_decay_rate(pert_sweep)
+
+def stability_verdict(base_fit: DecayFit, pert_fit: DecayFit,
+                      pert_sweep: Sequence[tuple[int, FTensor, PointerMap]]) -> StabilityResult:
+    """Compare the decay fits before and after a perturbation.
+
+    The perturbed fit must stay within ``STABILITY_BAND`` of the base fit, and
+    the exponential bound with the refitted constant must hold at every
+    perturbed sweep point ``(N, tensor, pointer map)``.
+    """
     rel = abs(pert_fit.c - base_fit.c) / abs(base_fit.c) if base_fit.c != 0 else math.inf
     bound_ok = all(exponential_bound_holds(f, pmap, N, pert_fit.c) for N, f, pmap in pert_sweep)
     return StabilityResult(
         base_fit=base_fit,
         perturbed_fit=pert_fit,
         relative_change=float(rel),
-        tolerance_band=float(tolerance_band),
+        tolerance_band=STABILITY_BAND,
         bound_satisfied=bound_ok,
     )

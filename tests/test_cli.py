@@ -113,6 +113,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("config error:") >= 2
 
+    def test_weakened_verdict_keeps_its_log_values(self, workdir):
+        # at N = 10000 the pointer errors underflow and K = max residual /
+        # exp(-c N / 2) overflows; the log-space values must stay finite
+        # and agree with the float ones wherever those are in range
+        for N in (200, 10000):
+            cfg = write_config(workdir, BASE.replace("N = 4", f"N = {N}"))
+            out = workdir / f"out{N}"
+            assert run_cli("run", "--config", cfg, "--out", out) == 0
+            text = (out / "report.txt").read_text(encoding="utf-8")
+            sections, _ = tokenize_kv("\n".join(text.splitlines()[1:]))
+            pointer = sections["pointer"]
+            c = float(pointer["weakened_c_reference"])
+            errors = [float(e) for e in pointer["pointer_errors"].split(",")]
+            log_errors = [float(e) for e in pointer["log_pointer_errors"].split(",")]
+            log_k = float(pointer["log_correction_constant"])
+            assert len(log_errors) == 2 and np.all(np.isfinite(log_errors))
+            assert np.isfinite(log_k)
+            assert max(log_errors) <= -c * N
+            if N == 10000:
+                assert errors == [0.0, 0.0]
+                assert float(pointer["correction_constant"]) == np.inf
+            else:
+                assert np.allclose(np.exp(log_errors), errors, rtol=1e-12, atol=0.0)
+                assert log_k == pytest.approx(
+                    np.log(float(pointer["correction_constant"])), abs=1e-12)
+
 
 class TestSweep:
     def test_csv_header_and_monotone_errors(self, workdir):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from pointer_cell_sim.logspace import lc_cumsum
+from pointer_cell_sim.logspace import lc_convolve, lc_cumsum
 
 
 def log_code(x):
@@ -41,3 +41,31 @@ class TestRunningSums:
         assert lm[1] == lm[2] == np.log(2.0) and ph[1] == ph[2] == 0.0
         assert abs(lm[3] - 0.5 * np.log(5.0)) <= 1e-15
         assert abs(ph[3] - np.arctan2(1.0, 2.0)) <= 1e-15
+
+
+class TestConvolution:
+    def test_long_sides_match_direct_convolution(self, rng):
+        # both sides longer than 64 terms, mixed phases, a few exact zeros,
+        # and the product far below the double floor (exp(-1000))
+        x = rng.normal(size=150) + 1j * rng.normal(size=150)
+        y = rng.normal(size=97) + 1j * rng.normal(size=97)
+        x[::11] = 0.0
+        lmx, phx = log_code(x)
+        lmy, phy = log_code(y)
+        lm, ph = lc_convolve((lmx - 500.0, phx), (lmy - 500.0, phy))
+        assert lm.shape == ph.shape == (150 + 97 - 1,)
+        assert np.all(lm < -900.0)
+        got = np.exp(lm + 1000.0) * np.exp(1j * ph)
+        scale = np.convolve(np.abs(x), np.abs(y))
+        assert np.all(np.abs(got - np.convolve(x, y)) <= 1e-12 * scale)
+
+    def test_nonnegative_long_sides_match_exact_binomials(self):
+        # (1 + z)^100 * (1 + z)^80 = (1 + z)^180, coefficients compared with
+        # exact integer binomials in log space
+        from math import comb, log
+        a = (np.array([log(comb(100, k)) for k in range(101)]), np.zeros(101))
+        b = (np.array([log(comb(80, k)) for k in range(81)]), np.zeros(81))
+        lm, ph = lc_convolve(a, b)
+        ref = np.array([log(comb(180, k)) for k in range(181)])
+        assert np.all(np.abs(lm - ref) <= 1e-13 * np.maximum(1.0, ref))
+        assert np.all(ph == 0.0)

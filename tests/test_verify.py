@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from pointer_cell_sim.verify import (
     log_pointer_errors,
     pointer_errors,
     stability_test,
+    stability_verdict,
 )
 
 from oracles import kl_bernoulli
@@ -316,6 +318,20 @@ class TestStability:
         pert = {0: np.eye(2, dtype=complex) / 2, 1: np.eye(2, dtype=complex) / 2}
         result = stability_test(self.run_model, pert, [50, 100, 200, 400, 800])
         assert result.passed
+
+    def test_verdict_from_explicit_fits(self):
+        # the verdict stability_test reaches is stability_verdict on its fits
+        Ns = [50, 100, 200, 400, 800]
+        pert = {0: polarized_site(-0.6), 1: polarized_site(-0.6)}
+        base = [(N, *self.run_model(N, None)) for N in Ns]
+        perturbed = [(N, *self.run_model(N, pert)) for N in Ns]
+        verdict = stability_verdict(fit_decay_rate(base), fit_decay_rate(perturbed), perturbed)
+        assert verdict == stability_test(self.run_model, pert, Ns)
+        # a constant twice the fitted one leaves the band and breaks the bound
+        fit = verdict.perturbed_fit
+        steep = stability_verdict(fit, dataclasses.replace(fit, slope=2 * fit.slope), perturbed)
+        assert steep.relative_change == pytest.approx(1.0, rel=1e-12)
+        assert not steep.within_band and not steep.bound_satisfied and not steep.passed
 
     def test_growing_perturbation_rejected(self):
         def growing(N):
