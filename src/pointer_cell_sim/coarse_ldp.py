@@ -249,7 +249,7 @@ def up_count_log_pmf(state: BernoulliProduct) -> np.ndarray:
     stays exact far below the floating-point floor.
     """
     values, counts = np.unique(state.up_probs, return_counts=True)
-    blocks = [binomial_log_pmf(int(c), float(p)) for p, c in zip(values, counts)]
+    blocks = [binomial_log_pmf(int(c), float(p), 1.0 - float(p)) for p, c in zip(values, counts)]
     lm = blocks[0]
     ph = np.zeros_like(lm)
     for block in blocks[1:]:

@@ -29,7 +29,7 @@ from .core import (
     _check_hermitian,
 )
 from .errors import AccumulationWarning, CapacityError, StructuralError
-from .logspace import lc_convolve, lc_cumsum, lc_sum, log_binom, power_pair_log
+from .logspace import binomial_log_pmf, lc_convolve, lc_cumsum, lc_sum
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
@@ -259,16 +259,18 @@ class FactorizedSectorOverlap:
 
 
 def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, np.ndarray]:
-    # coefficients of (d1 + d0 z)**size over the up-count power j
+    # coefficients of (d1 + d0 z)**size over the up-count power j; the
+    # magnitudes are (|d0| + |d1|)**size * Bin(j; size, |d0| / (|d0| + |d1|))
     j = np.arange(size + 1, dtype=float)
     mag0, mag1 = abs(d0), abs(d1)
-    lg0 = math.log(mag0) if mag0 > 0 else -np.inf
-    lg1 = math.log(mag1) if mag1 > 0 else -np.inf
     a0 = float(np.angle(d0)) if mag0 > 0 else 0.0
     a1 = float(np.angle(d1)) if mag1 > 0 else 0.0
-    lm_up, ph_up = power_pair_log(j, lg0, a0)
-    lm_dn, ph_dn = power_pair_log(size - j, lg1, a1)
-    return log_binom(size, j) + lm_up + lm_dn, ph_up + ph_dn
+    phases = j * a0 + (size - j) * a1
+    total = mag0 + mag1
+    if total == 0.0:
+        return np.full(size + 1, -np.inf), phases
+    lm = size * math.log(total) + binomial_log_pmf(size, mag0 / total, mag1 / total)
+    return lm, phases
 
 
 def _warn_mixed_phase(N: int, x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> None:

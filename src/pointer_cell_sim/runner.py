@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__ as _package_version
 from . import coarse_ldp, coleman_hepp, core, verify
@@ -200,6 +199,9 @@ def _flag(value: bool) -> str:
 def run(cfg: ExperimentConfig, base_dir: Path | None = None,
         oracle: bool = False) -> tuple[dict[str, str], int]:
     """``report.txt`` of one experiment: tensor, weights, verdicts, properties."""
+    # read from the installed metadata, so scipy itself is not imported;
+    # the reader is loaded here because only ``run`` records versions
+    from importlib.metadata import version
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
     c = np.array(cfg.amplitudes, dtype=complex)
     oracle_disc = None
@@ -237,7 +239,7 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
             ("backend", backend),
             ("package_version", _package_version),
             ("numpy_version", np.__version__),
-            ("scipy_version", scipy.__version__),
+            ("scipy_version", version("scipy")),
         ]),
         ("f_tensor", f_tensor_items(tensor)),
         ("weights", [(f"w[{label}]", fmt_float(float(w)))
@@ -404,6 +406,10 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
         raise ConfigError(["ldp requested but the config has no [ldp] section"])
     if cfg.sweep is None:
         raise ConfigError(["ldp estimation needs a [sweep] section for the chain sizes"])
+    if cfg.measurement_time != 1.0:
+        raise ConfigError([
+            "ldp requires measurement_time = 1: the rate-function conditions are stated "
+            f"for the completed traversal (got {cfg.measurement_time!r})"])
     grid = list(cfg.ldp_grid)
     Ns = list(cfg.sweep)
 
@@ -598,7 +604,10 @@ def verify_suite(cfg: ExperimentConfig, base_dir: Path | None = None,
 
     file_items: list[tuple[str, str]] = []
     if cfg.verify_f_file is not None:
-        text = (base_dir / cfg.verify_f_file).read_text(encoding="utf-8")
+        try:
+            text = (base_dir / cfg.verify_f_file).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError([f"cannot read tensor file {cfg.verify_f_file}: {exc}"]) from exc
         tensor = parse_f_tensor_text(text)
         rep = core.check_f_properties(tensor)
         file_items = property_items(rep)

@@ -10,19 +10,21 @@ survive localized perturbations of the initial apparatus state.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import FTensor, ObservableS, conditional_expectation, expectation_s, pointer_weights
 from .errors import AmbiguousPointerError, FitError, NonLocalPerturbationError, PreconditionError
 from .logspace import lc_real_logsumexp
 
 TIE_EPSILON = 1e-9
+#: pointer maps up to this many microstates enumerate every assignment
+ENUMERATION_MAX = 8
 UNINFORMATIVE_FLOOR = 0.5
 EXACT_CONDITION_TOL = 1e-10
 STABILITY_BAND = 0.25
@@ -127,6 +129,35 @@ class StabilityResult:
         return self.within_band and self.bound_satisfied and self.perturbed_fit.slope < 0.0
 
 
+def _best_two_assignments(W: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The assignment ``phi`` maximising ``sum W[alpha, phi[alpha]]``, its total,
+    and the largest total of any other assignment (-inf when there is none).
+
+    Up to ``ENUMERATION_MAX`` microstates every permutation is scored in one
+    ``(n!, n)`` gather; above, the Hungarian algorithm finds the optimum and
+    the runner-up is the best assignment forced through one pair the optimum
+    does not use.
+    """
+    n = W.shape[0]
+    if n <= ENUMERATION_MAX:
+        perms = np.array(list(itertools.permutations(range(n))))
+        totals = W[np.arange(n), perms].sum(axis=1)
+        best = int(np.argmax(totals))
+        second = float(np.delete(totals, best).max()) if n > 1 else -np.inf
+        return perms[best], float(totals[best]), second
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(-W)
+    second = -np.inf
+    for alpha in range(n):
+        for r in range(n):
+            if cols[alpha] == r:
+                continue
+            sub = np.delete(np.delete(W, alpha, axis=0), r, axis=1)
+            srows, scols = linear_sum_assignment(-sub)
+            second = max(second, float(W[alpha, r] + sub[srows, scols].sum()))
+    return cols, float(W[rows, cols].sum()), second
+
+
 def find_pointer_map(f: FTensor) -> PointerMap:
     """Assign each cell to a microstate by maximum-weight bipartite matching.
 
@@ -137,28 +168,15 @@ def find_pointer_map(f: FTensor) -> PointerMap:
     """
     W = f.diagonal().T  # W[alpha, r]
     n = f.n
-    rows, cols = linear_sum_assignment(-W)
-    best_total = float(W[rows, cols].sum())
-    phi = [0] * n
-    for alpha, r in zip(rows, cols):
-        phi[alpha] = int(r)
-    if n > 1:
-        second_total = -np.inf
-        assigned = set(zip(rows.tolist(), cols.tolist()))
-        for alpha in range(n):
-            for r in range(n):
-                if (alpha, r) in assigned:
-                    continue
-                sub = np.delete(np.delete(W, alpha, axis=0), r, axis=1)
-                srows, scols = linear_sum_assignment(-sub)
-                second_total = max(second_total, float(W[alpha, r] + sub[srows, scols].sum()))
-        if best_total - second_total <= TIE_EPSILON:
-            raise AmbiguousPointerError(
-                "no unique pointer correspondence: competing assignment within "
-                f"{TIE_EPSILON:.0e} of the optimum")
+    best, best_total, second_total = _best_two_assignments(W)
+    if best_total - second_total <= TIE_EPSILON:
+        raise AmbiguousPointerError(
+            "no unique pointer correspondence: competing assignment within "
+            f"{TIE_EPSILON:.0e} of the optimum")
+    phi = tuple(int(r) for r in best)
     uninformative = tuple(r for r in range(n) if W[:, r].max() < UNINFORMATIVE_FLOOR)
     confidence = tuple(float(W[alpha, phi[alpha]]) for alpha in range(n))
-    return PointerMap(phi=tuple(phi), confidence=confidence, uninformative=uninformative)
+    return PointerMap(phi=phi, confidence=confidence, uninformative=uninformative)
 
 
 def pointer_errors(f: FTensor, pmap: PointerMap) -> np.ndarray:

@@ -9,12 +9,12 @@ product polynomial, which the package never forms.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 
 def full_composite_phi_t(sector_hams, c, Omega, t):
@@ -109,15 +109,27 @@ def _log_coded_sum(lm, ph) -> tuple[float, float]:
 
 
 def _binomial_block(size: int, d0: complex, d1: complex):
-    """Log-coded coefficients of ``(d1 + d0 z)**size`` over the power of z."""
+    """Log-coded coefficients of ``(d1 + d0 z)**size`` over the power of z.
+
+    The log magnitudes ``log C(size, j) + j log|d0| + (size - j) log|d1|``
+    are summed in 40-digit decimal arithmetic and rounded once, so they
+    carry no cancellation error from terms of order ``size * log(size)``.
+    """
     j = np.arange(size + 1, dtype=float)
-    lm = gammaln(size + 1.0) - gammaln(j + 1.0) - gammaln(size - j + 1.0)
+    lm = np.full(size + 1, -math.inf)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        log_mag = [decimal.Decimal(abs(d)).ln() if d != 0 else None for d in (d0, d1)]
+        log_int = [decimal.Decimal(i).ln() for i in range(1, size + 1)]  # log(i) at i - 1
+        log_comb = decimal.Decimal(0)
+        for k in range(size + 1):
+            if k:
+                log_comb += log_int[size - k] - log_int[k - 1]
+            powers = [(k, log_mag[0]), (size - k, log_mag[1])]
+            if all(log is not None for count, log in powers if count):
+                lm[k] = float(log_comb + sum(count * log for count, log in powers if count))
     ph = np.zeros(size + 1)
     for count, d in ((j, d0), (size - j, d1)):
-        if d == 0:
-            lm = np.where(count == 0, lm, -np.inf)
-        else:
-            lm = lm + count * math.log(abs(d))
+        if d != 0:
             ph = ph + count * math.atan2(d.imag, d.real)
     return lm, ph
 

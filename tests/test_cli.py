@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pointer_cell_sim
 from pointer_cell_sim.cli import main
 from pointer_cell_sim.config import tokenize_kv
 from pointer_cell_sim.report import REPORT_HEADER, parse_f_tensor_text
@@ -140,6 +144,20 @@ class TestRun:
                     np.log(float(pointer["correction_constant"])), abs=1e-12)
 
 
+    @pytest.mark.parametrize("N", [200_000, 1_000_000])
+    def test_chain_beyond_two_hundred_thousand_sites(self, workdir, N):
+        # the diagonal rows of F must sum to 1 within the 1e-10 that
+        # pointer_weights allows; log C(N, j) from log-gamma drifted past it
+        cfg = write_config(workdir, BASE.replace("N = 4", f"N = {N}"))
+        out = workdir / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        text = (out / "report.txt").read_text(encoding="utf-8")
+        sections, _ = tokenize_kv("\n".join(text.splitlines()[1:]))
+        total = float(sections["weights"]["w[+]"]) + float(sections["weights"]["w[-]"])
+        assert abs(total - 1.0) <= 1e-12
+        assert sections["pointer"]["phi"] == "1, 0"
+
+
 class TestSweep:
     def test_csv_header_and_monotone_errors(self, workdir):
         cfg = write_config(workdir, BASE + SWEEP)
@@ -210,6 +228,14 @@ class TestLdp:
         out = workdir / "out"
         assert run_cli("ldp", "--config", cfg, "--out", out) == 2
         assert not (out / "ldp.csv").exists()
+
+    def test_partial_traversal_is_config_error(self, workdir, capsys):
+        text = BASE.replace("seed = 7", "seed = 7\nmeasurement_time = 0.5")
+        cfg = write_config(workdir, text + SWEEP + LDP)
+        out = workdir / "out"
+        assert run_cli("ldp", "--config", cfg, "--out", out) == 2
+        assert "completed traversal" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic(self, workdir):
         cfg = write_config(workdir, BASE + SWEEP + LDP)
@@ -283,6 +309,13 @@ class TestVerify:
         assert run_cli("verify", "--config", cfg, "--out", out) == 4
         text = (out / "verify.txt").read_text(encoding="utf-8")
         assert "passed = false" in text
+
+    def test_missing_tensor_file_is_config_error(self, workdir, capsys):
+        cfg = write_config(workdir, BASE + "\n[verify]\ninstances = 2\nf_file = missing.txt\n")
+        out = workdir / "out"
+        assert run_cli("verify", "--config", cfg, "--out", out) == 2
+        assert "missing.txt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic(self, workdir):
         cfg = write_config(workdir, BASE + "\n[verify]\ninstances = 8\n")
@@ -444,3 +477,25 @@ class TestLdpStabilityCondition:
         assert cond["stability_ok"] == "true"
         assert float(cond["stability_residual"]) <= float(cond["stability_bound"])
         assert cond["passed"] == "true"
+
+
+NO_SCIPY_SCRIPT = """\
+import sys
+from pointer_cell_sim.cli import main
+cfg, out = sys.argv[1:]
+codes = [main([*argv, "--config", cfg, "--out", out])
+         for argv in (["sweep"], ["perturb"], ["ldp"], ["run", "--oracle"])]
+assert codes == [0, 0, 0, 0], codes
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+
+def test_command_paths_do_not_import_scipy(workdir):
+    # a fresh interpreter, since the test process itself has loaded scipy
+    cfg = write_config(workdir, BASE + SWEEP + LDP + PERTURB)
+    src = Path(pointer_cell_sim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(cfg), str(workdir / "out")],
+        cwd=workdir, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

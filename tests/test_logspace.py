@@ -1,6 +1,12 @@
-import numpy as np
+import decimal
+import math
+from fractions import Fraction
 
-from pointer_cell_sim.logspace import lc_convolve, lc_cumsum
+import numpy as np
+import pytest
+
+from pointer_cell_sim.coleman_hepp import ChainSpec, _group_polynomial, factorized_f_tensor
+from pointer_cell_sim.logspace import binomial_log_pmf, lc_convolve, lc_cumsum
 
 
 def log_code(x):
@@ -69,3 +75,56 @@ class TestConvolution:
         ref = np.array([log(comb(180, k)) for k in range(181)])
         assert np.all(np.abs(lm - ref) <= 1e-13 * np.maximum(1.0, ref))
         assert np.all(ph == 0.0)
+
+
+def exact_log(value: Fraction) -> float:
+    """log of a positive rational, from 50-digit decimal logarithms."""
+    ctx = decimal.Context(prec=50)
+    return float(ctx.ln(value.numerator) - ctx.ln(value.denominator))
+
+
+class TestBinomialLogPmf:
+    @pytest.mark.parametrize("p", [0.8, 0.5, 0.1])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 60, 300])
+    def test_matches_exact_rationals(self, n, p):
+        q = 1.0 - p
+        got = binomial_log_pmf(n, p, q)
+        pf, qf = Fraction(p), Fraction(q)
+        ref = np.array([exact_log(math.comb(n, k) * pf ** k * qf ** (n - k))
+                        for k in range(n + 1)])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("d0, d1", [(0.3 + 0.4j, 0.4 - 0.3j), (0.3 + 0.4j, 0.6 - 0.2j)])
+    def test_complex_block_matches_exact_rationals(self, d0, d1):
+        # coefficients of (d1 + d0 z)**n: magnitudes C(n, j) |d0|**j |d1|**(n - j),
+        # phases j arg d0 + (n - j) arg d1.  Each log magnitude is the scale
+        # n log(|d0| + |d1|) (0 for the first pair, 37 for the second) plus
+        # a log-pmf, so it is compared relative to the larger of the two.
+        n = 300
+        lm, ph = _group_polynomial(n, d0, d1)
+        m0, m1 = Fraction(abs(d0)), Fraction(abs(d1))
+        ref = np.array([exact_log(math.comb(n, j) * m0 ** j * m1 ** (n - j))
+                        for j in range(n + 1)])
+        scale = np.maximum(np.abs(ref), max(1.0, n * abs(math.log(abs(d0) + abs(d1)))))
+        assert np.all(np.abs(lm - ref) <= 1e-14 * scale)
+        j = np.arange(n + 1)
+        assert np.array_equal(ph, j * np.angle(d0) + (n - j) * np.angle(d1))
+
+    def test_complement_near_zero_keeps_its_digits(self):
+        # p rounds to 1, but q = 1e-20 still weights every term
+        got = binomial_log_pmf(5, 1.0, 1e-20)
+        ref = [math.log(math.comb(5, k)) + (5 - k) * math.log(1e-20) + k * math.log1p(-1e-20)
+               for k in range(6)]
+        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_degenerate_probabilities_are_exact(self):
+        assert list(binomial_log_pmf(3, 0.0, 1.0)) == [0.0, -np.inf, -np.inf, -np.inf]
+        assert list(binomial_log_pmf(3, 1.0, 0.0)) == [-np.inf, -np.inf, -np.inf, 0.0]
+
+    @pytest.mark.parametrize("N", [200_000, 1_000_000])
+    def test_chain_row_sums_beyond_two_hundred_thousand_sites(self, N):
+        f = factorized_f_tensor(ChainSpec(N=N, m0=0.6))
+        for r in range(2):
+            assert abs(math.fsum(f.values[r, r].real) - 1.0) <= 1e-12
+        for p in (0.8, 0.5, 0.1):
+            assert abs(math.fsum(np.exp(binomial_log_pmf(N, p, 1.0 - p))) - 1.0) <= 1e-12

@@ -14,6 +14,8 @@ from pointer_cell_sim.errors import (
     PreconditionError,
 )
 from pointer_cell_sim.verify import (
+    ENUMERATION_MAX,
+    TIE_EPSILON,
     PointerMap,
     check_exact_condition,
     check_weakened_condition,
@@ -120,6 +122,69 @@ class TestFindPointerMap:
         f = diag_f([[0.6, 0.4], [0.55, 0.45]])
         pm = find_pointer_map(f)
         assert pm.phi == (0, 1)
+
+
+def hungarian_pointer_map(W):
+    """Reference matching: the optimum by scipy's Hungarian solver, and the
+    runner-up as the best assignment forced through one unused pair."""
+    from scipy.optimize import linear_sum_assignment
+    n = W.shape[0]
+    rows, cols = linear_sum_assignment(-W)
+    second = -np.inf
+    for alpha in range(n):
+        for r in range(n):
+            if cols[alpha] != r:
+                sub = np.delete(np.delete(W, alpha, axis=0), r, axis=1)
+                srows, scols = linear_sum_assignment(-sub)
+                second = max(second, W[alpha, r] + sub[srows, scols].sum())
+    return tuple(int(r) for r in cols), W[rows, cols].sum() - second <= TIE_EPSILON
+
+
+def find_or_ambiguous(W):
+    try:
+        return find_pointer_map(diag_f(W.T)).phi, False
+    except AmbiguousPointerError:
+        return None, True
+
+
+def planted_gap_weights(rng, n, gap):
+    """W whose best assignment beats the runner-up by ``gap`` and every
+    other assignment by more than 1/2."""
+    best = rng.permutation(n)
+    W = np.zeros((n, n))
+    W[np.arange(n), best] = 1.0
+    a, b = rng.choice(n, size=2, replace=False)
+    W[a, best[b]] = W[b, best[a]] = 1.0 - gap / 2
+    return W, tuple(int(r) for r in best)
+
+
+class TestPointerMapEnumeration:
+    @pytest.mark.parametrize("n", range(1, ENUMERATION_MAX + 1))
+    def test_matches_hungarian_on_random_weights(self, n, rng):
+        for _ in range(20):
+            W = rng.uniform(size=(n, n))
+            phi, ambiguous = hungarian_pointer_map(W)
+            assert find_or_ambiguous(W) == ((None, True) if ambiguous else (phi, False))
+
+    @pytest.mark.parametrize("n", range(2, ENUMERATION_MAX + 1))
+    def test_planted_gaps_around_the_tie_epsilon(self, n, rng):
+        for gap, ambiguous in ((0.99 * TIE_EPSILON, True), (1.01 * TIE_EPSILON, False)):
+            W, best = planted_gap_weights(rng, n, gap)
+            assert hungarian_pointer_map(W) == (best, ambiguous)
+            assert find_or_ambiguous(W) == ((None, True) if ambiguous else (best, False))
+
+    def test_more_microstates_use_the_hungarian_solver(self, rng, monkeypatch):
+        import scipy.optimize
+        calls = []
+        solver = scipy.optimize.linear_sum_assignment
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                            lambda cost: calls.append(cost.shape) or solver(cost))
+        W, best = planted_gap_weights(rng, ENUMERATION_MAX, 0.1)
+        assert find_or_ambiguous(W) == (best, False)
+        assert calls == []
+        W, best = planted_gap_weights(rng, ENUMERATION_MAX + 1, 0.1)
+        assert find_or_ambiguous(W) == (best, False)
+        assert calls[0] == (ENUMERATION_MAX + 1, ENUMERATION_MAX + 1)
 
 
 class TestPointerErrors:
