@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -241,32 +242,38 @@ class BernoulliProduct:
         return BernoulliProduct(up_probs=p)
 
 
-def up_count_log_pmf(state: BernoulliProduct) -> np.ndarray:
-    """Log-pmf of the total up-spin count (Poisson binomial) in log space.
+def _factor_layout(state: BernoulliProduct) -> tuple[np.ndarray, np.ndarray]:
+    """Log-pmf factors ``(a, b)`` of the up count: ``pmf_j = sum_i a_i b_{j-i}``.
 
-    Sites with a shared probability contribute a closed-form binomial block;
-    heterogeneous blocks are combined by log-space convolution, so the result
-    stays exact far below the floating-point floor.
+    ``b`` is the binomial block of the modal up-probability; ``a`` is the
+    up-count log-pmf of every other site, binomial blocks of equal
+    probabilities convolved in log space (``[0]`` for a homogeneous state,
+    k + 1 terms for k sites that differ).  Both stay exact far below the
+    floating-point floor.
     """
     values, counts = np.unique(state.up_probs, return_counts=True)
     blocks = [binomial_log_pmf(int(c), float(p), 1.0 - float(p)) for p, c in zip(values, counts)]
-    lm = blocks[0]
-    ph = np.zeros_like(lm)
-    for block in blocks[1:]:
-        lm, ph = lc_convolve((lm, ph), (block, np.zeros_like(block)))
-    return lm
+    b = blocks.pop(int(np.argmax(counts)))
+    rest = [(block, np.zeros_like(block)) for block in blocks]
+    return reduce(lc_convolve, rest, (np.zeros(1), np.zeros(1)))[0], b
+
+
+def _range_log_probability(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> float:
+    # log P(lo <= j < hi) = log sum_i a_i (b_{lo-i} + ... + b_{hi-1-i})
+    tails = [lc_real_logsumexp(b[max(lo - i, 0):max(hi - i, 0)]) for i in range(a.size)]
+    return lc_real_logsumexp(a + np.array(tails))
 
 
 def cell_log_probability(state: BernoulliProduct, cells: CellPartitionSpec) -> np.ndarray:
     """Log-probability of each cell under the product state."""
     if state.N + 1 != cells.bounds[-1]:
         raise StructuralError("partition was built for a different chain length")
-    log_pmf = up_count_log_pmf(state)
+    layout = _factor_layout(state)
     out = np.full(cells.n_cells, -np.inf)
-    for a in range(cells.n_cells):
-        lo, hi = cells.bounds[a], cells.bounds[a + 1]
+    for c in range(cells.n_cells):
+        lo, hi = cells.bounds[c], cells.bounds[c + 1]
         if hi > lo:
-            out[a] = lc_real_logsumexp(log_pmf[lo:hi])
+            out[c] = _range_log_probability(*layout, lo, hi)
     return out
 
 
@@ -364,11 +371,11 @@ def estimate_rate(
         if state.N != N:
             raise StructuralError("family returned a state of the wrong size")
         ps.add(state.homogeneous_p)
-        log_pmf = up_count_log_pmf(state)
+        layout = _factor_layout(state)
         delta = 1.0 / N  # half the magnetisation spectrum gap 2/N
         for k, m in enumerate(grid):
-            js = list(_window_counts(N, m, delta))
-            logp = lc_real_logsumexp(log_pmf[js]) if js else -np.inf
+            js = _window_counts(N, m, delta)
+            logp = _range_log_probability(*layout, js.start, js.stop) if js else -np.inf
             if logp == -np.inf:
                 dropped[i, k] = True
                 warnings.warn(

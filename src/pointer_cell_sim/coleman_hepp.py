@@ -12,8 +12,8 @@ beyond dense reach, carrying magnitudes in log space.
 
 from __future__ import annotations
 
+import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
@@ -28,13 +28,11 @@ from .core import (
     PhaseCellPartition,
     _check_hermitian,
 )
-from .errors import AccumulationWarning, CapacityError, StructuralError
-from .logspace import binomial_log_pmf, lc_convolve, lc_cumsum, lc_sum
+from .errors import CapacityError, StructuralError
+from .logspace import binomial_log_pmf, lc_convolve, lc_real_logsumexp, lc_sum
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
-#: mixed-phase convolution sizes above this warn about compensated accumulation
-MIXED_PHASE_SAFE_SITES = 10_000
 
 MICRO_LABELS = ("+", "-")  # index 0: spin-up sector, index 1: spin-down
 
@@ -187,24 +185,24 @@ class FactorizedSectorOverlap:
     """Product-structure evaluation of one sector pair against the cells.
 
     The sector operator's coefficient on the up-count-j subspace is the
-    j-th coefficient of the product polynomial ``A * B`` of two log-coded
-    factors ``a`` and ``b`` (each an ``(lm, ph)`` pair over up-counts), times
-    ``exp(1j * global_phase)``.  The product itself is never formed: the
-    cells are collapsed directly from the factors, so the work is linear in
-    the chain length.  When a single bulk block remains (full traversal,
-    or a sector pair the traversal does not touch) ``b`` is the one-term
-    polynomial ``[1]`` and ``a`` holds every coefficient.
+    j-th coefficient of the product polynomial ``a * b``, times
+    ``exp(1j * global_phase)``.  ``b = (lm, phase)`` is the longest bulk
+    block: binomial log magnitudes that share the one phase ``phase``.
+    ``a = (lm, ph)`` is everything else, the shorter bulk block of a partial
+    traversal and the override sites, as one log-coded polynomial: ``[1]``
+    for a plain chain, k + 1 terms for k overrides at full traversal.  The
+    product itself is never formed: the cells are collapsed directly from
+    the two factors, so the work is linear in the chain length.
     """
 
     a: tuple[np.ndarray, np.ndarray]
-    b: tuple[np.ndarray, np.ndarray]
+    b: tuple[np.ndarray, float]
     global_phase: float
 
     def dp_total(self) -> tuple[float, float]:
         """Sum over every up-count: the product of the per-site traces."""
         lm_a, ph_a = lc_sum(*self.a)
-        lm_b, ph_b = lc_sum(*self.b)
-        return lm_a + lm_b, ph_a + ph_b
+        return lm_a + lc_real_logsumexp(self.b[0]), ph_a + self.b[1]
 
     def cell_log_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
         """Log-coded cell sums ``(log magnitudes, phases)`` over a two-cell partition.
@@ -212,10 +210,11 @@ class FactorizedSectorOverlap:
         The partition must split the up-counts into a prefix and a suffix,
         as ``chain_cells`` does.  With ``h = cells.bounds[1]`` the "-" cell
         is ``j < h`` and the "+" cell ``j >= h``, so
-        ``sum_{j in cell} (A * B)_j = sum_k A_k * tail_B(cell - k)`` where
-        the tails are running sums of ``B`` from its low and its high end.
-        Nothing is subtracted, and each cell is one ``lc_sum``; when ``B``
-        has a single term the cells are slice sums of ``A`` times ``B_0``.
+        ``sum_{j in cell} (a * b)_j = sum_i a_i * tail_b(cell - i)``.  As
+        ``b`` has one phase, its tails from the low and the high end are
+        exact log-space running sums of its magnitudes.  Nothing is
+        subtracted, and each cell is one ``lc_sum``; when ``a`` has a single
+        term the cells are slice sums of ``b`` times ``a_0``.
         """
         (a_lm, a_ph), (b_lm, b_ph) = self.a, self.b
         na, nb = a_lm.size, b_lm.size
@@ -224,23 +223,23 @@ class FactorizedSectorOverlap:
                 "the factorized chain collapses only onto a two-cell prefix/suffix "
                 f"partition of its {na + nb - 1} up-counts (got bounds {cells.bounds})")
         h = int(cells.bounds[1])
-        if nb == 1:
-            # a one-term B scales every coefficient alike: slice sums of A.
-            # The general formula gives the same bits, but its running sums
+        if na == 1:
+            # a one-term a scales every coefficient alike: slice sums of b.
+            # The general formula gives the same values, but its running sums
             # and gathers make the full-traversal collapse about 50 % slower
-            # (four sectors at N = 102400 on a 2-vCPU Intel Xeon: 6.2 ms here,
-            # 9.4 ms general).
-            sums = [lc_sum(a_lm[:h], a_ph[:h]), lc_sum(a_lm[h:], a_ph[h:])]
-            sums = [(lm + b_lm[0], ph + b_ph[0]) for lm, ph in sums]
+            # (four sectors at N = 102400, theta = pi, on a 2-vCPU Intel Xeon:
+            # 12.5 ms here, 19.5 ms general).
+            sums = [lc_sum(b_lm[:h], np.full(h, b_ph)), lc_sum(b_lm[h:], np.full(nb - h, b_ph))]
+            sums = [(lm + a_lm[0], ph + a_ph[0]) for lm, ph in sums]
         else:
-            hi = min(h, na)  # "-" cell: k < hi, tail B_0 + ... + B_{h-1-k}
-            lo = max(h - nb + 1, 0)  # "+" cell: k >= lo, tail B_{h-k} + ... + B_{nb-1}
-            pre_lm, pre_ph = lc_cumsum(b_lm, b_ph)
-            suf_lm, suf_ph = (x[::-1] for x in lc_cumsum(b_lm[::-1], b_ph[::-1]))
+            hi = min(h, na)  # "-" cell: i < hi, tail b_0 + ... + b_{h-1-i}
+            lo = max(h - nb + 1, 0)  # "+" cell: i >= lo, tail b_{h-i} + ... + b_{nb-1}
+            prefix = np.logaddexp.accumulate(b_lm)
+            suffix = np.logaddexp.accumulate(b_lm[::-1])[::-1]
             i_minus = np.minimum(h - 1 - np.arange(hi), nb - 1)
             i_plus = np.maximum(h - np.arange(lo, na), 0)
-            sums = [lc_sum(a_lm[:hi] + pre_lm[i_minus], a_ph[:hi] + pre_ph[i_minus]),
-                    lc_sum(a_lm[lo:] + suf_lm[i_plus], a_ph[lo:] + suf_ph[i_plus])]
+            sums = [lc_sum(a_lm[:hi] + prefix[i_minus], a_ph[:hi] + b_ph),
+                    lc_sum(a_lm[lo:] + suffix[i_plus], a_ph[lo:] + b_ph)]
         log_mags = np.array([lm for lm, _ in sums])
         phases = np.array([ph + self.global_phase for _, ph in sums])
         return log_mags, phases
@@ -258,33 +257,36 @@ class FactorizedSectorOverlap:
         return values, log_mags, flags
 
 
-def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, np.ndarray]:
-    # coefficients of (d1 + d0 z)**size over the up-count power j; the
-    # magnitudes are (|d0| + |d1|)**size * Bin(j; size, |d0| / (|d0| + |d1|))
-    j = np.arange(size + 1, dtype=float)
+def _block_log_magnitudes(size: int, d0: complex, d1: complex, scale: float | None = None) -> np.ndarray:
+    # log |coefficients| of (d1 + d0 z)**size over the up-count power j:
+    # scale**size * Bin(j; size, |d0| / (|d0| + |d1|)), scale |d0| + |d1| by default
     mag0, mag1 = abs(d0), abs(d1)
-    a0 = float(np.angle(d0)) if mag0 > 0 else 0.0
-    a1 = float(np.angle(d1)) if mag1 > 0 else 0.0
-    phases = j * a0 + (size - j) * a1
     total = mag0 + mag1
     if total == 0.0:
-        return np.full(size + 1, -np.inf), phases
-    lm = size * math.log(total) + binomial_log_pmf(size, mag0 / total, mag1 / total)
-    return lm, phases
+        return np.full(size + 1, -np.inf)
+    return size * math.log(scale or total) + binomial_log_pmf(size, mag0 / total, mag1 / total)
 
 
-def _warn_mixed_phase(N: int, x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> None:
-    # combining blocks whose live terms disagree in phase cancels in the
-    # compensated complex accumulation; beyond the safe size, say so
-    if N <= MIXED_PHASE_SAFE_SITES:
-        return
-    live = [ph[np.isfinite(lm)] for lm, ph in (x, y)]
-    merged = np.concatenate(live)
-    if merged.size and float(np.ptp(np.mod(merged, 2.0 * math.pi))) > 1e-12:
-        warnings.warn(
-            "mixed-phase convolution beyond the compensated-accumulation range; "
-            "expect reduced relative accuracy",
-            AccumulationWarning, stacklevel=3)
+def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, np.ndarray]:
+    # log-coded (d1 + d0 z)**size, with phases j arg d0 + (size - j) arg d1
+    j = np.arange(size + 1, dtype=float)
+    return _block_log_magnitudes(size, d0, d1), j * cmath.phase(d0) + (size - j) * cmath.phase(d1)
+
+
+def _bulk_block(size: int, d0: complex, d1: complex, scale: float | None) -> tuple[np.ndarray, float]:
+    """Log magnitudes of ``(d1 + d0 z)**size`` and the one phase they share.
+
+    The coefficient phases ``j arg d0 + (size - j) arg d1`` are one phase,
+    as ``arg d0 = arg d1`` mod 2 pi: the base site state is diagonal, so the
+    diagonal of ``A_r^dag rho A_s`` is real and nonnegative in a diagonal
+    sector and ``cos(theta / 2)`` times ``rho``'s diagonal in a cross sector.
+    A diagonal sector passes ``scale``, the site trace, which the rotation
+    leaves unchanged.
+    """
+    arg0, arg1 = cmath.phase(d0), cmath.phase(d1)
+    if d0 and d1 and math.remainder(arg0 - arg1, 2.0 * math.pi) != 0.0:
+        raise StructuralError(f"bulk site diagonal ({d0!r}, {d1!r}) does not share one phase")
+    return _block_log_magnitudes(size, d0, d1, scale), size * (arg1 if d1 else arg0)
 
 
 def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None) -> FactorizedSectorOverlap:
@@ -293,12 +295,9 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     Sites with index below ``rotated_count`` have been passed by the
     traversing particle and carry the conditional rotation in the spin-down
     sector; the remainder are untouched.  Identical sites collapse into
-    binomial closed forms.  When one bulk block remains (full traversal, or
-    a sector pair the traversal does not touch) the single-site override
-    blocks are folded into it by log-space convolution in site order and
-    the second factor is ``[1]``; a partial traversal keeps its rotated and
-    unrotated bulk blocks as the two factors, with the overrides folded
-    into the shorter one.  The full ``(N + 1)``-term product is never built.
+    binomial bulk blocks, at most two; the longest is ``b``, and the
+    override sites, in site order, and the other block are convolved into
+    ``a`` in log space.
     """
     if rotated_count is None:
         rotated_count = spec.N
@@ -307,41 +306,29 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     R = site_rotation(spec.theta)
     base = polarized_site(spec.m0)
 
-    def site_operator(rho: np.ndarray, rotated: bool) -> np.ndarray:
+    def site_diagonal(rho: np.ndarray, rotated: bool) -> tuple[complex, complex]:
         a = R if (r == 1 and rotated) else _EYE2
         b = R if (s == 1 and rotated) else _EYE2
-        return a.conj().T @ rho @ b
+        x = a.conj().T @ rho @ b
+        return complex(x[0, 0]), complex(x[1, 1])
 
-    x_rot = site_operator(base, True)
-    x_plain = site_operator(base, False)
     override_sites = sorted(spec.site_overrides)
     n_rot = rotated_count - sum(1 for k in override_sites if k < rotated_count)
     n_plain = (spec.N - rotated_count) - sum(1 for k in override_sites if k >= rotated_count)
-    rot_key = (complex(x_rot[0, 0]), complex(x_rot[1, 1]))
-    plain_key = (complex(x_plain[0, 0]), complex(x_plain[1, 1]))
-    bulk: list[tuple[int, complex, complex]] = []
+    rot_key, plain_key = site_diagonal(base, True), site_diagonal(base, False)
     if rot_key == plain_key:
         # sectors the traversal does not touch: one closed form for the bulk
-        if n_rot + n_plain:
-            bulk.append((n_rot + n_plain, *rot_key))
+        groups = [(n_rot + n_plain, *rot_key)]
     else:
-        if n_rot:
-            bulk.append((n_rot, *rot_key))
-        if n_plain:
-            bulk.append((n_plain, *plain_key))
-    # B: the longer of two bulk blocks, else the unit polynomial [1];
-    # A: the remaining bulk block with every override folded in, in site order
-    polys = sorted((_group_polynomial(*group) for group in bulk), key=lambda p: p[0].size)
-    b = polys.pop() if len(polys) == 2 else (np.zeros(1), np.zeros(1))
-    for k in override_sites:
-        x = site_operator(spec.site_overrides[k], k < rotated_count)
-        polys.append(_group_polynomial(1, complex(x[0, 0]), complex(x[1, 1])))
-    a = polys[0]
-    for extra in polys[1:]:
-        _warn_mixed_phase(spec.N, a, extra)
-        a = lc_convolve(a, extra)
-    if b[0].size > 1:
-        _warn_mixed_phase(spec.N, a, b)
+        groups = [(n_rot, *rot_key), (n_plain, *plain_key)]
+    scale = float(np.trace(base).real) if r == s else None
+    blocks = sorted((_bulk_block(*group, scale) for group in groups if group[0]),
+                    key=lambda block: block[0].size)
+    b = blocks.pop() if blocks else (np.zeros(1), 0.0)
+    polys = [_group_polynomial(1, *site_diagonal(spec.site_overrides[k], k < rotated_count))
+             for k in override_sites]
+    polys += [(lm, np.full(lm.size, phase)) for lm, phase in blocks]
+    a = reduce(lc_convolve, polys) if polys else (np.zeros(1), np.zeros(1))
     delta_e = (spec.energies[s] - spec.energies[r]) * spec.t
     return FactorizedSectorOverlap(a=a, b=b, global_phase=float(delta_e))
 
@@ -370,22 +357,14 @@ def traversal_schedule(spec: ChainSpec, fraction: float) -> ChainFTensor:
     return _assemble_tensor(spec, int(math.floor(fraction * spec.N + 1e-12)))
 
 
-def sector_up_probability(spec: ChainSpec, r: int, site: int) -> float:
-    """Up-probability of one site in the evolved diagonal sector r."""
-    rho = spec.site_overrides.get(site, polarized_site(spec.m0))
-    if r == 1:
-        R = site_rotation(spec.theta)
-        rho = R.conj().T @ rho @ R
-    return float(rho[0, 0].real)
-
-
-def diagonal_sector_product(spec: ChainSpec, r: int):
+def diagonal_sector_product(spec: ChainSpec, r: int) -> np.ndarray:
     """Per-site up-probabilities of the evolved diagonal sector r."""
-    base = polarized_site(spec.m0)
-    if r == 1:
-        R = site_rotation(spec.theta)
-        base = R.conj().T @ base @ R
-    probs = np.full(spec.N, float(base[0, 0].real))
-    for k in spec.site_overrides:
-        probs[k] = sector_up_probability(spec, r, k)
+    R = site_rotation(spec.theta) if r == 1 else _EYE2
+
+    def up(rho: np.ndarray) -> float:
+        return float((R.conj().T @ rho @ R)[0, 0].real)
+
+    probs = np.full(spec.N, up(polarized_site(spec.m0)))
+    for k, rho in spec.site_overrides.items():
+        probs[k] = up(rho)
     return probs

@@ -467,7 +467,7 @@ def pointer_weights(f: FTensor, c) -> np.ndarray:
         raise NumericalError(f"pointer weight {w.min():.3e} below the negativity floor")
     w = np.clip(w, 0.0, None)
     if abs(w.sum() - 1.0) > 1e-10:
-        raise NumericalError(f"pointer weights sum to {w.sum()!r}")
+        raise NumericalError(f"pointer weights sum to {float(w.sum())!r}")
     return w
 
 
@@ -485,7 +485,7 @@ def conditional_expectation(f: FTensor, c, observable: ObservableS, alpha: int) 
         raise PreconditionError(f"cell index {alpha} out of range")
     if w[alpha] <= WEIGHT_FLOOR:
         raise NullMacrostateError(
-            f"conditioning on a null macrostate: w[{alpha}] = {w[alpha]!r}")
+            f"conditioning on a null macrostate: w[{alpha}] = {float(w[alpha])!r}")
     numer = sector_pair_expectations(f, c, observable)[alpha]
     value = numer / w[alpha]
     if abs(value.imag) > 1e-10:

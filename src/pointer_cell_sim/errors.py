@@ -43,7 +43,3 @@ class ConfigError(SimulationError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-class AccumulationWarning(UserWarning):
-    """A mixed-phase sum above the safe size fell back to direct accumulation."""

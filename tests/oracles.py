@@ -52,17 +52,45 @@ def binom_range_fraction(N: int, p: Fraction, j_values) -> Fraction:
     return total
 
 
+def binom_range_log(N: int, p: float, j_values, digits: int = 50) -> float:
+    """log of the binomial probability of a set of up-counts, in decimals.
+
+    ``p`` is taken as exact and ``q = 1 - p``; the terms come from the ratio
+    recurrence ``P(j + 1) = P(j) (N - j) p / ((j + 1) q)`` in ``digits``-digit
+    decimal arithmetic, whose exponent range holds them far below the double
+    floor.
+    """
+    wanted = set(j_values)
+    with decimal.localcontext(decimal.Context(prec=digits, Emin=-10 ** 9, Emax=10 ** 9)):
+        pd = decimal.Decimal(p)
+        qd = 1 - pd
+        term, total = qd ** N, decimal.Decimal(0)
+        for j in range(N + 1):
+            if j in wanted:
+                total += term
+            term = term * (N - j) * pd / ((j + 1) * qd)
+        return float(total.ln())
+
+
 def poisson_binomial_fraction(ps: list[Fraction]) -> list[Fraction]:
-    """Exact up-count distribution of independent heterogeneous sites."""
-    dist = [Fraction(1)]
+    """Exact up-count distribution of independent heterogeneous sites.
+
+    Over a common denominator ``D`` of the probabilities every entry is an
+    integer over ``D**N``, so the site-by-site convolution runs on integers.
+    """
+    ps = [Fraction(p) for p in ps]
+    denominator = math.lcm(*(p.denominator for p in ps)) if ps else 1
+    dist = [1]
     for p in ps:
-        q = 1 - p
-        new = [Fraction(0)] * (len(dist) + 1)
+        up = int(p * denominator)
+        down = denominator - up
+        new = [0] * (len(dist) + 1)
         for j, w in enumerate(dist):
-            new[j] += w * q
-            new[j + 1] += w * p
+            new[j] += w * down
+            new[j + 1] += w * up
         dist = new
-    return dist
+    scale = denominator ** len(ps)
+    return [Fraction(w, scale) for w in dist]
 
 
 def chain_plus_cell_counts(N: int):
@@ -177,6 +205,79 @@ def full_product_sector_cells(spec, r: int, s: int, rotated_count: int):
     energy = (spec.energies[s] - spec.energies[r]) * spec.t
     cells = (_log_coded_sum(lm[:h], ph[:h]), _log_coded_sum(lm[h:], ph[h:]))
     return _log_coded_sum(lm, ph), tuple((c_lm, c_ph + energy) for c_lm, c_ph in cells)
+
+
+def exact_log(value: Fraction) -> float:
+    """log of a positive rational, from 50-digit decimal logarithms."""
+    ctx = decimal.Context(prec=50)
+    return float(ctx.ln(value.numerator) - ctx.ln(value.denominator))
+
+
+def decimal_sector_cells(spec, r: int, s: int, digits: int = 50):
+    """Sector pair (r, s) of a fully traversed chain, in ``digits``-digit decimals.
+
+    Each site contributes the polynomial ``d1 + d0 z`` over its up-count,
+    with ``d`` the diagonal of ``A_r^dag rho_k A_s`` in double precision,
+    taken as exact.  The polarised bulk ``(d1 + d0 z)**n`` is generated by
+    the ratio recurrence of its coefficients and the override sites are
+    multiplied in term by term, all in complex decimal arithmetic, whose
+    exponent range holds magnitudes far below the double floor.  Returns the
+    ``(log magnitude, phase)`` of the "-" and "+" magnetisation-sign cells,
+    energy phase included.
+    """
+    half = spec.theta / 2
+    rot = np.array([[math.cos(half), 1j * math.sin(half)],
+                    [1j * math.sin(half), math.cos(half)]])
+    if spec.theta == math.pi:
+        rot = np.array([[0, 1j], [1j, 0]])  # the exact flip, as the package defines it
+    a = rot if r == 1 else np.eye(2)
+    b = rot if s == 1 else np.eye(2)
+
+    def diagonal(rho):
+        x = a.conj().T @ rho @ b
+        return [(D(z.real), D(z.imag)) for z in (complex(x[0, 0]), complex(x[1, 1]))]
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    D = decimal.Decimal
+    zero = (D(0), D(0))
+    ctx = decimal.Context(prec=digits, Emin=-10 ** 9, Emax=10 ** 9)
+    with decimal.localcontext(ctx):
+        overrides = [spec.site_overrides[k] for k in sorted(spec.site_overrides)]
+        poly = [(D(1), D(0))]
+        for rho in overrides:
+            d0, d1 = diagonal(rho)
+            poly = [add(mul(lo, d1), mul(hi, d0))
+                    for lo, hi in zip(poly + [zero], [zero] + poly)]
+        n = spec.N - len(overrides)
+        d0, d1 = diagonal(np.diag([(1 + spec.m0) / 2, (1 - spec.m0) / 2]))
+        norm = d1[0] * d1[0] + d1[1] * d1[1]
+        ratio = mul(d0, (d1[0] / norm, -d1[1] / norm))
+        term, power, e = (D(1), D(0)), d1, n
+        while e:  # term = d1**n by repeated squaring
+            if e & 1:
+                term = mul(term, power)
+            power, e = mul(power, power), e >> 1
+        bulk = [term]
+        for j in range(n):
+            term = mul(term, ratio)
+            term = (term[0] * (n - j) / (j + 1), term[1] * (n - j) / (j + 1))
+            bulk.append(term)
+        h = len(chain_minus_cell_counts(spec.N))
+        cells = [zero, zero]
+        for i, c in enumerate(poly):
+            for j, coeff in enumerate(bulk):
+                cells[i + j >= h] = add(cells[i + j >= h], mul(c, coeff))
+        energy = (spec.energies[s] - spec.energies[r]) * spec.t
+        out = []
+        for re, im in cells:
+            mag = (re * re + im * im).sqrt()
+            out.append((float(mag.ln()), math.atan2(float(im / mag), float(re / mag)) + energy))
+    return out
 
 
 def kl_bernoulli(q: float, p: float) -> float:

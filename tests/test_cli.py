@@ -157,6 +157,21 @@ class TestRun:
         assert abs(total - 1.0) <= 1e-12
         assert sections["pointer"]["phi"] == "1, 0"
 
+    def test_million_sites_where_the_rotated_diagonal_rounds_up(self, workdir):
+        # at theta = 2.2 the rotated site diagonal sums to 1 + 1 ulp in
+        # doubles; the diagonal sectors are scaled by the site trace instead,
+        # so the rows still sum to 1 at N = 10**6
+        text = BASE.replace("N = 4", "N = 1000000").replace("theta = pi", "theta = 2.2")
+        cfg = write_config(workdir, text)
+        out = workdir / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        report = (out / "report.txt").read_text(encoding="utf-8")
+        sections, _ = tokenize_kv("\n".join(report.splitlines()[1:]))
+        f = sections["f_tensor"]
+        for r in range(2):
+            row = complex(f[f"F[{r},{r},0]"]) + complex(f[f"F[{r},{r},1]"])
+            assert abs(row - 1.0) <= 1e-12
+
 
 class TestSweep:
     def test_csv_header_and_monotone_errors(self, workdir):

@@ -16,11 +16,17 @@ from pointer_cell_sim.coarse_ldp import (
     coarse_grain,
     estimate_rate,
     perturbation_residual_bound,
-    up_count_log_pmf,
 )
 from pointer_cell_sim.errors import PreconditionError, StructuralError
 
-from oracles import kl_bernoulli, poisson_binomial_fraction
+from oracles import (
+    binom_range_log,
+    chain_minus_cell_counts,
+    chain_plus_cell_counts,
+    exact_log,
+    kl_bernoulli,
+    poisson_binomial_fraction,
+)
 
 
 class TestCoarseGrain:
@@ -123,11 +129,14 @@ class TestCellProbability:
         assert probs[1] == pytest.approx(plus, rel=1e-12)
 
     def test_log_pmf_far_below_float_floor(self):
-        state = BernoulliProduct.homogeneous(4000, 0.8)
-        log_pmf = up_count_log_pmf(state)
-        # the extreme tail is way below exp(-745) yet finite in log space
-        assert log_pmf[0] < -5000
-        assert np.isfinite(log_pmf[0])
+        # the "-" cell of 4000 sites at p = 0.8 is way below exp(-745), yet
+        # finite in log space and exact
+        N = 4000
+        spec, _ = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
+        got = cell_log_probability(BernoulliProduct.homogeneous(N, 0.8), spec)
+        assert np.isfinite(got[0]) and got[0] < -745
+        ref = binom_range_log(N, 0.8, chain_minus_cell_counts(N))
+        assert abs(got[0] - ref) <= 1e-12 * abs(ref)
 
     def test_wrong_partition_length_rejected(self):
         spec, _ = coarse_grain(IntensiveObservable.magnetization_chain(5), 2)
@@ -176,6 +185,49 @@ class TestRateFunction:
         with pytest.warns(UserWarning, match="zero probability"):
             est = estimate_rate(family, grid=[1.0], N_values=[8, 16, 32])
         assert est.dropped.all()
+
+
+class TestFactorLayout:
+    """Windows and cells summed from the modal binomial block and the rest."""
+
+    GRID = (-0.8, -0.3, 0.0, 0.025, 0.45, 0.9)
+
+    @staticmethod
+    def _states(r: int, theta: float) -> dict[int, BernoulliProduct]:
+        # the flip and depolarize site edits of the perturb command
+        from pointer_cell_sim.coleman_hepp import ChainSpec, diagonal_sector_product, polarized_site
+
+        overrides = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2}
+        return {N: BernoulliProduct(diagonal_sector_product(
+                    ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=overrides), r))
+                for N in (40, 80, 160)}
+
+    @pytest.mark.parametrize("theta", [math.pi, 2.2])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_window_samples_match_exact_poisson_binomial(self, r, theta):
+        states = self._states(r, theta)
+        est = estimate_rate(states.__getitem__, self.GRID, sorted(states))
+        assert not est.dropped.any()
+        for i, (N, state) in enumerate(sorted(states.items())):
+            dist = poisson_binomial_fraction([Fraction(p) for p in state.up_probs])
+            for k, m in enumerate(self.GRID):
+                # the window is |m_j - m| <= 1 / N, half the spectrum gap
+                centre = N * (1 + Fraction(str(m)))
+                mass = sum(dist[j] for j in range(N + 1) if abs(2 * j - centre) <= 1)
+                ref = exact_log(mass) / N
+                assert abs(est.samples[i, k] - ref) <= 1e-12 * abs(ref), (N, m)
+
+    @pytest.mark.parametrize("theta", [math.pi, 2.2])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_cells_match_exact_poisson_binomial(self, r, theta):
+        for N, state in self._states(r, theta).items():
+            spec, _ = coarse_grain(IntensiveObservable.magnetization_chain(N, with_basis_map=False), 2)
+            got = cell_log_probability(state, spec)
+            dist = poisson_binomial_fraction([Fraction(p) for p in state.up_probs])
+            for cell, counts in enumerate((chain_minus_cell_counts(N), chain_plus_cell_counts(N))):
+                ref = exact_log(sum(dist[j] for j in counts))
+                # relative to the probability: the log difference
+                assert abs(got[cell] - ref) <= 1e-12, (N, cell)
 
 
 class TestLdpConditions:

@@ -15,6 +15,7 @@ from pointer_cell_sim.coarse_ldp import (
 )
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
+    _bulk_block,
     build_dense,
     chain_cells,
     diagonal_sector_product,
@@ -31,6 +32,7 @@ from oracles import (
     chain_minus_cell_counts,
     chain_plus_cell_counts,
     chain_trace_product,
+    decimal_sector_cells,
     full_product_sector_cells,
     poisson_binomial_fraction,
 )
@@ -323,17 +325,28 @@ class TestSpecHelpers:
         assert core.check_f_properties(f).passed
         assert f.values[1, 1, 0].real > 0.99  # flipped majority already formed
 
-    def test_mixed_phase_warning_above_safe_size(self):
-        from pointer_cell_sim.errors import AccumulationWarning
+    def test_bulk_block_requires_one_phase(self):
+        # arguments pi and -pi, as cos(theta / 2) < 0 gives in a cross
+        # sector, are one phase; a quarter turn between the two is not
+        lm, phase = _bulk_block(5, complex(-0.3, 0.0), complex(-0.2, -0.0), None)
+        assert lm.shape == (6,) and phase == 5 * -math.pi
+        with pytest.raises(StructuralError, match="one phase"):
+            _bulk_block(5, 0.3 + 0j, 0.2j, None)
 
-        noisy = {3: np.array([[0.5, 0.25], [0.25, 0.5]])}
-        spec = ChainSpec(N=10_050, m0=0.6, theta=2.0, site_overrides=noisy)
-        with pytest.warns(AccumulationWarning):
-            sector_overlap(spec, 0, 1)
-        # same-phase accumulations stay silent at any size
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", AccumulationWarning)
-            sector_overlap(ChainSpec(N=10_050, m0=0.6, theta=2.0), 0, 0)
+    def test_mixed_phase_overrides_match_decimal_sums(self):
+        # two overrides whose cross-sector diagonals differ in phase from the
+        # bulk and from each other, beyond ten thousand sites: each cell is
+        # a three-term mixed-phase sum of bulk tails, checked against 50-digit
+        # complex decimal sums of the full product polynomial
+        overrides = {3: np.array([[0.5, 0.25], [0.25, 0.5]]), **COMPLEX_OVERRIDE}
+        spec = ChainSpec(N=12_000, m0=0.6, theta=2.0, energies=(0.3, -0.2),
+                         site_overrides=overrides)
+        cells, _ = chain_cells(spec.N)
+        for r, s in ((0, 1), (1, 0)):
+            lm, ph = sector_overlap(spec, r, s).cell_log_values(cells)
+            for got_lm, got_ph, (ref_lm, ref_ph) in zip(lm, ph, decimal_sector_cells(spec, r, s)):
+                assert abs(got_lm - ref_lm) <= 1e-12 * max(1.0, abs(ref_lm)), (r, s, got_lm, ref_lm)
+                assert abs(math.remainder(got_ph - ref_ph, 2 * math.pi)) <= 1e-12, (r, s, got_ph, ref_ph)
 
     def test_chain_cells_never_warn(self):
         # the sign partition has no empty cell and a spectrum gap inside the cap

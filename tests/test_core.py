@@ -6,6 +6,7 @@ from scipy.linalg import expm
 from pointer_cell_sim import core
 from pointer_cell_sim.errors import (
     NullMacrostateError,
+    NumericalError,
     PreconditionError,
     StructuralError,
 )
@@ -288,6 +289,17 @@ class TestPointerWeights:
         assert abs(w.sum() - 1.0) < 1e-10
         assert w.min() >= 0.0
 
+    def test_sum_error_prints_a_plain_float(self):
+        # a numpy scalar's repr would read np.float64(1.000000001)
+        values = np.zeros((2, 2, 2), dtype=complex)
+        values[0, 0, 0] = 1.0 + 1e-9
+        values[1, 1, 1] = 1.0
+        f = core.FTensor(values=values, t=0.0)
+        with pytest.raises(NumericalError) as excinfo:
+            core.pointer_weights(f, np.array([1.0, 0.0]))
+        assert "np.float64" not in str(excinfo.value)
+        assert str(excinfo.value) == f"pointer weights sum to {1.0 + 1e-9!r}"
+
 
 class TestConditionalExpectation:
     def test_ideal_tensor_collapse_values(self, rng):
@@ -315,8 +327,10 @@ class TestConditionalExpectation:
         values[1, 1, 0] = 1.0  # cell 1 carries no mass at all
         f = core.FTensor(values=values, t=0.0)
         A = core.ObservableS(matrix=np.eye(2))
-        with pytest.raises(NullMacrostateError):
+        with pytest.raises(NullMacrostateError) as excinfo:
             core.conditional_expectation(f, np.array([0.6, 0.8]), A, 1)
+        # a plain float, not a numpy scalar's repr
+        assert str(excinfo.value) == "conditioning on a null macrostate: w[1] = 0.0"
 
 
 class TestCompatibility:
