@@ -357,42 +357,60 @@ def estimate_rate(
     Requires at least three chain sizes spanning a factor of four.  Grid
     points whose window probability is exactly zero are dropped and flagged.
     """
+    return estimate_rates([family], grid, N_values)[0]
+
+
+def estimate_rates(
+    families: Sequence[Callable[[int], BernoulliProduct]],
+    grid: Sequence[float],
+    N_values: Sequence[int],
+) -> list[RateFunctionEstimate]:
+    """:func:`estimate_rate` for several families, one estimate each.
+
+    The families are evaluated chain size by chain size, so that the states
+    of one size, which share binomial blocks, find them in the per-size
+    caches of :func:`logspace.binomial_log_pmf`.
+    """
     Ns = sorted(int(N) for N in N_values)
     if len(set(Ns)) < 3:
         raise PreconditionError("need at least three distinct chain sizes")
     if Ns[-1] < 4 * Ns[0]:
         raise PreconditionError("chain sizes must span at least a factor of four")
     grid = [float(m) for m in grid]
-    samples = np.full((len(Ns), len(grid)), np.nan)
-    dropped = np.zeros((len(Ns), len(grid)), dtype=bool)
-    ps = set()
+    samples = np.full((len(families), len(Ns), len(grid)), np.nan)
+    dropped = np.zeros((len(families), len(Ns), len(grid)), dtype=bool)
+    ps = [set() for _ in families]
     for i, N in enumerate(Ns):
-        state = family(N)
-        if state.N != N:
-            raise StructuralError("family returned a state of the wrong size")
-        ps.add(state.homogeneous_p)
-        layout = _factor_layout(state)
         delta = 1.0 / N  # half the magnetisation spectrum gap 2/N
-        for k, m in enumerate(grid):
-            js = _window_counts(N, m, delta)
-            logp = _range_log_probability(*layout, js.start, js.stop) if js else -np.inf
-            if logp == -np.inf:
-                dropped[i, k] = True
-                warnings.warn(
-                    f"window at m={m} has zero probability for N={N}; point dropped",
-                    stacklevel=2)
-            else:
-                samples[i, k] = logp / N
-    p = ps.pop() if len(ps) == 1 else None
-    analytic = np.asarray(bernoulli_rate(grid, p)) if p is not None else None
-    return RateFunctionEstimate(
-        grid=tuple(grid),
-        N_values=tuple(Ns),
-        samples=samples,
-        dropped=dropped,
-        analytic=analytic,
-        p=p,
-    )
+        for f, family in enumerate(families):
+            state = family(N)
+            if state.N != N:
+                raise StructuralError("family returned a state of the wrong size")
+            ps[f].add(state.homogeneous_p)
+            layout = _factor_layout(state)
+            for k, m in enumerate(grid):
+                js = _window_counts(N, m, delta)
+                logp = _range_log_probability(*layout, js.start, js.stop) if js else -np.inf
+                if logp == -np.inf:
+                    dropped[f, i, k] = True
+                    warnings.warn(
+                        f"window at m={m} has zero probability for N={N}; point dropped",
+                        stacklevel=2)
+                else:
+                    samples[f, i, k] = logp / N
+    estimates = []
+    for f, family_ps in enumerate(ps):
+        p = family_ps.pop() if len(family_ps) == 1 else None
+        analytic = np.asarray(bernoulli_rate(grid, p)) if p is not None else None
+        estimates.append(RateFunctionEstimate(
+            grid=tuple(grid),
+            N_values=tuple(Ns),
+            samples=samples[f],
+            dropped=dropped[f],
+            analytic=analytic,
+            p=p,
+        ))
+    return estimates
 
 
 def perturbation_residual_bound(base: BernoulliProduct, perturbed: BernoulliProduct) -> float:

@@ -52,6 +52,27 @@ def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> No
         raise StructuralError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
 
 
+def _check_positive_semidefinite(a: np.ndarray, name: str, tol: float = STATE_TOL) -> None:
+    """Reject a Hermitian matrix with an eigenvalue below ``-tol``.
+
+    A Cholesky factorisation of ``H + tol I`` (in real arithmetic when ``H``
+    is real) accepts without computing the spectrum; only when it fails is
+    the smallest eigenvalue taken, so the verdict and the message are those
+    of the eigenvalue test.
+    """
+    H = (a + a.conj().T) / 2
+    if not H.imag.any():
+        H = H.real
+    try:
+        np.linalg.cholesky(H + tol * np.eye(H.shape[0]))
+        return
+    except np.linalg.LinAlgError:
+        pass
+    lowest = np.linalg.eigvalsh(H).min()
+    if lowest < -tol:
+        raise StructuralError(f"{name} has negative eigenvalue {lowest:.3e}")
+
+
 def _amplitudes(c, n: int | None = None) -> np.ndarray:
     if isinstance(c, InitialComposite):
         vec = c.c
@@ -223,9 +244,7 @@ class Apparatus:
         tr = complex(np.trace(Omega))
         if abs(tr - 1.0) > STATE_TOL:
             raise StructuralError(f"Tr Omega = {tr!r}, expected 1")
-        evals = np.linalg.eigvalsh((Omega + Omega.conj().T) / 2)
-        if evals.min() < -STATE_TOL:
-            raise StructuralError(f"Omega has negative eigenvalue {evals.min():.3e}")
+        _check_positive_semidefinite(Omega, "Omega")
         if self.cells.dim != dim:
             raise StructuralError("phase-cell partition dimension mismatch")
         K.setflags(write=False)
@@ -374,14 +393,60 @@ def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> list[np.nd
     return [apparatus.K + apparatus.V[r] + system.energies[r] * eye for r in range(system.n)]
 
 
+def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:
+    """``exp(i Kr t)`` for a Hermitian ``Kr``, by the cheapest exact route.
+
+    The route is chosen from the matrix entries alone: a ``Kr`` with no
+    nonzero off-diagonal entry gives the vector ``exp(i t diag Kr)``, the
+    diagonal of the propagator; a real ``Kr`` goes through the real
+    eigendecomposition, ``(V e^{i Lambda t}) V^T``; any other through the
+    complex one, ``(V e^{i Lambda t}) V^dag``.
+    """
+    diag = np.diagonal(Kr)
+    if np.count_nonzero(Kr) == np.count_nonzero(diag):
+        return np.exp(1j * t * diag.real)
+    if not Kr.imag.any():
+        evals, vecs = np.linalg.eigh(Kr.real)
+        # two real products instead of one complex product with a real factor
+        U = np.empty(Kr.shape, dtype=complex)
+        U.real = (vecs * np.cos(evals * t)) @ vecs.T
+        U.imag = (vecs * np.sin(evals * t)) @ vecs.T
+        return U
+    evals, vecs = np.linalg.eigh(Kr)
+    return (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
+
+
+def _adjoint_times(U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``U^dag X`` for a propagator from :func:`_propagator`."""
+    return U.conj()[:, None] * X if U.ndim == 1 else U.conj().T @ X
+
+
+def _times(X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``X U`` for a propagator from :func:`_propagator`."""
+    return X * U if U.ndim == 1 else X @ U
+
+
 def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> EvolvedSectorStates:
     """Evolve the apparatus state through every pair of sector propagators.
 
     The propagators are ``U_r(t) = exp(i K_r t)`` and the returned block
     ``omega[r, s]`` is ``U_r(t)^dag Omega U_s(t)``; diagonal blocks are the
-    apparatus states conditioned on the microsystem eigenstate.  Exponentials
-    are taken through the Hermitian eigendecomposition, so the propagators
-    are unitary to roundoff.
+    apparatus states conditioned on the microsystem eigenstate.  Each
+    propagator takes the cheapest exact route its ``K_r`` allows, judged
+    from the matrix entries alone:
+
+    - no nonzero off-diagonal entry: ``exp(i t diag K_r)``, no
+      eigendecomposition, and the products with it are row and column
+      scalings;
+    - real entries: the real Hermitian eigendecomposition,
+      ``U = (V e^{i Lambda t}) V^T``;
+    - otherwise: the complex one, ``U = (V e^{i Lambda t}) V^dag``.
+
+    Every route is unitary to roundoff.  The ``n^2`` blocks are each formed
+    by their own product, so the adjoint pairing that ``validate`` checks
+    compares independently computed blocks.  The full-composite oracle
+    (``runner.composite_cross_check``) keeps its own complex
+    eigendecomposition.
     """
     if not math.isfinite(t):
         raise PreconditionError(f"time must be finite, got {t!r}")
@@ -389,20 +454,18 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
         raise CapacityError(
             f"dense backend cap exceeded: n * dim_K = {system.n * apparatus.dim_K} "
             f"> {DENSE_CAP}; use a factorized backend")
-    Ks = sector_hamiltonians(system, apparatus)
     Us = []
-    for r, Kr in enumerate(Ks):
+    for r, Kr in enumerate(sector_hamiltonians(system, apparatus)):
         try:
-            evals, vecs = np.linalg.eigh(Kr)
+            Us.append(_propagator(Kr, t))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed for sector {r}: {exc}") from exc
-        Us.append((vecs * np.exp(1j * evals * t)) @ vecs.conj().T)
     n, dK = system.n, apparatus.dim_K
     omega = np.empty((n, n, dK, dK), dtype=complex)
     for r in range(n):
-        left = Us[r].conj().T @ apparatus.Omega
+        left = _adjoint_times(Us[r], apparatus.Omega)
         for s in range(n):
-            omega[r, s] = left @ Us[s]
+            omega[r, s] = _times(left, Us[s])
     states = EvolvedSectorStates(t=float(t), omega=omega)
     states.validate()
     return states

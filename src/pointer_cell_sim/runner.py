@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _package_version
-from . import coarse_ldp, coleman_hepp, core, verify
+from . import coarse_ldp, coleman_hepp, core, instances, verify
 from .config import ExperimentConfig, fmt_float
 from .errors import AmbiguousPointerError, CapacityError, ConfigError, SimulationError
 from .logspace import bernoulli_relative_entropy
@@ -425,7 +425,13 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
         oracle_section = ("oracle", [("identification_max_discrepancy", fmt_float(worst)),
                                      ("dense_chain_size", str(N0))])
 
-    estimates = [coarse_ldp.estimate_rate(_sector_family(cfg, r), grid, Ns) for r in range(2)]
+    overrides = perturbation_states(cfg)
+    families = [_sector_family(cfg, r) for r in range(2)]
+    if overrides:
+        families += [_sector_family(cfg, r, overrides) for r in range(2)]
+    # all families in one pass over the chain sizes, so they share cached factors
+    estimates = coarse_ldp.estimate_rates(families, grid, Ns)
+    estimates, perturbed = estimates[:2], estimates[2:] or None
     up = estimates[0]
     rows = []
     for i, N in enumerate(up.N_values):
@@ -442,12 +448,8 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     cells, _ = coleman_hepp.chain_cells(max(Ns))
     tensor = coleman_hepp.factorized_f_tensor(chain_spec_from_config(cfg, N=min(Ns)))
     pointer = verify.find_pointer_map(tensor)
-    perturbed = None
     bound = None
-    if cfg.perturbation:
-        overrides = perturbation_states(cfg)
-        perturbed = [coarse_ldp.estimate_rate(_sector_family(cfg, r, overrides), grid, Ns)
-                     for r in range(2)]
+    if overrides:
         N0 = min(Ns)
         bound = coarse_ldp.perturbation_residual_bound(
             _sector_family(cfg, 0)(N0), _sector_family(cfg, 0, overrides)(N0)) / N0
@@ -516,60 +518,6 @@ def perturb(cfg: ExperimentConfig, base_dir: Path | None = None,
             "stability.txt": render_report([("stability", items)])}, 0
 
 
-# random-instance generation for the verify suite (and reusable in tests)
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (raw + raw.conj().T) / 2.0
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_index_partition(rng: np.random.Generator, dim: int, n: int) -> list[frozenset]:
-    perm = rng.permutation(dim)
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=n - 1, replace=False))
-    return [frozenset(int(i) for i in grp) for grp in np.split(perm, cuts)]
-
-def random_rotated_partition(rng: np.random.Generator, dim: int, n: int) -> list[np.ndarray]:
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(raw)
-    groups = random_index_partition(rng, dim, n)
-    return [q[:, sorted(g)] @ q[:, sorted(g)].conj().T for g in groups]
-
-
-def random_dense_instance(rng: np.random.Generator, n: int | None = None,
-                          dim: int | None = None, rotated_cells: bool = False):
-    """One random microsystem/apparatus pair with a random evaluation time."""
-    n = int(n if n is not None else rng.choice([2, 3, 4]))
-    dim = int(dim if dim is not None else rng.choice([4, 8, 16]))
-    micro = core.MicroSystem(
-        energies=tuple(rng.normal(size=n)),
-        labels=tuple(f"u{r}" for r in range(n)),
-    )
-    cells = (random_rotated_partition(rng, dim, n) if rotated_cells
-             else random_index_partition(rng, dim, n))
-    apparatus = core.Apparatus(
-        K=random_hermitian(rng, dim),
-        V=tuple(random_hermitian(rng, dim) for _ in range(n)),
-        Omega=random_density(rng, dim),
-        cells=core.PhaseCellPartition(cells=cells, dim=dim),
-    )
-    t = float(rng.uniform(0.2, 2.0))
-    return micro, apparatus, t
-
-
-def random_amplitudes(rng: np.random.Generator, n: int, floor: float = 0.0) -> np.ndarray:
-    while True:
-        c = rng.normal(size=n) + 1j * rng.normal(size=n)
-        c /= np.linalg.norm(c)
-        if floor == 0.0 or np.abs(c).min() >= floor:
-            return c
-
-
 def verify_suite(cfg: ExperimentConfig, base_dir: Path | None = None,
                  oracle: bool = False) -> tuple[dict[str, str], int]:
     """``verify.txt`` of the seeded random-instance property suite; exit code 4
@@ -582,14 +530,14 @@ def verify_suite(cfg: ExperimentConfig, base_dir: Path | None = None,
     failures: list[str] = []
     count = cfg.verify_instances
     for i in range(count):
-        micro, apparatus, t = random_dense_instance(rng, rotated_cells=bool(i % 2))
+        micro, apparatus, t = instances.random_dense_instance(rng, rotated_cells=bool(i % 2))
         states = core.evolve_sectors(micro, apparatus, t)
         tensor = core.f_tensor(states, apparatus.cells)
         rep = core.check_f_properties(tensor)
         worst = max(worst, rep.worst)
         if not rep.passed:
             failures.append(f"instance {i}: property violation {rep.worst:.3e}")
-        w = core.pointer_weights(tensor, random_amplitudes(rng, micro.n))
+        w = core.pointer_weights(tensor, instances.random_amplitudes(rng, micro.n))
         weight_worst = max(weight_worst, abs(float(w.sum()) - 1.0))
 
     backend_disc = 0.0

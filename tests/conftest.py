@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from pointer_cell_sim import runner
+from pointer_cell_sim import instances
 
 _CRITERION_PATTERN = re.compile(r"test_criterion_(\d+)_(\w+)")
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, str, float]] = {}
@@ -17,7 +17,7 @@ def rng():
 @pytest.fixture
 def small_instance(rng):
     """One random dense microsystem/apparatus pair with its evaluation time."""
-    return runner.random_dense_instance(rng, n=3, dim=8)
+    return instances.random_dense_instance(rng, n=3, dim=8)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from pointer_cell_sim import cli, core, runner, verify
+from pointer_cell_sim import cli, core, instances, verify
 from pointer_cell_sim.coarse_ldp import BernoulliProduct, estimate_rate
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
@@ -63,7 +63,7 @@ def test_criterion_1_f_algebra_suite():
     rng = np.random.default_rng(2026)
     worst = 0.0
     for i in range(200):
-        micro, apparatus, t = runner.random_dense_instance(rng, rotated_cells=bool(i % 2))
+        micro, apparatus, t = instances.random_dense_instance(rng, rotated_cells=bool(i % 2))
         states = core.evolve_sectors(micro, apparatus, t)
         tensor = core.f_tensor(states, apparatus.cells)
         report = core.check_f_properties(tensor)
@@ -80,7 +80,7 @@ def test_criterion_2_proposition_equivalence():
     for _ in range(100):
         n = int(rng.choice([2, 3, 4]))
         tensor, phi = gram_tensor(rng, n, delta=0.0)
-        c = runner.random_amplitudes(rng, n, floor=0.15)
+        c = instances.random_amplitudes(rng, n, floor=0.15)
         A = unit_norm_observable(rng, n)
         born = float(np.sum(np.abs(c) ** 2 * np.diag(A.matrix).real))
         assert abs(core.expectation_s(tensor, c, A) - born) <= 1e-12
@@ -200,10 +200,10 @@ def test_criterion_8_conditional_expectation_compatibility():
     watch = Stopwatch(30.0)
     rng = np.random.default_rng(2029)
     for i in range(100):
-        micro, apparatus, t = runner.random_dense_instance(rng, rotated_cells=bool(i % 2))
+        micro, apparatus, t = instances.random_dense_instance(rng, rotated_cells=bool(i % 2))
         n = micro.n
         tensor = core.f_tensor(core.evolve_sectors(micro, apparatus, t), apparatus.cells)
-        c = runner.random_amplitudes(rng, n, floor=0.2)
+        c = instances.random_amplitudes(rng, n, floor=0.2)
         A = unit_norm_observable(rng, n)
         M_alpha = rng.normal(size=n)
         w = core.pointer_weights(tensor, c)

@@ -15,6 +15,7 @@ from pointer_cell_sim.coarse_ldp import (
     check_ldp_conditions,
     coarse_grain,
     estimate_rate,
+    estimate_rates,
     perturbation_residual_bound,
 )
 from pointer_cell_sim.errors import PreconditionError, StructuralError
@@ -185,6 +186,33 @@ class TestRateFunction:
         with pytest.warns(UserWarning, match="zero probability"):
             est = estimate_rate(family, grid=[1.0], N_values=[8, 16, 32])
         assert est.dropped.all()
+
+
+    def test_several_families_match_one_at_a_time(self):
+        families = [lambda N: BernoulliProduct.homogeneous(N, 0.8),
+                    lambda N: BernoulliProduct.homogeneous(N, 0.3).with_overrides({0: 0.9})]
+        grid, Ns = [-0.4, 0.0, 0.6], [40, 80, 160]
+        joint = estimate_rates(families, grid, Ns)
+        for family, est in zip(families, joint):
+            alone = estimate_rate(family, grid, Ns)
+            assert np.array_equal(est.samples, alone.samples)
+            assert np.array_equal(est.dropped, alone.dropped)
+            assert est.p == alone.p
+            assert est.N_values == alone.N_values
+
+    def test_families_evaluated_size_by_size(self):
+        # every family at one chain size before the next size, so the
+        # per-size binomial caches hit
+        calls = []
+
+        def recording(tag):
+            def family(N):
+                calls.append((N, tag))
+                return BernoulliProduct.homogeneous(N, 0.8)
+            return family
+
+        estimate_rates([recording("a"), recording("b")], [0.0], [160, 40, 80])
+        assert calls == [(40, "a"), (40, "b"), (80, "a"), (80, "b"), (160, "a"), (160, "b")]
 
 
 class TestFactorLayout:

@@ -10,7 +10,7 @@ from pointer_cell_sim.errors import (
     PreconditionError,
     StructuralError,
 )
-from pointer_cell_sim.runner import (
+from pointer_cell_sim.instances import (
     random_amplitudes,
     random_dense_instance,
     random_density,
@@ -169,6 +169,103 @@ class TestEvolveSectors:
         app = simple_apparatus(4, 2, rng=rng)
         with pytest.raises(PreconditionError):
             core.evolve_sectors(micro, app, float("inf"))
+
+
+def sector_matrices(rng, kind, dim, n):
+    """K and couplings V whose sector Hamiltonians are all of one kind:
+    diagonal, real symmetric or complex Hermitian."""
+    def draw():
+        if kind == "diagonal":
+            return np.diag(rng.normal(size=dim)).astype(complex)
+        if kind == "real":
+            return random_hermitian(rng, dim).real.astype(complex)
+        return random_hermitian(rng, dim)
+    return draw(), [draw() for _ in range(n)]
+
+
+class TestPropagatorRoutes:
+    """Each route of ``evolve_sectors`` against the scaled-squaring reference."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "real", "complex"])
+    def test_matches_scaled_squaring(self, rng, kind):
+        micro = make_micro(rng.normal(size=3))
+        K, V = sector_matrices(rng, kind, 6, 3)
+        app = simple_apparatus(6, 3, rng=rng, K=K, V=V)
+        t = 1.7
+        states = core.evolve_sectors(micro, app, t)
+        Ks = dense_sector_hams(micro, app)
+        for r in range(3):
+            for s in range(3):
+                ref = expm(1j * Ks[r] * t).conj().T @ app.Omega @ expm(1j * Ks[s] * t)
+                assert np.abs(states.omega[r, s] - ref).max() < 1e-12
+
+    def test_mixed_routes_match_scaled_squaring(self, rng):
+        # one diagonal sector next to a real one, as in a chain whose
+        # first coupling vanishes
+        micro = make_micro(rng.normal(size=2))
+        app = simple_apparatus(8, 2, rng=rng, V=[np.zeros((8, 8)),
+                                                 random_hermitian(rng, 8).real])
+        t = 0.8
+        states = core.evolve_sectors(micro, app, t)
+        Ks = dense_sector_hams(micro, app)
+        for r in range(2):
+            for s in range(2):
+                ref = expm(1j * Ks[r] * t).conj().T @ app.Omega @ expm(1j * Ks[s] * t)
+                assert np.abs(states.omega[r, s] - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("kind, calls", [("diagonal", []),
+                                             ("real", [False] * 3),
+                                             ("complex", [True] * 3)])
+    def test_eigendecomposition_calls(self, rng, monkeypatch, kind, calls):
+        # a spy on eigh records whether each call got a complex matrix
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.iscomplexobj(a))
+            return eigh(a, *args, **kwargs)
+
+        micro = make_micro(rng.normal(size=3))
+        K, V = sector_matrices(rng, kind, 6, 3)
+        app = simple_apparatus(6, 3, rng=rng, K=K, V=V)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        core.evolve_sectors(micro, app, 1.3)
+        assert seen == calls
+
+
+def density_with_lowest_eigenvalue(rng, dim, lowest):
+    """A unit-trace Hermitian matrix in a random complex basis whose smallest
+    eigenvalue is ``lowest``."""
+    rest = rng.uniform(0.5, 1.5, size=dim - 1)
+    rest *= (1.0 - lowest) / rest.sum()
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    omega = (q * np.concatenate([[lowest], rest])) @ q.conj().T
+    return (omega + omega.conj().T) / 2
+
+
+class TestOmegaPositivity:
+    def test_negative_eigenvalue_rejected_with_its_value(self, rng):
+        omega = density_with_lowest_eigenvalue(rng, 6, -2 * core.STATE_TOL)
+        lowest = np.linalg.eigvalsh(omega).min()
+        with pytest.raises(StructuralError) as info:
+            simple_apparatus(6, 2, rng=rng, Omega=omega)
+        assert str(info.value) == f"Omega has negative eigenvalue {lowest:.3e}"
+
+    def test_real_negative_eigenvalue_rejected(self, rng):
+        omega = np.diag([0.5, 0.5 + 2 * core.STATE_TOL, -2 * core.STATE_TOL])
+        with pytest.raises(StructuralError,
+                           match="^Omega has negative eigenvalue -2.000e-12$"):
+            simple_apparatus(3, 2, rng=rng, Omega=omega)
+
+    def test_eigenvalue_within_tolerance_accepted(self, rng):
+        omega = density_with_lowest_eigenvalue(rng, 6, -0.5 * core.STATE_TOL)
+        simple_apparatus(6, 2, rng=rng, Omega=omega)
+
+    @pytest.mark.parametrize("complex_state", [False, True])
+    def test_pure_state_accepted(self, rng, complex_state):
+        v = rng.normal(size=6) + (1j * rng.normal(size=6) if complex_state else 0.0)
+        v /= np.linalg.norm(v)
+        simple_apparatus(6, 2, rng=rng, Omega=np.outer(v, v.conj()))
 
 
 class _FakeApp:

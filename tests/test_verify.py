@@ -413,7 +413,7 @@ class TestPropositionDrawBreadth:
         f = ideal_f(phi)
         pm = find_pointer_map(f)
         from pointer_cell_sim import core
-        from pointer_cell_sim.runner import random_amplitudes, random_hermitian
+        from pointer_cell_sim.instances import random_amplitudes, random_hermitian
         for _ in range(100):
             c = random_amplitudes(rng, 3, floor=0.05)
             A = core.ObservableS(matrix=random_hermitian(rng, 3))
