@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coarse_ldp import CellPartitionSpec, IntensiveObservable, coarse_grain
+from .coarse_ldp import BASIS_MAP_MAX_SITES, CellPartitionSpec, IntensiveObservable, coarse_grain
 from .core import (
     Apparatus,
     FTensor,
@@ -29,7 +29,7 @@ from .core import (
     _check_hermitian,
 )
 from .errors import CapacityError, StructuralError
-from .logspace import binomial_log_pmf, lc_convolve, lc_real_logsumexp, lc_sum
+from .logspace import binomial_log_pmf, binomial_tail_sums, lc_convolve, lc_sum
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
@@ -122,10 +122,22 @@ class ChainSpec:
 def chain_cells(N: int) -> tuple[CellPartitionSpec, PhaseCellPartition | None]:
     """Two-cell magnetisation-sign partition; the boundary state joins "+".
 
-    It never warns: the spectrum gap 2/N is half the gap cap, and the
-    endpoints -1 and +1 always land in different cells.
+    This is ``coarse_grain(IntensiveObservable.magnetization_chain(N), 2)``
+    in closed form: the magnetisation ``(2j - N) / N`` is negative exactly
+    for ``j < (N + 1) // 2``.  The spectrum and its projectors are built
+    only where the dense backend can use them, up to
+    ``BASIS_MAP_MAX_SITES``; there ``coarse_grain`` never warns, as the
+    spectrum gap 2/N is half its cap and -1 and +1 land in different cells.
     """
-    return coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
+    if N < 1:
+        raise StructuralError("chain must have at least one site")
+    h = (N + 1) // 2
+    cells = CellPartitionSpec(edges=(-1.0, 0.0, 1.0), bounds=(0, h, N + 1),
+                              cell_means=((h - 1 - N) / N, h / N), labels=("-", "+"))
+    partition = None
+    if N <= BASIS_MAP_MAX_SITES:
+        partition = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)[1]
+    return cells, partition
 
 
 def build_dense(spec: ChainSpec) -> tuple[MicroSystem, Apparatus]:
@@ -181,28 +193,66 @@ class ChainFTensor(FTensor):
 
 
 @dataclass(frozen=True)
+class BinomialBlock:
+    """``(d1 + d0 z)**size`` over the up-count power j, held by its parameters.
+
+    Its coefficients are ``exp(size * log_scale) * Bin(j; size, p) *
+    exp(1j * phase)``: all of them share the one phase, and
+    ``log_scale = -inf`` marks a block of exact zeros.  No ``size + 1``
+    array exists until ``log_magnitudes`` is asked for.
+    """
+
+    size: int
+    p: float
+    q: float
+    log_scale: float
+    phase: float = 0.0
+
+    def log_total(self) -> float:
+        """log of the coefficient sum, ``size * log_scale`` (0 for size 0)."""
+        return self.size * self.log_scale if self.size else 0.0
+
+    def log_magnitudes(self) -> np.ndarray:
+        """The ``size + 1`` coefficient log magnitudes."""
+        if self.log_scale == -math.inf:
+            return np.full(self.size + 1, -np.inf)
+        return self.size * self.log_scale + binomial_log_pmf(self.size, self.p, self.q)
+
+    def tail_sums(self, t: int, a: tuple[np.ndarray, np.ndarray]
+                  ) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Log-coded ``sum_i a_i * b(j < t - i)`` and ``sum_i a_i * b(j >= t - i)``,
+        where ``b(.)`` sums the coefficients over the up-counts j named."""
+        total = self.log_total()
+        if total == -math.inf:
+            return (-math.inf, 0.0), (-math.inf, 0.0)
+        a_lm, a_ph = a
+        sums = binomial_tail_sums(self.size, t, self.p, self.q, a_lm, a_ph + self.phase)
+        return tuple((lm + total, ph) for lm, ph in sums)
+
+
+@dataclass(frozen=True)
 class FactorizedSectorOverlap:
     """Product-structure evaluation of one sector pair against the cells.
 
     The sector operator's coefficient on the up-count-j subspace is the
     j-th coefficient of the product polynomial ``a * b``, times
-    ``exp(1j * global_phase)``.  ``b = (lm, phase)`` is the longest bulk
-    block: binomial log magnitudes that share the one phase ``phase``.
-    ``a = (lm, ph)`` is everything else, the shorter bulk block of a partial
-    traversal and the override sites, as one log-coded polynomial: ``[1]``
-    for a plain chain, k + 1 terms for k overrides at full traversal.  The
-    product itself is never formed: the cells are collapsed directly from
-    the two factors, so the work is linear in the chain length.
+    ``exp(1j * global_phase)``.  ``b`` is the longest bulk block, a
+    :class:`BinomialBlock`.  ``a = (lm, ph)`` is everything else as one
+    log-coded polynomial: the override sites, ``[1]`` for a plain chain and
+    k + 1 terms for k overrides, and in a partial traversal also the shorter
+    bulk block, which ``a_has_bulk`` marks.  The product itself is never
+    formed: the cells are collapsed directly from the two factors.
     """
 
     a: tuple[np.ndarray, np.ndarray]
-    b: tuple[np.ndarray, float]
+    b: BinomialBlock
     global_phase: float
+    a_has_bulk: bool = False
 
     def dp_total(self) -> tuple[float, float]:
         """Sum over every up-count: the product of the per-site traces."""
         lm_a, ph_a = lc_sum(*self.a)
-        return lm_a + lc_real_logsumexp(self.b[0]), ph_a + self.b[1]
+        return lm_a + self.b.log_total(), ph_a + self.b.phase
 
     def cell_log_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
         """Log-coded cell sums ``(log magnitudes, phases)`` over a two-cell partition.
@@ -210,36 +260,35 @@ class FactorizedSectorOverlap:
         The partition must split the up-counts into a prefix and a suffix,
         as ``chain_cells`` does.  With ``h = cells.bounds[1]`` the "-" cell
         is ``j < h`` and the "+" cell ``j >= h``, so
-        ``sum_{j in cell} (a * b)_j = sum_i a_i * tail_b(cell - i)``.  As
-        ``b`` has one phase, its tails from the low and the high end are
-        exact log-space running sums of its magnitudes.  Nothing is
-        subtracted, and each cell is one ``lc_sum``; when ``a`` has a single
-        term the cells are slice sums of ``b`` times ``a_0``.
+        ``sum_{j in cell} (a * b)_j = sum_i a_i * tail_b(cell - i)``, and as
+        ``b`` has one phase its tails are real.  Where ``a`` holds only the
+        override sites, ``BinomialBlock.tail_sums`` takes each tail from an
+        incomplete-beta continued fraction, at a cost independent of the
+        chain length.  Where ``a`` also holds a bulk block, its length grows
+        with the chain, and the tails come from log-space running sums over
+        the materialised magnitudes of ``b`` instead.  Each cell is one
+        ``lc_sum``.
         """
-        (a_lm, a_ph), (b_lm, b_ph) = self.a, self.b
-        na, nb = a_lm.size, b_lm.size
+        (a_lm, a_ph), b = self.a, self.b
+        na, nb = a_lm.size, b.size + 1
         if cells.n_cells != 2 or cells.bounds[-1] != na + nb - 1:
             raise StructuralError(
                 "the factorized chain collapses only onto a two-cell prefix/suffix "
                 f"partition of its {na + nb - 1} up-counts (got bounds {cells.bounds})")
         h = int(cells.bounds[1])
-        if na == 1:
-            # a one-term a scales every coefficient alike: slice sums of b.
-            # The general formula gives the same values, but its running sums
-            # and gathers make the full-traversal collapse about 50 % slower
-            # (four sectors at N = 102400, theta = pi, on a 2-vCPU Intel Xeon:
-            # 12.5 ms here, 19.5 ms general).
-            sums = [lc_sum(b_lm[:h], np.full(h, b_ph)), lc_sum(b_lm[h:], np.full(nb - h, b_ph))]
-            sums = [(lm + a_lm[0], ph + a_ph[0]) for lm, ph in sums]
+        if not self.a_has_bulk:
+            sums = b.tail_sums(h, self.a)
         else:
+            ph = a_ph + b.phase
+            b_lm = b.log_magnitudes()
             hi = min(h, na)  # "-" cell: i < hi, tail b_0 + ... + b_{h-1-i}
             lo = max(h - nb + 1, 0)  # "+" cell: i >= lo, tail b_{h-i} + ... + b_{nb-1}
             prefix = np.logaddexp.accumulate(b_lm)
             suffix = np.logaddexp.accumulate(b_lm[::-1])[::-1]
             i_minus = np.minimum(h - 1 - np.arange(hi), nb - 1)
             i_plus = np.maximum(h - np.arange(lo, na), 0)
-            sums = [lc_sum(a_lm[:hi] + prefix[i_minus], a_ph[:hi] + b_ph),
-                    lc_sum(a_lm[lo:] + suffix[i_plus], a_ph[lo:] + b_ph)]
+            sums = [lc_sum(a_lm[:hi] + prefix[i_minus], ph[:hi]),
+                    lc_sum(a_lm[lo:] + suffix[i_plus], ph[lo:])]
         log_mags = np.array([lm for lm, _ in sums])
         phases = np.array([ph + self.global_phase for _, ph in sums])
         return log_mags, phases
@@ -257,36 +306,42 @@ class FactorizedSectorOverlap:
         return values, log_mags, flags
 
 
-def _block_log_magnitudes(size: int, d0: complex, d1: complex, scale: float | None = None) -> np.ndarray:
-    # log |coefficients| of (d1 + d0 z)**size over the up-count power j:
-    # scale**size * Bin(j; size, |d0| / (|d0| + |d1|)), scale |d0| + |d1| by default
+def _binomial_block(size: int, d0: complex, d1: complex, scale: float | None = None,
+                    phase: float = 0.0) -> BinomialBlock:
+    # (d1 + d0 z)**size: scale**size * Bin(j; size, |d0| / (|d0| + |d1|)),
+    # scale |d0| + |d1| by default
     mag0, mag1 = abs(d0), abs(d1)
     total = mag0 + mag1
     if total == 0.0:
-        return np.full(size + 1, -np.inf)
-    return size * math.log(scale or total) + binomial_log_pmf(size, mag0 / total, mag1 / total)
+        return BinomialBlock(size, 0.0, 1.0, -math.inf, phase)
+    return BinomialBlock(size, mag0 / total, mag1 / total, math.log(scale or total), phase)
 
 
 def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, np.ndarray]:
     # log-coded (d1 + d0 z)**size, with phases j arg d0 + (size - j) arg d1
     j = np.arange(size + 1, dtype=float)
-    return _block_log_magnitudes(size, d0, d1), j * cmath.phase(d0) + (size - j) * cmath.phase(d1)
+    return (_binomial_block(size, d0, d1).log_magnitudes(),
+            j * cmath.phase(d0) + (size - j) * cmath.phase(d1))
 
 
-def _bulk_block(size: int, d0: complex, d1: complex, scale: float | None) -> tuple[np.ndarray, float]:
-    """Log magnitudes of ``(d1 + d0 z)**size`` and the one phase they share.
+def _bulk_block(size: int, d0: complex, d1: complex, scale: float | None) -> BinomialBlock:
+    """The block ``(d1 + d0 z)**size`` with the one phase its coefficients share.
 
     The coefficient phases ``j arg d0 + (size - j) arg d1`` are one phase,
     as ``arg d0 = arg d1`` mod 2 pi: the base site state is diagonal, so the
     diagonal of ``A_r^dag rho A_s`` is real and nonnegative in a diagonal
     sector and ``cos(theta / 2)`` times ``rho``'s diagonal in a cross sector.
     A diagonal sector passes ``scale``, the site trace, which the rotation
-    leaves unchanged.
+    leaves unchanged.  A negative diagonal gives the block the sign
+    ``(-1)**size``, kept as the phase 0 or pi: ``size * pi`` in floating
+    point would be off by up to ``size`` ulps of pi.
     """
     arg0, arg1 = cmath.phase(d0), cmath.phase(d1)
     if d0 and d1 and math.remainder(arg0 - arg1, 2.0 * math.pi) != 0.0:
         raise StructuralError(f"bulk site diagonal ({d0!r}, {d1!r}) does not share one phase")
-    return _block_log_magnitudes(size, d0, d1, scale), size * (arg1 if d1 else arg0)
+    arg = arg1 if d1 else arg0
+    phase = math.pi * (size % 2) if abs(arg) == math.pi else size * arg
+    return _binomial_block(size, d0, d1, scale, phase)
 
 
 def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None) -> FactorizedSectorOverlap:
@@ -323,14 +378,14 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
         groups = [(n_rot, *rot_key), (n_plain, *plain_key)]
     scale = float(np.trace(base).real) if r == s else None
     blocks = sorted((_bulk_block(*group, scale) for group in groups if group[0]),
-                    key=lambda block: block[0].size)
-    b = blocks.pop() if blocks else (np.zeros(1), 0.0)
+                    key=lambda block: block.size)
+    b = blocks.pop() if blocks else BinomialBlock(0, 1.0, 0.0, 0.0)
     polys = [_group_polynomial(1, *site_diagonal(spec.site_overrides[k], k < rotated_count))
              for k in override_sites]
-    polys += [(lm, np.full(lm.size, phase)) for lm, phase in blocks]
+    polys += [(block.log_magnitudes(), np.full(block.size + 1, block.phase)) for block in blocks]
     a = reduce(lc_convolve, polys) if polys else (np.zeros(1), np.zeros(1))
     delta_e = (spec.energies[s] - spec.energies[r]) * spec.t
-    return FactorizedSectorOverlap(a=a, b=b, global_phase=float(delta_e))
+    return FactorizedSectorOverlap(a=a, b=b, global_phase=float(delta_e), a_has_bulk=bool(blocks))
 
 
 def _assemble_tensor(spec: ChainSpec, rotated_count: int) -> ChainFTensor:

@@ -302,7 +302,7 @@ class EvolvedSectorStates:
             tr = complex(np.trace(self.omega[r, r]))
             if abs(tr - 1.0) > tol:
                 raise StructuralError(f"Tr Omega[{r},{r}] = {tr!r}, expected 1")
-            for s in range(n):
+            for s in range(r, n):  # the pair (s, r) is the same condition
                 dev = np.abs(self.omega[r, s].conj().T - self.omega[s, r]).max()
                 if dev > tol:
                     raise StructuralError(f"sector states [{r},{s}] are not adjoint-paired: {dev:.3e}")

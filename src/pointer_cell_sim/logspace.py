@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
+
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n / e)**n) for n = 0..15, with
 # stirlerr(0) = 0; above 15 the Stirling series below is used
 _STIRLERR_TABLE = np.array([
@@ -140,6 +142,152 @@ def binomial_log_pmf(n: int, p: float, q: float) -> np.ndarray:
         out[0 if p <= 0.0 else n] = 0.0
         return out
     return _saddle_log_pmf(n) - _bd0(n, n * p) - _bd0(n, n * q)[::-1]
+
+
+def _stirlerr_at(k: int) -> float:
+    """Scalar ``stirlerr(k)``: the same table and series as ``_stirlerr``."""
+    if k <= 15:
+        return float(_STIRLERR_TABLE[k])
+    inv = 1.0 / k
+    w = inv * inv
+    acc = w * _S4
+    for s in (_S3, _S2, _S1):
+        acc = (s - acc) * w
+    return (_S0 - acc) * inv
+
+
+def _bd0_at(x: float, m: float) -> float:
+    """Scalar ``bd0(x, m)`` for m > 0: the same band and series as ``_bd0``."""
+    if x == 0.0:
+        return m
+    d = x - m
+    if abs(d) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = d / (x + m)
+    w = v * v
+    band = _BD0_SERIES[-1]
+    for c in _BD0_SERIES[-2::-1]:
+        band = band * w + c
+    band *= w * x
+    return (band + band + d) * v
+
+
+def binomial_log_pmf_at(n: int, k: int, p: float, q: float) -> float:
+    """``log Bin(k; n, p)`` for one k, by the same saddle-point form as
+    ``binomial_log_pmf``, in scalar arithmetic: nothing of length n is built."""
+    if p <= 0.0 or q <= 0.0:
+        return 0.0 if k == (0 if p <= 0.0 else n) else -math.inf
+    saddle = 0.0
+    if 0 < k < n:
+        saddle = (_stirlerr_at(n) - _stirlerr_at(k) - _stirlerr_at(n - k)
+                  - 0.5 * math.log((n - k) * k * (2.0 * math.pi / n)))
+    return saddle - _bd0_at(float(k), n * p) - _bd0_at(float(n - k), n * q)
+
+
+#: a double-precision fraction step that moves it by less than this ends it
+_CF_EPS = 2.0 ** -52
+#: below this leading denominator the fraction runs in decimal arithmetic
+_CF_DECIMAL_BELOW = 0.125
+
+
+def _beta_fraction(a: int, b: int, x: float) -> float:
+    """Continued fraction of ``I_x(a, b) = x**a (1 - x)**b / (a B(a, b)) * CF``.
+
+    DLMF 8.17.22, evaluated by the modified Lentz method (Numerical Recipes
+    §6.4, ``betacf``).  The caller keeps ``x < (a + 1) / (a + b + 2)``, where
+    it converges in a handful of steps.  Near that bound, the distribution's
+    mode, the step count grows: at ``x = 1/2`` and ``a + b = 10**k + 1`` it
+    takes 51, 241, 1120 and 5200 steps for k = 3, 5, 7 and 9, inside the
+    ``O(sqrt(max(a, b)))`` worst case.  There the leading denominator
+    ``1 - (a + b) x / (a + 1)`` also cancels, and in double precision the
+    fraction loses up to about ``7 / denominator`` ulps (measured over 3000
+    random splits within six standard deviations of the mode; 1.2e-13 at
+    ``a + b = 10**6``, 1.3 standard deviations from it).  Below
+    ``_CF_DECIMAL_BELOW`` the steps therefore run in 36-digit decimals,
+    exact from the double ``x``, and the result is rounded once.
+    """
+    if 1.0 - (a + b) * x / (a + 1) >= _CF_DECIMAL_BELOW:
+        return _lentz(a, b, x, 1.0, _CF_EPS)
+    import decimal  # only here: away from the mode it would cost memory and time for nothing
+
+    with decimal.localcontext(decimal.Context(prec=36)):
+        one = decimal.Decimal(1)
+        return float(_lentz(a, b, decimal.Decimal(x), one, one / 10 ** 20))
+
+
+def _lentz(a, b, x, one, eps):
+    """The modified Lentz steps of ``_beta_fraction`` in the arithmetic of ``x``."""
+    limit = 100 + 2 * math.isqrt(max(a, b))
+    tiny = one / 10 ** 300
+    c = one
+    d = one / (one - (a + b) * x / (a + 1))
+    frac = d
+    for m in range(1, limit + 1):
+        for coeff in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                      -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = one / ((one + coeff * d) or tiny)
+            c = (one + coeff / c) or tiny
+            step = c * d
+            frac *= step
+        if abs(step - one) <= eps:
+            return frac
+    raise NumericalError(f"incomplete-beta continued fraction I_{x}({a}, {b}) "
+                         f"did not converge in {limit} steps")
+
+
+def binomial_tail_sums(n: int, t: int, p: float, q: float, lm: np.ndarray,
+                       ph: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Log-coded ``sum_i c_i P(X < t - i)`` and ``sum_i c_i P(X >= t - i)``.
+
+    X ~ Bin(n, p) with ``q = 1 - p``, and ``c_i = exp(lm[i] + 1j * ph[i])``.
+    At each split ``s = t - i`` the tail on the far side of the mode is a
+    regularised incomplete beta, ``P(X >= s) = I_p(s, n - s + 1) =
+    Bin(s; n, p) q CF`` or ``P(X < s) = I_q(n - s + 1, s) = Bin(s - 1; n, p)
+    p CF``, with the fraction from ``_beta_fraction``; the near tail is its
+    ``log1p(-exp(.))`` complement.  One pmf, ``binomial_log_pmf_at`` at the
+    first split, serves them all: the others follow by the exact ratios
+    ``Bin(m - 1) / Bin(m) = m q / ((n - m + 1) p)``, and it is added to the
+    far-side sum only after the sum.  Far out it is of order n, and adding
+    it to each term first would round the terms' relative sizes, which set
+    the phase of a mixed-phase sum, to ulps of n.  Exact at p or q = 0 and
+    for splits outside 1..n; the cost is independent of n away from the mode.
+    """
+    k = len(lm)
+    below, above = np.full(k, -math.inf), np.full(k, -math.inf)
+    sure = np.zeros(k, dtype=bool)  # splits with every outcome on one side
+    m_pmf, shift, far_upper = None, 0.0, False  # log Bin(m_pmf) = shift + rel
+    for i in range(k):
+        s = t - i
+        if s <= 0 or (q <= 0.0 and s <= n):  # X >= s surely
+            above[i], sure[i] = 0.0, True
+            continue
+        if s > n or p <= 0.0:  # X < s surely
+            below[i], sure[i] = 0.0, True
+            continue
+        upper = p * (n + 3) < s + 1
+        m = s if upper else s - 1
+        if m_pmf is None:
+            m_pmf, shift, rel, far_upper = m, binomial_log_pmf_at(n, m, p, q), 0.0, upper
+        while m_pmf > m:
+            rel += math.log(m_pmf * q / ((n - m_pmf + 1) * p))
+            m_pmf -= 1
+        if upper:
+            far = rel + math.log(q) + math.log(_beta_fraction(s, n - s + 1, p))
+        else:
+            far = rel + math.log(p) + math.log(_beta_fraction(n - s + 1, s, q))
+        near = math.log1p(-math.exp(shift + far))
+        # the side of the first split's far tail holds values less shift
+        if upper == far_upper:
+            far_side, near_side = far, near
+        else:  # past the mode, where shift is of order log n
+            far_side, near_side = shift + far, near - shift
+        (above if upper else below)[i] = far_side
+        (below if upper else above)[i] = near_side
+    (above if far_upper else below)[sure] -= shift
+    sums = [lc_sum(lm + below, ph), lc_sum(lm + above, ph)]
+    far_lm, far_ph = sums[far_upper]
+    sums[far_upper] = (far_lm + shift, far_ph)
+    return sums[0], sums[1]
 
 
 def lc_sum(lm: np.ndarray, ph: np.ndarray) -> tuple[float, float]:

@@ -223,7 +223,7 @@ def decimal_sector_cells(spec, r: int, s: int, digits: int = 50):
     multiplied in term by term, all in complex decimal arithmetic, whose
     exponent range holds magnitudes far below the double floor.  Returns the
     ``(log magnitude, phase)`` of the "-" and "+" magnetisation-sign cells,
-    energy phase included.
+    energy phase included; an exactly zero cell is ``(-inf, 0)``.
     """
     half = spec.theta / 2
     rot = np.array([[math.cos(half), 1j * math.sin(half)],
@@ -255,18 +255,33 @@ def decimal_sector_cells(spec, r: int, s: int, digits: int = 50):
                     for lo, hi in zip(poly + [zero], [zero] + poly)]
         n = spec.N - len(overrides)
         d0, d1 = diagonal(np.diag([(1 + spec.m0) / 2, (1 - spec.m0) / 2]))
-        norm = d1[0] * d1[0] + d1[1] * d1[1]
-        ratio = mul(d0, (d1[0] / norm, -d1[1] / norm))
-        term, power, e = (D(1), D(0)), d1, n
-        while e:  # term = d1**n by repeated squaring
-            if e & 1:
-                term = mul(term, power)
-            power, e = mul(power, power), e >> 1
-        bulk = [term]
-        for j in range(n):
-            term = mul(term, ratio)
-            term = (term[0] * (n - j) / (j + 1), term[1] * (n - j) / (j + 1))
-            bulk.append(term)
+        if r == s:
+            # a diagonal sector's site diagonal sums to the site trace, which
+            # the rounded entries miss by an ulp and N sites would multiply
+            # into N ulps: rescale it to the trace, as the package does
+            trace = D((1 + spec.m0) / 2 + (1 - spec.m0) / 2)
+            total = (d0[0] * d0[0] + d0[1] * d0[1]).sqrt() + (d1[0] * d1[0] + d1[1] * d1[1]).sqrt()
+            d0, d1 = [(re * trace / total, im * trace / total) for re, im in (d0, d1)]
+
+        def power(x, e):  # x**e by repeated squaring
+            out = (D(1), D(0))
+            while e:
+                if e & 1:
+                    out = mul(out, x)
+                x, e = mul(x, x), e >> 1
+            return out
+
+        if d1 == zero:  # only the all-up coefficient can be nonzero
+            bulk = [zero] * n + [power(d0, n)]
+        else:
+            norm = d1[0] * d1[0] + d1[1] * d1[1]
+            ratio = mul(d0, (d1[0] / norm, -d1[1] / norm))
+            term = power(d1, n)
+            bulk = [term]
+            for j in range(n):
+                term = mul(term, ratio)
+                term = (term[0] * (n - j) / (j + 1), term[1] * (n - j) / (j + 1))
+                bulk.append(term)
         h = len(chain_minus_cell_counts(spec.N))
         cells = [zero, zero]
         for i, c in enumerate(poly):
@@ -276,6 +291,9 @@ def decimal_sector_cells(spec, r: int, s: int, digits: int = 50):
         out = []
         for re, im in cells:
             mag = (re * re + im * im).sqrt()
+            if mag == 0:
+                out.append((-math.inf, 0.0))
+                continue
             out.append((float(mag.ln()), math.atan2(float(im / mag), float(re / mag)) + energy))
     return out
 

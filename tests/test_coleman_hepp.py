@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from pointer_cell_sim.coleman_hepp import (
     traversal_schedule,
 )
 from pointer_cell_sim.errors import CapacityError, StructuralError
+from pointer_cell_sim.logspace import binomial_log_pmf
 from pointer_cell_sim.verify import find_pointer_map, log_pointer_errors, pointer_errors
 
 from oracles import (
@@ -34,6 +36,7 @@ from oracles import (
     chain_trace_product,
     decimal_sector_cells,
     full_product_sector_cells,
+    kl_bernoulli,
     poisson_binomial_fraction,
 )
 
@@ -291,6 +294,145 @@ class TestPartialTraversalOracle:
             ov.cell_values(shorter)
 
 
+def assert_cells_match(got, ref, context):
+    """Log-coded cells equal: 1e-13 relative in log magnitude (absolute below
+    magnitude 1), 1e-12 in phase; exact zeros exactly."""
+    for (lm, ph), (ref_lm, ref_ph) in zip(got, ref):
+        if ref_lm == -math.inf:
+            assert lm == -math.inf, (context, lm)
+            continue
+        assert abs(lm - ref_lm) <= 1e-13 * max(1.0, abs(ref_lm)), (context, lm, ref_lm)
+        assert abs(math.remainder(ph - ref_ph, 2 * math.pi)) <= 1e-12, (context, ph, ref_ph)
+
+
+def _lse(x) -> float:
+    x = x[x > -np.inf]
+    return -math.inf if x.size == 0 else float(x.max() + np.log(np.sum(np.exp(x - x.max()))))
+
+
+def boundary_log_pmf(n: int, p: float, q: float, h: int) -> tuple[int, np.ndarray]:
+    """``(lo, rel)``: ``rel[j - lo] = log Bin(j; n, p) - log Bin(h - 1; n, p)``.
+
+    The exact term ratios ``Bin(j + 1) / Bin(j) = (n - j) p / ((j + 1) q)``
+    are accumulated outward from ``h - 1`` in extended precision, so the
+    terms' relative sizes near the boundary carry no ulps of the O(n)
+    log-pmf.  Past the mode the log-pmf falls at least quadratically, so a
+    window of 40 standard deviations each way holds every term of a far
+    tail above ``exp(-800)`` of its largest.
+    """
+    width = 40 * math.isqrt(int(n * p * q) + 1) + 64
+    lo, hi = max(h - 1 - width, 0), min(h - 1 + width, n)
+    j = np.arange(lo, hi, dtype=np.longdouble)
+    steps = np.log((n - j) * p / ((j + 1) * q))  # log Bin(j + 1) - log Bin(j)
+    rel = np.zeros(hi - lo + 1, dtype=np.longdouble)
+    rel[h - lo:] = np.cumsum(steps[h - 1 - lo:])
+    rel[:h - 1 - lo] = -np.cumsum(steps[h - 2 - lo::-1])[::-1]
+    return lo, rel.astype(float)
+
+
+def summed_sector_cells(ov, N: int):
+    """The cells of a full-traversal overlap as ``sum_i a_i tail_b(h - i)``,
+    each tail an O(N) logsumexp over the package's binomial log-pmf.
+
+    On the far side of the mode, where the tails are far below 1, the terms
+    are summed relative to the log-pmf at the cell boundary (see
+    ``boundary_log_pmf``), and the block's O(N) log scale is added to each
+    cell after the sum: rounded into every term, either would blur the
+    terms' relative sizes, and so the phase of a mixed-phase cell, by ulps
+    of N.
+    """
+    h = (N + 1) // 2
+    a_lm, a_ph = ov.a
+    b = ov.b
+    pmf = binomial_log_pmf(b.size, b.p, b.q)
+    lo, rel = 0, None
+    if b.p > 0.0 and b.q > 0.0 and b.log_scale > -math.inf:
+        lo, rel = boundary_log_pmf(b.size, b.p, b.q, h)
+    cuts = [max(h - i, 0) for i in range(a_lm.size)]
+    plain = [_lse(pmf[:cuts[0]]), _lse(pmf[cuts[0]:])]
+    far = int(plain[1] < plain[0])
+    cells = []
+    for side in range(2):
+        if rel is not None and side == far:
+            values, shift, cut = rel, pmf[h - 1], [max(c - lo, 0) for c in cuts]
+        else:
+            values, shift, cut = pmf, 0.0, cuts
+        tails = [_lse(values[:c] if side == 0 else values[c:]) for c in cut]
+        terms = a_lm + np.array(tails)
+        finite = terms > -np.inf
+        if b.log_scale == -math.inf or not finite.any():
+            cells.append((-math.inf, 0.0))
+            continue
+        m = terms[finite].max()
+        acc = complex(np.sum(np.exp(terms[finite] - m) * np.exp(1j * (a_ph[finite] + b.phase))))
+        cells.append((m + math.log(abs(acc)) + shift + b.log_total(),
+                      math.atan2(acc.imag, acc.real) + ov.global_phase))
+    return cells
+
+
+FULL_TRAVERSAL_GRID = [(m0, theta) for m0 in (0.002, 0.1, 0.6, 1.0)
+                       for theta in (math.pi, 1.0, 2.2, 4.0)]
+
+
+class TestFullTraversalTails:
+    """Each full-traversal cell is k + 1 continued-fraction tails of ``b``."""
+
+    @pytest.mark.parametrize("overrides", [None, COMPLEX_OVERRIDE], ids=["plain", "override"])
+    @pytest.mark.parametrize("m0, theta", FULL_TRAVERSAL_GRID)
+    @pytest.mark.parametrize("N", [2, 37, 4000])
+    def test_cells_match_decimal_sums(self, N, m0, theta, overrides):
+        spec = ChainSpec(N=N, m0=m0, theta=theta, energies=(0.3, -0.2), site_overrides=overrides)
+        cells, _ = chain_cells(N)
+        for r in range(2):
+            for s in range(2):
+                got = zip(*sector_overlap(spec, r, s).cell_log_values(cells))
+                assert_cells_match(got, decimal_sector_cells(spec, r, s), (r, s))
+
+    @pytest.mark.parametrize("overrides", [None, COMPLEX_OVERRIDE], ids=["plain", "override"])
+    @pytest.mark.parametrize("m0, theta", FULL_TRAVERSAL_GRID)
+    def test_cells_match_summed_log_pmf_at_a_million_sites(self, m0, theta, overrides):
+        N = 1_000_000
+        spec = ChainSpec(N=N, m0=m0, theta=theta, energies=(0.3, -0.2), site_overrides=overrides)
+        cells, _ = chain_cells(N)
+        for r in range(2):
+            for s in range(2):
+                ov = sector_overlap(spec, r, s)
+                assert not ov.a_has_bulk
+                got = zip(*ov.cell_log_values(cells))
+                assert_cells_match(got, summed_sector_cells(ov, N), (r, s))
+
+    @pytest.mark.parametrize("m0", [0.6, 1.0])
+    def test_single_site(self, m0):
+        spec = ChainSpec(N=1, m0=m0, theta=2.2, energies=(0.3, -0.2))
+        cells, _ = chain_cells(1)
+        for r in range(2):
+            for s in range(2):
+                got = zip(*sector_overlap(spec, r, s).cell_log_values(cells))
+                assert_cells_match(got, decimal_sector_cells(spec, r, s), (r, s))
+
+    def test_every_site_overridden(self):
+        # b is the empty block: the cells are the override polynomial's own
+        overrides = {0: polarized_site(-0.6), **COMPLEX_OVERRIDE, 2: polarized_site(0.2)}
+        spec = ChainSpec(N=3, m0=0.6, theta=2.2, energies=(0.3, -0.2), site_overrides=overrides)
+        cells, _ = chain_cells(3)
+        for r in range(2):
+            for s in range(2):
+                ov = sector_overlap(spec, r, s)
+                assert ov.b.size == 0 and ov.a[0].size == 4
+                got = zip(*ov.cell_log_values(cells))
+                assert_cells_match(got, decimal_sector_cells(spec, r, s), (r, s))
+        assert np.abs(dense_tensor(spec).values - factorized_f_tensor(spec).values).max() < 1e-12
+
+    def test_fully_polarised_chain_has_structural_zeros(self):
+        # m0 = 1: q = 0, so the unflipped sector never leaves "+" and the
+        # flipped one never leaves "-", exactly, at any N
+        for N in (1, 2, 1001, 10 ** 9):
+            f = factorized_f_tensor(ChainSpec(N=N, m0=1.0))
+            assert f.log_magnitude[0, 0, 0] == -math.inf and f.log_magnitude[0, 0, 1] == 0.0
+            assert f.log_magnitude[1, 1, 1] == -math.inf and f.log_magnitude[1, 1, 0] == 0.0
+            assert np.isneginf(f.log_magnitude[0, 1]).all()
+
+
 class TestLargeN:
     def test_hundred_thousand_sites(self):
         f = factorized_f_tensor(ChainSpec(N=100_000, m0=0.6))
@@ -301,6 +443,43 @@ class TestLargeN:
         assert rate == pytest.approx(0.22314355131420976, rel=1e-3)
         assert f.underflow.any()
         assert core.check_f_properties(f).passed
+
+    def test_billion_sites(self):
+        # the full traversal costs the same at any N: rows still sum to 1,
+        # and the decay rate is the boundary relative entropy D(1/2 || 0.8)
+        N = 10 ** 9
+        f = factorized_f_tensor(ChainSpec(N=N, m0=0.6))
+        for r in range(2):
+            assert abs(math.fsum(f.values[r, r].real) - 1.0) <= 1e-12
+        rate = -log_pointer_errors(f, find_pointer_map(f)).max() / N
+        assert abs(rate - kl_bernoulli(0.5, 0.8)) <= 1e-6
+        assert core.check_f_properties(f).passed
+
+    def test_full_traversal_memory_does_not_grow_with_N(self):
+        def peak(N):
+            spec = ChainSpec(N=N, m0=0.6, site_overrides=COMPLEX_OVERRIDE)
+            factorized_f_tensor(spec)  # first calls fill module-level caches
+            tracemalloc.start()
+            try:
+                factorized_f_tensor(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10 ** 5), peak(10 ** 9)
+        assert large < 2 ** 20
+        assert abs(large - small) <= 0.1 * small
+
+    @pytest.mark.parametrize("Ns", [range(1, 2001), (10 ** 5, 10 ** 5 + 1)], ids=["small", "large"])
+    def test_chain_cells_in_closed_form(self, Ns):
+        for N in Ns:
+            cells, partition = chain_cells(N)
+            ref, ref_partition = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
+            assert (cells.bounds, cells.edges, cells.labels) == (ref.bounds, ref.edges, ref.labels)
+            assert cells.cell_means == pytest.approx(ref.cell_means, rel=1e-15, abs=1e-15)
+            assert (partition is None) == (ref_partition is None)
+            if partition is not None:
+                assert partition.cells == ref_partition.cells
 
     def test_half_traversal_at_hundred_thousand_sites(self):
         f = traversal_schedule(ChainSpec(N=100_000, m0=0.6), 0.5)
@@ -328,8 +507,8 @@ class TestSpecHelpers:
     def test_bulk_block_requires_one_phase(self):
         # arguments pi and -pi, as cos(theta / 2) < 0 gives in a cross
         # sector, are one phase; a quarter turn between the two is not
-        lm, phase = _bulk_block(5, complex(-0.3, 0.0), complex(-0.2, -0.0), None)
-        assert lm.shape == (6,) and phase == 5 * -math.pi
+        block = _bulk_block(5, complex(-0.3, 0.0), complex(-0.2, -0.0), None)
+        assert block.log_magnitudes().shape == (6,) and block.phase == math.pi  # (-1)**5
         with pytest.raises(StructuralError, match="one phase"):
             _bulk_block(5, 0.3 + 0j, 0.2j, None)
 

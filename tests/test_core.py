@@ -158,6 +158,20 @@ class TestEvolveSectors:
                 evals = np.linalg.eigvalsh(states.omega[r, r])
                 assert evals.min() > -1e-10 and evals.max() < 1 + 1e-10
 
+    @pytest.mark.parametrize("block", [(0, 1), (1, 0), (1, 2), (2, 1)])
+    def test_one_sided_pairing_corruption_rejected(self, rng, block):
+        # validate tests each unordered pair once; corrupting either member
+        # of the pair alone must still break the adjoint pairing
+        micro = make_micro(rng.normal(size=3))
+        app = simple_apparatus(5, 3, rng=rng, K=random_hermitian(rng, 5),
+                               V=[random_hermitian(rng, 5) for _ in range(3)])
+        states = core.evolve_sectors(micro, app, 0.9)
+        states.validate(spectra=True)
+        omega = states.omega.copy()
+        omega[block][1, 3] += 1e-6
+        with pytest.raises(StructuralError, match="adjoint-paired"):
+            core.EvolvedSectorStates(t=states.t, omega=omega).validate()
+
     def test_capacity_cap(self, rng):
         # n * dim_K = 2**15 exceeds the cap; must fail before materialising
         micro = make_micro(rng.normal(size=2))

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from pointer_cell_sim.coleman_hepp import ChainSpec, _group_polynomial, factorized_f_tensor
-from pointer_cell_sim.logspace import binomial_log_pmf, lc_convolve
+from pointer_cell_sim.errors import NumericalError
+from pointer_cell_sim import logspace
+from pointer_cell_sim.logspace import (
+    binomial_log_pmf,
+    binomial_log_pmf_at,
+    binomial_tail_sums,
+    lc_convolve,
+)
 
-from oracles import exact_log
+from oracles import _log_coded_sum, binom_range_log, exact_log
 
 
 def log_code(x):
@@ -90,3 +97,122 @@ class TestBinomialLogPmf:
             assert abs(math.fsum(f.values[r, r].real) - 1.0) <= 1e-12
         for p in (0.8, 0.5, 0.1):
             assert abs(math.fsum(np.exp(binomial_log_pmf(N, p, 1.0 - p))) - 1.0) <= 1e-12
+
+
+def assert_log_close(got, ref, rtol=1e-13):
+    """Log magnitudes equal to ``rtol`` relative, absolute below magnitude 1."""
+    if ref == -math.inf:
+        assert got == -math.inf, (got, ref)
+    else:
+        assert abs(got - ref) <= rtol * max(1.0, abs(ref)), (got, ref)
+
+
+def binomial_log_tails(n, t, p, q):
+    """``(log P(X < t), log P(X >= t))`` from ``binomial_tail_sums`` with one unit term."""
+    (below, _), (above, _) = binomial_tail_sums(n, t, p, q, np.zeros(1), np.zeros(1))
+    return below, above
+
+
+def logsumexp_tails(n, t, p, q):
+    """``(log P(X < t), log P(X >= t))`` summed over the package's log-pmf."""
+    lm = binomial_log_pmf(n, p, q)
+
+    def lse(x):
+        x = x[x > -np.inf]
+        if x.size == 0:
+            return -math.inf
+        m = x.max()
+        return float(m + np.log(np.sum(np.exp(x - m))))
+
+    return lse(lm[:max(t, 0)]), lse(lm[max(t, 0):])
+
+
+# up-probabilities of the chain sectors over m0 in {0.002, 0.1, 0.6} and
+# theta in {pi, 1, 2.2, 4}: the base (1 + m0) / 2 and its rotated mixtures
+CHAIN_PS = sorted({w * (1 + m0) / 2 + (1 - w) * (1 - m0) / 2
+                   for m0 in (0.002, 0.1, 0.6)
+                   for w in (1.0, 0.0) + tuple(math.cos(th / 2) ** 2 for th in (1.0, 2.2, 4.0))})
+
+
+class TestBinomialTails:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 101, 1000, 4000])
+    @pytest.mark.parametrize("p", [0.8, 0.55, 0.501, 0.2, 0.999, 1e-3])
+    def test_matches_decimal_sums(self, n, p):
+        # the split points around the mean, the cell boundary and the ends
+        q = 1.0 - p
+        ts = {0, 1, n // 2, (n + 1) // 2, n - 1, n, n + 1,
+              int(p * n) - 1, int(p * n), int(p * n) + 1, int(p * n) + 2}
+        for t in sorted(t for t in ts if -1 <= t <= n + 1):
+            below, above = binomial_log_tails(n, t, p, q)
+            assert_log_close(below, binom_range_log(n, p, range(t)) if t > 0 else -math.inf)
+            assert_log_close(above, binom_range_log(n, p, range(max(t, 0), n + 1))
+                             if t <= n else -math.inf)
+
+    @pytest.mark.parametrize("n", [10_001, 100_000, 1_000_000])
+    def test_matches_summed_log_pmf(self, n):
+        # every chain-sector probability at the cell boundary and one site off
+        # it, with the boundary within a standard deviation of the mode for
+        # m0 = 0.002 at the two largest n
+        h = (n + 1) // 2
+        for p in CHAIN_PS:
+            for t in (h - 1, h, h + 1):
+                got = binomial_log_tails(n, t, p, 1.0 - p)
+                for g, r in zip(got, logsumexp_tails(n, t, p, 1.0 - p)):
+                    assert_log_close(g, r)
+
+    @pytest.mark.parametrize("n, t, p", [(4000, 2000, 0.8), (4000, 2007, 0.501), (4000, 4002, 0.2),
+                                         (30, 19, 0.55), (9, 2, 0.3), (9, 2, 0.05)])
+    def test_mixed_phase_sums_over_consecutive_splits(self, n, t, p):
+        # five mixed-phase coefficients over the splits t, t - 1, ..., t - 4:
+        # far out in a tail, across the mode and past either end of 0..n
+        rng = np.random.default_rng(n + t)
+        lm, ph = rng.normal(size=5), rng.uniform(-3.0, 3.0, size=5)
+        got = binomial_tail_sums(n, t, p, 1.0 - p, lm, ph)
+        for side, (got_lm, got_ph) in enumerate(got):
+            tails = []
+            for s in range(t, t - 5, -1):
+                js = range(min(max(s, 0), n + 1)) if side == 0 else range(max(s, 0), n + 1)
+                tails.append(binom_range_log(n, p, js) if len(js) else -math.inf)
+            ref_lm, ref_ph = _log_coded_sum(lm + np.array(tails), ph)
+            assert_log_close(got_lm, ref_lm)
+            assert abs(math.remainder(got_ph - ref_ph, 2 * math.pi)) <= 1e-12, (side, got_ph, ref_ph)
+
+    def test_degenerate_probabilities_are_exact(self):
+        # p = 0: X = 0; q = 0: X = n; t outside 1..n: one side is empty
+        assert binomial_log_tails(5, 1, 0.0, 1.0) == (0.0, -math.inf)
+        assert binomial_log_tails(5, 0, 0.0, 1.0) == (-math.inf, 0.0)
+        assert binomial_log_tails(5, 5, 1.0, 0.0) == (-math.inf, 0.0)
+        assert binomial_log_tails(5, 6, 1.0, 0.0) == (0.0, -math.inf)
+        assert binomial_log_tails(0, 0, 1.0, 0.0) == (-math.inf, 0.0)
+        assert binomial_log_tails(0, 1, 0.5, 0.5) == (0.0, -math.inf)
+        assert binomial_log_tails(7, -3, 0.3, 0.7) == (-math.inf, 0.0)
+
+    def test_far_below_the_double_floor(self):
+        # P(Bin(10**9, 0.8) < 5 * 10**8) = exp(-2.2e8): against the Chernoff
+        # exponent n D(1/2 || 0.8), which it undercuts by O(log n)
+        n = 10 ** 9
+        below, above = binomial_log_tails(n, n // 2, 0.8, 0.19999999999999996)
+        rate = 0.5 * math.log(0.5 / 0.8) + 0.5 * math.log(0.5 / 0.19999999999999996)
+        assert -n * rate - 2 * math.log(n) < below < -n * rate
+        assert above == 0.0 or -1e-300 < above < 0.0
+
+    @pytest.mark.parametrize("p", [0.8, 0.5, 0.1, 1e-6])
+    @pytest.mark.parametrize("n", [1, 15, 16, 40, 3000])
+    def test_scalar_pmf_matches_vector(self, n, p):
+        q = 1.0 - p
+        vec = binomial_log_pmf(n, p, q)
+        got = np.array([binomial_log_pmf_at(n, k, p, q) for k in range(n + 1)])
+        assert np.all(np.abs(got - vec) <= 4e-16 * np.maximum(1.0, np.abs(vec)))
+
+    def test_scalar_pmf_degenerate(self):
+        assert binomial_log_pmf_at(4, 0, 0.0, 1.0) == 0.0
+        assert binomial_log_pmf_at(4, 1, 0.0, 1.0) == -math.inf
+        assert binomial_log_pmf_at(4, 4, 1.0, 0.0) == 0.0
+        assert binomial_log_pmf_at(4, 3, 1.0, 0.0) == -math.inf
+
+    def test_fraction_stops_at_its_step_limit(self, monkeypatch):
+        # a fraction whose steps never settle (here: no step is small enough)
+        # ends in NumericalError after 100 + 2 isqrt(max(a, b)) steps
+        monkeypatch.setattr(logspace, "_CF_EPS", -1.0)
+        with pytest.raises(NumericalError, match="did not converge in 120 steps"):
+            logspace._beta_fraction(100, 90, 0.3)
