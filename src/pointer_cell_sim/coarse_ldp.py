@@ -23,8 +23,10 @@ import numpy as np
 from .core import PhaseCellPartition
 from .errors import PreconditionError, StructuralError
 from .logspace import (
+    BinomialBlock,
+    _binomial_block,
     bernoulli_relative_entropy,
-    binomial_log_pmf,
+    binomial_log_pmf_at,
     lc_convolve,
     lc_real_logsumexp,
 )
@@ -149,6 +151,15 @@ class CellPartitionSpec:
         b = self.bounds
         return tuple(a for a in range(self.n_cells) if b[a] == b[a + 1])
 
+    def prefix_split(self, count: int) -> int:
+        """The first index of the second cell, for a two-cell prefix/suffix
+        partition of ``count`` points; any other partition is refused."""
+        if self.n_cells != 2 or self.bounds[-1] != count:
+            raise StructuralError(
+                "product-state cells are summed only over a two-cell prefix/suffix "
+                f"partition of the {count} up-counts (got bounds {self.bounds})")
+        return int(self.bounds[1])
+
     def cell_of_value(self, m: float) -> int:
         if m < self.edges[0] or m > self.edges[-1]:
             raise PreconditionError(f"value {m!r} outside the spectrum range")
@@ -242,47 +253,48 @@ class BernoulliProduct:
         return BernoulliProduct(up_probs=p)
 
 
-def _factor_layout(state: BernoulliProduct) -> tuple[np.ndarray, np.ndarray]:
+def _factor_layout(state: BernoulliProduct) -> tuple[np.ndarray, BinomialBlock]:
     """Log-pmf factors ``(a, b)`` of the up count: ``pmf_j = sum_i a_i b_{j-i}``.
 
-    ``b`` is the binomial block of the modal up-probability; ``a`` is the
-    up-count log-pmf of every other site, binomial blocks of equal
-    probabilities convolved in log space (``[0]`` for a homogeneous state,
-    k + 1 terms for k sites that differ).  Both stay exact far below the
-    floating-point floor.
+    ``b`` is the binomial block of the modal up-probability, held by its
+    parameters; ``a`` is the up-count log-pmf of every other site, binomial
+    blocks of equal probabilities convolved in log space (``[0]`` for a
+    homogeneous state, k + 1 terms for k sites that differ).  Both stay exact
+    far below the floating-point floor.
     """
     values, counts = np.unique(state.up_probs, return_counts=True)
-    blocks = [binomial_log_pmf(int(c), float(p), 1.0 - float(p)) for p, c in zip(values, counts)]
+    blocks = [_binomial_block(int(c), float(p), 1.0 - float(p)) for p, c in zip(values, counts)]
     b = blocks.pop(int(np.argmax(counts)))
-    rest = [(block, np.zeros_like(block)) for block in blocks]
+    rest = [(block.log_magnitudes(), np.zeros(block.size + 1)) for block in blocks]
     return reduce(lc_convolve, rest, (np.zeros(1), np.zeros(1)))[0], b
 
 
-def _range_log_probability(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> float:
-    # log P(lo <= j < hi) = log sum_i a_i (b_{lo-i} + ... + b_{hi-1-i})
-    tails = [lc_real_logsumexp(b[max(lo - i, 0):max(hi - i, 0)]) for i in range(a.size)]
+def _window_log_probability(a: np.ndarray, b: BinomialBlock, counts: range) -> float:
+    # log P(j in counts) = log sum_i a_i sum_{j in counts} b_{j-i}; a window
+    # holds one or two up-counts, each a scalar Loader pmf of b
+    tails = [lc_real_logsumexp([binomial_log_pmf_at(b.size, j - i, b.p, b.q)
+                                for j in counts if 0 <= j - i <= b.size])
+             for i in range(a.size)]
     return lc_real_logsumexp(a + np.array(tails))
 
 
 def cell_log_probability(state: BernoulliProduct, cells: CellPartitionSpec) -> np.ndarray:
-    """Log-probability of each cell under the product state."""
-    if state.N + 1 != cells.bounds[-1]:
-        raise StructuralError("partition was built for a different chain length")
-    layout = _factor_layout(state)
-    out = np.full(cells.n_cells, -np.inf)
-    for c in range(cells.n_cells):
-        lo, hi = cells.bounds[c], cells.bounds[c + 1]
-        if hi > lo:
-            out[c] = _range_log_probability(*layout, lo, hi)
-    return out
+    """Log-probability of each cell of a two-cell prefix/suffix partition.
+
+    Each cell is a binomial tail of the modal block per term of ``a``, from
+    the incomplete-beta continued fraction, at a cost independent of N.
+    """
+    a, b = _factor_layout(state)
+    sums = b.tail_sums(cells.prefix_split(state.N + 1), (a, np.zeros_like(a)))
+    return np.array([lm for lm, _ in sums])
 
 
 def cell_probability(state, cells) -> np.ndarray:
     """Probability of each phase cell for a product or dense apparatus state.
 
-    Product Bernoulli states go through exact log-space binomial sums against
-    a :class:`CellPartitionSpec`; dense density matrices are traced against an
-    explicit :class:`PhaseCellPartition`.
+    Product Bernoulli states go through :func:`cell_log_probability`, against
+    a two-cell :class:`CellPartitionSpec`; dense density matrices are traced
+    against an explicit :class:`PhaseCellPartition` of any number of cells.
     """
     if isinstance(state, BernoulliProduct):
         if not isinstance(cells, CellPartitionSpec):
@@ -327,12 +339,6 @@ class RateFunctionEstimate:
             return None
         return self.samples - self.analytic[None, :]
 
-    def curve(self) -> np.ndarray:
-        """The analytic rates when known, else the largest chain's samples."""
-        if self.analytic is not None:
-            return self.analytic
-        return self.samples[-1]
-
     def rate_at(self, m: float) -> float:
         if self.p is not None:
             return float(bernoulli_rate(m, self.p))
@@ -357,60 +363,40 @@ def estimate_rate(
     Requires at least three chain sizes spanning a factor of four.  Grid
     points whose window probability is exactly zero are dropped and flagged.
     """
-    return estimate_rates([family], grid, N_values)[0]
-
-
-def estimate_rates(
-    families: Sequence[Callable[[int], BernoulliProduct]],
-    grid: Sequence[float],
-    N_values: Sequence[int],
-) -> list[RateFunctionEstimate]:
-    """:func:`estimate_rate` for several families, one estimate each.
-
-    The families are evaluated chain size by chain size, so that the states
-    of one size, which share binomial blocks, find them in the per-size
-    caches of :func:`logspace.binomial_log_pmf`.
-    """
     Ns = sorted(int(N) for N in N_values)
     if len(set(Ns)) < 3:
         raise PreconditionError("need at least three distinct chain sizes")
     if Ns[-1] < 4 * Ns[0]:
         raise PreconditionError("chain sizes must span at least a factor of four")
     grid = [float(m) for m in grid]
-    samples = np.full((len(families), len(Ns), len(grid)), np.nan)
-    dropped = np.zeros((len(families), len(Ns), len(grid)), dtype=bool)
-    ps = [set() for _ in families]
+    samples = np.full((len(Ns), len(grid)), np.nan)
+    dropped = np.zeros((len(Ns), len(grid)), dtype=bool)
+    ps = set()
     for i, N in enumerate(Ns):
+        state = family(N)
+        if state.N != N:
+            raise StructuralError("family returned a state of the wrong size")
+        ps.add(state.homogeneous_p)
+        layout = _factor_layout(state)
         delta = 1.0 / N  # half the magnetisation spectrum gap 2/N
-        for f, family in enumerate(families):
-            state = family(N)
-            if state.N != N:
-                raise StructuralError("family returned a state of the wrong size")
-            ps[f].add(state.homogeneous_p)
-            layout = _factor_layout(state)
-            for k, m in enumerate(grid):
-                js = _window_counts(N, m, delta)
-                logp = _range_log_probability(*layout, js.start, js.stop) if js else -np.inf
-                if logp == -np.inf:
-                    dropped[f, i, k] = True
-                    warnings.warn(
-                        f"window at m={m} has zero probability for N={N}; point dropped",
-                        stacklevel=2)
-                else:
-                    samples[f, i, k] = logp / N
-    estimates = []
-    for f, family_ps in enumerate(ps):
-        p = family_ps.pop() if len(family_ps) == 1 else None
-        analytic = np.asarray(bernoulli_rate(grid, p)) if p is not None else None
-        estimates.append(RateFunctionEstimate(
-            grid=tuple(grid),
-            N_values=tuple(Ns),
-            samples=samples[f],
-            dropped=dropped[f],
-            analytic=analytic,
-            p=p,
-        ))
-    return estimates
+        for k, m in enumerate(grid):
+            logp = _window_log_probability(*layout, _window_counts(N, m, delta))
+            if logp == -np.inf:
+                dropped[i, k] = True
+                warnings.warn(
+                    f"window at m={m} has zero probability for N={N}; point dropped",
+                    stacklevel=2)
+            else:
+                samples[i, k] = logp / N
+    p = ps.pop() if len(ps) == 1 else None
+    return RateFunctionEstimate(
+        grid=tuple(grid),
+        N_values=tuple(Ns),
+        samples=samples,
+        dropped=dropped,
+        analytic=np.asarray(bernoulli_rate(grid, p)) if p is not None else None,
+        p=p,
+    )
 
 
 def perturbation_residual_bound(base: BernoulliProduct, perturbed: BernoulliProduct) -> float:
@@ -492,13 +478,15 @@ def check_ldp_conditions(
     unique_max = True
     interior = True
     for r, est in enumerate(estimates):
-        curve = est.curve()
-        finite = np.isfinite(curve)
-        top = np.nanmax(curve[finite])
-        near = [m for m, v, ok in zip(est.grid, curve, finite) if ok and v >= top - tol]
         if est.p is not None:
             m_r = 2.0 * est.p - 1.0
         else:
+            curve = est.samples[-1]
+            finite = np.isfinite(curve)
+            if not finite.any():
+                raise PreconditionError(f"sampled rate curve {r} has no finite value")
+            top = curve[finite].max()
+            near = [m for m, v, ok in zip(est.grid, curve, finite) if ok and v >= top - tol]
             if len(near) != 1:
                 unique_max = False
             m_r = near[0]

@@ -29,7 +29,7 @@ from .core import (
     _check_hermitian,
 )
 from .errors import CapacityError, StructuralError
-from .logspace import binomial_log_pmf, binomial_tail_sums, lc_convolve, lc_sum
+from .logspace import BinomialBlock, _binomial_block, lc_convolve, lc_sum
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
@@ -193,44 +193,6 @@ class ChainFTensor(FTensor):
 
 
 @dataclass(frozen=True)
-class BinomialBlock:
-    """``(d1 + d0 z)**size`` over the up-count power j, held by its parameters.
-
-    Its coefficients are ``exp(size * log_scale) * Bin(j; size, p) *
-    exp(1j * phase)``: all of them share the one phase, and
-    ``log_scale = -inf`` marks a block of exact zeros.  No ``size + 1``
-    array exists until ``log_magnitudes`` is asked for.
-    """
-
-    size: int
-    p: float
-    q: float
-    log_scale: float
-    phase: float = 0.0
-
-    def log_total(self) -> float:
-        """log of the coefficient sum, ``size * log_scale`` (0 for size 0)."""
-        return self.size * self.log_scale if self.size else 0.0
-
-    def log_magnitudes(self) -> np.ndarray:
-        """The ``size + 1`` coefficient log magnitudes."""
-        if self.log_scale == -math.inf:
-            return np.full(self.size + 1, -np.inf)
-        return self.size * self.log_scale + binomial_log_pmf(self.size, self.p, self.q)
-
-    def tail_sums(self, t: int, a: tuple[np.ndarray, np.ndarray]
-                  ) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Log-coded ``sum_i a_i * b(j < t - i)`` and ``sum_i a_i * b(j >= t - i)``,
-        where ``b(.)`` sums the coefficients over the up-counts j named."""
-        total = self.log_total()
-        if total == -math.inf:
-            return (-math.inf, 0.0), (-math.inf, 0.0)
-        a_lm, a_ph = a
-        sums = binomial_tail_sums(self.size, t, self.p, self.q, a_lm, a_ph + self.phase)
-        return tuple((lm + total, ph) for lm, ph in sums)
-
-
-@dataclass(frozen=True)
 class FactorizedSectorOverlap:
     """Product-structure evaluation of one sector pair against the cells.
 
@@ -271,11 +233,7 @@ class FactorizedSectorOverlap:
         """
         (a_lm, a_ph), b = self.a, self.b
         na, nb = a_lm.size, b.size + 1
-        if cells.n_cells != 2 or cells.bounds[-1] != na + nb - 1:
-            raise StructuralError(
-                "the factorized chain collapses only onto a two-cell prefix/suffix "
-                f"partition of its {na + nb - 1} up-counts (got bounds {cells.bounds})")
-        h = int(cells.bounds[1])
+        h = cells.prefix_split(na + nb - 1)
         if not self.a_has_bulk:
             sums = b.tail_sums(h, self.a)
         else:
@@ -304,17 +262,6 @@ class FactorizedSectorOverlap:
             values[cell] = np.exp(lm) * complex(math.cos(ph), math.sin(ph))
             flags[cell] = values[cell] == 0.0
         return values, log_mags, flags
-
-
-def _binomial_block(size: int, d0: complex, d1: complex, scale: float | None = None,
-                    phase: float = 0.0) -> BinomialBlock:
-    # (d1 + d0 z)**size: scale**size * Bin(j; size, |d0| / (|d0| + |d1|)),
-    # scale |d0| + |d1| by default
-    mag0, mag1 = abs(d0), abs(d1)
-    total = mag0 + mag1
-    if total == 0.0:
-        return BinomialBlock(size, 0.0, 1.0, -math.inf, phase)
-    return BinomialBlock(size, mag0 / total, mag1 / total, math.log(scale or total), phase)
 
 
 def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +326,7 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     scale = float(np.trace(base).real) if r == s else None
     blocks = sorted((_bulk_block(*group, scale) for group in groups if group[0]),
                     key=lambda block: block.size)
-    b = blocks.pop() if blocks else BinomialBlock(0, 1.0, 0.0, 0.0)
+    b = blocks.pop() if blocks else _binomial_block(0, 0.0, 1.0)
     polys = [_group_polynomial(1, *site_diagonal(spec.site_overrides[k], k < rotated_count))
              for k in override_sites]
     polys += [(block.log_magnitudes(), np.full(block.size + 1, block.phase)) for block in blocks]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +62,8 @@ def _saddle_log_pmf(n: int) -> np.ndarray:
     This is the part of Loader's saddle-point form that does not depend on
     p, ``stirlerr(n) - stirlerr(k) - stirlerr(n - k) - log(2 pi k (n - k) / n) / 2``,
     with 0 at k = 0 and k = n.  It is cached per n, read-only, so that the
-    sectors of one chain size, evaluated one after the other, share it.
+    four sectors of a partial traversal, which materialise their bulk blocks
+    one after the other at one chain size, share it.
     """
     st = _stirlerr(n)
     out = np.zeros(n + 1)
@@ -93,8 +95,8 @@ def _bd0(n: int, m: float) -> np.ndarray:
     ``v (x - m) + 2 x sum_j v**(2j + 1) / (2j + 1)`` with
     ``v = (x - m) / (x + m)``.  As ``|v| < 0.1``, the ninth term is below
     ``2**-54`` of the sum, so eight terms are summed, by Horner's rule in v**2.
-    Cached and read-only like ``_saddle_log_pmf``: sectors whose sites share
-    a diagonal, or swap it, share their deviances.
+    Cached and read-only like ``_saddle_log_pmf``: the partial-traversal
+    sectors whose bulk sites share a diagonal share their deviances.
     """
     x = np.arange(n + 1, dtype=float)
     out = np.empty(n + 1)
@@ -288,6 +290,55 @@ def binomial_tail_sums(n: int, t: int, p: float, q: float, lm: np.ndarray,
     far_lm, far_ph = sums[far_upper]
     sums[far_upper] = (far_lm + shift, far_ph)
     return sums[0], sums[1]
+
+
+@dataclass(frozen=True)
+class BinomialBlock:
+    """``(d1 + d0 z)**size`` over the up-count power j, held by its parameters.
+
+    Its coefficients are ``exp(size * log_scale) * Bin(j; size, p) *
+    exp(1j * phase)``: all of them share the one phase, and
+    ``log_scale = -inf`` marks a block of exact zeros.  No ``size + 1``
+    array exists until ``log_magnitudes`` is asked for.
+    """
+
+    size: int
+    p: float
+    q: float
+    log_scale: float
+    phase: float = 0.0
+
+    def log_total(self) -> float:
+        """log of the coefficient sum, ``size * log_scale`` (0 for size 0)."""
+        return self.size * self.log_scale if self.size else 0.0
+
+    def log_magnitudes(self) -> np.ndarray:
+        """The ``size + 1`` coefficient log magnitudes."""
+        if self.log_scale == -math.inf:
+            return np.full(self.size + 1, -np.inf)
+        return self.size * self.log_scale + binomial_log_pmf(self.size, self.p, self.q)
+
+    def tail_sums(self, t: int, a: tuple[np.ndarray, np.ndarray]
+                  ) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Log-coded ``sum_i a_i * b(j < t - i)`` and ``sum_i a_i * b(j >= t - i)``,
+        where ``b(.)`` sums the coefficients over the up-counts j named."""
+        total = self.log_total()
+        if total == -math.inf:
+            return (-math.inf, 0.0), (-math.inf, 0.0)
+        a_lm, a_ph = a
+        sums = binomial_tail_sums(self.size, t, self.p, self.q, a_lm, a_ph + self.phase)
+        return tuple((lm + total, ph) for lm, ph in sums)
+
+
+def _binomial_block(size: int, d0: complex, d1: complex, scale: float | None = None,
+                    phase: float = 0.0) -> BinomialBlock:
+    # (d1 + d0 z)**size: scale**size * Bin(j; size, |d0| / (|d0| + |d1|)),
+    # scale |d0| + |d1| by default
+    mag0, mag1 = abs(d0), abs(d1)
+    total = mag0 + mag1
+    if total == 0.0:
+        return BinomialBlock(size, 0.0, 1.0, -math.inf, phase)
+    return BinomialBlock(size, mag0 / total, mag1 / total, math.log(scale or total), phase)
 
 
 def lc_sum(lm: np.ndarray, ph: np.ndarray) -> tuple[float, float]:

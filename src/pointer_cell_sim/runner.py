@@ -429,8 +429,7 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     families = [_sector_family(cfg, r) for r in range(2)]
     if overrides:
         families += [_sector_family(cfg, r, overrides) for r in range(2)]
-    # all families in one pass over the chain sizes, so they share cached factors
-    estimates = coarse_ldp.estimate_rates(families, grid, Ns)
+    estimates = [coarse_ldp.estimate_rate(family, grid, Ns) for family in families]
     estimates, perturbed = estimates[:2], estimates[2:] or None
     up = estimates[0]
     rows = []

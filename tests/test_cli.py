@@ -238,6 +238,24 @@ class TestLdp:
         residuals = [abs(float(l.split(",")[4])) for l in lines]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
+    def test_fully_polarized_chain_has_an_edge_maximizer(self, workdir, capsys):
+        # m0 = 1 puts every spin-up site up: the maximiser m = 1 sits on the
+        # cell edge, and the windows away from it have zero probability
+        sweep = ", ".join(str(100 * 2 ** k) for k in range(11))
+        text = (BASE.replace("m0 = 0.6", "m0 = 1.0") + f"\n[sweep]\nN = {sweep}\n"
+                + "\n[ldp]\ngrid = -0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8\n"
+                + "\n[perturbation]\nsite_0 = flip\nsite_1 = depolarize\n")
+        out = workdir / "out"
+        with pytest.warns(UserWarning, match="zero probability"):
+            code = run_cli("ldp", "--config", write_config(workdir, text), "--out", out)
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        text = (out / "ldp_conditions.txt").read_text(encoding="utf-8")
+        cond = tokenize_kv("\n".join(text.splitlines()[1:]))[0]["ldp_conditions"]
+        assert cond["maximizers"] == "1, -1"
+        assert cond["interior"] == "false"
+        assert cond["passed"] == "false"
+
     def test_missing_grid_is_config_error(self, workdir):
         cfg = write_config(workdir, BASE + SWEEP)
         out = workdir / "out"

@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pointer_cell_sim import coarse_ldp, logspace
 from pointer_cell_sim.coarse_ldp import (
     BernoulliProduct,
     IntensiveObservable,
+    RateFunctionEstimate,
     bernoulli_rate,
     cell_log_probability,
     cell_probability,
     check_ldp_conditions,
     coarse_grain,
     estimate_rate,
-    estimate_rates,
     perturbation_residual_bound,
 )
 from pointer_cell_sim.errors import PreconditionError, StructuralError
+from pointer_cell_sim.logspace import binomial_log_pmf
 
 from oracles import (
     binom_range_log,
@@ -143,6 +145,10 @@ class TestCellProbability:
         spec, _ = coarse_grain(IntensiveObservable.magnetization_chain(5), 2)
         with pytest.raises(StructuralError):
             cell_log_probability(BernoulliProduct.homogeneous(4, 0.5), spec)
+        # product-state cells are binomial tails: a prefix and a suffix only
+        three, _ = coarse_grain(IntensiveObservable.magnetization_chain(30), 3)
+        with pytest.raises(StructuralError, match="two-cell"):
+            cell_log_probability(BernoulliProduct.homogeneous(30, 0.8), three)
 
 
 class TestRateFunction:
@@ -188,47 +194,20 @@ class TestRateFunction:
         assert est.dropped.all()
 
 
-    def test_several_families_match_one_at_a_time(self):
-        families = [lambda N: BernoulliProduct.homogeneous(N, 0.8),
-                    lambda N: BernoulliProduct.homogeneous(N, 0.3).with_overrides({0: 0.9})]
-        grid, Ns = [-0.4, 0.0, 0.6], [40, 80, 160]
-        joint = estimate_rates(families, grid, Ns)
-        for family, est in zip(families, joint):
-            alone = estimate_rate(family, grid, Ns)
-            assert np.array_equal(est.samples, alone.samples)
-            assert np.array_equal(est.dropped, alone.dropped)
-            assert est.p == alone.p
-            assert est.N_values == alone.N_values
-
-    def test_families_evaluated_size_by_size(self):
-        # every family at one chain size before the next size, so the
-        # per-size binomial caches hit
-        calls = []
-
-        def recording(tag):
-            def family(N):
-                calls.append((N, tag))
-                return BernoulliProduct.homogeneous(N, 0.8)
-            return family
-
-        estimate_rates([recording("a"), recording("b")], [0.0], [160, 40, 80])
-        assert calls == [(40, "a"), (40, "b"), (80, "a"), (80, "b"), (160, "a"), (160, "b")]
-
-
 class TestFactorLayout:
     """Windows and cells summed from the modal binomial block and the rest."""
 
     GRID = (-0.8, -0.3, 0.0, 0.025, 0.45, 0.9)
 
     @staticmethod
-    def _states(r: int, theta: float) -> dict[int, BernoulliProduct]:
+    def _states(r: int, theta: float, Ns=(40, 80, 160)) -> dict[int, BernoulliProduct]:
         # the flip and depolarize site edits of the perturb command
         from pointer_cell_sim.coleman_hepp import ChainSpec, diagonal_sector_product, polarized_site
 
         overrides = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2}
         return {N: BernoulliProduct(diagonal_sector_product(
                     ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=overrides), r))
-                for N in (40, 80, 160)}
+                for N in Ns}
 
     @pytest.mark.parametrize("theta", [math.pi, 2.2])
     @pytest.mark.parametrize("r", [0, 1])
@@ -256,6 +235,70 @@ class TestFactorLayout:
                 ref = exact_log(sum(dist[j] for j in counts))
                 # relative to the probability: the log difference
                 assert abs(got[cell] - ref) <= 1e-12, (N, cell)
+
+
+class TestLargeChains:
+    """Windows and cells at chain sizes where the modal block is never built."""
+
+    LARGE_N = (250_000, 500_000, 1_000_000)
+
+    @staticmethod
+    def _linear_log_pmf(state: BernoulliProduct) -> np.ndarray:
+        # O(N) reference: the modal block's full vector log-pmf, shifted by
+        # each up count of the other sites (exact Poisson-binomial weights)
+        values, counts = np.unique(state.up_probs, return_counts=True)
+        p = float(values[np.argmax(counts)])
+        b = binomial_log_pmf(int(counts.max()), p, 1.0 - p)
+        others = [Fraction(float(x)) for x in state.up_probs if x != p]
+        rows = np.full((len(others) + 1, state.N + 1), -np.inf)
+        for i, weight in enumerate(poisson_binomial_fraction(others)):
+            rows[i, i:i + b.size] = exact_log(weight) + b
+        return np.logaddexp.reduce(rows, axis=0)
+
+    @pytest.mark.parametrize("theta", [math.pi, 2.2])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_window_samples_match_linear_sum(self, r, theta):
+        states = TestFactorLayout._states(r, theta, self.LARGE_N)
+        grid = TestFactorLayout.GRID
+        est = estimate_rate(states.__getitem__, grid, self.LARGE_N)
+        for i, (N, state) in enumerate(sorted(states.items())):
+            pmf = self._linear_log_pmf(state)
+            j = np.arange(N + 1)
+            for k, m in enumerate(grid):
+                # |m_j - m| <= 1 / N, with the rounding slack of the window's edges
+                ref = np.logaddexp.reduce(pmf[np.abs(2 * j - N * (1 + m)) <= 1 + 1e-9]) / N
+                assert abs(est.samples[i, k] - ref) <= 1e-13 * abs(ref), (N, m)
+
+    def test_modal_block_never_materialised(self, monkeypatch):
+        sizes = []
+
+        def spy(n, p, q):
+            sizes.append(n)
+            return binomial_log_pmf(n, p, q)
+
+        monkeypatch.setattr(logspace, "binomial_log_pmf", spy)
+        monkeypatch.setattr(coarse_ldp, "binomial_log_pmf", spy, raising=False)
+        Ns = (400, 800, 1600)
+        for r in range(2):
+            estimate_rate(TestFactorLayout._states(r, 2.2, Ns).__getitem__, [-0.3, 0.45], Ns)
+        # the flip and depolarize sites are built; the N - 2 bulk sites are not
+        assert sizes and not set(sizes) & {N - 2 for N in Ns}
+
+    @pytest.mark.parametrize("overrides", [False, True])
+    @pytest.mark.parametrize("theta", [math.pi, 2.2])
+    @pytest.mark.parametrize("N", [100_000, 1_000_000])
+    def test_cells_identify_with_the_chain_tensor(self, N, theta, overrides):
+        from pointer_cell_sim.coleman_hepp import (
+            ChainSpec, chain_cells, diagonal_sector_product, factorized_f_tensor, polarized_site)
+
+        edits = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2} if overrides else None
+        spec = ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=edits)
+        tensor = factorized_f_tensor(spec)
+        cells, _ = chain_cells(N)
+        for r in range(2):
+            got = cell_log_probability(BernoulliProduct(diagonal_sector_product(spec, r)), cells)
+            ref = tensor.log_magnitude[r, r]
+            assert (np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))).all(), (r, got, ref)
 
 
 class TestLdpConditions:
@@ -310,6 +353,14 @@ class TestLdpConditions:
                                       perturbed=shifted, stability_bound=4.0 / 100)
         assert not report.stability_ok
         assert not report.passed
+
+    def test_sampled_curve_without_finite_value_refused(self):
+        est = RateFunctionEstimate(grid=(-0.5, 0.5), N_values=(40, 80, 160),
+                                   samples=np.full((3, 2), np.nan),
+                                   dropped=np.ones((3, 2), dtype=bool), analytic=None, p=None)
+        cells, _ = coarse_grain(IntensiveObservable.magnetization_chain(40, with_basis_map=False), 2)
+        with pytest.raises(PreconditionError, match="no finite value"):
+            check_ldp_conditions([est, est], cells, pointer=(1, 0))
 
     def test_boundary_maximizer_fails_interiority(self):
         est = estimate_rate(lambda N: BernoulliProduct.homogeneous(N, 0.5),
