@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -218,54 +219,50 @@ def coarse_grain(
 
 @dataclass(frozen=True)
 class BernoulliProduct:
-    """Product state of N two-level sites described by per-site up-probabilities."""
+    """Product state of N two-level sites: up-probability ``p`` at every site
+    but the ``overrides`` sites, which map to their own (one equal to ``p`` is dropped)."""
 
-    up_probs: np.ndarray
+    N: int
+    p: float
+    overrides: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.up_probs, dtype=float))
-        if p.ndim != 1 or p.size < 1:
-            raise StructuralError("need one up-probability per site")
-        if p.min() < 0.0 or p.max() > 1.0:
+        if self.N < 1 or not all(0 <= site < self.N for site in self.overrides):
+            raise PreconditionError(f"need N >= 1 and override sites in [0, N), got N = {self.N} "
+                                    f"and sites {sorted(self.overrides)}")
+        p = float(self.p)
+        overrides = {int(site): float(q) for site, q in self.overrides.items() if float(q) != p}
+        if not all(0.0 <= q <= 1.0 for q in (p, *overrides.values())):
             raise StructuralError("up-probabilities must lie in [0, 1]")
-        p.setflags(write=False)
-        object.__setattr__(self, "up_probs", p)
-
-    @property
-    def N(self) -> int:
-        return self.up_probs.size
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "overrides", overrides)
 
     @property
     def homogeneous_p(self) -> float | None:
-        p = self.up_probs
-        return float(p[0]) if np.all(p == p[0]) else None
+        values = set(self.overrides.values()) | ({self.p} if len(self.overrides) < self.N else set())
+        return values.pop() if len(values) == 1 else None
 
     @classmethod
     def homogeneous(cls, N: int, p: float) -> "BernoulliProduct":
-        return cls(up_probs=np.full(N, float(p)))
+        return cls(N, p)
 
-    def with_overrides(self, overrides: dict[int, float]) -> "BernoulliProduct":
-        p = self.up_probs.copy()
-        for site, value in overrides.items():
-            if not (0 <= site < self.N):
-                raise PreconditionError(f"override site {site} out of range")
-            p[site] = value
-        return BernoulliProduct(up_probs=p)
+    def with_overrides(self, overrides: Mapping[int, float]) -> "BernoulliProduct":
+        return BernoulliProduct(self.N, self.p, {**self.overrides, **overrides})
 
 
 def _factor_layout(state: BernoulliProduct) -> tuple[np.ndarray, BinomialBlock]:
     """Log-pmf factors ``(a, b)`` of the up count: ``pmf_j = sum_i a_i b_{j-i}``.
 
-    ``b`` is the binomial block of the modal up-probability, held by its
-    parameters; ``a`` is the up-count log-pmf of every other site, binomial
-    blocks of equal probabilities convolved in log space (``[0]`` for a
-    homogeneous state, k + 1 terms for k sites that differ).  Both stay exact
-    far below the floating-point floor.
+    ``b`` is the binomial block of the base sites, held by its parameters;
+    ``a`` is the up-count log-pmf of the override sites, binomial blocks of
+    equal probabilities convolved in log space in ascending probability
+    (``[0]`` for a homogeneous state, k + 1 terms for k overrides).  Both
+    stay exact far below the floating-point floor.
     """
-    values, counts = np.unique(state.up_probs, return_counts=True)
-    blocks = [_binomial_block(int(c), float(p), 1.0 - float(p)) for p, c in zip(values, counts)]
-    b = blocks.pop(int(np.argmax(counts)))
+    counts = sorted(Counter(state.overrides.values()).items())
+    blocks = [_binomial_block(c, q, 1.0 - q) for q, c in counts]
     rest = [(block.log_magnitudes(), np.zeros(block.size + 1)) for block in blocks]
+    b = _binomial_block(state.N - len(state.overrides), state.p, 1.0 - state.p)
     return reduce(lc_convolve, rest, (np.zeros(1), np.zeros(1)))[0], b
 
 
@@ -281,7 +278,7 @@ def _window_log_probability(a: np.ndarray, b: BinomialBlock, counts: range) -> f
 def cell_log_probability(state: BernoulliProduct, cells: CellPartitionSpec) -> np.ndarray:
     """Log-probability of each cell of a two-cell prefix/suffix partition.
 
-    Each cell is a binomial tail of the modal block per term of ``a``, from
+    Each cell is a binomial tail of the base block per term of ``a``, from
     the incomplete-beta continued fraction, at a cost independent of N.
     """
     a, b = _factor_layout(state)
@@ -403,22 +400,21 @@ def perturbation_residual_bound(base: BernoulliProduct, perturbed: BernoulliProd
     """Upper bound on |log P(E) - log P'(E)| over all up-count events.
 
     Sums, over the differing sites, the worst log-odds change; dividing by N
-    bounds the rate-curve shift a localized perturbation can cause.
+    bounds the rate-curve shift a localized perturbation can cause.  The
+    sites overridden in neither state share one term, counted once each.
     """
     if base.N != perturbed.N:
         raise PreconditionError("states must have equal length")
+    sites = sorted(set(base.overrides) | set(perturbed.overrides))
+    pairs = [(base.overrides.get(k, base.p), perturbed.overrides.get(k, perturbed.p), 1) for k in sites]
+    pairs.append((base.p, perturbed.p, base.N - len(sites)))
     total = 0.0
-    for p0, p1 in zip(base.up_probs, perturbed.up_probs):
-        if p0 == p1:
+    for p0, p1, count in pairs:
+        if p0 == p1 or count == 0:
             continue
-        terms = []
-        for a, b in ((p1, p0), (1.0 - p1, 1.0 - p0)):
-            if a == b:
-                continue
-            if a == 0.0 or b == 0.0:
-                return np.inf
-            terms.append(abs(math.log(a / b)))
-        total += max(terms) if terms else 0.0
+        shifts = [abs(math.log(a / b)) if a and b else np.inf
+                  for a, b in ((p1, p0), (1.0 - p1, 1.0 - p0)) if a != b]
+        total += count * max(shifts)
     return total
 
 

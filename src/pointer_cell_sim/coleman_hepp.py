@@ -20,7 +20,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .coarse_ldp import BASIS_MAP_MAX_SITES, CellPartitionSpec, IntensiveObservable, coarse_grain
+from .coarse_ldp import (BASIS_MAP_MAX_SITES, BernoulliProduct, CellPartitionSpec,
+                         IntensiveObservable, coarse_grain)
 from .core import (
     Apparatus,
     FTensor,
@@ -359,14 +360,12 @@ def traversal_schedule(spec: ChainSpec, fraction: float) -> ChainFTensor:
     return _assemble_tensor(spec, int(math.floor(fraction * spec.N + 1e-12)))
 
 
-def diagonal_sector_product(spec: ChainSpec, r: int) -> np.ndarray:
-    """Per-site up-probabilities of the evolved diagonal sector r."""
+def diagonal_sector_product(spec: ChainSpec, r: int) -> BernoulliProduct:
+    """Product state of the evolved diagonal sector r: base and override up-probabilities."""
     R = site_rotation(spec.theta) if r == 1 else _EYE2
 
     def up(rho: np.ndarray) -> float:
         return float((R.conj().T @ rho @ R)[0, 0].real)
 
-    probs = np.full(spec.N, up(polarized_site(spec.m0)))
-    for k, rho in spec.site_overrides.items():
-        probs[k] = up(rho)
-    return probs
+    return BernoulliProduct(spec.N, up(polarized_site(spec.m0)),
+                            {k: up(rho) for k, rho in spec.site_overrides.items()})

@@ -178,7 +178,7 @@ def _sector_family(cfg: ExperimentConfig, r: int, overrides=None):
     """Chain size -> product state of the evolved diagonal sector r."""
     def family(N: int) -> coarse_ldp.BernoulliProduct:
         spec = chain_spec_from_config(cfg, N=N, overrides=overrides)
-        return coarse_ldp.BernoulliProduct(coleman_hepp.diagonal_sector_product(spec, r))
+        return coleman_hepp.diagonal_sector_product(spec, r)
     return family
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -30,6 +31,13 @@ from oracles import (
     kl_bernoulli,
     poisson_binomial_fraction,
 )
+
+
+def site_probs(state: BernoulliProduct) -> np.ndarray:
+    """The per-site up-probabilities of a product state, one float per site."""
+    probs = np.full(state.N, state.p)
+    probs[list(state.overrides)] = list(state.overrides.values())
+    return probs
 
 
 class TestCoarseGrain:
@@ -120,13 +128,11 @@ class TestCellProbability:
         assert_allclose(dense, product, atol=1e-12)
 
     def test_heterogeneous_sites_match_exact_enumeration(self):
-        ps = [Fraction(4, 5), Fraction(4, 5), Fraction(1, 2), Fraction(3, 10),
-              Fraction(4, 5), Fraction(9, 10)]
-        N = len(ps)
-        dist = poisson_binomial_fraction(ps)
+        state = BernoulliProduct(6, 0.8, {2: 0.5, 3: 0.3, 5: 0.9})
+        N = state.N
+        dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
         obs = IntensiveObservable.magnetization_chain(N)
         spec, _ = coarse_grain(obs, 2)
-        state = BernoulliProduct(up_probs=np.array([float(p) for p in ps]))
         probs = cell_probability(state, spec)
         plus = float(sum(dist[j] for j in range(N + 1) if 2 * j - N >= 0))
         assert probs[1] == pytest.approx(plus, rel=1e-12)
@@ -195,19 +201,23 @@ class TestRateFunction:
 
 
 class TestFactorLayout:
-    """Windows and cells summed from the modal binomial block and the rest."""
+    """Windows and cells summed from the base binomial block and the overrides."""
 
     GRID = (-0.8, -0.3, 0.0, 0.025, 0.45, 0.9)
 
     @staticmethod
-    def _states(r: int, theta: float, Ns=(40, 80, 160)) -> dict[int, BernoulliProduct]:
+    def _family(r: int, theta: float):
         # the flip and depolarize site edits of the perturb command
         from pointer_cell_sim.coleman_hepp import ChainSpec, diagonal_sector_product, polarized_site
 
         overrides = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2}
-        return {N: BernoulliProduct(diagonal_sector_product(
-                    ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=overrides), r))
-                for N in Ns}
+        return lambda N: diagonal_sector_product(
+            ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=overrides), r)
+
+    @classmethod
+    def _states(cls, r: int, theta: float, Ns=(40, 80, 160)) -> dict[int, BernoulliProduct]:
+        family = cls._family(r, theta)
+        return {N: family(N) for N in Ns}
 
     @pytest.mark.parametrize("theta", [math.pi, 2.2])
     @pytest.mark.parametrize("r", [0, 1])
@@ -216,7 +226,7 @@ class TestFactorLayout:
         est = estimate_rate(states.__getitem__, self.GRID, sorted(states))
         assert not est.dropped.any()
         for i, (N, state) in enumerate(sorted(states.items())):
-            dist = poisson_binomial_fraction([Fraction(p) for p in state.up_probs])
+            dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
             for k, m in enumerate(self.GRID):
                 # the window is |m_j - m| <= 1 / N, half the spectrum gap
                 centre = N * (1 + Fraction(str(m)))
@@ -230,7 +240,7 @@ class TestFactorLayout:
         for N, state in self._states(r, theta).items():
             spec, _ = coarse_grain(IntensiveObservable.magnetization_chain(N, with_basis_map=False), 2)
             got = cell_log_probability(state, spec)
-            dist = poisson_binomial_fraction([Fraction(p) for p in state.up_probs])
+            dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
             for cell, counts in enumerate((chain_minus_cell_counts(N), chain_plus_cell_counts(N))):
                 ref = exact_log(sum(dist[j] for j in counts))
                 # relative to the probability: the log difference
@@ -238,7 +248,7 @@ class TestFactorLayout:
 
 
 class TestLargeChains:
-    """Windows and cells at chain sizes where the modal block is never built."""
+    """Windows and cells at chain sizes where the base block is never built."""
 
     LARGE_N = (250_000, 500_000, 1_000_000)
 
@@ -246,10 +256,11 @@ class TestLargeChains:
     def _linear_log_pmf(state: BernoulliProduct) -> np.ndarray:
         # O(N) reference: the modal block's full vector log-pmf, shifted by
         # each up count of the other sites (exact Poisson-binomial weights)
-        values, counts = np.unique(state.up_probs, return_counts=True)
+        probs = site_probs(state)
+        values, counts = np.unique(probs, return_counts=True)
         p = float(values[np.argmax(counts)])
         b = binomial_log_pmf(int(counts.max()), p, 1.0 - p)
-        others = [Fraction(float(x)) for x in state.up_probs if x != p]
+        others = [Fraction(float(x)) for x in probs if x != p]
         rows = np.full((len(others) + 1, state.N + 1), -np.inf)
         for i, weight in enumerate(poisson_binomial_fraction(others)):
             rows[i, i:i + b.size] = exact_log(weight) + b
@@ -284,6 +295,25 @@ class TestLargeChains:
         # the flip and depolarize sites are built; the N - 2 bulk sites are not
         assert sizes and not set(sizes) & {N - 2 for N in Ns}
 
+    def test_rate_memory_does_not_grow_with_N(self):
+        families = [TestFactorLayout._family(r, 2.2) for r in range(2)]
+
+        def peak(N):
+            Ns = (N // 4, N // 2, N)
+            for family in families:  # first calls fill module-level caches
+                estimate_rate(family, TestFactorLayout.GRID, Ns)
+            tracemalloc.start()
+            try:
+                for family in families:
+                    estimate_rate(family, TestFactorLayout.GRID, Ns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10 ** 5), peak(10 ** 9)
+        assert large < 2 ** 20
+        assert abs(large - small) <= 0.1 * small
+
     @pytest.mark.parametrize("overrides", [False, True])
     @pytest.mark.parametrize("theta", [math.pi, 2.2])
     @pytest.mark.parametrize("N", [100_000, 1_000_000])
@@ -296,7 +326,7 @@ class TestLargeChains:
         tensor = factorized_f_tensor(spec)
         cells, _ = chain_cells(N)
         for r in range(2):
-            got = cell_log_probability(BernoulliProduct(diagonal_sector_product(spec, r)), cells)
+            got = cell_log_probability(diagonal_sector_product(spec, r), cells)
             ref = tensor.log_magnitude[r, r]
             assert (np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))).all(), (r, got, ref)
 
@@ -312,7 +342,7 @@ class TestLdpConditions:
         def family(r):
             def make(N):
                 spec = ChainSpec(N=N, m0=m0, site_overrides=overrides)
-                return BernoulliProduct(diagonal_sector_product(spec, r))
+                return diagonal_sector_product(spec, r)
             return make
 
         estimates = [estimate_rate(family(r), grid, Ns) for r in range(2)]
@@ -335,9 +365,8 @@ class TestLdpConditions:
         overrides = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2}
         estimates, cells = self._chain_setup()
         perturbed, _ = self._chain_setup(overrides=overrides)
-        base = BernoulliProduct(diagonal_sector_product(ChainSpec(N=100, m0=0.6), 0))
-        pert = BernoulliProduct(diagonal_sector_product(
-            ChainSpec(N=100, m0=0.6, site_overrides=overrides), 0))
+        base = diagonal_sector_product(ChainSpec(N=100, m0=0.6), 0)
+        pert = diagonal_sector_product(ChainSpec(N=100, m0=0.6, site_overrides=overrides), 0)
         bound = perturbation_residual_bound(base, pert) / 100
         report = check_ldp_conditions(estimates, cells, pointer=(1, 0),
                                       perturbed=perturbed, stability_bound=bound)
@@ -372,7 +401,43 @@ class TestLdpConditions:
         assert not report.passed
 
 
+class TestBernoulliProduct:
+    def test_size_and_sites_checked(self):
+        for N, overrides in ((0, {}), (-1, {}), (4, {4: 0.1}), (4, {-1: 0.1})):
+            with pytest.raises(PreconditionError):
+                BernoulliProduct(N, 0.5, overrides)
+        with pytest.raises(PreconditionError):
+            BernoulliProduct.homogeneous(4, 0.5).with_overrides({7: 0.1})
+
+    @pytest.mark.parametrize("p, overrides", [
+        (1.2, {}), (-0.1, {}), (math.nan, {}), (0.5, {1: 1.5}), (0.5, {1: -1e-9})])
+    def test_probabilities_checked(self, p, overrides):
+        with pytest.raises(StructuralError):
+            BernoulliProduct(4, p, overrides)
+
+    def test_override_equal_to_base_dropped(self):
+        state = BernoulliProduct(5, 0.7, {2: 0.7})
+        assert state.overrides == {} and state.homogeneous_p == 0.7
+        assert BernoulliProduct.homogeneous(5, 0.7).with_overrides({2: 0.7}).homogeneous_p == 0.7
+        edited = BernoulliProduct(5, 0.7, {2: 0.1})
+        assert edited.homogeneous_p is None
+        # setting a site back to the base removes its override
+        assert edited.with_overrides({2: 0.7}).overrides == {}
+        # a state whose every site is overridden alike is homogeneous
+        assert BernoulliProduct(2, 0.7, {0: 0.1, 1: 0.1}).homogeneous_p == 0.1
+
+
 class TestPerturbationBound:
+    @staticmethod
+    def _site_by_site(base: BernoulliProduct, pert: BernoulliProduct) -> float:
+        # the bound summed over every site of the two per-site lists
+        total = 0.0
+        for p0, p1 in zip(site_probs(base), site_probs(pert)):
+            if p0 != p1:
+                total += max(abs(math.log(a / b))
+                             for a, b in ((p1, p0), (1.0 - p1, 1.0 - p0)) if a != b)
+        return total
+
     def test_bound_matches_hand_computation(self):
         base = BernoulliProduct.homogeneous(10, 0.8)
         pert = base.with_overrides({3: 0.2})
@@ -382,3 +447,23 @@ class TestPerturbationBound:
     def test_identical_states_have_zero_bound(self):
         base = BernoulliProduct.homogeneous(6, 0.7)
         assert perturbation_residual_bound(base, base) == 0.0
+
+    def test_site_overridden_in_one_state_only(self):
+        base = BernoulliProduct(10, 0.8, {1: 0.5})
+        pert = BernoulliProduct(10, 0.8, {3: 0.2})
+        expected = abs(math.log(0.2 / 0.5)) + abs(math.log(0.8 / 0.2))
+        assert perturbation_residual_bound(base, pert) == pytest.approx(expected, abs=1e-14)
+        assert perturbation_residual_bound(pert, base) == pytest.approx(expected, abs=1e-14)
+
+    def test_global_change_matches_site_by_site_sum(self):
+        base = BernoulliProduct(1000, 0.8, {0: 0.2, 7: 0.5})
+        pert = BernoulliProduct(1000, 0.7, {7: 0.5, 9: 0.95})
+        ref = self._site_by_site(base, pert)
+        assert ref > 0.0
+        assert abs(perturbation_residual_bound(base, pert) - ref) <= 1e-12 * ref
+
+    def test_bound_is_infinite_where_a_probability_vanishes(self):
+        assert perturbation_residual_bound(BernoulliProduct(5, 1.0), BernoulliProduct(5, 0.9)) == np.inf
+        # every site overridden: the base term counts no site
+        base = BernoulliProduct(2, 1.0, {0: 0.5, 1: 0.5})
+        assert perturbation_residual_bound(base, BernoulliProduct(2, 0.0, {0: 0.5, 1: 0.5})) == 0.0

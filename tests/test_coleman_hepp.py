@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from pointer_cell_sim import core
 from pointer_cell_sim.coarse_ldp import (
-    BernoulliProduct,
     IntensiveObservable,
     cell_probability,
     coarse_grain,
@@ -199,7 +198,7 @@ class TestOverlapInvariants:
             f = factorized_f_tensor(spec)
             cells, _ = chain_cells(N)
             for r in range(2):
-                state = BernoulliProduct(diagonal_sector_product(spec, r))
+                state = diagonal_sector_product(spec, r)
                 probs = cell_probability(state, cells)
                 assert_allclose(f.values[r, r].real, probs, atol=1e-10)
 
@@ -216,7 +215,7 @@ class TestTraversal:
         f0 = traversal_schedule(spec, 0.0)
         assert_allclose(f0.values[0, 0], f0.values[1, 1], atol=1e-14)
         cells, _ = chain_cells(6)
-        base = cell_probability(BernoulliProduct(diagonal_sector_product(spec, 0)), cells)
+        base = cell_probability(diagonal_sector_product(spec, 0), cells)
         assert_allclose(f0.values[0, 0].real, base, atol=1e-12)
 
     def test_fraction_one_is_full_traversal(self):
