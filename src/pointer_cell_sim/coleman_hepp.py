@@ -141,17 +141,23 @@ def chain_cells(N: int) -> tuple[CellPartitionSpec, PhaseCellPartition | None]:
     return cells, partition
 
 
-def build_dense(spec: ChainSpec) -> tuple[MicroSystem, Apparatus]:
+def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[MicroSystem, Apparatus]:
     """Materialise the chain as a generic dense microsystem/apparatus pair.
 
     The spin-down coupling is the commuting sum of single-site rotation
-    generators scaled so that evolving to time ``spec.t`` performs exactly
-    one rotation by ``spec.theta`` per site.
+    generators over the sites the particle has passed, those with index
+    below ``rotated_count`` (all of them by default), scaled so that
+    evolving to time ``spec.t`` performs exactly one rotation by
+    ``spec.theta`` per passed site.
     """
     if spec.N > DENSE_SITE_CAP:
         raise CapacityError(
             f"dense chain capped at {DENSE_SITE_CAP} sites (got {spec.N}); "
             "use the factorized backend")
+    if rotated_count is None:
+        rotated_count = spec.N
+    if not (0 <= rotated_count <= spec.N):
+        raise StructuralError("rotated site count outside the chain")
     micro = MicroSystem(energies=spec.energies, labels=MICRO_LABELS)
     dim = 2 ** spec.N
     K = np.zeros((dim, dim), dtype=complex)
@@ -161,8 +167,8 @@ def build_dense(spec: ChainSpec) -> tuple[MicroSystem, Apparatus]:
     # sigma_x on site k flips bit N-1-k of the basis index (site 0 is the
     # most significant factor of the Kronecker order)
     index = np.arange(dim)
-    for bit in range(spec.N):
-        v_minus[index, index ^ (1 << bit)] = coeff
+    for k in range(rotated_count):
+        v_minus[index, index ^ (1 << (spec.N - 1 - k))] = coeff
     omega = reduce(np.kron, spec.site_states())
     _, partition = chain_cells(spec.N)
     apparatus = Apparatus(K=K, V=(v_plus, v_minus), Omega=omega, cells=partition)
@@ -353,11 +359,16 @@ def factorized_f_tensor(spec: ChainSpec) -> ChainFTensor:
     return _assemble_tensor(spec, spec.N)
 
 
-def traversal_schedule(spec: ChainSpec, fraction: float) -> ChainFTensor:
-    """Tensor after the particle has passed the first ``floor(fraction * N)`` sites."""
+def passed_sites(N: int, fraction: float) -> int:
+    """Number of sites, ``floor(fraction * N)``, a traversal fraction has passed."""
     if not (0.0 <= fraction <= 1.0):
         raise StructuralError(f"traversal fraction must lie in [0, 1], got {fraction!r}")
-    return _assemble_tensor(spec, int(math.floor(fraction * spec.N + 1e-12)))
+    return int(math.floor(fraction * N + 1e-12))
+
+
+def traversal_schedule(spec: ChainSpec, fraction: float) -> ChainFTensor:
+    """Tensor after the particle has passed the first ``floor(fraction * N)`` sites."""
+    return _assemble_tensor(spec, passed_sites(spec.N, fraction))
 
 
 def diagonal_sector_product(spec: ChainSpec, r: int) -> BernoulliProduct:

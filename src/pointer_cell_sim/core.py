@@ -46,8 +46,16 @@ def _as_complex_matrix(m, name: str) -> np.ndarray:
     return a
 
 
+def _diagonal_of(a: np.ndarray) -> np.ndarray | None:
+    """The diagonal of ``a`` if it has no nonzero off-diagonal entry, else None."""
+    diag = np.diagonal(a)
+    return diag if np.count_nonzero(a) == np.count_nonzero(diag) else None
+
+
 def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> None:
-    dev = np.abs(a - a.conj().T).max() if a.size else 0.0
+    if not a.any():  # the zero matrix, exactly Hermitian, without the temporaries
+        return
+    dev = np.abs(a - a.conj().T).max()
     if dev > tol:
         raise StructuralError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
 
@@ -55,11 +63,19 @@ def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> No
 def _check_positive_semidefinite(a: np.ndarray, name: str, tol: float = STATE_TOL) -> None:
     """Reject a Hermitian matrix with an eigenvalue below ``-tol``.
 
-    A Cholesky factorisation of ``H + tol I`` (in real arithmetic when ``H``
-    is real) accepts without computing the spectrum; only when it fails is
-    the smallest eigenvalue taken, so the verdict and the message are those
-    of the eigenvalue test.
+    A diagonal ``a`` (no nonzero off-diagonal entry) has the real parts of
+    its diagonal as its spectrum, so the lowest is read off directly.  For
+    any other, a Cholesky factorisation of ``H + tol I`` (in real arithmetic
+    when ``H`` is real) accepts without computing the spectrum; only when it
+    fails is the smallest eigenvalue taken.  Either way the verdict and the
+    message are those of the eigenvalue test.
     """
+    diag = _diagonal_of(a)
+    if diag is not None:
+        lowest = diag.real.min()
+        if lowest < -tol:
+            raise StructuralError(f"{name} has negative eigenvalue {lowest:.3e}")
+        return
     H = (a + a.conj().T) / 2
     if not H.imag.any():
         H = H.real
@@ -196,12 +212,6 @@ class PhaseCellPartition:
             P[ii, ii] = 1.0
             return P
         return np.asarray(cell)
-
-    def rank(self, alpha: int) -> int:
-        cell = self.cells[alpha]
-        if isinstance(cell, frozenset):
-            return len(cell)
-        return int(round(np.trace(np.asarray(cell)).real))
 
     def cell_trace(self, X: np.ndarray, alpha: int) -> complex:
         """Tr(X P_alpha), using the exact diagonal sum for index cells."""
@@ -402,8 +412,8 @@ def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:
     eigendecomposition, ``(V e^{i Lambda t}) V^T``; any other through the
     complex one, ``(V e^{i Lambda t}) V^dag``.
     """
-    diag = np.diagonal(Kr)
-    if np.count_nonzero(Kr) == np.count_nonzero(diag):
+    diag = _diagonal_of(Kr)
+    if diag is not None:
         return np.exp(1j * t * diag.real)
     if not Kr.imag.any():
         evals, vecs = np.linalg.eigh(Kr.real)
@@ -417,13 +427,41 @@ def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:
 
 
 def _adjoint_times(U: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``U^dag X`` for a propagator from :func:`_propagator`."""
-    return U.conj()[:, None] * X if U.ndim == 1 else U.conj().T @ X
+    """``U^dag X`` for a propagator from :func:`_propagator` and a matrix ``X``.
+
+    A vector stands for the diagonal matrix it holds, as a factor and as the
+    result; only two full matrices make a matrix product.
+    """
+    if U.ndim == 1:
+        return U.conj() * X if X.ndim == 1 else U.conj()[:, None] * X
+    return U.conj().T * X if X.ndim == 1 else U.conj().T @ X
 
 
 def _times(X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``X U`` for a propagator from :func:`_propagator`."""
+    """``X U`` for a propagator from :func:`_propagator`, with vectors as in
+    :func:`_adjoint_times`."""
+    if X.ndim == 1:
+        return X * U if U.ndim == 1 else X[:, None] * U
     return X * U if U.ndim == 1 else X @ U
+
+
+def _sector_blocks(Us: list[np.ndarray], Omega: np.ndarray) -> np.ndarray:
+    """Every block ``U_r^dag Omega U_s``, each formed from its own factors.
+
+    Factors and results follow :func:`_adjoint_times`: a vector stands for
+    a diagonal matrix.  The temporaries are released on return.
+    """
+    n, dK = len(Us), Omega.shape[0]
+    omega = np.zeros((n, n, dK, dK), dtype=complex)
+    for r in range(n):
+        left = _adjoint_times(Us[r], Omega)
+        for s in range(n):
+            block = _times(left, Us[s])
+            if block.ndim == 1:
+                np.fill_diagonal(omega[r, s], block)
+            else:
+                omega[r, s] = block
+    return omega
 
 
 def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> EvolvedSectorStates:
@@ -442,8 +480,15 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
       ``U = (V e^{i Lambda t}) V^T``;
     - otherwise: the complex one, ``U = (V e^{i Lambda t}) V^dag``.
 
+    An ``Omega`` with no nonzero off-diagonal entry, as every product of
+    diagonal site states is, enters by its diagonal: ``U_r^dag Omega`` is
+    ``U_r^dag`` with its columns scaled, and a block with a diagonal
+    propagator on either side is a row or column scaling of the other
+    factor.  A dense matrix product is formed only where both factors are
+    full; any other ``Omega`` is multiplied in full.
+
     Every route is unitary to roundoff.  The ``n^2`` blocks are each formed
-    by their own product, so the adjoint pairing that ``validate`` checks
+    from their own factors, so the adjoint pairing that ``validate`` checks
     compares independently computed blocks.  The full-composite oracle
     (``runner.composite_cross_check``) keeps its own complex
     eigendecomposition.
@@ -460,12 +505,8 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
             Us.append(_propagator(Kr, t))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed for sector {r}: {exc}") from exc
-    n, dK = system.n, apparatus.dim_K
-    omega = np.empty((n, n, dK, dK), dtype=complex)
-    for r in range(n):
-        left = _adjoint_times(Us[r], apparatus.Omega)
-        for s in range(n):
-            omega[r, s] = _times(left, Us[s])
+    diag = _diagonal_of(apparatus.Omega)
+    omega = _sector_blocks(Us, apparatus.Omega if diag is None else diag)
     states = EvolvedSectorStates(t=float(t), omega=omega)
     states.validate()
     return states

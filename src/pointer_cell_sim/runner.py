@@ -149,14 +149,17 @@ def composite_cross_check(micro, apparatus, t, tensor, c, observable=None) -> fl
     return float(worst)
 
 
-def dense_chain_tensor(spec: coleman_hepp.ChainSpec) -> core.FTensor:
-    """The chain tensor through the dense backend: the oracle for small N."""
-    micro, apparatus = coleman_hepp.build_dense(spec)
+def dense_chain_tensor(spec: coleman_hepp.ChainSpec, fraction: float = 1.0) -> core.FTensor:
+    """The chain tensor through the dense backend: the oracle for small N.
+
+    ``fraction`` is the traversal fraction of ``traversal_schedule``.
+    """
+    micro, apparatus = coleman_hepp.build_dense(spec, coleman_hepp.passed_sites(spec.N, fraction))
     return core.f_tensor(core.evolve_sectors(micro, apparatus, spec.t), apparatus.cells)
 
 
-def _dense_chain_discrepancy(spec: coleman_hepp.ChainSpec, tensor) -> float:
-    return float(np.abs(dense_chain_tensor(spec).values - tensor.values).max())
+def _dense_chain_discrepancy(spec: coleman_hepp.ChainSpec, tensor, fraction: float = 1.0) -> float:
+    return float(np.abs(dense_chain_tensor(spec, fraction).values - tensor.values).max())
 
 
 def _dense_sizes(Ns) -> list[int]:
@@ -167,11 +170,6 @@ def _dense_sizes(Ns) -> list[int]:
             f"oracle cross-check needs the dense backend, capped at "
             f"{coleman_hepp.DENSE_SITE_CAP} sites (got N = {', '.join(str(N) for N in Ns)})")
     return fits
-
-
-def _require_full_traversal(cfg: ExperimentConfig) -> None:
-    if cfg.measurement_time != 1.0:
-        raise ConfigError(["oracle mode requires measurement_time = 1"])
 
 
 def _sector_family(cfg: ExperimentConfig, r: int, overrides=None):
@@ -211,9 +209,8 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
         cell_labels = coleman_hepp.chain_cells(spec.N)[0].labels
         backend = "factorized"
         if oracle:
-            _require_full_traversal(cfg)
             _dense_sizes([spec.N])
-            oracle_disc = _dense_chain_discrepancy(spec, tensor)
+            oracle_disc = _dense_chain_discrepancy(spec, tensor, cfg.measurement_time)
             backend = "factorized+dense-oracle"
     else:
         micro, apparatus = _build_generic_dense(cfg, base_dir)
@@ -351,10 +348,10 @@ def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
         fit_status = f"refused: {exc}"
     oracle_info = None
     if oracle:
-        _require_full_traversal(cfg)
         fits = _dense_sizes([pt.N for pt in points if pt.tensor is not None])
         worst = max(_dense_chain_discrepancy(
-            chain_spec_from_config(cfg, N=pt.N, overrides=overrides), pt.tensor)
+            chain_spec_from_config(cfg, N=pt.N, overrides=overrides), pt.tensor,
+            cfg.measurement_time)
             for pt in points if pt.tensor is not None and pt.N in fits)
         oracle_info = (worst, len(fits))
     return points, fit, fit_status, oracle_info

@@ -453,6 +453,28 @@ class TestOracleModes:
         assert float(fit["oracle_max_discrepancy"]) < 1e-9
         assert fit["oracle_points_checked"] == "4"
 
+    def test_run_oracle_checks_half_traversal(self, workdir):
+        text = (BASE.replace("seed = 7", "seed = 7\nmeasurement_time = 0.5")
+                .replace("N = 4", "N = 10").replace("theta = pi", "theta = 2.5\nenergies = 0.3, -0.4"))
+        cfg = write_config(workdir, text)
+        out = workdir / "out"
+        assert run_cli("run", "--config", cfg, "--out", out, "--oracle") == 0
+        text = (out / "report.txt").read_text(encoding="utf-8")
+        sections, _ = tokenize_kv("\n".join(text.splitlines()[1:]))
+        assert float(sections["oracle"]["dense_max_discrepancy"]) <= 1e-12
+
+    def test_sweep_oracle_checks_partial_traversal(self, workdir):
+        text = BASE.replace("seed = 7", "seed = 7\nmeasurement_time = 0.37")
+        cfg = write_config(workdir, text.replace("theta = pi", "theta = 1.0")
+                           + "\n[sweep]\nN = 5, 7, 9, 16\n")
+        out = workdir / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", out, "--oracle") == 0
+        text = (out / "sweep_fit.txt").read_text(encoding="utf-8")
+        sections, _ = tokenize_kv("\n".join(text.splitlines()[1:]))
+        fit = sections["decay_fit"]
+        assert float(fit["oracle_max_discrepancy"]) <= 1e-12
+        assert fit["oracle_points_checked"] == "3"
+
     def test_sweep_oracle_over_capacity(self, workdir):
         cfg = write_config(workdir, BASE + "\n[sweep]\nN = 20, 40, 60, 80\n")
         assert run_cli("sweep", "--config", cfg, "--out", workdir / "out", "--oracle") == 3

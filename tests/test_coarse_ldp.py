@@ -48,8 +48,8 @@ class TestCoarseGrain:
         # boundary value 0 joins the closed-left "+" interval
         assert spec.bounds == (0, 2, 5)
         assert partition is not None
-        assert partition.rank(1) == math.comb(4, 2) + math.comb(4, 3) + math.comb(4, 4)
-        assert partition.rank(0) == 2 ** 4 - 11
+        assert len(partition.cells[1]) == math.comb(4, 2) + math.comb(4, 3) + math.comb(4, 4)
+        assert len(partition.cells[0]) == 2 ** 4 - 11
         # cell means average distinct spectrum points, not dimensions
         assert spec.cell_means[1] == pytest.approx((0.0 + 0.5 + 1.0) / 3)
         assert spec.cell_means[0] == pytest.approx((-1.0 - 0.5) / 2)
@@ -57,7 +57,7 @@ class TestCoarseGrain:
     def test_single_cell_is_identity(self):
         obs = IntensiveObservable.magnetization_chain(3)
         spec, partition = coarse_grain(obs, 1)
-        assert partition.rank(0) == 8
+        assert len(partition.cells[0]) == 8
         assert spec.cell_means[0] == pytest.approx(np.mean(obs.spectrum))
 
     def test_empty_cells_warn(self):
@@ -86,7 +86,7 @@ class TestCoarseGrain:
         spec, partition = coarse_grain(obs, 2)
         # PhaseCellPartition validates orthogonality and completeness on build
         assert partition.cell_count == 2
-        assert partition.rank(0) + partition.rank(1) == 2 ** N
+        assert len(partition.cells[0]) + len(partition.cells[1]) == 2 ** N
 
     def test_multiplicity_rule_counts(self):
         obs = IntensiveObservable.magnetization_chain(6)

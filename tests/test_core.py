@@ -61,7 +61,7 @@ class TestTypes:
         q, _ = np.linalg.qr(raw)
         cells = [q[:, :2] @ q[:, :2].conj().T, q[:, 2:] @ q[:, 2:].conj().T]
         part = core.PhaseCellPartition(cells=cells, dim=4)
-        assert part.rank(0) == 2
+        assert np.linalg.matrix_rank(part.cells[0]) == 2
         X = random_hermitian(rng, 4)
         assert_allclose(part.trace_all(X).sum(), np.trace(X), atol=1e-12)
         broken = [q[:, :2] @ q[:, :2].conj().T, q[:, 1:3] @ q[:, 1:3].conj().T]
@@ -247,6 +247,55 @@ class TestPropagatorRoutes:
         assert seen == calls
 
 
+def full_propagator(Kr, t):
+    """``exp(i Kr t)`` as a full matrix, whichever route ``_propagator`` takes."""
+    U = core._propagator(Kr, t)
+    return np.diag(U) if U.ndim == 1 else U
+
+
+class TestDiagonalOmega:
+    """A diagonal ``Omega`` enters the sector blocks by row and column scalings."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "real", "complex", "mixed"])
+    def test_blocks_match_explicit_products(self, rng, kind):
+        micro = make_micro(rng.normal(size=3))
+        if kind == "mixed":
+            K = np.zeros((6, 6))
+            V = [np.diag(rng.normal(size=6)), random_hermitian(rng, 6).real,
+                 random_hermitian(rng, 6)]
+        else:
+            K, V = sector_matrices(rng, kind, 6, 3)
+        omega = np.diag(rng.dirichlet(np.ones(6))).astype(complex)
+        app = simple_apparatus(6, 3, rng=rng, K=K, V=V, Omega=omega)
+        t = 1.3
+        states = core.evolve_sectors(micro, app, t)
+        Us = [full_propagator(Kr, t) for Kr in core.sector_hamiltonians(micro, app)]
+        for r in range(3):
+            for s in range(3):
+                ref = Us[r].conj().T @ app.Omega @ Us[s]
+                assert np.abs(states.omega[r, s] - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_full_left_product_only_for_a_full_omega(self, rng, monkeypatch, diagonal):
+        # a spy on the left factor records which calls multiply two full matrices
+        full = []
+        adjoint_times = core._adjoint_times
+
+        def spy(U, X):
+            full.append(U.ndim == 2 and X.ndim == 2)
+            return adjoint_times(U, X)
+
+        micro = make_micro(rng.normal(size=2))
+        K, V = sector_matrices(rng, "real", 6, 2)
+        omega = (np.diag(rng.dirichlet(np.ones(6))) if diagonal
+                 else random_density(rng, 6))
+        app = simple_apparatus(6, 2, rng=rng, K=K, V=V, Omega=omega)
+        monkeypatch.setattr(core, "_adjoint_times", spy)
+        core.evolve_sectors(micro, app, 0.9)
+        assert len(full) == 2
+        assert any(full) != diagonal
+
+
 def density_with_lowest_eigenvalue(rng, dim, lowest):
     """A unit-trace Hermitian matrix in a random complex basis whose smallest
     eigenvalue is ``lowest``."""
@@ -280,6 +329,38 @@ class TestOmegaPositivity:
         v = rng.normal(size=6) + (1j * rng.normal(size=6) if complex_state else 0.0)
         v /= np.linalg.norm(v)
         simple_apparatus(6, 2, rng=rng, Omega=np.outer(v, v.conj()))
+
+
+class TestDiagonalOmegaPositivity:
+    """The PSD gate reads a diagonal ``Omega``'s spectrum off its diagonal."""
+
+    @pytest.fixture
+    def no_cholesky(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cholesky called for a diagonal Omega")
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+
+    def test_negative_entry_rejected_with_its_value(self, rng, no_cholesky):
+        omega = np.diag([0.25, 0.25, 0.5 + 2 * core.STATE_TOL, -2 * core.STATE_TOL])
+        lowest = -2 * core.STATE_TOL
+        with pytest.raises(StructuralError) as info:
+            simple_apparatus(4, 2, rng=rng, Omega=omega.astype(complex))
+        assert str(info.value) == f"Omega has negative eigenvalue {lowest:.3e}"
+
+    def test_entry_within_tolerance_accepted(self, rng, no_cholesky):
+        omega = np.diag([0.25, 0.25, 0.5 + 0.5 * core.STATE_TOL, -0.5 * core.STATE_TOL])
+        simple_apparatus(4, 2, rng=rng, Omega=omega)
+
+
+class TestHermitianGate:
+    def test_zero_matrix_passes(self):
+        core._check_hermitian(np.zeros((5, 5), dtype=complex), "zero")
+
+    def test_single_small_deviation_rejected(self):
+        a = np.zeros((5, 5), dtype=complex)
+        a[1, 3] = 1e-11
+        with pytest.raises(StructuralError, match="^m is not Hermitian: max deviation 1.000e-11"):
+            core._check_hermitian(a, "m")
 
 
 class _FakeApp:
