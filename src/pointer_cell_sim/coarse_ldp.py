@@ -12,11 +12,11 @@ boundaries is what drives the exponential pointer fidelity.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -27,30 +27,26 @@ from .logspace import (
     BinomialBlock,
     _binomial_block,
     bernoulli_relative_entropy,
-    binomial_log_pmf_at,
+    binomial_log_pmf,
     lc_convolve,
-    lc_real_logsumexp,
+    lc_real_logsumexp_rows,
 )
 
 #: basis maps for product systems are materialised only up to this site count
 BASIS_MAP_MAX_SITES = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntensiveObservable:
     """Spectrum of a fine-grained extensive observable divided by N.
 
     ``spectrum`` is stored as a read-only, strictly increasing float array.
-    ``multiplicity`` maps a spectrum index to its exact dimension count; for
-    product systems it is a generating rule (binomial coefficients for spin
-    chains), which avoids materialising astronomically large integers.
     ``basis_value_index`` (optional) maps each basis index of a concrete
     apparatus space to the index of its spectrum value, enabling explicit
     projector construction for the dense backend.
     """
 
     spectrum: np.ndarray
-    multiplicity: Callable[[int], int] = None
     N: int = 1
     basis_value_index: np.ndarray | None = None
 
@@ -64,33 +60,12 @@ class IntensiveObservable:
             raise StructuralError("particle count must be at least 1")
         spec.setflags(write=False)
         object.__setattr__(self, "spectrum", spec)
-        rule = self.multiplicity
-        if rule is None:
-            rule = lambda i: 1
-        elif isinstance(rule, (tuple, list)):
-            counts = tuple(int(m) for m in rule)
-            if len(counts) != len(spec) or any(m <= 0 for m in counts):
-                raise StructuralError("one positive multiplicity required per spectrum point")
-            rule = counts.__getitem__
-        object.__setattr__(self, "multiplicity", rule)
         if self.basis_value_index is not None:
             idx = np.asarray(self.basis_value_index, dtype=int)
             if idx.min() < 0 or idx.max() >= len(spec):
                 raise StructuralError("basis map refers to a missing spectrum point")
             idx.setflags(write=False)
             object.__setattr__(self, "basis_value_index", idx)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntensiveObservable):
-            return NotImplemented
-        return self.N == other.N and np.array_equal(self.spectrum, other.spectrum)
-
-    def multiplicities(self) -> tuple[int, ...]:
-        """Materialised counts; only sensible for modest spectra."""
-        counts = tuple(int(self.multiplicity(i)) for i in range(len(self.spectrum)))
-        if any(m <= 0 for m in counts):
-            raise StructuralError("multiplicities must be positive")
-        return counts
 
     @property
     def lo(self) -> float:
@@ -122,8 +97,7 @@ class IntensiveObservable:
             for bit in range(N):
                 counts += (np.arange(2 ** N) >> bit) & 1
             basis = N - counts  # bit value 1 encodes a down spin
-        return cls(spectrum=spectrum, multiplicity=lambda j, _n=N: math.comb(_n, j),
-                   N=N, basis_value_index=basis)
+        return cls(spectrum=spectrum, N=N, basis_value_index=basis)
 
 
 @dataclass(frozen=True)
@@ -254,25 +228,24 @@ def _factor_layout(state: BernoulliProduct) -> tuple[np.ndarray, BinomialBlock]:
     """Log-pmf factors ``(a, b)`` of the up count: ``pmf_j = sum_i a_i b_{j-i}``.
 
     ``b`` is the binomial block of the base sites, held by its parameters;
-    ``a`` is the up-count log-pmf of the override sites, binomial blocks of
-    equal probabilities convolved in log space in ascending probability
-    (``[0]`` for a homogeneous state, k + 1 terms for k overrides).  Both
-    stay exact far below the floating-point floor.
+    ``a`` is the up-count log-pmf of the override sites (``[0]`` for a
+    homogeneous state, k + 1 terms for k overrides).  Both stay exact far
+    below the floating-point floor.
     """
-    counts = sorted(Counter(state.overrides.values()).items())
-    blocks = [_binomial_block(c, q, 1.0 - q) for q, c in counts]
-    rest = [(block.log_magnitudes(), np.zeros(block.size + 1)) for block in blocks]
-    b = _binomial_block(state.N - len(state.overrides), state.p, 1.0 - state.p)
-    return reduce(lc_convolve, rest, (np.zeros(1), np.zeros(1)))[0], b
+    return (_override_log_pmf(tuple(sorted(Counter(state.overrides.values()).items()))),
+            _binomial_block(state.N - len(state.overrides), state.p, 1.0 - state.p))
 
 
-def _window_log_probability(a: np.ndarray, b: BinomialBlock, counts: range) -> float:
-    # log P(j in counts) = log sum_i a_i sum_{j in counts} b_{j-i}; a window
-    # holds one or two up-counts, each a scalar Loader pmf of b
-    tails = [lc_real_logsumexp([binomial_log_pmf_at(b.size, j - i, b.p, b.q)
-                                for j in counts if 0 <= j - i <= b.size])
-             for i in range(a.size)]
-    return lc_real_logsumexp(a + np.array(tails))
+@functools.lru_cache(maxsize=16)
+def _override_log_pmf(counts: tuple[tuple[float, int], ...]) -> np.ndarray:
+    # binomial blocks of equal probabilities, (q, count) in ascending q,
+    # convolved in log space; read-only, shared by every N of a family
+    a = (np.zeros(1), np.zeros(1))
+    for q, c in counts:
+        block = _binomial_block(c, q, 1.0 - q)
+        a = lc_convolve(a, (block.log_magnitudes(), np.zeros(c + 1)))
+    a[0].setflags(write=False)
+    return a[0]
 
 
 def cell_log_probability(state: BernoulliProduct, cells: CellPartitionSpec) -> np.ndarray:
@@ -330,24 +303,11 @@ class RateFunctionEstimate:
     analytic: np.ndarray | None
     p: float | None
 
-    @property
-    def residuals(self) -> np.ndarray | None:
-        if self.analytic is None:
-            return None
-        return self.samples - self.analytic[None, :]
-
     def rate_at(self, m: float) -> float:
         if self.p is not None:
             return float(bernoulli_rate(m, self.p))
         k = int(np.argmin(np.abs(np.asarray(self.grid) - m)))
         return float(self.samples[-1, k])
-
-
-def _window_counts(N: int, m: float, delta: float) -> range:
-    # spectrum point j sits at (2j - N) / N; window [m - delta, m + delta]
-    j_lo = math.ceil((m - delta + 1.0) * N / 2.0 - 1e-9)
-    j_hi = math.floor((m + delta + 1.0) * N / 2.0 + 1e-9)
-    return range(max(0, j_lo), min(N, j_hi) + 1)
 
 
 def estimate_rate(
@@ -359,6 +319,9 @@ def estimate_rate(
 
     Requires at least three chain sizes spanning a factor of four.  Grid
     points whose window probability is exactly zero are dropped and flagged.
+    A window holds ``sum_i a_i sum_{j in window} b_{j-i}``: per size, every
+    ``j - i`` goes through one Loader kernel call, and two log-sum-exps, over
+    the j and then the i, serve every size at once.
     """
     Ns = sorted(int(N) for N in N_values)
     if len(set(Ns)) < 3:
@@ -366,30 +329,37 @@ def estimate_rate(
     if Ns[-1] < 4 * Ns[0]:
         raise PreconditionError("chain sizes must span at least a factor of four")
     grid = [float(m) for m in grid]
-    samples = np.full((len(Ns), len(grid)), np.nan)
-    dropped = np.zeros((len(Ns), len(grid)), dtype=bool)
-    ps = set()
-    for i, N in enumerate(Ns):
-        state = family(N)
-        if state.N != N:
-            raise StructuralError("family returned a state of the wrong size")
-        ps.add(state.homogeneous_p)
-        layout = _factor_layout(state)
-        delta = 1.0 / N  # half the magnetisation spectrum gap 2/N
-        for k, m in enumerate(grid):
-            logp = _window_log_probability(*layout, _window_counts(N, m, delta))
-            if logp == -np.inf:
-                dropped[i, k] = True
-                warnings.warn(
-                    f"window at m={m} has zero probability for N={N}; point dropped",
-                    stacklevel=2)
-            else:
-                samples[i, k] = logp / N
+    states = [family(N) for N in Ns]
+    if any(state.N != N for state, N in zip(states, Ns)):
+        raise StructuralError("family returned a state of the wrong size")
+    layouts = [_factor_layout(state) for state in states]
+    # spectrum point j sits at (2j - N) / N and the window is [m - 1/N, m + 1/N]:
+    # two counts, a third from rounding near N = 10**9; three columns at any N
+    n = np.array(Ns, dtype=float)[:, None]
+    j_lo = np.maximum(np.ceil((np.array(grid) - 1.0 / n + 1.0) * n / 2.0 - 1e-9), 0.0)
+    j_hi = np.minimum(np.floor((np.array(grid) + 1.0 / n + 1.0) * n / 2.0 + 1e-9), n)
+    j = j_lo[..., None] + np.arange(max(int((j_hi - j_lo).max(initial=0)) + 1, 3))
+    i = np.arange(max(a.size for a, _ in layouts))
+    k = j[:, :, None, :] - i[:, None]  # size, grid point, term i of a, count j
+    a_lm = np.full((len(Ns), i.size), -np.inf)
+    pmf = np.full(k.shape, -np.inf)
+    for s, (a, b) in enumerate(layouts):
+        a_lm[s, :a.size] = a
+        used = (j[s] <= j_hi[s, :, None])[:, None, :] & (k[s] >= 0) & (k[s] <= b.size)
+        ks = k[s][used]
+        order = ks.argsort()
+        pmf[s][used] = binomial_log_pmf(b.size, b.p, b.q, ks[order])[order.argsort()]
+    logp = lc_real_logsumexp_rows(a_lm[:, None, :] + lc_real_logsumexp_rows(pmf))
+    dropped = logp == -np.inf
+    for s, g in zip(*np.nonzero(dropped)):
+        warnings.warn(f"window at m={grid[g]} has zero probability for N={Ns[s]}; point dropped",
+                      stacklevel=2)
+    ps = {state.homogeneous_p for state in states}
     p = ps.pop() if len(ps) == 1 else None
     return RateFunctionEstimate(
         grid=tuple(grid),
         N_values=tuple(Ns),
-        samples=samples,
+        samples=np.where(dropped, np.nan, logp / n),
         dropped=dropped,
         analytic=np.asarray(bernoulli_rate(grid, p)) if p is not None else None,
         p=p,

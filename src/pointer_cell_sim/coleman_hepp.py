@@ -298,7 +298,19 @@ def _bulk_block(size: int, d0: complex, d1: complex, scale: float | None) -> Bin
     return _binomial_block(size, d0, d1, scale, phase)
 
 
-def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None) -> FactorizedSectorOverlap:
+def _site_diagonals(spec: ChainSpec) -> dict:
+    """``[a][b]``: the diagonal of ``(A^dag rho) B``, A = R if a else 1, B = R if b
+    else 1, per site state: the base (key None), then the overrides in site order.
+    Shared by the four sectors of a spec, in the product order each used alone."""
+    R = site_rotation(spec.theta)
+    states = {None: polarized_site(spec.m0), **dict(sorted(spec.site_overrides.items()))}
+    return {site: [[(complex(x[0, 0]), complex(x[1, 1])) for x in (t @ _EYE2, t @ R)]
+                   for t in (_EYE2.conj().T @ rho, R.conj().T @ rho)]
+            for site, rho in states.items()}
+
+
+def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None,
+                   diagonals: dict | None = None) -> FactorizedSectorOverlap:
     """Build the factorized accumulator for sector pair (r, s).
 
     Sites with index below ``rotated_count`` have been passed by the
@@ -306,35 +318,27 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     sector; the remainder are untouched.  Identical sites collapse into
     binomial bulk blocks, at most two; the longest is ``b``, and the
     override sites, in site order, and the other block are convolved into
-    ``a`` in log space.
+    ``a`` in log space.  ``diagonals`` is ``_site_diagonals(spec)``.
     """
     if rotated_count is None:
         rotated_count = spec.N
     if not (0 <= rotated_count <= spec.N):
         raise StructuralError("rotated site count outside the chain")
-    R = site_rotation(spec.theta)
-    base = polarized_site(spec.m0)
-
-    def site_diagonal(rho: np.ndarray, rotated: bool) -> tuple[complex, complex]:
-        a = R if (r == 1 and rotated) else _EYE2
-        b = R if (s == 1 and rotated) else _EYE2
-        x = a.conj().T @ rho @ b
-        return complex(x[0, 0]), complex(x[1, 1])
-
-    override_sites = sorted(spec.site_overrides)
+    diagonals = diagonals or _site_diagonals(spec)
+    override_sites = [k for k in diagonals if k is not None]
     n_rot = rotated_count - sum(1 for k in override_sites if k < rotated_count)
     n_plain = (spec.N - rotated_count) - sum(1 for k in override_sites if k >= rotated_count)
-    rot_key, plain_key = site_diagonal(base, True), site_diagonal(base, False)
+    rot_key, plain_key = diagonals[None][r == 1][s == 1], diagonals[None][0][0]
     if rot_key == plain_key:
         # sectors the traversal does not touch: one closed form for the bulk
         groups = [(n_rot + n_plain, *rot_key)]
     else:
         groups = [(n_rot, *rot_key), (n_plain, *plain_key)]
-    scale = float(np.trace(base).real) if r == s else None
+    scale = float(np.trace(polarized_site(spec.m0)).real) if r == s else None
     blocks = sorted((_bulk_block(*group, scale) for group in groups if group[0]),
                     key=lambda block: block.size)
     b = blocks.pop() if blocks else _binomial_block(0, 0.0, 1.0)
-    polys = [_group_polynomial(1, *site_diagonal(spec.site_overrides[k], k < rotated_count))
+    polys = [_group_polynomial(1, *diagonals[k][r == 1 and k < rotated_count][s == 1 and k < rotated_count])
              for k in override_sites]
     polys += [(block.log_magnitudes(), np.full(block.size + 1, block.phase)) for block in blocks]
     a = reduce(lc_convolve, polys) if polys else (np.zeros(1), np.zeros(1))
@@ -347,9 +351,10 @@ def _assemble_tensor(spec: ChainSpec, rotated_count: int) -> ChainFTensor:
     values = np.zeros((2, 2, 2), dtype=complex)
     log_mags = np.full((2, 2, 2), -np.inf)
     flags = np.zeros((2, 2, 2), dtype=bool)
+    diagonals = _site_diagonals(spec)
     for r in range(2):
         for s in range(2):
-            ov = sector_overlap(spec, r, s, rotated_count)
+            ov = sector_overlap(spec, r, s, rotated_count, diagonals)
             values[r, s], log_mags[r, s], flags[r, s] = ov.cell_values(cells)
     return ChainFTensor(values=values, t=spec.t, log_magnitude=log_mags, underflow=flags)
 

@@ -56,7 +56,7 @@ def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> No
     if not a.any():  # the zero matrix, exactly Hermitian, without the temporaries
         return
     dev = np.abs(a - a.conj().T).max()
-    if dev > tol:
+    if not dev <= tol:
         raise StructuralError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
 
 
@@ -68,24 +68,23 @@ def _check_positive_semidefinite(a: np.ndarray, name: str, tol: float = STATE_TO
     any other, a Cholesky factorisation of ``H + tol I`` (in real arithmetic
     when ``H`` is real) accepts without computing the spectrum; only when it
     fails is the smallest eigenvalue taken.  Either way the verdict and the
-    message are those of the eigenvalue test.
+    message are those of the eigenvalue test.  A NaN entry fails the gate.
     """
     diag = _diagonal_of(a)
     if diag is not None:
         lowest = diag.real.min()
-        if lowest < -tol:
-            raise StructuralError(f"{name} has negative eigenvalue {lowest:.3e}")
-        return
-    H = (a + a.conj().T) / 2
-    if not H.imag.any():
-        H = H.real
-    try:
-        np.linalg.cholesky(H + tol * np.eye(H.shape[0]))
-        return
-    except np.linalg.LinAlgError:
-        pass
-    lowest = np.linalg.eigvalsh(H).min()
-    if lowest < -tol:
+    else:
+        H = (a + a.conj().T) / 2
+        if not H.imag.any():
+            H = H.real
+        lowest = np.nan  # LAPACK factorises and diagonalises NaN entries without a word
+        if np.isfinite(H).all():
+            try:
+                np.linalg.cholesky(H + tol * np.eye(H.shape[0]))
+                return
+            except np.linalg.LinAlgError:
+                lowest = np.linalg.eigvalsh(H).min()
+    if not lowest >= -tol:
         raise StructuralError(f"{name} has negative eigenvalue {lowest:.3e}")
 
 
@@ -97,7 +96,7 @@ def _amplitudes(c, n: int | None = None) -> np.ndarray:
     if n is not None and vec.size != n:
         raise PreconditionError(f"expected {n} amplitudes, got {vec.size}")
     norm = float(np.sum(np.abs(vec) ** 2))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise PreconditionError(f"amplitudes are not normalised: sum |c|^2 = {norm!r}")
     return vec
 
@@ -199,9 +198,9 @@ class PhaseCellPartition:
             for j in range(i, self.cell_count):
                 prod = P @ mats[j]
                 ref = P if i == j else 0.0
-                if np.abs(prod - ref).max() > tol:
+                if not np.abs(prod - ref).max() <= tol:
                     raise StructuralError(f"cells {i},{j} are not orthogonal projectors")
-        if np.abs(total - np.eye(self.dim)).max() > tol:
+        if not np.abs(total - np.eye(self.dim)).max() <= tol:
             raise StructuralError("cells do not sum to the identity")
 
     def as_matrix(self, alpha: int) -> np.ndarray:
@@ -252,7 +251,7 @@ class Apparatus:
             raise StructuralError("initial state Omega dimension mismatch")
         _check_hermitian(Omega, "initial state Omega")
         tr = complex(np.trace(Omega))
-        if abs(tr - 1.0) > STATE_TOL:
+        if not abs(tr - 1.0) <= STATE_TOL:
             raise StructuralError(f"Tr Omega = {tr!r}, expected 1")
         _check_positive_semidefinite(Omega, "Omega")
         if self.cells.dim != dim:
@@ -281,7 +280,7 @@ class InitialComposite:
     def __post_init__(self):
         vec = np.asarray(self.c, dtype=complex).ravel()
         norm = float(np.sum(np.abs(vec) ** 2))
-        if abs(norm - 1.0) > AMPLITUDE_TOL:
+        if not abs(norm - 1.0) <= AMPLITUDE_TOL:
             raise StructuralError(f"amplitudes are not normalised: sum |c|^2 = {norm!r}")
         vec.setflags(write=False)
         object.__setattr__(self, "c", vec)
@@ -310,15 +309,15 @@ class EvolvedSectorStates:
         n = self.n
         for r in range(n):
             tr = complex(np.trace(self.omega[r, r]))
-            if abs(tr - 1.0) > tol:
+            if not abs(tr - 1.0) <= tol:
                 raise StructuralError(f"Tr Omega[{r},{r}] = {tr!r}, expected 1")
             for s in range(r, n):  # the pair (s, r) is the same condition
                 dev = np.abs(self.omega[r, s].conj().T - self.omega[s, r]).max()
-                if dev > tol:
+                if not dev <= tol:
                     raise StructuralError(f"sector states [{r},{s}] are not adjoint-paired: {dev:.3e}")
             if spectra:
                 evals = np.linalg.eigvalsh(self.omega[r, r])
-                if evals.min() < -tol or evals.max() > 1.0 + tol:
+                if not -tol <= evals.min() <= evals.max() <= 1.0 + tol:
                     raise StructuralError(f"Omega[{r},{r}] spectrum outside [0, 1]")
 
 
@@ -549,7 +548,7 @@ def expectation_s(f: FTensor, c, observable: ObservableS) -> float:
     imaginary residual is discarded.
     """
     total = complex(np.sum(sector_pair_expectations(f, c, observable)))
-    if abs(total.imag) > 1e-10:
+    if not abs(total.imag) <= 1e-10:
         raise NumericalError(f"expectation has imaginary residual {total.imag:.3e}")
     return float(total.real)
 
@@ -564,13 +563,13 @@ def pointer_weights(f: FTensor, c) -> np.ndarray:
     vec = _amplitudes(c, f.n)
     diag = np.einsum("rra->ra", f.values)
     w = np.einsum("r,ra->a", np.abs(vec) ** 2, diag)
-    if np.abs(w.imag).max() > 1e-10:
+    if not np.abs(w.imag).max() <= 1e-10:
         raise NumericalError("pointer weights have a non-real component")
     w = w.real
-    if w.min() < -WEIGHT_FLOOR:
+    if not w.min() >= -WEIGHT_FLOOR:
         raise NumericalError(f"pointer weight {w.min():.3e} below the negativity floor")
     w = np.clip(w, 0.0, None)
-    if abs(w.sum() - 1.0) > 1e-10:
+    if not abs(w.sum() - 1.0) <= 1e-10:
         raise NumericalError(f"pointer weights sum to {float(w.sum())!r}")
     return w
 
@@ -587,12 +586,12 @@ def conditional_expectation(f: FTensor, c, observable: ObservableS, alpha: int) 
     w = pointer_weights(f, c)
     if not (0 <= alpha < f.n):
         raise PreconditionError(f"cell index {alpha} out of range")
-    if w[alpha] <= WEIGHT_FLOOR:
+    if not w[alpha] > WEIGHT_FLOOR:
         raise NullMacrostateError(
             f"conditioning on a null macrostate: w[{alpha}] = {float(w[alpha])!r}")
     numer = sector_pair_expectations(f, c, observable)[alpha]
     value = numer / w[alpha]
-    if abs(value.imag) > 1e-10:
+    if not abs(value.imag) <= 1e-10:
         raise NumericalError(f"conditional expectation has imaginary residual {value.imag:.3e}")
     return float(value.real)
 

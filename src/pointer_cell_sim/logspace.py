@@ -38,14 +38,14 @@ _STIRLERR_TABLE = np.array([
 _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
 
 
-def _stirlerr(n: int) -> np.ndarray:
-    """Stirling-formula error ``stirlerr(k)`` over k = 0..n."""
-    out = np.empty(n + 1)
-    top = min(n, 15) + 1
-    out[:top] = _STIRLERR_TABLE[:top]
-    inv = np.reciprocal(np.arange(16, n + 1, dtype=float))
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """Stirling-formula error ``stirlerr(k)`` over sorted integers k >= 0, as floats."""
+    out = np.empty(len(k))
+    top = int(k.searchsorted(16))
+    out[:top] = _STIRLERR_TABLE[k[:top].astype(int)]
+    inv = np.reciprocal(k[top:])
     w = inv * inv
-    acc = out[16:]  # Horner in 1 / k**2, in place
+    acc = out[top:]  # Horner in 1 / k**2, in place
     np.multiply(w, _S4, out=acc)
     for s in (_S3, _S2, _S1):
         np.subtract(s, acc, out=acc)
@@ -56,27 +56,35 @@ def _stirlerr(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _saddle_log_pmf(n: int) -> np.ndarray:
-    """``log Bin(k; n, k / n)`` over k = 0..n: the log-pmf at its own mean.
-
-    This is the part of Loader's saddle-point form that does not depend on
-    p, ``stirlerr(n) - stirlerr(k) - stirlerr(n - k) - log(2 pi k (n - k) / n) / 2``,
-    with 0 at k = 0 and k = n.  It is cached per n, read-only, so that the
-    four sectors of a partial traversal, which materialise their bulk blocks
-    one after the other at one chain size, share it.
+def _saddle_log_pmf(n: int, k: np.ndarray | None = None) -> np.ndarray:
+    """``log Bin(k; n, k / n)`` over k = 0..n, or over sorted float up-counts
+    ``k``: ``stirlerr(n) - stirlerr(k) - stirlerr(n - k) - log(2 pi k (n - k) / n) / 2``,
+    0 at k = 0 and n, the part of Loader's form free of p.  ``stirlerr`` is
+    evaluated once, over 0..n and read reversed, or over k, n - k and n.
+    The whole range is cached per n, read-only: the four sectors of a
+    partial traversal share it.  ``__wrapped__`` evaluates a given k.
     """
-    st = _stirlerr(n)
-    out = np.zeros(n + 1)
-    if n > 1:
-        k = np.arange(1, n, dtype=float)
-        half_log = n - k
-        half_log *= k
+    full = k is None
+    if full:
+        k = np.arange(n + 1, dtype=float)
+    out = np.zeros(len(k))
+    lo, hi = k.searchsorted((1, n))  # the interior 0 < k < n
+    if lo < hi:
+        mid, inner = out[lo:hi], k[lo:hi]
+        if full:
+            st = _stirlerr(k)
+            st_n, st_k, st_nk = st[n], st[1:n], st[n - 1:0:-1]
+        else:
+            x = np.concatenate((inner, n - inner, [n]))
+            st = _stirlerr(np.sort(x))[x.argsort().argsort()]
+            st_n, st_k, st_nk = st[-1], st[:hi - lo], st[hi - lo:-1]
+        half_log = n - inner
+        half_log *= inner
         half_log *= 2.0 * math.pi / n
         np.log(half_log, out=half_log)
         half_log *= 0.5
-        mid = out[1:n]
-        np.subtract(st[n], st[1:n], out=mid)
-        mid -= st[n - 1:0:-1]
+        np.subtract(st_n, st_k, out=mid)
+        mid -= st_nk
         mid -= half_log
     out.setflags(write=False)
     return out
@@ -87,23 +95,24 @@ _BD0_SERIES = tuple(1.0 / (2 * j + 1) for j in range(1, 9))
 
 
 @functools.lru_cache(maxsize=4)
-def _bd0(n: int, m: float) -> np.ndarray:
-    """Deviance ``bd0(x, m) = x log(x / m) + m - x`` over x = 0..n, for m > 0.
+def _bd0(n: int, m: float, x: np.ndarray | None = None) -> np.ndarray:
+    """Deviance ``bd0(x, m) = x log(x / m) + m - x``, m > 0, over x = 0..n or
+    over sorted float integers ``x``.
 
-    Where ``|x - m| < 0.1 (x + m)``, a contiguous band of x, the difference
-    of nearly equal terms is replaced by its series (Loader 2000)
-    ``v (x - m) + 2 x sum_j v**(2j + 1) / (2j + 1)`` with
-    ``v = (x - m) / (x + m)``.  As ``|v| < 0.1``, the ninth term is below
-    ``2**-54`` of the sum, so eight terms are summed, by Horner's rule in v**2.
-    Cached and read-only like ``_saddle_log_pmf``: the partial-traversal
-    sectors whose bulk sites share a diagonal share their deviances.
+    Where ``|x - m| < 0.1 (x + m)``, a contiguous run of the sorted x, the
+    difference of nearly equal terms is replaced by its series (Loader 2000)
+    ``v (x - m) + 2 x sum_j v**(2j + 1) / (2j + 1)`` with ``v = (x - m) / (x + m)``.
+    As ``|v| < 0.1``, the ninth term is below ``2**-54`` of the sum, so eight
+    terms are summed, by Horner's rule in v**2.  Cached over the whole range
+    like ``_saddle_log_pmf``, for the sectors whose bulk sites share a diagonal.
     """
-    x = np.arange(n + 1, dtype=float)
-    out = np.empty(n + 1)
-    lo = min(math.floor(m * 9.0 / 11.0) + 1, n + 1)
-    hi = min(max(math.ceil(m * 11.0 / 9.0), lo), n + 1)
-    out[0] = m
-    for a, b in ((1, lo), (hi, n + 1)):
+    if x is None:
+        x = np.arange(n + 1, dtype=float)
+    out = np.empty(len(x))
+    zero, lo, hi = x.searchsorted((1, math.floor(m * 9.0 / 11.0) + 1, math.ceil(m * 11.0 / 9.0)))
+    hi = max(hi, lo)  # at m = 0 (n = 0) the band bounds cross
+    out[:zero] = m
+    for a, b in ((zero, lo), (hi, len(x))):
         xs, side = x[a:b], out[a:b]
         np.divide(xs, m, out=side)
         np.log(side, out=side)
@@ -128,8 +137,9 @@ def _bd0(n: int, m: float) -> np.ndarray:
     return out
 
 
-def binomial_log_pmf(n: int, p: float, q: float) -> np.ndarray:
-    """Log-pmf of Bin(n, p) over k = 0..n, with ``q = 1 - p``; exact at p or q = 0.
+def binomial_log_pmf(n: int, p: float, q: float, k: np.ndarray | None = None) -> np.ndarray:
+    """Log-pmf of Bin(n, p) over k = 0..n, or over sorted up-counts ``k`` in
+    0..n, with ``q = 1 - p``; exact at p or q = 0.
 
     Loader's saddle-point form (C. Loader, 2000, *Fast and Accurate
     Computation of Binomial Probabilities*): ``log Bin(k; n, k / n)`` minus
@@ -137,13 +147,17 @@ def binomial_log_pmf(n: int, p: float, q: float) -> np.ndarray:
     its absolute error is a few ulps of the result, where the direct sum
     ``log C(n, k) + k log p + (n - k) log q`` loses ulps of ``n log n``.
     ``q`` is passed rather than formed as ``1 - p`` so that a p within
-    rounding of 1 keeps the digits of its complement.
+    rounding of 1 keeps the digits of its complement.  A given ``k`` costs
+    its length, not n, and gets the whole range's values there bit for bit.
     """
     if p <= 0.0 or q <= 0.0:
-        out = np.full(n + 1, -np.inf)
-        out[0 if p <= 0.0 else n] = 0.0
-        return out
-    return _saddle_log_pmf(n) - _bd0(n, n * p) - _bd0(n, n * q)[::-1]
+        k = np.arange(n + 1) if k is None else np.asarray(k)
+        return np.where(k == (0 if p <= 0.0 else n), 0.0, -np.inf)
+    if k is None:
+        return _saddle_log_pmf(n) - _bd0(n, n * p) - _bd0(n, n * q)[::-1]
+    k = np.asarray(k, dtype=float)
+    return (_saddle_log_pmf.__wrapped__(n, k) - _bd0.__wrapped__(n, n * p, k)
+            - _bd0.__wrapped__(n, n * q, (n - k)[::-1])[::-1])
 
 
 def _stirlerr_at(k: int) -> float:
@@ -361,14 +375,25 @@ def lc_sum(lm: np.ndarray, ph: np.ndarray) -> tuple[float, float]:
     return m + np.log(mag), float(np.angle(acc))
 
 
-def lc_real_logsumexp(lm: np.ndarray) -> float:
-    """logsumexp over nonnegative-real log-coded terms."""
-    lm = np.asarray(lm, dtype=float).ravel()
-    finite = lm > -np.inf
-    if not finite.any():
-        return -np.inf
-    m = lm[finite].max()
-    return float(m + np.log(np.sum(np.exp(lm[finite] - m))))
+def lc_real_logsumexp_rows(lm: np.ndarray) -> np.ndarray:
+    """logsumexp over the last axis of nonnegative-real log-coded terms: per
+    row ``m + log(np.sum(exp(t - m)))`` over its finite t alone, in order.
+    ``np.sum`` adds under eight terms one by one but more in eight partial
+    sums, so padding would move bits: the finite terms move to the front of
+    their row, and rows are summed in groups of one finite count."""
+    lm = np.asarray(lm, dtype=float)
+    rows = lm.reshape(-1, lm.shape[-1])
+    finite = rows > -np.inf
+    count = finite.sum(axis=1)
+    top = rows.max(axis=1, initial=-np.inf)
+    front = rows[np.arange(len(rows))[:, None], (~finite).argsort(axis=1, kind="stable")]
+    total = np.zeros(len(rows))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = np.exp(front - top[:, None])
+        for c in range(1, rows.shape[1] + 1):
+            group = count == c
+            total[group] = terms[group, :c].sum(axis=1)
+        return (top + np.log(total)).reshape(lm.shape[:-1])
 
 
 def lc_convolve(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

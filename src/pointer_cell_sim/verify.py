@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import FTensor, ObservableS, conditional_expectation, expectation_s, pointer_weights
 from .errors import AmbiguousPointerError, FitError, NonLocalPerturbationError, PreconditionError
-from .logspace import lc_real_logsumexp
+from .logspace import lc_real_logsumexp_rows
 
 TIE_EPSILON = 1e-9
 #: pointer maps up to this many microstates enumerate every assignment
@@ -198,16 +198,17 @@ def pointer_errors(f: FTensor, pmap: PointerMap) -> np.ndarray:
 def log_pointer_errors(f: FTensor, pmap: PointerMap) -> np.ndarray:
     """log of the pointer errors, exact in log space for chain tensors."""
     inv = pmap.inverse
-    out = np.empty(f.n)
     log_mag = getattr(f, "log_magnitude", None)
+    if log_mag is not None:  # row r: log |F[r, r, a]| over every cell a but inv[r]
+        r = np.arange(f.n)
+        terms = log_mag[r, r]
+        terms[r, inv] = -np.inf
+        return lc_real_logsumexp_rows(terms)
+    out = np.empty(f.n)
     diag = f.diagonal()
     for r in range(f.n):
-        others = [a for a in range(f.n) if a != inv[r]]
-        if log_mag is not None:
-            out[r] = lc_real_logsumexp(log_mag[r, r, others])
-        else:
-            mass = float(diag[r, others].sum())
-            out[r] = math.log(mass) if mass > 0 else -np.inf
+        mass = float(diag[r, [a for a in range(f.n) if a != inv[r]]].sum())
+        out[r] = math.log(mass) if mass > 0 else -np.inf
     return out
 
 

@@ -322,3 +322,47 @@ def random_density(rng, dim):
 def random_state(rng, n):
     c = rng.normal(size=n) + 1j * rng.normal(size=n)
     return c / np.linalg.norm(c)
+
+
+def _real_logsumexp(lm) -> float:
+    # logsumexp of the finite terms alone, in order, by one np.sum
+    lm = np.asarray(lm, dtype=float).ravel()
+    finite = lm > -np.inf
+    if not finite.any():
+        return -np.inf
+    m = lm[finite].max()
+    return float(m + np.log(np.sum(np.exp(lm[finite] - m))))
+
+
+def scalar_rate_samples(family, grid, Ns):
+    """The rate-function samples of ``estimate_rate``, one window at a time.
+
+    Each window's up-counts are found in scalar arithmetic, and its
+    probability ``sum_i a_i sum_{j in window} b_{j-i}`` is summed from one
+    scalar Loader pmf (``binomial_log_pmf_at``) per term, a log-sum-exp over
+    the j of each i, then one over the i.  Returns the samples, the dropped
+    flags and the warning texts, in the order ``estimate_rate`` emits them.
+    """
+    from pointer_cell_sim.coarse_ldp import _factor_layout
+    from pointer_cell_sim.logspace import binomial_log_pmf_at
+
+    Ns = sorted(Ns)
+    samples = np.full((len(Ns), len(grid)), np.nan)
+    dropped = np.zeros((len(Ns), len(grid)), dtype=bool)
+    messages = []
+    for row, N in enumerate(Ns):
+        a, b = _factor_layout(family(N))
+        for col, m in enumerate(grid):
+            j_lo = math.ceil((m - 1.0 / N + 1.0) * N / 2.0 - 1e-9)
+            j_hi = math.floor((m + 1.0 / N + 1.0) * N / 2.0 + 1e-9)
+            counts = range(max(0, j_lo), min(N, j_hi) + 1)
+            tails = [_real_logsumexp([binomial_log_pmf_at(b.size, j - i, b.p, b.q)
+                                      for j in counts if 0 <= j - i <= b.size])
+                     for i in range(a.size)]
+            logp = _real_logsumexp(a + np.array(tails))
+            if logp == -np.inf:
+                dropped[row, col] = True
+                messages.append(f"window at m={float(m)} has zero probability for N={N}; point dropped")
+            else:
+                samples[row, col] = logp / N
+    return samples, dropped, messages

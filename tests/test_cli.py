@@ -409,6 +409,16 @@ def generic_workdir(tmp_path):
 
 
 class TestGenericDense:
+    def test_nan_in_omega_fails_with_nothing_written(self, generic_workdir, capsys):
+        workdir, (_, _, omega) = generic_workdir
+        omega = omega.copy()
+        omega[0, 0] = np.nan
+        _write_matrix(workdir / "omega.txt", omega)
+        out = workdir / "out"
+        assert run_cli("run", "--config", workdir / "exp.cfg", "--out", out) == 1
+        assert "Omega is not Hermitian: max deviation nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_end_to_end_matches_core(self, generic_workdir):
         from pointer_cell_sim import core
         from pointer_cell_sim.report import parse_f_tensor_text

@@ -30,6 +30,7 @@ from oracles import (
     exact_log,
     kl_bernoulli,
     poisson_binomial_fraction,
+    scalar_rate_samples,
 )
 
 
@@ -61,7 +62,7 @@ class TestCoarseGrain:
         assert spec.cell_means[0] == pytest.approx(np.mean(obs.spectrum))
 
     def test_empty_cells_warn(self):
-        obs = IntensiveObservable(spectrum=(0.0, 1.0), multiplicity=(1, 1), N=2)
+        obs = IntensiveObservable(spectrum=(0.0, 1.0), N=2)
         with pytest.warns(UserWarning, match="no spectrum points"):
             spec, _ = coarse_grain(obs, 5)
         assert spec.empty_cells != ()
@@ -88,12 +89,8 @@ class TestCoarseGrain:
         assert partition.cell_count == 2
         assert len(partition.cells[0]) + len(partition.cells[1]) == 2 ** N
 
-    def test_multiplicity_rule_counts(self):
-        obs = IntensiveObservable.magnetization_chain(6)
-        assert obs.multiplicities() == tuple(math.comb(6, j) for j in range(7))
-
     def test_gap_warning_for_sparse_spectrum(self):
-        obs = IntensiveObservable(spectrum=(0.0, 0.9, 1.0), multiplicity=(1, 1, 1), N=50)
+        obs = IntensiveObservable(spectrum=(0.0, 0.9, 1.0), N=50)
         with pytest.warns(UserWarning, match="gap"):
             coarse_grain(obs, 2)
 
@@ -247,6 +244,51 @@ class TestFactorLayout:
                 assert abs(got[cell] - ref) <= 1e-12, (N, cell)
 
 
+class TestWindowsAgainstScalarSum:
+    """``estimate_rate`` gives the bits of the one-window-at-a-time scalar sum."""
+
+    FAMILIES = {
+        "homogeneous 0.8": (0.8, {}),
+        "homogeneous 0.5": (0.5, {}),
+        # certain sites: up counts 1 .. N - 1 only, so the end windows drop
+        "q = 0 and q = 1": (0.7, {0: 0.0, 1: 1.0, 2: 0.3}),
+        "certain sites only": (0.8, {0: 1.0, 3: 1.0, 5: 0.0}),
+        # eleven override terms: the sums over i run past eight terms
+        "ten overrides": (0.6, {k: (0.0, 0.25, 0.5, 0.9, 1.0)[k % 5] for k in range(10)}),
+    }
+    SIZES = (8, 12, 40, 1000, 10 ** 5, 10 ** 7, 10 ** 9)
+    GRIDS = {
+        "ldp grid": (-0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8),
+        "ends, unsorted, duplicates": (0.3, -1.0, 0.9, 0.3, 1.0, -0.75, 0.0, 0.0, -1.0),
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_bit_for_bit(self, name, grid):
+        p, overrides = self.FAMILIES[name]
+        grid = self.GRIDS[grid]
+        Ns = [N for N in self.SIZES if N > max(overrides, default=0)]
+
+        def family(N):
+            return BernoulliProduct(N, p, overrides)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_rate(family, grid, Ns)
+        samples, dropped, messages = scalar_rate_samples(family, grid, Ns)
+        assert np.array_equal(est.samples, samples, equal_nan=True)
+        assert np.array_equal(est.dropped, dropped)
+        assert [str(w.message) for w in caught] == messages
+
+    def test_windows_drop_at_small_N_only(self):
+        # m = -0.75 is the up count 1 at N = 8, which the certain sites exclude
+        p, overrides = self.FAMILIES["certain sites only"]
+        with pytest.warns(UserWarning, match="point dropped"):
+            est = estimate_rate(lambda N: BernoulliProduct(N, p, overrides), [-1.0, -0.75, 0.0], self.SIZES)
+        assert est.dropped[:, 0].all() and not est.dropped[:, 2].any()
+        assert est.dropped[0, 1] and not est.dropped[1:, 1].any()
+
+
 class TestLargeChains:
     """Windows and cells at chain sizes where the base block is never built."""
 
@@ -283,9 +325,10 @@ class TestLargeChains:
     def test_modal_block_never_materialised(self, monkeypatch):
         sizes = []
 
-        def spy(n, p, q):
-            sizes.append(n)
-            return binomial_log_pmf(n, p, q)
+        def spy(n, p, q, k=None):
+            out = binomial_log_pmf(n, p, q, k)
+            sizes.append(len(out) - 1)  # the largest count an array of this length covers
+            return out
 
         monkeypatch.setattr(logspace, "binomial_log_pmf", spy)
         monkeypatch.setattr(coarse_ldp, "binomial_log_pmf", spy, raising=False)

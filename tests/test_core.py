@@ -363,6 +363,38 @@ class TestHermitianGate:
             core._check_hermitian(a, "m")
 
 
+class TestNonFiniteInputs:
+    """A NaN compares false with every tolerance, so each gate must fail on it."""
+
+    def test_nan_in_diagonal_omega_rejected(self, rng):
+        with pytest.raises(StructuralError, match="^initial state Omega is not Hermitian: max deviation nan"):
+            simple_apparatus(3, 2, rng=rng, Omega=np.diag([np.nan, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("omega", [
+        np.diag([np.nan, 0.5, 0.5]),
+        np.array([[np.nan, 0.1, 0.0], [0.1, 0.5, 0.0], [0.0, 0.0, 0.5]]),
+        np.array([[0.5, np.nan, 0.0], [np.nan, 0.5, 0.0], [0.0, 0.0, 0.0]], dtype=complex),
+    ])
+    def test_positivity_gate_rejects_nan(self, omega):
+        # LAPACK factorises or diagonalises these without an error
+        with pytest.raises(StructuralError, match="^Omega has negative eigenvalue nan$"):
+            core._check_positive_semidefinite(omega, "Omega")
+
+    def test_nan_deviation_fails_the_hermitian_gate(self):
+        with pytest.raises(StructuralError, match="^m is not Hermitian: max deviation nan"):
+            core._check_hermitian(np.diag([1.0, np.nan]).astype(complex), "m")
+
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [0.6, 0.8 + np.nan * 1j]])
+    def test_nan_amplitude_rejected(self, small_instance, amplitudes):
+        micro, app, t = small_instance
+        f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
+        c = np.array(amplitudes + [0.0])
+        with pytest.raises(StructuralError, match="^amplitudes are not normalised: sum |c|\\^2 = nan$"):
+            core.InitialComposite(c=c)
+        with pytest.raises(PreconditionError, match="^amplitudes are not normalised: sum |c|\\^2 = nan$"):
+            core.pointer_weights(f, c)
+
+
 class _FakeApp:
     """Duck-typed apparatus large enough to trip the capacity check."""
 
