@@ -319,9 +319,9 @@ def estimate_rate(
 
     Requires at least three chain sizes spanning a factor of four.  Grid
     points whose window probability is exactly zero are dropped and flagged.
-    A window holds ``sum_i a_i sum_{j in window} b_{j-i}``: per size, every
-    ``j - i`` goes through one Loader kernel call, and two log-sum-exps, over
-    the j and then the i, serve every size at once.
+    A window holds ``sum_i a_i sum_{j in window} b_{j-i}``: one Loader kernel
+    call per family takes every ``j - i`` of every size, and two log-sum-exps,
+    over the j and then the i, serve every size at once.
     """
     Ns = sorted(int(N) for N in N_values)
     if len(set(Ns)) < 3:
@@ -341,14 +341,13 @@ def estimate_rate(
     j = j_lo[..., None] + np.arange(max(int((j_hi - j_lo).max(initial=0)) + 1, 3))
     i = np.arange(max(a.size for a, _ in layouts))
     k = j[:, :, None, :] - i[:, None]  # size, grid point, term i of a, count j
-    a_lm = np.full((len(Ns), i.size), -np.inf)
+    a_lm = np.array([np.concatenate((a, np.full(i.size - a.size, -np.inf))) for a, _ in layouts])
+    sizes = np.broadcast_to(np.array([b.size for _, b in layouts])[:, None, None, None], k.shape)
+    used = (j <= j_hi[..., None])[:, :, None, :] & (k >= 0) & (k <= sizes)
     pmf = np.full(k.shape, -np.inf)
-    for s, (a, b) in enumerate(layouts):
-        a_lm[s, :a.size] = a
-        used = (j[s] <= j_hi[s, :, None])[:, None, :] & (k[s] >= 0) & (k[s] <= b.size)
-        ks = k[s][used]
-        order = ks.argsort()
-        pmf[s][used] = binomial_log_pmf(b.size, b.p, b.q, ks[order])[order.argsort()]
+    for pq in dict.fromkeys((b.p, b.q) for _, b in layouts):  # one for a family of one p
+        part = used & np.array([(b.p, b.q) == pq for _, b in layouts])[:, None, None, None]
+        pmf[part] = binomial_log_pmf(sizes[part], *pq, k[part])
     logp = lc_real_logsumexp_rows(a_lm[:, None, :] + lc_real_logsumexp_rows(pmf))
     dropped = logp == -np.inf
     for s, g in zip(*np.nonzero(dropped)):

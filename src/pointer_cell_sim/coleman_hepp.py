@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -109,6 +109,15 @@ class ChainSpec:
         object.__setattr__(self, "site_overrides", overrides)
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
 
+    def at_size(self, N: int) -> "ChainSpec":
+        """This chain with N sites.  No check runs again unless N fails one that
+        depends on it; the spec is then built at N, to raise as it would."""
+        if N < 1 or any(site >= N for site in self.site_overrides):
+            replace(self, N=N)
+        sized = object.__new__(ChainSpec)  # a copy, bypassing __init__ and its checks
+        sized.__dict__.update(vars(self), N=N)
+        return sized
+
     def site_states(self) -> list[np.ndarray]:
         base = polarized_site(self.m0)
         return [self.site_overrides.get(k, base) for k in range(self.N)]
@@ -120,25 +129,25 @@ class ChainSpec:
                          energies=self.energies, t=self.t, site_overrides=merged)
 
 
-def chain_cells(N: int) -> tuple[CellPartitionSpec, PhaseCellPartition | None]:
+def sign_cells(N: int) -> CellPartitionSpec:
     """Two-cell magnetisation-sign partition; the boundary state joins "+".
 
     This is ``coarse_grain(IntensiveObservable.magnetization_chain(N), 2)``
     in closed form: the magnetisation ``(2j - N) / N`` is negative exactly
-    for ``j < (N + 1) // 2``.  The spectrum and its projectors are built
-    only where the dense backend can use them, up to
-    ``BASIS_MAP_MAX_SITES``; there ``coarse_grain`` never warns, as the
-    spectrum gap 2/N is half its cap and -1 and +1 land in different cells.
+    for ``j < (N + 1) // 2``.
     """
     if N < 1:
         raise StructuralError("chain must have at least one site")
     h = (N + 1) // 2
-    cells = CellPartitionSpec(edges=(-1.0, 0.0, 1.0), bounds=(0, h, N + 1),
-                              cell_means=((h - 1 - N) / N, h / N), labels=("-", "+"))
-    partition = None
-    if N <= BASIS_MAP_MAX_SITES:
-        partition = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)[1]
-    return cells, partition
+    return CellPartitionSpec(edges=(-1.0, 0.0, 1.0), bounds=(0, h, N + 1),
+                             cell_means=((h - 1 - N) / N, h / N), labels=("-", "+"))
+
+
+def chain_cells(N: int) -> tuple[CellPartitionSpec, PhaseCellPartition | None]:
+    """``sign_cells(N)`` and, up to ``BASIS_MAP_MAX_SITES``, its projectors for
+    ``build_dense``, from ``coarse_grain``, which never warns there: 2/N is half its cap."""
+    dense = N <= BASIS_MAP_MAX_SITES
+    return sign_cells(N), coarse_grain(IntensiveObservable.magnetization_chain(N), 2)[1] if dense else None
 
 
 def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[MicroSystem, Apparatus]:
@@ -310,15 +319,17 @@ def _site_diagonals(spec: ChainSpec) -> dict:
 
 
 def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None,
-                   diagonals: dict | None = None) -> FactorizedSectorOverlap:
+                   diagonals: dict | None = None,
+                   site_polys: dict | None = None) -> FactorizedSectorOverlap:
     """Build the factorized accumulator for sector pair (r, s).
 
     Sites with index below ``rotated_count`` have been passed by the
     traversing particle and carry the conditional rotation in the spin-down
     sector; the remainder are untouched.  Identical sites collapse into
     binomial bulk blocks, at most two; the longest is ``b``, and the
-    override sites, in site order, and the other block are convolved into
-    ``a`` in log space.  ``diagonals`` is ``_site_diagonals(spec)``.
+    override sites, in site order, and then the other block are convolved
+    into ``a`` in log space.  ``diagonals`` is ``_site_diagonals(spec)``, and
+    ``site_polys`` keeps the override sites' product for specs differing in N.
     """
     if rotated_count is None:
         rotated_count = spec.N
@@ -326,8 +337,9 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
         raise StructuralError("rotated site count outside the chain")
     diagonals = diagonals or _site_diagonals(spec)
     override_sites = [k for k in diagonals if k is not None]
-    n_rot = rotated_count - sum(1 for k in override_sites if k < rotated_count)
-    n_plain = (spec.N - rotated_count) - sum(1 for k in override_sites if k >= rotated_count)
+    rotated = tuple(k for k in override_sites if k < rotated_count)
+    n_rot = rotated_count - len(rotated)
+    n_plain = (spec.N - rotated_count) - (len(override_sites) - len(rotated))
     rot_key, plain_key = diagonals[None][r == 1][s == 1], diagonals[None][0][0]
     if rot_key == plain_key:
         # sectors the traversal does not touch: one closed form for the bulk
@@ -338,30 +350,21 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     blocks = sorted((_bulk_block(*group, scale) for group in groups if group[0]),
                     key=lambda block: block.size)
     b = blocks.pop() if blocks else _binomial_block(0, 0.0, 1.0)
-    polys = [_group_polynomial(1, *diagonals[k][r == 1 and k < rotated_count][s == 1 and k < rotated_count])
-             for k in override_sites]
-    polys += [(block.log_magnitudes(), np.full(block.size + 1, block.phase)) for block in blocks]
+    site_polys = {} if site_polys is None else site_polys
+    if (r, s, rotated) not in site_polys:
+        site_polys[r, s, rotated] = [reduce(lc_convolve, [
+            _group_polynomial(1, *diagonals[k][r == 1 and k in rotated][s == 1 and k in rotated])
+            for k in override_sites])] if override_sites else []
+    polys = site_polys[r, s, rotated] + [
+        (block.log_magnitudes(), np.full(block.size + 1, block.phase)) for block in blocks]
     a = reduce(lc_convolve, polys) if polys else (np.zeros(1), np.zeros(1))
     delta_e = (spec.energies[s] - spec.energies[r]) * spec.t
     return FactorizedSectorOverlap(a=a, b=b, global_phase=float(delta_e), a_has_bulk=bool(blocks))
 
 
-def _assemble_tensor(spec: ChainSpec, rotated_count: int) -> ChainFTensor:
-    cells, _ = chain_cells(spec.N)
-    values = np.zeros((2, 2, 2), dtype=complex)
-    log_mags = np.full((2, 2, 2), -np.inf)
-    flags = np.zeros((2, 2, 2), dtype=bool)
-    diagonals = _site_diagonals(spec)
-    for r in range(2):
-        for s in range(2):
-            ov = sector_overlap(spec, r, s, rotated_count, diagonals)
-            values[r, s], log_mags[r, s], flags[r, s] = ov.cell_values(cells)
-    return ChainFTensor(values=values, t=spec.t, log_magnitude=log_mags, underflow=flags)
-
-
 def factorized_f_tensor(spec: ChainSpec) -> ChainFTensor:
     """Pointer-statistics tensor after the full traversal, any chain size."""
-    return _assemble_tensor(spec, spec.N)
+    return traversal_schedule(spec, 1.0)
 
 
 def passed_sites(N: int, fraction: float) -> int:
@@ -373,7 +376,26 @@ def passed_sites(N: int, fraction: float) -> int:
 
 def traversal_schedule(spec: ChainSpec, fraction: float) -> ChainFTensor:
     """Tensor after the particle has passed the first ``floor(fraction * N)`` sites."""
-    return _assemble_tensor(spec, passed_sites(spec.N, fraction))
+    return traversal_family(spec, fraction)(spec.N)
+
+
+def traversal_family(spec: ChainSpec, fraction: float) -> Callable[[int], ChainFTensor]:
+    """Chain size N -> ``traversal_schedule(spec.at_size(N), fraction)``, with the
+    site diagonals found once and each sector pair's product of override sites
+    once per set of rotated sites: a size builds only its bulk blocks and tails."""
+    diagonals, site_polys = _site_diagonals(spec), {}
+
+    def tensor(N: int) -> ChainFTensor:
+        sized, cells, rotated_count = spec.at_size(N), sign_cells(N), passed_sites(N, fraction)
+        values = np.zeros((2, 2, 2), dtype=complex)
+        log_mags = np.full((2, 2, 2), -np.inf)
+        flags = np.zeros((2, 2, 2), dtype=bool)
+        for r in range(2):
+            for s in range(2):
+                ov = sector_overlap(sized, r, s, rotated_count, diagonals, site_polys)
+                values[r, s], log_mags[r, s], flags[r, s] = ov.cell_values(cells)
+        return ChainFTensor(values=values, t=spec.t, log_magnitude=log_mags, underflow=flags)
+    return tensor
 
 
 def diagonal_sector_product(spec: ChainSpec, r: int) -> BernoulliProduct:

@@ -39,53 +39,42 @@ _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 118
 
 
 def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """Stirling-formula error ``stirlerr(k)`` over sorted integers k >= 0, as floats."""
+    """Stirling-formula error ``stirlerr(k)`` over integers k >= 0 held as
+    floats, elementwise: the table below 16, the series above."""
     out = np.empty(len(k))
-    top = int(k.searchsorted(16))
-    out[:top] = _STIRLERR_TABLE[k[:top].astype(int)]
-    inv = np.reciprocal(k[top:])
+    small = k < 16
+    out[small] = _STIRLERR_TABLE[k[small].astype(int)]
+    inv = np.reciprocal(k[~small])
     w = inv * inv
-    acc = out[top:]  # Horner in 1 / k**2, in place
-    np.multiply(w, _S4, out=acc)
+    acc = w * _S4  # Horner in 1 / k**2, in place
     for s in (_S3, _S2, _S1):
         np.subtract(s, acc, out=acc)
         acc *= w
     np.subtract(_S0, acc, out=acc)
     acc *= inv
+    out[~small] = acc
     return out
 
 
+def _saddle(n, k: np.ndarray, st_n, st_k: np.ndarray, st_nk: np.ndarray) -> np.ndarray:
+    """``log Bin(k; n, k / n) = stirlerr(n) - stirlerr(k) - stirlerr(n - k) -
+    log(2 pi k (n - k) / n) / 2`` for 0 < k < n, the part of Loader's form free of p."""
+    half_log = n - k
+    half_log *= k
+    half_log *= 2.0 * math.pi / n
+    np.log(half_log, out=half_log)
+    half_log *= 0.5
+    return st_n - st_k - st_nk - half_log
+
+
 @functools.lru_cache(maxsize=4)
-def _saddle_log_pmf(n: int, k: np.ndarray | None = None) -> np.ndarray:
-    """``log Bin(k; n, k / n)`` over k = 0..n, or over sorted float up-counts
-    ``k``: ``stirlerr(n) - stirlerr(k) - stirlerr(n - k) - log(2 pi k (n - k) / n) / 2``,
-    0 at k = 0 and n, the part of Loader's form free of p.  ``stirlerr`` is
-    evaluated once, over 0..n and read reversed, or over k, n - k and n.
-    The whole range is cached per n, read-only: the four sectors of a
-    partial traversal share it.  ``__wrapped__`` evaluates a given k.
-    """
-    full = k is None
-    if full:
-        k = np.arange(n + 1, dtype=float)
-    out = np.zeros(len(k))
-    lo, hi = k.searchsorted((1, n))  # the interior 0 < k < n
-    if lo < hi:
-        mid, inner = out[lo:hi], k[lo:hi]
-        if full:
-            st = _stirlerr(k)
-            st_n, st_k, st_nk = st[n], st[1:n], st[n - 1:0:-1]
-        else:
-            x = np.concatenate((inner, n - inner, [n]))
-            st = _stirlerr(np.sort(x))[x.argsort().argsort()]
-            st_n, st_k, st_nk = st[-1], st[:hi - lo], st[hi - lo:-1]
-        half_log = n - inner
-        half_log *= inner
-        half_log *= 2.0 * math.pi / n
-        np.log(half_log, out=half_log)
-        half_log *= 0.5
-        np.subtract(st_n, st_k, out=mid)
-        mid -= st_nk
-        mid -= half_log
+def _saddle_log_pmf(n: int) -> np.ndarray:
+    """``_saddle`` over k = 0..n, 0 at k = 0 and n, ``stirlerr`` read reversed
+    for n - k; cached per n, read-only, for the sectors of a partial traversal."""
+    out = np.zeros(n + 1)
+    if n > 1:
+        st = _stirlerr(np.arange(n + 1, dtype=float))
+        out[1:n] = _saddle(n, np.arange(1, n, dtype=float), st[n], st[1:n], st[n - 1:0:-1])
     out.setflags(write=False)
     return out
 
@@ -94,52 +83,66 @@ def _saddle_log_pmf(n: int, k: np.ndarray | None = None) -> np.ndarray:
 _BD0_SERIES = tuple(1.0 / (2 * j + 1) for j in range(1, 9))
 
 
-@functools.lru_cache(maxsize=4)
-def _bd0(n: int, m: float, x: np.ndarray | None = None) -> np.ndarray:
-    """Deviance ``bd0(x, m) = x log(x / m) + m - x``, m > 0, over x = 0..n or
-    over sorted float integers ``x``.
+def _bd0_series(x: np.ndarray, m, out: np.ndarray) -> np.ndarray:
+    """Deviance ``bd0(x, m) = x log(x / m) + m - x`` into ``out``, in the band
+    ``floor(9 m / 11) < x < ceil(11 m / 9)``, where ``|x - m| < 0.1 (x + m)``
+    and the difference of nearly equal terms is replaced by its series
+    (Loader 2000) ``v (x - m) + 2 x sum_j v**(2j + 1) / (2j + 1)`` with
+    ``v = (x - m) / (x + m)``.  As ``|v| < 0.1``, the ninth term is below
+    ``2**-54`` of the sum, so eight terms are summed, by Horner's rule in v**2."""
+    d = x - m
+    v = d / (x + m)
+    w = v * v
+    out.fill(_BD0_SERIES[-1])
+    for c in _BD0_SERIES[-2::-1]:
+        out *= w
+        out += c
+    out *= w
+    out *= x
+    out += out
+    out += d
+    out *= v
+    return out
 
-    Where ``|x - m| < 0.1 (x + m)``, a contiguous run of the sorted x, the
-    difference of nearly equal terms is replaced by its series (Loader 2000)
-    ``v (x - m) + 2 x sum_j v**(2j + 1) / (2j + 1)`` with ``v = (x - m) / (x + m)``.
-    As ``|v| < 0.1``, the ninth term is below ``2**-54`` of the sum, so eight
-    terms are summed, by Horner's rule in v**2.  Cached over the whole range
-    like ``_saddle_log_pmf``, for the sectors whose bulk sites share a diagonal.
-    """
-    if x is None:
-        x = np.arange(n + 1, dtype=float)
+
+def _bd0(x: np.ndarray, m) -> np.ndarray:
+    """``bd0(x, m)``, m > 0, elementwise over integers x held as floats, m a
+    scalar or an array like x: masks pick x = 0, the band and the rest."""
+    m = np.broadcast_to(m, x.shape)
     out = np.empty(len(x))
+    zero = x == 0.0
+    out[zero] = m[zero]
+    band = (x >= np.floor(m * 9.0 / 11.0) + 1.0) & (x < np.ceil(m * 11.0 / 9.0))
+    out[band] = _bd0_series(x[band], m[band], np.empty(np.count_nonzero(band)))
+    side = ~(zero | band)
+    xs, ms = x[side], m[side]
+    out[side] = xs * np.log(xs / ms) + ms - xs
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _bd0_range(n: int, m: float) -> np.ndarray:
+    """``bd0`` over x = 0..n, its band a run of x, cached like ``_saddle_log_pmf``."""
+    x = np.arange(n + 1, dtype=float)
+    out = np.empty(n + 1)
     zero, lo, hi = x.searchsorted((1, math.floor(m * 9.0 / 11.0) + 1, math.ceil(m * 11.0 / 9.0)))
     hi = max(hi, lo)  # at m = 0 (n = 0) the band bounds cross
     out[:zero] = m
-    for a, b in ((zero, lo), (hi, len(x))):
+    _bd0_series(x[lo:hi], m, out[lo:hi])
+    for a, b in ((zero, lo), (hi, n + 1)):
         xs, side = x[a:b], out[a:b]
         np.divide(xs, m, out=side)
         np.log(side, out=side)
         side *= xs
         side += m
         side -= xs
-    xs = x[lo:hi]
-    d = xs - m
-    v = d / (xs + m)
-    w = v * v
-    band = out[lo:hi]
-    band.fill(_BD0_SERIES[-1])
-    for c in _BD0_SERIES[-2::-1]:
-        band *= w
-        band += c
-    band *= w
-    band *= xs
-    band += band
-    band += d
-    band *= v
     out.setflags(write=False)
     return out
 
 
-def binomial_log_pmf(n: int, p: float, q: float, k: np.ndarray | None = None) -> np.ndarray:
-    """Log-pmf of Bin(n, p) over k = 0..n, or over sorted up-counts ``k`` in
-    0..n, with ``q = 1 - p``; exact at p or q = 0.
+def binomial_log_pmf(n: int | np.ndarray, p: float, q: float, k: np.ndarray | None = None) -> np.ndarray:
+    """Log-pmf of Bin(n, p) over k = 0..n, or at the up-counts ``k``, with
+    ``q = 1 - p``; exact at p or q = 0.
 
     Loader's saddle-point form (C. Loader, 2000, *Fast and Accurate
     Computation of Binomial Probabilities*): ``log Bin(k; n, k / n)`` minus
@@ -147,17 +150,26 @@ def binomial_log_pmf(n: int, p: float, q: float, k: np.ndarray | None = None) ->
     its absolute error is a few ulps of the result, where the direct sum
     ``log C(n, k) + k log p + (n - k) log q`` loses ulps of ``n log n``.
     ``q`` is passed rather than formed as ``1 - p`` so that a p within
-    rounding of 1 keeps the digits of its complement.  A given ``k`` costs
-    its length, not n, and gets the whole range's values there bit for bit.
+    rounding of 1 keeps the digits of its complement.
+
+    Given ``k``, in any order and with repeats, n is a scalar or an array
+    elementwise with k, so one call serves several chain sizes of one p.
+    Masks pick each entry's table, series and band; it costs the length of
+    k, not n, and equals the whole range's value at that k bit for bit.
     """
     if p <= 0.0 or q <= 0.0:
         k = np.arange(n + 1) if k is None else np.asarray(k)
         return np.where(k == (0 if p <= 0.0 else n), 0.0, -np.inf)
     if k is None:
-        return _saddle_log_pmf(n) - _bd0(n, n * p) - _bd0(n, n * q)[::-1]
+        return _saddle_log_pmf(n) - _bd0_range(n, n * p) - _bd0_range(n, n * q)[::-1]
     k = np.asarray(k, dtype=float)
-    return (_saddle_log_pmf.__wrapped__(n, k) - _bd0.__wrapped__(n, n * p, k)
-            - _bd0.__wrapped__(n, n * q, (n - k)[::-1])[::-1])
+    n = np.broadcast_to(np.asarray(n, dtype=float), k.shape)
+    saddle = np.zeros(len(k))
+    inner = (k > 0.0) & (k < n)
+    ki, ni = k[inner], n[inner]
+    st = _stirlerr(np.concatenate((ki, ni - ki, ni))).reshape(3, -1)
+    saddle[inner] = _saddle(ni, ki, st[2], st[0], st[1])
+    return saddle - _bd0(k, n * p) - _bd0(n - k, n * q)
 
 
 def _stirlerr_at(k: int) -> float:

@@ -13,6 +13,7 @@ library versions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,13 @@ def chain_spec_from_config(cfg: ExperimentConfig, N: int | None = None,
         t=float(params.get("t", 1.0)),
         site_overrides=overrides,
     )
+
+
+def _command_spec(cfg: ExperimentConfig, overrides=None):
+    """A function giving the command's chain spec, built at the least size holding
+    every override site; its checks run again on each call until one passes."""
+    N = 1 + max(overrides or {}, default=0)
+    return functools.cache(lambda: chain_spec_from_config(cfg, N=N, overrides=overrides))
 
 
 def perturbation_states(cfg: ExperimentConfig) -> dict[int, np.ndarray]:
@@ -172,11 +180,10 @@ def _dense_sizes(Ns) -> list[int]:
     return fits
 
 
-def _sector_family(cfg: ExperimentConfig, r: int, overrides=None):
-    """Chain size -> product state of the evolved diagonal sector r."""
+def _sector_family(spec, r: int):
+    """Chain size -> product state of the evolved diagonal sector r of a ``_command_spec``."""
     def family(N: int) -> coarse_ldp.BernoulliProduct:
-        spec = chain_spec_from_config(cfg, N=N, overrides=overrides)
-        return coleman_hepp.diagonal_sector_product(spec, r)
+        return coleman_hepp.diagonal_sector_product(spec().at_size(N), r)
     return family
 
 
@@ -206,7 +213,7 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
     if cfg.model == "coleman_hepp":
         spec = chain_spec_from_config(cfg)
         tensor = coleman_hepp.traversal_schedule(spec, cfg.measurement_time)
-        cell_labels = coleman_hepp.chain_cells(spec.N)[0].labels
+        cell_labels = coleman_hepp.sign_cells(spec.N).labels
         backend = "factorized"
         if oracle:
             _dense_sizes([spec.N])
@@ -305,10 +312,9 @@ class SweepPoint:
     status: str
 
 
-def _sweep_point(cfg: ExperimentConfig, N: int, overrides=None) -> SweepPoint:
+def _sweep_point(cfg: ExperimentConfig, N: int, tensor_at) -> SweepPoint:
     try:
-        spec = chain_spec_from_config(cfg, N=N, overrides=overrides)
-        tensor = coleman_hepp.traversal_schedule(spec, cfg.measurement_time)
+        tensor = tensor_at(N)
         pointer = verify.find_pointer_map(tensor)
         eps = verify.pointer_errors(tensor, pointer)
         log_eps = verify.log_pointer_errors(tensor, pointer)
@@ -337,7 +343,9 @@ def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
     oracle (worst discrepancy, points checked) or None)."""
     if cfg.sweep is None:
         raise ConfigError(["sweep requested but the config has no [sweep] section"])
-    points = sorted((_sweep_point(cfg, N, overrides=overrides) for N in cfg.sweep),
+    spec = _command_spec(cfg, overrides)
+    family = functools.cache(lambda: coleman_hepp.traversal_family(spec(), cfg.measurement_time))
+    points = sorted((_sweep_point(cfg, N, lambda N: family()(N)) for N in cfg.sweep),
                     key=lambda pt: pt.N)
     fit = None
     fit_status = "ok"
@@ -349,9 +357,7 @@ def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
     oracle_info = None
     if oracle:
         fits = _dense_sizes([pt.N for pt in points if pt.tensor is not None])
-        worst = max(_dense_chain_discrepancy(
-            chain_spec_from_config(cfg, N=pt.N, overrides=overrides), pt.tensor,
-            cfg.measurement_time)
+        worst = max(_dense_chain_discrepancy(spec().at_size(pt.N), pt.tensor, cfg.measurement_time)
             for pt in points if pt.tensor is not None and pt.N in fits)
         oracle_info = (worst, len(fits))
     return points, fit, fit_status, oracle_info
@@ -409,23 +415,23 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
             f"for the completed traversal (got {cfg.measurement_time!r})"])
     grid = list(cfg.ldp_grid)
     Ns = list(cfg.sweep)
+    base = _command_spec(cfg)
 
     oracle_section = None
     if oracle:
         N0 = max(_dense_sizes(Ns))
-        dense = dense_chain_tensor(chain_spec_from_config(cfg, N=N0))
-        cells_spec, _ = coleman_hepp.chain_cells(N0)
+        dense = dense_chain_tensor(base().at_size(N0))
+        cells_spec = coleman_hepp.sign_cells(N0)
         worst = 0.0
         for r in range(2):
-            probs = coarse_ldp.cell_probability(_sector_family(cfg, r)(N0), cells_spec)
+            probs = coarse_ldp.cell_probability(_sector_family(base, r)(N0), cells_spec)
             worst = max(worst, float(np.abs(dense.values[r, r].real - probs).max()))
         oracle_section = ("oracle", [("identification_max_discrepancy", fmt_float(worst)),
                                      ("dense_chain_size", str(N0))])
 
     overrides = perturbation_states(cfg)
-    families = [_sector_family(cfg, r) for r in range(2)]
-    if overrides:
-        families += [_sector_family(cfg, r, overrides) for r in range(2)]
+    specs = [base, _command_spec(cfg, overrides)] if overrides else [base]
+    families = [_sector_family(spec, r) for spec in specs for r in range(2)]
     estimates = [coarse_ldp.estimate_rate(family, grid, Ns) for family in families]
     estimates, perturbed = estimates[:2], estimates[2:] or None
     up = estimates[0]
@@ -441,14 +447,14 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
                 rows.append((fmt_float(m), str(N), fmt_float(emp), fmt_float(ana),
                              fmt_float(emp - ana), "ok"))
 
-    cells, _ = coleman_hepp.chain_cells(max(Ns))
-    tensor = coleman_hepp.factorized_f_tensor(chain_spec_from_config(cfg, N=min(Ns)))
+    cells = coleman_hepp.sign_cells(max(Ns))
+    tensor = coleman_hepp.factorized_f_tensor(base().at_size(min(Ns)))
     pointer = verify.find_pointer_map(tensor)
     bound = None
     if overrides:
         N0 = min(Ns)
         bound = coarse_ldp.perturbation_residual_bound(
-            _sector_family(cfg, 0)(N0), _sector_family(cfg, 0, overrides)(N0)) / N0
+            families[0](N0), families[2](N0)) / N0
     report = coarse_ldp.check_ldp_conditions(estimates, cells, pointer,
                                              perturbed=perturbed, stability_bound=bound)
     items = [

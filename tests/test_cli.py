@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pointer_cell_sim
+from pointer_cell_sim import coarse_ldp, coleman_hepp
 from pointer_cell_sim.cli import main
 from pointer_cell_sim.config import tokenize_kv
 from pointer_cell_sim.report import REPORT_HEADER, parse_f_tensor_text
@@ -316,6 +317,67 @@ class TestPerturb:
         run_cli("perturb", "--config", cfg, "--out", out1)
         run_cli("perturb", "--config", cfg, "--out", out2)
         assert read_all(out1) == read_all(out2)
+
+
+class TestPerSweepWork:
+    """Work that does not depend on N runs once per command, sweep or family,
+    on the perturb-then-ldp benchmark config, N = 100 .. 102400."""
+
+    CONFIG = (BASE.split("[observable]")[0].replace("N = 4", "N = 100")
+              + "\n[sweep]\nN = " + ", ".join(str(100 * 2 ** k) for k in range(11))
+              + "\n\n[ldp]\ngrid = -0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8\n"
+              + "\n[perturbation]\nsite_0 = flip\nsite_1 = depolarize\n")
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        inner = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("command", ["perturb", "ldp"])
+    def test_override_states_checked_once_per_command(self, workdir, monkeypatch, command):
+        checks = self.count_calls(monkeypatch, coleman_hepp, "_check_site_state")
+        assert run_cli(command, "--config", write_config(workdir, self.CONFIG),
+                       "--out", workdir / "out") == 0
+        assert sorted(site for _, site in checks) == [0, 1]
+
+    def test_site_diagonals_once_per_sweep(self, workdir, monkeypatch):
+        diagonals = self.count_calls(monkeypatch, coleman_hepp, "_site_diagonals")
+        assert run_cli("perturb", "--config", write_config(workdir, self.CONFIG),
+                       "--out", workdir / "out") == 0
+        assert len(diagonals) == 2  # the base and the perturbed sweep
+
+    def test_one_kernel_call_per_family(self, workdir, monkeypatch):
+        families = self.count_calls(monkeypatch, coarse_ldp, "estimate_rate")
+        kernel = self.count_calls(monkeypatch, coarse_ldp, "binomial_log_pmf")
+        assert run_cli("ldp", "--config", write_config(workdir, self.CONFIG),
+                       "--out", workdir / "out") == 0
+        assert len(families) == len(kernel) == 4  # both sectors, base and perturbed
+        assert all(np.ndim(n) == 1 and len(set(n)) == 11 for n, *_ in kernel)
+
+
+class TestOverrideOutsideTheChain:
+    CONFIG = (BASE.split("[observable]")[0] + "\n[sweep]\nN = 1, 2, 4, 8, 16\n"
+              + LDP + "\n[perturbation]\nsite_1 = depolarize\n")
+
+    def test_perturb_fails_the_row(self, workdir):
+        out = workdir / "out"
+        assert run_cli("perturb", "--config", write_config(workdir, self.CONFIG), "--out", out) == 0
+        rows = (out / "perturb_perturbed.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert rows[0] == "1,nan,nan,nan,nan,nan,failed: override site 1 outside the chain"
+        assert [row.split(",")[-1] for row in rows[1:]] == ["ok"] * 4
+
+    def test_ldp_fails_the_command(self, workdir, capsys):
+        out = workdir / "out"
+        assert run_cli("ldp", "--config", write_config(workdir, self.CONFIG), "--out", out) == 1
+        assert capsys.readouterr().err.strip() == "error: override site 1 outside the chain"
+        assert not out.exists()
 
 
 class TestVerify:

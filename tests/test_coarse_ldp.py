@@ -327,6 +327,8 @@ class TestLargeChains:
 
         def spy(n, p, q, k=None):
             out = binomial_log_pmf(n, p, q, k)
+            if k is None:
+                sizes.append(n)  # a whole range, counts 0..n
             sizes.append(len(out) - 1)  # the largest count an array of this length covers
             return out
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pointer_cell_sim import core
+from pointer_cell_sim import coleman_hepp, core
 from pointer_cell_sim.coarse_ldp import (
     IntensiveObservable,
     cell_probability,
@@ -488,6 +488,47 @@ class TestLargeN:
 
 
 class TestSpecHelpers:
+    def test_at_size_checks_only_what_depends_on_N(self, monkeypatch):
+        spec = ChainSpec(N=8, m0=0.6, theta=2.2, site_overrides={1: polarized_site(-0.6)})
+        checked = []
+        monkeypatch.setattr(coleman_hepp, "_check_site_state", lambda rho, site: checked.append(site))
+        sized = spec.at_size(3)
+        assert (sized.N, sized.m0, sized.theta) == (3, 0.6, 2.2) and spec.N == 8
+        assert sized.site_overrides is spec.site_overrides and not checked
+        for N in (0, 1):
+            with pytest.raises(StructuralError) as got:
+                spec.at_size(N)
+            with pytest.raises(StructuralError) as built:
+                ChainSpec(N=N, m0=0.6, theta=2.2, site_overrides={1: polarized_site(-0.6)})
+            assert str(got.value) == str(built.value)
+
+    def test_traversal_family_matches_one_spec_per_size(self):
+        overrides = {0: polarized_site(-0.6), 3: np.eye(2, dtype=complex) / 2}
+        spec = ChainSpec(N=4, m0=0.6, theta=2.2, energies=(0.3, -0.2), site_overrides=overrides)
+        for fraction in (1.0, 0.5, 0.37):
+            family = coleman_hepp.traversal_family(spec, fraction)
+            for N in (4, 5, 9, 40, 41, 300):
+                want = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=2.2, energies=(0.3, -0.2),
+                                                    site_overrides=overrides), fraction)
+                got = family(N)
+                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(got.log_magnitude, want.log_magnitude)
+
+    def test_traversal_never_builds_the_dense_partition(self, monkeypatch):
+        built = []
+
+        def spy(obs, n_cells):
+            built.append(obs.N)
+            return coarse_grain(obs, n_cells)
+
+        monkeypatch.setattr(coleman_hepp, "coarse_grain", spy)
+        spec = ChainSpec(N=12, m0=0.6, site_overrides={1: polarized_site(-0.6)})
+        traversal_schedule(spec, 1.0)
+        traversal_schedule(spec, 0.5)
+        coleman_hepp.traversal_family(spec, 1.0)(12)
+        assert built == []
+        assert chain_cells(12)[1] is not None and built == [12]  # the spy sees the dense path
+
     def test_with_overrides_merges(self):
         base = ChainSpec(N=5, m0=0.6, site_overrides={0: polarized_site(-0.6)})
         merged = base.with_overrides({1: np.eye(2, dtype=complex) / 2})

@@ -233,6 +233,32 @@ class TestBinomialTails:
         assert binomial_log_pmf(0, 0.3, 0.7).tolist() == [0.0]
         assert binomial_log_pmf(0, 0.3, 0.7, np.array([0.0])).tolist() == [0.0]
 
+    def test_mixed_sizes_match_per_size_calls(self):
+        # one call with the trial counts elementwise equals one call per
+        # size bit for bit: random sizes up to n = 10**9, several per call,
+        # k at the ends, around the mean and repeated, in shuffled order;
+        # p = 0 and q = 0 keep their exact path
+        rng = np.random.default_rng(13)
+        pairs = 0
+        for trial in range(120):
+            p = (float(rng.random()), 0.5, 1e-9, 1.0 - 1e-9, 0.0, 1.0)[trial % 6]
+            q = 1.0 - p
+            sizes = [int(rng.integers(0, 10 ** int(rng.integers(1, 10)) + 1))
+                     for _ in range(int(rng.integers(2, 6)))] + [0, 16]
+            ns, ks, want = [], [], []
+            for n in sizes:
+                mean = int(n * p)
+                k = np.clip(np.concatenate([rng.integers(0, n + 1, size=8), mean + np.arange(-3, 4),
+                                            [0, 0, 15, 16, n, n]]), 0, n)
+                ns.append(np.full(k.size, n))
+                ks.append(k)
+                want.append(binomial_log_pmf(n, p, q, k))
+            order = rng.permutation(sum(k.size for k in ks))
+            got = binomial_log_pmf(np.concatenate(ns)[order], p, q, np.concatenate(ks)[order])
+            assert np.array_equal(got, np.concatenate(want)[order]), (sizes, p)
+            pairs += len(sizes)
+        assert pairs >= 300
+
     def test_scalar_pmf_degenerate(self):
         assert binomial_log_pmf_at(4, 0, 0.0, 1.0) == 0.0
         assert binomial_log_pmf_at(4, 1, 0.0, 1.0) == -math.inf
