@@ -292,31 +292,40 @@ class InitialComposite:
 
 @dataclass(frozen=True)
 class EvolvedSectorStates:
-    """All sector states ``U_r(t)^dag Omega U_s(t)`` at one time."""
+    """All sector states ``U_r(t)^dag Omega U_s(t)`` at one time, kept by their
+    factors ``left[r] = U_r^dag Omega`` and ``propagators[s] = U_s`` (vectors as
+    in :func:`_adjoint_times`) and by the block diagonals ``diagonals[r, s]``."""
 
     t: float
-    omega: np.ndarray  # shape (n, n, dim_K, dim_K)
+    left: tuple[np.ndarray, ...]
+    propagators: tuple[np.ndarray, ...]
+    diagonals: np.ndarray  # shape (n, n, dim_K)
 
     @property
     def n(self) -> int:
-        return self.omega.shape[0]
+        return self.diagonals.shape[0]
 
     @property
     def dim_K(self) -> int:
-        return self.omega.shape[2]
+        return self.diagonals.shape[2]
+
+    def block(self, r: int, s: int) -> np.ndarray:
+        """The full block ``U_r^dag Omega U_s``."""
+        X = _times(self.left[r], self.propagators[s])
+        return np.diag(X) if X.ndim == 1 else X
 
     def validate(self, tol: float = SECTOR_STATE_TOL, spectra: bool = False) -> None:
-        n = self.n
+        n, d = self.n, self.diagonals
         for r in range(n):
-            tr = complex(np.trace(self.omega[r, r]))
+            tr = complex(d[r, r].sum())
             if not abs(tr - 1.0) <= tol:
                 raise StructuralError(f"Tr Omega[{r},{r}] = {tr!r}, expected 1")
             for s in range(r, n):  # the pair (s, r) is the same condition
-                dev = np.abs(self.omega[r, s].conj().T - self.omega[s, r]).max()
+                dev = np.abs(d[r, s].conj() - d[s, r]).max()
                 if not dev <= tol:
                     raise StructuralError(f"sector states [{r},{s}] are not adjoint-paired: {dev:.3e}")
             if spectra:
-                evals = np.linalg.eigvalsh(self.omega[r, r])
+                evals = np.linalg.eigvalsh(self.block(r, r))
                 if not -tol <= evals.min() <= evals.max() <= 1.0 + tol:
                     raise StructuralError(f"Omega[{r},{r}] spectrum outside [0, 1]")
 
@@ -398,8 +407,10 @@ def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> list[np.nd
         raise StructuralError(
             f"apparatus carries {apparatus.n_sectors} couplings for a "
             f"{system.n}-dimensional microsystem")
-    eye = np.eye(apparatus.dim_K)
-    return [apparatus.K + apparatus.V[r] + system.energies[r] * eye for r in range(system.n)]
+    hams = [apparatus.K + V for V in apparatus.V]
+    for Kr, energy in zip(hams, system.energies):
+        np.fill_diagonal(Kr, Kr.diagonal() + energy)  # no dense identity: the off-diagonal sum adds 0.0
+    return hams
 
 
 def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:
@@ -444,30 +455,18 @@ def _times(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     return X * U if U.ndim == 1 else X @ U
 
 
-def _sector_blocks(Us: list[np.ndarray], Omega: np.ndarray) -> np.ndarray:
-    """Every block ``U_r^dag Omega U_s``, each formed from its own factors.
-
-    Factors and results follow :func:`_adjoint_times`: a vector stands for
-    a diagonal matrix.  The temporaries are released on return.
-    """
-    n, dK = len(Us), Omega.shape[0]
-    omega = np.zeros((n, n, dK, dK), dtype=complex)
-    for r in range(n):
-        left = _adjoint_times(Us[r], Omega)
-        for s in range(n):
-            block = _times(left, Us[s])
-            if block.ndim == 1:
-                np.fill_diagonal(omega[r, s], block)
-            else:
-                omega[r, s] = block
-    return omega
+def _diagonal_of_product(X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``diag(X U)`` for the factors of :func:`_times`, without the product."""
+    if X.ndim == 1:
+        return X * (U if U.ndim == 1 else U.diagonal())
+    return X.diagonal() * U if U.ndim == 1 else np.einsum("ij,ji->i", X, U)
 
 
 def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> EvolvedSectorStates:
     """Evolve the apparatus state through every pair of sector propagators.
 
-    The propagators are ``U_r(t) = exp(i K_r t)`` and the returned block
-    ``omega[r, s]`` is ``U_r(t)^dag Omega U_s(t)``; diagonal blocks are the
+    The propagators are ``U_r(t) = exp(i K_r t)`` and the block ``(r, s)``
+    of the result is ``U_r(t)^dag Omega U_s(t)``; diagonal blocks are the
     apparatus states conditioned on the microsystem eigenstate.  Each
     propagator takes the cheapest exact route its ``K_r`` allows, judged
     from the matrix entries alone:
@@ -480,17 +479,17 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
     - otherwise: the complex one, ``U = (V e^{i Lambda t}) V^dag``.
 
     An ``Omega`` with no nonzero off-diagonal entry, as every product of
-    diagonal site states is, enters by its diagonal: ``U_r^dag Omega`` is
-    ``U_r^dag`` with its columns scaled, and a block with a diagonal
-    propagator on either side is a row or column scaling of the other
-    factor.  A dense matrix product is formed only where both factors are
-    full; any other ``Omega`` is multiplied in full.
+    diagonal site states is, enters by its diagonal: ``U_r^dag Omega``, formed
+    once per sector, is ``U_r^dag`` with its columns scaled.  Any other
+    ``Omega`` is multiplied in full.
 
-    Every route is unitary to roundoff.  The ``n^2`` blocks are each formed
-    from their own factors, so the adjoint pairing that ``validate`` checks
-    compares independently computed blocks.  The full-composite oracle
-    (``runner.composite_cross_check``) keeps its own complex
-    eigendecomposition.
+    The blocks are kept by these factors.  Only their diagonals, every number
+    an index cell reads, are formed: each in ``O(dim_K^2)`` from its own pair
+    of factors, so the adjoint pairing that ``validate`` checks compares
+    independently computed diagonals.  A full block is formed only for an
+    explicit projector cell or ``validate(spectra=True)``.  Every route is
+    unitary to roundoff; the full-composite oracle
+    (``runner.composite_cross_check``) keeps its own eigendecomposition.
     """
     if not math.isfinite(t):
         raise PreconditionError(f"time must be finite, got {t!r}")
@@ -505,14 +504,16 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed for sector {r}: {exc}") from exc
     diag = _diagonal_of(apparatus.Omega)
-    omega = _sector_blocks(Us, apparatus.Omega if diag is None else diag)
-    states = EvolvedSectorStates(t=float(t), omega=omega)
+    left = tuple(_adjoint_times(U, apparatus.Omega if diag is None else diag) for U in Us)
+    diagonals = np.array([[_diagonal_of_product(L, U) for U in Us] for L in left])
+    states = EvolvedSectorStates(t=float(t), left=left, propagators=tuple(Us), diagonals=diagonals)
     states.validate()
     return states
 
 
 def f_tensor(states: EvolvedSectorStates, cells: PhaseCellPartition) -> FTensor:
-    """Trace every evolved sector state against every phase-cell projector."""
+    """Trace every evolved sector state against every phase-cell projector: an index
+    cell sums a block diagonal; a full block is formed only for a projector matrix."""
     if cells.dim != states.dim_K:
         raise StructuralError(
             f"partition dimension {cells.dim} != apparatus dimension {states.dim_K}")
@@ -522,9 +523,12 @@ def f_tensor(states: EvolvedSectorStates, cells: PhaseCellPartition) -> FTensor:
             f"partition has {cells.cell_count} cells; the pointer correspondence "
             f"requires exactly n = {n}")
     values = np.empty((n, n, n), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            values[r, s, :] = cells.trace_all(states.omega[r, s])
+    index_only = all(isinstance(cell, frozenset) for cell in cells.cells)
+    for r, s in np.ndindex(n, n):
+        block = None if index_only else states.block(r, s)
+        for alpha, cell in enumerate(cells.cells):
+            values[r, s, alpha] = (states.diagonals[r, s][sorted(cell)].sum()
+                                   if isinstance(cell, frozenset) else cells.cell_trace(block, alpha))
     return FTensor(values=values, t=states.t)
 
 

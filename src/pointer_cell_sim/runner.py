@@ -181,9 +181,13 @@ def _dense_sizes(Ns) -> list[int]:
 
 
 def _sector_family(spec, r: int):
-    """Chain size -> product state of the evolved diagonal sector r of a ``_command_spec``."""
+    """Chain size -> product state of the evolved diagonal sector r of a ``_command_spec``,
+    from up-probabilities taken once; a size fails as the chain of that size would."""
+    product = functools.cache(lambda: coleman_hepp.diagonal_sector_product(spec(), r))
+
     def family(N: int) -> coarse_ldp.BernoulliProduct:
-        return coleman_hepp.diagonal_sector_product(spec().at_size(N), r)
+        spec().at_size(N)  # the site checks of the chain at N
+        return coarse_ldp.BernoulliProduct(N, product().p, product().overrides)
     return family
 
 

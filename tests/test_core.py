@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -103,6 +106,18 @@ class TestSectorHamiltonians:
         for Kr in core.sector_hamiltonians(micro, app):
             assert np.abs(Kr - Kr.conj().T).max() < 1e-14
 
+    def test_matches_dense_identity_bitwise(self, rng):
+        # the energy goes onto the diagonal alone; off the diagonal the
+        # identity would only have added 0.0
+        for n, dim in ((2, 4), (3, 6), (4, 8)):
+            micro = make_micro(rng.normal(size=n))
+            K = random_hermitian(rng, dim)
+            V = [random_hermitian(rng, dim) for _ in range(n)]
+            app = simple_apparatus(dim, n, rng=rng, K=K, V=V)
+            for r, Kr in enumerate(core.sector_hamiltonians(micro, app)):
+                ref = app.K + app.V[r] + micro.energies[r] * np.eye(dim)
+                assert Kr.tobytes() == ref.tobytes()
+
     def test_dimension_mismatch(self, rng):
         micro = make_micro([0.0, 1.0, 2.0])
         app = simple_apparatus(4, 2, rng=rng)
@@ -118,7 +133,7 @@ class TestEvolveSectors:
         states = core.evolve_sectors(micro, app, 0.0)
         for r in range(2):
             for s in range(2):
-                assert_allclose(states.omega[r, s], app.Omega, atol=1e-12)
+                assert_allclose(states.block(r, s), app.Omega, atol=1e-12)
 
     def test_scalar_sector_phases(self, rng):
         # with V = 0 and K = 0 the propagators are pure phases
@@ -129,7 +144,7 @@ class TestEvolveSectors:
         for r in range(2):
             for s in range(2):
                 phase = np.exp(1j * (micro.energies[s] - micro.energies[r]) * t)
-                assert_allclose(states.omega[r, s], phase * app.Omega, atol=1e-12)
+                assert_allclose(states.block(r, s), phase * app.Omega, atol=1e-12)
 
     def test_eigh_matches_scaled_squaring(self, rng):
         # two independent exponentiation routes must agree
@@ -144,7 +159,7 @@ class TestEvolveSectors:
                 Ur = expm(1j * Ks[r] * t)
                 Us = expm(1j * Ks[s] * t)
                 ref = Ur.conj().T @ app.Omega @ Us
-                assert np.abs(states.omega[r, s] - ref).max() < 1e-9
+                assert np.abs(states.block(r, s) - ref).max() < 1e-9
 
     def test_unitarity_of_diagonal_sectors(self, rng):
         micro = make_micro(rng.normal(size=3))
@@ -154,8 +169,8 @@ class TestEvolveSectors:
             states = core.evolve_sectors(micro, app, t)
             states.validate(spectra=True)
             for r in range(3):
-                assert abs(np.trace(states.omega[r, r]) - 1.0) < 1e-10
-                evals = np.linalg.eigvalsh(states.omega[r, r])
+                assert abs(np.trace(states.block(r, r)) - 1.0) < 1e-10
+                evals = np.linalg.eigvalsh(states.block(r, r))
                 assert evals.min() > -1e-10 and evals.max() < 1 + 1e-10
 
     @pytest.mark.parametrize("block", [(0, 1), (1, 0), (1, 2), (2, 1)])
@@ -167,10 +182,10 @@ class TestEvolveSectors:
                                V=[random_hermitian(rng, 5) for _ in range(3)])
         states = core.evolve_sectors(micro, app, 0.9)
         states.validate(spectra=True)
-        omega = states.omega.copy()
-        omega[block][1, 3] += 1e-6
+        diagonals = states.diagonals.copy()
+        diagonals[block][3] += 1e-6
         with pytest.raises(StructuralError, match="adjoint-paired"):
-            core.EvolvedSectorStates(t=states.t, omega=omega).validate()
+            dataclasses.replace(states, diagonals=diagonals).validate()
 
     def test_capacity_cap(self, rng):
         # n * dim_K = 2**15 exceeds the cap; must fail before materialising
@@ -211,7 +226,7 @@ class TestPropagatorRoutes:
         for r in range(3):
             for s in range(3):
                 ref = expm(1j * Ks[r] * t).conj().T @ app.Omega @ expm(1j * Ks[s] * t)
-                assert np.abs(states.omega[r, s] - ref).max() < 1e-12
+                assert np.abs(states.block(r, s) - ref).max() < 1e-12
 
     def test_mixed_routes_match_scaled_squaring(self, rng):
         # one diagonal sector next to a real one, as in a chain whose
@@ -225,7 +240,7 @@ class TestPropagatorRoutes:
         for r in range(2):
             for s in range(2):
                 ref = expm(1j * Ks[r] * t).conj().T @ app.Omega @ expm(1j * Ks[s] * t)
-                assert np.abs(states.omega[r, s] - ref).max() < 1e-12
+                assert np.abs(states.block(r, s) - ref).max() < 1e-12
 
     @pytest.mark.parametrize("kind, calls", [("diagonal", []),
                                              ("real", [False] * 3),
@@ -273,7 +288,7 @@ class TestDiagonalOmega:
         for r in range(3):
             for s in range(3):
                 ref = Us[r].conj().T @ app.Omega @ Us[s]
-                assert np.abs(states.omega[r, s] - ref).max() < 1e-13
+                assert np.abs(states.block(r, s) - ref).max() < 1e-13
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_full_left_product_only_for_a_full_omega(self, rng, monkeypatch, diagonal):
@@ -294,6 +309,52 @@ class TestDiagonalOmega:
         core.evolve_sectors(micro, app, 0.9)
         assert len(full) == 2
         assert any(full) != diagonal
+
+
+class TestIndexCellTraces:
+    """``f_tensor`` reads index cells from the block diagonals alone."""
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("kind", ["diagonal", "real", "complex", "mixed"])
+    def test_traces_match_explicit_products(self, rng, kind, diagonal):
+        micro = make_micro(rng.normal(size=3))
+        if kind == "mixed":
+            K = np.zeros((6, 6))
+            V = [np.diag(rng.normal(size=6)), random_hermitian(rng, 6).real,
+                 random_hermitian(rng, 6)]
+        else:
+            K, V = sector_matrices(rng, kind, 6, 3)
+        omega = (np.diag(rng.dirichlet(np.ones(6))).astype(complex) if diagonal
+                 else random_density(rng, 6))
+        app = simple_apparatus(6, 3, rng=rng, K=K, V=V, Omega=omega)
+        t = 1.3
+        f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
+        Us = [full_propagator(Kr, t) for Kr in core.sector_hamiltonians(micro, app)]
+        for r in range(3):
+            for s in range(3):
+                ref = app.cells.trace_all(Us[r].conj().T @ app.Omega @ Us[s])
+                assert np.abs(f.values[r, s] - ref).max() < 1e-13
+
+    def test_rotated_cells_match_explicit_products(self, rng):
+        micro, app, t = random_dense_instance(rng, n=3, dim=8, rotated_cells=True)
+        f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
+        Us = [full_propagator(Kr, t) for Kr in core.sector_hamiltonians(micro, app)]
+        for r in range(3):
+            for s in range(3):
+                ref = app.cells.trace_all(Us[r].conj().T @ app.Omega @ Us[s])
+                assert np.abs(f.values[r, s] - ref).max() < 1e-13
+
+    def test_chain_tensor_memory(self):
+        # six dim_K^2 complex matrices at N = 10; all n^2 full blocks would peak at 144 MB
+        from pointer_cell_sim.coleman_hepp import ChainSpec, build_dense
+        micro, app = build_dense(ChainSpec(N=10, m0=0.6, theta=2.5, energies=(0.3, -0.4)))
+        tracemalloc.start()
+        try:
+            core.f_tensor(core.evolve_sectors(micro, app, 1.0), app.cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * app.dim_K ** 2 * 16
 
 
 def density_with_lowest_eigenvalue(rng, dim, lowest):
