@@ -108,13 +108,11 @@ class CellPartitionSpec:
     every spectrum point belongs to exactly one cell.  Because the spectrum
     is sorted, each cell is a contiguous run of spectrum indices: cell ``a``
     holds indices ``bounds[a]:bounds[a + 1]``, and ``bounds[-1]`` is the
-    spectrum length.  ``cell_means`` average the distinct spectrum points
-    inside each interval (``nan`` for an empty cell).
+    spectrum length.
     """
 
     edges: tuple[float, ...]
     bounds: tuple[int, ...]
-    cell_means: tuple[float, ...]
     labels: tuple[str, ...]
 
     @property
@@ -168,14 +166,10 @@ def coarse_grain(
     # every point by searchsorted(edges, point, "right") - 1
     starts = np.searchsorted(obs.spectrum, edges[:-1], side="left")
     bounds = tuple(int(b) for b in starts) + (len(obs.spectrum),)
-    means = []
-    for a in range(n_cells):
-        pts = obs.spectrum[bounds[a]:bounds[a + 1]]
-        means.append(float(pts.mean()) if pts.size else float("nan"))
     labels = tuple(str(a) for a in range(n_cells))
     if n_cells == 2:
         labels = ("-", "+")
-    spec = CellPartitionSpec(edges=edges, bounds=bounds, cell_means=tuple(means), labels=labels)
+    spec = CellPartitionSpec(edges=edges, bounds=bounds, labels=labels)
     if spec.empty_cells:
         warnings.warn(f"cells {spec.empty_cells} contain no spectrum points", stacklevel=2)
     partition = None

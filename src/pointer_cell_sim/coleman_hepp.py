@@ -139,8 +139,7 @@ def sign_cells(N: int) -> CellPartitionSpec:
     if N < 1:
         raise StructuralError("chain must have at least one site")
     h = (N + 1) // 2
-    return CellPartitionSpec(edges=(-1.0, 0.0, 1.0), bounds=(0, h, N + 1),
-                             cell_means=((h - 1 - N) / N, h / N), labels=("-", "+"))
+    return CellPartitionSpec(edges=(-1.0, 0.0, 1.0), bounds=(0, h, N + 1), labels=("-", "+"))
 
 
 def chain_cells(N: int) -> tuple[CellPartitionSpec, PhaseCellPartition | None]:
@@ -169,8 +168,8 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
         raise StructuralError("rotated site count outside the chain")
     micro = MicroSystem(energies=spec.energies, labels=MICRO_LABELS)
     dim = 2 ** spec.N
-    K = np.zeros((dim, dim), dtype=complex)
-    v_plus = np.zeros((dim, dim), dtype=complex)
+    zero = np.zeros((dim, dim), dtype=complex)  # both K and the spin-up coupling
+    zero.setflags(write=False)
     v_minus = np.zeros((dim, dim), dtype=complex)
     coeff = spec.theta / (2.0 * spec.t)
     # sigma_x on site k flips bit N-1-k of the basis index (site 0 is the
@@ -180,32 +179,8 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
         v_minus[index, index ^ (1 << (spec.N - 1 - k))] = coeff
     omega = reduce(np.kron, spec.site_states())
     _, partition = chain_cells(spec.N)
-    apparatus = Apparatus(K=K, V=(v_plus, v_minus), Omega=omega, cells=partition)
+    apparatus = Apparatus(K=zero, V=(zero, v_minus), Omega=omega, cells=partition)
     return micro, apparatus
-
-
-@dataclass(frozen=True)
-class ChainFTensor(FTensor):
-    """Chain tensor with per-entry log magnitudes and underflow flags.
-
-    ``values`` underflow to exact zero below the double-precision floor;
-    ``log_magnitude`` keeps the information (``-inf`` marks a structural
-    zero) and ``underflow`` marks entries that are nonzero only in log space.
-    """
-
-    log_magnitude: np.ndarray = None
-    underflow: np.ndarray = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        lm = np.asarray(self.log_magnitude, dtype=float)
-        uf = np.asarray(self.underflow, dtype=bool)
-        if lm.shape != self.values.shape or uf.shape != self.values.shape:
-            raise StructuralError("diagnostic arrays must match the tensor shape")
-        lm.setflags(write=False)
-        uf.setflags(write=False)
-        object.__setattr__(self, "log_magnitude", lm)
-        object.__setattr__(self, "underflow", uf)
 
 
 @dataclass(frozen=True)
@@ -267,17 +242,15 @@ class FactorizedSectorOverlap:
         phases = np.array([ph + self.global_phase for _, ph in sums])
         return log_mags, phases
 
-    def cell_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cell sums as complex values, log magnitudes and underflow flags."""
+    def cell_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The cell sums as complex values and their log magnitudes, which stay
+        finite where a value underflows to zero."""
         log_mags, phases = self.cell_log_values(cells)
         values = np.zeros(2, dtype=complex)
-        flags = np.zeros(2, dtype=bool)
         for cell, (lm, ph) in enumerate(zip(log_mags, phases)):
-            if lm == -np.inf:
-                continue
-            values[cell] = np.exp(lm) * complex(math.cos(ph), math.sin(ph))
-            flags[cell] = values[cell] == 0.0
-        return values, log_mags, flags
+            if lm != -np.inf:
+                values[cell] = np.exp(lm) * complex(math.cos(ph), math.sin(ph))
+        return values, log_mags
 
 
 def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -362,7 +335,7 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     return FactorizedSectorOverlap(a=a, b=b, global_phase=float(delta_e), a_has_bulk=bool(blocks))
 
 
-def factorized_f_tensor(spec: ChainSpec) -> ChainFTensor:
+def factorized_f_tensor(spec: ChainSpec) -> FTensor:
     """Pointer-statistics tensor after the full traversal, any chain size."""
     return traversal_schedule(spec, 1.0)
 
@@ -374,27 +347,26 @@ def passed_sites(N: int, fraction: float) -> int:
     return int(math.floor(fraction * N + 1e-12))
 
 
-def traversal_schedule(spec: ChainSpec, fraction: float) -> ChainFTensor:
+def traversal_schedule(spec: ChainSpec, fraction: float) -> FTensor:
     """Tensor after the particle has passed the first ``floor(fraction * N)`` sites."""
     return traversal_family(spec, fraction)(spec.N)
 
 
-def traversal_family(spec: ChainSpec, fraction: float) -> Callable[[int], ChainFTensor]:
+def traversal_family(spec: ChainSpec, fraction: float) -> Callable[[int], FTensor]:
     """Chain size N -> ``traversal_schedule(spec.at_size(N), fraction)``, with the
     site diagonals found once and each sector pair's product of override sites
     once per set of rotated sites: a size builds only its bulk blocks and tails."""
     diagonals, site_polys = _site_diagonals(spec), {}
 
-    def tensor(N: int) -> ChainFTensor:
+    def tensor(N: int) -> FTensor:
         sized, cells, rotated_count = spec.at_size(N), sign_cells(N), passed_sites(N, fraction)
         values = np.zeros((2, 2, 2), dtype=complex)
         log_mags = np.full((2, 2, 2), -np.inf)
-        flags = np.zeros((2, 2, 2), dtype=bool)
         for r in range(2):
             for s in range(2):
                 ov = sector_overlap(sized, r, s, rotated_count, diagonals, site_polys)
-                values[r, s], log_mags[r, s], flags[r, s] = ov.cell_values(cells)
-        return ChainFTensor(values=values, t=spec.t, log_magnitude=log_mags, underflow=flags)
+                values[r, s], log_mags[r, s] = ov.cell_values(cells)
+        return FTensor(values=values, t=spec.t, log_magnitude=log_mags)
     return tensor
 
 

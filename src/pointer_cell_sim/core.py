@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -337,21 +337,39 @@ class FTensor:
     Diagonal slices ``values[r, r, :]`` are the cell probabilities given the
     microstate r; off-diagonal slices measure the residual coherence between
     sectors as seen by the cells.
+
+    ``log_magnitude`` is ``log |values|`` (``-inf`` for an exact zero), unless a
+    log-space backend passes its own, which stay finite where ``values`` underflow.
     """
 
     values: np.ndarray
     t: float
+    log_magnitude: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=complex)
         if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[0] != a.shape[2]:
             raise StructuralError(f"F tensor must have shape (n, n, n), got {a.shape}")
+        if self.log_magnitude is None:
+            with np.errstate(divide="ignore"):
+                lm = np.log(np.abs(a))
+        else:
+            lm = np.asarray(self.log_magnitude, dtype=float)
+            if lm.shape != a.shape:
+                raise StructuralError("log magnitudes must match the tensor shape")
         a.setflags(write=False)
+        lm.setflags(write=False)
         object.__setattr__(self, "values", a)
+        object.__setattr__(self, "log_magnitude", lm)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def underflow(self) -> np.ndarray:
+        """Entries nonzero only in log space: a zero value with a finite log magnitude."""
+        return (self.values == 0) & (self.log_magnitude > -np.inf)
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal slices: cell-probability matrix of shape (n, n_cells)."""
@@ -388,7 +406,7 @@ class FPropertyReport:
         }
 
 
-def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> list[np.ndarray]:
+def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> Iterator[np.ndarray]:
     """Per-sector apparatus Hamiltonians ``K_r = K + V_r + energy_r * I``.
 
     Parameters
@@ -400,17 +418,21 @@ def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> list[np.nd
 
     Returns
     -------
-    list of ndarray
-        One Hermitian ``dim_K x dim_K`` matrix per microsystem eigenstate.
+    iterator of ndarray
+        One Hermitian ``dim_K x dim_K`` matrix per microsystem eigenstate, each
+        built when reached; the sector count is checked on the call.
     """
     if apparatus.n_sectors != system.n:
         raise StructuralError(
             f"apparatus carries {apparatus.n_sectors} couplings for a "
             f"{system.n}-dimensional microsystem")
-    hams = [apparatus.K + V for V in apparatus.V]
-    for Kr, energy in zip(hams, system.energies):
-        np.fill_diagonal(Kr, Kr.diagonal() + energy)  # no dense identity: the off-diagonal sum adds 0.0
-    return hams
+
+    def hams():
+        for V, energy in zip(apparatus.V, system.energies):
+            Kr = apparatus.K + V
+            np.fill_diagonal(Kr, Kr.diagonal() + energy)  # no dense identity: the off-diagonal sum adds 0.0
+            yield Kr
+    return hams()
 
 
 def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:

@@ -33,13 +33,11 @@ def f_tensor_items(f: FTensor) -> list[tuple[str, str]]:
         for s in range(f.n):
             for a in range(f.n):
                 items.append((f"F[{r},{s},{a}]", fmt_complex(complex(f.values[r, s, a]))))
-    underflow = getattr(f, "underflow", None)
-    if underflow is not None and underflow.any():
-        marked = [f"({r},{s},{a})" for r, s, a in zip(*np.nonzero(underflow))]
-        items.append(("underflow_entries", " ".join(marked)))
-        log_mag = f.log_magnitude
-        for r, s, a in zip(*np.nonzero(underflow)):
-            items.append((f"log_mag[{r},{s},{a}]", fmt_float(float(log_mag[r, s, a]))))
+    underflowed = list(zip(*np.nonzero(f.underflow)))
+    if underflowed:
+        items.append(("underflow_entries", " ".join(f"({r},{s},{a})" for r, s, a in underflowed)))
+        items += [(f"log_mag[{r},{s},{a}]", fmt_float(float(f.log_magnitude[r, s, a])))
+                  for r, s, a in underflowed]
     return items
 
 

@@ -86,6 +86,7 @@ def perturbation_states(cfg: ExperimentConfig) -> dict[int, np.ndarray]:
 
 
 def _build_generic_dense(cfg: ExperimentConfig, base_dir: Path):
+    """Microsystem and apparatus of a ``generic_dense`` config; its defects make one config error."""
     params = cfg.params
     problems = []
     matrices = []
@@ -94,23 +95,29 @@ def _build_generic_dense(cfg: ExperimentConfig, base_dir: Path):
             matrices.append(load_matrix_text(base_dir / name))
         except ConfigError as exc:
             problems += exc.errors
+    groups = [grp.split() for grp in str(params["cells"]).split("|")]
+    try:
+        cell_sets = [frozenset(int(tok) for tok in grp) for grp in groups]
+    except ValueError as exc:
+        problems.append(f"generic_dense: cells must be groups of basis indices such as "
+                        f"'0 1 | 2 3': {exc}")
+    labels = tuple(tok.strip() for tok in str(params["labels"]).split(",")) if "labels" in params else None
+    energies = tuple(params["energies"])
+    n = len(energies)
+    n_v = len(params["v_files"])
+    if n_v != n or len(groups) != n or len(cfg.amplitudes) != n:
+        problems.append(
+            "generic_dense: energies, v_files, cells groups and amplitudes must "
+            f"agree in length (got {n}, {n_v}, {len(groups)}, {len(cfg.amplitudes)})")
+    if labels is not None and len(labels) != n:
+        problems.append(f"generic_dense: labels and energies must agree in length (got {len(labels)}, {n})")
     if problems:
         raise ConfigError(problems)
     K, *Vs, Omega = matrices
-    groups = [[int(tok) for tok in grp.split()] for grp in str(params["cells"]).split("|")]
-    labels = None
-    if "labels" in params:
-        labels = tuple(tok.strip() for tok in str(params["labels"]).split(","))
-    energies = tuple(params["energies"])
-    n = len(energies)
-    if len(Vs) != n or len(groups) != n or len(cfg.amplitudes) != n:
-        raise ConfigError([
-            "generic_dense: energies, v_files, cells groups and amplitudes must "
-            f"agree in length (got {n}, {len(Vs)}, {len(groups)}, {len(cfg.amplitudes)})"])
     micro = core.MicroSystem(energies=energies,
                              labels=labels or tuple(f"u{r}" for r in range(n)))
     cells = core.PhaseCellPartition(
-        cells=[frozenset(g) for g in groups], dim=K.shape[0],
+        cells=cell_sets, dim=K.shape[0],
         labels=labels or tuple(str(a) for a in range(n)))
     apparatus = core.Apparatus(K=K, V=tuple(Vs), Omega=Omega, cells=cells)
     return micro, apparatus
@@ -133,12 +140,9 @@ def composite_cross_check(micro, apparatus, t, tensor, c, observable=None) -> fl
         raise CapacityError(
             f"composite oracle capped at dimension {COMPOSITE_ORACLE_CAP} "
             f"(requested {n * dK})")
-    hams = core.sector_hamiltonians(micro, apparatus)
     Hc = np.zeros((n * dK, n * dK), dtype=complex)
-    for r, Kr in enumerate(hams):
-        proj = np.zeros((n, n))
-        proj[r, r] = 1.0
-        Hc += np.kron(proj, Kr)
+    for r, Kr in enumerate(core.sector_hamiltonians(micro, apparatus)):
+        Hc[r * dK:(r + 1) * dK, r * dK:(r + 1) * dK] = Kr
     evals, vecs = np.linalg.eigh(Hc)
     Uc = (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
     Phi0 = np.kron(np.outer(c, c.conj()), apparatus.Omega)

@@ -196,20 +196,12 @@ def pointer_errors(f: FTensor, pmap: PointerMap) -> np.ndarray:
 
 
 def log_pointer_errors(f: FTensor, pmap: PointerMap) -> np.ndarray:
-    """log of the pointer errors, exact in log space for chain tensors."""
-    inv = pmap.inverse
-    log_mag = getattr(f, "log_magnitude", None)
-    if log_mag is not None:  # row r: log |F[r, r, a]| over every cell a but inv[r]
-        r = np.arange(f.n)
-        terms = log_mag[r, r]
-        terms[r, inv] = -np.inf
-        return lc_real_logsumexp_rows(terms)
-    out = np.empty(f.n)
-    diag = f.diagonal()
-    for r in range(f.n):
-        mass = float(diag[r, [a for a in range(f.n) if a != inv[r]]].sum())
-        out[r] = math.log(mass) if mass > 0 else -np.inf
-    return out
+    """log of the pointer errors: row r sums ``|F[r, r, a]|`` over every cell a
+    but the assigned one in log space, so it stays finite after the values underflow."""
+    r = np.arange(f.n)
+    terms = f.log_magnitude[r, r]
+    terms[r, pmap.inverse] = -np.inf
+    return lc_real_logsumexp_rows(terms)
 
 
 def exponential_bound_holds(f: FTensor, pmap: PointerMap, N: int, c: float) -> bool:

@@ -513,6 +513,21 @@ class TestGenericDense:
         assert run_cli("run", "--config", workdir / "exp.cfg",
                        "--out", workdir / "out") == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("cells = 0 1 | 2 x", "cells must be groups of basis indices"),
+        ("labels = a, b, c", "labels and energies must agree in length (got 3, 2)"),
+    ], ids=["cells", "labels"])
+    def test_malformed_list_is_config_error(self, generic_workdir, capsys, line, message):
+        workdir, _ = generic_workdir
+        key = line.split(" = ")[0]
+        text = "\n".join(line if row.startswith(key + " = ") else row
+                         for row in GENERIC.splitlines())
+        (workdir / "exp.cfg").write_text(text + "\n", encoding="utf-8")
+        out = workdir / "out"
+        assert run_cli("run", "--config", workdir / "exp.cfg", "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleModes:
     def test_sweep_oracle_reports_discrepancy(self, workdir):

@@ -51,15 +51,11 @@ class TestCoarseGrain:
         assert partition is not None
         assert len(partition.cells[1]) == math.comb(4, 2) + math.comb(4, 3) + math.comb(4, 4)
         assert len(partition.cells[0]) == 2 ** 4 - 11
-        # cell means average distinct spectrum points, not dimensions
-        assert spec.cell_means[1] == pytest.approx((0.0 + 0.5 + 1.0) / 3)
-        assert spec.cell_means[0] == pytest.approx((-1.0 - 0.5) / 2)
 
     def test_single_cell_is_identity(self):
         obs = IntensiveObservable.magnetization_chain(3)
-        spec, partition = coarse_grain(obs, 1)
+        _, partition = coarse_grain(obs, 1)
         assert len(partition.cells[0]) == 8
-        assert spec.cell_means[0] == pytest.approx(np.mean(obs.spectrum))
 
     def test_empty_cells_warn(self):
         obs = IntensiveObservable(spectrum=(0.0, 1.0), N=2)

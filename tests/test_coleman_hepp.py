@@ -152,6 +152,12 @@ class TestBackendEquivalence:
         with pytest.raises(CapacityError):
             build_dense(ChainSpec(N=13, m0=0.6))
 
+    def test_dense_zero_matrix_is_shared(self):
+        # K and the spin-up coupling are one read-only zero matrix
+        _, app = build_dense(ChainSpec(N=4, m0=0.6))
+        assert app.K is app.V[0] and not app.K.any() and not app.K.flags.writeable
+        assert app.V[1].any()
+
 
 class TestOffDiagonal:
     def test_exact_zero_at_pi(self):
@@ -443,6 +449,23 @@ class TestLargeN:
         assert f.underflow.any()
         assert core.check_f_properties(f).passed
 
+    def test_underflow_is_the_per_cell_rule(self):
+        # a cell is underflowed where its log magnitude is finite and its value
+        # rounds to zero: at N = 5000 the "-" cell of the spin-up sector, and at
+        # theta 2.5 the cross sectors too (at pi they are exact zeros)
+        N = 5000
+        for theta, cross in ((math.pi, False), (2.5, True)):
+            spec = ChainSpec(N=N, m0=0.6, theta=theta)
+            f = factorized_f_tensor(spec)
+            assert type(f) is core.FTensor
+            want = np.zeros((2, 2, 2), dtype=bool)
+            for r, s in np.ndindex(2, 2):
+                values, log_mags = sector_overlap(spec, r, s).cell_values(coleman_hepp.sign_cells(N))
+                want[r, s] = (log_mags != -math.inf) & (values == 0.0)
+            assert np.array_equal(f.underflow, want)
+            assert want[0, 0, 0] and not want[0, 0, 1]
+            assert want[0, 1].all() == cross
+
     def test_billion_sites(self):
         # the full traversal costs the same at any N: rows still sum to 1,
         # and the decay rate is the boundary relative entropy D(1/2 || 0.8)
@@ -475,7 +498,6 @@ class TestLargeN:
             cells, partition = chain_cells(N)
             ref, ref_partition = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
             assert (cells.bounds, cells.edges, cells.labels) == (ref.bounds, ref.edges, ref.labels)
-            assert cells.cell_means == pytest.approx(ref.cell_means, rel=1e-15, abs=1e-15)
             assert (partition is None) == (ref_partition is None)
             if partition is not None:
                 assert partition.cells == ref_partition.cells

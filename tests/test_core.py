@@ -124,6 +124,14 @@ class TestSectorHamiltonians:
         with pytest.raises(StructuralError):
             core.sector_hamiltonians(micro, app)
 
+    def test_built_one_at_a_time(self, rng):
+        micro = make_micro([0.0, 1.0, 2.0])
+        app = simple_apparatus(4, 3, rng=rng)
+        hams = core.sector_hamiltonians(micro, app)
+        assert iter(hams) is hams  # an iterator, not a list held whole
+        assert [Kr.tobytes() for Kr in hams] == [
+            (app.K + V + e * np.eye(4)).tobytes() for V, e in zip(app.V, micro.energies)]
+
 
 class TestEvolveSectors:
     def test_time_zero_returns_omega(self, rng):
@@ -498,6 +506,27 @@ class TestFTensor:
             cells=random_index_partition(rng, 8, 2), dim=8)
         with pytest.raises(StructuralError):
             core.f_tensor(states, two_cells)
+
+    def test_dense_log_magnitude_is_log_abs_values(self, rng):
+        # a tensor given no log magnitudes takes log|values|, -inf at an exact
+        # zero (a cell Omega does not reach), and underflows nowhere
+        micro = make_micro([0.5, -0.5])
+        V = (np.zeros((4, 4), dtype=complex), np.diag([1.0, -1.0, 2.0, 0.0]).astype(complex))
+        Omega = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
+        cells = core.PhaseCellPartition(cells=[frozenset({0, 1}), frozenset({2, 3})], dim=4)
+        app = core.Apparatus(K=np.zeros((4, 4), dtype=complex), V=V, Omega=Omega, cells=cells)
+        for micro, app, t in ((micro, app, np.pi), random_dense_instance(rng, n=3, dim=8)):
+            f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
+            with np.errstate(divide="ignore"):
+                want = np.log(np.abs(f.values))
+            assert f.log_magnitude.tobytes() == want.tobytes()
+            assert np.isneginf(f.log_magnitude).any() == (f.n == 2)
+            assert not f.log_magnitude.flags.writeable
+            assert not f.underflow.any()
+
+    def test_log_magnitude_shape_must_match(self):
+        with pytest.raises(StructuralError):
+            core.FTensor(values=np.ones((2, 2, 2)), t=0.0, log_magnitude=np.zeros((2, 2)))
 
 
 class TestExpectations:

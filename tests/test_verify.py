@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pointer_cell_sim import core
+from pointer_cell_sim import core, instances
 from pointer_cell_sim.coleman_hepp import ChainSpec, build_dense, factorized_f_tensor, polarized_site
 from pointer_cell_sim.errors import (
     AmbiguousPointerError,
@@ -203,6 +203,20 @@ class TestPointerErrors:
         logs = log_pointer_errors(f, pm)
         assert np.isfinite(logs).all()
         assert logs.max() == pytest.approx(-3000 * BOUNDARY_RATE, rel=2e-2)
+
+    def test_log_errors_of_random_dense_instances(self):
+        # the one log-space route agrees with the complementary linear mass on
+        # the instances the verify suite draws, and a tensor handed its own
+        # log|values| is read the same way as one that takes them by default
+        rng = np.random.default_rng(5)
+        for i in range(20):
+            micro, app, t = instances.random_dense_instance(rng, rotated_cells=bool(i % 2))
+            f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
+            pm = find_pointer_map(f)
+            logs = log_pointer_errors(f, pm)
+            assert_allclose(logs, np.log(pointer_errors(f, pm)), rtol=0, atol=1e-12)
+            given = core.FTensor(values=f.values, t=f.t, log_magnitude=np.log(np.abs(f.values)))
+            assert log_pointer_errors(given, pm).tobytes() == logs.tobytes()
 
 
 class TestExactCondition:
