@@ -438,15 +438,39 @@ def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> Iterator[n
 def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:
     """``exp(i Kr t)`` for a Hermitian ``Kr``, by the cheapest exact route.
 
-    The route is chosen from the matrix entries alone: a ``Kr`` with no
-    nonzero off-diagonal entry gives the vector ``exp(i t diag Kr)``, the
-    diagonal of the propagator; a real ``Kr`` goes through the real
-    eigendecomposition, ``(V e^{i Lambda t}) V^T``; any other through the
-    complex one, ``(V e^{i Lambda t}) V^dag``.
+    The route is chosen from the matrix entries alone, in this order:
+
+    - no nonzero off-diagonal entry: the vector ``exp(i t diag Kr)``, the
+      diagonal of the propagator;
+    - even size and exactly centrosymmetric (``Kr == J Kr J`` entry for
+      entry, ``J`` the exchange matrix): with ``Kr = [[A, B], [J B J, J A J]]``
+      the vectors ``[x; Jx]`` and ``[y; -Jy]`` split it into the half-size
+      Hermitian ``E = A + BJ`` and ``O = A - BJ`` (Cantoni & Butler, Linear
+      Algebra Appl. 13 (1976) 275-288), and with ``Ue``, ``Uo`` their
+      propagators, by this same route choice,
+      ``exp(i Kr t) = 1/2 [[Ue + Uo, (Ue - Uo) J], [J (Ue - Uo), J (Ue + Uo) J]]``;
+    - real: the real eigendecomposition, ``(V e^{i Lambda t}) V^T``;
+    - otherwise: the complex one, ``(V e^{i Lambda t}) V^dag``.
+
+    A chain's ``K_r`` commutes with the global flip, the index reversal, and
+    so do its halves at every level: it splits down to diagonal blocks and
+    never reaches an eigendecomposition.  A NaN entry is never equal to
+    itself, so a ``Kr`` holding one is not split.
     """
     diag = _diagonal_of(Kr)
     if diag is not None:
         return np.exp(1j * t * diag.real)
+    h, odd = divmod(len(Kr), 2)
+    if not odd and np.array_equal(Kr, Kr[::-1, ::-1]):
+        A, BJ = Kr[:h, :h], Kr[:h, h:][:, ::-1]
+        Ue = _as_matrix(_propagator(A + BJ, t))
+        Uo = _as_matrix(_propagator(A - BJ, t))
+        U = np.empty(Kr.shape, dtype=complex)
+        np.add(Ue, Uo, out=U[:h, :h])
+        np.subtract(Ue, Uo, out=U[:h, h:][:, ::-1])
+        U[:h] *= 0.5
+        U[h:] = U[:h][::-1, ::-1]  # the propagator is centrosymmetric too
+        return U
     if not Kr.imag.any():
         evals, vecs = np.linalg.eigh(Kr.real)
         # two real products instead of one complex product with a real factor
@@ -456,6 +480,11 @@ def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:
         return U
     evals, vecs = np.linalg.eigh(Kr)
     return (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
+
+
+def _as_matrix(U: np.ndarray) -> np.ndarray:
+    """A propagator from :func:`_propagator` as a full matrix."""
+    return np.diag(U) if U.ndim == 1 else U
 
 
 def _adjoint_times(U: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -496,9 +525,16 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
     - no nonzero off-diagonal entry: ``exp(i t diag K_r)``, no
       eigendecomposition, and the products with it are row and column
       scalings;
+    - even size and exactly centrosymmetric: a split into two half-size
+      Hermitian problems (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
+      275-288), each taking this same route choice, see :func:`_propagator`;
     - real entries: the real Hermitian eigendecomposition,
       ``U = (V e^{i Lambda t}) V^T``;
     - otherwise: the complex one, ``U = (V e^{i Lambda t}) V^dag``.
+
+    A chain's ``K_r`` commutes with the global spin flip, the index reversal,
+    so it is split recursively down to diagonal blocks and never reaches an
+    eigendecomposition; random instances keep the ``eigh`` routes.
 
     An ``Omega`` with no nonzero off-diagonal entry, as every product of
     diagonal site states is, enters by its diagonal: ``U_r^dag Omega``, formed

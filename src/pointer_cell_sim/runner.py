@@ -111,6 +111,8 @@ def _build_generic_dense(cfg: ExperimentConfig, base_dir: Path):
             f"agree in length (got {n}, {n_v}, {len(groups)}, {len(cfg.amplitudes)})")
     if labels is not None and len(labels) != n:
         problems.append(f"generic_dense: labels and energies must agree in length (got {len(labels)}, {n})")
+    if labels is not None and len(set(labels)) != len(labels):
+        problems.append(f"generic_dense: labels must be distinct (got {', '.join(labels)})")
     if problems:
         raise ConfigError(problems)
     K, *Vs, Omega = matrices

@@ -516,7 +516,8 @@ class TestGenericDense:
     @pytest.mark.parametrize("line, message", [
         ("cells = 0 1 | 2 x", "cells must be groups of basis indices"),
         ("labels = a, b, c", "labels and energies must agree in length (got 3, 2)"),
-    ], ids=["cells", "labels"])
+        ("labels = a, a", "labels must be distinct (got a, a)"),
+    ], ids=["cells", "labels", "duplicate-labels"])
     def test_malformed_list_is_config_error(self, generic_workdir, capsys, line, message):
         workdir, _ = generic_workdir
         key = line.split(" = ")[0]

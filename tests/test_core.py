@@ -272,8 +272,100 @@ class TestPropagatorRoutes:
 
 def full_propagator(Kr, t):
     """``exp(i Kr t)`` as a full matrix, whichever route ``_propagator`` takes."""
-    U = core._propagator(Kr, t)
-    return np.diag(U) if U.ndim == 1 else U
+    return core._as_matrix(core._propagator(Kr, t))
+
+
+def centrosymmetric_hermitian(rng, dim, complex_):
+    """``H + J H J`` for a random Hermitian ``H``, ``J`` the exchange matrix."""
+    H = random_hermitian(rng, dim)
+    H = H if complex_ else H.real
+    return H + H[::-1, ::-1]
+
+
+def nested_centrosymmetric(rng, dim, complex_, levels):
+    """A Hermitian matrix that splits into centrosymmetric halves ``levels`` times
+    over: its halves ``E`` and ``O`` are drawn first, each nested one level less."""
+    if levels == 0:
+        H = random_hermitian(rng, dim)
+        return H if complex_ else H.real
+    h = dim // 2
+    E, O = (nested_centrosymmetric(rng, h, complex_, levels - 1) for _ in range(2))
+    K = np.empty((dim, dim), dtype=E.dtype)
+    K[:h, :h] = (E + O) / 2
+    K[:h, h:] = ((E - O) / 2)[:, ::-1]
+    K[h:] = K[:h][::-1, ::-1]
+    return K
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A spy on eigh: the shape of each matrix it gets and whether it is complex."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.shape, np.iscomplexobj(a)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return seen
+
+
+class TestCentrosymmetricSplit:
+    """An exactly centrosymmetric ``K_r`` splits into half-size eigenproblems."""
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("dim", [6, 8])
+    def test_one_split_matches_scaled_squaring(self, rng, eigh_calls, dim, complex_):
+        K = centrosymmetric_hermitian(rng, dim, complex_)
+        t = 1.3
+        assert np.abs(full_propagator(K, t) - expm(1j * K * t)).max() < 1e-12
+        # the halves are generic Hermitian matrices: two half-size eigh calls
+        assert eigh_calls == [((dim // 2, dim // 2), complex_)] * 2
+
+    @pytest.mark.parametrize("complex_, levels, calls", [
+        # three splits reach 1 x 1 blocks; a centrosymmetric Hermitian 2 x 2 is real,
+        # so complex halves stop one level earlier
+        (False, 3, []),
+        (True, 2, [((2, 2), True)] * 4),
+    ], ids=["real", "complex"])
+    def test_nested_splits_match_scaled_squaring(self, rng, eigh_calls, complex_, levels, calls):
+        K = nested_centrosymmetric(rng, 8, complex_, levels)
+        t = 1.3
+        assert np.abs(full_propagator(K, t) - expm(1j * K * t)).max() < 1e-12
+        assert eigh_calls == calls
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_chain_never_reaches_eigh(self, eigh_calls, fraction):
+        from pointer_cell_sim.coleman_hepp import ChainSpec
+        from pointer_cell_sim.runner import dense_chain_tensor
+        dense_chain_tensor(ChainSpec(N=10, m0=0.6, theta=2.5, energies=(0.3, -0.4)), fraction)
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_one_ulp_off_takes_the_full_eigh(self, rng, eigh_calls, complex_):
+        # the gate is exact equality: one Hermitian pair nudged by one ulp is not split
+        K = nested_centrosymmetric(rng, 8, complex_, 2)
+        K[0, 1] += np.spacing(K[0, 1].real)
+        K[1, 0] = np.conj(K[0, 1])
+        t = 1.3
+        assert np.abs(full_propagator(K, t) - expm(1j * K * t)).max() < 1e-12
+        assert eigh_calls == [((8, 8), complex_)]
+
+    def test_nan_is_not_split(self, rng, eigh_calls):
+        # NaN entries in mirrored places: NaN != NaN, so the full real eigh runs as
+        # before, and ends as LAPACK ends it, in NaNs or a LinAlgError
+        def outcome(f):
+            try:
+                return bool(np.isnan(f()).all())
+            except np.linalg.LinAlgError:
+                return "LinAlgError"
+
+        K = nested_centrosymmetric(rng, 4, False, 2)
+        K[0, 1] = K[1, 0] = K[3, 2] = K[2, 3] = np.nan
+        got = outcome(lambda: core._propagator(K, 1.3))
+        assert eigh_calls == [((4, 4), False)]
+        assert got == outcome(lambda: np.linalg.eigh(K)[1])
 
 
 class TestDiagonalOmega:
