@@ -28,6 +28,7 @@ from .core import (
     MicroSystem,
     PhaseCellPartition,
     _check_hermitian,
+    _check_positive_semidefinite,
 )
 from .errors import CapacityError, StructuralError
 from .logspace import BinomialBlock, _binomial_block, lc_convolve, lc_sum
@@ -64,10 +65,9 @@ def _check_site_state(rho, site) -> np.ndarray:
     if rho.shape != (2, 2):
         raise StructuralError(f"override for site {site} must be a 2x2 matrix")
     _check_hermitian(rho, f"site {site} override")
-    if abs(np.trace(rho).real - 1.0) > 1e-12:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-12:
         raise StructuralError(f"site {site} override must have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -1e-12:
-        raise StructuralError(f"site {site} override is not positive semidefinite")
+    _check_positive_semidefinite(rho, f"site {site} override")
     return rho
 
 

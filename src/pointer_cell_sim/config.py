@@ -221,22 +221,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "theta" in body:
             try:
                 params["theta"] = parse_angle(body["theta"])
+                if not (0.0 < params["theta"] < 2.0 * math.pi):
+                    errors.append(f"[parameters]: theta must lie in (0, 2*pi), got {body['theta']!r}")
             except ValueError:
                 errors.append(f"[parameters]: theta must be a number or a pi form, got {body['theta']!r}")
-        if "energies" in body:
-            vals = _parse_list(body["energies"], float, "[parameters] energies", errors)
-            if vals is not None:
-                if len(vals) != 2:
-                    errors.append("[parameters]: energies needs exactly two values")
-                else:
-                    params["energies"] = tuple(vals)
-        if "t" in body:
-            try:
-                params["t"] = float(body["t"])
-                if params["t"] <= 0:
-                    errors.append("[parameters]: t must be positive")
-            except ValueError:
-                errors.append(f"[parameters]: t must be a number, got {body['t']!r}")
     elif model == "generic_dense":
         for key in sorted(_REQUIRED_PARAMS[model]):
             if key not in body:
@@ -246,15 +234,24 @@ def parse_config(text: str) -> ExperimentConfig:
                 params[key] = body[key]
         if "v_files" in body:
             params["v_files"] = tuple(tok.strip() for tok in body["v_files"].split(",") if tok.strip())
-        if "energies" in body:
-            vals = _parse_list(body["energies"], float, "[parameters] energies", errors)
-            if vals is not None:
+    if model is not None and "energies" in body:
+        vals = _parse_list(body["energies"], float, "[parameters] energies", errors)
+        if vals is not None:
+            if not all(math.isfinite(e) for e in vals):
+                errors.append("[parameters]: energies must be finite")
+            elif model == "coleman_hepp" and len(vals) != 2:
+                errors.append("[parameters]: energies needs exactly two values")
+            else:
                 params["energies"] = tuple(vals)
-        if "t" in body:
-            try:
-                params["t"] = float(body["t"])
-            except ValueError:
-                errors.append(f"[parameters]: t must be a number, got {body['t']!r}")
+    if model is not None and "t" in body:
+        try:
+            params["t"] = float(body["t"])
+            if not math.isfinite(params["t"]):
+                errors.append("[parameters]: t must be finite")
+            elif model == "coleman_hepp" and params["t"] <= 0:
+                errors.append("[parameters]: t must be positive")
+        except ValueError:
+            errors.append(f"[parameters]: t must be a number, got {body['t']!r}")
 
     amplitudes: tuple[complex, ...] = ()
     if "state" not in sections or "amplitudes" not in sections.get("state", {}):

@@ -53,9 +53,14 @@ def _diagonal_of(a: np.ndarray) -> np.ndarray | None:
 
 
 def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> None:
-    if not a.any():  # the zero matrix, exactly Hermitian, without the temporaries
-        return
-    dev = np.abs(a - a.conj().T).max()
+    """Reject ``a`` if ``max |a - a^dag|`` is not within ``tol`` (NaN fails).
+
+    A matrix with no nonzero off-diagonal entry is judged by its diagonal,
+    ``|diag - conj(diag)|``: the same numbers, NaN and inf included, without
+    the full temporaries.
+    """
+    diag = _diagonal_of(a)
+    dev = (np.abs(a - a.conj().T) if diag is None else np.abs(diag - diag.conj())).max(initial=0.0)
     if not dev <= tol:
         raise StructuralError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
 
@@ -64,26 +69,16 @@ def _check_positive_semidefinite(a: np.ndarray, name: str, tol: float = STATE_TO
     """Reject a Hermitian matrix with an eigenvalue below ``-tol``.
 
     A diagonal ``a`` (no nonzero off-diagonal entry) has the real parts of
-    its diagonal as its spectrum, so the lowest is read off directly.  For
-    any other, a Cholesky factorisation of ``H + tol I`` (in real arithmetic
-    when ``H`` is real) accepts without computing the spectrum; only when it
-    fails is the smallest eigenvalue taken.  Either way the verdict and the
-    message are those of the eigenvalue test.  A NaN entry fails the gate.
+    its diagonal as its spectrum, so the lowest is read off directly; any
+    other has its lowest taken by ``eigvalsh``.  A NaN entry fails the gate.
     """
     diag = _diagonal_of(a)
     if diag is not None:
         lowest = diag.real.min()
     else:
         H = (a + a.conj().T) / 2
-        if not H.imag.any():
-            H = H.real
-        lowest = np.nan  # LAPACK factorises and diagonalises NaN entries without a word
-        if np.isfinite(H).all():
-            try:
-                np.linalg.cholesky(H + tol * np.eye(H.shape[0]))
-                return
-            except np.linalg.LinAlgError:
-                lowest = np.linalg.eigvalsh(H).min()
+        # LAPACK diagonalises NaN entries without a word
+        lowest = np.linalg.eigvalsh(H).min() if np.isfinite(H).all() else np.nan
     if not lowest >= -tol:
         raise StructuralError(f"{name} has negative eigenvalue {lowest:.3e}")
 
@@ -449,8 +444,7 @@ def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:
       Algebra Appl. 13 (1976) 275-288), and with ``Ue``, ``Uo`` their
       propagators, by this same route choice,
       ``exp(i Kr t) = 1/2 [[Ue + Uo, (Ue - Uo) J], [J (Ue - Uo), J (Ue + Uo) J]]``;
-    - real: the real eigendecomposition, ``(V e^{i Lambda t}) V^T``;
-    - otherwise: the complex one, ``(V e^{i Lambda t}) V^dag``.
+    - otherwise: the Hermitian eigendecomposition, ``(V e^{i Lambda t}) V^dag``.
 
     A chain's ``K_r`` commutes with the global flip, the index reversal, and
     so do its halves at every level: it splits down to diagonal blocks and
@@ -470,13 +464,6 @@ def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:
         np.subtract(Ue, Uo, out=U[:h, h:][:, ::-1])
         U[:h] *= 0.5
         U[h:] = U[:h][::-1, ::-1]  # the propagator is centrosymmetric too
-        return U
-    if not Kr.imag.any():
-        evals, vecs = np.linalg.eigh(Kr.real)
-        # two real products instead of one complex product with a real factor
-        U = np.empty(Kr.shape, dtype=complex)
-        U.real = (vecs * np.cos(evals * t)) @ vecs.T
-        U.imag = (vecs * np.sin(evals * t)) @ vecs.T
         return U
     evals, vecs = np.linalg.eigh(Kr)
     return (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
@@ -528,13 +515,11 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
     - even size and exactly centrosymmetric: a split into two half-size
       Hermitian problems (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
       275-288), each taking this same route choice, see :func:`_propagator`;
-    - real entries: the real Hermitian eigendecomposition,
-      ``U = (V e^{i Lambda t}) V^T``;
-    - otherwise: the complex one, ``U = (V e^{i Lambda t}) V^dag``.
+    - otherwise: the Hermitian eigendecomposition, ``U = (V e^{i Lambda t}) V^dag``.
 
     A chain's ``K_r`` commutes with the global spin flip, the index reversal,
     so it is split recursively down to diagonal blocks and never reaches an
-    eigendecomposition; random instances keep the ``eigh`` routes.
+    eigendecomposition; random instances take ``eigh``.
 
     An ``Omega`` with no nonzero off-diagonal entry, as every product of
     diagonal site states is, enters by its diagonal: ``U_r^dag Omega``, formed

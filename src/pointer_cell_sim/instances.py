@@ -2,8 +2,10 @@
 
 The verify suite and the tests draw their dense microsystem/apparatus pairs,
 states, partitions and amplitudes from here.  Hermitian matrices, densities
-and rotated cells are complex, so the instances exercise the complex
-propagator route of :func:`core.evolve_sectors`.
+and rotated cells are complex and generic: no sector Hamiltonian is diagonal
+or centrosymmetric, so each takes the ``eigh`` route of
+:func:`core.evolve_sectors`, and each ``Omega`` meets the ``eigvalsh``
+positivity gate.
 """
 
 from __future__ import annotations

@@ -219,6 +219,8 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
     from importlib.metadata import version
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
     c = np.array(cfg.amplitudes, dtype=complex)
+    A = (core.ObservableS(matrix=load_matrix_text(base_dir / cfg.observable_file))
+         if cfg.observable_file is not None else None)
     oracle_disc = None
     if cfg.model == "coleman_hepp":
         spec = chain_spec_from_config(cfg)
@@ -237,11 +239,7 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
         cell_labels = apparatus.cells.labels
         backend = "dense"
         if oracle:
-            observable = None
-            if cfg.observable_file is not None:
-                observable = core.ObservableS(
-                    matrix=load_matrix_text(base_dir / cfg.observable_file))
-            oracle_disc = composite_cross_check(micro, apparatus, t, tensor, c, observable)
+            oracle_disc = composite_cross_check(micro, apparatus, t, tensor, c, A)
             backend = "dense+composite-oracle"
 
     weights = core.pointer_weights(tensor, c)
@@ -259,8 +257,7 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
         ("weights", [(f"w[{label}]", fmt_float(float(w)))
                      for label, w in zip(cell_labels, weights)]),
     ]
-    if cfg.observable_file is not None:
-        A = core.ObservableS(matrix=load_matrix_text(base_dir / cfg.observable_file))
+    if A is not None:
         items = [("E", fmt_float(core.expectation_s(tensor, c, A)))]
         for alpha, label in enumerate(cell_labels):
             items.append((f"E_given[{label}]",

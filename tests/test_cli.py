@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pointer_cell_sim
-from pointer_cell_sim import coarse_ldp, coleman_hepp
+from pointer_cell_sim import coarse_ldp, coleman_hepp, runner
 from pointer_cell_sim.cli import main
 from pointer_cell_sim.config import tokenize_kv
 from pointer_cell_sim.report import REPORT_HEADER, parse_f_tensor_text
@@ -362,6 +362,22 @@ class TestPerSweepWork:
         assert all(np.ndim(n) == 1 and len(set(n)) == 11 for n, *_ in kernel)
 
 
+class TestNonFiniteChainParameters:
+    """An angle, time or energy a chain cannot take is a config error for every command."""
+
+    @pytest.mark.parametrize("line", [
+        "theta = 7", "theta = nan", "t = inf", "t = nan", "energies = 0.3, inf", "energies = nan, 0.3",
+    ], ids=["theta-7", "theta-nan", "t-inf", "t-nan", "energy-inf", "energy-nan"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "perturb", "ldp"])
+    def test_exit_2_with_nothing_written(self, workdir, capsys, command, line):
+        text = BASE.replace("theta = pi", line if line.startswith("theta") else f"theta = pi\n{line}")
+        cfg = write_config(workdir, text + SWEEP + LDP + PERTURB)
+        out = workdir / "out"
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        assert f"config error: [parameters]: {line.split(' = ')[0]} must" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOverrideOutsideTheChain:
     CONFIG = (BASE.split("[observable]")[0] + "\n[sweep]\nN = 1, 2, 4, 8, 16\n"
               + LDP + "\n[perturbation]\nsite_1 = depolarize\n")
@@ -507,6 +523,15 @@ class TestGenericDense:
         sections, _ = tokenize_kv("\n".join(text.splitlines()[1:]))
         assert float(sections["oracle"]["dense_max_discrepancy"]) < 1e-9
 
+    def test_oracle_reads_the_observable_once(self, generic_workdir, monkeypatch):
+        workdir, _ = generic_workdir
+        reads = []
+        load = runner.load_matrix_text
+        monkeypatch.setattr(runner, "load_matrix_text",
+                            lambda path: reads.append(Path(path).name) or load(path))
+        assert run_cli("run", "--config", workdir / "exp.cfg", "--out", workdir / "out", "--oracle") == 0
+        assert reads.count("A2.txt") == 1
+
     def test_missing_matrix_file_is_config_error(self, generic_workdir):
         workdir, _ = generic_workdir
         (workdir / "K.txt").unlink()
@@ -517,7 +542,11 @@ class TestGenericDense:
         ("cells = 0 1 | 2 x", "cells must be groups of basis indices"),
         ("labels = a, b, c", "labels and energies must agree in length (got 3, 2)"),
         ("labels = a, a", "labels must be distinct (got a, a)"),
-    ], ids=["cells", "labels", "duplicate-labels"])
+        ("t = inf", "[parameters]: t must be finite"),
+        ("t = nan", "[parameters]: t must be finite"),
+        ("energies = 0.5, inf", "[parameters]: energies must be finite"),
+        ("energies = nan, -0.5", "[parameters]: energies must be finite"),
+    ], ids=["cells", "labels", "duplicate-labels", "t-inf", "t-nan", "energy-inf", "energy-nan"])
     def test_malformed_list_is_config_error(self, generic_workdir, capsys, line, message):
         workdir, _ = generic_workdir
         key = line.split(" = ")[0]

@@ -74,6 +74,22 @@ class TestChainSpec:
         with pytest.raises(StructuralError):
             ChainSpec(N=4, m0=0.6, site_overrides={0: np.diag([1.5, -0.5])})
 
+    @pytest.mark.parametrize("rho, message", [
+        (np.diag([1.0 + 2e-12, -2e-12]), "site 1 override has negative eigenvalue -2.000e-12"),
+        (np.array([[0.5, 0.6], [0.6, 0.5]]), "site 1 override has negative eigenvalue -1.000e-01"),
+        (np.diag([np.nan, 0.5]), "site 1 override is not Hermitian: max deviation nan"),
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), "site 1 override is not Hermitian: max deviation nan"),
+    ], ids=["negative-diagonal", "negative", "nan-diagonal", "nan"])
+    def test_override_rejected_by_the_shared_gates(self, rho, message):
+        with pytest.raises(StructuralError, match=f"^{message}"):
+            ChainSpec(N=4, m0=0.6, site_overrides={1: rho})
+
+    def test_nan_trace_rejected(self, monkeypatch):
+        # the trace comparison fails on NaN even when no earlier gate runs
+        monkeypatch.setattr(coleman_hepp, "_check_hermitian", lambda a, name: None)
+        with pytest.raises(StructuralError, match="^site 1 override must have unit trace$"):
+            ChainSpec(N=4, m0=0.6, site_overrides={1: np.diag([np.nan, 0.5])})
+
 
 class TestDeterministicFlip:
     def test_single_site_pure_chain(self):

@@ -251,7 +251,7 @@ class TestPropagatorRoutes:
                 assert np.abs(states.block(r, s) - ref).max() < 1e-12
 
     @pytest.mark.parametrize("kind, calls", [("diagonal", []),
-                                             ("real", [False] * 3),
+                                             ("real", [True] * 3),
                                              ("complex", [True] * 3)])
     def test_eigendecomposition_calls(self, rng, monkeypatch, kind, calls):
         # a spy on eigh records whether each call got a complex matrix
@@ -496,19 +496,19 @@ class TestDiagonalOmegaPositivity:
     """The PSD gate reads a diagonal ``Omega``'s spectrum off its diagonal."""
 
     @pytest.fixture
-    def no_cholesky(self, monkeypatch):
+    def no_eigvalsh(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("cholesky called for a diagonal Omega")
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+            raise AssertionError("eigvalsh called for a diagonal Omega")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
 
-    def test_negative_entry_rejected_with_its_value(self, rng, no_cholesky):
+    def test_negative_entry_rejected_with_its_value(self, rng, no_eigvalsh):
         omega = np.diag([0.25, 0.25, 0.5 + 2 * core.STATE_TOL, -2 * core.STATE_TOL])
         lowest = -2 * core.STATE_TOL
         with pytest.raises(StructuralError) as info:
             simple_apparatus(4, 2, rng=rng, Omega=omega.astype(complex))
         assert str(info.value) == f"Omega has negative eigenvalue {lowest:.3e}"
 
-    def test_entry_within_tolerance_accepted(self, rng, no_cholesky):
+    def test_entry_within_tolerance_accepted(self, rng, no_eigvalsh):
         omega = np.diag([0.25, 0.25, 0.5 + 0.5 * core.STATE_TOL, -0.5 * core.STATE_TOL])
         simple_apparatus(4, 2, rng=rng, Omega=omega)
 
@@ -516,6 +516,43 @@ class TestDiagonalOmegaPositivity:
 class TestHermitianGate:
     def test_zero_matrix_passes(self):
         core._check_hermitian(np.zeros((5, 5), dtype=complex), "zero")
+
+    @pytest.mark.parametrize("diag", [
+        [0.5, -1.5, 0.0],
+        [0.5 + 1e-11j, -1.5, 0.0],
+        [0.5 + 1e-13j, -1.5 - 1e-13j, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.5, np.nan, 0.0],
+        [0.5, complex(0.0, np.nan), 0.0],
+        [0.5, np.inf, 0.0],
+        [0.5, -np.inf, 0.0],
+        [0.5, complex(0.0, np.inf), 0.0],
+    ], ids=["real", "complex", "complex-within-tol", "zero", "nan", "nan-imag",
+            "inf", "-inf", "inf-imag"])
+    def test_diagonal_rule_matches_the_full_formula(self, diag):
+        a = np.diag(np.array(diag, dtype=complex))
+        with np.errstate(invalid="ignore"):  # inf - inf, in both formulas
+            dev = np.abs(a - a.conj().T).max()
+            try:
+                core._check_hermitian(a, "m")
+                verdict = None
+            except StructuralError as exc:
+                verdict = str(exc)
+        expected = (None if dev <= core.HERMITIAN_TOL
+                    else f"m is not Hermitian: max deviation {dev:.3e} > {core.HERMITIAN_TOL:.0e}")
+        assert verdict == expected
+
+    def test_diagonal_chain_omega_forms_no_full_temporary(self):
+        # the N = 10 chain's Omega is diagonal: its check needs no dim_K^2 array
+        from pointer_cell_sim.coleman_hepp import ChainSpec, build_dense
+        _, app = build_dense(ChainSpec(N=10, m0=0.6, theta=2.5, energies=(0.3, -0.4)))
+        tracemalloc.start()
+        try:
+            core._check_hermitian(app.Omega, "Omega")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < app.dim_K ** 2 * 16
 
     def test_single_small_deviation_rejected(self):
         a = np.zeros((5, 5), dtype=complex)
