@@ -29,6 +29,7 @@ from .core import (
     PhaseCellPartition,
     _check_hermitian,
     _check_positive_semidefinite,
+    _diagonal_of,
 )
 from .errors import CapacityError, StructuralError
 from .logspace import BinomialBlock, _binomial_block, lc_convolve, lc_sum
@@ -156,8 +157,9 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
     generators over the sites the particle has passed, those with index
     below ``rotated_count`` (all of them by default), scaled so that
     evolving to time ``spec.t`` performs exactly one rotation by
-    ``spec.theta`` per passed site.
-    """
+    ``spec.theta`` per passed site.  ``K`` and the spin-up coupling are one
+    zero vector; ``Omega`` is the Kronecker product of the site diagonals
+    when every site state is diagonal, else of the site states."""
     if spec.N > DENSE_SITE_CAP:
         raise CapacityError(
             f"dense chain capped at {DENSE_SITE_CAP} sites (got {spec.N}); "
@@ -168,7 +170,7 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
         raise StructuralError("rotated site count outside the chain")
     micro = MicroSystem(energies=spec.energies, labels=MICRO_LABELS)
     dim = 2 ** spec.N
-    zero = np.zeros((dim, dim), dtype=complex)  # both K and the spin-up coupling
+    zero = np.zeros(dim, dtype=complex)  # both K and the spin-up coupling
     zero.setflags(write=False)
     v_minus = np.zeros((dim, dim), dtype=complex)
     coeff = spec.theta / (2.0 * spec.t)
@@ -177,7 +179,8 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
     index = np.arange(dim)
     for k in range(rotated_count):
         v_minus[index, index ^ (1 << (spec.N - 1 - k))] = coeff
-    omega = reduce(np.kron, spec.site_states())
+    diagonals = [_diagonal_of(rho) for rho in spec.site_states()]
+    omega = reduce(np.kron, spec.site_states() if any(d is None for d in diagonals) else diagonals)
     _, partition = chain_cells(spec.N)
     apparatus = Apparatus(K=zero, V=(zero, v_minus), Omega=omega, cells=partition)
     return micro, apparatus

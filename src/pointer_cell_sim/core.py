@@ -16,7 +16,7 @@ composite space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -39,28 +39,31 @@ PROPERTY_TOL = 1e-9
 DENSE_CAP = 2 ** 14
 
 
-def _as_complex_matrix(m, name: str) -> np.ndarray:
+def _as_complex_matrix(m, name: str, vector_ok: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if not (vector_ok and a.ndim == 1) and (a.ndim != 2 or a.shape[0] != a.shape[1]):
         raise StructuralError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
 
 
 def _diagonal_of(a: np.ndarray) -> np.ndarray | None:
-    """The diagonal of ``a`` if it has no nonzero off-diagonal entry, else None."""
-    diag = np.diagonal(a)
+    """The diagonal of ``a``, or of every matrix of a stack ``a``, if no matrix has a
+    nonzero off-diagonal entry, else None; a vector is its own diagonal."""
+    diag = a if a.ndim == 1 else a.diagonal(axis1=-2, axis2=-1)
     return diag if np.count_nonzero(a) == np.count_nonzero(diag) else None
 
 
 def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> None:
     """Reject ``a`` if ``max |a - a^dag|`` is not within ``tol`` (NaN fails).
 
-    A matrix with no nonzero off-diagonal entry is judged by its diagonal,
-    ``|diag - conj(diag)|``: the same numbers, NaN and inf included, without
-    the full temporaries.
+    A vector, and a matrix with no nonzero off-diagonal entry, is judged by
+    its diagonal alone; any other matrix by one full temporary, ``a^dag - a``.
+    Both give the same magnitudes, NaN and inf included.
     """
     diag = _diagonal_of(a)
-    dev = (np.abs(a - a.conj().T) if diag is None else np.abs(diag - diag.conj())).max(initial=0.0)
+    dev = a.T.conj() if diag is None else diag.conj()
+    dev -= a if diag is None else diag
+    dev = np.abs(dev).max(initial=0.0)
     if not dev <= tol:
         raise StructuralError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
 
@@ -68,9 +71,9 @@ def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> No
 def _check_positive_semidefinite(a: np.ndarray, name: str, tol: float = STATE_TOL) -> None:
     """Reject a Hermitian matrix with an eigenvalue below ``-tol``.
 
-    A diagonal ``a`` (no nonzero off-diagonal entry) has the real parts of
-    its diagonal as its spectrum, so the lowest is read off directly; any
-    other has its lowest taken by ``eigvalsh``.  A NaN entry fails the gate.
+    A vector, or a diagonal ``a`` (no nonzero off-diagonal entry), has the
+    real parts of its diagonal as its spectrum, read off directly; any other
+    has its lowest taken by ``eigvalsh``.  A NaN entry fails the gate.
     """
     diag = _diagonal_of(a)
     if diag is not None:
@@ -222,7 +225,9 @@ class PhaseCellPartition:
 @dataclass(frozen=True)
 class Apparatus:
     """Finite-dimensional apparatus: free Hamiltonian, sector couplings,
-    initial state and phase-cell partition."""
+    initial state and phase-cell partition.  Each of ``K``, ``V[r]`` and
+    ``Omega`` is a square matrix or a 1-D array, which stands for the diagonal
+    matrix it holds and meets the same gates with the same numbers."""
 
     K: np.ndarray
     V: tuple[np.ndarray, ...]
@@ -230,22 +235,22 @@ class Apparatus:
     cells: PhaseCellPartition
 
     def __post_init__(self):
-        K = _as_complex_matrix(self.K, "apparatus Hamiltonian K")
+        K = _as_complex_matrix(self.K, "apparatus Hamiltonian K", vector_ok=True)
         _check_hermitian(K, "apparatus Hamiltonian K")
         dim = K.shape[0]
         Vs = []
         for r, v in enumerate(self.V):
-            v = _as_complex_matrix(v, f"coupling V[{r}]")
+            v = _as_complex_matrix(v, f"coupling V[{r}]", vector_ok=True)
             if v.shape[0] != dim:
                 raise StructuralError(f"coupling V[{r}] dimension {v.shape[0]} != dim_K {dim}")
             _check_hermitian(v, f"coupling V[{r}]")
             v.setflags(write=False)
             Vs.append(v)
-        Omega = _as_complex_matrix(self.Omega, "initial state Omega")
+        Omega = _as_complex_matrix(self.Omega, "initial state Omega", vector_ok=True)
         if Omega.shape[0] != dim:
             raise StructuralError("initial state Omega dimension mismatch")
         _check_hermitian(Omega, "initial state Omega")
-        tr = complex(np.trace(Omega))
+        tr = complex(np.trace(Omega) if Omega.ndim == 2 else Omega.sum())
         if not abs(tr - 1.0) <= STATE_TOL:
             raise StructuralError(f"Tr Omega = {tr!r}, expected 1")
         _check_positive_semidefinite(Omega, "Omega")
@@ -306,8 +311,7 @@ class EvolvedSectorStates:
 
     def block(self, r: int, s: int) -> np.ndarray:
         """The full block ``U_r^dag Omega U_s``."""
-        X = _times(self.left[r], self.propagators[s])
-        return np.diag(X) if X.ndim == 1 else X
+        return _as_matrix(_times(self.left[r], self.propagators[s]))
 
     def validate(self, tol: float = SECTOR_STATE_TOL, spectra: bool = False) -> None:
         n, d = self.n, self.diagonals
@@ -392,13 +396,7 @@ class FPropertyReport:
                    self.positivity, self.cauchy_schwarz)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "normalization": self.normalization,
-            "bounds": self.bounds,
-            "symmetry": self.symmetry,
-            "positivity": self.positivity,
-            "cauchy_schwarz": self.cauchy_schwarz,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tol"}
 
 
 def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> Iterator[np.ndarray]:
@@ -414,8 +412,9 @@ def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> Iterator[n
     Returns
     -------
     iterator of ndarray
-        One Hermitian ``dim_K x dim_K`` matrix per microsystem eigenstate, each
-        built when reached; the sector count is checked on the call.
+        One Hermitian ``dim_K x dim_K`` matrix per microsystem eigenstate, or
+        its diagonal where ``K`` and ``V_r`` are both vectors, each built when
+        reached; the sector count is checked on the call.
     """
     if apparatus.n_sectors != system.n:
         raise StructuralError(
@@ -423,50 +422,63 @@ def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> Iterator[n
             f"{system.n}-dimensional microsystem")
 
     def hams():
+        K = apparatus.K
         for V, energy in zip(apparatus.V, system.energies):
-            Kr = apparatus.K + V
-            np.fill_diagonal(Kr, Kr.diagonal() + energy)  # no dense identity: the off-diagonal sum adds 0.0
-            yield Kr
+            diag = (K if K.ndim == 1 else K.diagonal()) + (V if V.ndim == 1 else V.diagonal()) + energy
+            if K.ndim == V.ndim == 1:
+                yield diag
+            else:  # off the diagonal, a vector's np.diag form and a dense identity would add 0.0
+                Kr = K + V if K.ndim == V.ndim else (K if K.ndim == 2 else V) + 0.0
+                np.fill_diagonal(Kr, diag)
+                yield Kr
     return hams()
 
 
-def _propagator(Kr: np.ndarray, t: float) -> np.ndarray:
-    """``exp(i Kr t)`` for a Hermitian ``Kr``, by the cheapest exact route.
+def _propagator(K: np.ndarray, t: float) -> np.ndarray:
+    """``exp(i K_k t)`` for every Hermitian block of a stack ``K``, shape ``(m, d, d)``;
+    a stack of vectors, shape ``(m, d)``, stands for its diagonal matrices.
+    One route, chosen from the entries alone, serves the whole stack:
 
-    The route is chosen from the matrix entries alone, in this order:
-
-    - no nonzero off-diagonal entry: the vector ``exp(i t diag Kr)``, the
-      diagonal of the propagator;
-    - even size and exactly centrosymmetric (``Kr == J Kr J`` entry for
-      entry, ``J`` the exchange matrix): with ``Kr = [[A, B], [J B J, J A J]]``
-      the vectors ``[x; Jx]`` and ``[y; -Jy]`` split it into the half-size
-      Hermitian ``E = A + BJ`` and ``O = A - BJ`` (Cantoni & Butler, Linear
-      Algebra Appl. 13 (1976) 275-288), and with ``Ue``, ``Uo`` their
-      propagators, by this same route choice,
-      ``exp(i Kr t) = 1/2 [[Ue + Uo, (Ue - Uo) J], [J (Ue - Uo), J (Ue + Uo) J]]``;
-    - otherwise: the Hermitian eigendecomposition, ``(V e^{i Lambda t}) V^dag``.
+    - no nonzero off-diagonal entry: the vectors ``exp(i t diag K_k)``;
+    - ``d`` even and every block exactly centrosymmetric (``K_k == J K_k J``,
+      ``J`` the exchange matrix): ``K_k = [[A, B], [J B J, J A J]]`` splits
+      into the Hermitian ``E_k = A + BJ`` and ``O_k = A - BJ`` (Cantoni &
+      Butler, Linear Algebra Appl. 13 (1976) 275-288), written into one
+      ``(2m, d/2, d/2)`` stack that takes its own route; with ``Ue``, ``Uo``
+      their propagators, ``exp(i K_k t) = 1/2 [[Ue + Uo, (Ue - Uo) J], [J (Ue - Uo), J (Ue + Uo) J]]``;
+    - otherwise: one stacked eigendecomposition, ``(V e^{i Lambda t}) V^dag``.
 
     A chain's ``K_r`` commutes with the global flip, the index reversal, and
-    so do its halves at every level: it splits down to diagonal blocks and
-    never reaches an eigendecomposition.  A NaN entry is never equal to
-    itself, so a ``Kr`` holding one is not split.
+    so do its halves at every level: it splits one level at a time down to
+    diagonal blocks, never reaching ``eigh``.  NaN is never equal to itself:
+    a stack holding one is not split.
     """
-    diag = _diagonal_of(Kr)
-    if diag is not None:
-        return np.exp(1j * t * diag.real)
-    h, odd = divmod(len(Kr), 2)
-    if not odd and np.array_equal(Kr, Kr[::-1, ::-1]):
-        A, BJ = Kr[:h, :h], Kr[:h, h:][:, ::-1]
-        Ue = _as_matrix(_propagator(A + BJ, t))
-        Uo = _as_matrix(_propagator(A - BJ, t))
-        U = np.empty(Kr.shape, dtype=complex)
-        np.add(Ue, Uo, out=U[:h, :h])
-        np.subtract(Ue, Uo, out=U[:h, h:][:, ::-1])
-        U[:h] *= 0.5
-        U[h:] = U[:h][::-1, ::-1]  # the propagator is centrosymmetric too
-        return U
-    evals, vecs = np.linalg.eigh(Kr)
-    return (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
+    splits = []  # the block count m of every stack that was split
+    while (diag := K if K.ndim == 2 else _diagonal_of(K)) is None:
+        m, (h, odd) = len(K), divmod(K.shape[1], 2)
+        if odd or not np.array_equal(K, K[:, ::-1, ::-1]):
+            evals, vecs = np.linalg.eigh(K)
+            U = (vecs * np.exp(1j * evals * t)[:, None]) @ vecs.conj().transpose(0, 2, 1)
+            break
+        A, BJ = K[:, :h, :h], K[:, :h, h:][:, :, ::-1]
+        K = np.empty((2 * m, h, h), dtype=K.dtype)
+        np.add(A, BJ, out=K[:m])
+        np.subtract(A, BJ, out=K[m:])
+        splits.append(m)
+    else:
+        U = np.exp(1j * t * diag.real)
+    for m in reversed(splits):
+        if U.ndim == 2:  # diagonal blocks as full matrices
+            U, diag = np.zeros(U.shape + U.shape[1:], dtype=complex), U
+            U.reshape(len(U), -1)[:, ::U.shape[1] + 1] = diag
+        h = U.shape[1]
+        Ue, Uo = U[:m], U[m:]
+        U = np.empty((m, 2 * h, 2 * h), dtype=complex)
+        np.add(Ue, Uo, out=U[:, :h, :h])
+        np.subtract(Ue, Uo, out=U[:, :h, h:][:, :, ::-1])
+        U[:, :h] *= 0.5
+        U[:, h:] = U[:, :h][:, ::-1, ::-1]  # the propagator is centrosymmetric too
+    return U
 
 
 def _as_matrix(U: np.ndarray) -> np.ndarray:
@@ -482,7 +494,8 @@ def _adjoint_times(U: np.ndarray, X: np.ndarray) -> np.ndarray:
     """
     if U.ndim == 1:
         return U.conj() * X if X.ndim == 1 else U.conj()[:, None] * X
-    return U.conj().T * X if X.ndim == 1 else U.conj().T @ X
+    left = U.T.conj()  # U^dag, formed once: a vector scales its columns in place
+    return left @ X if X.ndim == 2 else np.multiply(left, X, out=left)
 
 
 def _times(X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -506,25 +519,15 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
     The propagators are ``U_r(t) = exp(i K_r t)`` and the block ``(r, s)``
     of the result is ``U_r(t)^dag Omega U_s(t)``; diagonal blocks are the
     apparatus states conditioned on the microsystem eigenstate.  Each
-    propagator takes the cheapest exact route its ``K_r`` allows, judged
-    from the matrix entries alone:
+    ``K_r`` goes to :func:`_propagator` as a stack of one: a diagonal one (a
+    vector, or no nonzero off-diagonal entry) gives the vector
+    ``exp(i t diag K_r)``, whose products are row and column scalings; a
+    chain's is split one level at a time on stacked blocks down to diagonal
+    ones; random instances take ``eigh``.
 
-    - no nonzero off-diagonal entry: ``exp(i t diag K_r)``, no
-      eigendecomposition, and the products with it are row and column
-      scalings;
-    - even size and exactly centrosymmetric: a split into two half-size
-      Hermitian problems (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
-      275-288), each taking this same route choice, see :func:`_propagator`;
-    - otherwise: the Hermitian eigendecomposition, ``U = (V e^{i Lambda t}) V^dag``.
-
-    A chain's ``K_r`` commutes with the global spin flip, the index reversal,
-    so it is split recursively down to diagonal blocks and never reaches an
-    eigendecomposition; random instances take ``eigh``.
-
-    An ``Omega`` with no nonzero off-diagonal entry, as every product of
-    diagonal site states is, enters by its diagonal: ``U_r^dag Omega``, formed
-    once per sector, is ``U_r^dag`` with its columns scaled.  Any other
-    ``Omega`` is multiplied in full.
+    A 1-D ``Omega``, or one with no nonzero off-diagonal entry, enters by its
+    diagonal: ``U_r^dag Omega``, formed once per sector, is ``U_r^dag`` with
+    its columns scaled.  Any other ``Omega`` is multiplied in full.
 
     The blocks are kept by these factors.  Only their diagonals, every number
     an index cell reads, are formed: each in ``O(dim_K^2)`` from its own pair
@@ -543,9 +546,10 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
     Us = []
     for r, Kr in enumerate(sector_hamiltonians(system, apparatus)):
         try:
-            Us.append(_propagator(Kr, t))
+            Us.append(_propagator(Kr[None], t)[0])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed for sector {r}: {exc}") from exc
+    del Kr  # the last K_r: only its propagator is needed from here on
     diag = _diagonal_of(apparatus.Omega)
     left = tuple(_adjoint_times(U, apparatus.Omega if diag is None else diag) for U in Us)
     diagonals = np.array([[_diagonal_of_product(L, U) for U in Us] for L in left])
@@ -674,11 +678,4 @@ def check_f_properties(f: FTensor, tol: float = PROPERTY_TOL) -> FPropertyReport
             for s in range(n):
                 viol = abs(M[r, s]) ** 2 - diag[r, a].real * diag[s, a].real
                 cauchy = max(cauchy, float(max(0.0, viol)))
-    return FPropertyReport(
-        normalization=normalization,
-        bounds=bounds,
-        symmetry=symmetry,
-        positivity=positivity,
-        cauchy_schwarz=cauchy,
-        tol=tol,
-    )
+    return FPropertyReport(normalization, bounds, symmetry, positivity, cauchy, tol)

@@ -144,10 +144,10 @@ def composite_cross_check(micro, apparatus, t, tensor, c, observable=None) -> fl
             f"(requested {n * dK})")
     Hc = np.zeros((n * dK, n * dK), dtype=complex)
     for r, Kr in enumerate(core.sector_hamiltonians(micro, apparatus)):
-        Hc[r * dK:(r + 1) * dK, r * dK:(r + 1) * dK] = Kr
+        Hc[r * dK:(r + 1) * dK, r * dK:(r + 1) * dK] = core._as_matrix(Kr)
     evals, vecs = np.linalg.eigh(Hc)
     Uc = (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
-    Phi0 = np.kron(np.outer(c, c.conj()), apparatus.Omega)
+    Phi0 = np.kron(np.outer(c, c.conj()), core._as_matrix(apparatus.Omega))
     Phi_t = Uc.conj().T @ Phi0 @ Uc
     eye_n = np.eye(n)
     worst = 0.0

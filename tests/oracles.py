@@ -38,8 +38,11 @@ def composite_expect(Phi_t, A, M):
 
 
 def dense_sector_hams(system, apparatus):
+    """``K + V_r + e_r I`` as full matrices; a vector operator stands for its diagonal matrix."""
+    def full(a):
+        return np.diag(a) if a.ndim == 1 else a
     eye = np.eye(apparatus.dim_K)
-    return [apparatus.K + apparatus.V[r] + system.energies[r] * eye
+    return [full(apparatus.K) + full(apparatus.V[r]) + system.energies[r] * eye
             for r in range(system.n)]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from pointer_cell_sim import core
+from pointer_cell_sim import core, runner
+from pointer_cell_sim.coleman_hepp import ChainSpec, build_dense, passed_sites, site_rotation
 from pointer_cell_sim.errors import (
     NullMacrostateError,
     NumericalError,
@@ -271,8 +273,9 @@ class TestPropagatorRoutes:
 
 
 def full_propagator(Kr, t):
-    """``exp(i Kr t)`` as a full matrix, whichever route ``_propagator`` takes."""
-    return core._as_matrix(core._propagator(Kr, t))
+    """``exp(i Kr t)`` as a full matrix, whichever route ``_propagator`` takes
+    for ``Kr`` as a stack of one."""
+    return core._as_matrix(core._propagator(Kr[None], t)[0])
 
 
 def centrosymmetric_hermitian(rng, dim, complex_):
@@ -320,14 +323,14 @@ class TestCentrosymmetricSplit:
         K = centrosymmetric_hermitian(rng, dim, complex_)
         t = 1.3
         assert np.abs(full_propagator(K, t) - expm(1j * K * t)).max() < 1e-12
-        # the halves are generic Hermitian matrices: two half-size eigh calls
-        assert eigh_calls == [((dim // 2, dim // 2), complex_)] * 2
+        # the halves are generic Hermitian matrices: one eigh call on a stack of two half-size blocks
+        assert eigh_calls == [((2, dim // 2, dim // 2), complex_)]
 
     @pytest.mark.parametrize("complex_, levels, calls", [
         # three splits reach 1 x 1 blocks; a centrosymmetric Hermitian 2 x 2 is real,
         # so complex halves stop one level earlier
         (False, 3, []),
-        (True, 2, [((2, 2), True)] * 4),
+        (True, 2, [((4, 2, 2), True)]),
     ], ids=["real", "complex"])
     def test_nested_splits_match_scaled_squaring(self, rng, eigh_calls, complex_, levels, calls):
         K = nested_centrosymmetric(rng, 8, complex_, levels)
@@ -350,7 +353,7 @@ class TestCentrosymmetricSplit:
         K[1, 0] = np.conj(K[0, 1])
         t = 1.3
         assert np.abs(full_propagator(K, t) - expm(1j * K * t)).max() < 1e-12
-        assert eigh_calls == [((8, 8), complex_)]
+        assert eigh_calls == [((1, 8, 8), complex_)]
 
     def test_nan_is_not_split(self, rng, eigh_calls):
         # NaN entries in mirrored places: NaN != NaN, so the full real eigh runs as
@@ -363,9 +366,53 @@ class TestCentrosymmetricSplit:
 
         K = nested_centrosymmetric(rng, 4, False, 2)
         K[0, 1] = K[1, 0] = K[3, 2] = K[2, 3] = np.nan
-        got = outcome(lambda: core._propagator(K, 1.3))
-        assert eigh_calls == [((4, 4), False)]
+        got = outcome(lambda: core._propagator(K[None], 1.3))
+        assert eigh_calls == [((1, 4, 4), False)]
         assert got == outcome(lambda: np.linalg.eigh(K)[1])
+
+
+class TestDenseChainOracle:
+    """The chain's spin-down propagator, by stacked splits, against the product
+    of its site rotations, and the memory of the dense chain oracle."""
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_propagator_is_the_product_of_site_rotations(self, monkeypatch, eigh_calls, fraction):
+        spec = ChainSpec(N=10, m0=0.6, theta=2.5, energies=(0.3, -0.4))
+        passed = passed_sites(spec.N, fraction)
+        micro, app = build_dense(spec, passed)
+        _, K1 = core.sector_hamiltonians(micro, app)
+        stacks = []  # the shape of every stack whose route is chosen
+        diagonal_of = core._diagonal_of
+
+        def spy(a):
+            stacks.append(a.shape)
+            return diagonal_of(a)
+
+        monkeypatch.setattr(core, "_diagonal_of", spy)
+        U1 = core._propagator(K1[None], spec.t)[0]
+        sites = [site_rotation(spec.theta)] * passed + [np.eye(2)] * (spec.N - passed)
+        ref = np.exp(1j * spec.energies[1] * spec.t) * functools.reduce(np.kron, sites)
+        assert np.abs(U1 - ref).max() < 1e-13
+        assert eigh_calls == []
+        assert 1 <= len(stacks) <= 11
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_memory(self, fraction):
+        # in complex dim_K^2 arrays: the build holds the spin-down coupling and its Hermitian
+        # check's a^dag - a and |a^dag - a|; the tensor adds K_1, U_1 and the half-size
+        # propagators U_1 is assembled from, then U_1^dag Omega once K_1 is released
+        spec = ChainSpec(N=10, m0=0.6, theta=2.5, energies=(0.3, -0.4))
+        full = 2 ** (2 * spec.N) * 16
+        peaks = []
+        for build in (lambda: build_dense(spec, passed_sites(spec.N, fraction)),
+                      lambda: runner.dense_chain_tensor(spec, fraction)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1] / full)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 3.0 and peaks[1] < 4.5
 
 
 class TestDiagonalOmega:
@@ -559,6 +606,116 @@ class TestHermitianGate:
         a[1, 3] = 1e-11
         with pytest.raises(StructuralError, match="^m is not Hermitian: max deviation 1.000e-11"):
             core._check_hermitian(a, "m")
+
+
+class TestHermitianFullFormula:
+    """A matrix with a nonzero off-diagonal entry is judged by ``a^dag - a``, one
+    full temporary with the magnitudes of ``a - a^dag``."""
+
+    @pytest.mark.parametrize("entry", [1e-11, 1e-13, 1 + 1j, np.nan, np.inf, -np.inf,
+                                       complex(0.0, np.inf)],
+                             ids=["small", "within-tol", "complex", "nan", "inf", "-inf", "inf-imag"])
+    def test_matches_the_two_temporary_formula(self, rng, entry):
+        a = random_hermitian(rng, 5)
+        a[1, 3] += entry
+        with np.errstate(invalid="ignore"):
+            dev = np.abs(a - a.conj().T).max()
+            try:
+                core._check_hermitian(a, "m")
+                verdict = None
+            except StructuralError as exc:
+                verdict = str(exc)
+        expected = (None if dev <= core.HERMITIAN_TOL
+                    else f"m is not Hermitian: max deviation {dev:.3e} > {core.HERMITIAN_TOL:.0e}")
+        assert verdict == expected
+
+    def test_one_complex_temporary(self, rng):
+        a = random_hermitian(rng, 512)
+        tracemalloc.start()
+        try:
+            core._check_hermitian(a, "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * a.nbytes
+
+
+def apparatus_verdict(K, V, Omega, dim):
+    """The message an apparatus of these operators is refused with, or None."""
+    cells = core.PhaseCellPartition(cells=[range(dim // 2), range(dim // 2, dim)], dim=dim)
+    try:
+        with np.errstate(invalid="ignore"):  # inf - inf, in both forms
+            core.Apparatus(K=K, V=tuple(V), Omega=Omega, cells=cells)
+    except StructuralError as exc:
+        return str(exc)
+    return None
+
+
+def diag_form(a):
+    return np.diag(a) if a.ndim == 1 else a
+
+
+class TestVectorOperators:
+    """A 1-D ``K``, ``V[r]`` or ``Omega`` stands for its ``np.diag`` form: the same
+    gates, verdicts and messages, and the same states and tensors bit for bit."""
+
+    @staticmethod
+    def operators(rng, dim, n):
+        K = rng.normal(size=dim).astype(complex)
+        V = [rng.normal(size=dim).astype(complex) for _ in range(n)]
+        return K, V, rng.dirichlet(np.ones(dim)).astype(complex)
+
+    @pytest.mark.parametrize("case", ["accepted", "nan-K", "inf-V", "-inf-V", "nan-Omega",
+                                      "negative-Omega", "non-real-K", "trace", "length-V",
+                                      "length-Omega"])
+    def test_gate_parity(self, rng, case):
+        dim = 64
+        K, V, Omega = self.operators(rng, dim, 2)
+        if case == "nan-K":
+            K[3] = np.nan
+        elif case == "inf-V":
+            V[1][5] = np.inf
+        elif case == "-inf-V":
+            V[0][0] = -np.inf
+        elif case == "nan-Omega":
+            Omega[7] = np.nan
+        elif case == "negative-Omega":
+            Omega[2], Omega[4] = Omega[2] + Omega[4] + 2 * core.STATE_TOL, -2 * core.STATE_TOL
+        elif case == "non-real-K":
+            K[1] += 1e-6j
+        elif case == "trace":
+            Omega *= 1.1
+        elif case == "length-V":
+            V[1] = np.append(V[1], 0.5)
+        elif case == "length-Omega":
+            Omega = Omega[1:] / Omega[1:].sum()
+        vector = apparatus_verdict(K, V, Omega, dim)
+        assert vector == apparatus_verdict(diag_form(K), [diag_form(v) for v in V], diag_form(Omega), dim)
+        assert (vector is None) == (case == "accepted")
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("couplings", ["vectors", "matrices"])
+    def test_evolution_parity_bitwise(self, seed, couplings):
+        # vector couplings keep every K_r a vector; matrix couplings next to a
+        # vector K are the chain's case
+        rng = np.random.default_rng(seed)
+        n, dim = 3, 8
+        K, V, Omega = self.operators(rng, dim, n)
+        if couplings == "matrices":
+            V = [random_hermitian(rng, dim) for _ in range(n)]
+        micro = make_micro(rng.normal(size=n))
+        cells = core.PhaseCellPartition(cells=random_index_partition(rng, dim, n), dim=dim)
+        c = random_amplitudes(rng, n)
+        t = float(rng.uniform(0.2, 2.0))
+        results = []
+        for form in (lambda a: a, diag_form):
+            app = core.Apparatus(K=form(K), V=tuple(form(v) for v in V), Omega=form(Omega), cells=cells)
+            states = core.evolve_sectors(micro, app, t)
+            f = core.f_tensor(states, cells)
+            results.append([states.diagonals.tobytes(), f.values.tobytes(),
+                            [Kr.tobytes() for Kr in map(diag_form, core.sector_hamiltonians(micro, app))],
+                            runner.composite_cross_check(micro, app, t, f, c)])
+        assert results[0] == results[1]
 
 
 class TestNonFiniteInputs:
