@@ -32,23 +32,16 @@ from .logspace import (
     lc_real_logsumexp_rows,
 )
 
-#: basis maps for product systems are materialised only up to this site count
-BASIS_MAP_MAX_SITES = 14
-
 
 @dataclass(frozen=True, eq=False)
 class IntensiveObservable:
     """Spectrum of a fine-grained extensive observable divided by N.
 
     ``spectrum`` is stored as a read-only, strictly increasing float array.
-    ``basis_value_index`` (optional) maps each basis index of a concrete
-    apparatus space to the index of its spectrum value, enabling explicit
-    projector construction for the dense backend.
     """
 
     spectrum: np.ndarray
     N: int = 1
-    basis_value_index: np.ndarray | None = None
 
     def __post_init__(self):
         spec = np.array(self.spectrum, dtype=float)
@@ -60,12 +53,6 @@ class IntensiveObservable:
             raise StructuralError("particle count must be at least 1")
         spec.setflags(write=False)
         object.__setattr__(self, "spectrum", spec)
-        if self.basis_value_index is not None:
-            idx = np.asarray(self.basis_value_index, dtype=int)
-            if idx.min() < 0 or idx.max() >= len(spec):
-                raise StructuralError("basis map refers to a missing spectrum point")
-            idx.setflags(write=False)
-            object.__setattr__(self, "basis_value_index", idx)
 
     @property
     def lo(self) -> float:
@@ -82,22 +69,11 @@ class IntensiveObservable:
         return float(np.diff(self.spectrum).max())
 
     @classmethod
-    def magnetization_chain(cls, N: int, with_basis_map: bool | None = None) -> "IntensiveObservable":
+    def magnetization_chain(cls, N: int) -> "IntensiveObservable":
         """Mean z-magnetisation of N two-level sites: values (2j - N) / N."""
         if N < 1:
             raise StructuralError("chain must have at least one site")
-        spectrum = (2 * np.arange(N + 1) - N) / N
-        if with_basis_map is None:
-            with_basis_map = N <= BASIS_MAP_MAX_SITES
-        basis = None
-        if with_basis_map:
-            if N > BASIS_MAP_MAX_SITES:
-                raise StructuralError(f"basis map limited to {BASIS_MAP_MAX_SITES} sites")
-            counts = np.zeros(2 ** N, dtype=int)
-            for bit in range(N):
-                counts += (np.arange(2 ** N) >> bit) & 1
-            basis = N - counts  # bit value 1 encodes a down spin
-        return cls(spectrum=spectrum, N=N, basis_value_index=basis)
+        return cls(spectrum=(2 * np.arange(N + 1) - N) / N, N=N)
 
 
 @dataclass(frozen=True)
@@ -140,15 +116,10 @@ class CellPartitionSpec:
         return min(idx, self.n_cells - 1)
 
 
-def coarse_grain(
-    obs: IntensiveObservable, n_cells: int
-) -> tuple[CellPartitionSpec, PhaseCellPartition | None]:
-    """Partition the spectrum range into equal cells and build the projectors.
+def coarse_grain(obs: IntensiveObservable, n_cells: int) -> CellPartitionSpec:
+    """Partition the spectrum range into equal cells of spectrum indices.
 
-    Returns the interval-level description together with an explicit
-    :class:`PhaseCellPartition` whenever the observable carries a basis map;
-    otherwise the second element is ``None`` and only factorized backends can
-    consume the partition.  Empty cells are legal but warned about.
+    Empty cells are legal but warned about.
     """
     if n_cells < 1:
         raise PreconditionError("need at least one cell")
@@ -172,17 +143,7 @@ def coarse_grain(
     spec = CellPartitionSpec(edges=edges, bounds=bounds, labels=labels)
     if spec.empty_cells:
         warnings.warn(f"cells {spec.empty_cells} contain no spectrum points", stacklevel=2)
-    partition = None
-    if obs.basis_value_index is not None:
-        cell_of_point = np.repeat(np.arange(n_cells), np.diff(bounds))
-        cell_of_basis = cell_of_point[obs.basis_value_index]
-        sets = [np.nonzero(cell_of_basis == a)[0] for a in range(n_cells)]
-        partition = PhaseCellPartition(
-            cells=[frozenset(int(i) for i in s) for s in sets],
-            dim=len(obs.basis_value_index),
-            labels=labels,
-        )
-    return spec, partition
+    return spec
 
 
 @dataclass(frozen=True)

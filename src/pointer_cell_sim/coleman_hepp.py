@@ -20,8 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coarse_ldp import (BASIS_MAP_MAX_SITES, BernoulliProduct, CellPartitionSpec,
-                         IntensiveObservable, coarse_grain)
+from .coarse_ldp import BernoulliProduct, CellPartitionSpec
 from .core import (
     Apparatus,
     FTensor,
@@ -144,10 +143,17 @@ def sign_cells(N: int) -> CellPartitionSpec:
 
 
 def chain_cells(N: int) -> tuple[CellPartitionSpec, PhaseCellPartition | None]:
-    """``sign_cells(N)`` and, up to ``BASIS_MAP_MAX_SITES``, its projectors for
-    ``build_dense``, from ``coarse_grain``, which never warns there: 2/N is half its cap."""
-    dense = N <= BASIS_MAP_MAX_SITES
-    return sign_cells(N), coarse_grain(IntensiveObservable.magnetization_chain(N), 2)[1] if dense else None
+    """``sign_cells(N)`` and, up to ``DENSE_SITE_CAP``, its phase cells for
+    ``build_dense``: basis index ``i`` has ``N - popcount(i)`` up spins (a set
+    bit is a down spin) and lies in "+" iff that count is at least ``bounds[1]``."""
+    cells = sign_cells(N)
+    if N > DENSE_SITE_CAP:
+        return cells, None
+    index = np.arange(2 ** N)
+    ups = np.full(2 ** N, N)
+    for bit in range(N):
+        ups -= (index >> bit) & 1
+    return cells, PhaseCellPartition((ups >= cells.bounds[1]).astype(int), 2, labels=cells.labels)
 
 
 def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[MicroSystem, Apparatus]:
@@ -159,7 +165,8 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
     evolving to time ``spec.t`` performs exactly one rotation by
     ``spec.theta`` per passed site.  ``K`` and the spin-up coupling are one
     zero vector; ``Omega`` is the Kronecker product of the site diagonals
-    when every site state is diagonal, else of the site states."""
+    when every site state is diagonal, else of the site states.  The phase
+    cells are ``chain_cells(spec.N)[1]``, in the apparatus' own basis."""
     if spec.N > DENSE_SITE_CAP:
         raise CapacityError(
             f"dense chain capped at {DENSE_SITE_CAP} sites (got {spec.N}); "

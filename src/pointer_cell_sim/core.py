@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-12
 STATE_TOL = 1e-12
-AMPLITUDE_TOL = 1e-12
 SECTOR_STATE_TOL = 1e-10
 WEIGHT_FLOOR = 1e-12
 PROPERTY_TOL = 1e-9
@@ -87,10 +86,7 @@ def _check_positive_semidefinite(a: np.ndarray, name: str, tol: float = STATE_TO
 
 
 def _amplitudes(c, n: int | None = None) -> np.ndarray:
-    if isinstance(c, InitialComposite):
-        vec = c.c
-    else:
-        vec = np.asarray(c, dtype=complex).ravel()
+    vec = np.asarray(c, dtype=complex).ravel()
     if n is not None and vec.size != n:
         raise PreconditionError(f"expected {n} amplitudes, got {vec.size}")
     norm = float(np.sum(np.abs(vec) ** 2))
@@ -138,88 +134,79 @@ class ObservableS:
         return self.matrix.shape[0]
 
 
-CellSpec = Union[Sequence[int], frozenset, np.ndarray]
-
-
 class PhaseCellPartition:
     """Orthogonal projectors that resolve the apparatus space into phase cells.
 
-    Each cell is either a set of orthonormal-basis indices (a diagonal
-    projector, stored exactly) or an explicit projector matrix.  The cells
-    must be mutually orthogonal and complete: ``P_a P_b = delta_ab P_a`` and
-    ``sum_a P_a = I``.
+    ``cell_of[i]`` is the cell of basis vector ``i``; the basis is the
+    apparatus' own unless ``basis`` gives a unitary whose columns are the basis
+    vectors.  The projector of cell ``a`` is the sum of ``|q_i><q_i|`` over
+    its members, so the cells are mutually orthogonal and complete by
+    construction: ``P_a P_b = delta_ab P_a`` and ``sum_a P_a = I``.  An empty
+    cell is legal.
     """
 
-    def __init__(self, cells: Sequence[CellSpec], dim: int, labels: Sequence[str] | None = None):
-        self.dim = int(dim)
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(len(cells)))
-        if len(self.labels) != len(cells):
+    def __init__(self, cell_of, cell_count: int, basis=None, labels: Sequence[str] | None = None):
+        cell_of = np.array(cell_of)
+        self.labels = tuple(labels) if labels is not None else tuple(str(a) for a in range(cell_count))
+        if len(self.labels) != cell_count:
             raise StructuralError("cell labels must match the number of cells")
-        parsed: list[frozenset | np.ndarray] = []
-        for cell in cells:
-            if isinstance(cell, np.ndarray) and cell.ndim == 2:
-                mat = _as_complex_matrix(cell, "cell projector")
-                if mat.shape[0] != self.dim:
-                    raise StructuralError("cell projector dimension mismatch")
-                mat.setflags(write=False)
-                parsed.append(mat)
-            else:
-                idx = frozenset(int(i) for i in cell)
-                if idx and (min(idx) < 0 or max(idx) >= self.dim):
-                    raise StructuralError("cell basis index out of range")
-                parsed.append(idx)
-        self.cells = tuple(parsed)
-        self._validate()
+        if cell_of.ndim != 1 or cell_of.dtype.kind not in "iu" or not (
+                cell_of.size and 0 <= cell_of.min() and cell_of.max() < cell_count):
+            raise StructuralError(f"cell indices must be integers in [0, {cell_count})")
+        if basis is not None:
+            basis = np.array(basis, dtype=complex)
+            if basis.shape != (cell_of.size, cell_of.size):
+                raise StructuralError(f"cell basis of shape {basis.shape} for {cell_of.size} indices")
+            dev = np.abs(basis.conj().T @ basis - np.eye(cell_of.size)).max()
+            if not dev <= HERMITIAN_TOL:
+                raise StructuralError(f"cell basis is not unitary: max deviation {dev:.3e}")
+            basis.setflags(write=False)
+        cell_of.setflags(write=False)
+        self.cell_of, self.basis = cell_of, basis
+
+    @classmethod
+    def from_groups(cls, groups: Sequence[Sequence[int]], dim: int,
+                    labels: Sequence[str] | None = None) -> "PhaseCellPartition":
+        """Cells given as groups of basis indices, which must cover ``range(dim)`` once."""
+        groups = [np.array([int(i) for i in group], dtype=int) for group in groups]
+        if any(idx.size and (idx.min() < 0 or idx.max() >= dim) for idx in groups):
+            raise StructuralError("cell basis index out of range")
+        cell_of = np.full(int(dim), -1)
+        for a, idx in enumerate(groups):
+            if (cell_of[idx] != -1).any():
+                raise StructuralError("cells overlap: shared basis indices")
+            cell_of[idx] = a
+        if (cell_of == -1).any():
+            raise StructuralError("cells do not resolve the identity: missing basis indices")
+        return cls(cell_of, len(groups), labels=labels)
+
+    @property
+    def dim(self) -> int:
+        return self.cell_of.size
 
     @property
     def cell_count(self) -> int:
-        return len(self.cells)
+        return len(self.labels)
 
-    def _validate(self, tol: float = HERMITIAN_TOL) -> None:
-        index_cells = [c for c in self.cells if isinstance(c, frozenset)]
-        matrix_cells = [c for c in self.cells if not isinstance(c, frozenset)]
-        covered: set[int] = set()
-        for idx in index_cells:
-            if covered & idx:
-                raise StructuralError("cells overlap: shared basis indices")
-            covered |= idx
-        if not matrix_cells:
-            if covered != set(range(self.dim)):
-                raise StructuralError("cells do not resolve the identity: missing basis indices")
-            return
-        # mixed or dense representation: validate numerically
-        mats = [self.as_matrix(i) for i in range(self.cell_count)]
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, P in enumerate(mats):
-            _check_hermitian(P, f"cell {i} projector", tol)
-            total += P
-            for j in range(i, self.cell_count):
-                prod = P @ mats[j]
-                ref = P if i == j else 0.0
-                if not np.abs(prod - ref).max() <= tol:
-                    raise StructuralError(f"cells {i},{j} are not orthogonal projectors")
-        if not np.abs(total - np.eye(self.dim)).max() <= tol:
-            raise StructuralError("cells do not sum to the identity")
+    def members(self, alpha: int) -> np.ndarray:
+        """The basis indices of cell ``alpha``, ascending."""
+        return np.flatnonzero(self.cell_of == alpha)
 
     def as_matrix(self, alpha: int) -> np.ndarray:
-        cell = self.cells[alpha]
-        if isinstance(cell, frozenset):
+        m = self.members(alpha)
+        if self.basis is None:
             P = np.zeros((self.dim, self.dim), dtype=complex)
-            ii = sorted(cell)
-            P[ii, ii] = 1.0
+            P[m, m] = 1.0
             return P
-        return np.asarray(cell)
-
-    def cell_trace(self, X: np.ndarray, alpha: int) -> complex:
-        """Tr(X P_alpha), using the exact diagonal sum for index cells."""
-        cell = self.cells[alpha]
-        if isinstance(cell, frozenset):
-            ii = sorted(cell)
-            return complex(X.diagonal()[ii].sum())
-        return complex(np.einsum("ij,ji->", X, np.asarray(cell)))
+        return self.basis[:, m] @ self.basis[:, m].conj().T
 
     def trace_all(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.cell_trace(X, a) for a in range(self.cell_count)])
+        """``Tr(X P_alpha)`` for every cell.  In the apparatus' own basis a cell sums
+        its members' diagonal entries in ascending order, and ``X`` may be its diagonal."""
+        if self.basis is None:
+            diag = X if X.ndim == 1 else X.diagonal()
+            return np.array([diag[self.members(a)].sum() for a in range(self.cell_count)])
+        return np.array([np.einsum("ij,ji->", X, self.as_matrix(a)) for a in range(self.cell_count)])
 
 
 @dataclass(frozen=True)
@@ -269,25 +256,6 @@ class Apparatus:
     @property
     def n_sectors(self) -> int:
         return len(self.V)
-
-
-@dataclass(frozen=True)
-class InitialComposite:
-    """Normalised microsystem amplitudes; the apparatus starts in Omega."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.c, dtype=complex).ravel()
-        norm = float(np.sum(np.abs(vec) ** 2))
-        if not abs(norm - 1.0) <= AMPLITUDE_TOL:
-            raise StructuralError(f"amplitudes are not normalised: sum |c|^2 = {norm!r}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "c", vec)
-
-    @property
-    def n(self) -> int:
-        return self.c.size
 
 
 @dataclass(frozen=True)
@@ -530,12 +498,13 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
     its columns scaled.  Any other ``Omega`` is multiplied in full.
 
     The blocks are kept by these factors.  Only their diagonals, every number
-    an index cell reads, are formed: each in ``O(dim_K^2)`` from its own pair
-    of factors, so the adjoint pairing that ``validate`` checks compares
-    independently computed diagonals.  A full block is formed only for an
-    explicit projector cell or ``validate(spectra=True)``.  Every route is
-    unitary to roundoff; the full-composite oracle
-    (``runner.composite_cross_check``) keeps its own eigendecomposition.
+    cells in the apparatus' own basis read, are formed: each in
+    ``O(dim_K^2)`` from its own pair of factors, so the adjoint pairing that
+    ``validate`` checks compares independently computed diagonals.  A full
+    block is formed only for cells in a rotated basis or
+    ``validate(spectra=True)``.  Every route is unitary to roundoff; the
+    full-composite oracle (``runner.composite_cross_check``) keeps its own
+    eigendecomposition.
     """
     if not math.isfinite(t):
         raise PreconditionError(f"time must be finite, got {t!r}")
@@ -559,8 +528,8 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
 
 
 def f_tensor(states: EvolvedSectorStates, cells: PhaseCellPartition) -> FTensor:
-    """Trace every evolved sector state against every phase-cell projector: an index
-    cell sums a block diagonal; a full block is formed only for a projector matrix."""
+    """Trace every evolved sector state against every phase-cell projector: in the
+    apparatus' own basis from the block diagonals alone, in a rotated basis from full blocks."""
     if cells.dim != states.dim_K:
         raise StructuralError(
             f"partition dimension {cells.dim} != apparatus dimension {states.dim_K}")
@@ -570,12 +539,8 @@ def f_tensor(states: EvolvedSectorStates, cells: PhaseCellPartition) -> FTensor:
             f"partition has {cells.cell_count} cells; the pointer correspondence "
             f"requires exactly n = {n}")
     values = np.empty((n, n, n), dtype=complex)
-    index_only = all(isinstance(cell, frozenset) for cell in cells.cells)
     for r, s in np.ndindex(n, n):
-        block = None if index_only else states.block(r, s)
-        for alpha, cell in enumerate(cells.cells):
-            values[r, s, alpha] = (states.diagonals[r, s][sorted(cell)].sum()
-                                   if isinstance(cell, frozenset) else cells.cell_trace(block, alpha))
+        values[r, s] = cells.trace_all(states.diagonals[r, s] if cells.basis is None else states.block(r, s))
     return FTensor(values=values, t=states.t)
 
 

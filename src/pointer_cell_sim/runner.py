@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__ as _package_version
 from . import coarse_ldp, coleman_hepp, core, instances, verify
 from .config import ExperimentConfig, fmt_float
-from .errors import AmbiguousPointerError, CapacityError, ConfigError, SimulationError
+from .errors import AmbiguousPointerError, CapacityError, ConfigError, SimulationError, StructuralError
 from .logspace import bernoulli_relative_entropy
 from .report import (LDP_COLUMNS, SWEEP_COLUMNS, f_tensor_items, parse_f_tensor_text,
                      property_items, render_csv, render_report)
@@ -95,12 +95,19 @@ def _build_generic_dense(cfg: ExperimentConfig, base_dir: Path):
             matrices.append(load_matrix_text(base_dir / name))
         except ConfigError as exc:
             problems += exc.errors
+            matrices.append(None)
     groups = [grp.split() for grp in str(params["cells"]).split("|")]
     try:
-        cell_sets = [frozenset(int(tok) for tok in grp) for grp in groups]
+        groups = [[int(tok) for tok in grp] for grp in groups]
     except ValueError as exc:
         problems.append(f"generic_dense: cells must be groups of basis indices such as "
                         f"'0 1 | 2 3': {exc}")
+    else:
+        if matrices[0] is not None:  # the cells resolve K's space
+            try:
+                cell_of = core.PhaseCellPartition.from_groups(groups, matrices[0].shape[0]).cell_of
+            except StructuralError as exc:
+                problems.append(f"generic_dense: {exc}")
     labels = tuple(tok.strip() for tok in str(params["labels"]).split(",")) if "labels" in params else None
     energies = tuple(params["energies"])
     n = len(energies)
@@ -118,9 +125,7 @@ def _build_generic_dense(cfg: ExperimentConfig, base_dir: Path):
     K, *Vs, Omega = matrices
     micro = core.MicroSystem(energies=energies,
                              labels=labels or tuple(f"u{r}" for r in range(n)))
-    cells = core.PhaseCellPartition(
-        cells=cell_sets, dim=K.shape[0],
-        labels=labels or tuple(str(a) for a in range(n)))
+    cells = core.PhaseCellPartition(cell_of, n, labels=labels)
     apparatus = core.Apparatus(K=K, V=tuple(Vs), Omega=Omega, cells=cells)
     return micro, apparatus
 

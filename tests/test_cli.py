@@ -508,8 +508,7 @@ class TestGenericDense:
         sections, _ = tokenize_kv("\n".join(text.splitlines()[1:]))
         assert sections["provenance"]["backend"] == "dense"
         micro = core.MicroSystem(energies=(0.5, -0.5), labels=("a", "b"))
-        cells = core.PhaseCellPartition(
-            cells=[frozenset({0, 1}), frozenset({2, 3})], dim=4, labels=("a", "b"))
+        cells = core.PhaseCellPartition.from_groups([[0, 1], [2, 3]], 4, labels=("a", "b"))
         apparatus = core.Apparatus(K=K, V=Vs, Omega=omega, cells=cells)
         ref = core.f_tensor(core.evolve_sectors(micro, apparatus, 0.8), apparatus.cells)
         got = parse_f_tensor_text(text)
@@ -540,13 +539,17 @@ class TestGenericDense:
 
     @pytest.mark.parametrize("line, message", [
         ("cells = 0 1 | 2 x", "cells must be groups of basis indices"),
+        ("cells = 0 1 | 1 3", "generic_dense: cells overlap: shared basis indices"),
+        ("cells = 0 1 | 2", "generic_dense: cells do not resolve the identity: missing basis indices"),
+        ("cells = 0 1 | 2 4", "generic_dense: cell basis index out of range"),
         ("labels = a, b, c", "labels and energies must agree in length (got 3, 2)"),
         ("labels = a, a", "labels must be distinct (got a, a)"),
         ("t = inf", "[parameters]: t must be finite"),
         ("t = nan", "[parameters]: t must be finite"),
         ("energies = 0.5, inf", "[parameters]: energies must be finite"),
         ("energies = nan, -0.5", "[parameters]: energies must be finite"),
-    ], ids=["cells", "labels", "duplicate-labels", "t-inf", "t-nan", "energy-inf", "energy-nan"])
+    ], ids=["cells", "cells-overlap", "cells-missing", "cells-out-of-range", "labels",
+            "duplicate-labels", "t-inf", "t-nan", "energy-inf", "energy-nan"])
     def test_malformed_list_is_config_error(self, generic_workdir, capsys, line, message):
         workdir, _ = generic_workdir
         key = line.split(" = ")[0]

@@ -20,6 +20,8 @@ from pointer_cell_sim.coarse_ldp import (
     estimate_rate,
     perturbation_residual_bound,
 )
+from pointer_cell_sim.coleman_hepp import chain_cells
+from pointer_cell_sim.core import PhaseCellPartition
 from pointer_cell_sim.errors import PreconditionError, StructuralError
 from pointer_cell_sim.logspace import binomial_log_pmf
 
@@ -44,23 +46,26 @@ def site_probs(state: BernoulliProduct) -> np.ndarray:
 class TestCoarseGrain:
     def test_four_site_chain_example(self):
         obs = IntensiveObservable.magnetization_chain(4)
-        spec, partition = coarse_grain(obs, 2)
+        spec = coarse_grain(obs, 2)
         assert spec.edges == (-1.0, 0.0, 1.0)
         # boundary value 0 joins the closed-left "+" interval
         assert spec.bounds == (0, 2, 5)
-        assert partition is not None
-        assert len(partition.cells[1]) == math.comb(4, 2) + math.comb(4, 3) + math.comb(4, 4)
-        assert len(partition.cells[0]) == 2 ** 4 - 11
+        _, partition = chain_cells(4)
+        assert partition.labels == spec.labels
+        assert partition.members(1).size == math.comb(4, 2) + math.comb(4, 3) + math.comb(4, 4)
+        assert partition.members(0).size == 2 ** 4 - 11
 
     def test_single_cell_is_identity(self):
-        obs = IntensiveObservable.magnetization_chain(3)
-        _, partition = coarse_grain(obs, 1)
-        assert len(partition.cells[0]) == 8
+        spec = coarse_grain(IntensiveObservable.magnetization_chain(3), 1)
+        assert spec.bounds == (0, 4)
+        partition = PhaseCellPartition(np.zeros(8, dtype=int), 1)
+        assert partition.members(0).size == 8
+        assert np.array_equal(partition.as_matrix(0), np.eye(8))
 
     def test_empty_cells_warn(self):
         obs = IntensiveObservable(spectrum=(0.0, 1.0), N=2)
         with pytest.warns(UserWarning, match="no spectrum points"):
-            spec, _ = coarse_grain(obs, 5)
+            spec = coarse_grain(obs, 5)
         assert spec.empty_cells != ()
 
     @pytest.mark.parametrize("N", range(1, 13))
@@ -69,7 +74,7 @@ class TestCoarseGrain:
         for n_cells in (1, 2, 3):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # empty cells are fine here
-                spec, _ = coarse_grain(obs, n_cells)
+                spec = coarse_grain(obs, n_cells)
             # the index ranges tile the spectrum in order
             assert spec.bounds[0] == 0 and spec.bounds[-1] == len(obs.spectrum)
             assert all(lo <= hi for lo, hi in zip(spec.bounds, spec.bounds[1:]))
@@ -79,11 +84,15 @@ class TestCoarseGrain:
 
     @pytest.mark.parametrize("N", [2, 5, 9, 12])
     def test_partition_satisfies_core_identities(self, N):
-        obs = IntensiveObservable.magnetization_chain(N)
-        spec, partition = coarse_grain(obs, 2)
-        # PhaseCellPartition validates orthogonality and completeness on build
-        assert partition.cell_count == 2
-        assert len(partition.cells[0]) + len(partition.cells[1]) == 2 ** N
+        spec = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
+        _, partition = chain_cells(N)
+        # every basis index lies in exactly one cell, so the projectors are
+        # orthogonal and complete; each cell holds the spectrum range of its spec
+        assert partition.cell_count == 2 and partition.dim == 2 ** N
+        assert partition.members(0).size + partition.members(1).size == 2 ** N
+        for a in range(2):
+            ups = [N - bin(int(i)).count("1") for i in partition.members(a)]
+            assert all(spec.bounds[a] <= j < spec.bounds[a + 1] for j in ups)
 
     def test_gap_warning_for_sparse_spectrum(self):
         obs = IntensiveObservable(spectrum=(0.0, 0.9, 1.0), N=50)
@@ -94,7 +103,7 @@ class TestCoarseGrain:
 class TestCellProbability:
     def test_binomial_plus_cell_literal(self):
         obs = IntensiveObservable.magnetization_chain(4)
-        spec, _ = coarse_grain(obs, 2)
+        spec = coarse_grain(obs, 2)
         state = BernoulliProduct.homogeneous(4, 0.8)
         probs = cell_probability(state, spec)
         assert probs[1] == pytest.approx(0.9728, abs=1e-12)
@@ -102,15 +111,14 @@ class TestCellProbability:
 
     def test_deterministic_state(self):
         obs = IntensiveObservable.magnetization_chain(5)
-        spec, _ = coarse_grain(obs, 2)
+        spec = coarse_grain(obs, 2)
         state = BernoulliProduct.homogeneous(5, 1.0)
         probs = cell_probability(state, spec)
         assert probs[1] == 1.0 and probs[0] == 0.0
 
     def test_dense_trace_agrees_with_product_path(self, rng):
         N = 4
-        obs = IntensiveObservable.magnetization_chain(N)
-        spec, partition = coarse_grain(obs, 2)
+        spec, partition = chain_cells(N)
         p = 0.73
         site = np.diag([p, 1 - p]).astype(complex)
         rho = site
@@ -125,7 +133,7 @@ class TestCellProbability:
         N = state.N
         dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
         obs = IntensiveObservable.magnetization_chain(N)
-        spec, _ = coarse_grain(obs, 2)
+        spec = coarse_grain(obs, 2)
         probs = cell_probability(state, spec)
         plus = float(sum(dist[j] for j in range(N + 1) if 2 * j - N >= 0))
         assert probs[1] == pytest.approx(plus, rel=1e-12)
@@ -134,18 +142,18 @@ class TestCellProbability:
         # the "-" cell of 4000 sites at p = 0.8 is way below exp(-745), yet
         # finite in log space and exact
         N = 4000
-        spec, _ = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
+        spec = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
         got = cell_log_probability(BernoulliProduct.homogeneous(N, 0.8), spec)
         assert np.isfinite(got[0]) and got[0] < -745
         ref = binom_range_log(N, 0.8, chain_minus_cell_counts(N))
         assert abs(got[0] - ref) <= 1e-12 * abs(ref)
 
     def test_wrong_partition_length_rejected(self):
-        spec, _ = coarse_grain(IntensiveObservable.magnetization_chain(5), 2)
+        spec = coarse_grain(IntensiveObservable.magnetization_chain(5), 2)
         with pytest.raises(StructuralError):
             cell_log_probability(BernoulliProduct.homogeneous(4, 0.5), spec)
         # product-state cells are binomial tails: a prefix and a suffix only
-        three, _ = coarse_grain(IntensiveObservable.magnetization_chain(30), 3)
+        three = coarse_grain(IntensiveObservable.magnetization_chain(30), 3)
         with pytest.raises(StructuralError, match="two-cell"):
             cell_log_probability(BernoulliProduct.homogeneous(30, 0.8), three)
 
@@ -231,7 +239,7 @@ class TestFactorLayout:
     @pytest.mark.parametrize("r", [0, 1])
     def test_cells_match_exact_poisson_binomial(self, r, theta):
         for N, state in self._states(r, theta).items():
-            spec, _ = coarse_grain(IntensiveObservable.magnetization_chain(N, with_basis_map=False), 2)
+            spec = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
             got = cell_log_probability(state, spec)
             dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
             for cell, counts in enumerate((chain_minus_cell_counts(N), chain_plus_cell_counts(N))):
@@ -387,8 +395,8 @@ class TestLdpConditions:
             return make
 
         estimates = [estimate_rate(family(r), grid, Ns) for r in range(2)]
-        obs = IntensiveObservable.magnetization_chain(Ns[0], with_basis_map=False)
-        cells, _ = coarse_grain(obs, 2)
+        obs = IntensiveObservable.magnetization_chain(Ns[0])
+        cells = coarse_grain(obs, 2)
         return estimates, cells
 
     def test_chain_conditions_pass(self):
@@ -428,15 +436,15 @@ class TestLdpConditions:
         est = RateFunctionEstimate(grid=(-0.5, 0.5), N_values=(40, 80, 160),
                                    samples=np.full((3, 2), np.nan),
                                    dropped=np.ones((3, 2), dtype=bool), analytic=None, p=None)
-        cells, _ = coarse_grain(IntensiveObservable.magnetization_chain(40, with_basis_map=False), 2)
+        cells = coarse_grain(IntensiveObservable.magnetization_chain(40), 2)
         with pytest.raises(PreconditionError, match="no finite value"):
             check_ldp_conditions([est, est], cells, pointer=(1, 0))
 
     def test_boundary_maximizer_fails_interiority(self):
         est = estimate_rate(lambda N: BernoulliProduct.homogeneous(N, 0.5),
                             grid=[-0.5, 0.0, 0.5], N_values=[40, 80, 160])
-        obs = IntensiveObservable.magnetization_chain(40, with_basis_map=False)
-        cells, _ = coarse_grain(obs, 2)
+        obs = IntensiveObservable.magnetization_chain(40)
+        cells = coarse_grain(obs, 2)
         report = check_ldp_conditions([est, est], cells, pointer=(1, 0))
         assert not report.interior
         assert not report.passed

@@ -307,7 +307,7 @@ class TestPartialTraversalOracle:
 
     def test_rejects_partitions_other_than_prefix_suffix(self):
         ov = sector_overlap(ChainSpec(N=30, m0=0.6, theta=2.2), 0, 1, 15)
-        three, _ = coarse_grain(IntensiveObservable.magnetization_chain(30), 3)
+        three = coarse_grain(IntensiveObservable.magnetization_chain(30), 3)
         with pytest.raises(StructuralError):
             ov.cell_values(three)
         shorter, _ = chain_cells(29)
@@ -512,11 +512,26 @@ class TestLargeN:
     def test_chain_cells_in_closed_form(self, Ns):
         for N in Ns:
             cells, partition = chain_cells(N)
-            ref, ref_partition = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
+            ref = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
             assert (cells.bounds, cells.edges, cells.labels) == (ref.bounds, ref.edges, ref.labels)
-            assert (partition is None) == (ref_partition is None)
+            assert (partition is None) == (N > coleman_hepp.DENSE_SITE_CAP)
             if partition is not None:
-                assert partition.cells == ref_partition.cells
+                # each basis index takes the cell of its up count's spectrum point
+                ups = N - np.array([bin(i).count("1") for i in range(2 ** N)])
+                cell_of_point = np.repeat(np.arange(2), np.diff(ref.bounds))
+                assert np.array_equal(partition.cell_of, cell_of_point[ups])
+                assert partition.labels == ref.labels
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_dense_chain_cells_by_popcount(self, N):
+        _, partition = chain_cells(N)
+        plus = [2 * (N - bin(i).count("1")) >= N for i in range(2 ** N)]
+        assert partition.cell_of.tolist() == [int(p) for p in plus]
+        assert partition.labels[1] == "+"
+
+    def test_no_dense_chain_cells_above_the_dense_cap(self):
+        assert coleman_hepp.DENSE_SITE_CAP == 12
+        assert chain_cells(13)[1] is None
 
     def test_half_traversal_at_hundred_thousand_sites(self):
         f = traversal_schedule(ChainSpec(N=100_000, m0=0.6), 0.5)
@@ -555,17 +570,17 @@ class TestSpecHelpers:
     def test_traversal_never_builds_the_dense_partition(self, monkeypatch):
         built = []
 
-        def spy(obs, n_cells):
-            built.append(obs.N)
-            return coarse_grain(obs, n_cells)
+        def spy(cell_of, *args, **kwargs):
+            built.append(len(cell_of))
+            return core.PhaseCellPartition(cell_of, *args, **kwargs)
 
-        monkeypatch.setattr(coleman_hepp, "coarse_grain", spy)
+        monkeypatch.setattr(coleman_hepp, "PhaseCellPartition", spy)
         spec = ChainSpec(N=12, m0=0.6, site_overrides={1: polarized_site(-0.6)})
         traversal_schedule(spec, 1.0)
         traversal_schedule(spec, 0.5)
         coleman_hepp.traversal_family(spec, 1.0)(12)
         assert built == []
-        assert chain_cells(12)[1] is not None and built == [12]  # the spy sees the dense path
+        assert chain_cells(12)[1] is not None and built == [2 ** 12]  # the spy sees the dense path
 
     def test_with_overrides_merges(self):
         base = ChainSpec(N=5, m0=0.6, site_overrides={0: polarized_site(-0.6)})

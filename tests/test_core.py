@@ -36,7 +36,7 @@ def simple_apparatus(dim, n, rng=None, K=None, V=None, Omega=None):
     K = K if K is not None else np.zeros((dim, dim), dtype=complex)
     V = V if V is not None else tuple(np.zeros((dim, dim), dtype=complex) for _ in range(n))
     Omega = Omega if Omega is not None else random_density(rng, dim)
-    cells = core.PhaseCellPartition(cells=random_index_partition(rng, dim, n), dim=dim)
+    cells = random_index_partition(rng, dim, n)
     return core.Apparatus(K=K, V=tuple(V), Omega=Omega, cells=cells)
 
 
@@ -55,23 +55,45 @@ class TestTypes:
         core.ObservableS(matrix=np.array([[0, 1j], [-1j, 0]]))
 
     def test_partition_validation(self):
-        core.PhaseCellPartition(cells=[frozenset({0, 1}), frozenset({2})], dim=3)
+        core.PhaseCellPartition.from_groups([[0, 1], [2]], 3)
         with pytest.raises(StructuralError):
-            core.PhaseCellPartition(cells=[frozenset({0, 1}), frozenset({1, 2})], dim=3)
+            core.PhaseCellPartition.from_groups([[0, 1], [1, 2]], 3)
         with pytest.raises(StructuralError):
-            core.PhaseCellPartition(cells=[frozenset({0})], dim=2)
+            core.PhaseCellPartition.from_groups([[0]], 2)
 
     def test_partition_matrix_form(self, rng):
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         q, _ = np.linalg.qr(raw)
-        cells = [q[:, :2] @ q[:, :2].conj().T, q[:, 2:] @ q[:, 2:].conj().T]
-        part = core.PhaseCellPartition(cells=cells, dim=4)
-        assert np.linalg.matrix_rank(part.cells[0]) == 2
+        part = core.PhaseCellPartition([0, 0, 1, 1], 2, basis=q, labels=("a", "b"))
+        assert part.labels == ("a", "b")
+        assert np.linalg.matrix_rank(part.as_matrix(0)) == 2
         X = random_hermitian(rng, 4)
         assert_allclose(part.trace_all(X).sum(), np.trace(X), atol=1e-12)
-        broken = [q[:, :2] @ q[:, :2].conj().T, q[:, 1:3] @ q[:, 1:3].conj().T]
-        with pytest.raises(StructuralError):
-            core.PhaseCellPartition(cells=broken, dim=4)
+        broken = q.copy()
+        broken[:, 2] = q[:, 1]  # the projectors of the two cells overlap
+        with pytest.raises(StructuralError, match="^cell basis is not unitary"):
+            core.PhaseCellPartition([0, 0, 1, 1], 2, basis=broken)
+
+    def test_partition_gates(self, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        cell_of = [0, 1, 1, 0]
+        for scale, unitary in ((1 + 1e-9, False), (1 + 1e-15, True)):
+            scaled = q.copy()
+            scaled[:, 2] *= scale
+            if unitary:
+                core.PhaseCellPartition(cell_of, 2, basis=scaled)
+            else:
+                with pytest.raises(StructuralError, match="^cell basis is not unitary"):
+                    core.PhaseCellPartition(cell_of, 2, basis=scaled)
+        with pytest.raises(StructuralError, match="^cell basis of shape"):
+            core.PhaseCellPartition(cell_of, 2, basis=q[:, :3])
+        for bad in ([0, 2, 1, 0], [0, -1, 1, 0]):
+            with pytest.raises(StructuralError, match="^cell indices must be integers in"):
+                core.PhaseCellPartition(bad, 2)
+        empty = core.PhaseCellPartition([0, 0, 2, 2], 3, basis=q)
+        assert empty.members(1).size == 0
+        assert not empty.as_matrix(1).any()
+        assert_allclose(sum(empty.as_matrix(a) for a in range(3)), np.eye(4), atol=1e-12)
 
     def test_apparatus_validation(self, rng):
         dim = 4
@@ -79,11 +101,6 @@ class TestTypes:
             simple_apparatus(dim, 2, Omega=np.eye(dim, dtype=complex))  # trace 4
         with pytest.raises(StructuralError):
             simple_apparatus(dim, 2, K=random_hermitian(rng, dim) + 1e-6 * 1j * np.eye(dim))
-
-    def test_initial_composite_normalization(self):
-        core.InitialComposite(c=np.array([0.6, 0.8]))
-        with pytest.raises(StructuralError):
-            core.InitialComposite(c=np.array([1.0, 1.0]))
 
 
 class TestSectorHamiltonians:
@@ -642,7 +659,7 @@ class TestHermitianFullFormula:
 
 def apparatus_verdict(K, V, Omega, dim):
     """The message an apparatus of these operators is refused with, or None."""
-    cells = core.PhaseCellPartition(cells=[range(dim // 2), range(dim // 2, dim)], dim=dim)
+    cells = core.PhaseCellPartition.from_groups([range(dim // 2), range(dim // 2, dim)], dim)
     try:
         with np.errstate(invalid="ignore"):  # inf - inf, in both forms
             core.Apparatus(K=K, V=tuple(V), Omega=Omega, cells=cells)
@@ -704,7 +721,7 @@ class TestVectorOperators:
         if couplings == "matrices":
             V = [random_hermitian(rng, dim) for _ in range(n)]
         micro = make_micro(rng.normal(size=n))
-        cells = core.PhaseCellPartition(cells=random_index_partition(rng, dim, n), dim=dim)
+        cells = random_index_partition(rng, dim, n)
         c = random_amplitudes(rng, n)
         t = float(rng.uniform(0.2, 2.0))
         results = []
@@ -744,8 +761,6 @@ class TestNonFiniteInputs:
         micro, app, t = small_instance
         f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
         c = np.array(amplitudes + [0.0])
-        with pytest.raises(StructuralError, match="^amplitudes are not normalised: sum |c|\\^2 = nan$"):
-            core.InitialComposite(c=c)
         with pytest.raises(PreconditionError, match="^amplitudes are not normalised: sum |c|\\^2 = nan$"):
             core.pointer_weights(f, c)
 
@@ -759,6 +774,28 @@ class _FakeApp:
 
 
 class TestFTensor:
+    @pytest.mark.parametrize("rotated", [False, True], ids=["index", "rotated"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_cell_sums_bitwise(self, seed, rotated):
+        # a cell in the apparatus' own basis sums the block diagonal over its
+        # sorted members; a rotated one traces the full block against
+        # q[:, g] q[:, g]^dag; the chain's cells are large enough for pairwise sums
+        rng = np.random.default_rng(seed)
+        micro, app, t = random_dense_instance(rng, rotated_cells=rotated)
+        spec = ChainSpec(N=6 + seed, m0=0.6, theta=2.5, energies=(0.3, -0.4))
+        instances = [(micro, app, t)] + ([] if rotated else [(*build_dense(spec), spec.t)])
+        for micro, app, t in instances:
+            states = core.evolve_sectors(micro, app, t)
+            got = core.f_tensor(states, app.cells).values
+            q = app.cells.basis
+            groups = [{i for i, a in enumerate(app.cells.cell_of) if a == alpha}
+                      for alpha in range(app.cells.cell_count)]
+            for r, s, alpha in np.ndindex(got.shape):
+                g = sorted(groups[alpha])
+                want = (states.diagonals[r, s][g].sum() if q is None else
+                        np.einsum("ij,ji->", states.block(r, s), q[:, g] @ q[:, g].conj().T))
+                assert got[r, s, alpha].tobytes() == np.complex128(want).tobytes()
+
     def test_phase_only_tensor(self, rng):
         micro = make_micro([0.5, -0.5])
         app = simple_apparatus(6, 2, rng=rng)
@@ -779,8 +816,7 @@ class TestFTensor:
     def test_partition_dimension_mismatch(self, rng, small_instance):
         micro, app, t = small_instance
         states = core.evolve_sectors(micro, app, t)
-        other = core.PhaseCellPartition(
-            cells=random_index_partition(rng, 6, 3), dim=6)
+        other = random_index_partition(rng, 6, 3)
         with pytest.raises(StructuralError):
             core.f_tensor(states, other)
 
@@ -788,8 +824,7 @@ class TestFTensor:
         micro = make_micro(rng.normal(size=3))
         app = simple_apparatus(8, 3, rng=rng)
         states = core.evolve_sectors(micro, app, 1.0)
-        two_cells = core.PhaseCellPartition(
-            cells=random_index_partition(rng, 8, 2), dim=8)
+        two_cells = random_index_partition(rng, 8, 2)
         with pytest.raises(StructuralError):
             core.f_tensor(states, two_cells)
 
@@ -799,7 +834,7 @@ class TestFTensor:
         micro = make_micro([0.5, -0.5])
         V = (np.zeros((4, 4), dtype=complex), np.diag([1.0, -1.0, 2.0, 0.0]).astype(complex))
         Omega = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
-        cells = core.PhaseCellPartition(cells=[frozenset({0, 1}), frozenset({2, 3})], dim=4)
+        cells = core.PhaseCellPartition.from_groups([[0, 1], [2, 3]], 4)
         app = core.Apparatus(K=np.zeros((4, 4), dtype=complex), V=V, Omega=Omega, cells=cells)
         for micro, app, t in ((micro, app, np.pi), random_dense_instance(rng, n=3, dim=8)):
             f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
@@ -995,16 +1030,6 @@ class TestPropertyChecker:
 
 
 class TestAmplitudeHandling:
-    def test_initial_composite_accepted_by_ops(self, small_instance, rng):
-        micro, app, t = small_instance
-        f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
-        raw = random_amplitudes(rng, 3)
-        wrapped = core.InitialComposite(c=raw)
-        A = core.ObservableS(matrix=random_hermitian(rng, 3))
-        assert core.expectation_s(f, wrapped, A) == core.expectation_s(f, raw, A)
-        assert np.array_equal(core.pointer_weights(f, wrapped),
-                              core.pointer_weights(f, raw))
-
     def test_tiny_negative_weight_clamped(self):
         values = np.zeros((2, 2, 2), dtype=complex)
         values[0, 0, 0] = 1.0 + 5e-13
@@ -1042,8 +1067,7 @@ class TestDegenerateInputs:
         # a three-cell partition of a two-dimensional apparatus leaves one
         # cell empty: weights vanish there and conditioning is rejected
         micro = make_micro(rng.normal(size=3))
-        cells = core.PhaseCellPartition(
-            cells=[frozenset({0}), frozenset(), frozenset({1})], dim=2)
+        cells = core.PhaseCellPartition.from_groups([[0], [], [1]], 2)
         app = core.Apparatus(
             K=random_hermitian(rng, 2),
             V=tuple(random_hermitian(rng, 2) for _ in range(3)),
