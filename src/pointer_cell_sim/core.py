@@ -36,6 +36,9 @@ WEIGHT_FLOOR = 1e-12
 PROPERTY_TOL = 1e-9
 #: hard cap on the composite dimension n * dim_K served by the dense backend
 DENSE_CAP = 2 ** 14
+#: rows (and columns) of the blocks in which the structural gates scan a matrix:
+#: a 64 x 64 complex tile is 64 kB, so the temporaries of a gate stay cache-sized
+_TILE = 64
 
 
 def _as_complex_matrix(m, name: str, vector_ok: bool = False) -> np.ndarray:
@@ -47,22 +50,38 @@ def _as_complex_matrix(m, name: str, vector_ok: bool = False) -> np.ndarray:
 
 def _diagonal_of(a: np.ndarray) -> np.ndarray | None:
     """The diagonal of ``a``, or of every matrix of a stack ``a``, if no matrix has a
-    nonzero off-diagonal entry, else None; a vector is its own diagonal."""
-    diag = a if a.ndim == 1 else a.diagonal(axis1=-2, axis2=-1)
-    return diag if np.count_nonzero(a) == np.count_nonzero(diag) else None
+    nonzero off-diagonal entry, else None; a vector is its own diagonal.
+
+    Nonzeros are counted over ``_TILE`` rows at a time, of every matrix of a
+    stack, against the diagonal entries in those rows: the first block with
+    more gives None without reading the rest.
+    """
+    if a.ndim == 1:
+        return a
+    diag = a.diagonal(axis1=-2, axis2=-1)
+    for i in range(0, a.shape[-1], _TILE):
+        if np.count_nonzero(a[..., i:i + _TILE, :]) > np.count_nonzero(diag[..., i:i + _TILE]):
+            return None
+    return diag
 
 
 def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> None:
     """Reject ``a`` if ``max |a - a^dag|`` is not within ``tol`` (NaN fails).
 
     A vector, and a matrix with no nonzero off-diagonal entry, is judged by
-    its diagonal alone; any other matrix by one full temporary, ``a^dag - a``.
-    Both give the same magnitudes, NaN and inf included.
+    its diagonal alone; any other matrix by ``a^dag - a`` tile by tile: for
+    each pair of ``_TILE``-square tiles with ``I <= J``, ``a[J, I]^dag - a[I, J]``,
+    whose mirror tile ``(J, I)`` holds the same magnitudes.  Both give the
+    same magnitudes, NaN and inf included, with no full-size temporary.
     """
     diag = _diagonal_of(a)
-    dev = a.T.conj() if diag is None else diag.conj()
-    dev -= a if diag is None else diag
-    dev = np.abs(dev).max(initial=0.0)
+    if diag is not None:
+        tiles = [diag.conj() - diag]
+    else:
+        n = len(a)
+        tiles = (a[j:j + _TILE, i:i + _TILE].T.conj() - a[i:i + _TILE, j:j + _TILE]
+                 for i in range(0, n, _TILE) for j in range(i, n, _TILE))
+    dev = np.max([np.abs(tile).max(initial=0.0) for tile in tiles], initial=0.0)
     if not dev <= tol:
         raise StructuralError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
 
@@ -171,6 +190,8 @@ class PhaseCellPartition:
         groups = [np.array([int(i) for i in group], dtype=int) for group in groups]
         if any(idx.size and (idx.min() < 0 or idx.max() >= dim) for idx in groups):
             raise StructuralError("cell basis index out of range")
+        if any(np.unique(idx).size < idx.size for idx in groups):
+            raise StructuralError("cells repeat a basis index within a group")
         cell_of = np.full(int(dim), -1)
         for a, idx in enumerate(groups):
             if (cell_of[idx] != -1).any():
@@ -409,7 +430,8 @@ def _propagator(K: np.ndarray, t: float) -> np.ndarray:
 
     - no nonzero off-diagonal entry: the vectors ``exp(i t diag K_k)``;
     - ``d`` even and every block exactly centrosymmetric (``K_k == J K_k J``,
-      ``J`` the exchange matrix): ``K_k = [[A, B], [J B J, J A J]]`` splits
+      ``J`` the exchange matrix, tested as top half rows against the bottom
+      half reversed, each entry once): ``K_k = [[A, B], [J B J, J A J]]`` splits
       into the Hermitian ``E_k = A + BJ`` and ``O_k = A - BJ`` (Cantoni &
       Butler, Linear Algebra Appl. 13 (1976) 275-288), written into one
       ``(2m, d/2, d/2)`` stack that takes its own route; with ``Ue``, ``Uo``
@@ -424,7 +446,7 @@ def _propagator(K: np.ndarray, t: float) -> np.ndarray:
     splits = []  # the block count m of every stack that was split
     while (diag := K if K.ndim == 2 else _diagonal_of(K)) is None:
         m, (h, odd) = len(K), divmod(K.shape[1], 2)
-        if odd or not np.array_equal(K, K[:, ::-1, ::-1]):
+        if odd or not np.array_equal(K[:, :h], K[:, h:][:, ::-1, ::-1]):
             evals, vecs = np.linalg.eigh(K)
             U = (vecs * np.exp(1j * evals * t)[:, None]) @ vecs.conj().transpose(0, 2, 1)
             break

@@ -542,14 +542,15 @@ class TestGenericDense:
         ("cells = 0 1 | 1 3", "generic_dense: cells overlap: shared basis indices"),
         ("cells = 0 1 | 2", "generic_dense: cells do not resolve the identity: missing basis indices"),
         ("cells = 0 1 | 2 4", "generic_dense: cell basis index out of range"),
+        ("cells = 0 1 1 | 2 3", "generic_dense: cells repeat a basis index within a group"),
         ("labels = a, b, c", "labels and energies must agree in length (got 3, 2)"),
         ("labels = a, a", "labels must be distinct (got a, a)"),
         ("t = inf", "[parameters]: t must be finite"),
         ("t = nan", "[parameters]: t must be finite"),
         ("energies = 0.5, inf", "[parameters]: energies must be finite"),
         ("energies = nan, -0.5", "[parameters]: energies must be finite"),
-    ], ids=["cells", "cells-overlap", "cells-missing", "cells-out-of-range", "labels",
-            "duplicate-labels", "t-inf", "t-nan", "energy-inf", "energy-nan"])
+    ], ids=["cells", "cells-overlap", "cells-missing", "cells-out-of-range", "cells-repeated",
+            "labels", "duplicate-labels", "t-inf", "t-nan", "energy-inf", "energy-nan"])
     def test_malformed_list_is_config_error(self, generic_workdir, capsys, line, message):
         workdir, _ = generic_workdir
         key = line.split(" = ")[0]

@@ -60,6 +60,8 @@ class TestTypes:
             core.PhaseCellPartition.from_groups([[0, 1], [1, 2]], 3)
         with pytest.raises(StructuralError):
             core.PhaseCellPartition.from_groups([[0]], 2)
+        with pytest.raises(StructuralError, match="^cells repeat a basis index within a group$"):
+            core.PhaseCellPartition.from_groups([[0, 0], [1]], 2)
 
     def test_partition_matrix_form(self, rng):
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -387,6 +389,25 @@ class TestCentrosymmetricSplit:
         assert eigh_calls == [((1, 4, 4), False)]
         assert got == outcome(lambda: np.linalg.eigh(K)[1])
 
+    @pytest.mark.parametrize("change", ["ulp-real", "ulp-complex", "nan"])
+    def test_bottom_half_alone_is_not_split(self, rng, eigh_calls, change):
+        # the test reads each entry once, from the top half or from the bottom:
+        # a Hermitian pair changed in the bottom rows alone is seen there
+        complex_ = change == "ulp-complex"
+        K = nested_centrosymmetric(rng, 8, complex_, 2)
+        if change == "nan":
+            K[7, 6] = K[6, 7] = np.nan
+        else:
+            K[7, 6] += np.spacing(K[7, 6].real)
+            K[6, 7] = np.conj(K[7, 6])
+        try:
+            U = core._propagator(K[None], 1.3)[0]
+        except np.linalg.LinAlgError:
+            U = None
+        assert eigh_calls == [((1, 8, 8), complex_)]
+        if change != "nan":
+            assert np.abs(U - expm(1j * K * 1.3)).max() < 1e-12
+
 
 class TestDenseChainOracle:
     """The chain's spin-down propagator, by stacked splits, against the product
@@ -415,8 +436,8 @@ class TestDenseChainOracle:
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     def test_memory(self, fraction):
-        # in complex dim_K^2 arrays: the build holds the spin-down coupling and its Hermitian
-        # check's a^dag - a and |a^dag - a|; the tensor adds K_1, U_1 and the half-size
+        # in complex dim_K^2 arrays: the build holds the spin-down coupling, whose Hermitian
+        # check adds tiles only; the tensor adds K_1, U_1 and the half-size
         # propagators U_1 is assembled from, then U_1^dag Omega once K_1 is released
         spec = ChainSpec(N=10, m0=0.6, theta=2.5, energies=(0.3, -0.4))
         full = 2 ** (2 * spec.N) * 16
@@ -429,7 +450,7 @@ class TestDenseChainOracle:
                 peaks.append(tracemalloc.get_traced_memory()[1] / full)
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 3.0 and peaks[1] < 4.5
+        assert peaks[0] < 1.25 and peaks[1] < 4.5
 
 
 class TestDiagonalOmega:
@@ -625,9 +646,24 @@ class TestHermitianGate:
             core._check_hermitian(a, "m")
 
 
+def one_temporary_verdict(a, name="m", tol=core.HERMITIAN_TOL):
+    """The Hermitian gate's message, or None, by the one-temporary formula the
+    tiled scan replaced, ``max |a^dag - a|``."""
+    dev = a.T.conj()
+    dev -= a
+    dev = np.abs(dev).max(initial=0.0)
+    return None if dev <= tol else f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}"
+
+
+def total_count_diagonal(a):
+    """``_diagonal_of`` by one count of the nonzeros of the whole array."""
+    diag = a if a.ndim == 1 else a.diagonal(axis1=-2, axis2=-1)
+    return diag if np.count_nonzero(a) == np.count_nonzero(diag) else None
+
+
 class TestHermitianFullFormula:
-    """A matrix with a nonzero off-diagonal entry is judged by ``a^dag - a``, one
-    full temporary with the magnitudes of ``a - a^dag``."""
+    """A matrix with a nonzero off-diagonal entry is judged by ``a^dag - a``, tile by
+    tile, with the magnitudes of ``a - a^dag``."""
 
     @pytest.mark.parametrize("entry", [1e-11, 1e-13, 1 + 1j, np.nan, np.inf, -np.inf,
                                        complex(0.0, np.inf)],
@@ -655,6 +691,63 @@ class TestHermitianFullFormula:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * a.nbytes
+
+    def test_tiles_only(self, rng):
+        a = random_hermitian(rng, 1024)
+        tracemalloc.start()
+        try:
+            core._check_hermitian(a, "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * a.nbytes
+
+    @pytest.mark.parametrize("entry", [1e-13, 1e-11, np.nan, np.inf, -np.inf, complex(0.0, np.inf)],
+                             ids=["within-tol", "over-tol", "nan", "inf", "-inf", "inf-imag"])
+    @pytest.mark.parametrize("where", ["last-tile", "tile-pair-lower", "tile-pair-upper"])
+    @pytest.mark.parametrize("dim", [1, 2, 127, 128, 129, 300])
+    def test_tiled_scan_matches_the_one_temporary_formula(self, rng, dim, where, entry):
+        a = random_hermitian(rng, dim)
+        i, j = {"last-tile": (dim - 1, max(dim - 2, 0)), "tile-pair-lower": (dim - 1, 0),
+                "tile-pair-upper": (0, dim - 1)}[where]
+        a[i, j] += entry
+        with np.errstate(invalid="ignore"):  # inf - inf, in both formulas
+            expected = one_temporary_verdict(a)
+            try:
+                core._check_hermitian(a, "m")
+                verdict = None
+            except StructuralError as exc:
+                verdict = str(exc)
+        assert verdict == expected
+        # on a 1 x 1 matrix a finite real entry stays Hermitian
+        assert (verdict is None) == (entry == 1e-13 or (dim, entry) == (1, 1e-11))
+
+
+class TestDiagonalOf:
+    """``_diagonal_of`` counts nonzeros block by block over the rows, with the
+    verdict of one count over the whole array."""
+
+    @pytest.mark.parametrize("entry", [0.0, -0.0, 1e-300, 1e-300j, np.nan, complex(0.0, np.nan)],
+                             ids=["zero", "-zero", "tiny", "imaginary", "nan", "nan-imag"])
+    @pytest.mark.parametrize("shape", [(127,), (128,), (129,), (300,), (3, 129), (2, 300), (5, 2)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("where", ["last-row", "first-row"])
+    def test_matches_the_total_count(self, rng, shape, entry, where):
+        *stack, dim = shape
+        diag = rng.normal(size=(*stack, dim))
+        diag[..., ::7] = 0.0  # zeros on the diagonal count for neither side
+        a = (diag[..., None] * np.eye(dim)).astype(complex)
+        # the last row of the last block, or the first row's last column, of every matrix
+        i, j = (dim - 1, 0) if where == "last-row" else (0, dim - 1)
+        a[..., i, j] = entry
+        got, expected = core._diagonal_of(a), total_count_diagonal(a)
+        assert (got is None) == (expected is None) == (entry != 0)
+        if got is not None:
+            assert np.shares_memory(got, a) and np.array_equal(got, expected)
+        a[..., i, j] = 0.0
+        if stack:  # one matrix of the stack alone
+            a[-1, i, j] = entry
+            assert (core._diagonal_of(a) is None) == (total_count_diagonal(a) is None) == (entry != 0)
 
 
 def apparatus_verdict(K, V, Omega, dim):
