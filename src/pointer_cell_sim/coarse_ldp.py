@@ -1,13 +1,14 @@
-"""Coarse-grained macro-observables, cell probabilities and rate functions.
+"""Phase cells of the chain magnetisation, cell probabilities and rate functions.
 
-An intensive observable (total magnetisation divided by particle count, for
-the chain models) has a pure point spectrum inside a closed interval.  Cutting
-that interval into equal-length cells, left-closed right-open with the last
-cell closed, produces the phase-cell partition; the probability that the
-intensive variable lands in a cell obeys a large-deviation principle whose
-rate function is, for product Bernoulli states, the negative relative entropy
-``-D(q || p)``.  The concentration gap of that rate function across cell
-boundaries is what drives the exponential pointer fidelity.
+The mean magnetisation of N two-level sites takes the values ``(2j - N) / N``
+for up counts ``j = 0 .. N``.  Cutting ``[-1, 1]`` into equal-length cells,
+left-closed right-open with the last cell closed, makes each cell a
+contiguous run of up counts: the two sign cells are ``j < (N + 1) // 2``
+("-") and the rest ("+").  The probability that the magnetisation lands in a
+cell obeys a large-deviation principle whose rate function is, for product
+Bernoulli states, the negative relative entropy ``-D(q || p)``.  The
+concentration gap of that rate function across cell boundaries is what
+drives the exponential pointer fidelity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import PhaseCellPartition
 from .errors import PreconditionError, StructuralError
 from .logspace import (
     BinomialBlock,
@@ -31,49 +31,6 @@ from .logspace import (
     lc_convolve,
     lc_real_logsumexp_rows,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class IntensiveObservable:
-    """Spectrum of a fine-grained extensive observable divided by N.
-
-    ``spectrum`` is stored as a read-only, strictly increasing float array.
-    """
-
-    spectrum: np.ndarray
-    N: int = 1
-
-    def __post_init__(self):
-        spec = np.array(self.spectrum, dtype=float)
-        if spec.ndim != 1 or spec.size == 0:
-            raise StructuralError("spectrum must be a non-empty sequence")
-        if not np.all(spec[1:] > spec[:-1]):
-            raise StructuralError("spectrum must be sorted and free of duplicates")
-        if self.N < 1:
-            raise StructuralError("particle count must be at least 1")
-        spec.setflags(write=False)
-        object.__setattr__(self, "spectrum", spec)
-
-    @property
-    def lo(self) -> float:
-        return float(self.spectrum[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.spectrum[-1])
-
-    @property
-    def max_gap(self) -> float:
-        if len(self.spectrum) == 1:
-            return 0.0
-        return float(np.diff(self.spectrum).max())
-
-    @classmethod
-    def magnetization_chain(cls, N: int) -> "IntensiveObservable":
-        """Mean z-magnetisation of N two-level sites: values (2j - N) / N."""
-        if N < 1:
-            raise StructuralError("chain must have at least one site")
-        return cls(spectrum=(2 * np.arange(N + 1) - N) / N, N=N)
 
 
 @dataclass(frozen=True)
@@ -95,11 +52,6 @@ class CellPartitionSpec:
     def n_cells(self) -> int:
         return len(self.edges) - 1
 
-    @property
-    def empty_cells(self) -> tuple[int, ...]:
-        b = self.bounds
-        return tuple(a for a in range(self.n_cells) if b[a] == b[a + 1])
-
     def prefix_split(self, count: int) -> int:
         """The first index of the second cell, for a two-cell prefix/suffix
         partition of ``count`` points; any other partition is refused."""
@@ -114,36 +66,6 @@ class CellPartitionSpec:
             raise PreconditionError(f"value {m!r} outside the spectrum range")
         idx = int(np.searchsorted(self.edges, m, side="right")) - 1
         return min(idx, self.n_cells - 1)
-
-
-def coarse_grain(obs: IntensiveObservable, n_cells: int) -> CellPartitionSpec:
-    """Partition the spectrum range into equal cells of spectrum indices.
-
-    Empty cells are legal but warned about.
-    """
-    if n_cells < 1:
-        raise PreconditionError("need at least one cell")
-    lo, hi = obs.lo, obs.hi
-    if hi == lo and n_cells > 1:
-        raise StructuralError("cannot split a single-point spectrum into several cells")
-    if n_cells > 1 and obs.N > 0:
-        gap_cap = 2.0 * (hi - lo) / obs.N
-        if obs.max_gap > gap_cap + 1e-12:
-            warnings.warn(
-                f"spectrum gap {obs.max_gap:.3e} exceeds {gap_cap:.3e}; the partition "
-                "may not sharpen as N grows", stacklevel=2)
-    edges = tuple(lo + (hi - lo) * k / n_cells for k in range(n_cells + 1))
-    # first index at or above each left edge: the same comparisons as placing
-    # every point by searchsorted(edges, point, "right") - 1
-    starts = np.searchsorted(obs.spectrum, edges[:-1], side="left")
-    bounds = tuple(int(b) for b in starts) + (len(obs.spectrum),)
-    labels = tuple(str(a) for a in range(n_cells))
-    if n_cells == 2:
-        labels = ("-", "+")
-    spec = CellPartitionSpec(edges=edges, bounds=bounds, labels=labels)
-    if spec.empty_cells:
-        warnings.warn(f"cells {spec.empty_cells} contain no spectrum points", stacklevel=2)
-    return spec
 
 
 @dataclass(frozen=True)
@@ -170,13 +92,6 @@ class BernoulliProduct:
     def homogeneous_p(self) -> float | None:
         values = set(self.overrides.values()) | ({self.p} if len(self.overrides) < self.N else set())
         return values.pop() if len(values) == 1 else None
-
-    @classmethod
-    def homogeneous(cls, N: int, p: float) -> "BernoulliProduct":
-        return cls(N, p)
-
-    def with_overrides(self, overrides: Mapping[int, float]) -> "BernoulliProduct":
-        return BernoulliProduct(self.N, self.p, {**self.overrides, **overrides})
 
 
 def _factor_layout(state: BernoulliProduct) -> tuple[np.ndarray, BinomialBlock]:
@@ -212,26 +127,6 @@ def cell_log_probability(state: BernoulliProduct, cells: CellPartitionSpec) -> n
     a, b = _factor_layout(state)
     sums = b.tail_sums(cells.prefix_split(state.N + 1), (a, np.zeros_like(a)))
     return np.array([lm for lm, _ in sums])
-
-
-def cell_probability(state, cells) -> np.ndarray:
-    """Probability of each phase cell for a product or dense apparatus state.
-
-    Product Bernoulli states go through :func:`cell_log_probability`, against
-    a two-cell :class:`CellPartitionSpec`; dense density matrices are traced
-    against an explicit :class:`PhaseCellPartition` of any number of cells.
-    """
-    if isinstance(state, BernoulliProduct):
-        if not isinstance(cells, CellPartitionSpec):
-            raise PreconditionError("product states require a CellPartitionSpec")
-        return np.exp(cell_log_probability(state, cells))
-    rho = np.asarray(state, dtype=complex)
-    if not isinstance(cells, PhaseCellPartition):
-        raise PreconditionError("dense states require a PhaseCellPartition")
-    if rho.shape[0] != cells.dim:
-        raise StructuralError("state dimension does not match the partition")
-    vals = cells.trace_all(rho)
-    return vals.real
 
 
 def bernoulli_rate(m, p: float):

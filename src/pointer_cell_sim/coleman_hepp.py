@@ -122,19 +122,13 @@ class ChainSpec:
         base = polarized_site(self.m0)
         return [self.site_overrides.get(k, base) for k in range(self.N)]
 
-    def with_overrides(self, overrides: Mapping[int, np.ndarray]) -> "ChainSpec":
-        merged = dict(self.site_overrides)
-        merged.update(overrides)
-        return ChainSpec(N=self.N, m0=self.m0, theta=self.theta,
-                         energies=self.energies, t=self.t, site_overrides=merged)
-
 
 def sign_cells(N: int) -> CellPartitionSpec:
     """Two-cell magnetisation-sign partition; the boundary state joins "+".
 
-    This is ``coarse_grain(IntensiveObservable.magnetization_chain(N), 2)``
-    in closed form: the magnetisation ``(2j - N) / N`` is negative exactly
-    for ``j < (N + 1) // 2``.
+    The spectrum ``(2j - N) / N``, ``j = 0 .. N``, is cut at 0 into the
+    left-closed "-" interval ``[-1, 0)`` and the closed "+" interval
+    ``[0, 1]``; the magnetisation is negative exactly for ``j < (N + 1) // 2``.
     """
     if N < 1:
         raise StructuralError("chain must have at least one site")

@@ -33,10 +33,6 @@ class CapacityError(SimulationError):
     """A dense-backend request exceeds the hard size cap."""
 
 
-class NonLocalPerturbationError(PreconditionError):
-    """A stability perturbation touches a site set that grows with N."""
-
-
 class ConfigError(SimulationError):
     """One or more experiment-config defects; all are collected before raising."""
 

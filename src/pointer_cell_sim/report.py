@@ -59,15 +59,26 @@ def parse_f_tensor_text(text: str) -> FTensor:
         t = float(body["t"])
     except (KeyError, ValueError) as exc:
         raise StructuralError(f"tensor dump missing n/t: {exc}") from exc
-    values = np.zeros((n, n, n), dtype=complex)
+    if n < 1:
+        raise StructuralError(f"tensor dump needs n >= 1, got {n}")
+    # the entry count is settled before anything of size n**3 is built
+    count = sum(key.startswith("F[") for key in body)
+    if count != n ** 3:
+        raise StructuralError(f"tensor dump with n = {n} needs {n ** 3} entries F[r,s,a], "
+                              f"got {count}")
+    entries = []
     for r in range(n):
         for s in range(n):
             for a in range(n):
                 key = f"F[{r},{s},{a}]"
                 if key not in body:
                     raise StructuralError(f"tensor dump missing entry {key}")
-                values[r, s, a] = complex(body[key].replace(" ", ""))
-    return FTensor(values=values, t=t)
+                try:
+                    entries.append(complex(body[key].replace(" ", "")))
+                except ValueError:
+                    raise StructuralError(f"tensor dump entry {key} is not a complex number: "
+                                          f"{body[key]!r}") from None
+    return FTensor(values=np.array(entries, dtype=complex).reshape(n, n, n), t=t)
 
 
 def property_items(report: FPropertyReport) -> list[tuple[str, str]]:

@@ -436,7 +436,7 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
         cells_spec = coleman_hepp.sign_cells(N0)
         worst = 0.0
         for r in range(2):
-            probs = coarse_ldp.cell_probability(_sector_family(base, r)(N0), cells_spec)
+            probs = np.exp(coarse_ldp.cell_log_probability(_sector_family(base, r)(N0), cells_spec))
             worst = max(worst, float(np.abs(dense.values[r, r].real - probs).max()))
         oracle_section = ("oracle", [("identification_max_discrepancy", fmt_float(worst)),
                                      ("dense_chain_size", str(N0))])
@@ -570,7 +570,10 @@ def verify_suite(cfg: ExperimentConfig, base_dir: Path | None = None,
             text = (base_dir / cfg.verify_f_file).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError([f"cannot read tensor file {cfg.verify_f_file}: {exc}"]) from exc
-        tensor = parse_f_tensor_text(text)
+        try:
+            tensor = parse_f_tensor_text(text)
+        except StructuralError as exc:
+            raise ConfigError([f"tensor file {cfg.verify_f_file}: {exc}"]) from exc
         rep = core.check_f_properties(tensor)
         file_items = property_items(rep)
         if not rep.passed:

@@ -14,12 +14,12 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import FTensor, ObservableS, conditional_expectation, expectation_s, pointer_weights
-from .errors import AmbiguousPointerError, FitError, NonLocalPerturbationError, PreconditionError
+from .errors import AmbiguousPointerError, FitError, PreconditionError
 from .logspace import lc_real_logsumexp_rows
 
 TIE_EPSILON = 1e-9
@@ -341,34 +341,6 @@ def fit_decay_rate(sweep: Sequence[tuple[int, FTensor, PointerMap]]) -> DecayFit
         r_squared=float(r_squared),
         excluded=excluded,
     )
-
-
-RunModel = Callable[[int, Mapping[int, np.ndarray] | None], tuple[FTensor, PointerMap]]
-
-
-def stability_test(
-    run_model: RunModel,
-    perturbation: Mapping[int, np.ndarray] | Callable[[int], Mapping[int, np.ndarray]],
-    N_values: Sequence[int],
-) -> StabilityResult:
-    """Re-run a chain-size sweep with a localized initial-state edit.
-
-    ``run_model(N, overrides)`` must produce the tensor and pointer map for a
-    chain of N sites.  The perturbation is a site-to-state mapping (or a
-    callable producing one per N, whose size must not grow with N).  The test
-    passes when the refitted decay constant stays within the tolerance band
-    of the unperturbed one and the exponential bound still holds at every
-    sweep point with the refitted constant.
-    """
-    Ns = sorted(int(N) for N in N_values)
-    per_n = {N: dict(perturbation(N) if callable(perturbation) else perturbation) for N in Ns}
-    sizes = {len(v) for v in per_n.values()}
-    if len(sizes) > 1:
-        raise NonLocalPerturbationError(
-            f"perturbation size varies with N ({sorted(sizes)}); not a localized edit")
-    base_sweep = [(N, *run_model(N, None)) for N in Ns]
-    pert_sweep = [(N, *run_model(N, per_n[N] or None)) for N in Ns]
-    return stability_verdict(fit_decay_rate(base_sweep), fit_decay_rate(pert_sweep), pert_sweep)
 
 
 def stability_verdict(base_fit: DecayFit, pert_fit: DecayFit,

@@ -166,7 +166,7 @@ def test_criterion_5_off_diagonal_decoherence():
 
 def test_criterion_6_ldp_convergence():
     watch = Stopwatch(60.0)
-    est = estimate_rate(lambda N: BernoulliProduct.homogeneous(N, 0.8),
+    est = estimate_rate(lambda N: BernoulliProduct(N, 0.8),
                         grid=[-0.2], N_values=[100, 200, 400, 800])
     assert abs(est.samples[-1, 0] - LDP_RATE_AT_MINUS_02) <= 0.02
     residuals = np.abs(est.samples[:, 0] - LDP_RATE_AT_MINUS_02)
@@ -184,10 +184,13 @@ def test_criterion_7_stability_condition():
         return f, verify.find_pointer_map(f)
 
     N_values = [50, 100, 200, 400, 800]
+    base = [(N, *run_model(N, None)) for N in N_values]
     flip = {0: polarized_site(-0.6), 1: polarized_site(-0.6)}
     depolarize = {0: np.eye(2, dtype=complex) / 2, 1: np.eye(2, dtype=complex) / 2}
     for perturbation in (flip, depolarize):
-        result = verify.stability_test(run_model, perturbation, N_values)
+        perturbed = [(N, *run_model(N, perturbation)) for N in N_values]
+        result = verify.stability_verdict(verify.fit_decay_rate(base),
+                                          verify.fit_decay_rate(perturbed), perturbed)
         assert result.relative_change <= 0.25
         assert result.bound_satisfied  # exponential bound holds at every N
         assert result.passed

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pointer_cell_sim
-from pointer_cell_sim import coarse_ldp, coleman_hepp, runner
+from pointer_cell_sim import coarse_ldp, coleman_hepp, errors, runner, verify
 from pointer_cell_sim.cli import main
 from pointer_cell_sim.config import tokenize_kv
 from pointer_cell_sim.report import REPORT_HEADER, parse_f_tensor_text
@@ -428,6 +428,45 @@ class TestVerify:
         assert "missing.txt" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_report_round_trips_as_tensor_file(self, workdir):
+        cfg = write_config(workdir, BASE)
+        assert run_cli("run", "--config", cfg, "--out", workdir / "run") == 0
+        cfg = write_config(workdir, BASE + "\n[verify]\ninstances = 2\nf_file = run/report.txt\n")
+        out = workdir / "out"
+        assert run_cli("verify", "--config", cfg, "--out", out) == 0
+        text = (out / "verify.txt").read_text(encoding="utf-8")
+        sections, _ = tokenize_kv("\n".join(text.splitlines()[1:]))
+        assert sections["tensor_file_properties"]["passed"] == "true"
+
+    IDEAL_DUMP = ("[f_tensor]\nn = 2\nt = 0\n"
+                  "F[0,0,0] = 1+0j\nF[0,0,1] = 0+0j\nF[0,1,0] = 0+0j\nF[0,1,1] = 0+0j\n"
+                  "F[1,0,0] = 0+0j\nF[1,0,1] = 0+0j\nF[1,1,0] = 0+0j\nF[1,1,1] = 1+0j\n")
+
+    @pytest.mark.parametrize("old, new", [
+        ("F[0,0,0] = 1+0j", "F[0,0,0] = abc"),
+        ("n = 2", "n = -1"),
+        ("n = 2", "n = 0"),
+        ("n = 2", "n = 1.5"),
+        # the entry count is refused before anything of size n is built,
+        # so even n = 10**12 costs nothing
+        ("n = 2", "n = 1000000"),
+        ("n = 2", "n = 1000000000000"),
+        ("F[1,1,1] = 1+0j\n", ""),
+        ("F[1,1,1] = 1+0j\n", "F[1,1,1] = 1+0j\nF[0,0,2] = 7+0j\nF[2,2,2] = 5+0j\n"),
+    ], ids=["not-complex", "n-negative", "n-zero", "n-fraction", "n-huge", "n-enormous",
+            "missing-entry", "entries-outside-n"])
+    def test_malformed_tensor_file_is_config_error(self, workdir, capsys, old, new):
+        cfg = write_config(workdir, BASE + "\n[verify]\ninstances = 2\nf_file = dump.txt\n")
+        dump = workdir / "dump.txt"
+        dump.write_text(self.IDEAL_DUMP, encoding="utf-8")
+        assert run_cli("verify", "--config", cfg, "--out", workdir / "ok") == 0
+        dump.write_text(self.IDEAL_DUMP.replace(old, new), encoding="utf-8")
+        out = workdir / "out"
+        assert run_cli("verify", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1 and "dump.txt" in err
+        assert not out.exists()
+
     def test_deterministic(self, workdir):
         cfg = write_config(workdir, BASE + "\n[verify]\ninstances = 8\n")
         out1, out2 = workdir / "o1", workdir / "o2"
@@ -675,3 +714,24 @@ def test_command_paths_do_not_import_scipy(workdir):
         cwd=workdir, env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+#: names no command reaches, deleted from the package; none may come back unnoticed
+DELETED = [
+    (coarse_ldp, ("IntensiveObservable", "coarse_grain", "cell_probability")),
+    (coarse_ldp.CellPartitionSpec, ("empty_cells",)),
+    (coarse_ldp.BernoulliProduct, ("homogeneous", "with_overrides")),
+    (coleman_hepp.ChainSpec, ("with_overrides",)),
+    (verify, ("stability_test", "RunModel")),
+    (errors, ("NonLocalPerturbationError",)),
+]
+
+
+def test_public_surface():
+    names = pointer_cell_sim.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(pointer_cell_sim, name) for name in names)
+    for owner, gone in DELETED:
+        for name in gone:
+            assert not hasattr(owner, name), (owner, name)
+            assert not hasattr(pointer_cell_sim, name), name

@@ -10,17 +10,15 @@ from numpy.testing import assert_allclose
 from pointer_cell_sim import coarse_ldp, logspace
 from pointer_cell_sim.coarse_ldp import (
     BernoulliProduct,
-    IntensiveObservable,
+    CellPartitionSpec,
     RateFunctionEstimate,
     bernoulli_rate,
     cell_log_probability,
-    cell_probability,
     check_ldp_conditions,
-    coarse_grain,
     estimate_rate,
     perturbation_residual_bound,
 )
-from pointer_cell_sim.coleman_hepp import chain_cells
+from pointer_cell_sim.coleman_hepp import chain_cells, sign_cells
 from pointer_cell_sim.core import PhaseCellPartition
 from pointer_cell_sim.errors import PreconditionError, StructuralError
 from pointer_cell_sim.logspace import binomial_log_pmf
@@ -33,6 +31,7 @@ from oracles import (
     kl_bernoulli,
     poisson_binomial_fraction,
     scalar_rate_samples,
+    sign_cells_reference,
 )
 
 
@@ -43,77 +42,53 @@ def site_probs(state: BernoulliProduct) -> np.ndarray:
     return probs
 
 
-class TestCoarseGrain:
+class TestSignCells:
     def test_four_site_chain_example(self):
-        obs = IntensiveObservable.magnetization_chain(4)
-        spec = coarse_grain(obs, 2)
+        spec, partition = chain_cells(4)
         assert spec.edges == (-1.0, 0.0, 1.0)
         # boundary value 0 joins the closed-left "+" interval
         assert spec.bounds == (0, 2, 5)
-        _, partition = chain_cells(4)
         assert partition.labels == spec.labels
         assert partition.members(1).size == math.comb(4, 2) + math.comb(4, 3) + math.comb(4, 4)
         assert partition.members(0).size == 2 ** 4 - 11
 
     def test_single_cell_is_identity(self):
-        spec = coarse_grain(IntensiveObservable.magnetization_chain(3), 1)
-        assert spec.bounds == (0, 4)
         partition = PhaseCellPartition(np.zeros(8, dtype=int), 1)
         assert partition.members(0).size == 8
         assert np.array_equal(partition.as_matrix(0), np.eye(8))
 
-    def test_empty_cells_warn(self):
-        obs = IntensiveObservable(spectrum=(0.0, 1.0), N=2)
-        with pytest.warns(UserWarning, match="no spectrum points"):
-            spec = coarse_grain(obs, 5)
-        assert spec.empty_cells != ()
-
     @pytest.mark.parametrize("N", range(1, 13))
     def test_every_point_in_exactly_one_cell(self, N):
-        obs = IntensiveObservable.magnetization_chain(N)
-        for n_cells in (1, 2, 3):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # empty cells are fine here
-                spec = coarse_grain(obs, n_cells)
-            # the index ranges tile the spectrum in order
-            assert spec.bounds[0] == 0 and spec.bounds[-1] == len(obs.spectrum)
-            assert all(lo <= hi for lo, hi in zip(spec.bounds, spec.bounds[1:]))
-            for a in range(spec.n_cells):
-                for i in range(spec.bounds[a], spec.bounds[a + 1]):
-                    assert spec.cell_of_value(obs.spectrum[i]) == a
+        spec = sign_cells(N)
+        spectrum = (2 * np.arange(N + 1) - N) / N
+        # the index ranges tile the spectrum in order
+        assert spec.bounds[0] == 0 and spec.bounds[-1] == len(spectrum)
+        assert all(lo <= hi for lo, hi in zip(spec.bounds, spec.bounds[1:]))
+        for a in range(spec.n_cells):
+            for i in range(spec.bounds[a], spec.bounds[a + 1]):
+                assert spec.cell_of_value(spectrum[i]) == a
 
     @pytest.mark.parametrize("N", [2, 5, 9, 12])
     def test_partition_satisfies_core_identities(self, N):
-        spec = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
+        _, cell_of_point, _ = sign_cells_reference(N)
         _, partition = chain_cells(N)
         # every basis index lies in exactly one cell, so the projectors are
-        # orthogonal and complete; each cell holds the spectrum range of its spec
+        # orthogonal and complete; each cell holds the up counts of its spectrum points
         assert partition.cell_count == 2 and partition.dim == 2 ** N
         assert partition.members(0).size + partition.members(1).size == 2 ** N
         for a in range(2):
             ups = [N - bin(int(i)).count("1") for i in partition.members(a)]
-            assert all(spec.bounds[a] <= j < spec.bounds[a + 1] for j in ups)
-
-    def test_gap_warning_for_sparse_spectrum(self):
-        obs = IntensiveObservable(spectrum=(0.0, 0.9, 1.0), N=50)
-        with pytest.warns(UserWarning, match="gap"):
-            coarse_grain(obs, 2)
+            assert all(cell_of_point[j] == a for j in ups)
 
 
 class TestCellProbability:
     def test_binomial_plus_cell_literal(self):
-        obs = IntensiveObservable.magnetization_chain(4)
-        spec = coarse_grain(obs, 2)
-        state = BernoulliProduct.homogeneous(4, 0.8)
-        probs = cell_probability(state, spec)
+        probs = np.exp(cell_log_probability(BernoulliProduct(4, 0.8), sign_cells(4)))
         assert probs[1] == pytest.approx(0.9728, abs=1e-12)
         assert probs[0] == pytest.approx(0.0272, abs=1e-12)
 
     def test_deterministic_state(self):
-        obs = IntensiveObservable.magnetization_chain(5)
-        spec = coarse_grain(obs, 2)
-        state = BernoulliProduct.homogeneous(5, 1.0)
-        probs = cell_probability(state, spec)
+        probs = np.exp(cell_log_probability(BernoulliProduct(5, 1.0), sign_cells(5)))
         assert probs[1] == 1.0 and probs[0] == 0.0
 
     def test_dense_trace_agrees_with_product_path(self, rng):
@@ -124,17 +99,15 @@ class TestCellProbability:
         rho = site
         for _ in range(N - 1):
             rho = np.kron(rho, site)
-        dense = cell_probability(rho, partition)
-        product = cell_probability(BernoulliProduct.homogeneous(N, p), spec)
+        dense = partition.trace_all(rho).real
+        product = np.exp(cell_log_probability(BernoulliProduct(N, p), spec))
         assert_allclose(dense, product, atol=1e-12)
 
     def test_heterogeneous_sites_match_exact_enumeration(self):
         state = BernoulliProduct(6, 0.8, {2: 0.5, 3: 0.3, 5: 0.9})
         N = state.N
         dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
-        obs = IntensiveObservable.magnetization_chain(N)
-        spec = coarse_grain(obs, 2)
-        probs = cell_probability(state, spec)
+        probs = np.exp(cell_log_probability(state, sign_cells(N)))
         plus = float(sum(dist[j] for j in range(N + 1) if 2 * j - N >= 0))
         assert probs[1] == pytest.approx(plus, rel=1e-12)
 
@@ -142,20 +115,19 @@ class TestCellProbability:
         # the "-" cell of 4000 sites at p = 0.8 is way below exp(-745), yet
         # finite in log space and exact
         N = 4000
-        spec = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
-        got = cell_log_probability(BernoulliProduct.homogeneous(N, 0.8), spec)
+        got = cell_log_probability(BernoulliProduct(N, 0.8), sign_cells(N))
         assert np.isfinite(got[0]) and got[0] < -745
         ref = binom_range_log(N, 0.8, chain_minus_cell_counts(N))
         assert abs(got[0] - ref) <= 1e-12 * abs(ref)
 
     def test_wrong_partition_length_rejected(self):
-        spec = coarse_grain(IntensiveObservable.magnetization_chain(5), 2)
         with pytest.raises(StructuralError):
-            cell_log_probability(BernoulliProduct.homogeneous(4, 0.5), spec)
+            cell_log_probability(BernoulliProduct(4, 0.5), sign_cells(5))
         # product-state cells are binomial tails: a prefix and a suffix only
-        three = coarse_grain(IntensiveObservable.magnetization_chain(30), 3)
+        three = CellPartitionSpec(edges=(-1.0, -1 / 3, 1 / 3, 1.0), bounds=(0, 10, 20, 31),
+                                  labels=("0", "1", "2"))
         with pytest.raises(StructuralError, match="two-cell"):
-            cell_log_probability(BernoulliProduct.homogeneous(30, 0.8), three)
+            cell_log_probability(BernoulliProduct(30, 0.8), three)
 
 
 class TestRateFunction:
@@ -169,7 +141,7 @@ class TestRateFunction:
             assert bernoulli_rate(m, 0.8) == pytest.approx(-kl_bernoulli(q, 0.8), abs=1e-14)
 
     def test_estimate_converges_to_analytic(self):
-        est = estimate_rate(lambda N: BernoulliProduct.homogeneous(N, 0.8),
+        est = estimate_rate(lambda N: BernoulliProduct(N, 0.8),
                             grid=[-0.2], N_values=[100, 200, 400, 800])
         analytic = -kl_bernoulli(0.4, 0.8)
         final = est.samples[-1, 0]
@@ -185,7 +157,7 @@ class TestRateFunction:
         assert int(np.argmax(curve)) == int(np.argmin(np.abs(grid - 0.6)))
 
     def test_precondition_errors(self):
-        fam = lambda N: BernoulliProduct.homogeneous(N, 0.8)
+        fam = lambda N: BernoulliProduct(N, 0.8)
         with pytest.raises(PreconditionError):
             estimate_rate(fam, [-0.2], [100, 200])
         with pytest.raises(PreconditionError):
@@ -194,7 +166,7 @@ class TestRateFunction:
     def test_zero_probability_point_dropped(self):
         # one site pinned down makes the all-up window impossible
         def family(N):
-            return BernoulliProduct.homogeneous(N, 0.9).with_overrides({0: 0.0})
+            return BernoulliProduct(N, 0.9, {0: 0.0})
 
         with pytest.warns(UserWarning, match="zero probability"):
             est = estimate_rate(family, grid=[1.0], N_values=[8, 16, 32])
@@ -239,8 +211,7 @@ class TestFactorLayout:
     @pytest.mark.parametrize("r", [0, 1])
     def test_cells_match_exact_poisson_binomial(self, r, theta):
         for N, state in self._states(r, theta).items():
-            spec = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
-            got = cell_log_probability(state, spec)
+            got = cell_log_probability(state, sign_cells(N))
             dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
             for cell, counts in enumerate((chain_minus_cell_counts(N), chain_plus_cell_counts(N))):
                 ref = exact_log(sum(dist[j] for j in counts))
@@ -395,9 +366,7 @@ class TestLdpConditions:
             return make
 
         estimates = [estimate_rate(family(r), grid, Ns) for r in range(2)]
-        obs = IntensiveObservable.magnetization_chain(Ns[0])
-        cells = coarse_grain(obs, 2)
-        return estimates, cells
+        return estimates, sign_cells(Ns[0])
 
     def test_chain_conditions_pass(self):
         estimates, cells = self._chain_setup()
@@ -436,16 +405,13 @@ class TestLdpConditions:
         est = RateFunctionEstimate(grid=(-0.5, 0.5), N_values=(40, 80, 160),
                                    samples=np.full((3, 2), np.nan),
                                    dropped=np.ones((3, 2), dtype=bool), analytic=None, p=None)
-        cells = coarse_grain(IntensiveObservable.magnetization_chain(40), 2)
         with pytest.raises(PreconditionError, match="no finite value"):
-            check_ldp_conditions([est, est], cells, pointer=(1, 0))
+            check_ldp_conditions([est, est], sign_cells(40), pointer=(1, 0))
 
     def test_boundary_maximizer_fails_interiority(self):
-        est = estimate_rate(lambda N: BernoulliProduct.homogeneous(N, 0.5),
+        est = estimate_rate(lambda N: BernoulliProduct(N, 0.5),
                             grid=[-0.5, 0.0, 0.5], N_values=[40, 80, 160])
-        obs = IntensiveObservable.magnetization_chain(40)
-        cells = coarse_grain(obs, 2)
-        report = check_ldp_conditions([est, est], cells, pointer=(1, 0))
+        report = check_ldp_conditions([est, est], sign_cells(40), pointer=(1, 0))
         assert not report.interior
         assert not report.passed
 
@@ -455,8 +421,6 @@ class TestBernoulliProduct:
         for N, overrides in ((0, {}), (-1, {}), (4, {4: 0.1}), (4, {-1: 0.1})):
             with pytest.raises(PreconditionError):
                 BernoulliProduct(N, 0.5, overrides)
-        with pytest.raises(PreconditionError):
-            BernoulliProduct.homogeneous(4, 0.5).with_overrides({7: 0.1})
 
     @pytest.mark.parametrize("p, overrides", [
         (1.2, {}), (-0.1, {}), (math.nan, {}), (0.5, {1: 1.5}), (0.5, {1: -1e-9})])
@@ -467,11 +431,7 @@ class TestBernoulliProduct:
     def test_override_equal_to_base_dropped(self):
         state = BernoulliProduct(5, 0.7, {2: 0.7})
         assert state.overrides == {} and state.homogeneous_p == 0.7
-        assert BernoulliProduct.homogeneous(5, 0.7).with_overrides({2: 0.7}).homogeneous_p == 0.7
-        edited = BernoulliProduct(5, 0.7, {2: 0.1})
-        assert edited.homogeneous_p is None
-        # setting a site back to the base removes its override
-        assert edited.with_overrides({2: 0.7}).overrides == {}
+        assert BernoulliProduct(5, 0.7, {2: 0.1}).homogeneous_p is None
         # a state whose every site is overridden alike is homogeneous
         assert BernoulliProduct(2, 0.7, {0: 0.1, 1: 0.1}).homogeneous_p == 0.1
 
@@ -488,13 +448,13 @@ class TestPerturbationBound:
         return total
 
     def test_bound_matches_hand_computation(self):
-        base = BernoulliProduct.homogeneous(10, 0.8)
-        pert = base.with_overrides({3: 0.2})
+        base = BernoulliProduct(10, 0.8)
+        pert = BernoulliProduct(10, 0.8, {3: 0.2})
         got = perturbation_residual_bound(base, pert)
         assert got == pytest.approx(abs(math.log(0.8 / 0.2)), abs=1e-14)
 
     def test_identical_states_have_zero_bound(self):
-        base = BernoulliProduct.homogeneous(6, 0.7)
+        base = BernoulliProduct(6, 0.7)
         assert perturbation_residual_bound(base, base) == 0.0
 
     def test_site_overridden_in_one_state_only(self):

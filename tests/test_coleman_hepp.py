@@ -8,11 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pointer_cell_sim import coleman_hepp, core
-from pointer_cell_sim.coarse_ldp import (
-    IntensiveObservable,
-    cell_probability,
-    coarse_grain,
-)
+from pointer_cell_sim.coarse_ldp import CellPartitionSpec, cell_log_probability
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     _bulk_block,
@@ -37,6 +33,7 @@ from oracles import (
     full_product_sector_cells,
     kl_bernoulli,
     poisson_binomial_fraction,
+    sign_cells_reference,
 )
 
 # a coherent site state: its cross-sector factors are complex, not just signed
@@ -221,7 +218,7 @@ class TestOverlapInvariants:
             cells, _ = chain_cells(N)
             for r in range(2):
                 state = diagonal_sector_product(spec, r)
-                probs = cell_probability(state, cells)
+                probs = np.exp(cell_log_probability(state, cells))
                 assert_allclose(f.values[r, r].real, probs, atol=1e-10)
 
     def test_all_outputs_pass_property_checks(self):
@@ -237,7 +234,7 @@ class TestTraversal:
         f0 = traversal_schedule(spec, 0.0)
         assert_allclose(f0.values[0, 0], f0.values[1, 1], atol=1e-14)
         cells, _ = chain_cells(6)
-        base = cell_probability(diagonal_sector_product(spec, 0), cells)
+        base = np.exp(cell_log_probability(diagonal_sector_product(spec, 0), cells))
         assert_allclose(f0.values[0, 0].real, base, atol=1e-12)
 
     def test_fraction_one_is_full_traversal(self):
@@ -307,7 +304,8 @@ class TestPartialTraversalOracle:
 
     def test_rejects_partitions_other_than_prefix_suffix(self):
         ov = sector_overlap(ChainSpec(N=30, m0=0.6, theta=2.2), 0, 1, 15)
-        three = coarse_grain(IntensiveObservable.magnetization_chain(30), 3)
+        three = CellPartitionSpec(edges=(-1.0, -1 / 3, 1 / 3, 1.0), bounds=(0, 10, 20, 31),
+                                  labels=("0", "1", "2"))
         with pytest.raises(StructuralError):
             ov.cell_values(three)
         shorter, _ = chain_cells(29)
@@ -512,15 +510,16 @@ class TestLargeN:
     def test_chain_cells_in_closed_form(self, Ns):
         for N in Ns:
             cells, partition = chain_cells(N)
-            ref = coarse_grain(IntensiveObservable.magnetization_chain(N), 2)
-            assert (cells.bounds, cells.edges, cells.labels) == (ref.bounds, ref.edges, ref.labels)
+            edges, cell_of_point, labels = sign_cells_reference(N)
+            assert (cells.edges, cells.labels) == (edges, labels)
+            assert cells.bounds[0] == 0
+            assert np.array_equal(np.repeat(np.arange(2), np.diff(cells.bounds)), cell_of_point)
             assert (partition is None) == (N > coleman_hepp.DENSE_SITE_CAP)
             if partition is not None:
                 # each basis index takes the cell of its up count's spectrum point
                 ups = N - np.array([bin(i).count("1") for i in range(2 ** N)])
-                cell_of_point = np.repeat(np.arange(2), np.diff(ref.bounds))
                 assert np.array_equal(partition.cell_of, cell_of_point[ups])
-                assert partition.labels == ref.labels
+                assert partition.labels == labels
 
     @pytest.mark.parametrize("N", range(1, 13))
     def test_dense_chain_cells_by_popcount(self, N):
@@ -582,13 +581,6 @@ class TestSpecHelpers:
         assert built == []
         assert chain_cells(12)[1] is not None and built == [2 ** 12]  # the spy sees the dense path
 
-    def test_with_overrides_merges(self):
-        base = ChainSpec(N=5, m0=0.6, site_overrides={0: polarized_site(-0.6)})
-        merged = base.with_overrides({1: np.eye(2, dtype=complex) / 2})
-        assert set(merged.site_overrides) == {0, 1}
-        assert set(base.site_overrides) == {0}
-        assert_allclose(merged.site_overrides[0], polarized_site(-0.6))
-
     def test_partial_traversal_moderate_scale(self):
         # the untouched sector merges into one closed form; the flipped sector
         # pays one heterogeneous convolution
@@ -626,4 +618,4 @@ class TestSpecHelpers:
             warnings.simplefilter("error")
             for N in range(1, 65):
                 cells, _ = chain_cells(N)
-                assert cells.empty_cells == ()
+                assert all(lo < hi for lo, hi in zip(cells.bounds, cells.bounds[1:]))

@@ -10,7 +10,6 @@ from pointer_cell_sim.coleman_hepp import ChainSpec, build_dense, factorized_f_t
 from pointer_cell_sim.errors import (
     AmbiguousPointerError,
     FitError,
-    NonLocalPerturbationError,
     PreconditionError,
 )
 from pointer_cell_sim.verify import (
@@ -25,7 +24,6 @@ from pointer_cell_sim.verify import (
     ideal_tensor,
     log_pointer_errors,
     pointer_errors,
-    stability_test,
     stability_verdict,
 )
 
@@ -380,44 +378,39 @@ class TestStability:
         f = factorized_f_tensor(ChainSpec(N=N, m0=0.6, site_overrides=overrides))
         return f, find_pointer_map(f)
 
+    @classmethod
+    def stability(cls, perturbation, Ns):
+        base = [(N, *cls.run_model(N, None)) for N in Ns]
+        perturbed = [(N, *cls.run_model(N, perturbation or None)) for N in Ns]
+        return stability_verdict(fit_decay_rate(base), fit_decay_rate(perturbed), perturbed)
+
     def test_empty_perturbation_identical(self):
-        result = stability_test(self.run_model, {}, [50, 100, 200, 400])
+        result = self.stability({}, [50, 100, 200, 400])
         assert result.relative_change == 0.0
         assert result.passed
         assert result.base_fit.sweep == result.perturbed_fit.sweep
 
     def test_two_site_flip_within_band(self):
         pert = {0: polarized_site(-0.6), 1: polarized_site(-0.6)}
-        result = stability_test(self.run_model, pert, [50, 100, 200, 400, 800])
+        result = self.stability(pert, [50, 100, 200, 400, 800])
         assert result.within_band
         assert result.bound_satisfied
         assert result.passed
 
     def test_two_site_depolarize_within_band(self):
         pert = {0: np.eye(2, dtype=complex) / 2, 1: np.eye(2, dtype=complex) / 2}
-        result = stability_test(self.run_model, pert, [50, 100, 200, 400, 800])
+        result = self.stability(pert, [50, 100, 200, 400, 800])
         assert result.passed
 
     def test_verdict_from_explicit_fits(self):
-        # the verdict stability_test reaches is stability_verdict on its fits
         Ns = [50, 100, 200, 400, 800]
         pert = {0: polarized_site(-0.6), 1: polarized_site(-0.6)}
-        base = [(N, *self.run_model(N, None)) for N in Ns]
         perturbed = [(N, *self.run_model(N, pert)) for N in Ns]
-        verdict = stability_verdict(fit_decay_rate(base), fit_decay_rate(perturbed), perturbed)
-        assert verdict == stability_test(self.run_model, pert, Ns)
         # a constant twice the fitted one leaves the band and breaks the bound
-        fit = verdict.perturbed_fit
+        fit = fit_decay_rate(perturbed)
         steep = stability_verdict(fit, dataclasses.replace(fit, slope=2 * fit.slope), perturbed)
         assert steep.relative_change == pytest.approx(1.0, rel=1e-12)
         assert not steep.within_band and not steep.bound_satisfied and not steep.passed
-
-    def test_growing_perturbation_rejected(self):
-        def growing(N):
-            return {k: polarized_site(-0.6) for k in range(N // 2)}
-
-        with pytest.raises(NonLocalPerturbationError):
-            stability_test(self.run_model, growing, [50, 100, 200, 400])
 
 
 class TestPropositionDrawBreadth:
