@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -40,7 +41,9 @@ def _load(config: str) -> tuple:
     return parse_config(text), config_path.parent
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pointer-cell-sim",
         description="Pointer-statistics simulator for a microsystem coupled to a "
@@ -52,7 +55,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--oracle", action="store_true",
                        help="force the dense cross-check where applicable")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg, base_dir = _load(args.config)
         command = getattr(runner, COMMANDS[args.command][0])

@@ -264,8 +264,8 @@ def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, 
             j * cmath.phase(d0) + (size - j) * cmath.phase(d1))
 
 
-def _bulk_block(size: int, d0: complex, d1: complex, scale: float | None) -> BinomialBlock:
-    """The block ``(d1 + d0 z)**size`` with the one phase its coefficients share.
+def _bulk_block(d0: complex, d1: complex, scale: float | None) -> Callable[[int], BinomialBlock]:
+    """Size -> the block ``(d1 + d0 z)**size`` with the one phase its coefficients share.
 
     The coefficient phases ``j arg d0 + (size - j) arg d1`` are one phase,
     as ``arg d0 = arg d1`` mod 2 pi: the base site state is diagonal, so the
@@ -274,14 +274,19 @@ def _bulk_block(size: int, d0: complex, d1: complex, scale: float | None) -> Bin
     A diagonal sector passes ``scale``, the site trace, which the rotation
     leaves unchanged.  A negative diagonal gives the block the sign
     ``(-1)**size``, kept as the phase 0 or pi: ``size * pi`` in floating
-    point would be off by up to ``size`` ulps of pi.
+    point would be off by up to ``size`` ulps of pi.  The phase check and the
+    binomial parameters do not depend on the size, and are found once.
     """
     arg0, arg1 = cmath.phase(d0), cmath.phase(d1)
     if d0 and d1 and math.remainder(arg0 - arg1, 2.0 * math.pi) != 0.0:
         raise StructuralError(f"bulk site diagonal ({d0!r}, {d1!r}) does not share one phase")
     arg = arg1 if d1 else arg0
-    phase = math.pi * (size % 2) if abs(arg) == math.pi else size * arg
-    return _binomial_block(size, d0, d1, scale, phase)
+    unit = _binomial_block(0, d0, d1, scale)
+
+    def block(size: int) -> BinomialBlock:
+        phase = math.pi * (size % 2) if abs(arg) == math.pi else size * arg
+        return BinomialBlock(size, unit.p, unit.q, unit.log_scale, phase)
+    return block
 
 
 def _site_diagonals(spec: ChainSpec) -> dict:
@@ -297,7 +302,7 @@ def _site_diagonals(spec: ChainSpec) -> dict:
 
 def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None,
                    diagonals: dict | None = None,
-                   site_polys: dict | None = None) -> FactorizedSectorOverlap:
+                   memo: dict | None = None) -> FactorizedSectorOverlap:
     """Build the factorized accumulator for sector pair (r, s).
 
     Sites with index below ``rotated_count`` have been passed by the
@@ -306,37 +311,38 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     binomial bulk blocks, at most two; the longest is ``b``, and the
     override sites, in site order, and then the other block are convolved
     into ``a`` in log space.  ``diagonals`` is ``_site_diagonals(spec)``, and
-    ``site_polys`` keeps the override sites' product for specs differing in N.
+    ``memo`` keeps, for specs differing in N, the pair's bulk block makers and
+    energy phase, and its override sites' product per set of rotated sites.
     """
     if rotated_count is None:
         rotated_count = spec.N
     if not (0 <= rotated_count <= spec.N):
         raise StructuralError("rotated site count outside the chain")
     diagonals = diagonals or _site_diagonals(spec)
+    memo = {} if memo is None else memo
     override_sites = [k for k in diagonals if k is not None]
     rotated = tuple(k for k in override_sites if k < rotated_count)
     n_rot = rotated_count - len(rotated)
     n_plain = (spec.N - rotated_count) - (len(override_sites) - len(rotated))
-    rot_key, plain_key = diagonals[None][r == 1][s == 1], diagonals[None][0][0]
-    if rot_key == plain_key:
-        # sectors the traversal does not touch: one closed form for the bulk
-        groups = [(n_rot + n_plain, *rot_key)]
-    else:
-        groups = [(n_rot, *rot_key), (n_plain, *plain_key)]
-    scale = float(np.trace(polarized_site(spec.m0)).real) if r == s else None
-    blocks = sorted((_bulk_block(*group, scale) for group in groups if group[0]),
-                    key=lambda block: block.size)
+    if (r, s) not in memo:
+        # a pair the traversal does not touch has no plain maker: one closed form for the bulk
+        rot_key, plain_key = diagonals[None][r == 1][s == 1], diagonals[None][0][0]
+        scale = float(np.trace(polarized_site(spec.m0)).real) if r == s else None
+        memo[r, s] = (_bulk_block(*rot_key, scale),
+                      None if rot_key == plain_key else _bulk_block(*plain_key, scale),
+                      float((spec.energies[s] - spec.energies[r]) * spec.t))
+    rot, plain, delta_e = memo[r, s]
+    groups = [(n_rot, rot), (n_plain, plain)] if plain else [(n_rot + n_plain, rot)]
+    blocks = sorted((make(size) for size, make in groups if size), key=lambda block: block.size)
     b = blocks.pop() if blocks else _binomial_block(0, 0.0, 1.0)
-    site_polys = {} if site_polys is None else site_polys
-    if (r, s, rotated) not in site_polys:
-        site_polys[r, s, rotated] = [reduce(lc_convolve, [
+    if (r, s, rotated) not in memo:
+        memo[r, s, rotated] = [reduce(lc_convolve, [
             _group_polynomial(1, *diagonals[k][r == 1 and k in rotated][s == 1 and k in rotated])
             for k in override_sites])] if override_sites else []
-    polys = site_polys[r, s, rotated] + [
+    polys = memo[r, s, rotated] + [
         (block.log_magnitudes(), np.full(block.size + 1, block.phase)) for block in blocks]
     a = reduce(lc_convolve, polys) if polys else (np.zeros(1), np.zeros(1))
-    delta_e = (spec.energies[s] - spec.energies[r]) * spec.t
-    return FactorizedSectorOverlap(a=a, b=b, global_phase=float(delta_e), a_has_bulk=bool(blocks))
+    return FactorizedSectorOverlap(a=a, b=b, global_phase=delta_e, a_has_bulk=bool(blocks))
 
 
 def factorized_f_tensor(spec: ChainSpec) -> FTensor:
@@ -358,9 +364,10 @@ def traversal_schedule(spec: ChainSpec, fraction: float) -> FTensor:
 
 def traversal_family(spec: ChainSpec, fraction: float) -> Callable[[int], FTensor]:
     """Chain size N -> ``traversal_schedule(spec.at_size(N), fraction)``, with the
-    site diagonals found once and each sector pair's product of override sites
-    once per set of rotated sites: a size builds only its bulk blocks and tails."""
-    diagonals, site_polys = _site_diagonals(spec), {}
+    site diagonals, each sector pair's bulk block makers and energy phase found
+    once, and its product of override sites once per set of rotated sites: a
+    size builds only its bulk blocks, their size-dependent phase, and tails."""
+    diagonals, memo = _site_diagonals(spec), {}
 
     def tensor(N: int) -> FTensor:
         sized, cells, rotated_count = spec.at_size(N), sign_cells(N), passed_sites(N, fraction)
@@ -368,7 +375,7 @@ def traversal_family(spec: ChainSpec, fraction: float) -> Callable[[int], FTenso
         log_mags = np.full((2, 2, 2), -np.inf)
         for r in range(2):
             for s in range(2):
-                ov = sector_overlap(sized, r, s, rotated_count, diagonals, site_polys)
+                ov = sector_overlap(sized, r, s, rotated_count, diagonals, memo)
                 values[r, s], log_mags[r, s] = ov.cell_values(cells)
         return FTensor(values=values, t=spec.t, log_magnitude=log_mags)
     return tensor

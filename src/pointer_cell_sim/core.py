@@ -381,8 +381,9 @@ class FPropertyReport:
 
     @property
     def worst(self) -> float:
-        return max(self.normalization, self.bounds, self.symmetry,
-                   self.positivity, self.cauchy_schwarz)
+        """The largest residual, NaN if any is NaN."""
+        return float(np.max([self.normalization, self.bounds, self.symmetry,
+                             self.positivity, self.cauchy_schwarz]))
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tol"}
@@ -641,28 +642,23 @@ def check_f_properties(f: FTensor, tol: float = PROPERTY_TOL) -> FPropertyReport
     slices, their confinement to [0, 1] with vanishing imaginary part,
     Hermitian symmetry under (r, s) exchange, positive semidefiniteness of
     each cell's sector matrix, and the Cauchy-Schwarz bound it implies.
-    Violations are reported, never raised.
+    Violations are reported, never raised; a NaN entry makes every residual
+    it enters NaN, which fails.
     """
     F = f.values
-    n = f.n
     diag = np.einsum("rra->ra", F)
-    normalization = float(np.abs(diag.sum(axis=1) - 1.0).max())
-    bounds = float(max(
-        np.abs(diag.imag).max(),
-        max(0.0, -diag.real.min()),
-        max(0.0, diag.real.max() - 1.0),
-    ))
-    symmetry = float(np.abs(F - F.conj().transpose(1, 0, 2)).max())
-    positivity = 0.0
-    cauchy = 0.0
-    for a in range(n):
-        M = F[:, :, a]
-        H = (M + M.conj().T) / 2
-        evals = np.linalg.eigvalsh(H)
-        positivity = max(positivity, float(max(0.0, -evals.min())))
-        # Cauchy-Schwarz consequence of positivity: |F_rs|^2 <= F_rr F_ss
-        for r in range(n):
-            for s in range(n):
-                viol = abs(M[r, s]) ** 2 - diag[r, a].real * diag[s, a].real
-                cauchy = max(cauchy, float(max(0.0, viol)))
-    return FPropertyReport(normalization, bounds, symmetry, positivity, cauchy, tol)
+    d = diag.real
+    with np.errstate(all="ignore"):
+        normalization = float(np.abs(diag.sum(axis=1) - 1.0).max())
+        bounds = float(np.max([np.abs(diag.imag).max(),
+                               *np.maximum([-d.min(), d.max() - 1.0], 0.0)]))
+        symmetry = float(np.abs(F - F.conj().transpose(1, 0, 2)).max())
+        H = ((F + F.conj().transpose(1, 0, 2)) / 2).transpose(2, 0, 1)  # per cell
+        positivity = np.maximum(-np.linalg.eigvalsh(H).min(axis=1), 0.0)
+        positivity[np.isnan(H).any(axis=(1, 2))] = np.nan  # eigvalsh may return numbers
+        # Cauchy-Schwarz consequence of positivity: |F_rs|^2 <= F_rr F_ss, with
+        # |F_rs|^2 by the scalar power: numpy's array square rounds some one ulp apart
+        square = np.array([abs(z) ** 2 for z in F.ravel()]).reshape(F.shape)
+        cauchy = np.maximum(square - d[:, None, :] * d[None, :, :], 0.0)
+    return FPropertyReport(normalization, bounds, symmetry, float(positivity.max()),
+                           float(cauchy.max()), tol)

@@ -363,7 +363,7 @@ def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
     fit_status = "ok"
     try:
         fit = verify.fit_decay_rate(
-            [(pt.N, pt.tensor, pt.pointer) for pt in points if pt.tensor is not None])
+            [(pt.N, pt.eps_max, pt.log_eps_max) for pt in points if pt.tensor is not None])
     except SimulationError as exc:
         fit_status = f"refused: {exc}"
     oracle_info = None
@@ -512,7 +512,7 @@ def perturb(cfg: ExperimentConfig, base_dir: Path | None = None,
     if base_fit is not None and pert_fit is not None:
         result = verify.stability_verdict(
             base_fit, pert_fit,
-            [(pt.N, pt.tensor, pt.pointer) for pt in pert_points if pt.tensor is not None])
+            [(pt.N, pt.log_eps_max) for pt in pert_points if pt.tensor is not None])
         items += [
             ("c_base", fmt_float(result.base_fit.c)),
             ("c_perturbed", fmt_float(result.perturbed_fit.c)),

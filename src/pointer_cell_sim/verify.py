@@ -10,6 +10,7 @@ survive localized perturbations of the initial apparatus state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -129,6 +130,14 @@ class StabilityResult:
         return self.within_band and self.bound_satisfied and self.perturbed_fit.slope < 0.0
 
 
+@functools.cache
+def _permutations(n: int) -> np.ndarray:
+    """Every permutation of ``range(n)``, one per read-only row, in lexicographic order."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    perms.setflags(write=False)
+    return perms
+
+
 def _best_two_assignments(W: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The assignment ``phi`` maximising ``sum W[alpha, phi[alpha]]``, its total,
     and the largest total of any other assignment (-inf when there is none).
@@ -140,7 +149,7 @@ def _best_two_assignments(W: np.ndarray) -> tuple[np.ndarray, float, float]:
     """
     n = W.shape[0]
     if n <= ENUMERATION_MAX:
-        perms = np.array(list(itertools.permutations(range(n))))
+        perms = _permutations(n)
         totals = W[np.arange(n), perms].sum(axis=1)
         best = int(np.argmax(totals))
         second = float(np.delete(totals, best).max()) if n > 1 else -np.inf
@@ -297,19 +306,17 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
     )
 
 
-def fit_decay_rate(sweep: Sequence[tuple[int, FTensor, PointerMap]]) -> DecayFit:
-    """Least-squares fit of ``log(max_r error_r)`` against chain size.
+def fit_decay_rate(sweep: Sequence[tuple[int, float, float]]) -> DecayFit:
+    """Least-squares fit of ``log(max_r error_r)`` against chain size, over sweep
+    points ``(N, max_r error_r, max_r log error_r)``.
 
     Points with an exactly zero error are excluded with a warning; at least
     four usable points spanning a factor of four in N are required.
     """
     if not sweep:
         raise PreconditionError("empty sweep")
-    points: list[tuple[int, float, float]] = []
-    for N, f, pmap in sorted(sweep, key=lambda item: item[0]):
-        eps = float(pointer_errors(f, pmap).max())
-        log_eps = float(log_pointer_errors(f, pmap).max())
-        points.append((int(N), eps, log_eps))
+    points = [(int(N), float(eps), float(log_eps))
+              for N, eps, log_eps in sorted(sweep, key=lambda item: item[0])]
     Ns_all = [N for N, _, _ in points]
     if len(set(Ns_all)) < 4:
         raise PreconditionError("need at least four distinct chain sizes")
@@ -344,15 +351,16 @@ def fit_decay_rate(sweep: Sequence[tuple[int, FTensor, PointerMap]]) -> DecayFit
 
 
 def stability_verdict(base_fit: DecayFit, pert_fit: DecayFit,
-                      pert_sweep: Sequence[tuple[int, FTensor, PointerMap]]) -> StabilityResult:
+                      pert_sweep: Sequence[tuple[int, float]]) -> StabilityResult:
     """Compare the decay fits before and after a perturbation.
 
     The perturbed fit must stay within ``STABILITY_BAND`` of the base fit, and
     the exponential bound with the refitted constant must hold at every
-    perturbed sweep point ``(N, tensor, pointer map)``.
+    perturbed sweep point ``(N, max_r log error_r)``, compared in log space as
+    ``exponential_bound_holds`` does.
     """
     rel = abs(pert_fit.c - base_fit.c) / abs(base_fit.c) if base_fit.c != 0 else math.inf
-    bound_ok = all(exponential_bound_holds(f, pmap, N, pert_fit.c) for N, f, pmap in pert_sweep)
+    bound_ok = all(log_eps <= -pert_fit.c * N for N, log_eps in pert_sweep)
     return StabilityResult(
         base_fit=base_fit,
         perturbed_fit=pert_fit,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import pointer_cell_sim
-from pointer_cell_sim import coarse_ldp, coleman_hepp, errors, runner, verify
+from pointer_cell_sim import cli, coarse_ldp, coleman_hepp, errors, runner, verify
 from pointer_cell_sim.cli import main
 from pointer_cell_sim.config import tokenize_kv
 from pointer_cell_sim.report import REPORT_HEADER, parse_f_tensor_text
@@ -353,6 +354,14 @@ class TestPerSweepWork:
                        "--out", workdir / "out") == 0
         assert len(diagonals) == 2  # the base and the perturbed sweep
 
+    @pytest.mark.parametrize("command, per_size", [("sweep", 1), ("perturb", 2)])
+    def test_pointer_errors_once_per_sweep_point(self, workdir, monkeypatch, command, per_size):
+        # the fit and the stability verdict read the errors each sweep point holds
+        logs = self.count_calls(monkeypatch, verify, "log_pointer_errors")
+        assert run_cli(command, "--config", write_config(workdir, self.CONFIG),
+                       "--out", workdir / "out") == 0
+        assert len(logs) == per_size * 11
+
     def test_one_kernel_call_per_family(self, workdir, monkeypatch):
         families = self.count_calls(monkeypatch, coarse_ldp, "estimate_rate")
         kernel = self.count_calls(monkeypatch, coarse_ldp, "binomial_log_pmf")
@@ -360,6 +369,38 @@ class TestPerSweepWork:
                        "--out", workdir / "out") == 0
         assert len(families) == len(kernel) == 4  # both sectors, base and perturbed
         assert all(np.ndim(n) == 1 and len(set(n)) == 11 for n, *_ in kernel)
+
+
+class TestParserCache:
+    """One parser serves every call of a process, and no call leaves a trace in it."""
+
+    def test_oracle_does_not_carry_over(self, workdir):
+        cfg = write_config(workdir, BASE)
+        for name, extra in (("plain", []), ("oracle", ["--oracle"]), ("again", [])):
+            assert run_cli("run", "--config", cfg, "--out", workdir / name, *extra) == 0
+        assert "[oracle]" in (workdir / "oracle" / "report.txt").read_text(encoding="utf-8")
+        assert read_all(workdir / "again") == read_all(workdir / "plain")
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("argv", [["run", "--config", "exp.cfg"], ["simulate"], []],
+                             ids=["missing-out", "unknown-command", "empty"])
+    def test_bad_argv_after_a_good_call(self, workdir, capsys, argv):
+        cfg = write_config(workdir, BASE)
+        assert run_cli("run", "--config", cfg, "--out", workdir / "out") == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: pointer-cell-sim" in capsys.readouterr().err
+
+    def test_sweep_after_perturb_matches_a_fresh_process(self, workdir):
+        cfg = write_config(workdir, BASE + SWEEP + PERTURB)
+        assert run_cli("perturb", "--config", cfg, "--out", workdir / "perturb") == 0
+        assert run_cli("sweep", "--config", cfg, "--out", workdir / "warm") == 0
+        src = Path(pointer_cell_sim.__file__).resolve().parents[1]
+        subprocess.run([sys.executable, "-m", "pointer_cell_sim.cli", "sweep", "--config", str(cfg),
+                        "--out", str(workdir / "fresh")], cwd=workdir, check=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+        assert read_all(workdir / "warm") == read_all(workdir / "fresh")
 
 
 class TestNonFiniteChainParameters:
@@ -466,6 +507,21 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.count("config error:") == 1 and "dump.txt" in err
         assert not out.exists()
+
+    def test_nan_in_tensor_file_fails_with_exit_4(self, workdir):
+        # NaN fails every identity it enters, with no numpy warning on the way
+        nan = self.IDEAL_DUMP.replace("F[0,1,0] = 0+0j", "F[0,1,0] = nan+0j").replace(
+            "F[1,0,0] = 0+0j", "F[1,0,0] = nan+0j")
+        (workdir / "dump.txt").write_text(nan, encoding="utf-8")
+        cfg = write_config(workdir, BASE + "\n[verify]\ninstances = 2\nf_file = dump.txt\n")
+        out = workdir / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("verify", "--config", cfg, "--out", out) == 4
+        text = (out / "verify.txt").read_text(encoding="utf-8")
+        props = tokenize_kv("\n".join(text.splitlines()[1:]))[0]["tensor_file_properties"]
+        assert props["passed"] == "false"
+        assert [props[key] for key in ("symmetry", "positivity", "cauchy_schwarz")] == ["nan"] * 3
 
     def test_deterministic(self, workdir):
         cfg = write_config(workdir, BASE + "\n[verify]\ninstances = 8\n")

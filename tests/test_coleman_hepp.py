@@ -592,10 +592,10 @@ class TestSpecHelpers:
     def test_bulk_block_requires_one_phase(self):
         # arguments pi and -pi, as cos(theta / 2) < 0 gives in a cross
         # sector, are one phase; a quarter turn between the two is not
-        block = _bulk_block(5, complex(-0.3, 0.0), complex(-0.2, -0.0), None)
+        block = _bulk_block(complex(-0.3, 0.0), complex(-0.2, -0.0), None)(5)
         assert block.log_magnitudes().shape == (6,) and block.phase == math.pi  # (-1)**5
         with pytest.raises(StructuralError, match="one phase"):
-            _bulk_block(5, 0.3 + 0j, 0.2j, None)
+            _bulk_block(0.3 + 0j, 0.2j, None)
 
     def test_mixed_phase_overrides_match_decimal_sums(self):
         # two overrides whose cross-sector diagonals differ in phase from the

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1105,6 +1107,22 @@ class TestPropertyChecker:
         assert not report.passed
         assert report.cauchy_schwarz > 0.9  # 1 - 0.01
         assert report.positivity > 0.0
+
+    @pytest.mark.parametrize("entries, clean", [
+        ([(0, 1, 0), (1, 0, 0)], ("normalization", "bounds")),
+        ([(0, 0, 0)], ()),
+    ], ids=["off-diagonal", "diagonal"])
+    def test_nan_fails_every_identity_it_enters(self, entries, clean):
+        values = np.zeros((2, 2, 2), dtype=complex)
+        values[0, 0, 0] = values[1, 1, 1] = 1.0
+        for index in entries:
+            values[index] = complex(math.nan, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = core.check_f_properties(core.FTensor(values=values, t=0.0))
+        for name, value in report.as_dict().items():
+            assert (value == 0.0) if name in clean else math.isnan(value), (name, value)
+        assert math.isnan(report.worst) and not report.passed
 
     def test_chain_positivity_eigenvalues(self):
         from pointer_cell_sim import ChainSpec, build_dense, evolve_sectors, f_tensor

@@ -82,6 +82,17 @@ def chain_sweep(N_values, m0=0.6, overrides=None):
     return out
 
 
+def fit_points(sweep):
+    """The fit's ``(N, max error, max log error)`` point of each ``(N, tensor, pointer map)``."""
+    return [(N, float(pointer_errors(f, pm).max()), float(log_pointer_errors(f, pm).max()))
+            for N, f, pm in sweep]
+
+
+def bound_points(sweep):
+    """The stability verdict's ``(N, max log error)`` point of each ``(N, tensor, pointer map)``."""
+    return [(N, log_eps) for N, _, log_eps in fit_points(sweep)]
+
+
 class TestFindPointerMap:
     def test_ideal_identity(self):
         f = ideal_f([0, 1, 2])
@@ -317,7 +328,7 @@ class TestDecayFit:
         for N in (50, 100, 200, 400, 800):
             f = error_tensor(math.exp(-c_true * N))
             sweep.append((N, f, PointerMap(phi=(0, 1), confidence=(1.0, 1.0))))
-        fit = fit_decay_rate(sweep)
+        fit = fit_decay_rate(fit_points(sweep))
         assert abs(fit.c - c_true) / c_true < 1e-6
         assert fit.r_squared > 1 - 1e-12
         assert fit.is_exponential()
@@ -327,7 +338,7 @@ class TestDecayFit:
         for N in (50, 100, 200, 400, 800):
             f = error_tensor(1.0 / N)
             sweep.append((N, f, PointerMap(phi=(0, 1), confidence=(1.0, 1.0))))
-        fit = fit_decay_rate(sweep)
+        fit = fit_decay_rate(fit_points(sweep))
         assert fit.r_squared < 0.95
         assert not fit.is_exponential()
 
@@ -336,7 +347,7 @@ class TestDecayFit:
         sweep = [(N, error_tensor(math.exp(-0.2 * N)), pm) for N in (50, 100, 200, 400)]
         sweep.append((800, ideal_f([0, 1]), pm))
         with pytest.warns(UserWarning, match="zero pointer error"):
-            fit = fit_decay_rate(sweep)
+            fit = fit_decay_rate(fit_points(sweep))
         assert fit.excluded == (800,)
         assert abs(fit.c - 0.2) / 0.2 < 1e-6
 
@@ -344,23 +355,23 @@ class TestDecayFit:
         pm = PointerMap(phi=(0, 1), confidence=(1.0, 1.0))
         sweep = [(N, error_tensor(math.exp(-0.2 * N)), pm) for N in (50, 100, 200)]
         with pytest.raises(PreconditionError):
-            fit_decay_rate(sweep)
+            fit_decay_rate(fit_points(sweep))
 
     def test_insufficient_span(self):
         pm = PointerMap(phi=(0, 1), confidence=(1.0, 1.0))
         sweep = [(N, error_tensor(math.exp(-0.2 * N)), pm) for N in (50, 60, 70, 80)]
         with pytest.raises(PreconditionError):
-            fit_decay_rate(sweep)
+            fit_decay_rate(fit_points(sweep))
 
     def test_zero_points_leaving_too_few(self):
         pm = PointerMap(phi=(0, 1), confidence=(1.0, 1.0))
         sweep = [(N, ideal_f([0, 1]), pm) for N in (50, 100, 200, 400)]
         sweep.append((800, error_tensor(1e-3), pm))
         with pytest.warns(UserWarning), pytest.raises(FitError):
-            fit_decay_rate(sweep)
+            fit_decay_rate(fit_points(sweep))
 
     def test_chain_fit_matches_concentration_gap(self):
-        fit = fit_decay_rate(chain_sweep([100, 200, 400, 800]))
+        fit = fit_decay_rate(fit_points(chain_sweep([100, 200, 400, 800])))
         assert fit.is_exponential()
         assert abs(fit.c - BOUNDARY_RATE) / BOUNDARY_RATE < 0.15
 
@@ -382,7 +393,8 @@ class TestStability:
     def stability(cls, perturbation, Ns):
         base = [(N, *cls.run_model(N, None)) for N in Ns]
         perturbed = [(N, *cls.run_model(N, perturbation or None)) for N in Ns]
-        return stability_verdict(fit_decay_rate(base), fit_decay_rate(perturbed), perturbed)
+        return stability_verdict(fit_decay_rate(fit_points(base)),
+                                 fit_decay_rate(fit_points(perturbed)), bound_points(perturbed))
 
     def test_empty_perturbation_identical(self):
         result = self.stability({}, [50, 100, 200, 400])
@@ -407,8 +419,9 @@ class TestStability:
         pert = {0: polarized_site(-0.6), 1: polarized_site(-0.6)}
         perturbed = [(N, *self.run_model(N, pert)) for N in Ns]
         # a constant twice the fitted one leaves the band and breaks the bound
-        fit = fit_decay_rate(perturbed)
-        steep = stability_verdict(fit, dataclasses.replace(fit, slope=2 * fit.slope), perturbed)
+        fit = fit_decay_rate(fit_points(perturbed))
+        steep = stability_verdict(fit, dataclasses.replace(fit, slope=2 * fit.slope),
+                                  bound_points(perturbed))
         assert steep.relative_change == pytest.approx(1.0, rel=1e-12)
         assert not steep.within_band and not steep.bound_satisfied and not steep.passed
 
