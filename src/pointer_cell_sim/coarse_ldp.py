@@ -28,8 +28,10 @@ from .logspace import (
     _binomial_block,
     bernoulli_relative_entropy,
     binomial_log_pmf,
+    binomial_log_tails,
     lc_convolve,
     lc_real_logsumexp_rows,
+    lc_sum_rows,
 )
 
 
@@ -125,8 +127,8 @@ def cell_log_probability(state: BernoulliProduct, cells: CellPartitionSpec) -> n
     the incomplete-beta continued fraction, at a cost independent of N.
     """
     a, b = _factor_layout(state)
-    sums = b.tail_sums(cells.prefix_split(state.N + 1), (a, np.zeros_like(a)))
-    return np.array([lm for lm, _ in sums])
+    tails, shift = binomial_log_tails(b.size, cells.prefix_split(state.N + 1), b.p, b.q, a.size)
+    return lc_sum_rows(a + tails, 0.0)[0] + shift + b.log_total()
 
 
 def bernoulli_rate(m, p: float):

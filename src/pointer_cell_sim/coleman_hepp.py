@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .core import (
     _check_positive_semidefinite,
     _diagonal_of,
 )
-from .errors import CapacityError, StructuralError
-from .logspace import BinomialBlock, _binomial_block, lc_convolve, lc_sum
+from .errors import CapacityError, SimulationError, StructuralError
+from .logspace import BinomialBlock, _binomial_block, binomial_log_tails, lc_convolve, lc_sum_rows
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
@@ -198,7 +198,7 @@ class FactorizedSectorOverlap:
     log-coded polynomial: the override sites, ``[1]`` for a plain chain and
     k + 1 terms for k overrides, and in a partial traversal also the shorter
     bulk block, which ``a_has_bulk`` marks.  The product itself is never
-    formed: the cells are collapsed directly from the two factors.
+    formed: ``traversal_family`` sums every size's ``cell_terms`` at once.
     """
 
     a: tuple[np.ndarray, np.ndarray]
@@ -208,53 +208,56 @@ class FactorizedSectorOverlap:
 
     def dp_total(self) -> tuple[float, float]:
         """Sum over every up-count: the product of the per-site traces."""
-        lm_a, ph_a = lc_sum(*self.a)
+        lm_a, ph_a = lc_sum_rows(*self.a)
         return lm_a + self.b.log_total(), ph_a + self.b.phase
 
-    def cell_log_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Log-coded cell sums ``(log magnitudes, phases)`` over a two-cell partition.
+    def cell_terms(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Log-coded terms of the two cell sums over a two-cell partition.
 
         The partition must split the up-counts into a prefix and a suffix,
         as ``chain_cells`` does.  With ``h = cells.bounds[1]`` the "-" cell
         is ``j < h`` and the "+" cell ``j >= h``, so
         ``sum_{j in cell} (a * b)_j = sum_i a_i * tail_b(cell - i)``, and as
         ``b`` has one phase its tails are real.  Where ``a`` holds only the
-        override sites, ``BinomialBlock.tail_sums`` takes each tail from an
+        override sites, ``binomial_log_tails`` takes each tail from an
         incomplete-beta continued fraction, at a cost independent of the
         chain length.  Where ``a`` also holds a bulk block, its length grows
         with the chain, and the tails come from log-space running sums over
-        the materialised magnitudes of ``b`` instead.  Each cell is one
-        ``lc_sum``.
+        the materialised magnitudes of ``b`` instead.  Returns a row of log
+        magnitudes per cell (``-inf`` outside it), the phases both share, and
+        what each row's ``lc_sum_rows`` sum then takes: a shift, then a total.
         """
         (a_lm, a_ph), b = self.a, self.b
         na, nb = a_lm.size, b.size + 1
         h = cells.prefix_split(na + nb - 1)
-        if not self.a_has_bulk:
-            sums = b.tail_sums(h, self.a)
-        else:
-            ph = a_ph + b.phase
-            b_lm = b.log_magnitudes()
-            hi = min(h, na)  # "-" cell: i < hi, tail b_0 + ... + b_{h-1-i}
-            lo = max(h - nb + 1, 0)  # "+" cell: i >= lo, tail b_{h-i} + ... + b_{nb-1}
-            prefix = np.logaddexp.accumulate(b_lm)
-            suffix = np.logaddexp.accumulate(b_lm[::-1])[::-1]
-            i_minus = np.minimum(h - 1 - np.arange(hi), nb - 1)
-            i_plus = np.maximum(h - np.arange(lo, na), 0)
-            sums = [lc_sum(a_lm[:hi] + prefix[i_minus], ph[:hi]),
-                    lc_sum(a_lm[lo:] + suffix[i_plus], ph[lo:])]
-        log_mags = np.array([lm for lm, _ in sums])
-        phases = np.array([ph + self.global_phase for _, ph in sums])
-        return log_mags, phases
+        if not self.a_has_bulk:  # a zero block: p = 0, so every tail is sure, and total -inf
+            tails, shift = binomial_log_tails(b.size, h, b.p, b.q, na)
+            return a_lm + tails, a_ph + b.phase, shift, b.log_total()
+        b_lm = b.log_magnitudes()
+        hi = min(h, na)  # "-" cell: i < hi, tail b_0 + ... + b_{h-1-i}
+        lo = max(h - nb + 1, 0)  # "+" cell: i >= lo, tail b_{h-i} + ... + b_{nb-1}
+        prefix = np.logaddexp.accumulate(b_lm)
+        suffix = np.logaddexp.accumulate(b_lm[::-1])[::-1]
+        lm = np.full((2, na), -np.inf)
+        lm[0, :hi] = a_lm[:hi] + prefix[np.minimum(h - 1 - np.arange(hi), nb - 1)]
+        lm[1, lo:] = a_lm[lo:] + suffix[np.maximum(h - np.arange(lo, na), 0)]
+        return lm, a_ph + b.phase, np.zeros(2), 0.0
 
-    def cell_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
-        """The cell sums as complex values and their log magnitudes, which stay
-        finite where a value underflows to zero."""
-        log_mags, phases = self.cell_log_values(cells)
-        values = np.zeros(2, dtype=complex)
-        for cell, (lm, ph) in enumerate(zip(log_mags, phases)):
-            if lm != -np.inf:
-                values[cell] = np.exp(lm) * complex(math.cos(ph), math.sin(ph))
-        return values, log_mags
+    def cell_log_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Log-coded cell sums ``(log magnitudes, phases)``, as ``traversal_family`` forms them."""
+        lm, ph = _cell_sums([self.cell_terms(cells)], [self.global_phase])
+        return lm[0], ph[0]
+
+
+def _cell_sums(terms: Sequence[tuple], global_phases: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Cells ``(log magnitudes, phases)``, shape ``(len(terms), 2)``, from overlaps'
+    ``cell_terms`` and global phases in one ``lc_sum_rows``: k + 1 terms each, for
+    k override sites, or one overlap, whose rows may grow with N, left uncopied."""
+    t_lm, t_ph, shifts, totals = zip(*terms)
+    lm, ph = (t_lm[0][None], t_ph[0]) if len(terms) == 1 else (np.stack(t_lm), np.stack(t_ph)[:, None])
+    sums_lm, sums_ph = lc_sum_rows(lm, ph)
+    return (sums_lm + np.array(shifts) + np.array(totals)[:, None],
+            sums_ph + np.array(global_phases)[:, None])
 
 
 def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -359,26 +362,43 @@ def passed_sites(N: int, fraction: float) -> int:
 
 def traversal_schedule(spec: ChainSpec, fraction: float) -> FTensor:
     """Tensor after the particle has passed the first ``floor(fraction * N)`` sites."""
-    return traversal_family(spec, fraction)(spec.N)
-
-
-def traversal_family(spec: ChainSpec, fraction: float) -> Callable[[int], FTensor]:
-    """Chain size N -> ``traversal_schedule(spec.at_size(N), fraction)``, with the
-    site diagonals, each sector pair's bulk block makers and energy phase found
-    once, and its product of override sites once per set of rotated sites: a
-    size builds only its bulk blocks, their size-dependent phase, and tails."""
-    diagonals, memo = _site_diagonals(spec), {}
-
-    def tensor(N: int) -> FTensor:
-        sized, cells, rotated_count = spec.at_size(N), sign_cells(N), passed_sites(N, fraction)
-        values = np.zeros((2, 2, 2), dtype=complex)
-        log_mags = np.full((2, 2, 2), -np.inf)
-        for r in range(2):
-            for s in range(2):
-                ov = sector_overlap(sized, r, s, rotated_count, diagonals, memo)
-                values[r, s], log_mags[r, s] = ov.cell_values(cells)
-        return FTensor(values=values, t=spec.t, log_magnitude=log_mags)
+    tensor, = traversal_family(spec, fraction, [spec.N])
+    if isinstance(tensor, SimulationError):
+        raise tensor
     return tensor
+
+
+def traversal_family(spec: ChainSpec, fraction: float,
+                     Ns: Sequence[int]) -> list[FTensor | SimulationError]:
+    """``traversal_schedule(spec.at_size(N), fraction)`` for each N of ``Ns``, or
+    the ``SimulationError`` that size raised, which fails it alone.
+
+    The site diagonals, each sector pair's bulk block makers and energy phase,
+    and its product of override sites per set of rotated sites are found once;
+    a size builds only its blocks and their scalar tails (``cell_terms``), and
+    one ``lc_sum_rows`` sums the cells of every size.  A pair whose ``a`` holds
+    a bulk block (partial traversal) has terms that grow with N: summed alone."""
+    diagonals, memo = _site_diagonals(spec), {}
+    lm, ph = np.full((len(Ns), 2, 2, 2), -np.inf), np.zeros((len(Ns), 2, 2, 2))
+    failed, stacked = {}, []  # stacked: (size index, r, s, cell terms, global phase)
+    for i, N in enumerate(Ns):
+        try:
+            sized, cells, rotated_count = spec.at_size(N), sign_cells(N), passed_sites(N, fraction)
+            for r, s in np.ndindex(2, 2):
+                ov = sector_overlap(sized, r, s, rotated_count, diagonals, memo)
+                if ov.a_has_bulk:
+                    lm[i, r, s], ph[i, r, s] = ov.cell_log_values(cells)
+                else:
+                    stacked.append((i, r, s, ov.cell_terms(cells), ov.global_phase))
+        except SimulationError as exc:
+            failed[i] = exc
+    if stacked:  # a failed size's rows are summed too, and dropped with it
+        i, r, s, terms, phases = zip(*stacked)
+        lm[i, r, s], ph[i, r, s] = _cell_sums(terms, phases)
+    values, finite = np.zeros(lm.shape, dtype=complex), lm != -np.inf
+    values[finite] = np.exp(lm[finite]) * np.exp(1j * ph[finite])
+    return [failed[i] if i in failed else FTensor(values=values[i], t=spec.t, log_magnitude=lm[i])
+            for i in range(len(Ns))]
 
 
 def diagonal_sector_product(spec: ChainSpec, r: int) -> BernoulliProduct:

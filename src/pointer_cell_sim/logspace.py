@@ -263,26 +263,25 @@ def _lentz(a, b, x, one, eps):
                          f"did not converge in {limit} steps")
 
 
-def binomial_tail_sums(n: int, t: int, p: float, q: float, lm: np.ndarray,
-                       ph: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Log-coded ``sum_i c_i P(X < t - i)`` and ``sum_i c_i P(X >= t - i)``.
+def binomial_log_tails(n: int, t: int, p: float, q: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log P(X < t - i)`` and ``log P(X >= t - i)`` for i = 0..k-1 as rows 0
+    and 1, and the ``shift`` each row's sum takes back after the sum.
 
-    X ~ Bin(n, p) with ``q = 1 - p``, and ``c_i = exp(lm[i] + 1j * ph[i])``.
-    At each split ``s = t - i`` the tail on the far side of the mode is a
-    regularised incomplete beta, ``P(X >= s) = I_p(s, n - s + 1) =
-    Bin(s; n, p) q CF`` or ``P(X < s) = I_q(n - s + 1, s) = Bin(s - 1; n, p)
-    p CF``, with the fraction from ``_beta_fraction``; the near tail is its
-    ``log1p(-exp(.))`` complement.  One pmf, ``binomial_log_pmf_at`` at the
-    first split, serves them all: the others follow by the exact ratios
-    ``Bin(m - 1) / Bin(m) = m q / ((n - m + 1) p)``, and it is added to the
-    far-side sum only after the sum.  Far out it is of order n, and adding
-    it to each term first would round the terms' relative sizes, which set
-    the phase of a mixed-phase sum, to ulps of n.  Exact at p or q = 0 and
-    for splits outside 1..n; the cost is independent of n away from the mode.
+    X ~ Bin(n, p) with ``q = 1 - p``.  At each split ``s = t - i`` the tail on
+    the far side of the mode is a regularised incomplete beta, ``P(X >= s) =
+    I_p(s, n - s + 1) = Bin(s; n, p) q CF`` or ``P(X < s) = I_q(n - s + 1, s) =
+    Bin(s - 1; n, p) p CF``, with the fraction from ``_beta_fraction``; the
+    near tail is its ``log1p(-exp(.))`` complement.  One pmf, ``shift``, from
+    ``binomial_log_pmf_at`` at the first split, serves them all by the exact
+    ratios ``Bin(m - 1) / Bin(m) = m q / ((n - m + 1) p)``; the row of its far
+    tail holds values less it, as adding it to each term, far out of order n,
+    would round the terms' relative sizes, which set the phase of a mixed-phase
+    sum, to ulps of n.  Exact at p or q = 0 and for splits outside 1..n; the
+    cost is independent of n away from the mode.  Scalar ``math`` throughout:
+    numpy's ``exp``, ``log`` and ``log1p`` differ from it in the last bit.
     """
-    k = len(lm)
-    below, above = np.full(k, -math.inf), np.full(k, -math.inf)
-    sure = np.zeros(k, dtype=bool)  # splits with every outcome on one side
+    below, above = [-math.inf] * k, [-math.inf] * k
+    sure = [False] * k  # splits with every outcome on one side
     m_pmf, shift, far_upper = None, 0.0, False  # log Bin(m_pmf) = shift + rel
     for i in range(k):
         s = t - i
@@ -311,11 +310,9 @@ def binomial_tail_sums(n: int, t: int, p: float, q: float, lm: np.ndarray,
             far_side, near_side = shift + far, near - shift
         (above if upper else below)[i] = far_side
         (below if upper else above)[i] = near_side
-    (above if far_upper else below)[sure] -= shift
-    sums = [lc_sum(lm + below, ph), lc_sum(lm + above, ph)]
-    far_lm, far_ph = sums[far_upper]
-    sums[far_upper] = (far_lm + shift, far_ph)
-    return sums[0], sums[1]
+    tails = np.array([below, above])
+    tails[int(far_upper), sure] -= shift
+    return tails, np.array([0.0, shift] if far_upper else [shift, 0.0])
 
 
 @dataclass(frozen=True)
@@ -344,17 +341,6 @@ class BinomialBlock:
             return np.full(self.size + 1, -np.inf)
         return self.size * self.log_scale + binomial_log_pmf(self.size, self.p, self.q)
 
-    def tail_sums(self, t: int, a: tuple[np.ndarray, np.ndarray]
-                  ) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Log-coded ``sum_i a_i * b(j < t - i)`` and ``sum_i a_i * b(j >= t - i)``,
-        where ``b(.)`` sums the coefficients over the up-counts j named."""
-        total = self.log_total()
-        if total == -math.inf:
-            return (-math.inf, 0.0), (-math.inf, 0.0)
-        a_lm, a_ph = a
-        sums = binomial_tail_sums(self.size, t, self.p, self.q, a_lm, a_ph + self.phase)
-        return tuple((lm + total, ph) for lm, ph in sums)
-
 
 def _binomial_block(size: int, d0: complex, d1: complex, scale: float | None = None,
                     phase: float = 0.0) -> BinomialBlock:
@@ -367,45 +353,48 @@ def _binomial_block(size: int, d0: complex, d1: complex, scale: float | None = N
     return BinomialBlock(size, mag0 / total, mag1 / total, math.log(scale or total), phase)
 
 
-def lc_sum(lm: np.ndarray, ph: np.ndarray) -> tuple[float, float]:
-    """Sum of log-coded complex terms, normalised by the dominant magnitude.
-
-    Returns the (log-magnitude, phase) of the sum.  Cancellation between
-    mixed-phase terms is resolved in complex128 after rescaling, which is
-    exact whenever the terms share a phase and compensated otherwise.
-    """
-    lm = np.asarray(lm, dtype=float).ravel()
-    ph = np.asarray(ph, dtype=float).ravel()
-    finite = lm > -np.inf
-    if not finite.any():
-        return -np.inf, 0.0
-    m = lm[finite].max()
-    acc = np.sum(np.exp(lm[finite] - m) * np.exp(1j * ph[finite]))
-    mag = abs(acc)
-    if mag == 0.0:
-        return -np.inf, 0.0
-    return m + np.log(mag), float(np.angle(acc))
+def _count_groups(finite: np.ndarray, *arrays: np.ndarray):
+    """Per finite count c > 0: those rows of ``finite``, and each of ``arrays`` at
+    their finite terms, in order, as (rows, c).  ``np.sum`` adds a few terms one
+    by one but more in partial sums, so padding would move bits."""
+    count = finite.sum(axis=1)
+    for c in sorted(set(count.tolist()) - {0}):
+        group = count == c
+        yield group, [a[group][finite[group]].reshape(-1, c) for a in arrays]
 
 
 def lc_real_logsumexp_rows(lm: np.ndarray) -> np.ndarray:
     """logsumexp over the last axis of nonnegative-real log-coded terms: per
-    row ``m + log(np.sum(exp(t - m)))`` over its finite t alone, in order.
-    ``np.sum`` adds under eight terms one by one but more in eight partial
-    sums, so padding would move bits: the finite terms move to the front of
-    their row, and rows are summed in groups of one finite count."""
+    row ``m + log(np.sum(exp(t - m)))`` over its finite t alone, in order."""
+    lm = np.asarray(lm, dtype=float)
+    rows = lm.reshape(-1, lm.shape[-1])
+    top, total = rows.max(axis=1, initial=-np.inf), np.zeros(len(rows))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for group, (terms,) in _count_groups(rows > -np.inf, rows):
+            total[group] = np.exp(terms - top[group, None]).sum(axis=1)
+        return (top + np.log(total)).reshape(lm.shape[:-1])
+
+
+def lc_sum_rows(lm: np.ndarray, ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the last axis of log-coded complex terms ``exp(lm + 1j * ph)``, ``ph``
+    broadcast to ``lm``: per row ``(m + log|acc|, arg acc)``, ``acc = np.sum(exp(lm -
+    m) * exp(1j * ph))`` over its finite terms in order, m the largest, or ``(-inf,
+    0)`` if none is finite or they cancel to 0.  ``|acc|`` is ``hypot``, as ``abs``
+    of a complex scalar: numpy's array ``abs`` rounds some differently."""
     lm = np.asarray(lm, dtype=float)
     rows = lm.reshape(-1, lm.shape[-1])
     finite = rows > -np.inf
-    count = finite.sum(axis=1)
-    top = rows.max(axis=1, initial=-np.inf)
-    front = rows[np.arange(len(rows))[:, None], (~finite).argsort(axis=1, kind="stable")]
-    total = np.zeros(len(rows))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.exp(front - top[:, None])
-        for c in range(1, rows.shape[1] + 1):
-            group = count == c
-            total[group] = terms[group, :c].sum(axis=1)
-        return (top + np.log(total)).reshape(lm.shape[:-1])
+    if not finite.any():
+        return np.full(lm.shape[:-1], -np.inf), np.zeros(lm.shape[:-1])
+    top, acc = np.full(len(rows), -np.inf), np.zeros(len(rows), dtype=complex)
+    for group, (terms, phases) in _count_groups(
+            finite, rows, np.broadcast_to(ph, lm.shape).reshape(rows.shape)):
+        top[group] = m = terms.max(axis=1)
+        acc[group] = (np.exp(terms - m[:, None]) * np.exp(1j * phases)).sum(axis=1)
+    mag = np.hypot(acc.real, acc.imag)
+    out_lm = top + np.log(mag, out=np.full(len(rows), -np.inf), where=mag > 0.0)
+    out_ph = np.where(mag > 0.0, np.arctan2(acc.imag, acc.real), 0.0)
+    return out_lm.reshape(lm.shape[:-1]), out_ph.reshape(lm.shape[:-1])
 
 
 def lc_convolve(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -314,19 +314,19 @@ def _pointer_items(cfg: ExperimentConfig, tensor) -> list[tuple[str, str]]:
 @dataclass
 class SweepPoint:
     N: int
-    tensor: core.FTensor | None
-    pointer: verify.PointerMap | None
-    eps_max: float
-    log_eps_max: float
-    w_plus: float
-    w_minus: float
-    offdiag_max: float
     status: str
+    tensor: core.FTensor | None = None
+    eps_max: float = math.nan
+    log_eps_max: float = math.nan
+    w_plus: float = math.nan
+    w_minus: float = math.nan
+    offdiag_max: float = math.nan
 
 
-def _sweep_point(cfg: ExperimentConfig, N: int, tensor_at) -> SweepPoint:
+def _sweep_point(cfg: ExperimentConfig, N: int, tensor) -> SweepPoint:
     try:
-        tensor = tensor_at(N)
+        if isinstance(tensor, SimulationError):
+            raise tensor
         pointer = verify.find_pointer_map(tensor)
         eps = verify.pointer_errors(tensor, pointer)
         log_eps = verify.log_pointer_errors(tensor, pointer)
@@ -340,14 +340,11 @@ def _sweep_point(cfg: ExperimentConfig, N: int, tensor_at) -> SweepPoint:
         status = "ok"
         if eps_max == 0.0 and log_eps_max > -np.inf:
             status = "underflow"  # carried in log space only
-        return SweepPoint(N=N, tensor=tensor, pointer=pointer, eps_max=eps_max,
+        return SweepPoint(N=N, status=status, tensor=tensor, eps_max=eps_max,
                           log_eps_max=log_eps_max, w_plus=float(weights[CELL_PLUS]),
-                          w_minus=float(weights[CELL_MINUS]), offdiag_max=offdiag_max,
-                          status=status)
+                          w_minus=float(weights[CELL_MINUS]), offdiag_max=offdiag_max)
     except SimulationError as exc:
-        return SweepPoint(N=N, tensor=None, pointer=None, eps_max=math.nan,
-                          log_eps_max=math.nan, w_plus=math.nan, w_minus=math.nan,
-                          offdiag_max=math.nan, status=f"failed: {exc}")
+        return SweepPoint(N=N, status=f"failed: {exc}")
 
 
 def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
@@ -356,8 +353,8 @@ def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
     if cfg.sweep is None:
         raise ConfigError(["sweep requested but the config has no [sweep] section"])
     spec = _command_spec(cfg, overrides)
-    family = functools.cache(lambda: coleman_hepp.traversal_family(spec(), cfg.measurement_time))
-    points = sorted((_sweep_point(cfg, N, lambda N: family()(N)) for N in cfg.sweep),
+    tensors = coleman_hepp.traversal_family(spec(), cfg.measurement_time, cfg.sweep)
+    points = sorted((_sweep_point(cfg, N, tensor) for N, tensor in zip(cfg.sweep, tensors)),
                     key=lambda pt: pt.N)
     fit = None
     fit_status = "ok"

@@ -213,15 +213,6 @@ def log_pointer_errors(f: FTensor, pmap: PointerMap) -> np.ndarray:
     return lc_real_logsumexp_rows(terms)
 
 
-def exponential_bound_holds(f: FTensor, pmap: PointerMap, N: int, c: float) -> bool:
-    """Whether ``max_r error_r <= exp(-c N)``, decided as ``log error <= -c N``.
-
-    Both sides are compared in log space: once ``exp(-c N)`` and the errors
-    underflow to zero, the float comparison would pass as ``0 <= 0``.
-    """
-    return bool(log_pointer_errors(f, pmap).max() <= -c * N)
-
-
 def ideal_tensor(pmap: PointerMap) -> np.ndarray:
     """The tensor of a perfect measurement: all mass on the assigned diagonal."""
     n = pmap.n
@@ -279,7 +270,8 @@ def check_exact_condition(f: FTensor, pmap: PointerMap, seed: int = 20) -> Exact
 
 def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
                              seed: int = 20) -> MeasurementVerdict:
-    """Test the exponential condition ``max_r error_r <= exp(-c N)`` in log space.
+    """Test the exponential condition ``max_r error_r <= exp(-c N)`` as ``max_r log
+    error_r <= -c N``, which cannot pass as ``0 <= 0`` once both sides underflow.
 
     Also reports the reconstruction residuals together with the constant K
     such that they equal ``K * exp(-c N / 2)``; K is reported, not asserted.
@@ -288,7 +280,7 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
         raise PreconditionError("particle count must be at least 1")
     if not (c > 0.0):
         raise PreconditionError("decay constant must be positive")
-    eps = pointer_errors(f, pmap)
+    eps, log_eps = pointer_errors(f, pmap), log_pointer_errors(f, pmap)
     recon = _reconstruction_residuals(f, pmap, seed)
     worst = max(recon)
     half_bound = math.exp(-c * N / 2.0)
@@ -296,10 +288,10 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
     log_correction = (math.log(worst) if worst > 0 else -math.inf) + c * N / 2.0
     return MeasurementVerdict(
         errors=tuple(float(e) for e in eps),
-        log_errors=tuple(float(e) for e in log_pointer_errors(f, pmap)),
+        log_errors=tuple(float(e) for e in log_eps),
         N=int(N),
         bound_constant=float(c),
-        satisfied=exponential_bound_holds(f, pmap, N, c),
+        satisfied=bool(log_eps.max() <= -c * N),
         von_neumann_residuals=recon,
         correction_constant=float(correction),
         log_correction_constant=float(log_correction),
@@ -357,7 +349,7 @@ def stability_verdict(base_fit: DecayFit, pert_fit: DecayFit,
     The perturbed fit must stay within ``STABILITY_BAND`` of the base fit, and
     the exponential bound with the refitted constant must hold at every
     perturbed sweep point ``(N, max_r log error_r)``, compared in log space as
-    ``exponential_bound_holds`` does.
+    ``check_weakened_condition`` does.
     """
     rel = abs(pert_fit.c - base_fit.c) / abs(base_fit.c) if base_fit.c != 0 else math.inf
     bound_ok = all(log_eps <= -pert_fit.c * N for N, log_eps in pert_sweep)

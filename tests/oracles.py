@@ -149,6 +149,23 @@ def _log_coded_sum(lm, ph) -> tuple[float, float]:
     return m + math.log(abs(acc)), math.atan2(acc.imag, acc.real)
 
 
+def lc_sum(lm: np.ndarray, ph: np.ndarray) -> tuple[float, float]:
+    """One row of ``logspace.lc_sum_rows`` as the package once summed it: the sum of
+    log-coded complex terms, normalised by the dominant magnitude, returned as its
+    (log magnitude, phase).  Each row of the stacked sum must equal it bit for bit."""
+    lm = np.asarray(lm, dtype=float).ravel()
+    ph = np.asarray(ph, dtype=float).ravel()
+    finite = lm > -np.inf
+    if not finite.any():
+        return -np.inf, 0.0
+    m = lm[finite].max()
+    acc = np.sum(np.exp(lm[finite] - m) * np.exp(1j * ph[finite]))
+    mag = abs(acc)
+    if mag == 0.0:
+        return -np.inf, 0.0
+    return m + np.log(mag), float(np.angle(acc))
+
+
 def _binomial_block(size: int, d0: complex, d1: complex):
     """Log-coded coefficients of ``(d1 + d0 z)**size`` over the power of z.
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pointer_cell_sim
-from pointer_cell_sim import cli, coarse_ldp, coleman_hepp, errors, runner, verify
+from pointer_cell_sim import cli, coarse_ldp, coleman_hepp, errors, logspace, runner, verify
 from pointer_cell_sim.cli import main
 from pointer_cell_sim.config import tokenize_kv
 from pointer_cell_sim.report import REPORT_HEADER, parse_f_tensor_text
@@ -362,6 +362,13 @@ class TestPerSweepWork:
                        "--out", workdir / "out") == 0
         assert len(logs) == per_size * 11
 
+    def test_pointer_errors_once_per_run(self, workdir, monkeypatch):
+        # the weakened verdict decides from the log errors it reports
+        logs = self.count_calls(monkeypatch, verify, "log_pointer_errors")
+        assert run_cli("run", "--config", write_config(workdir, self.CONFIG),
+                       "--out", workdir / "out") == 0
+        assert len(logs) == 1
+
     def test_one_kernel_call_per_family(self, workdir, monkeypatch):
         families = self.count_calls(monkeypatch, coarse_ldp, "estimate_rate")
         kernel = self.count_calls(monkeypatch, coarse_ldp, "binomial_log_pmf")
@@ -435,6 +442,27 @@ class TestOverrideOutsideTheChain:
         assert run_cli("ldp", "--config", write_config(workdir, self.CONFIG), "--out", out) == 1
         assert capsys.readouterr().err.strip() == "error: override site 1 outside the chain"
         assert not out.exists()
+
+
+class TestSweepSizeFailure:
+    def test_numerical_error_fails_its_row_alone(self, workdir, monkeypatch):
+        # the sizes of a sweep are summed together, but a size that raises fails alone
+        cfg = write_config(workdir, BASE + SWEEP)
+        assert run_cli("sweep", "--config", cfg, "--out", workdir / "plain") == 0
+        inner = logspace._beta_fraction
+
+        def fail_at_200(a, b, x):
+            if a + b == 201:  # a tail of the 200-site bulk block
+                raise errors.NumericalError("fraction did not converge")
+            return inner(a, b, x)
+
+        monkeypatch.setattr(logspace, "_beta_fraction", fail_at_200)
+        assert run_cli("sweep", "--config", cfg, "--out", workdir / "failed") == 0
+        plain, failed = ((workdir / out / "sweep.csv").read_bytes().splitlines()
+                         for out in ("plain", "failed"))
+        assert [row.split(b",")[0] for row in failed] == [b"N", b"50", b"100", b"200", b"400"]
+        assert failed[3] == b"200,nan,nan,nan,nan,nan,failed: fraction did not converge"
+        assert failed[:3] + failed[4:] == plain[:3] + plain[4:]
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -307,10 +308,10 @@ class TestPartialTraversalOracle:
         three = CellPartitionSpec(edges=(-1.0, -1 / 3, 1 / 3, 1.0), bounds=(0, 10, 20, 31),
                                   labels=("0", "1", "2"))
         with pytest.raises(StructuralError):
-            ov.cell_values(three)
+            ov.cell_terms(three)
         shorter, _ = chain_cells(29)
         with pytest.raises(StructuralError):
-            ov.cell_values(shorter)
+            ov.cell_terms(shorter)
 
 
 def assert_cells_match(got, ref, context):
@@ -474,8 +475,8 @@ class TestLargeN:
             assert type(f) is core.FTensor
             want = np.zeros((2, 2, 2), dtype=bool)
             for r, s in np.ndindex(2, 2):
-                values, log_mags = sector_overlap(spec, r, s).cell_values(coleman_hepp.sign_cells(N))
-                want[r, s] = (log_mags != -math.inf) & (values == 0.0)
+                log_mags, _ = sector_overlap(spec, r, s).cell_log_values(coleman_hepp.sign_cells(N))
+                want[r, s] = (log_mags != -math.inf) & (np.exp(log_mags) == 0.0)
             assert np.array_equal(f.underflow, want)
             assert want[0, 0, 0] and not want[0, 0, 1]
             assert want[0, 1].all() == cross
@@ -555,16 +556,27 @@ class TestSpecHelpers:
             assert str(got.value) == str(built.value)
 
     def test_traversal_family_matches_one_spec_per_size(self):
-        overrides = {0: polarized_site(-0.6), 3: np.eye(2, dtype=complex) / 2}
-        spec = ChainSpec(N=4, m0=0.6, theta=2.2, energies=(0.3, -0.2), site_overrides=overrides)
-        for fraction in (1.0, 0.5, 0.37):
-            family = coleman_hepp.traversal_family(spec, fraction)
-            for N in (4, 5, 9, 40, 41, 300):
-                want = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=2.2, energies=(0.3, -0.2),
-                                                    site_overrides=overrides), fraction)
-                got = family(N)
-                assert np.array_equal(got.values, want.values)
-                assert np.array_equal(got.log_magnitude, want.log_magnitude)
+        # one call over many sizes gives, bit for bit, each size's one-size call and
+        # traversal_schedule; a size below an override site fails alone, as that chain does
+        flip_depolarize = {0: polarized_site(-0.6), 3: np.eye(2, dtype=complex) / 2}
+        for theta, overrides, fraction in itertools.product(
+                (math.pi, 2.2, 1.0, 4.0), (None, flip_depolarize), (1.0, 0.5, 0.37)):
+            spec = ChainSpec(N=4, m0=0.6, theta=theta, energies=(0.3, -0.2), site_overrides=overrides)
+            Ns = [*range(1, 61), *(50 * 2 ** k for k in range(12))]
+            Ns += [10 ** 6, 10 ** 9] if fraction == 1.0 else []
+            for N, got in zip(Ns, coleman_hepp.traversal_family(spec, fraction, Ns)):
+                context = (theta, overrides is None, fraction, N)
+                one, = coleman_hepp.traversal_family(spec, fraction, [N])
+                try:
+                    want = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.2),
+                                                        site_overrides=overrides), fraction)
+                except StructuralError as exc:
+                    assert type(got) is type(one) is StructuralError, context
+                    assert str(got) == str(one) == str(exc), context
+                    continue
+                for tensor in (got, one):
+                    assert tensor.values.tobytes() == want.values.tobytes(), context
+                    assert tensor.log_magnitude.tobytes() == want.log_magnitude.tobytes(), context
 
     def test_traversal_never_builds_the_dense_partition(self, monkeypatch):
         built = []
@@ -577,7 +589,7 @@ class TestSpecHelpers:
         spec = ChainSpec(N=12, m0=0.6, site_overrides={1: polarized_site(-0.6)})
         traversal_schedule(spec, 1.0)
         traversal_schedule(spec, 0.5)
-        coleman_hepp.traversal_family(spec, 1.0)(12)
+        coleman_hepp.traversal_family(spec, 1.0, [12])
         assert built == []
         assert chain_cells(12)[1] is not None and built == [2 ** 12]  # the spy sees the dense path
 

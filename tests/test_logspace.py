@@ -10,11 +10,11 @@ from pointer_cell_sim import logspace
 from pointer_cell_sim.logspace import (
     binomial_log_pmf,
     binomial_log_pmf_at,
-    binomial_tail_sums,
     lc_convolve,
+    lc_sum_rows,
 )
 
-from oracles import _log_coded_sum, binom_range_log, exact_log
+from oracles import _log_coded_sum, binom_range_log, exact_log, lc_sum
 
 
 def log_code(x):
@@ -50,6 +50,51 @@ class TestConvolution:
         ref = np.array([log(comb(180, k)) for k in range(181)])
         assert np.all(np.abs(lm - ref) <= 1e-13 * np.maximum(1.0, ref))
         assert np.all(ph == 0.0)
+
+
+class TestStackedSum:
+    @staticmethod
+    def rows(rng, width):
+        """Rows of one width: random log magnitudes and phases, -inf at the front, in
+        the middle, at the end and everywhere, and phases whose terms cancel to 0."""
+        lm = rng.normal(scale=20.0, size=(40, width)) - 600.0 * rng.integers(0, 2, size=(40, 1))
+        ph = rng.uniform(-7.0, 7.0, size=(40, width))
+        lm[9:][rng.random((31, width)) < 0.2] = -np.inf
+        lm[1, 0] = lm[2, width // 2] = lm[3, -1] = -np.inf
+        lm[4] = -np.inf
+        lm[5, ::3] = -np.inf
+        lm[6, 1::2] = -np.inf
+        # (1, 0) + (-1, sin pi) + (-1, -sin pi) + (1, 0): zero in both parts, exactly
+        lm[7], ph[7] = -3.0, np.resize([0.0, math.pi, -math.pi, 0.0], width)
+        lm[7, width // 4 * 4:] = -np.inf
+        lm[8], ph[8] = -3.0, np.resize([math.pi, -math.pi], width)
+        return lm, ph
+
+    @pytest.mark.parametrize("widths", [(1,), (7,), (8,), (9,), (300,), (1, 7, 8, 9, 300)])
+    def test_rows_match_one_row_sums_bit_for_bit(self, rng, widths):
+        # np.sum pairs its terms differently from four complex terms on and in
+        # blocks from 64: widths on both sides of each, stacked in one call
+        width = max(widths)
+        stacked_lm, stacked_ph = [], []
+        for w in widths:
+            lm, ph = self.rows(rng, w)
+            pad = np.full((len(lm), width - w), -np.inf)
+            stacked_lm.append(np.hstack([lm, pad]))
+            stacked_ph.append(np.hstack([ph, rng.uniform(-7.0, 7.0, size=pad.shape)]))
+        lm, ph = np.array(stacked_lm), np.array(stacked_ph)  # (len(widths), 40, width)
+        got_lm, got_ph = lc_sum_rows(lm, ph)
+        assert got_lm.shape == got_ph.shape == lm.shape[:-1]
+        want = np.array([[lc_sum(row_lm, row_ph) for row_lm, row_ph in zip(*block)]
+                         for block in zip(lm, ph)])
+        assert got_lm.tobytes() == want[..., 0].tobytes()
+        assert got_ph.tobytes() == want[..., 1].tobytes()
+        assert np.isneginf(got_lm[:, 4]).all() and np.isneginf(got_lm[:, 7]).all()
+
+    def test_phases_broadcast_over_rows(self, rng):
+        lm, ph = rng.normal(size=(3, 2, 5)), rng.uniform(-3.0, 3.0, size=5)
+        got = lc_sum_rows(lm, ph)
+        want = lc_sum_rows(lm, np.broadcast_to(ph, lm.shape).copy())
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestBinomialLogPmf:
@@ -105,6 +150,16 @@ def assert_log_close(got, ref, rtol=1e-13):
         assert got == -math.inf, (got, ref)
     else:
         assert abs(got - ref) <= rtol * max(1.0, abs(ref)), (got, ref)
+
+
+def binomial_tail_sums(n, t, p, q, lm, ph):
+    """Log-coded ``sum_i c_i P(X < t - i)`` and ``sum_i c_i P(X >= t - i)``, X ~ Bin(n, p),
+    ``c_i = exp(lm[i] + 1j * ph[i])``: the tails of ``logspace.binomial_log_tails``
+    summed by ``lc_sum_rows`` and shifted, as the package sums a block's cells."""
+    tails, shift = logspace.binomial_log_tails(n, t, p, q, len(lm))
+    sums_lm, sums_ph = lc_sum_rows(lm + tails, np.broadcast_to(ph, tails.shape))
+    sums_lm = sums_lm + shift
+    return (sums_lm[0], sums_ph[0]), (sums_lm[1], sums_ph[1])
 
 
 def binomial_log_tails(n, t, p, q):

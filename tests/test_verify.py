@@ -18,7 +18,6 @@ from pointer_cell_sim.verify import (
     PointerMap,
     check_exact_condition,
     check_weakened_condition,
-    exponential_bound_holds,
     find_pointer_map,
     fit_decay_rate,
     ideal_tensor,
@@ -309,8 +308,8 @@ class TestWeakenedCondition:
         assert not check_weakened_condition(f, pm, N=N, c=2 * BOUNDARY_RATE).satisfied
         assert check_weakened_condition(f, pm, N=N, c=BOUNDARY_RATE / 2).satisfied
         log_eps = log_pointer_errors(f, pm).max()
-        assert exponential_bound_holds(f, pm, N, -log_eps / N * (1 - 1e-9))
-        assert not exponential_bound_holds(f, pm, N, -log_eps / N * (1 + 1e-9))
+        assert check_weakened_condition(f, pm, N=N, c=-log_eps / N * (1 - 1e-9)).satisfied
+        assert not check_weakened_condition(f, pm, N=N, c=-log_eps / N * (1 + 1e-9)).satisfied
 
     def test_precondition_checks(self):
         f = ideal_f([0, 1])
