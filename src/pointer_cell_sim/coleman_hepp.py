@@ -233,12 +233,14 @@ class FactorizedSectorOverlap:
         if not self.a_has_bulk:  # a zero block: p = 0, so every tail is sure, and total -inf
             tails, shift = binomial_log_tails(b.size, h, b.p, b.q, na)
             return a_lm + tails, a_ph + b.phase, shift, b.log_total()
+        lm = np.full((2, na), -np.inf)
+        if a_lm.max() == -np.inf:  # exact zeros, as the cross pairs of the exact flip: no term
+            return lm, a_ph + b.phase, np.zeros(2), 0.0
         b_lm = b.log_magnitudes()
         hi = min(h, na)  # "-" cell: i < hi, tail b_0 + ... + b_{h-1-i}
         lo = max(h - nb + 1, 0)  # "+" cell: i >= lo, tail b_{h-i} + ... + b_{nb-1}
         prefix = np.logaddexp.accumulate(b_lm)
         suffix = np.logaddexp.accumulate(b_lm[::-1])[::-1]
-        lm = np.full((2, na), -np.inf)
         lm[0, :hi] = a_lm[:hi] + prefix[np.minimum(h - 1 - np.arange(hi), nb - 1)]
         lm[1, lo:] = a_lm[lo:] + suffix[np.maximum(h - np.arange(lo, na), 0)]
         return lm, a_ph + b.phase, np.zeros(2), 0.0
@@ -362,16 +364,17 @@ def passed_sites(N: int, fraction: float) -> int:
 
 def traversal_schedule(spec: ChainSpec, fraction: float) -> FTensor:
     """Tensor after the particle has passed the first ``floor(fraction * N)`` sites."""
-    tensor, = traversal_family(spec, fraction, [spec.N])
-    if isinstance(tensor, SimulationError):
-        raise tensor
-    return tensor
+    values, log_magnitude, failed = traversal_family(spec, fraction, [spec.N])
+    if failed:
+        raise failed[0]
+    return FTensor(values=values[0], t=spec.t, log_magnitude=log_magnitude[0])
 
 
-def traversal_family(spec: ChainSpec, fraction: float,
-                     Ns: Sequence[int]) -> list[FTensor | SimulationError]:
-    """``traversal_schedule(spec.at_size(N), fraction)`` for each N of ``Ns``, or
-    the ``SimulationError`` that size raised, which fails it alone.
+def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
+                     ) -> tuple[np.ndarray, np.ndarray, dict[int, SimulationError]]:
+    """The tensors ``traversal_schedule(spec.at_size(N), fraction)`` for the N of
+    ``Ns`` as stacks of values and log magnitudes, and by index the
+    ``SimulationError`` of each size that raised one: it fails that size alone.
 
     The site diagonals, each sector pair's bulk block makers and energy phase,
     and its product of override sites per set of rotated sites are found once;
@@ -392,13 +395,12 @@ def traversal_family(spec: ChainSpec, fraction: float,
                     stacked.append((i, r, s, ov.cell_terms(cells), ov.global_phase))
         except SimulationError as exc:
             failed[i] = exc
-    if stacked:  # a failed size's rows are summed too, and dropped with it
+    if stacked:  # a failed size's rows are summed too
         i, r, s, terms, phases = zip(*stacked)
         lm[i, r, s], ph[i, r, s] = _cell_sums(terms, phases)
     values, finite = np.zeros(lm.shape, dtype=complex), lm != -np.inf
     values[finite] = np.exp(lm[finite]) * np.exp(1j * ph[finite])
-    return [failed[i] if i in failed else FTensor(values=values[i], t=spec.t, log_magnitude=lm[i])
-            for i in range(len(Ns))]
+    return values, lm, failed
 
 
 def diagonal_sector_product(spec: ChainSpec, r: int) -> BernoulliProduct:

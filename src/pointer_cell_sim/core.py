@@ -108,7 +108,7 @@ def _amplitudes(c, n: int | None = None) -> np.ndarray:
     vec = np.asarray(c, dtype=complex).ravel()
     if n is not None and vec.size != n:
         raise PreconditionError(f"expected {n} amplitudes, got {vec.size}")
-    norm = float(np.sum(np.abs(vec) ** 2))
+    norm = float((np.abs(vec) ** 2).sum())
     if not abs(norm - 1.0) <= 1e-9:
         raise PreconditionError(f"amplitudes are not normalised: sum |c|^2 = {norm!r}")
     return vec
@@ -593,24 +593,33 @@ def expectation_s(f: FTensor, c, observable: ObservableS) -> float:
 
 
 def pointer_weights(f: FTensor, c) -> np.ndarray:
-    """Probability of each pointer cell for the given amplitudes.
-
-    Cross-sector tensor entries pair with ``Tr |u_r><u_s| = 0`` on the
-    microsystem side and drop out, so the weight of a cell is the
-    amplitude-squared mixture of the diagonal slices.
-    """
-    vec = _amplitudes(c, f.n)
-    diag = np.einsum("rra->ra", f.values)
-    w = np.einsum("r,ra->a", np.abs(vec) ** 2, diag)
-    if not np.abs(w.imag).max() <= 1e-10:
-        raise NumericalError("pointer weights have a non-real component")
-    w = w.real
-    if not w.min() >= -WEIGHT_FLOOR:
-        raise NumericalError(f"pointer weight {w.min():.3e} below the negativity floor")
-    w = np.clip(w, 0.0, None)
-    if not abs(w.sum() - 1.0) <= 1e-10:
-        raise NumericalError(f"pointer weights sum to {float(w.sum())!r}")
+    """Probability of each pointer cell of one tensor: ``pointer_weight_stack`` of one."""
+    (w,), failed = pointer_weight_stack(f.values[None], c)
+    if failed:
+        raise failed[0]
     return w
+
+
+def pointer_weight_stack(values: np.ndarray, c) -> tuple[np.ndarray, dict[int, NumericalError]]:
+    """Probability of each pointer cell for the amplitudes ``c``, for each tensor of
+    a stack ``values[s]``, and by index the error of each tensor whose weights are
+    not real, fall below the negativity floor or do not sum to 1.  Cross-sector
+    entries pair with ``Tr |u_r><u_s| = 0`` on the microsystem side and drop out:
+    a cell's weight is the amplitude-squared mixture of the diagonal slices."""
+    vec = _amplitudes(c, values.shape[-1])
+    w = np.einsum("r,sra->sa", np.abs(vec) ** 2, np.einsum("srra->sra", values))
+    imag, w = np.abs(w.imag).max(axis=1), w.real
+    low = w.min(axis=1)
+    w = np.clip(w, 0.0, None)
+    failed = {}
+    for s, (im, lo, total) in enumerate(zip(imag.tolist(), low.tolist(), w.sum(axis=1).tolist())):
+        if not im <= 1e-10:
+            failed[s] = NumericalError("pointer weights have a non-real component")
+        elif not lo >= -WEIGHT_FLOOR:
+            failed[s] = NumericalError(f"pointer weight {lo:.3e} below the negativity floor")
+        elif not abs(total - 1.0) <= 1e-10:
+            failed[s] = NumericalError(f"pointer weights sum to {total!r}")
+    return w, failed
 
 
 def conditional_expectation(f: FTensor, c, observable: ObservableS, alpha: int) -> float:

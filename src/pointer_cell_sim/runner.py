@@ -177,8 +177,8 @@ def dense_chain_tensor(spec: coleman_hepp.ChainSpec, fraction: float = 1.0) -> c
     return core.f_tensor(core.evolve_sectors(micro, apparatus, spec.t), apparatus.cells)
 
 
-def _dense_chain_discrepancy(spec: coleman_hepp.ChainSpec, tensor, fraction: float = 1.0) -> float:
-    return float(np.abs(dense_chain_tensor(spec, fraction).values - tensor.values).max())
+def _dense_chain_discrepancy(spec: coleman_hepp.ChainSpec, values, fraction: float = 1.0) -> float:
+    return float(np.abs(dense_chain_tensor(spec, fraction).values - values).max())
 
 
 def _dense_sizes(Ns) -> list[int]:
@@ -234,7 +234,7 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
         backend = "factorized"
         if oracle:
             _dense_sizes([spec.N])
-            oracle_disc = _dense_chain_discrepancy(spec, tensor, cfg.measurement_time)
+            oracle_disc = _dense_chain_discrepancy(spec, tensor.values, cfg.measurement_time)
             backend = "factorized+dense-oracle"
     else:
         micro, apparatus = _build_generic_dense(cfg, base_dir)
@@ -315,7 +315,7 @@ def _pointer_items(cfg: ExperimentConfig, tensor) -> list[tuple[str, str]]:
 class SweepPoint:
     N: int
     status: str
-    tensor: core.FTensor | None = None
+    values: np.ndarray | None = None
     eps_max: float = math.nan
     log_eps_max: float = math.nan
     w_plus: float = math.nan
@@ -323,51 +323,33 @@ class SweepPoint:
     offdiag_max: float = math.nan
 
 
-def _sweep_point(cfg: ExperimentConfig, N: int, tensor) -> SweepPoint:
-    try:
-        if isinstance(tensor, SimulationError):
-            raise tensor
-        pointer = verify.find_pointer_map(tensor)
-        eps = verify.pointer_errors(tensor, pointer)
-        log_eps = verify.log_pointer_errors(tensor, pointer)
-        weights = core.pointer_weights(tensor, np.array(cfg.amplitudes))
-        off = tensor.values.copy()
-        for r in range(tensor.n):
-            off[r, r, :] = 0.0
-        offdiag_max = float(np.abs(off).max())
-        eps_max = float(eps.max())
-        log_eps_max = float(log_eps.max())
-        status = "ok"
-        if eps_max == 0.0 and log_eps_max > -np.inf:
-            status = "underflow"  # carried in log space only
-        return SweepPoint(N=N, status=status, tensor=tensor, eps_max=eps_max,
-                          log_eps_max=log_eps_max, w_plus=float(weights[CELL_PLUS]),
-                          w_minus=float(weights[CELL_MINUS]), offdiag_max=offdiag_max)
-    except SimulationError as exc:
-        return SweepPoint(N=N, status=f"failed: {exc}")
-
-
 def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
-    """Evaluate the sweep list; returns (points, fit or None, fit status,
-    oracle (worst discrepancy, points checked) or None)."""
+    """Evaluate the sweep list, every size in one stack; returns (points, fit or
+    None, fit status, oracle (worst discrepancy, points checked) or None)."""
     if cfg.sweep is None:
         raise ConfigError(["sweep requested but the config has no [sweep] section"])
     spec = _command_spec(cfg, overrides)
-    tensors = coleman_hepp.traversal_family(spec(), cfg.measurement_time, cfg.sweep)
-    points = sorted((_sweep_point(cfg, N, tensor) for N, tensor in zip(cfg.sweep, tensors)),
-                    key=lambda pt: pt.N)
-    fit = None
-    fit_status = "ok"
+    values, log_magnitude, failed = coleman_hepp.traversal_family(spec(), cfg.measurement_time, cfg.sweep)
+    eps, log_eps, weights, offdiag_max, unjudged = verify.judge_stack(values, log_magnitude, cfg.amplitudes)
+    failed = {**unjudged, **failed}
+    eps_max, log_eps_max = eps.max(axis=1), log_eps.max(axis=1)
+    # a row reads underflow where its errors are carried in log space only
+    points = sorted((SweepPoint(N=N, status=f"failed: {failed[i]}") if i in failed else SweepPoint(
+        N=N, status="underflow" if eps_max[i] == 0.0 and log_eps_max[i] > -np.inf else "ok",
+        values=values[i], eps_max=float(eps_max[i]), log_eps_max=float(log_eps_max[i]),
+        w_plus=float(weights[i, CELL_PLUS]), w_minus=float(weights[i, CELL_MINUS]),
+        offdiag_max=float(offdiag_max[i])) for i, N in enumerate(cfg.sweep)), key=lambda pt: pt.N)
+    fit, fit_status = None, "ok"
     try:
         fit = verify.fit_decay_rate(
-            [(pt.N, pt.eps_max, pt.log_eps_max) for pt in points if pt.tensor is not None])
+            [(pt.N, pt.eps_max, pt.log_eps_max) for pt in points if pt.values is not None])
     except SimulationError as exc:
         fit_status = f"refused: {exc}"
     oracle_info = None
     if oracle:
-        fits = _dense_sizes([pt.N for pt in points if pt.tensor is not None])
-        worst = max(_dense_chain_discrepancy(spec().at_size(pt.N), pt.tensor, cfg.measurement_time)
-            for pt in points if pt.tensor is not None and pt.N in fits)
+        fits = _dense_sizes([pt.N for pt in points if pt.values is not None])
+        worst = max(_dense_chain_discrepancy(spec().at_size(pt.N), pt.values, cfg.measurement_time)
+            for pt in points if pt.values is not None and pt.N in fits)
         oracle_info = (worst, len(fits))
     return points, fit, fit_status, oracle_info
 
@@ -509,7 +491,7 @@ def perturb(cfg: ExperimentConfig, base_dir: Path | None = None,
     if base_fit is not None and pert_fit is not None:
         result = verify.stability_verdict(
             base_fit, pert_fit,
-            [(pt.N, pt.log_eps_max) for pt in pert_points if pt.tensor is not None])
+            [(pt.N, pt.log_eps_max) for pt in pert_points if pt.values is not None])
         items += [
             ("c_base", fmt_float(result.base_fit.c)),
             ("c_perturbed", fmt_float(result.perturbed_fit.c)),
@@ -557,7 +539,7 @@ def verify_suite(cfg: ExperimentConfig, base_dir: Path | None = None,
                                       theta=float(rng.uniform(0.3, 5.9)),
                                       energies=(float(rng.normal()), float(rng.normal())))
         fact = coleman_hepp.factorized_f_tensor(spec)
-        backend_disc = max(backend_disc, _dense_chain_discrepancy(spec, fact))
+        backend_disc = max(backend_disc, _dense_chain_discrepancy(spec, fact.values))
     if backend_disc > 1e-9:
         failures.append(f"backend discrepancy {backend_disc:.3e} above 1e-9")
 

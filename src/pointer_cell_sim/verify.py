@@ -19,14 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FTensor, ObservableS, conditional_expectation, expectation_s, pointer_weights
-from .errors import AmbiguousPointerError, FitError, PreconditionError
+from .core import (FTensor, ObservableS, conditional_expectation, expectation_s, pointer_weight_stack,
+                   pointer_weights)
+from .errors import AmbiguousPointerError, FitError, PreconditionError, SimulationError
 from .logspace import lc_real_logsumexp_rows
 
 TIE_EPSILON = 1e-9
 #: pointer maps up to this many microstates enumerate every assignment
 ENUMERATION_MAX = 8
 UNINFORMATIVE_FLOOR = 0.5
+AMBIGUOUS = f"no unique pointer correspondence: competing assignment within {TIE_EPSILON:.0e} of the optimum"
 EXACT_CONDITION_TOL = 1e-10
 STABILITY_BAND = 0.25
 EXPONENTIAL_R_SQUARED = 0.99
@@ -57,10 +59,7 @@ class PointerMap:
 
     @property
     def inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for alpha, r in enumerate(self.phi):
-            inv[r] = alpha
-        return tuple(inv)
+        return tuple(map(self.phi.index, range(self.n)))
 
 
 @dataclass(frozen=True)
@@ -138,79 +137,86 @@ def _permutations(n: int) -> np.ndarray:
     return perms
 
 
-def _best_two_assignments(W: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The assignment ``phi`` maximising ``sum W[alpha, phi[alpha]]``, its total,
-    and the largest total of any other assignment (-inf when there is none).
-
-    Up to ``ENUMERATION_MAX`` microstates every permutation is scored in one
-    ``(n!, n)`` gather; above, the Hungarian algorithm finds the optimum and
-    the runner-up is the best assignment forced through one pair the optimum
-    does not use.
+def pointer_maps(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Assign each cell to a microstate by maximum-weight bipartite matching, for a
+    stack of cell-probability matrices ``diag[s, r, alpha] = F_s[r, r, alpha]``: per
+    matrix the assignment ``phi`` (cell alpha indicates microstate ``phi[alpha]``),
+    the mass ``confidence[alpha]`` behind it, a mask of the microstates whose best
+    cell holds less than ``UNINFORMATIVE_FLOOR``, and whether the correspondence is
+    ambiguous: a second assignment within ``TIE_EPSILON``.  Maximising the total
+    diagonal mass gives a bijection even when rows are noisy.  Up to
+    ``ENUMERATION_MAX`` microstates one ``(S, n!, n)`` gather scores every
+    permutation of every matrix; above, the Hungarian algorithm finds each optimum,
+    and the runner-up is the best assignment forced through one pair it does not use.
     """
-    n = W.shape[0]
+    S, n = diag.shape[:2]
+    stack, cells = np.arange(S), np.arange(n)
     if n <= ENUMERATION_MAX:
         perms = _permutations(n)
-        totals = W[np.arange(n), perms].sum(axis=1)
-        best = int(np.argmax(totals))
-        second = float(np.delete(totals, best).max()) if n > 1 else -np.inf
-        return perms[best], float(totals[best]), second
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(-W)
-    second = -np.inf
-    for alpha in range(n):
-        for r in range(n):
-            if cols[alpha] == r:
-                continue
-            sub = np.delete(np.delete(W, alpha, axis=0), r, axis=1)
-            srows, scols = linear_sum_assignment(-sub)
-            second = max(second, float(W[alpha, r] + sub[srows, scols].sum()))
-    return cols, float(W[rows, cols].sum()), second
+        mass = diag[:, perms, cells]  # mass[s, p, alpha] = diag[s, perms[p, alpha], alpha]
+        totals = mass.sum(axis=2)
+        best = totals.argmax(axis=1)
+        phi, confidence, top = perms[best], mass[stack, best], totals[stack, best]
+        totals[stack, best] = -np.inf
+        second = totals.max(axis=1)
+    else:
+        from scipy.optimize import linear_sum_assignment
+        phi, top, second = np.empty((S, n), dtype=int), np.empty(S), np.full(S, -np.inf)
+        for i, W in enumerate(diag.transpose(0, 2, 1)):  # W[alpha, r]
+            rows, phi[i] = linear_sum_assignment(-W)
+            top[i] = W[rows, phi[i]].sum()
+            for alpha, r in itertools.product(range(n), repeat=2):
+                if phi[i, alpha] != r:
+                    sub = np.delete(np.delete(W, alpha, axis=0), r, axis=1)
+                    srows, scols = linear_sum_assignment(-sub)
+                    second[i] = max(second[i], float(W[alpha, r] + sub[srows, scols].sum()))
+        confidence = diag[stack[:, None], phi, cells]
+    return phi, confidence, diag.max(axis=2) < UNINFORMATIVE_FLOOR, top - second <= TIE_EPSILON
 
 
 def find_pointer_map(f: FTensor) -> PointerMap:
-    """Assign each cell to a microstate by maximum-weight bipartite matching.
-
-    The matching maximises the total diagonal tensor mass, which guarantees a
-    bijection even when individual rows are noisy.  If a second assignment
-    comes within ``TIE_EPSILON`` of the optimum the correspondence is not
-    unique and an :class:`AmbiguousPointerError` is raised.
-    """
-    W = f.diagonal().T  # W[alpha, r]
-    n = f.n
-    best, best_total, second_total = _best_two_assignments(W)
-    if best_total - second_total <= TIE_EPSILON:
-        raise AmbiguousPointerError(
-            "no unique pointer correspondence: competing assignment within "
-            f"{TIE_EPSILON:.0e} of the optimum")
-    phi = tuple(int(r) for r in best)
-    uninformative = tuple(r for r in range(n) if W[:, r].max() < UNINFORMATIVE_FLOOR)
-    confidence = tuple(float(W[alpha, phi[alpha]]) for alpha in range(n))
-    return PointerMap(phi=phi, confidence=confidence, uninformative=uninformative)
+    """The pointer map of one tensor, ``pointer_maps`` of a stack of one; an
+    :class:`AmbiguousPointerError` if the correspondence is not unique."""
+    (phi,), (confidence,), (uninformative,), (ambiguous,) = pointer_maps(f.diagonal()[None])
+    if ambiguous:
+        raise AmbiguousPointerError(AMBIGUOUS)
+    return PointerMap(phi=tuple(phi.tolist()), confidence=tuple(confidence.tolist()),
+                      uninformative=tuple(r for r, flag in enumerate(uninformative.tolist()) if flag))
 
 
-def pointer_errors(f: FTensor, pmap: PointerMap) -> np.ndarray:
-    """Per-microstate error ``1 - F[r, r, assigned]`` via the complementary mass.
-
-    Summing the diagonal mass on the non-assigned cells is algebraically the
-    same but keeps full relative precision when the error is far below the
-    floating-point epsilon of ``1 - F``.
-    """
-    diag = f.diagonal()
-    inv = pmap.inverse
-    eps = np.empty(f.n)
-    for r in range(f.n):
-        others = [a for a in range(f.n) if a != inv[r]]
-        eps[r] = max(0.0, float(diag[r, others].sum()))
-    return eps
+def pointer_errors(diag: np.ndarray, inverse) -> np.ndarray:
+    """Per-microstate error ``1 - F[r, r, assigned]`` of one tensor or a stack, from
+    the cell probabilities ``diag[..., r, alpha]`` and each microstate's assigned
+    cell ``inverse[..., r]``.  It sums the diagonal mass on the other cells: the
+    same, but at full relative precision far below the epsilon of ``1 - F``."""
+    others = np.arange(diag.shape[-1]) != np.asarray(inverse)[..., None]
+    eps = diag[others].reshape(*others.shape[:-1], others.shape[-1] - 1).sum(axis=-1)
+    return np.where(eps > 0.0, eps, 0.0)
 
 
-def log_pointer_errors(f: FTensor, pmap: PointerMap) -> np.ndarray:
-    """log of the pointer errors: row r sums ``|F[r, r, a]|`` over every cell a
-    but the assigned one in log space, so it stays finite after the values underflow."""
-    r = np.arange(f.n)
-    terms = f.log_magnitude[r, r]
-    terms[r, pmap.inverse] = -np.inf
-    return lc_real_logsumexp_rows(terms)
+def log_pointer_errors(log_magnitude: np.ndarray, inverse) -> np.ndarray:
+    """log of the pointer errors of one tensor or a stack, from ``log_magnitude[...,
+    r, s, alpha]`` and the assigned cells ``inverse[..., r]``: row r sums ``|F[r, r,
+    a]|`` over the other cells a in log space, finite after the values underflow."""
+    r = np.arange(log_magnitude.shape[-1])
+    others = r != np.asarray(inverse)[..., None]
+    return lc_real_logsumexp_rows(np.where(others, log_magnitude[..., r, r, :], -np.inf))
+
+
+def judge_stack(values: np.ndarray, log_magnitude: np.ndarray, c
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, SimulationError]]:
+    """What a sweep reads of each tensor ``values[s]`` of a stack with its log
+    magnitudes, for the amplitudes ``c``, each step done for all at once: pointer
+    errors and their logs, cell weights, the largest off-diagonal magnitude, and by
+    index the error judging a tensor alone raises: no unique map, else a weight check."""
+    diag = np.einsum("srra->sra", values).real
+    phi, _, _, ambiguous = pointer_maps(diag)
+    inverse = np.argsort(phi, axis=1)
+    weights, failed = pointer_weight_stack(values, c)
+    failed.update((s, AmbiguousPointerError(AMBIGUOUS)) for s in np.flatnonzero(ambiguous).tolist())
+    off = np.abs(np.where(np.eye(values.shape[-1], dtype=bool)[:, :, None], 0.0, values))
+    return (pointer_errors(diag, inverse), log_pointer_errors(log_magnitude, inverse), weights,
+            off.max(axis=(1, 2, 3)), failed)
 
 
 def ideal_tensor(pmap: PointerMap) -> np.ndarray:
@@ -280,7 +286,8 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
         raise PreconditionError("particle count must be at least 1")
     if not (c > 0.0):
         raise PreconditionError("decay constant must be positive")
-    eps, log_eps = pointer_errors(f, pmap), log_pointer_errors(f, pmap)
+    diag, inverse = f.diagonal(), pmap.inverse
+    eps, log_eps = pointer_errors(diag, inverse), log_pointer_errors(f.log_magnitude, inverse)
     recon = _reconstruction_residuals(f, pmap, seed)
     worst = max(recon)
     half_bound = math.exp(-c * N / 2.0)

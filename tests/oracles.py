@@ -396,3 +396,55 @@ def scalar_rate_samples(family, grid, Ns):
             else:
                 samples[row, col] = logp / N
     return samples, dropped, messages
+
+
+def judge_tensor(values: np.ndarray, log_magnitude: np.ndarray, amplitudes) -> dict:
+    """One tensor's sweep verdict as the package once judged it, one size at a time:
+    its pointer map (``phi``, ``confidence``, ``uninformative``), pointer errors and
+    their logs, cell weights and largest off-diagonal magnitude.  Raises what that
+    judging raised, in its order: no unique pointer map, then the weight checks.
+    ``verify.judge_stack`` must give each size of a stack the same bits."""
+    import itertools
+
+    from pointer_cell_sim.errors import AmbiguousPointerError, NumericalError
+    from pointer_cell_sim.logspace import lc_real_logsumexp_rows
+
+    n = values.shape[0]
+    diag = np.einsum("rra->ra", values).real
+    W = diag.T  # W[alpha, r]
+    perms = np.array(list(itertools.permutations(range(n))))
+    totals = W[np.arange(n), perms].sum(axis=1)
+    best = int(np.argmax(totals))
+    second = float(np.delete(totals, best).max()) if n > 1 else -np.inf
+    if float(totals[best]) - second <= 1e-9:
+        raise AmbiguousPointerError(
+            "no unique pointer correspondence: competing assignment within 1e-09 of the optimum")
+    phi = tuple(int(r) for r in perms[best])
+    inv = [0] * n
+    for alpha, r in enumerate(phi):
+        inv[r] = alpha
+    eps = np.empty(n)
+    for r in range(n):
+        others = [a for a in range(n) if a != inv[r]]
+        eps[r] = max(0.0, float(diag[r, others].sum()))
+    r = np.arange(n)
+    terms = log_magnitude[r, r]
+    terms[r, inv] = -np.inf
+    vec = np.asarray(amplitudes, dtype=complex)
+    w = np.einsum("r,ra->a", np.abs(vec) ** 2, np.einsum("rra->ra", values))
+    if not np.abs(w.imag).max() <= 1e-10:
+        raise NumericalError("pointer weights have a non-real component")
+    w = w.real
+    if not w.min() >= -1e-12:
+        raise NumericalError(f"pointer weight {w.min():.3e} below the negativity floor")
+    w = np.clip(w, 0.0, None)
+    if not abs(w.sum() - 1.0) <= 1e-10:
+        raise NumericalError(f"pointer weights sum to {float(w.sum())!r}")
+    off = values.copy()
+    for s in range(n):
+        off[s, s, :] = 0.0
+    return {"phi": phi,
+            "confidence": tuple(float(W[alpha, phi[alpha]]) for alpha in range(n)),
+            "uninformative": tuple(s for s in range(n) if W[:, s].max() < 0.5),
+            "errors": eps, "log_errors": lc_real_logsumexp_rows(terms), "weights": w,
+            "offdiag_max": float(np.abs(off).max())}

@@ -354,13 +354,15 @@ class TestPerSweepWork:
                        "--out", workdir / "out") == 0
         assert len(diagonals) == 2  # the base and the perturbed sweep
 
-    @pytest.mark.parametrize("command, per_size", [("sweep", 1), ("perturb", 2)])
-    def test_pointer_errors_once_per_sweep_point(self, workdir, monkeypatch, command, per_size):
-        # the fit and the stability verdict read the errors each sweep point holds
+    @pytest.mark.parametrize("command, sweeps", [("sweep", 1), ("perturb", 2)])
+    def test_pointer_errors_once_per_sweep(self, workdir, monkeypatch, command, sweeps):
+        # one call judges every size of a sweep; the fit and the stability
+        # verdict read the errors each sweep point holds
         logs = self.count_calls(monkeypatch, verify, "log_pointer_errors")
         assert run_cli(command, "--config", write_config(workdir, self.CONFIG),
                        "--out", workdir / "out") == 0
-        assert len(logs) == per_size * 11
+        assert len(logs) == sweeps
+        assert all(log_magnitude.shape == (11, 2, 2, 2) for log_magnitude, _ in logs)
 
     def test_pointer_errors_once_per_run(self, workdir, monkeypatch):
         # the weakened verdict decides from the log errors it reports
@@ -463,6 +465,40 @@ class TestSweepSizeFailure:
         assert [row.split(b",")[0] for row in failed] == [b"N", b"50", b"100", b"200", b"400"]
         assert failed[3] == b"200,nan,nan,nan,nan,nan,failed: fraction did not converge"
         assert failed[:3] + failed[4:] == plain[:3] + plain[4:]
+
+    def test_ambiguous_sizes_fail_their_rows_alone(self, workdir):
+        # at theta = 1 the two cells no longer tell the sectors apart from N = 400 on;
+        # the sizes are judged together, but each ambiguous size fails its row alone
+        text = BASE.replace("theta = pi", "theta = 1.0") + "\n[sweep]\nN = {}\n"
+        for out, Ns in (("all", "50, 100, 200, 400, 800, 1600"), ("small", "50, 100, 200")):
+            cfg = write_config(workdir, text.format(Ns), name=f"{out}.cfg")
+            assert run_cli("sweep", "--config", cfg, "--out", workdir / out) == 0
+        rows, small = ((workdir / out / "sweep.csv").read_bytes().splitlines() for out in ("all", "small"))
+        assert rows[:4] == small and all(row.endswith(b",ok") for row in small[1:])
+        assert [row.split(b",")[0] for row in rows[4:]] == [b"400", b"800", b"1600"]
+        assert all(row.split(b",", 1)[1] == b"nan,nan,nan,nan,nan,failed: no unique pointer "
+                   b"correspondence: competing assignment within 1e-09 of the optimum" for row in rows[4:])
+        fit = (workdir / "all" / "sweep_fit.txt").read_text(encoding="utf-8")
+        assert "status = refused: need at least four distinct chain sizes" in fit.splitlines()
+
+    def test_weight_sum_fails_its_row_alone(self, workdir, monkeypatch):
+        # one size whose diagonal mass sums to 1 + 1e-9 fails the weight check alone
+        cfg = write_config(workdir, BASE + SWEEP)
+        assert run_cli("sweep", "--config", cfg, "--out", workdir / "plain") == 0
+        inner = coleman_hepp.traversal_family
+
+        def heavy_at_200(spec, fraction, Ns):
+            values, log_magnitude, failed = inner(spec, fraction, Ns)
+            for r in range(2):
+                values[list(Ns).index(200), r, r] *= 1 + 1e-9
+            return values, log_magnitude, failed
+
+        monkeypatch.setattr(coleman_hepp, "traversal_family", heavy_at_200)
+        assert run_cli("sweep", "--config", cfg, "--out", workdir / "heavy") == 0
+        plain, heavy = ((workdir / out / "sweep.csv").read_bytes().splitlines()
+                        for out in ("plain", "heavy"))
+        assert heavy[3].startswith(b"200,nan,nan,nan,nan,nan,failed: pointer weights sum to 1.000000001")
+        assert heavy[:3] + heavy[4:] == plain[:3] + plain[4:]
 
 
 class TestVerify:

@@ -264,7 +264,7 @@ class TestTraversal:
         for frac in fractions:
             f = traversal_schedule(spec, float(frac))
             pm = find_pointer_map(f)
-            eps.append(pointer_errors(f, pm).max())
+            eps.append(pointer_errors(f.diagonal(), pm.inverse).max())
         assert all(b <= a + 1e-15 for a, b in zip(eps, eps[1:]))
 
 
@@ -458,7 +458,7 @@ class TestLargeN:
         f = factorized_f_tensor(ChainSpec(N=100_000, m0=0.6))
         pm = find_pointer_map(f)
         assert pm.phi == (1, 0)
-        logs = log_pointer_errors(f, pm)
+        logs = log_pointer_errors(f.log_magnitude, pm.inverse)
         rate = -logs.max() / 100_000
         assert rate == pytest.approx(0.22314355131420976, rel=1e-3)
         assert f.underflow.any()
@@ -488,7 +488,7 @@ class TestLargeN:
         f = factorized_f_tensor(ChainSpec(N=N, m0=0.6))
         for r in range(2):
             assert abs(math.fsum(f.values[r, r].real) - 1.0) <= 1e-12
-        rate = -log_pointer_errors(f, find_pointer_map(f)).max() / N
+        rate = -log_pointer_errors(f.log_magnitude, find_pointer_map(f).inverse).max() / N
         assert abs(rate - kl_bernoulli(0.5, 0.8)) <= 1e-6
         assert core.check_f_properties(f).passed
 
@@ -564,19 +564,22 @@ class TestSpecHelpers:
             spec = ChainSpec(N=4, m0=0.6, theta=theta, energies=(0.3, -0.2), site_overrides=overrides)
             Ns = [*range(1, 61), *(50 * 2 ** k for k in range(12))]
             Ns += [10 ** 6, 10 ** 9] if fraction == 1.0 else []
-            for N, got in zip(Ns, coleman_hepp.traversal_family(spec, fraction, Ns)):
+            values, log_magnitude, failed = coleman_hepp.traversal_family(spec, fraction, Ns)
+            assert values.shape == log_magnitude.shape == (len(Ns), 2, 2, 2)
+            for i, N in enumerate(Ns):
                 context = (theta, overrides is None, fraction, N)
-                one, = coleman_hepp.traversal_family(spec, fraction, [N])
+                one = coleman_hepp.traversal_family(spec, fraction, [N])
                 try:
                     want = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.2),
                                                         site_overrides=overrides), fraction)
                 except StructuralError as exc:
-                    assert type(got) is type(one) is StructuralError, context
-                    assert str(got) == str(one) == str(exc), context
+                    assert type(failed[i]) is type(one[2][0]) is StructuralError, context
+                    assert str(failed[i]) == str(one[2][0]) == str(exc), context
                     continue
-                for tensor in (got, one):
-                    assert tensor.values.tobytes() == want.values.tobytes(), context
-                    assert tensor.log_magnitude.tobytes() == want.log_magnitude.tobytes(), context
+                assert i not in failed and not one[2], context
+                for got_values, got_lm in ((values[i], log_magnitude[i]), (one[0][0], one[1][0])):
+                    assert got_values.tobytes() == want.values.tobytes(), context
+                    assert got_lm.tobytes() == want.log_magnitude.tobytes(), context
 
     def test_traversal_never_builds_the_dense_partition(self, monkeypatch):
         built = []

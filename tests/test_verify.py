@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pointer_cell_sim import core, instances
-from pointer_cell_sim.coleman_hepp import ChainSpec, build_dense, factorized_f_tensor, polarized_site
+from pointer_cell_sim.coleman_hepp import (
+    ChainSpec,
+    build_dense,
+    factorized_f_tensor,
+    polarized_site,
+    traversal_family,
+)
 from pointer_cell_sim.errors import (
     AmbiguousPointerError,
     FitError,
+    NumericalError,
     PreconditionError,
+    SimulationError,
 )
 from pointer_cell_sim.verify import (
     ENUMERATION_MAX,
@@ -21,12 +30,14 @@ from pointer_cell_sim.verify import (
     find_pointer_map,
     fit_decay_rate,
     ideal_tensor,
+    judge_stack,
     log_pointer_errors,
     pointer_errors,
+    pointer_maps,
     stability_verdict,
 )
 
-from oracles import kl_bernoulli
+from oracles import judge_tensor, kl_bernoulli
 
 BOUNDARY_RATE = kl_bernoulli(0.5, 0.8)
 
@@ -83,8 +94,8 @@ def chain_sweep(N_values, m0=0.6, overrides=None):
 
 def fit_points(sweep):
     """The fit's ``(N, max error, max log error)`` point of each ``(N, tensor, pointer map)``."""
-    return [(N, float(pointer_errors(f, pm).max()), float(log_pointer_errors(f, pm).max()))
-            for N, f, pm in sweep]
+    return [(N, float(pointer_errors(f.diagonal(), pm.inverse).max()),
+             float(log_pointer_errors(f.log_magnitude, pm.inverse).max())) for N, f, pm in sweep]
 
 
 def bound_points(sweep):
@@ -200,7 +211,7 @@ class TestPointerErrors:
         eps = 1e-60
         f = error_tensor(eps)
         pm = PointerMap(phi=(0, 1), confidence=(1.0, 1.0))
-        got = pointer_errors(f, pm)
+        got = pointer_errors(f.diagonal(), pm.inverse)
         assert_allclose(got, [eps, eps], rtol=1e-12)
         # the naive 1 - F route would have lost it entirely
         assert float(1.0 - f.values[0, 0, 0].real) == 0.0
@@ -208,7 +219,7 @@ class TestPointerErrors:
     def test_log_errors_use_chain_log_magnitudes(self):
         f = factorized_f_tensor(ChainSpec(N=3000, m0=0.6))
         pm = find_pointer_map(f)
-        logs = log_pointer_errors(f, pm)
+        logs = log_pointer_errors(f.log_magnitude, pm.inverse)
         assert np.isfinite(logs).all()
         assert logs.max() == pytest.approx(-3000 * BOUNDARY_RATE, rel=2e-2)
 
@@ -221,10 +232,74 @@ class TestPointerErrors:
             micro, app, t = instances.random_dense_instance(rng, rotated_cells=bool(i % 2))
             f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
             pm = find_pointer_map(f)
-            logs = log_pointer_errors(f, pm)
-            assert_allclose(logs, np.log(pointer_errors(f, pm)), rtol=0, atol=1e-12)
+            logs = log_pointer_errors(f.log_magnitude, pm.inverse)
+            assert_allclose(logs, np.log(pointer_errors(f.diagonal(), pm.inverse)), rtol=0, atol=1e-12)
             given = core.FTensor(values=f.values, t=f.t, log_magnitude=np.log(np.abs(f.values)))
-            assert log_pointer_errors(given, pm).tobytes() == logs.tobytes()
+            assert log_pointer_errors(given.log_magnitude, pm.inverse).tobytes() == logs.tobytes()
+
+
+class TestJudgeStack:
+    AMPLITUDES = (0.6, 0.8)
+
+    def assert_judged_alone(self, values, log_magnitude, context):
+        """``judge_stack`` and ``pointer_maps`` give each tensor of the stack the bits
+        of the per-size judging, or its error; returns the tensors that raise it."""
+        *judged, failed = judge_stack(values, log_magnitude, self.AMPLITUDES)
+        phi, confidence, uninformative, _ = pointer_maps(np.einsum("srra->sra", values).real)
+        raised = {}
+        for i in range(len(values)):
+            try:
+                want = judge_tensor(values[i], log_magnitude[i], self.AMPLITUDES)
+            except SimulationError as exc:
+                got = failed.get(i)
+                assert type(got) is type(exc) and str(got) == str(exc), (context, i)
+                raised[i] = exc
+                continue
+            assert i not in failed, (context, i)
+            assert tuple(phi[i].tolist()) == want["phi"], (context, i)
+            assert tuple(confidence[i].tolist()) == want["confidence"], (context, i)
+            assert tuple(np.flatnonzero(uninformative[i]).tolist()) == want["uninformative"]
+            for key, got in zip(("errors", "log_errors", "weights", "offdiag_max"), judged):
+                assert got[i].tobytes() == np.asarray(want[key], dtype=float).tobytes(), (context, i, key)
+        assert set(failed) == set(raised), context
+        return raised
+
+    def test_chain_families_match_the_per_size_judging(self):
+        # every size of a family judged in one pass, bit for bit against judging
+        # each tensor alone; a size that raises fails with the same error and text
+        flip_depolarize = {0: polarized_site(-0.6), 3: np.eye(2, dtype=complex) / 2}
+        Ns = [*range(1, 61), *(50 * 2 ** k for k in range(12))]
+        ambiguous = set()
+        for theta, fraction, overrides, energies in itertools.product(
+                (math.pi, 2.2, 1.0, 4.0), (1.0, 0.5, 0.37), (None, flip_depolarize),
+                ((0.0, 0.0), (0.3, -0.4))):
+            spec = ChainSpec(N=4, m0=0.6, theta=theta, energies=energies, site_overrides=overrides)
+            values, log_magnitude, failed = traversal_family(spec, fraction, Ns)
+            sized = [i for i in range(len(Ns)) if i not in failed]  # below an override site: no tensor
+            context = (theta, fraction, overrides is None, energies)
+            raised = self.assert_judged_alone(values[sized], log_magnitude[sized], context)
+            assert all(type(exc) is AmbiguousPointerError for exc in raised.values()), context
+            ambiguous |= {(theta, fraction, Ns[sized[i]]) for i in raised}
+        assert {(1.0, 1.0, N) for N in Ns if N >= 400} <= ambiguous
+        assert {(theta, fraction) for theta, fraction, _ in ambiguous} >= {(math.pi, 0.37), (2.2, 0.5)}
+
+    def test_weight_sum_off_by_1e_9_fails_that_tensor_alone(self):
+        spec = ChainSpec(N=4, m0=0.6, theta=2.2, energies=(0.3, -0.4))
+        values, log_magnitude, _ = traversal_family(spec, 1.0, [50, 100, 200])
+        values[1, 0, 0] *= 1 + 1e-9
+        values[1, 1, 1] *= 1 + 1e-9
+        raised = self.assert_judged_alone(values, log_magnitude, "heavy")
+        assert list(raised) == [1] and type(raised[1]) is NumericalError
+        assert str(raised[1]).startswith("pointer weights sum to 1.000000001")
+
+    def test_negative_complementary_mass_is_no_error(self):
+        # a roundoff-negative mass off the assigned cell clamps the error to 0
+        spec = ChainSpec(N=4, m0=0.6, theta=2.2, energies=(0.3, -0.4))
+        values, log_magnitude, _ = traversal_family(spec, 1.0, [50, 100])
+        values[1, 0, 0, np.argmin(values[1, 0, 0].real)] = -1e-13
+        assert not self.assert_judged_alone(values, log_magnitude, "negative")
+        errors, *_ = judge_stack(values, log_magnitude, self.AMPLITUDES)
+        assert errors[1, 0] == 0.0 < errors[0, 0]
 
 
 class TestExactCondition:
@@ -287,7 +362,7 @@ class TestWeakenedCondition:
         for N in (2, 7, 40):
             f = factorized_f_tensor(ChainSpec(N=N, m0=1.0))
             pm = find_pointer_map(f)
-            assert tuple(pointer_errors(f, pm)) == (0.0, 0.0)
+            assert tuple(pointer_errors(f.diagonal(), pm.inverse)) == (0.0, 0.0)
             assert check_weakened_condition(f, pm, N=N, c=5.0).satisfied
 
     def test_chain_satisfies_half_analytic_rate(self):
@@ -304,10 +379,10 @@ class TestWeakenedCondition:
         N = 5000
         f = factorized_f_tensor(ChainSpec(N=N, m0=0.6))
         pm = find_pointer_map(f)
-        assert pointer_errors(f, pm).max() == 0.0
+        assert pointer_errors(f.diagonal(), pm.inverse).max() == 0.0
         assert not check_weakened_condition(f, pm, N=N, c=2 * BOUNDARY_RATE).satisfied
         assert check_weakened_condition(f, pm, N=N, c=BOUNDARY_RATE / 2).satisfied
-        log_eps = log_pointer_errors(f, pm).max()
+        log_eps = log_pointer_errors(f.log_magnitude, pm.inverse).max()
         assert check_weakened_condition(f, pm, N=N, c=-log_eps / N * (1 - 1e-9)).satisfied
         assert not check_weakened_condition(f, pm, N=N, c=-log_eps / N * (1 + 1e-9)).satisfied
 
@@ -377,7 +452,7 @@ class TestDecayFit:
 
 class TestMonotoneInformation:
     def test_error_non_increasing_in_chain_size(self):
-        eps = [pointer_errors(f, pm).max() for _, f, pm in
+        eps = [pointer_errors(f.diagonal(), pm.inverse).max() for _, f, pm in
                chain_sweep(range(50, 501, 50))]
         assert all(b <= a for a, b in zip(eps, eps[1:]))
 
