@@ -21,7 +21,6 @@ from .core import (
     sector_hamiltonians,
 )
 from .coarse_ldp import (
-    BernoulliProduct,
     CellPartitionSpec,
     LdpConditionReport,
     RateFunctionEstimate,
@@ -51,7 +50,6 @@ from .config import ExperimentConfig, parse_config, serialize_config
 
 __all__ = [
     "Apparatus",
-    "BernoulliProduct",
     "CellPartitionSpec",
     "ChainSpec",
     "DecayFit",

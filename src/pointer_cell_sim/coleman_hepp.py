@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .coarse_ldp import BernoulliProduct, CellPartitionSpec
+from .coarse_ldp import CellPartitionSpec
 from .core import (
     Apparatus,
     FTensor,
@@ -199,6 +199,8 @@ class FactorizedSectorOverlap:
     k + 1 terms for k overrides, and in a partial traversal also the shorter
     bulk block, which ``a_has_bulk`` marks.  The product itself is never
     formed: ``traversal_family`` sums every size's ``cell_terms`` at once.
+    A diagonal sector at full traversal is also what ``ldp`` reads its rate
+    functions from (``coarse_ldp.estimate_rate``), at every chain size.
     """
 
     a: tuple[np.ndarray, np.ndarray]
@@ -402,13 +404,3 @@ def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
     values[finite] = np.exp(lm[finite]) * np.exp(1j * ph[finite])
     return values, lm, failed
 
-
-def diagonal_sector_product(spec: ChainSpec, r: int) -> BernoulliProduct:
-    """Product state of the evolved diagonal sector r: base and override up-probabilities."""
-    R = site_rotation(spec.theta) if r == 1 else _EYE2
-
-    def up(rho: np.ndarray) -> float:
-        return float((R.conj().T @ rho @ R)[0, 0].real)
-
-    return BernoulliProduct(spec.N, up(polarized_site(spec.m0)),
-                            {k: up(rho) for k, rho in spec.site_overrides.items()})

@@ -191,17 +191,6 @@ def _dense_sizes(Ns) -> list[int]:
     return fits
 
 
-def _sector_family(spec, r: int):
-    """Chain size -> product state of the evolved diagonal sector r of a ``_command_spec``,
-    from up-probabilities taken once; a size fails as the chain of that size would."""
-    product = functools.cache(lambda: coleman_hepp.diagonal_sector_product(spec(), r))
-
-    def family(N: int) -> coarse_ldp.BernoulliProduct:
-        spec().at_size(N)  # the site checks of the chain at N
-        return coarse_ldp.BernoulliProduct(N, product().p, product().overrides)
-    return family
-
-
 def analytic_boundary_rate(cfg: ExperimentConfig) -> float | None:
     """Relative-entropy decay rate at the cell boundary for the chain model."""
     if cfg.model != "coleman_hepp":
@@ -394,8 +383,8 @@ def sweep(cfg: ExperimentConfig, base_dir: Path | None = None,
 
 def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
         oracle: bool = False) -> tuple[dict[str, str], int]:
-    """``ldp.csv``, the rate-function series of the spin-up sector family, and
-    ``ldp_conditions.txt``, the structural conditions on both families."""
+    """``ldp.csv``, the rate-function series of the spin-up sector, and
+    ``ldp_conditions.txt``, the structural conditions on both sectors."""
     if cfg.ldp_grid is None:
         raise ConfigError(["ldp requested but the config has no [ldp] section"])
     if cfg.sweep is None:
@@ -411,19 +400,29 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     oracle_section = None
     if oracle:
         N0 = max(_dense_sizes(Ns))
-        dense = dense_chain_tensor(base().at_size(N0))
-        cells_spec = coleman_hepp.sign_cells(N0)
+        sized, cells_spec = base().at_size(N0), coleman_hepp.sign_cells(N0)
+        dense = dense_chain_tensor(sized)
         worst = 0.0
         for r in range(2):
-            probs = np.exp(coarse_ldp.cell_log_probability(_sector_family(base, r)(N0), cells_spec))
-            worst = max(worst, float(np.abs(dense.values[r, r].real - probs).max()))
+            cell_lm, _ = coleman_hepp.sector_overlap(sized, r, r).cell_log_values(cells_spec)
+            worst = max(worst, float(np.abs(dense.values[r, r].real - np.exp(cell_lm)).max()))
         oracle_section = ("oracle", [("identification_max_discrepancy", fmt_float(worst)),
                                      ("dense_chain_size", str(N0))])
 
     overrides = perturbation_states(cfg)
     specs = [base, _command_spec(cfg, overrides)] if overrides else [base]
-    families = [_sector_family(spec, r) for spec in specs for r in range(2)]
-    estimates = [coarse_ldp.estimate_rate(family, grid, Ns) for family in families]
+    # per spec and evolved diagonal sector r: the sector at full traversal, and the
+    # up-probability of each site state (key None the bulk, then the override sites)
+    overlaps, up_probabilities = [], []
+    for spec in specs:
+        for N in Ns:
+            spec().at_size(N)  # a size fails as the chain of that size would
+        sized, diagonals = spec().at_size(max(Ns)), coleman_hepp._site_diagonals(spec())
+        for r in range(2):
+            overlaps.append(coleman_hepp.sector_overlap(sized, r, r, diagonals=diagonals))
+            up_probabilities.append({site: abs(d[r][r][0]) / sum(map(abs, d[r][r]))
+                                     for site, d in diagonals.items()})
+    estimates = [coarse_ldp.estimate_rate(overlap, grid, Ns) for overlap in overlaps]
     estimates, perturbed = estimates[:2], estimates[2:] or None
     up = estimates[0]
     rows = []
@@ -441,13 +440,13 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     cells = coleman_hepp.sign_cells(max(Ns))
     tensor = coleman_hepp.factorized_f_tensor(base().at_size(min(Ns)))
     pointer = verify.find_pointer_map(tensor)
-    bound = None
-    if overrides:
+    bounds = None
+    if overrides:  # condition (d), judged per sector at the least size
         N0 = min(Ns)
-        bound = coarse_ldp.perturbation_residual_bound(
-            families[0](N0), families[2](N0)) / N0
+        bounds = [coarse_ldp.perturbation_residual_bound(N0, base_up, pert_up) / N0
+                  for base_up, pert_up in zip(up_probabilities, up_probabilities[2:])]
     report = coarse_ldp.check_ldp_conditions(estimates, cells, pointer,
-                                             perturbed=perturbed, stability_bound=bound)
+                                             perturbed=perturbed, stability_bound=bounds)
     items = [
         ("maximizers", ", ".join(fmt_float(m) for m in report.maximizers)),
         ("unique_max", _flag(report.unique_max)),

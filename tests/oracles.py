@@ -364,38 +364,67 @@ def _real_logsumexp(lm) -> float:
     return float(m + np.log(np.sum(np.exp(lm[finite] - m))))
 
 
-def scalar_rate_samples(family, grid, Ns):
+def scalar_rate_samples(overlap, grid, Ns):
     """The rate-function samples of ``estimate_rate``, one window at a time.
 
-    Each window's up-counts are found in scalar arithmetic, and its
-    probability ``sum_i a_i sum_{j in window} b_{j-i}`` is summed from one
-    scalar Loader pmf (``binomial_log_pmf_at``) per term, a log-sum-exp over
-    the j of each i, then one over the i.  Returns the samples, the dropped
-    flags and the warning texts, in the order ``estimate_rate`` emits them.
+    ``overlap`` is a diagonal sector at full traversal; at size N its bulk
+    ``b`` has ``n = N - k`` sites, for its k override sites.  Each window's
+    up-counts are found in scalar arithmetic, and its probability ``sum_i
+    a_i sum_{j in window} b_{j-i}`` is summed from one scalar Loader pmf
+    (``binomial_log_pmf_at``) per term, a log-sum-exp over the j of each i,
+    then one over the i, and takes the bulk's scale ``n * b.log_scale``.
+    Returns the samples, the dropped flags and the warning texts, in the
+    order ``estimate_rate`` emits them.
     """
-    from pointer_cell_sim.coarse_ldp import _factor_layout
     from pointer_cell_sim.logspace import binomial_log_pmf_at
 
     Ns = sorted(Ns)
+    (a, _), b = overlap.a, overlap.b
     samples = np.full((len(Ns), len(grid)), np.nan)
     dropped = np.zeros((len(Ns), len(grid)), dtype=bool)
     messages = []
     for row, N in enumerate(Ns):
-        a, b = _factor_layout(family(N))
+        n = N - (a.size - 1)
         for col, m in enumerate(grid):
             j_lo = math.ceil((m - 1.0 / N + 1.0) * N / 2.0 - 1e-9)
             j_hi = math.floor((m + 1.0 / N + 1.0) * N / 2.0 + 1e-9)
             counts = range(max(0, j_lo), min(N, j_hi) + 1)
-            tails = [_real_logsumexp([binomial_log_pmf_at(b.size, j - i, b.p, b.q)
-                                      for j in counts if 0 <= j - i <= b.size])
+            tails = [_real_logsumexp([binomial_log_pmf_at(n, j - i, b.p, b.q)
+                                      for j in counts if 0 <= j - i <= n])
                      for i in range(a.size)]
-            logp = _real_logsumexp(a + np.array(tails))
+            logp = _real_logsumexp(a + np.array(tails)) + n * b.log_scale
             if logp == -np.inf:
                 dropped[row, col] = True
                 messages.append(f"window at m={float(m)} has zero probability for N={N}; point dropped")
             else:
                 samples[row, col] = logp / N
     return samples, dropped, messages
+
+
+def sector_up_probabilities(spec, r: int) -> dict:
+    """Up-probability of each site state of a chain's evolved diagonal sector r,
+    ``(A_r^dag rho A_r)[0, 0]``: key None the bulk, then each override site.
+
+    ``A_1`` is the full traversal rotation (the exact flip at pi, as the
+    package defines it), written out here rather than taken from the package.
+    """
+    half = spec.theta / 2
+    rot = np.array([[math.cos(half), 1j * math.sin(half)],
+                    [1j * math.sin(half), math.cos(half)]])
+    if spec.theta == math.pi:
+        rot = np.array([[0, 1j], [1j, 0]])
+    a = rot if r == 1 else np.eye(2)
+    states = {None: np.diag([(1 + spec.m0) / 2, (1 - spec.m0) / 2]), **spec.site_overrides}
+    return {k: float((a.conj().T @ rho @ a)[0, 0].real) for k, rho in states.items()}
+
+
+def site_probs(N: int, probs: dict) -> np.ndarray:
+    """The up-probability of every one of N sites, from a map whose key None
+    is the bulk and whose other keys are override sites."""
+    out = np.full(N, probs[None])
+    sites = [k for k in probs if k is not None]
+    out[sites] = [probs[k] for k in sites]
+    return out
 
 
 def judge_tensor(values: np.ndarray, log_magnitude: np.ndarray, amplitudes) -> dict:

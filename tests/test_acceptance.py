@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pointer_cell_sim import cli, core, instances, verify
-from pointer_cell_sim.coarse_ldp import BernoulliProduct, estimate_rate
+from pointer_cell_sim.coarse_ldp import estimate_rate
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     build_dense,
@@ -174,7 +174,7 @@ def test_criterion_5_off_diagonal_decoherence():
 
 def test_criterion_6_ldp_convergence():
     watch = Stopwatch(60.0)
-    est = estimate_rate(lambda N: BernoulliProduct(N, 0.8),
+    est = estimate_rate(sector_overlap(ChainSpec(N=800, m0=0.6), 0, 0),
                         grid=[-0.2], N_values=[100, 200, 400, 800])
     assert abs(est.samples[-1, 0] - LDP_RATE_AT_MINUS_02) <= 0.02
     residuals = np.abs(est.samples[:, 0] - LDP_RATE_AT_MINUS_02)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -813,6 +814,36 @@ class TestLdpStabilityCondition:
         assert float(cond["stability_residual"]) <= float(cond["stability_bound"])
         assert cond["passed"] == "true"
 
+    def test_each_sector_has_its_own_bound(self, workdir, monkeypatch):
+        # N = 10^4 .. 10^9 with a flip and a depolarized site at theta = 1.7: the spin-down
+        # bound is a tenth of the spin-up one, and a spin-down shift between the two fails
+        config = (BASE.split("[observable]")[0].replace("theta = pi", "theta = 1.7")
+                  + "\n[sweep]\nN = " + ", ".join(str(10 ** k) for k in range(4, 10))
+                  + "\n\n[ldp]\ngrid = -0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8\n"
+                  + "\n[perturbation]\nsite_0 = flip\nsite_1 = depolarize\n")
+        cfg = write_config(workdir, config)
+
+        def conditions(out):
+            assert run_cli("ldp", "--config", cfg, "--out", out) == 0
+            text = (out / "ldp_conditions.txt").read_text(encoding="utf-8")
+            return tokenize_kv("\n".join(text.splitlines()[1:]))[0]["ldp_conditions"]
+
+        plain = conditions(workdir / "plain")
+        assert plain["stability_ok"] == "true" and plain["passed"] == "true"
+        assert float(plain["stability_bound"]) == pytest.approx(2.35e-5, rel=1e-2)
+        inner, calls = coarse_ldp.estimate_rate, []
+
+        def shifted(*args):  # the fourth family: the perturbed spin-down sector
+            est = inner(*args)
+            calls.append(est)
+            return replace(est, samples=est.samples + 5e-5) if len(calls) == 4 else est
+
+        monkeypatch.setattr(coarse_ldp, "estimate_rate", shifted)
+        cond = conditions(workdir / "shifted")
+        assert len(calls) == 4
+        assert cond["stability_ok"] == "false" and cond["passed"] == "false"
+        assert float(cond["stability_residual"]) > float(cond["stability_bound"])
+
 
 NO_SCIPY_SCRIPT = """\
 import sys
@@ -838,10 +869,12 @@ def test_command_paths_do_not_import_scipy(workdir):
 
 #: names no command reaches, deleted from the package; none may come back unnoticed
 DELETED = [
-    (coarse_ldp, ("IntensiveObservable", "coarse_grain", "cell_probability")),
+    (coarse_ldp, ("IntensiveObservable", "coarse_grain", "cell_probability", "BernoulliProduct",
+                  "cell_log_probability", "_factor_layout", "_override_log_pmf")),
     (coarse_ldp.CellPartitionSpec, ("empty_cells",)),
-    (coarse_ldp.BernoulliProduct, ("homogeneous", "with_overrides")),
+    (coleman_hepp, ("diagonal_sector_product",)),
     (coleman_hepp.ChainSpec, ("with_overrides",)),
+    (runner, ("_sector_family",)),
     (verify, ("stability_test", "RunModel")),
     (errors, ("NonLocalPerturbationError",)),
 ]

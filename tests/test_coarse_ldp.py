@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,19 +10,25 @@ from numpy.testing import assert_allclose
 
 from pointer_cell_sim import coarse_ldp, logspace
 from pointer_cell_sim.coarse_ldp import (
-    BernoulliProduct,
     CellPartitionSpec,
     RateFunctionEstimate,
     bernoulli_rate,
-    cell_log_probability,
     check_ldp_conditions,
     estimate_rate,
     perturbation_residual_bound,
 )
-from pointer_cell_sim.coleman_hepp import chain_cells, sign_cells
+from pointer_cell_sim.coleman_hepp import (
+    ChainSpec,
+    FactorizedSectorOverlap,
+    chain_cells,
+    factorized_f_tensor,
+    polarized_site,
+    sector_overlap,
+    sign_cells,
+)
 from pointer_cell_sim.core import PhaseCellPartition
 from pointer_cell_sim.errors import PreconditionError, StructuralError
-from pointer_cell_sim.logspace import binomial_log_pmf
+from pointer_cell_sim.logspace import BinomialBlock, binomial_log_pmf
 
 from oracles import (
     binom_range_log,
@@ -31,15 +38,36 @@ from oracles import (
     kl_bernoulli,
     poisson_binomial_fraction,
     scalar_rate_samples,
+    sector_up_probabilities,
     sign_cells_reference,
+    site_probs,
 )
 
 
-def site_probs(state: BernoulliProduct) -> np.ndarray:
-    """The per-site up-probabilities of a product state, one float per site."""
-    probs = np.full(state.N, state.p)
-    probs[list(state.overrides)] = list(state.overrides.values())
-    return probs
+def diagonal_site(q: float) -> np.ndarray:
+    """The diagonal site state with up-probability q."""
+    return np.diag([q, 1.0 - q]).astype(complex)
+
+
+def product_sector(p: float, overrides=None, N: int = 10 ** 9) -> FactorizedSectorOverlap:
+    """The diagonal sector of N Bernoulli sites: up-probability p in the bulk
+    and q at each override site of ``overrides``, ``{site: q}``.
+
+    The spin-up sector of a chain polarised to ``2p - 1`` holds it; a p no
+    chain reaches (the polarisation lies in (0, 1]) is laid out by hand.
+    """
+    if p <= 0.5:
+        assert not overrides
+        return FactorizedSectorOverlap(a=(np.zeros(1), np.zeros(1)),
+                                       b=BinomialBlock(N, p, 1.0 - p, 0.0), global_phase=0.0)
+    spec = ChainSpec(N=N, m0=2 * p - 1,
+                     site_overrides={k: diagonal_site(q) for k, q in (overrides or {}).items()})
+    return sector_overlap(spec, 0, 0)
+
+
+def cell_log_probs(spec: ChainSpec, r: int = 0) -> np.ndarray:
+    """Log-probabilities of the sign cells of the chain's evolved diagonal sector r."""
+    return sector_overlap(spec, r, r).cell_log_values(sign_cells(spec.N))[0]
 
 
 class TestSignCells:
@@ -83,12 +111,12 @@ class TestSignCells:
 
 class TestCellProbability:
     def test_binomial_plus_cell_literal(self):
-        probs = np.exp(cell_log_probability(BernoulliProduct(4, 0.8), sign_cells(4)))
+        probs = np.exp(cell_log_probs(ChainSpec(N=4, m0=0.6)))
         assert probs[1] == pytest.approx(0.9728, abs=1e-12)
         assert probs[0] == pytest.approx(0.0272, abs=1e-12)
 
     def test_deterministic_state(self):
-        probs = np.exp(cell_log_probability(BernoulliProduct(5, 1.0), sign_cells(5)))
+        probs = np.exp(cell_log_probs(ChainSpec(N=5, m0=1.0)))
         assert probs[1] == 1.0 and probs[0] == 0.0
 
     def test_dense_trace_agrees_with_product_path(self, rng):
@@ -100,34 +128,37 @@ class TestCellProbability:
         for _ in range(N - 1):
             rho = np.kron(rho, site)
         dense = partition.trace_all(rho).real
-        product = np.exp(cell_log_probability(BernoulliProduct(N, p), spec))
+        product = np.exp(cell_log_probs(ChainSpec(N=N, m0=2 * p - 1)))
         assert_allclose(dense, product, atol=1e-12)
 
     def test_heterogeneous_sites_match_exact_enumeration(self):
-        state = BernoulliProduct(6, 0.8, {2: 0.5, 3: 0.3, 5: 0.9})
-        N = state.N
-        dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
-        probs = np.exp(cell_log_probability(state, sign_cells(N)))
+        N = 6
+        spec = ChainSpec(N=N, m0=0.6, site_overrides={
+            2: diagonal_site(0.5), 3: diagonal_site(0.3), 5: diagonal_site(0.9)})
+        probs = site_probs(N, sector_up_probabilities(spec, 0))
+        assert list(probs) == [0.8, 0.8, 0.5, 0.3, 0.8, 0.9]
+        dist = poisson_binomial_fraction([Fraction(p) for p in probs])
+        got = np.exp(cell_log_probs(spec))
         plus = float(sum(dist[j] for j in range(N + 1) if 2 * j - N >= 0))
-        assert probs[1] == pytest.approx(plus, rel=1e-12)
+        assert got[1] == pytest.approx(plus, rel=1e-12)
 
     def test_log_pmf_far_below_float_floor(self):
         # the "-" cell of 4000 sites at p = 0.8 is way below exp(-745), yet
         # finite in log space and exact
         N = 4000
-        got = cell_log_probability(BernoulliProduct(N, 0.8), sign_cells(N))
+        got = cell_log_probs(ChainSpec(N=N, m0=0.6))
         assert np.isfinite(got[0]) and got[0] < -745
         ref = binom_range_log(N, 0.8, chain_minus_cell_counts(N))
         assert abs(got[0] - ref) <= 1e-12 * abs(ref)
 
     def test_wrong_partition_length_rejected(self):
         with pytest.raises(StructuralError):
-            cell_log_probability(BernoulliProduct(4, 0.5), sign_cells(5))
-        # product-state cells are binomial tails: a prefix and a suffix only
+            sector_overlap(ChainSpec(N=4, m0=0.6), 0, 0).cell_log_values(sign_cells(5))
+        # the sector's cells are binomial tails: a prefix and a suffix only
         three = CellPartitionSpec(edges=(-1.0, -1 / 3, 1 / 3, 1.0), bounds=(0, 10, 20, 31),
                                   labels=("0", "1", "2"))
         with pytest.raises(StructuralError, match="two-cell"):
-            cell_log_probability(BernoulliProduct(30, 0.8), three)
+            sector_overlap(ChainSpec(N=30, m0=0.6), 0, 0).cell_log_values(three)
 
 
 class TestRateFunction:
@@ -141,8 +172,7 @@ class TestRateFunction:
             assert bernoulli_rate(m, 0.8) == pytest.approx(-kl_bernoulli(q, 0.8), abs=1e-14)
 
     def test_estimate_converges_to_analytic(self):
-        est = estimate_rate(lambda N: BernoulliProduct(N, 0.8),
-                            grid=[-0.2], N_values=[100, 200, 400, 800])
+        est = estimate_rate(product_sector(0.8), grid=[-0.2], N_values=[100, 200, 400, 800])
         analytic = -kl_bernoulli(0.4, 0.8)
         final = est.samples[-1, 0]
         assert abs(final - analytic) < 0.02
@@ -157,49 +187,65 @@ class TestRateFunction:
         assert int(np.argmax(curve)) == int(np.argmin(np.abs(grid - 0.6)))
 
     def test_precondition_errors(self):
-        fam = lambda N: BernoulliProduct(N, 0.8)
+        sector = product_sector(0.8)
         with pytest.raises(PreconditionError):
-            estimate_rate(fam, [-0.2], [100, 200])
+            estimate_rate(sector, [-0.2], [100, 200])
         with pytest.raises(PreconditionError):
-            estimate_rate(fam, [-0.2], [100, 200, 300])
+            estimate_rate(sector, [-0.2], [100, 200, 300])
+
+    def test_sector_without_one_bulk_reading_refused(self):
+        # a partial traversal's a holds a bulk block, and a chain whose every site is
+        # overridden has no bulk probability to read at larger sizes
+        spec = ChainSpec(N=40, m0=0.6)
+        with pytest.raises(PreconditionError, match="full traversal with a bulk site"):
+            estimate_rate(sector_overlap(spec, 1, 1, rotated_count=20), [0.0], [10, 20, 40])
+        every = ChainSpec(N=2, m0=0.6, site_overrides={0: diagonal_site(0.1), 1: diagonal_site(0.1)})
+        with pytest.raises(PreconditionError, match="full traversal with a bulk site"):
+            estimate_rate(sector_overlap(every, 0, 0), [0.0], [2, 4, 8])
 
     def test_zero_probability_point_dropped(self):
         # one site pinned down makes the all-up window impossible
-        def family(N):
-            return BernoulliProduct(N, 0.9, {0: 0.0})
-
         with pytest.warns(UserWarning, match="zero probability"):
-            est = estimate_rate(family, grid=[1.0], N_values=[8, 16, 32])
+            est = estimate_rate(product_sector(0.9, {0: 0.0}), grid=[1.0], N_values=[8, 16, 32])
         assert est.dropped.all()
+
+    def test_p_set_only_without_override_term(self):
+        # an override term, even one equal to the bulk or on every site, leaves p
+        # and the analytic curve unset; the samples are the homogeneous chain's
+        grid, Ns = [-0.2, 0.6], [40, 80, 160]
+        plain = estimate_rate(product_sector(0.7), grid, Ns)
+        assert plain.p == 0.7 and plain.analytic is not None
+        for overrides in ({2: 0.7}, {2: 0.1}):
+            est = estimate_rate(product_sector(0.7, overrides), grid, Ns)
+            assert est.p is None and est.analytic is None
+        same = estimate_rate(product_sector(0.7, {2: 0.7}), grid, Ns)
+        assert_allclose(same.samples, plain.samples, rtol=1e-12)
+        # at N = 2 every site is overridden alike, yet the family has override terms
+        every = estimate_rate(product_sector(0.7, {0: 0.1, 1: 0.1}, N=8), [-0.5, 0.5], [2, 4, 8])
+        assert every.p is None
 
 
 class TestFactorLayout:
-    """Windows and cells summed from the base binomial block and the overrides."""
+    """Windows and cells summed from the bulk binomial block and the overrides."""
 
     GRID = (-0.8, -0.3, 0.0, 0.025, 0.45, 0.9)
 
     @staticmethod
-    def _family(r: int, theta: float):
+    def _spec(theta: float, N: int) -> ChainSpec:
         # the flip and depolarize site edits of the perturb command
-        from pointer_cell_sim.coleman_hepp import ChainSpec, diagonal_sector_product, polarized_site
-
         overrides = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2}
-        return lambda N: diagonal_sector_product(
-            ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=overrides), r)
-
-    @classmethod
-    def _states(cls, r: int, theta: float, Ns=(40, 80, 160)) -> dict[int, BernoulliProduct]:
-        family = cls._family(r, theta)
-        return {N: family(N) for N in Ns}
+        return ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=overrides)
 
     @pytest.mark.parametrize("theta", [math.pi, 2.2])
     @pytest.mark.parametrize("r", [0, 1])
     def test_window_samples_match_exact_poisson_binomial(self, r, theta):
-        states = self._states(r, theta)
-        est = estimate_rate(states.__getitem__, self.GRID, sorted(states))
+        Ns = (40, 80, 160)
+        spec = self._spec(theta, max(Ns))
+        est = estimate_rate(sector_overlap(spec, r, r), self.GRID, Ns)
         assert not est.dropped.any()
-        for i, (N, state) in enumerate(sorted(states.items())):
-            dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
+        for i, N in enumerate(Ns):
+            dist = poisson_binomial_fraction(
+                [Fraction(p) for p in site_probs(N, sector_up_probabilities(spec, r))])
             for k, m in enumerate(self.GRID):
                 # the window is |m_j - m| <= 1 / N, half the spectrum gap
                 centre = N * (1 + Fraction(str(m)))
@@ -210,9 +256,11 @@ class TestFactorLayout:
     @pytest.mark.parametrize("theta", [math.pi, 2.2])
     @pytest.mark.parametrize("r", [0, 1])
     def test_cells_match_exact_poisson_binomial(self, r, theta):
-        for N, state in self._states(r, theta).items():
-            got = cell_log_probability(state, sign_cells(N))
-            dist = poisson_binomial_fraction([Fraction(p) for p in site_probs(state)])
+        for N in (40, 80, 160):
+            spec = self._spec(theta, N)
+            got = cell_log_probs(spec, r)
+            dist = poisson_binomial_fraction(
+                [Fraction(p) for p in site_probs(N, sector_up_probabilities(spec, r))])
             for cell, counts in enumerate((chain_minus_cell_counts(N), chain_plus_cell_counts(N))):
                 ref = exact_log(sum(dist[j] for j in counts))
                 # relative to the probability: the log difference
@@ -243,14 +291,11 @@ class TestWindowsAgainstScalarSum:
         p, overrides = self.FAMILIES[name]
         grid = self.GRIDS[grid]
         Ns = [N for N in self.SIZES if N > max(overrides, default=0)]
-
-        def family(N):
-            return BernoulliProduct(N, p, overrides)
-
+        sector = product_sector(p, overrides)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = estimate_rate(family, grid, Ns)
-        samples, dropped, messages = scalar_rate_samples(family, grid, Ns)
+            est = estimate_rate(sector, grid, Ns)
+        samples, dropped, messages = scalar_rate_samples(sector, grid, Ns)
         assert np.array_equal(est.samples, samples, equal_nan=True)
         assert np.array_equal(est.dropped, dropped)
         assert [str(w.message) for w in caught] == messages
@@ -259,26 +304,26 @@ class TestWindowsAgainstScalarSum:
         # m = -0.75 is the up count 1 at N = 8, which the certain sites exclude
         p, overrides = self.FAMILIES["certain sites only"]
         with pytest.warns(UserWarning, match="point dropped"):
-            est = estimate_rate(lambda N: BernoulliProduct(N, p, overrides), [-1.0, -0.75, 0.0], self.SIZES)
+            est = estimate_rate(product_sector(p, overrides), [-1.0, -0.75, 0.0], self.SIZES)
         assert est.dropped[:, 0].all() and not est.dropped[:, 2].any()
         assert est.dropped[0, 1] and not est.dropped[1:, 1].any()
 
 
 class TestLargeChains:
-    """Windows and cells at chain sizes where the base block is never built."""
+    """Windows and cells at chain sizes where the bulk block is never built."""
 
     LARGE_N = (250_000, 500_000, 1_000_000)
 
     @staticmethod
-    def _linear_log_pmf(state: BernoulliProduct) -> np.ndarray:
+    def _linear_log_pmf(N: int, probs: dict) -> np.ndarray:
         # O(N) reference: the modal block's full vector log-pmf, shifted by
         # each up count of the other sites (exact Poisson-binomial weights)
-        probs = site_probs(state)
+        probs = site_probs(N, probs)
         values, counts = np.unique(probs, return_counts=True)
         p = float(values[np.argmax(counts)])
         b = binomial_log_pmf(int(counts.max()), p, 1.0 - p)
         others = [Fraction(float(x)) for x in probs if x != p]
-        rows = np.full((len(others) + 1, state.N + 1), -np.inf)
+        rows = np.full((len(others) + 1, N + 1), -np.inf)
         for i, weight in enumerate(poisson_binomial_fraction(others)):
             rows[i, i:i + b.size] = exact_log(weight) + b
         return np.logaddexp.reduce(rows, axis=0)
@@ -286,11 +331,11 @@ class TestLargeChains:
     @pytest.mark.parametrize("theta", [math.pi, 2.2])
     @pytest.mark.parametrize("r", [0, 1])
     def test_window_samples_match_linear_sum(self, r, theta):
-        states = TestFactorLayout._states(r, theta, self.LARGE_N)
+        spec = TestFactorLayout._spec(theta, max(self.LARGE_N))
         grid = TestFactorLayout.GRID
-        est = estimate_rate(states.__getitem__, grid, self.LARGE_N)
-        for i, (N, state) in enumerate(sorted(states.items())):
-            pmf = self._linear_log_pmf(state)
+        est = estimate_rate(sector_overlap(spec, r, r), grid, self.LARGE_N)
+        for i, N in enumerate(self.LARGE_N):
+            pmf = self._linear_log_pmf(N, sector_up_probabilities(spec, r))
             j = np.arange(N + 1)
             for k, m in enumerate(grid):
                 # |m_j - m| <= 1 / N, with the rounding slack of the window's edges
@@ -311,21 +356,21 @@ class TestLargeChains:
         monkeypatch.setattr(coarse_ldp, "binomial_log_pmf", spy, raising=False)
         Ns = (400, 800, 1600)
         for r in range(2):
-            estimate_rate(TestFactorLayout._states(r, 2.2, Ns).__getitem__, [-0.3, 0.45], Ns)
+            sector = sector_overlap(TestFactorLayout._spec(2.2, max(Ns)), r, r)
+            estimate_rate(sector, [-0.3, 0.45], Ns)
         # the flip and depolarize sites are built; the N - 2 bulk sites are not
         assert sizes and not set(sizes) & {N - 2 for N in Ns}
 
     def test_rate_memory_does_not_grow_with_N(self):
-        families = [TestFactorLayout._family(r, 2.2) for r in range(2)]
-
         def peak(N):
             Ns = (N // 4, N // 2, N)
-            for family in families:  # first calls fill module-level caches
-                estimate_rate(family, TestFactorLayout.GRID, Ns)
+            sectors = [sector_overlap(TestFactorLayout._spec(2.2, N), r, r) for r in range(2)]
+            for sector in sectors:  # first calls fill module-level caches
+                estimate_rate(sector, TestFactorLayout.GRID, Ns)
             tracemalloc.start()
             try:
-                for family in families:
-                    estimate_rate(family, TestFactorLayout.GRID, Ns)
+                for sector in sectors:
+                    estimate_rate(sector, TestFactorLayout.GRID, Ns)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -338,15 +383,16 @@ class TestLargeChains:
     @pytest.mark.parametrize("theta", [math.pi, 2.2])
     @pytest.mark.parametrize("N", [100_000, 1_000_000])
     def test_cells_identify_with_the_chain_tensor(self, N, theta, overrides):
-        from pointer_cell_sim.coleman_hepp import (
-            ChainSpec, chain_cells, diagonal_sector_product, factorized_f_tensor, polarized_site)
-
+        # the sector built once at another size and read, as estimate_rate reads
+        # it, with N - k bulk sites for its k overrides: the chain tensor's cells at N
         edits = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2} if overrides else None
-        spec = ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=edits)
-        tensor = factorized_f_tensor(spec)
+        spec = ChainSpec(N=10 ** 9, m0=0.6, theta=theta, site_overrides=edits)
+        tensor = factorized_f_tensor(spec.at_size(N))
         cells, _ = chain_cells(N)
         for r in range(2):
-            got = cell_log_probability(diagonal_sector_product(spec, r), cells)
+            sector = sector_overlap(spec, r, r)
+            sized = replace(sector, b=replace(sector.b, size=N - (sector.a[0].size - 1)))
+            got, _ = sized.cell_log_values(cells)
             ref = tensor.log_magnitude[r, r]
             assert (np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))).all(), (r, got, ref)
 
@@ -354,18 +400,10 @@ class TestLargeChains:
 class TestLdpConditions:
     @staticmethod
     def _chain_setup(m0=0.6, grid=None, overrides=None):
-        from pointer_cell_sim.coleman_hepp import ChainSpec, diagonal_sector_product
-
         grid = grid if grid is not None else [-0.9, -0.6, -0.3, -0.05, 0.05, 0.3, 0.6, 0.9]
         Ns = [100, 200, 400, 800]
-
-        def family(r):
-            def make(N):
-                spec = ChainSpec(N=N, m0=m0, site_overrides=overrides)
-                return diagonal_sector_product(spec, r)
-            return make
-
-        estimates = [estimate_rate(family(r), grid, Ns) for r in range(2)]
+        spec = ChainSpec(N=max(Ns), m0=m0, site_overrides=overrides)
+        estimates = [estimate_rate(sector_overlap(spec, r, r), grid, Ns) for r in range(2)]
         return estimates, sign_cells(Ns[0])
 
     def test_chain_conditions_pass(self):
@@ -378,14 +416,12 @@ class TestLdpConditions:
         assert report.passed
 
     def test_localized_perturbation_preserves_rates(self):
-        from pointer_cell_sim.coleman_hepp import ChainSpec, diagonal_sector_product, polarized_site
-
         overrides = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2}
         estimates, cells = self._chain_setup()
         perturbed, _ = self._chain_setup(overrides=overrides)
-        base = diagonal_sector_product(ChainSpec(N=100, m0=0.6), 0)
-        pert = diagonal_sector_product(ChainSpec(N=100, m0=0.6, site_overrides=overrides), 0)
-        bound = perturbation_residual_bound(base, pert) / 100
+        base = sector_up_probabilities(ChainSpec(N=100, m0=0.6), 0)
+        pert = sector_up_probabilities(ChainSpec(N=100, m0=0.6, site_overrides=overrides), 0)
+        bound = perturbation_residual_bound(100, base, pert) / 100
         report = check_ldp_conditions(estimates, cells, pointer=(1, 0),
                                       perturbed=perturbed, stability_bound=bound)
         assert report.stability_residual <= bound
@@ -401,6 +437,36 @@ class TestLdpConditions:
         assert not report.stability_ok
         assert not report.passed
 
+    def test_each_sector_judged_by_its_own_bound(self):
+        estimates, cells = self._chain_setup()
+
+        def judge(shifts, bound):
+            perturbed = [replace(est, samples=est.samples + shift)
+                         for est, shift in zip(estimates, shifts)]
+            return check_ldp_conditions(estimates, cells, pointer=(1, 0),
+                                        perturbed=perturbed, stability_bound=bound)
+
+        # under the larger bound the spin-down shift passes; under its own it fails
+        assert judge((0.0, 3e-5), 1e-4).stability_ok
+        report = judge((0.0, 3e-5), (1e-4, 2e-5))
+        assert not report.stability_ok and not report.passed
+        assert report.stability_residual == pytest.approx(3e-5, rel=1e-9)
+        assert report.stability_bound == 2e-5
+        # the sector with the smallest margin is reported, not the largest residual
+        report = judge((5e-4, 4e-5), (1e-3, 5e-5))
+        assert report.stability_ok
+        assert report.stability_residual == pytest.approx(4e-5, rel=1e-9)
+        assert report.stability_bound == 5e-5
+
+    def test_rounding_above_the_bound_passes(self):
+        # rates equal up to the rounding of two arithmetic paths meet a zero bound
+        estimates, cells = self._chain_setup()
+        perturbed = [replace(est, samples=est.samples * (1 + 2 ** -52)) for est in estimates]
+        report = check_ldp_conditions(estimates, cells, pointer=(1, 0),
+                                      perturbed=perturbed, stability_bound=(0.0, 0.0))
+        assert 0.0 < report.stability_residual < 1e-15
+        assert report.stability_ok
+
     def test_sampled_curve_without_finite_value_refused(self):
         est = RateFunctionEstimate(grid=(-0.5, 0.5), N_values=(40, 80, 160),
                                    samples=np.full((3, 2), np.nan),
@@ -409,70 +475,45 @@ class TestLdpConditions:
             check_ldp_conditions([est, est], sign_cells(40), pointer=(1, 0))
 
     def test_boundary_maximizer_fails_interiority(self):
-        est = estimate_rate(lambda N: BernoulliProduct(N, 0.5),
-                            grid=[-0.5, 0.0, 0.5], N_values=[40, 80, 160])
+        est = estimate_rate(product_sector(0.5), grid=[-0.5, 0.0, 0.5], N_values=[40, 80, 160])
         report = check_ldp_conditions([est, est], sign_cells(40), pointer=(1, 0))
         assert not report.interior
         assert not report.passed
 
 
-class TestBernoulliProduct:
-    def test_size_and_sites_checked(self):
-        for N, overrides in ((0, {}), (-1, {}), (4, {4: 0.1}), (4, {-1: 0.1})):
-            with pytest.raises(PreconditionError):
-                BernoulliProduct(N, 0.5, overrides)
-
-    @pytest.mark.parametrize("p, overrides", [
-        (1.2, {}), (-0.1, {}), (math.nan, {}), (0.5, {1: 1.5}), (0.5, {1: -1e-9})])
-    def test_probabilities_checked(self, p, overrides):
-        with pytest.raises(StructuralError):
-            BernoulliProduct(4, p, overrides)
-
-    def test_override_equal_to_base_dropped(self):
-        state = BernoulliProduct(5, 0.7, {2: 0.7})
-        assert state.overrides == {} and state.homogeneous_p == 0.7
-        assert BernoulliProduct(5, 0.7, {2: 0.1}).homogeneous_p is None
-        # a state whose every site is overridden alike is homogeneous
-        assert BernoulliProduct(2, 0.7, {0: 0.1, 1: 0.1}).homogeneous_p == 0.1
-
-
 class TestPerturbationBound:
     @staticmethod
-    def _site_by_site(base: BernoulliProduct, pert: BernoulliProduct) -> float:
+    def _site_by_site(N: int, base: dict, pert: dict) -> float:
         # the bound summed over every site of the two per-site lists
         total = 0.0
-        for p0, p1 in zip(site_probs(base), site_probs(pert)):
+        for p0, p1 in zip(site_probs(N, base), site_probs(N, pert)):
             if p0 != p1:
                 total += max(abs(math.log(a / b))
                              for a, b in ((p1, p0), (1.0 - p1, 1.0 - p0)) if a != b)
         return total
 
     def test_bound_matches_hand_computation(self):
-        base = BernoulliProduct(10, 0.8)
-        pert = BernoulliProduct(10, 0.8, {3: 0.2})
-        got = perturbation_residual_bound(base, pert)
+        got = perturbation_residual_bound(10, {None: 0.8}, {None: 0.8, 3: 0.2})
         assert got == pytest.approx(abs(math.log(0.8 / 0.2)), abs=1e-14)
 
     def test_identical_states_have_zero_bound(self):
-        base = BernoulliProduct(6, 0.7)
-        assert perturbation_residual_bound(base, base) == 0.0
+        assert perturbation_residual_bound(6, {None: 0.7}, {None: 0.7}) == 0.0
 
     def test_site_overridden_in_one_state_only(self):
-        base = BernoulliProduct(10, 0.8, {1: 0.5})
-        pert = BernoulliProduct(10, 0.8, {3: 0.2})
+        base, pert = {None: 0.8, 1: 0.5}, {None: 0.8, 3: 0.2}
         expected = abs(math.log(0.2 / 0.5)) + abs(math.log(0.8 / 0.2))
-        assert perturbation_residual_bound(base, pert) == pytest.approx(expected, abs=1e-14)
-        assert perturbation_residual_bound(pert, base) == pytest.approx(expected, abs=1e-14)
+        assert perturbation_residual_bound(10, base, pert) == pytest.approx(expected, abs=1e-14)
+        assert perturbation_residual_bound(10, pert, base) == pytest.approx(expected, abs=1e-14)
 
     def test_global_change_matches_site_by_site_sum(self):
-        base = BernoulliProduct(1000, 0.8, {0: 0.2, 7: 0.5})
-        pert = BernoulliProduct(1000, 0.7, {7: 0.5, 9: 0.95})
-        ref = self._site_by_site(base, pert)
+        base = {None: 0.8, 0: 0.2, 7: 0.5}
+        pert = {None: 0.7, 7: 0.5, 9: 0.95}
+        ref = self._site_by_site(1000, base, pert)
         assert ref > 0.0
-        assert abs(perturbation_residual_bound(base, pert) - ref) <= 1e-12 * ref
+        assert abs(perturbation_residual_bound(1000, base, pert) - ref) <= 1e-12 * ref
 
     def test_bound_is_infinite_where_a_probability_vanishes(self):
-        assert perturbation_residual_bound(BernoulliProduct(5, 1.0), BernoulliProduct(5, 0.9)) == np.inf
-        # every site overridden: the base term counts no site
-        base = BernoulliProduct(2, 1.0, {0: 0.5, 1: 0.5})
-        assert perturbation_residual_bound(base, BernoulliProduct(2, 0.0, {0: 0.5, 1: 0.5})) == 0.0
+        assert perturbation_residual_bound(5, {None: 1.0}, {None: 0.9}) == np.inf
+        # every site overridden: the bulk term counts no site
+        base = {None: 1.0, 0: 0.5, 1: 0.5}
+        assert perturbation_residual_bound(2, base, {None: 0.0, 0: 0.5, 1: 0.5}) == 0.0

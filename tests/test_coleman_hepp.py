@@ -9,13 +9,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pointer_cell_sim import coleman_hepp, core
-from pointer_cell_sim.coarse_ldp import CellPartitionSpec, cell_log_probability
+from pointer_cell_sim.coarse_ldp import CellPartitionSpec
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     _bulk_block,
     build_dense,
     chain_cells,
-    diagonal_sector_product,
     factorized_f_tensor,
     polarized_site,
     sector_overlap,
@@ -34,7 +33,9 @@ from oracles import (
     full_product_sector_cells,
     kl_bernoulli,
     poisson_binomial_fraction,
+    sector_up_probabilities,
     sign_cells_reference,
+    site_probs,
 )
 
 # a coherent site state: its cross-sector factors are complex, not just signed
@@ -45,6 +46,14 @@ def dense_tensor(spec: ChainSpec) -> core.FTensor:
     micro, apparatus = build_dense(spec)
     states = core.evolve_sectors(micro, apparatus, spec.t)
     return core.f_tensor(states, apparatus.cells)
+
+
+def sector_cell_masses(spec: ChainSpec, r: int) -> list[float]:
+    """Exact "-" and "+" cell masses of the evolved diagonal sector r, by enumeration."""
+    probs = site_probs(spec.N, sector_up_probabilities(spec, r))
+    dist = poisson_binomial_fraction([Fraction(p) for p in probs])
+    return [float(sum(dist[j] for j in counts))
+            for counts in (chain_minus_cell_counts(spec.N), chain_plus_cell_counts(spec.N))]
 
 
 class TestChainSpec:
@@ -71,6 +80,15 @@ class TestChainSpec:
             ChainSpec(N=4, m0=0.6, site_overrides={0: np.diag([0.3, 0.3])})
         with pytest.raises(StructuralError):
             ChainSpec(N=4, m0=0.6, site_overrides={0: np.diag([1.5, -0.5])})
+
+    @pytest.mark.parametrize("N, m0, overrides", [
+        (-1, 0.6, {}), (4, 0.6, {-1: 0.1}), (4, 1.4, {}), (4, -1.2, {}), (4, math.nan, {}),
+        (4, 0.6, {1: -1e-9})],
+        ids=["size-1", "site-1", "p-1.2", "p-0.1", "p-nan", "override-p-1e-9"])
+    def test_product_state_inputs_rejected(self, N, m0, overrides):
+        # sizes, sites and up-probabilities (bulk (1 + m0) / 2, override q) no product state takes
+        with pytest.raises(StructuralError):
+            ChainSpec(N=N, m0=m0, site_overrides={k: np.diag([q, 1 - q]) for k, q in overrides.items()})
 
     @pytest.mark.parametrize("rho, message", [
         (np.diag([1.0 + 2e-12, -2e-12]), "site 1 override has negative eigenvalue -2.000e-12"),
@@ -216,10 +234,8 @@ class TestOverlapInvariants:
         for N, overrides in ((6, None), (9, {2: polarized_site(-0.6)})):
             spec = ChainSpec(N=N, m0=0.6, site_overrides=overrides)
             f = factorized_f_tensor(spec)
-            cells, _ = chain_cells(N)
             for r in range(2):
-                state = diagonal_sector_product(spec, r)
-                probs = np.exp(cell_log_probability(state, cells))
+                probs = sector_cell_masses(spec, r)
                 assert_allclose(f.values[r, r].real, probs, atol=1e-10)
 
     def test_all_outputs_pass_property_checks(self):
@@ -234,9 +250,7 @@ class TestTraversal:
         spec = ChainSpec(N=6, m0=0.6, energies=(0.2, -0.1))
         f0 = traversal_schedule(spec, 0.0)
         assert_allclose(f0.values[0, 0], f0.values[1, 1], atol=1e-14)
-        cells, _ = chain_cells(6)
-        base = np.exp(cell_log_probability(diagonal_sector_product(spec, 0), cells))
-        assert_allclose(f0.values[0, 0].real, base, atol=1e-12)
+        assert_allclose(f0.values[0, 0].real, sector_cell_masses(spec, 0), atol=1e-12)
 
     def test_fraction_one_is_full_traversal(self):
         spec = ChainSpec(N=6, m0=0.6)
