@@ -372,6 +372,15 @@ def traversal_schedule(spec: ChainSpec, fraction: float) -> FTensor:
     return FTensor(values=values[0], t=spec.t, log_magnitude=log_magnitude[0])
 
 
+def log_trace_products(spec: ChainSpec, fraction: float) -> np.ndarray:
+    """``log |sum_alpha F[r, s, alpha]|`` of ``traversal_schedule(spec, fraction)``
+    per sector pair: each pair's product of per-site traces, ``dp_total``, finite
+    where the cells underflow and ``-inf`` where a site trace is an exact zero."""
+    rotated_count, diagonals, memo = passed_sites(spec.N, fraction), _site_diagonals(spec), {}
+    return np.array([[sector_overlap(spec, r, s, rotated_count, diagonals, memo).dp_total()[0]
+                      for s in range(2)] for r in range(2)])
+
+
 def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
                      ) -> tuple[np.ndarray, np.ndarray, dict[int, SimulationError]]:
     """The tensors ``traversal_schedule(spec.at_size(N), fraction)`` for the N of

@@ -15,7 +15,7 @@ from .config import fmt_complex, fmt_float, tokenize_kv
 from .core import FPropertyReport, FTensor
 from .errors import StructuralError
 
-REPORT_HEADER = "pointer-cell-sim report v2"
+REPORT_HEADER = "pointer-cell-sim report v3"
 SWEEP_COLUMNS = ("N", "eps_max", "log_eps_max", "w_plus", "w_minus", "offdiag_max", "status")
 LDP_COLUMNS = ("m", "N", "empirical_rate", "analytic_rate", "residual", "status")
 

@@ -5,10 +5,10 @@ Each CLI command is one function here, ``run``, ``sweep``, ``ldp``,
 computes and renders its own files and returns ``(artifacts, exit code)``
 with ``artifacts`` mapping file names to their text.
 
-Every entry point is deterministic for a fixed config: random draws come from
-the config seed, sweep points are evaluated one after the other and assembled
-in sorted order, and artifacts contain no timestamps or machine state beyond
-library versions.
+Every entry point is deterministic for a fixed config: the only random draws,
+the verify suite's instances, come from the config seed, sweep points are
+evaluated one after the other and assembled in sorted order, and artifacts
+contain no timestamps or machine state beyond library versions.
 """
 
 from __future__ import annotations
@@ -205,20 +205,32 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _scipy_version() -> str:
+    """The installed scipy's version, read from the header block of its metadata
+    (the text before the first blank line), so neither scipy is imported nor its
+    long description parsed; ``importlib.metadata.version`` if the block has none."""
+    # the reader is loaded here because only ``run`` records versions
+    from importlib.metadata import distribution, version
+    header = (distribution("scipy").read_text("METADATA") or "").split("\n\n", 1)[0]
+    for line in header.splitlines():
+        key, _, value = line.partition(":")
+        if key == "Version":
+            return value.strip()
+    return version("scipy")
+
+
 def run(cfg: ExperimentConfig, base_dir: Path | None = None,
         oracle: bool = False) -> tuple[dict[str, str], int]:
     """``report.txt`` of one experiment: tensor, weights, verdicts, properties."""
-    # read from the installed metadata, so scipy itself is not imported;
-    # the reader is loaded here because only ``run`` records versions
-    from importlib.metadata import version
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
     c = np.array(cfg.amplitudes, dtype=complex)
     A = (core.ObservableS(matrix=load_matrix_text(base_dir / cfg.observable_file))
          if cfg.observable_file is not None else None)
-    oracle_disc = None
+    oracle_disc, log_trace = None, None
     if cfg.model == "coleman_hepp":
         spec = chain_spec_from_config(cfg)
         tensor = coleman_hepp.traversal_schedule(spec, cfg.measurement_time)
+        log_trace = coleman_hepp.log_trace_products(spec, cfg.measurement_time)
         cell_labels = coleman_hepp.sign_cells(spec.N).labels
         backend = "factorized"
         if oracle:
@@ -238,14 +250,14 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
 
     weights = core.pointer_weights(tensor, c)
     properties = core.check_f_properties(tensor)
-    pointer_items = _pointer_items(cfg, tensor)
+    pointer_items = _pointer_items(cfg, tensor, c, log_trace)
     sections = [
         ("provenance", [
             ("config_sha256", cfg.sha256()),
             ("backend", backend),
             ("package_version", _package_version),
             ("numpy_version", np.__version__),
-            ("scipy_version", version("scipy")),
+            ("scipy_version", _scipy_version()),
         ]),
         ("f_tensor", f_tensor_items(tensor)),
         ("weights", [(f"w[{label}]", fmt_float(float(w)))
@@ -266,8 +278,10 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
     return {"report.txt": render_report(sections)}, 0
 
 
-def _pointer_items(cfg: ExperimentConfig, tensor) -> list[tuple[str, str]]:
-    """The pointer map with the exact and, for the chain, the weakened verdict."""
+def _pointer_items(cfg: ExperimentConfig, tensor, c, log_trace) -> list[tuple[str, str]]:
+    """The pointer map with the exact and, for the chain, the weakened verdict; both
+    read one evaluation of the reconstruction residuals at the amplitudes ``c``, on
+    the chain's own trace products ``log_trace`` (``None``: from the tensor)."""
     try:
         pointer = verify.find_pointer_map(tensor)
     except AmbiguousPointerError as exc:
@@ -277,18 +291,21 @@ def _pointer_items(cfg: ExperimentConfig, tensor) -> list[tuple[str, str]]:
     if pointer.uninformative:
         items.append(("uninformative_microstates",
                       ", ".join(str(r) for r in pointer.uninformative)))
-    exact = verify.check_exact_condition(tensor, pointer, seed=cfg.seed + 11)
+    log_residuals = verify.reconstruction_residuals(tensor, pointer, c, log_trace)
+    exact = verify.check_exact_condition(tensor, pointer, log_residuals)
     items += [
         ("exact_satisfied", _flag(exact.satisfied)),
         ("exact_residual", fmt_float(exact.residual)),
         ("ideal_form_residual", fmt_float(exact.ideal_residual)),
         ("reconstruction_residual_expectation", fmt_float(exact.von_neumann_residuals[0])),
         ("reconstruction_residual_conditional", fmt_float(exact.von_neumann_residuals[1])),
+        ("log_reconstruction_residual_expectation", fmt_float(exact.log_residuals[0])),
+        ("log_reconstruction_residual_conditional", fmt_float(exact.log_residuals[1])),
     ]
     c_ref = analytic_boundary_rate(cfg)
     if c_ref is not None:
         weakened = verify.check_weakened_condition(
-            tensor, pointer, N=int(cfg.params["N"]), c=c_ref, seed=cfg.seed + 13)
+            tensor, pointer, N=int(cfg.params["N"]), c=c_ref, log_residuals=log_residuals)
         items += [
             ("weakened_c_reference", fmt_float(weakened.bound_constant)),
             ("weakened_satisfied", _flag(weakened.satisfied)),

@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (FTensor, ObservableS, conditional_expectation, expectation_s, pointer_weight_stack,
-                   pointer_weights)
+from .core import WEIGHT_FLOOR, FTensor, pointer_weight_stack, pointer_weights
 from .errors import AmbiguousPointerError, FitError, PreconditionError, SimulationError
 from .logspace import lc_real_logsumexp_rows
 
@@ -32,7 +31,6 @@ AMBIGUOUS = f"no unique pointer correspondence: competing assignment within {TIE
 EXACT_CONDITION_TOL = 1e-10
 STABILITY_BAND = 0.25
 EXPONENTIAL_R_SQUARED = 0.99
-RECONSTRUCTION_DRAWS = 24
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,9 @@ class PointerMap:
 class MeasurementVerdict:
     """Outcome of the weakened (exponential) measurement condition.
 
-    ``log_errors`` and ``log_correction_constant`` carry the pointer errors
-    and the constant K in log space, where they stay finite after ``errors``
+    ``log_errors``, ``log_residuals`` and ``log_correction_constant`` carry the
+    pointer errors, the reconstruction residuals (expectation, conditional) and
+    the constant K in log space, where they stay finite after ``errors``
     underflow to zero and ``correction_constant`` overflows.
     """
 
@@ -76,19 +75,28 @@ class MeasurementVerdict:
     N: int
     bound_constant: float
     satisfied: bool
-    von_neumann_residuals: tuple[float, float]
+    log_residuals: tuple[float, float]
     correction_constant: float
     log_correction_constant: float
+
+    @property
+    def von_neumann_residuals(self) -> tuple[float, float]:
+        return tuple(map(math.exp, self.log_residuals))
 
 
 @dataclass(frozen=True)
 class ExactConditionResult:
-    """Outcome of the exact condition and its reconstruction consequences."""
+    """Outcome of the exact condition and its reconstruction consequences: the
+    reconstruction residuals (expectation, conditional) in log space, and as floats."""
 
     satisfied: bool
     residual: float
     ideal_residual: float
-    von_neumann_residuals: tuple[float, float]
+    log_residuals: tuple[float, float]
+
+    @property
+    def von_neumann_residuals(self) -> tuple[float, float]:
+        return tuple(map(math.exp, self.log_residuals))
 
 
 @dataclass(frozen=True)
@@ -228,59 +236,106 @@ def ideal_tensor(pmap: PointerMap) -> np.ndarray:
     return ideal
 
 
-def _reconstruction_residuals(f: FTensor, pmap: PointerMap, seed: int) -> tuple[float, float]:
-    """Max deviation of the Born-rule expectation and the per-cell collapse
-    values over random amplitude/observable draws."""
-    rng = np.random.default_rng(seed)
-    n = f.n
-    e_expect = 0.0
-    e_cond = 0.0
-    for _ in range(RECONSTRUCTION_DRAWS):
-        c = rng.normal(size=n) + 1j * rng.normal(size=n)
-        c /= np.linalg.norm(c)
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        herm = (raw + raw.conj().T) / 2
-        herm /= max(1.0, np.linalg.norm(herm, ord=2))
-        A = ObservableS(matrix=herm)
-        born = float(np.sum(np.abs(c) ** 2 * np.diag(A.matrix).real))
-        e_expect = max(e_expect, abs(expectation_s(f, c, A) - born))
-        w = pointer_weights(f, c)
-        for alpha in range(n):
-            if w[alpha] <= 1e-9:
-                continue
-            target = float(A.matrix[pmap.phi[alpha], pmap.phi[alpha]].real)
-            e_cond = max(e_cond, abs(conditional_expectation(f, c, A, alpha) - target))
-    return e_expect, e_cond
+def _residual_matrices(f: FTensor, pmap: PointerMap, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermitian matrices whose trace norms are the reconstruction residuals at
+    the amplitudes ``c``: ``M_E``, the Hermitian part of ``[c_r conj(c_s) T[r, s]] -
+    diag(|c|^2)`` on the trace product ``T[r, s] = sum_alpha F[r, s, alpha]``, and
+    per cell ``M[alpha]``, that of ``[c_r conj(c_s) F[r, s, alpha]] / w_alpha -
+    E_phi(alpha)phi(alpha)``; with the mask of the cells whose weight exceeds
+    ``WEIGHT_FLOOR``, the cells one may condition on.  No diagonal entry is a
+    difference of rounded terms: ``M_E``'s are ``|c_r|^2 (T[r, r] - 1)``, and
+    ``M[alpha]``'s at ``phi(alpha)`` minus the others, as ``w_alpha`` is their sum."""
+    vec = np.asarray(c, dtype=complex)
+    w = pointer_weights(f, vec)
+    live = w > WEIGHT_FLOOR
+    V, n = f.values, f.n
+    G = np.outer(vec, vec.conj())[:, :, None] * (V + V.conj().transpose(1, 0, 2)) / 2
+    m_expect = G.sum(axis=2)
+    m_expect[np.diag_indices(n)] = np.abs(vec) ** 2 * (np.einsum("rra->r", V).real - 1.0)
+    M = G.transpose(2, 0, 1) / np.where(live, w, 1.0)[:, None, None]
+    cells, phi = np.arange(n), np.array(pmap.phi)
+    diag = np.einsum("arr->ar", M).real
+    M[cells, phi, phi] = -np.where(cells != phi[:, None], diag, 0.0).sum(axis=1)
+    return m_expect, M, live
 
 
-def check_exact_condition(f: FTensor, pmap: PointerMap, seed: int = 20) -> ExactConditionResult:
+def reconstruction_residuals(f: FTensor, pmap: PointerMap, c,
+                             log_trace: np.ndarray | None = None) -> tuple[float, float]:
+    """log of the two reconstruction residuals at the amplitudes ``c``, each the
+    supremum over Hermitian observables ``A`` with ``||A|| <= 1``: of ``|E(A) -
+    sum_r |c_r|^2 A[r, r]|``, and over the cells of weight above ``WEIGHT_FLOOR``,
+    of ``|E(A | alpha) - A[phi(alpha), phi(alpha)]|`` (``-inf`` if no cell has that
+    weight).  Each deviation is ``Tr(A M)`` for a Hermitian ``M`` of
+    ``_residual_matrices``, so its supremum is the trace norm ``||M||_1``, attained at
+    ``A = sign(M)`` (Bhatia, Matrix Analysis, GTM 169, IV.2).
+
+    At n = 2 both come in closed form from the log magnitudes, so they stay finite
+    where the values underflow.  A cell's ``M`` is ``[[-x, b], [conj(b), x]]`` up to
+    the order of its rows, with ``x = |c_s|^2 F[s, s, alpha] / w_alpha`` and ``b =
+    c_r conj(c_s) F[r, s, alpha] / w_alpha`` for ``r = phi(alpha)`` and ``s`` the
+    other microstate, so ``||M||_1 = 2 sqrt(x^2 + |b|^2)``; ``M_E`` is ``[[a_0,
+    beta], [conj(beta), a_1]]``, ``a_r = |c_r|^2 (T[r, r] - 1)`` and ``beta = c_0
+    conj(c_1) T[0, 1]`` on the trace product ``T[r, s] = sum_alpha F[r, s, alpha]``,
+    with ``||M_E||_1 = max(|a_0 + a_1|, sqrt((a_0 - a_1)^2 + 4 |beta|^2))``.
+    ``log_trace`` is ``log |T|``: by default from the values, and a log-space
+    backend passes its own.  Above n = 2, ``eigvalsh`` of each ``M`` in linear space.
+    """
+    if f.n != 2:
+        m_expect, M, live = _residual_matrices(f, pmap, c)
+        with np.errstate(divide="ignore"):
+            return (float(np.log(np.abs(np.linalg.eigvalsh(m_expect)).sum())),
+                    float(np.log(np.abs(np.linalg.eigvalsh(M[live])).sum(axis=1).max(initial=0.0))))
+    vec = np.asarray(c, dtype=complex)
+    live = pointer_weights(f, vec) > WEIGHT_FLOOR
+    cells, phi = np.arange(2), np.array(pmap.phi)
+    other = 1 - phi
+    lm = f.log_magnitude
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if log_trace is None:
+            log_trace = np.log(np.abs(f.values.sum(axis=2)))
+        log_c = np.log(np.abs(vec))
+        terms = 2 * log_c[:, None] + lm[cells, cells]  # log |c_r|^2 F[r, r, alpha]
+        log_w = np.logaddexp(terms[0], terms[1])
+        log_x = terms[other, cells] - log_w
+        log_b = log_c.sum() + lm[phi, other, cells] - log_w
+        log_cond = math.log(2.0) + 0.5 * np.logaddexp(2 * log_x, 2 * log_b)
+        a = np.abs(vec) ** 2 * np.expm1(np.diagonal(log_trace))
+        log_beta = log_c.sum() + log_trace[0, 1]
+        log_expect = max(np.log(abs(a.sum())),
+                         0.5 * np.logaddexp(2 * np.log(abs(a[0] - a[1])), math.log(4.0) + 2 * log_beta))
+    return float(log_expect), float(np.where(live, log_cond, -np.inf).max())
+
+
+def check_exact_condition(f: FTensor, pmap: PointerMap,
+                          log_residuals: tuple[float, float]) -> ExactConditionResult:
     """Test the exact measurement condition and its structural consequences.
 
     Satisfied iff every assigned diagonal entry is 1 to ``1e-10``.  The result
     also reports how far the tensor is from the perfect-measurement form and
-    how well the reduction and pointer-collapse reconstructions hold on
-    random draws; for a satisfied tensor both are at roundoff.
+    the reconstruction residuals ``log_residuals`` of
+    ``reconstruction_residuals``; for a satisfied tensor both are at roundoff.
     """
     diag = f.diagonal()
     inv = pmap.inverse
     residual = max(abs(1.0 - diag[r, inv[r]]) for r in range(f.n))
     ideal_residual = float(np.abs(f.values - ideal_tensor(pmap)).max())
-    recon = _reconstruction_residuals(f, pmap, seed)
     return ExactConditionResult(
         satisfied=bool(residual < EXACT_CONDITION_TOL),
         residual=float(residual),
         ideal_residual=ideal_residual,
-        von_neumann_residuals=recon,
+        log_residuals=tuple(map(float, log_residuals)),
     )
 
 
 def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
-                             seed: int = 20) -> MeasurementVerdict:
+                             log_residuals: tuple[float, float]) -> MeasurementVerdict:
     """Test the exponential condition ``max_r error_r <= exp(-c N)`` as ``max_r log
     error_r <= -c N``, which cannot pass as ``0 <= 0`` once both sides underflow.
 
-    Also reports the reconstruction residuals together with the constant K
-    such that they equal ``K * exp(-c N / 2)``; K is reported, not asserted.
+    Also reports the reconstruction residuals ``log_residuals`` of
+    ``reconstruction_residuals`` with the constant K such that the larger equals
+    ``K * exp(-c N / 2)``, as ``log K = log(max residual) + c N / 2``; K is
+    reported, not asserted.
     """
     if N < 1:
         raise PreconditionError("particle count must be at least 1")
@@ -288,19 +343,17 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
         raise PreconditionError("decay constant must be positive")
     diag, inverse = f.diagonal(), pmap.inverse
     eps, log_eps = pointer_errors(diag, inverse), log_pointer_errors(f.log_magnitude, inverse)
-    recon = _reconstruction_residuals(f, pmap, seed)
-    worst = max(recon)
-    half_bound = math.exp(-c * N / 2.0)
-    correction = worst / half_bound if half_bound > 0 else math.inf
-    log_correction = (math.log(worst) if worst > 0 else -math.inf) + c * N / 2.0
+    log_correction = max(log_residuals) + c * N / 2.0
+    with np.errstate(over="ignore"):
+        correction = float(np.exp(log_correction))
     return MeasurementVerdict(
         errors=tuple(float(e) for e in eps),
         log_errors=tuple(float(e) for e in log_eps),
         N=int(N),
         bound_constant=float(c),
         satisfied=bool(log_eps.max() <= -c * N),
-        von_neumann_residuals=recon,
-        correction_constant=float(correction),
+        log_residuals=tuple(map(float, log_residuals)),
+        correction_constant=correction,
         log_correction_constant=float(log_correction),
     )
 

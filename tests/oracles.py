@@ -255,6 +255,23 @@ def decimal_sector_cells(spec, r: int, s: int, digits: int = 50):
     ``(log magnitude, phase)`` of the "-" and "+" magnetisation-sign cells,
     energy phase included; an exactly zero cell is ``(-inf, 0)``.
     """
+    ctx = decimal.Context(prec=digits, Emin=-10 ** 9, Emax=10 ** 9)
+    energy = (spec.energies[s] - spec.energies[r]) * spec.t
+    out = []
+    with decimal.localcontext(ctx):
+        for re, im in _decimal_cells(spec, r, s, digits):
+            mag = (re * re + im * im).sqrt()
+            if mag == 0:
+                out.append((-math.inf, 0.0))
+                continue
+            out.append((float(mag.ln()), math.atan2(float(im / mag), float(re / mag)) + energy))
+    return out
+
+
+def _site_factor(spec, r: int, s: int):
+    """``rho -> A_r^dag rho A_s`` for the site states of a fully traversed chain:
+    ``A_1`` the rotation ``exp(i theta sigma_x / 2)`` (the exact flip at pi) and
+    ``A_0`` the identity, in double precision."""
     half = spec.theta / 2
     rot = np.array([[math.cos(half), 1j * math.sin(half)],
                     [1j * math.sin(half), math.cos(half)]])
@@ -262,9 +279,16 @@ def decimal_sector_cells(spec, r: int, s: int, digits: int = 50):
         rot = np.array([[0, 1j], [1j, 0]])  # the exact flip, as the package defines it
     a = rot if r == 1 else np.eye(2)
     b = rot if s == 1 else np.eye(2)
+    return lambda rho: a.conj().T @ rho @ b
+
+
+def _decimal_cells(spec, r: int, s: int, digits: int):
+    """The "-" and "+" cell sums of ``decimal_sector_cells`` as complex decimals
+    ``(re, im)``, energy phase left out."""
+    factor = _site_factor(spec, r, s)
 
     def diagonal(rho):
-        x = a.conj().T @ rho @ b
+        x = factor(rho)
         return [(D(z.real), D(z.imag)) for z in (complex(x[0, 0]), complex(x[1, 1]))]
 
     def mul(x, y):
@@ -317,15 +341,58 @@ def decimal_sector_cells(spec, r: int, s: int, digits: int = 50):
         for i, c in enumerate(poly):
             for j, coeff in enumerate(bulk):
                 cells[i + j >= h] = add(cells[i + j >= h], mul(c, coeff))
-        energy = (spec.energies[s] - spec.energies[r]) * spec.t
-        out = []
-        for re, im in cells:
-            mag = (re * re + im * im).sqrt()
-            if mag == 0:
-                out.append((-math.inf, 0.0))
-                continue
-            out.append((float(mag.ln()), math.atan2(float(im / mag), float(re / mag)) + energy))
-    return out
+    return cells
+
+
+def decimal_log_residuals(spec, amplitudes, digits: int = 50) -> tuple[float, float]:
+    """log of the worst-case reconstruction residuals (expectation, conditional) of
+    a fully traversed chain without overrides at the amplitudes ``c``, in
+    ``digits``-digit decimals.
+
+    Each is the trace norm, ``|l+| + |l-|`` from the eigenvalues ``l = (a + d) / 2
+    +- sqrt(((a - d) / 2)^2 + |b|^2)`` of a Hermitian ``[[a, b], [conj(b), d]]``.
+    The conditional one, for the cell alpha assigned to microstate p (q the
+    other), is the largest over the cells of ``[c_r conj(c_s) F[r, s, alpha]] /
+    w_alpha - E_pp``, whose entry at p is written ``-|c_q|^2 F[q, q, alpha] /
+    w_alpha``: ``w_alpha`` is the sum of both diagonal entries, and the
+    difference would cancel far past any fixed precision.  The cells are the
+    decimal sums of ``decimal_sector_cells``.  The expectation one is that of
+    ``[c_r conj(c_s) T[r, s]] - diag(|c|^2)`` on the trace product ``T[r, s] =
+    prod_k Tr(A_r^dag rho_k A_s)``, each site trace summed in decimals from its
+    double entries, except that a diagonal sector's is the double ``Tr rho_k``,
+    as in ``decimal_sector_cells``.  ``-inf`` for a residual that is exactly 0.
+    """
+    D = decimal.Decimal
+    ctx = decimal.Context(prec=digits, Emin=-10 ** 9, Emax=10 ** 9)
+    rho = np.diag([(1 + spec.m0) / 2, (1 - spec.m0) / 2])
+    with decimal.localcontext(ctx):
+        def norm(z):
+            return (z[0] * z[0] + z[1] * z[1]).sqrt()
+
+        def trace_norm(a, b, d):
+            mean, radius = (a + d) / 2, (((a - d) / 2) ** 2 + b * b).sqrt()
+            return abs(mean + radius) + abs(mean - radius)
+
+        def log(x):
+            return float(x.ln()) if x else -math.inf
+
+        F = {(r, s): [norm(z) for z in _decimal_cells(spec, r, s, digits)]
+             for r in range(2) for s in range(2)}
+        c2 = [D(abs(complex(a))) ** 2 for a in amplitudes]
+        phi = (1, 0) if F[1, 1][0] + F[0, 0][1] > F[0, 0][0] + F[1, 1][1] else (0, 1)
+        conditional = []
+        for alpha, p in enumerate(phi):
+            q = 1 - p
+            w = c2[0] * F[0, 0][alpha] + c2[1] * F[1, 1][alpha]
+            if w > D("1e-12"):
+                x = c2[q] * F[q, q][alpha] / w
+                b = (c2[0] * c2[1]).sqrt() * F[p, q][alpha] / w
+                conditional.append(trace_norm(-x, b, x))
+        x = _site_factor(spec, 0, 1)(rho)
+        cross = norm((D(x[0, 0].real) + D(x[1, 1].real), D(x[0, 0].imag) + D(x[1, 1].imag))) ** spec.N
+        a = [c2[r] * (D(float(np.trace(rho).real)) ** spec.N - 1) for r in range(2)]
+        expectation = trace_norm(a[0], (c2[0] * c2[1]).sqrt() * cross, a[1])
+        return log(expectation), log(max(conditional, default=D(0)))
 
 
 def kl_bernoulli(q: float, p: float) -> float:

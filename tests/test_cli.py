@@ -121,9 +121,11 @@ class TestRun:
         assert err.count("config error:") >= 2
 
     def test_weakened_verdict_keeps_its_log_values(self, workdir):
-        # at N = 10000 the pointer errors underflow and K = max residual /
-        # exp(-c N / 2) overflows; the log-space values must stay finite
-        # and agree with the float ones wherever those are in range
+        # at N = 10000 the pointer errors underflow; the log-space values must
+        # stay finite and agree with the float ones wherever those are in range.
+        # At theta = pi the cross sectors are exact zeros, so the expectation
+        # residual is exactly 0; the conditional one, of order exp(-c N), sets
+        # log K near -c N / 2, finite where K underflows to 0
         for N in (200, 10000):
             cfg = write_config(workdir, BASE.replace("N = 4", f"N = {N}"))
             out = workdir / f"out{N}"
@@ -134,18 +136,45 @@ class TestRun:
             c = float(pointer["weakened_c_reference"])
             errors = [float(e) for e in pointer["pointer_errors"].split(",")]
             log_errors = [float(e) for e in pointer["log_pointer_errors"].split(",")]
+            log_expect = float(pointer["log_reconstruction_residual_expectation"])
+            log_cond = float(pointer["log_reconstruction_residual_conditional"])
             log_k = float(pointer["log_correction_constant"])
             assert len(log_errors) == 2 and np.all(np.isfinite(log_errors))
-            assert np.isfinite(log_k)
             assert max(log_errors) <= -c * N
+            assert log_expect == -np.inf and float(pointer["reconstruction_residual_expectation"]) == 0.0
+            assert np.isfinite(log_cond) and np.isfinite(log_k)
+            assert log_k == pytest.approx(max(log_expect, log_cond) + c * N / 2, rel=1e-12)
+            assert float(pointer["correction_constant"]) == np.exp(log_k)
             if N == 10000:
                 assert errors == [0.0, 0.0]
-                assert float(pointer["correction_constant"]) == np.inf
+                assert float(pointer["reconstruction_residual_conditional"]) == 0.0
             else:
                 assert np.allclose(np.exp(log_errors), errors, rtol=1e-12, atol=0.0)
+                assert float(pointer["reconstruction_residual_conditional"]) == np.exp(log_cond)
                 assert log_k == pytest.approx(
                     np.log(float(pointer["correction_constant"])), abs=1e-12)
 
+    def test_log_correction_constant_falls_with_N_at_pi(self, workdir):
+        # log K = log(max residual) + c N / 2 with the conditional residual near
+        # exp(-c N): it falls about as -c N / 2, finite where K underflows
+        log_k = []
+        for N in (400, 2000, 10_000, 100_000):
+            cfg = write_config(workdir, BASE.replace("N = 4", f"N = {N}"))
+            assert run_cli("run", "--config", cfg, "--out", workdir / f"out{N}") == 0
+            text = (workdir / f"out{N}" / "report.txt").read_text(encoding="utf-8")
+            sections, _ = tokenize_kv("\n".join(text.splitlines()[1:]))
+            assert np.isfinite(float(sections["pointer"]["log_reconstruction_residual_conditional"]))
+            log_k.append(float(sections["pointer"]["log_correction_constant"]))
+        assert np.all(np.isfinite(log_k)) and np.all(np.diff(log_k) <= 0.0), log_k
+
+    def test_scipy_version_is_the_installed_one(self, workdir):
+        from importlib.metadata import version
+
+        assert runner._scipy_version() == version("scipy")
+        cfg = write_config(workdir, BASE)
+        assert run_cli("run", "--config", cfg, "--out", workdir / "out") == 0
+        text = (workdir / "out" / "report.txt").read_text(encoding="utf-8")
+        assert f"scipy_version = {version('scipy')}" in text.splitlines()
 
     @pytest.mark.parametrize("N", [200_000, 1_000_000])
     def test_chain_beyond_two_hundred_thousand_sites(self, workdir, N):
@@ -646,6 +675,28 @@ def generic_workdir(tmp_path):
     return tmp_path, (K, (V0, V1), omega)
 
 
+def _without_config_hash(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("config_sha256 = ")]
+
+
+def test_seed_does_not_reach_the_report(workdir, generic_workdir):
+    # run draws nothing at random: at seeds 7 and 8 every [pointer] line, and
+    # every other line but the config hash, is the same byte for byte
+    reports = {}
+    for seed in (7, 8):
+        for name, text in (("chain", BASE), ("generic", GENERIC.replace("seed = 1", "seed = 7"))):
+            cfg = write_config(workdir, text.replace("seed = 7", f"seed = {seed}"), f"{name}{seed}.cfg")
+            assert run_cli("run", "--config", cfg, "--out", workdir / f"{name}{seed}") == 0
+            reports[name, seed] = (workdir / f"{name}{seed}" / "report.txt").read_text(encoding="utf-8")
+    for name in ("chain", "generic"):
+        first, second = reports[name, 7], reports[name, 8]
+        assert first != second
+        assert _without_config_hash(first) == _without_config_hash(second)
+        pointer = first[first.index("[pointer]"):].split("\n\n[", 1)[0]
+        assert "log_reconstruction_residual_conditional = " in pointer
+        assert pointer in second
+
+
 class TestGenericDense:
     def test_nan_in_omega_fails_with_nothing_written(self, generic_workdir, capsys):
         workdir, (_, _, omega) = generic_workdir
@@ -875,7 +926,7 @@ DELETED = [
     (coleman_hepp, ("diagonal_sector_product",)),
     (coleman_hepp.ChainSpec, ("with_overrides",)),
     (runner, ("_sector_family",)),
-    (verify, ("stability_test", "RunModel")),
+    (verify, ("stability_test", "RunModel", "RECONSTRUCTION_DRAWS", "_reconstruction_residuals")),
     (errors, ("NonLocalPerturbationError",)),
 ]
 

@@ -11,8 +11,10 @@ from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     build_dense,
     factorized_f_tensor,
+    log_trace_products,
     polarized_site,
     traversal_family,
+    traversal_schedule,
 )
 from pointer_cell_sim.errors import (
     AmbiguousPointerError,
@@ -23,6 +25,7 @@ from pointer_cell_sim.errors import (
 )
 from pointer_cell_sim.verify import (
     ENUMERATION_MAX,
+    _residual_matrices,
     TIE_EPSILON,
     PointerMap,
     check_exact_condition,
@@ -34,12 +37,18 @@ from pointer_cell_sim.verify import (
     log_pointer_errors,
     pointer_errors,
     pointer_maps,
+    reconstruction_residuals,
     stability_verdict,
 )
 
-from oracles import judge_tensor, kl_bernoulli
+from oracles import decimal_log_residuals, judge_tensor, kl_bernoulli
 
 BOUNDARY_RATE = kl_bernoulli(0.5, 0.8)
+
+
+def residuals(f, pm):
+    """The reconstruction residuals at equal amplitudes."""
+    return reconstruction_residuals(f, pm, np.full(f.n, f.n ** -0.5))
 
 
 def ideal_f(phi):
@@ -307,7 +316,7 @@ class TestExactCondition:
         phi = tuple(rng.permutation(3))
         f = ideal_f(phi)
         pm = find_pointer_map(f)
-        res = check_exact_condition(f, pm)
+        res = check_exact_condition(f, pm, residuals(f, pm))
         assert res.satisfied
         assert res.residual == 0.0
         assert res.ideal_residual == 0.0
@@ -319,7 +328,7 @@ class TestExactCondition:
         f = diag_f(rows)
         for phi in ((0, 1), (1, 0)):
             pm = PointerMap(phi=phi, confidence=(0.0, 0.0))
-            res = check_exact_condition(f, pm)
+            res = check_exact_condition(f, pm, residuals(f, pm))
             assert not res.satisfied
 
     def test_finite_chain_close_but_not_exact(self):
@@ -327,7 +336,7 @@ class TestExactCondition:
         micro, app = build_dense(spec)
         f = core.f_tensor(core.evolve_sectors(micro, app, spec.t), app.cells)
         pm = find_pointer_map(f)
-        res = check_exact_condition(f, pm)
+        res = check_exact_condition(f, pm, residuals(f, pm))
         assert not res.satisfied
         assert res.residual < 0.01
 
@@ -337,7 +346,7 @@ class TestExactCondition:
             phi = tuple(int(x) for x in rng.permutation(3))
             f = gram_tensor(phi, delta=0.0, rng=rng)
             pm = find_pointer_map(f)
-            res = check_exact_condition(f, pm)
+            res = check_exact_condition(f, pm, residuals(f, pm))
             assert res.satisfied
             assert np.abs(f.values - ideal_tensor(pm)).max() < 1e-12
 
@@ -349,12 +358,127 @@ class TestExactCondition:
         assert not core.check_f_properties(f).passed
 
 
+def trace_norm_residuals(f, pm, c):
+    """The residuals as ``eigvalsh`` gives the trace norms of ``_residual_matrices``."""
+    m_expect, M, live = _residual_matrices(f, pm, c)
+    return (np.abs(np.linalg.eigvalsh(m_expect)).sum(),
+            np.abs(np.linalg.eigvalsh(M[live])).sum(axis=1).max(initial=0.0))
+
+
+def assert_log_close(got, ref, rel=1e-12):
+    # an exact zero must read -inf; anything else must match in relative terms
+    if ref == 0.0:
+        assert got == -np.inf
+    else:
+        assert math.exp(got) == pytest.approx(ref, rel=rel, abs=0.0)
+
+
+def chain_cases():
+    for N in (1, 2, 5, 8, 13, 21, 34, 60):
+        for theta in (math.pi, 2.9, 2.2, 1.7):
+            for fraction in (1.0, 0.75, 0.5):
+                spec = ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.4))
+                f = traversal_schedule(spec, fraction)
+                try:
+                    pm = find_pointer_map(f)
+                except AmbiguousPointerError:
+                    continue
+                yield spec, fraction, f, pm
+
+
+CHAIN_AMPLITUDES = ((0.6, 0.8), (0.8, 0.6j), (1.0, 0.0))
+
+
+class TestReconstructionResiduals:
+    def test_closed_form_matches_eigvalsh_on_random_dense_instances(self, rng):
+        seen = set()
+        for i in range(40):
+            micro, app, t = instances.random_dense_instance(rng, rotated_cells=bool(i % 2))
+            f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
+            pm = find_pointer_map(f)
+            c = instances.random_amplitudes(rng, f.n)
+            for got, ref in zip(reconstruction_residuals(f, pm, c), trace_norm_residuals(f, pm, c)):
+                assert_log_close(got, ref)
+            seen.add(f.n)
+        assert seen == {2, 3, 4}
+
+    def test_closed_form_matches_eigvalsh_on_chains(self):
+        for spec, fraction, f, pm in chain_cases():
+            for c in CHAIN_AMPLITUDES:
+                for got, ref in zip(reconstruction_residuals(f, pm, c), trace_norm_residuals(f, pm, c)):
+                    assert_log_close(got, ref)
+                # the chain's own trace products leave the conditional residual alone
+                assert (reconstruction_residuals(f, pm, c, log_trace_products(spec, fraction))[1]
+                        == reconstruction_residuals(f, pm, c)[1])
+
+    def test_chain_trace_products_match_the_cell_sums(self):
+        for spec, fraction, f, pm in chain_cases():
+            lt = log_trace_products(spec, fraction)
+            total = f.values.sum(axis=2)
+            finite = total != 0
+            assert np.array_equal(np.isneginf(lt), ~finite)
+            assert_allclose(lt[finite], np.log(np.abs(total[finite])), rtol=1e-12, atol=1e-13)
+
+    @staticmethod
+    def assert_attained(f, pm, c):
+        """The observables ``sign(M)`` reach each reported residual: it is the supremum."""
+        log_expect, log_cond = reconstruction_residuals(f, pm, c)
+        m_expect, M, live = _residual_matrices(f, pm, c)
+
+        def sign(m):
+            lam, vec = np.linalg.eigh(m)
+            return core.ObservableS(matrix=(vec * np.sign(lam)) @ vec.conj().T)
+
+        A = sign(m_expect)
+        born = float(np.sum(np.abs(c) ** 2 * np.diag(A.matrix).real))
+        assert abs(core.expectation_s(f, c, A) - born) == pytest.approx(math.exp(log_expect), rel=1e-12)
+        reached = max(abs(core.conditional_expectation(f, c, sign(M[alpha]), alpha)
+                          - sign(M[alpha]).matrix[pm.phi[alpha], pm.phi[alpha]].real)
+                      for alpha in np.flatnonzero(live).tolist())
+        assert reached == pytest.approx(math.exp(log_cond), rel=1e-12)
+
+    def test_residual_is_attained_on_random_dense_instances(self, rng):
+        for i in range(20):
+            micro, app, t = instances.random_dense_instance(rng, rotated_cells=bool(i % 2))
+            f = core.f_tensor(core.evolve_sectors(micro, app, t), app.cells)
+            self.assert_attained(f, find_pointer_map(f), instances.random_amplitudes(rng, f.n))
+
+    @pytest.mark.parametrize("N", [2, 4, 6])
+    def test_residual_is_attained_on_chains(self, N):
+        for fraction in (1.0, 0.5):
+            f = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=2.2, energies=(0.3, -0.4)), fraction)
+            for c in CHAIN_AMPLITUDES[:2]:
+                self.assert_attained(f, find_pointer_map(f), np.array(c, dtype=complex))
+
+    @pytest.mark.parametrize("N, theta", [(2000, 2.2), (2000, math.pi), (100_000, math.pi)])
+    def test_log_residuals_match_the_decimal_reference(self, N, theta):
+        # far below the double floor: the conditional residual near exp(-c N),
+        # the expectation one |cos(theta / 2)|^N, exactly 0 at pi
+        spec = ChainSpec(N=N, m0=0.6, theta=theta)
+        f = factorized_f_tensor(spec)
+        got = reconstruction_residuals(f, find_pointer_map(f), (0.6, 0.8), log_trace_products(spec, 1.0))
+        ref = decimal_log_residuals(spec, (0.6, 0.8))
+        assert np.isfinite(got[1]) and (got[0] == -np.inf) == (theta == math.pi)
+        for g, r in zip(got, ref):
+            assert g == r or abs(g - r) <= 1e-12 * abs(r), (got, ref)
+
+    def test_null_cells_are_left_out(self):
+        # with c = (1, 0), cell 1 weighs 1e-14: conditioned on, its residual
+        # would be 2, as all of its weight lies off its microstate; cell 0's is 0
+        f = diag_f([[1 - 1e-14, 1e-14], [0.5, 0.5]])
+        pm = find_pointer_map(f)
+        assert pm.phi == (0, 1)
+        assert core.pointer_weights(f, (1.0, 0.0))[1] <= core.WEIGHT_FLOOR
+        assert reconstruction_residuals(f, pm, (1.0, 0.0))[1] == -np.inf
+        assert trace_norm_residuals(f, pm, (1.0, 0.0))[1] == 0.0
+
+
 class TestWeakenedCondition:
     def test_ideal_satisfies_any_constant(self):
         f = ideal_f([1, 0])
         pm = find_pointer_map(f)
         for c in (0.1, 1.0, 10.0):
-            verdict = check_weakened_condition(f, pm, N=50, c=c)
+            verdict = check_weakened_condition(f, pm, N=50, c=c, log_residuals=residuals(f, pm))
             assert verdict.satisfied
             assert verdict.errors == (0.0, 0.0)
 
@@ -363,13 +487,13 @@ class TestWeakenedCondition:
             f = factorized_f_tensor(ChainSpec(N=N, m0=1.0))
             pm = find_pointer_map(f)
             assert tuple(pointer_errors(f.diagonal(), pm.inverse)) == (0.0, 0.0)
-            assert check_weakened_condition(f, pm, N=N, c=5.0).satisfied
+            assert check_weakened_condition(f, pm, N=N, c=5.0, log_residuals=residuals(f, pm)).satisfied
 
     def test_chain_satisfies_half_analytic_rate(self):
         N = 200
         f = factorized_f_tensor(ChainSpec(N=N, m0=0.6))
         pm = find_pointer_map(f)
-        verdict = check_weakened_condition(f, pm, N=N, c=BOUNDARY_RATE / 2)
+        verdict = check_weakened_condition(f, pm, N=N, c=BOUNDARY_RATE / 2, log_residuals=residuals(f, pm))
         assert verdict.satisfied
         assert max(verdict.errors) <= math.exp(-BOUNDARY_RATE / 2 * N)
 
@@ -379,20 +503,22 @@ class TestWeakenedCondition:
         N = 5000
         f = factorized_f_tensor(ChainSpec(N=N, m0=0.6))
         pm = find_pointer_map(f)
+        res = residuals(f, pm)
         assert pointer_errors(f.diagonal(), pm.inverse).max() == 0.0
-        assert not check_weakened_condition(f, pm, N=N, c=2 * BOUNDARY_RATE).satisfied
-        assert check_weakened_condition(f, pm, N=N, c=BOUNDARY_RATE / 2).satisfied
+        assert not check_weakened_condition(f, pm, N=N, c=2 * BOUNDARY_RATE, log_residuals=res).satisfied
+        assert check_weakened_condition(f, pm, N=N, c=BOUNDARY_RATE / 2, log_residuals=res).satisfied
         log_eps = log_pointer_errors(f.log_magnitude, pm.inverse).max()
-        assert check_weakened_condition(f, pm, N=N, c=-log_eps / N * (1 - 1e-9)).satisfied
-        assert not check_weakened_condition(f, pm, N=N, c=-log_eps / N * (1 + 1e-9)).satisfied
+        at_the_rate = -log_eps / N
+        assert check_weakened_condition(f, pm, N=N, c=at_the_rate * (1 - 1e-9), log_residuals=res).satisfied
+        assert not check_weakened_condition(f, pm, N=N, c=at_the_rate * (1 + 1e-9), log_residuals=res).satisfied
 
     def test_precondition_checks(self):
         f = ideal_f([0, 1])
         pm = find_pointer_map(f)
         with pytest.raises(PreconditionError):
-            check_weakened_condition(f, pm, N=0, c=1.0)
+            check_weakened_condition(f, pm, N=0, c=1.0, log_residuals=residuals(f, pm))
         with pytest.raises(PreconditionError):
-            check_weakened_condition(f, pm, N=10, c=0.0)
+            check_weakened_condition(f, pm, N=10, c=0.0, log_residuals=residuals(f, pm))
 
 
 class TestDecayFit:
