@@ -171,9 +171,9 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
         raise StructuralError("rotated site count outside the chain")
     micro = MicroSystem(energies=spec.energies, labels=MICRO_LABELS)
     dim = 2 ** spec.N
-    zero = np.zeros(dim, dtype=complex)  # both K and the spin-up coupling
+    zero = np.zeros(dim)  # both K and the spin-up coupling
     zero.setflags(write=False)
-    v_minus = np.zeros((dim, dim), dtype=complex)
+    v_minus = np.zeros((dim, dim))
     coeff = spec.theta / (2.0 * spec.t)
     # sigma_x on site k flips bit N-1-k of the basis index (site 0 is the
     # most significant factor of the Kronecker order)
@@ -197,7 +197,8 @@ class FactorizedSectorOverlap:
     :class:`BinomialBlock`.  ``a = (lm, ph)`` is everything else as one
     log-coded polynomial: the override sites, ``[1]`` for a plain chain and
     k + 1 terms for k overrides, and in a partial traversal also the shorter
-    bulk block, which ``a_has_bulk`` marks.  The product itself is never
+    bulk block, which ``a_has_bulk`` marks.  ``a_total`` is the log-coded sum
+    of ``a``, the product of its factors' sums.  The product itself is never
     formed: ``traversal_family`` sums every size's ``cell_terms`` at once.
     A diagonal sector at full traversal is also what ``ldp`` reads its rate
     functions from (``coarse_ldp.estimate_rate``), at every chain size.
@@ -207,11 +208,11 @@ class FactorizedSectorOverlap:
     b: BinomialBlock
     global_phase: float
     a_has_bulk: bool = False
+    a_total: tuple[float, float] = (0.0, 0.0)
 
     def dp_total(self) -> tuple[float, float]:
-        """Sum over every up-count: the product of the per-site traces."""
-        lm_a, ph_a = lc_sum_rows(*self.a)
-        return lm_a + self.b.log_total(), ph_a + self.b.phase
+        """Sum over every up-count: the product of the per-site traces, factor by factor."""
+        return self.a_total[0] + self.b.log_total(), self.a_total[1] + self.b.phase
 
     def cell_terms(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Log-coded terms of the two cell sums over a two-cell partition.
@@ -319,7 +320,7 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     override sites, in site order, and then the other block are convolved
     into ``a`` in log space.  ``diagonals`` is ``_site_diagonals(spec)``, and
     ``memo`` keeps, for specs differing in N, the pair's bulk block makers and
-    energy phase, and its override sites' product per set of rotated sites.
+    energy phase, and its override sites' product and its sum per set of rotated sites.
     """
     if rotated_count is None:
         rotated_count = spec.N
@@ -343,13 +344,18 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     blocks = sorted((make(size) for size, make in groups if size), key=lambda block: block.size)
     b = blocks.pop() if blocks else _binomial_block(0, 0.0, 1.0)
     if (r, s, rotated) not in memo:
-        memo[r, s, rotated] = [reduce(lc_convolve, [
-            _group_polynomial(1, *diagonals[k][r == 1 and k in rotated][s == 1 and k in rotated])
-            for k in override_sites])] if override_sites else []
-    polys = memo[r, s, rotated] + [
-        (block.log_magnitudes(), np.full(block.size + 1, block.phase)) for block in blocks]
+        sites = [diagonals[k][r == 1 and k in rotated][s == 1 and k in rotated] for k in override_sites]
+        # a site's factor sums to its trace, in a diagonal sector Tr rho_k, which the rotation keeps
+        traces = [sum(diagonals[k][0][0] if r == s else d) for k, d in zip(override_sites, sites)]
+        polys = [reduce(lc_convolve, [_group_polynomial(1, *d) for d in sites])] if sites else []
+        memo[r, s, rotated] = (polys, sum(math.log(abs(z)) if z else -math.inf for z in traces),
+                               sum(cmath.phase(z) for z in traces))
+    polys, lm, ph = memo[r, s, rotated]
+    for block in blocks:  # at most one: the shorter bulk block of a partial traversal
+        polys = polys + [(block.log_magnitudes(), np.full(block.size + 1, block.phase))]
+        lm, ph = lm + block.log_total(), ph + block.phase
     a = reduce(lc_convolve, polys) if polys else (np.zeros(1), np.zeros(1))
-    return FactorizedSectorOverlap(a=a, b=b, global_phase=delta_e, a_has_bulk=bool(blocks))
+    return FactorizedSectorOverlap(a=a, b=b, global_phase=delta_e, a_has_bulk=bool(blocks), a_total=(lm, ph))
 
 
 def factorized_f_tensor(spec: ChainSpec) -> FTensor:

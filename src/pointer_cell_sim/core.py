@@ -41,8 +41,9 @@ DENSE_CAP = 2 ** 14
 _TILE = 64
 
 
-def _as_complex_matrix(m, name: str, vector_ok: bool = False) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+def _as_operator(m, name: str, vector_ok: bool = False) -> np.ndarray:
+    a = np.asarray(m)
+    a = a.astype(np.result_type(a, float), copy=False)  # float64 if real, else complex128
     if not (vector_ok and a.ndim == 1) and (a.ndim != 2 or a.shape[0] != a.shape[1]):
         raise StructuralError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
@@ -143,7 +144,7 @@ class ObservableS:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _as_complex_matrix(self.matrix, "observable")
+        a = _as_operator(self.matrix, "observable")
         _check_hermitian(a, "observable")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
@@ -235,7 +236,8 @@ class Apparatus:
     """Finite-dimensional apparatus: free Hamiltonian, sector couplings,
     initial state and phase-cell partition.  Each of ``K``, ``V[r]`` and
     ``Omega`` is a square matrix or a 1-D array, which stands for the diagonal
-    matrix it holds and meets the same gates with the same numbers."""
+    matrix it holds and meets the same gates with the same numbers.  A real
+    one stays float64 through the gates and the propagator splits; any other is complex128."""
 
     K: np.ndarray
     V: tuple[np.ndarray, ...]
@@ -243,18 +245,18 @@ class Apparatus:
     cells: PhaseCellPartition
 
     def __post_init__(self):
-        K = _as_complex_matrix(self.K, "apparatus Hamiltonian K", vector_ok=True)
+        K = _as_operator(self.K, "apparatus Hamiltonian K", vector_ok=True)
         _check_hermitian(K, "apparatus Hamiltonian K")
         dim = K.shape[0]
         Vs = []
         for r, v in enumerate(self.V):
-            v = _as_complex_matrix(v, f"coupling V[{r}]", vector_ok=True)
+            v = _as_operator(v, f"coupling V[{r}]", vector_ok=True)
             if v.shape[0] != dim:
                 raise StructuralError(f"coupling V[{r}] dimension {v.shape[0]} != dim_K {dim}")
             _check_hermitian(v, f"coupling V[{r}]")
             v.setflags(write=False)
             Vs.append(v)
-        Omega = _as_complex_matrix(self.Omega, "initial state Omega", vector_ok=True)
+        Omega = _as_operator(self.Omega, "initial state Omega", vector_ok=True)
         if Omega.shape[0] != dim:
             raise StructuralError("initial state Omega dimension mismatch")
         _check_hermitian(Omega, "initial state Omega")
@@ -442,7 +444,9 @@ def _propagator(K: np.ndarray, t: float) -> np.ndarray:
     A chain's ``K_r`` commutes with the global flip, the index reversal, and
     so do its halves at every level: it splits one level at a time down to
     diagonal blocks, never reaching ``eigh``.  NaN is never equal to itself:
-    a stack holding one is not split.
+    a stack holding one is not split.  A real stack splits in real arithmetic
+    and turns complex at its leaves, which carry the ``1/2`` of every level:
+    a power of two commutes with rounding.
     """
     splits = []  # the block count m of every stack that was split
     while (diag := K if K.ndim == 2 else _diagonal_of(K)) is None:
@@ -458,6 +462,7 @@ def _propagator(K: np.ndarray, t: float) -> np.ndarray:
         splits.append(m)
     else:
         U = np.exp(1j * t * diag.real)
+    U *= 0.5 ** len(splits)  # the 1/2 of every reassembly level, at the leaves
     for m in reversed(splits):
         if U.ndim == 2:  # diagonal blocks as full matrices
             U, diag = np.zeros(U.shape + U.shape[1:], dtype=complex), U
@@ -467,7 +472,6 @@ def _propagator(K: np.ndarray, t: float) -> np.ndarray:
         U = np.empty((m, 2 * h, 2 * h), dtype=complex)
         np.add(Ue, Uo, out=U[:, :h, :h])
         np.subtract(Ue, Uo, out=U[:, :h, h:][:, :, ::-1])
-        U[:, :h] *= 0.5
         U[:, h:] = U[:, :h][:, ::-1, ::-1]  # the propagator is centrosymmetric too
     return U
 

@@ -167,6 +167,15 @@ class TestRun:
             log_k.append(float(sections["pointer"]["log_correction_constant"]))
         assert np.all(np.isfinite(log_k)) and np.all(np.diff(log_k) <= 0.0), log_k
 
+    def test_expectation_residual_is_exactly_zero_at_pi_half_traversal(self, workdir):
+        # both cross sectors are exact zeros and the diagonal trace products exactly 1
+        text = BASE.replace("N = 4", "N = 400").replace("seed = 7", "seed = 7\nmeasurement_time = 0.5")
+        assert run_cli("run", "--config", write_config(workdir, text), "--out", workdir / "out") == 0
+        report = (workdir / "out" / "report.txt").read_text(encoding="utf-8")
+        sections, _ = tokenize_kv("\n".join(report.splitlines()[1:]))
+        assert sections["pointer"]["log_reconstruction_residual_expectation"] == "-inf"
+        assert sections["pointer"]["reconstruction_residual_expectation"] == "0"
+
     def test_scipy_version_is_the_installed_one(self, workdir):
         from importlib.metadata import version
 

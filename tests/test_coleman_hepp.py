@@ -16,6 +16,7 @@ from pointer_cell_sim.coleman_hepp import (
     build_dense,
     chain_cells,
     factorized_f_tensor,
+    log_trace_products,
     polarized_site,
     sector_overlap,
     traversal_schedule,
@@ -243,6 +244,26 @@ class TestOverlapInvariants:
                      ChainSpec(N=200, m0=0.3, theta=2.8)):
             report = core.check_f_properties(factorized_f_tensor(spec))
             assert report.passed
+
+
+class TestExactTraceProducts:
+    """A diagonal sector's trace product is a product of unit site traces, exactly
+    1: each factor's sum is taken whole, never as a sum of its coefficients."""
+
+    # the four named edits of [perturbation]: flip, depolarize, up and down
+    OVERRIDES = {0: polarized_site(-0.6), 1: np.eye(2) / 2, 3: np.diag([1.0, 0.0]),
+                 5: np.diag([0.0, 1.0])}
+
+    @pytest.mark.parametrize("overrides", [False, True], ids=["plain", "overrides"])
+    @pytest.mark.parametrize("N", [10, 400, 100_000])
+    @pytest.mark.parametrize("theta", [math.pi, 2.2])
+    def test_diagonal_sectors_read_exactly_zero(self, theta, N, overrides):
+        spec = ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=self.OVERRIDES if overrides else None)
+        for fraction in (1.0, 0.75, 0.5, 0.37):
+            lt = log_trace_products(spec, fraction)
+            assert lt[0, 0] == 0.0 and lt[1, 1] == 0.0, (fraction, lt)
+            # at pi a passed site's cross factor is an exact zero
+            assert np.isneginf(lt[0, 1]) == np.isneginf(lt[1, 0]) == (theta == math.pi), (fraction, lt)
 
 
 class TestTraversal:

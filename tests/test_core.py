@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from pointer_cell_sim import core, runner
-from pointer_cell_sim.coleman_hepp import ChainSpec, build_dense, passed_sites, site_rotation
+from pointer_cell_sim.coleman_hepp import ChainSpec, build_dense, passed_sites, polarized_site, site_rotation
 from pointer_cell_sim.errors import (
     NullMacrostateError,
     NumericalError,
@@ -828,6 +828,104 @@ class TestVectorOperators:
                             [Kr.tobytes() for Kr in map(diag_form, core.sector_hamiltonians(micro, app))],
                             runner.composite_cross_check(micro, app, t, f, c)])
         assert results[0] == results[1]
+
+
+def halving_reference(K, t):
+    """``exp(i K t)`` by recursive centrosymmetric splits down to diagonal blocks,
+    halving each reassembled level, as the propagator once did."""
+    if np.count_nonzero(K) == np.count_nonzero(K.diagonal()):
+        return np.diag(np.exp(1j * t * K.diagonal().real))
+    h = len(K) // 2
+    A, BJ = K[:h, :h], K[:h, h:][:, ::-1]
+    Ue, Uo = halving_reference(A + BJ, t), halving_reference(A - BJ, t)
+    top = np.hstack([(Ue + Uo) * 0.5, ((Ue - Uo) * 0.5)[:, ::-1]])
+    return np.vstack([top, top[::-1, ::-1]])
+
+
+def gate_verdict(gate, a):
+    """The message ``gate`` refuses ``a`` with, or None."""
+    try:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            gate(a, "m")
+    except StructuralError as exc:
+        return str(exc)
+    return None
+
+
+class TestRealArithmetic:
+    """A real operator stays float64, and the states and tensors it gives are those
+    of its complex form, bit for bit."""
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_build_dense_is_real(self, fraction):
+        spec = ChainSpec(N=4, m0=0.6, theta=2.5)
+        micro, app = build_dense(spec, passed_sites(spec.N, fraction))
+        assert app.K.dtype == np.float64 and all(v.dtype == np.float64 for v in app.V)
+        assert app.Omega.dtype == np.complex128  # the site states are complex
+        assert all(Kr.dtype == np.float64 for Kr in core.sector_hamiltonians(micro, app))
+
+    @pytest.mark.parametrize("dtype, kept", [
+        (np.float64, np.float64), (np.float32, np.float64), (int, np.float64), (bool, np.float64),
+        (np.complex128, np.complex128), (np.complex64, np.complex128)])
+    def test_apparatus_keeps_a_real_matrix_real(self, dtype, kept):
+        dim = 4
+        K = np.eye(dim).astype(dtype)  # a complex one has zero imaginary parts, and stays complex
+        app = core.Apparatus(K=K, V=(K, K[0]), Omega=K[0],
+                             cells=core.PhaseCellPartition.from_groups([[0, 1], [2, 3]], dim))
+        assert app.K.dtype == app.V[0].dtype == app.V[1].dtype == app.Omega.dtype == kept
+        assert core.ObservableS(matrix=np.eye(2).astype(dtype)).matrix.dtype == kept
+
+    @pytest.mark.parametrize("overrides", [False, True], ids=["plain", "flip-depolarize"])
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("theta", [math.pi, 2.5, 1.0, 4.0])
+    @pytest.mark.parametrize("N", [7, 10])
+    def test_chain_tensor_matches_its_complex_form_bitwise(self, N, theta, fraction, overrides):
+        states = {0: polarized_site(-0.6), 1: np.eye(2) / 2} if overrides else None
+        spec = ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.4), site_overrides=states)
+        micro, app = build_dense(spec, passed_sites(spec.N, fraction))
+        cast = core.Apparatus(K=app.K.astype(complex), V=tuple(v.astype(complex) for v in app.V),
+                              Omega=app.Omega, cells=app.cells)
+        assert app.V[1].dtype == np.float64 and cast.V[1].dtype == np.complex128
+        got = []
+        for a in (app, cast):
+            evolved = core.evolve_sectors(micro, a, spec.t)
+            got.append([evolved.diagonals.tobytes(), core.f_tensor(evolved, a.cells).values.tobytes()])
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("dim, levels", [(8, 3), (16, 4), (32, 5)])
+    def test_propagator_matches_its_complex_form_bitwise(self, rng, eigh_calls, dim, levels):
+        K = np.stack([nested_centrosymmetric(rng, dim, False, levels) for _ in range(3)])
+        t = 1.3
+        U = core._propagator(K, t)
+        assert eigh_calls == [] and K.dtype == np.float64
+        assert U.tobytes() == core._propagator(K.astype(complex), t).tobytes()
+        # the 1/2 of every level, carried by the leaves: a power of two commutes with rounding
+        assert U.tobytes() == np.stack([halving_reference(k, t) for k in K]).tobytes()
+
+    @pytest.mark.parametrize("case", ["hermitian", "off-by-1e-11", "within-tol", "nan", "inf", "-inf",
+                                      "nan-diagonal", "inf-diagonal", "negative", "negative-diagonal"])
+    @pytest.mark.parametrize("dim", [3, 130])
+    def test_gates_match_on_the_complex_form(self, rng, case, dim):
+        a = random_hermitian(rng, dim).real
+        a = a @ a.T / dim  # positive semidefinite
+        i, j = dim - 1, 0
+        if case == "off-by-1e-11":
+            a[i, j] += 1e-11
+        elif case == "within-tol":
+            a[i, j] += 1e-13
+        elif case in ("nan", "inf", "-inf"):
+            a[i, j] = a[j, i] = float(case)
+        elif case == "negative":
+            a[0, 0] -= 10.0 * dim
+        elif case.endswith("-diagonal"):
+            a = np.diag(a.diagonal())
+            a[i, i] = {"nan-diagonal": np.nan, "inf-diagonal": np.inf, "negative-diagonal": -0.5}[case]
+        for gate in (core._check_hermitian, core._check_positive_semidefinite):
+            assert gate_verdict(gate, a) == gate_verdict(gate, a.astype(complex)), gate.__name__
+        expected = {"hermitian": None, "within-tol": None, "negative": "negative eigenvalue",
+                    "negative-diagonal": "negative eigenvalue"}.get(case, "not Hermitian")
+        verdict = gate_verdict(core._check_hermitian, a) or gate_verdict(core._check_positive_semidefinite, a)
+        assert (verdict is None) if expected is None else (expected in verdict), verdict
 
 
 class TestNonFiniteInputs:
