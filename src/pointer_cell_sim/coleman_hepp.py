@@ -308,6 +308,15 @@ def _site_diagonals(spec: ChainSpec) -> dict:
             for site, rho in states.items()}
 
 
+def diagonal_sectors(spec: ChainSpec, N: int) -> list[tuple[FactorizedSectorOverlap, dict]]:
+    """Per evolved diagonal sector r at full traversal: ``sector_overlap(spec.at_size(N),
+    r, r)``, and the up-probability ``|d0| / (|d0| + |d1|)`` of each of its site states,
+    key None the bulk, then the override sites in site order."""
+    diagonals, sized = _site_diagonals(spec), spec.at_size(N)
+    return [(sector_overlap(sized, r, r, diagonals=diagonals),
+             {site: _binomial_block(0, *d[r][r]).p for site, d in diagonals.items()}) for r in range(2)]
+
+
 def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None,
                    diagonals: dict | None = None,
                    memo: dict | None = None) -> FactorizedSectorOverlap:

@@ -66,8 +66,8 @@ def _diagonal_of(a: np.ndarray) -> np.ndarray | None:
     return diag
 
 
-def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> None:
-    """Reject ``a`` if ``max |a - a^dag|`` is not within ``tol`` (NaN fails).
+def _check_hermitian(a: np.ndarray, name: str) -> None:
+    """Reject ``a`` if ``max |a - a^dag|`` is not within ``HERMITIAN_TOL`` (NaN fails).
 
     A vector, and a matrix with no nonzero off-diagonal entry, is judged by
     its diagonal alone; any other matrix by ``a^dag - a`` tile by tile: for
@@ -83,12 +83,12 @@ def _check_hermitian(a: np.ndarray, name: str, tol: float = HERMITIAN_TOL) -> No
         tiles = (a[j:j + _TILE, i:i + _TILE].T.conj() - a[i:i + _TILE, j:j + _TILE]
                  for i in range(0, n, _TILE) for j in range(i, n, _TILE))
     dev = np.max([np.abs(tile).max(initial=0.0) for tile in tiles], initial=0.0)
-    if not dev <= tol:
-        raise StructuralError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
+    if not dev <= HERMITIAN_TOL:
+        raise StructuralError(f"{name} is not Hermitian: max deviation {dev:.3e} > {HERMITIAN_TOL:.0e}")
 
 
-def _check_positive_semidefinite(a: np.ndarray, name: str, tol: float = STATE_TOL) -> None:
-    """Reject a Hermitian matrix with an eigenvalue below ``-tol``.
+def _check_positive_semidefinite(a: np.ndarray, name: str) -> None:
+    """Reject a Hermitian matrix with an eigenvalue below ``-STATE_TOL``.
 
     A vector, or a diagonal ``a`` (no nonzero off-diagonal entry), has the
     real parts of its diagonal as its spectrum, read off directly; any other
@@ -101,7 +101,7 @@ def _check_positive_semidefinite(a: np.ndarray, name: str, tol: float = STATE_TO
         H = (a + a.conj().T) / 2
         # LAPACK diagonalises NaN entries without a word
         lowest = np.linalg.eigvalsh(H).min() if np.isfinite(H).all() else np.nan
-    if not lowest >= -tol:
+    if not lowest >= -STATE_TOL:
         raise StructuralError(f"{name} has negative eigenvalue {lowest:.3e}")
 
 
@@ -304,20 +304,18 @@ class EvolvedSectorStates:
         """The full block ``U_r^dag Omega U_s``."""
         return _as_matrix(_times(self.left[r], self.propagators[s]))
 
-    def validate(self, tol: float = SECTOR_STATE_TOL, spectra: bool = False) -> None:
+    def validate(self) -> None:
+        """Reject states whose diagonal blocks are not of unit trace, or whose blocks
+        ``[r, s]`` and ``[s, r]`` are not adjoint on the diagonal, to ``SECTOR_STATE_TOL``."""
         n, d = self.n, self.diagonals
         for r in range(n):
             tr = complex(d[r, r].sum())
-            if not abs(tr - 1.0) <= tol:
+            if not abs(tr - 1.0) <= SECTOR_STATE_TOL:
                 raise StructuralError(f"Tr Omega[{r},{r}] = {tr!r}, expected 1")
             for s in range(r, n):  # the pair (s, r) is the same condition
                 dev = np.abs(d[r, s].conj() - d[s, r]).max()
-                if not dev <= tol:
+                if not dev <= SECTOR_STATE_TOL:
                     raise StructuralError(f"sector states [{r},{s}] are not adjoint-paired: {dev:.3e}")
-            if spectra:
-                evals = np.linalg.eigvalsh(self.block(r, r))
-                if not -tol <= evals.min() <= evals.max() <= 1.0 + tol:
-                    raise StructuralError(f"Omega[{r},{r}] spectrum outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -375,11 +373,10 @@ class FPropertyReport:
     symmetry: float
     positivity: float
     cauchy_schwarz: float
-    tol: float = PROPERTY_TOL
 
     @property
     def passed(self) -> bool:
-        return self.worst < self.tol
+        return self.worst < PROPERTY_TOL
 
     @property
     def worst(self) -> float:
@@ -388,7 +385,7 @@ class FPropertyReport:
                              self.positivity, self.cauchy_schwarz]))
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tol"}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> Iterator[np.ndarray]:
@@ -528,10 +525,9 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
     cells in the apparatus' own basis read, are formed: each in
     ``O(dim_K^2)`` from its own pair of factors, so the adjoint pairing that
     ``validate`` checks compares independently computed diagonals.  A full
-    block is formed only for cells in a rotated basis or
-    ``validate(spectra=True)``.  Every route is unitary to roundoff; the
-    full-composite oracle (``runner.composite_cross_check``) keeps its own
-    eigendecomposition.
+    block is formed only for cells in a rotated basis.  Every route is
+    unitary to roundoff; the full-composite oracle
+    (``runner.composite_cross_check``) keeps its own eigendecomposition.
     """
     if not math.isfinite(t):
         raise PreconditionError(f"time must be finite, got {t!r}")
@@ -648,7 +644,7 @@ def conditional_expectation(f: FTensor, c, observable: ObservableS, alpha: int) 
     return float(value.real)
 
 
-def check_f_properties(f: FTensor, tol: float = PROPERTY_TOL) -> FPropertyReport:
+def check_f_properties(f: FTensor) -> FPropertyReport:
     """Measure the worst violation of each algebraic tensor identity.
 
     Checks, per microstate and cell: unit normalisation of the diagonal
@@ -674,4 +670,4 @@ def check_f_properties(f: FTensor, tol: float = PROPERTY_TOL) -> FPropertyReport
         square = np.array([abs(z) ** 2 for z in F.ravel()]).reshape(F.shape)
         cauchy = np.maximum(square - d[:, None, :] * d[None, :, :], 0.0)
     return FPropertyReport(normalization, bounds, symmetry, float(positivity.max()),
-                           float(cauchy.max()), tol)
+                           float(cauchy.max()))

@@ -342,15 +342,14 @@ class BinomialBlock:
         return self.size * self.log_scale + binomial_log_pmf(self.size, self.p, self.q)
 
 
-def _binomial_block(size: int, d0: complex, d1: complex, scale: float | None = None,
-                    phase: float = 0.0) -> BinomialBlock:
+def _binomial_block(size: int, d0: complex, d1: complex, scale: float | None = None) -> BinomialBlock:
     # (d1 + d0 z)**size: scale**size * Bin(j; size, |d0| / (|d0| + |d1|)),
     # scale |d0| + |d1| by default
     mag0, mag1 = abs(d0), abs(d1)
     total = mag0 + mag1
     if total == 0.0:
-        return BinomialBlock(size, 0.0, 1.0, -math.inf, phase)
-    return BinomialBlock(size, mag0 / total, mag1 / total, math.log(scale or total), phase)
+        return BinomialBlock(size, 0.0, 1.0, -math.inf)
+    return BinomialBlock(size, mag0 / total, mag1 / total, math.log(scale or total))
 
 
 def _count_groups(finite: np.ndarray, *arrays: np.ndarray):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import fmt_complex, fmt_float, tokenize_kv
-from .core import FPropertyReport, FTensor
+from .core import PROPERTY_TOL, FPropertyReport, FTensor
 from .errors import StructuralError
 
 REPORT_HEADER = "pointer-cell-sim report v3"
@@ -83,7 +83,7 @@ def parse_f_tensor_text(text: str) -> FTensor:
 
 def property_items(report: FPropertyReport) -> list[tuple[str, str]]:
     items = [(name, fmt_float(value)) for name, value in report.as_dict().items()]
-    items.append(("tolerance", fmt_float(report.tol)))
+    items.append(("tolerance", fmt_float(PROPERTY_TOL)))
     items.append(("passed", "true" if report.passed else "false"))
     return items
 

@@ -6,16 +6,15 @@ computes and renders its own files and returns ``(artifacts, exit code)``
 with ``artifacts`` mapping file names to their text.
 
 Every entry point is deterministic for a fixed config: the only random draws,
-the verify suite's instances, come from the config seed, sweep points are
-evaluated one after the other and assembled in sorted order, and artifacts
-contain no timestamps or machine state beyond library versions.
+the verify suite's instances, come from the config seed, sweep rows keep the
+increasing order the config requires, and artifacts contain no timestamps or
+machine state beyond library versions.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -291,23 +290,23 @@ def _pointer_items(cfg: ExperimentConfig, tensor, c, log_trace) -> list[tuple[st
     if pointer.uninformative:
         items.append(("uninformative_microstates",
                       ", ".join(str(r) for r in pointer.uninformative)))
-    log_residuals = verify.reconstruction_residuals(tensor, pointer, c, log_trace)
-    exact = verify.check_exact_condition(tensor, pointer, log_residuals)
+    log_expect, log_cond = verify.reconstruction_residuals(tensor, pointer, c, log_trace)
+    exact = verify.check_exact_condition(tensor, pointer)
     items += [
         ("exact_satisfied", _flag(exact.satisfied)),
         ("exact_residual", fmt_float(exact.residual)),
         ("ideal_form_residual", fmt_float(exact.ideal_residual)),
-        ("reconstruction_residual_expectation", fmt_float(exact.von_neumann_residuals[0])),
-        ("reconstruction_residual_conditional", fmt_float(exact.von_neumann_residuals[1])),
-        ("log_reconstruction_residual_expectation", fmt_float(exact.log_residuals[0])),
-        ("log_reconstruction_residual_conditional", fmt_float(exact.log_residuals[1])),
+        ("reconstruction_residual_expectation", fmt_float(math.exp(log_expect))),
+        ("reconstruction_residual_conditional", fmt_float(math.exp(log_cond))),
+        ("log_reconstruction_residual_expectation", fmt_float(log_expect)),
+        ("log_reconstruction_residual_conditional", fmt_float(log_cond)),
     ]
     c_ref = analytic_boundary_rate(cfg)
     if c_ref is not None:
         weakened = verify.check_weakened_condition(
-            tensor, pointer, N=int(cfg.params["N"]), c=c_ref, log_residuals=log_residuals)
+            tensor, pointer, N=int(cfg.params["N"]), c=c_ref, log_residuals=(log_expect, log_cond))
         items += [
-            ("weakened_c_reference", fmt_float(weakened.bound_constant)),
+            ("weakened_c_reference", fmt_float(c_ref)),
             ("weakened_satisfied", _flag(weakened.satisfied)),
             ("pointer_errors", ", ".join(fmt_float(e) for e in weakened.errors)),
             ("log_pointer_errors", ", ".join(fmt_float(e) for e in weakened.log_errors)),
@@ -317,53 +316,39 @@ def _pointer_items(cfg: ExperimentConfig, tensor, c, log_trace) -> list[tuple[st
     return items
 
 
-@dataclass
-class SweepPoint:
-    N: int
-    status: str
-    values: np.ndarray | None = None
-    eps_max: float = math.nan
-    log_eps_max: float = math.nan
-    w_plus: float = math.nan
-    w_minus: float = math.nan
-    offdiag_max: float = math.nan
-
-
 def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
-    """Evaluate the sweep list, every size in one stack; returns (points, fit or
-    None, fit status, oracle (worst discrepancy, points checked) or None)."""
+    """Evaluate the sweep list, every size in one stack; returns (``sweep.csv``, the
+    ``(N, max log error)`` of each size judged, fit or None, fit status, oracle (worst
+    discrepancy, points checked) or None).  The rows keep the order of the list,
+    which the config requires to be increasing."""
     if cfg.sweep is None:
         raise ConfigError(["sweep requested but the config has no [sweep] section"])
     spec = _command_spec(cfg, overrides)
     values, log_magnitude, failed = coleman_hepp.traversal_family(spec(), cfg.measurement_time, cfg.sweep)
     eps, log_eps, weights, offdiag_max, unjudged = verify.judge_stack(values, log_magnitude, cfg.amplitudes)
     failed = {**unjudged, **failed}
-    eps_max, log_eps_max = eps.max(axis=1), log_eps.max(axis=1)
+    columns = np.stack([eps.max(axis=1), log_eps.max(axis=1), weights[:, CELL_PLUS],
+                        weights[:, CELL_MINUS], offdiag_max], axis=1)
+    columns[list(failed)] = np.nan
+    judged = [i for i in range(len(cfg.sweep)) if i not in failed]
+    points = [(cfg.sweep[i], float(columns[i, 1])) for i in judged]
     # a row reads underflow where its errors are carried in log space only
-    points = sorted((SweepPoint(N=N, status=f"failed: {failed[i]}") if i in failed else SweepPoint(
-        N=N, status="underflow" if eps_max[i] == 0.0 and log_eps_max[i] > -np.inf else "ok",
-        values=values[i], eps_max=float(eps_max[i]), log_eps_max=float(log_eps_max[i]),
-        w_plus=float(weights[i, CELL_PLUS]), w_minus=float(weights[i, CELL_MINUS]),
-        offdiag_max=float(offdiag_max[i])) for i, N in enumerate(cfg.sweep)), key=lambda pt: pt.N)
+    csv = render_csv(SWEEP_COLUMNS, [
+        (str(N), *map(fmt_float, row), f"failed: {failed[i]}" if i in failed
+         else "underflow" if row[0] == 0.0 and row[1] > -np.inf else "ok")
+        for i, (N, row) in enumerate(zip(cfg.sweep, columns.tolist()))])
     fit, fit_status = None, "ok"
     try:
-        fit = verify.fit_decay_rate(
-            [(pt.N, pt.eps_max, pt.log_eps_max) for pt in points if pt.values is not None])
+        fit = verify.fit_decay_rate(points)
     except SimulationError as exc:
         fit_status = f"refused: {exc}"
     oracle_info = None
     if oracle:
-        fits = _dense_sizes([pt.N for pt in points if pt.values is not None])
-        worst = max(_dense_chain_discrepancy(spec().at_size(pt.N), pt.values, cfg.measurement_time)
-            for pt in points if pt.values is not None and pt.N in fits)
+        fits = _dense_sizes([N for N, _ in points])
+        worst = max(_dense_chain_discrepancy(spec().at_size(cfg.sweep[i]), values[i], cfg.measurement_time)
+                    for i in judged if cfg.sweep[i] in fits)
         oracle_info = (worst, len(fits))
-    return points, fit, fit_status, oracle_info
-
-
-def _sweep_csv(points) -> str:
-    return render_csv(SWEEP_COLUMNS, [
-        (str(pt.N), fmt_float(pt.eps_max), fmt_float(pt.log_eps_max), fmt_float(pt.w_plus),
-         fmt_float(pt.w_minus), fmt_float(pt.offdiag_max), pt.status) for pt in points])
+    return csv, points, fit, fit_status, oracle_info
 
 
 def _oracle_items(oracle_info) -> list[tuple[str, str]]:
@@ -378,11 +363,11 @@ def _oracle_items(oracle_info) -> list[tuple[str, str]]:
 def sweep(cfg: ExperimentConfig, base_dir: Path | None = None,
           oracle: bool = False) -> tuple[dict[str, str], int]:
     """``sweep.csv`` and the decay fit ``sweep_fit.txt``."""
-    points, fit, fit_status, oracle_info = _sweep(cfg, oracle=oracle)
+    csv, _, fit, fit_status, oracle_info = _sweep(cfg, oracle=oracle)
     items = [("status", fit_status)]
     if fit is not None:
         items += [
-            ("points_used", str(len(fit.sweep))),
+            ("points_used", str(len(fit.used))),
             ("excluded_N", ", ".join(str(n) for n in fit.excluded) or "none"),
             ("slope", fmt_float(fit.slope)),
             ("intercept", fmt_float(fit.intercept)),
@@ -394,7 +379,7 @@ def sweep(cfg: ExperimentConfig, base_dir: Path | None = None,
         if c_ref is not None:
             items.append(("c_analytic_boundary", fmt_float(c_ref)))
     items += _oracle_items(oracle_info)
-    return {"sweep.csv": _sweep_csv(points),
+    return {"sweep.csv": csv,
             "sweep_fit.txt": render_report([("decay_fit", items)])}, 0
 
 
@@ -428,24 +413,18 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
 
     overrides = perturbation_states(cfg)
     specs = [base, _command_spec(cfg, overrides)] if overrides else [base]
-    # per spec and evolved diagonal sector r: the sector at full traversal, and the
-    # up-probability of each site state (key None the bulk, then the override sites)
-    overlaps, up_probabilities = [], []
     for spec in specs:
         for N in Ns:
             spec().at_size(N)  # a size fails as the chain of that size would
-        sized, diagonals = spec().at_size(max(Ns)), coleman_hepp._site_diagonals(spec())
-        for r in range(2):
-            overlaps.append(coleman_hepp.sector_overlap(sized, r, r, diagonals=diagonals))
-            up_probabilities.append({site: abs(d[r][r][0]) / sum(map(abs, d[r][r]))
-                                     for site, d in diagonals.items()})
-    estimates = [coarse_ldp.estimate_rate(overlap, grid, Ns) for overlap in overlaps]
+    # per spec and evolved diagonal sector: the sector and its site up-probabilities
+    sectors = [sector for spec in specs for sector in coleman_hepp.diagonal_sectors(spec(), max(Ns))]
+    estimates = [coarse_ldp.estimate_rate(overlap, grid, Ns) for overlap, _ in sectors]
     estimates, perturbed = estimates[:2], estimates[2:] or None
     up = estimates[0]
     rows = []
     for i, N in enumerate(up.N_values):
         for k, m in enumerate(up.grid):
-            ana = float(up.analytic[k]) if up.analytic is not None else math.nan
+            ana = float(up.analytic[k])
             if up.dropped[i, k]:
                 rows.append((fmt_float(m), str(N), "nan", fmt_float(ana), "nan",
                              "dropped: zero window probability"))
@@ -461,7 +440,7 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     if overrides:  # condition (d), judged per sector at the least size
         N0 = min(Ns)
         bounds = [coarse_ldp.perturbation_residual_bound(N0, base_up, pert_up) / N0
-                  for base_up, pert_up in zip(up_probabilities, up_probabilities[2:])]
+                  for (_, base_up), (_, pert_up) in zip(sectors, sectors[2:])]
     report = coarse_ldp.check_ldp_conditions(estimates, cells, pointer,
                                              perturbed=perturbed, stability_bound=bounds)
     items = [
@@ -500,19 +479,17 @@ def perturb(cfg: ExperimentConfig, base_dir: Path | None = None,
     if not cfg.perturbation:
         raise ConfigError(["perturb requires a [perturbation] section"])
     overrides = perturbation_states(cfg)
-    base_points, base_fit, base_status, base_oracle = _sweep(cfg, oracle=oracle)
-    pert_points, pert_fit, pert_status, pert_oracle = _sweep(
+    base_csv, _, base_fit, base_status, base_oracle = _sweep(cfg, oracle=oracle)
+    pert_csv, pert_points, pert_fit, pert_status, pert_oracle = _sweep(
         cfg, overrides=overrides, oracle=oracle)
     items = [("base_status", base_status), ("perturbed_status", pert_status)]
     if base_fit is not None and pert_fit is not None:
-        result = verify.stability_verdict(
-            base_fit, pert_fit,
-            [(pt.N, pt.log_eps_max) for pt in pert_points if pt.values is not None])
+        result = verify.stability_verdict(base_fit, pert_fit, pert_points)
         items += [
             ("c_base", fmt_float(result.base_fit.c)),
             ("c_perturbed", fmt_float(result.perturbed_fit.c)),
             ("relative_change", fmt_float(result.relative_change)),
-            ("tolerance_band", fmt_float(result.tolerance_band)),
+            ("tolerance_band", fmt_float(verify.STABILITY_BAND)),
             ("within_band", _flag(result.within_band)),
             ("exponential_bound_satisfied", _flag(result.bound_satisfied)),
             ("passed", _flag(result.passed)),
@@ -522,8 +499,8 @@ def perturb(cfg: ExperimentConfig, base_dir: Path | None = None,
     if oracle:
         items += _oracle_items((max(base_oracle[0], pert_oracle[0]),
                                 base_oracle[1] + pert_oracle[1]))
-    return {"perturb_base.csv": _sweep_csv(base_points),
-            "perturb_perturbed.csv": _sweep_csv(pert_points),
+    return {"perturb_base.csv": base_csv,
+            "perturb_perturbed.csv": pert_csv,
             "stability.txt": render_report([("stability", items)])}, 0
 
 

@@ -64,46 +64,33 @@ class PointerMap:
 class MeasurementVerdict:
     """Outcome of the weakened (exponential) measurement condition.
 
-    ``log_errors``, ``log_residuals`` and ``log_correction_constant`` carry the
-    pointer errors, the reconstruction residuals (expectation, conditional) and
+    ``log_errors`` and ``log_correction_constant`` carry the pointer errors and
     the constant K in log space, where they stay finite after ``errors``
     underflow to zero and ``correction_constant`` overflows.
     """
 
     errors: tuple[float, ...]
     log_errors: tuple[float, ...]
-    N: int
-    bound_constant: float
     satisfied: bool
-    log_residuals: tuple[float, float]
     correction_constant: float
     log_correction_constant: float
-
-    @property
-    def von_neumann_residuals(self) -> tuple[float, float]:
-        return tuple(map(math.exp, self.log_residuals))
 
 
 @dataclass(frozen=True)
 class ExactConditionResult:
-    """Outcome of the exact condition and its reconstruction consequences: the
-    reconstruction residuals (expectation, conditional) in log space, and as floats."""
+    """Outcome of the exact condition, and how far the tensor is from the ideal form."""
 
     satisfied: bool
     residual: float
     ideal_residual: float
-    log_residuals: tuple[float, float]
-
-    @property
-    def von_neumann_residuals(self) -> tuple[float, float]:
-        return tuple(map(math.exp, self.log_residuals))
 
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Log-linear fit of the worst pointer error against chain size."""
+    """Log-linear fit of the worst pointer error against chain size, over the sizes
+    ``used``; the sizes with a zero error are ``excluded``."""
 
-    sweep: tuple[tuple[int, float], ...]
+    used: tuple[int, ...]
     slope: float
     intercept: float
     r_squared: float
@@ -125,12 +112,11 @@ class StabilityResult:
     base_fit: DecayFit
     perturbed_fit: DecayFit
     relative_change: float
-    tolerance_band: float
     bound_satisfied: bool
 
     @property
     def within_band(self) -> bool:
-        return self.relative_change <= self.tolerance_band
+        return self.relative_change <= STABILITY_BAND
 
     @property
     def passed(self) -> bool:
@@ -306,14 +292,12 @@ def reconstruction_residuals(f: FTensor, pmap: PointerMap, c,
     return float(log_expect), float(np.where(live, log_cond, -np.inf).max())
 
 
-def check_exact_condition(f: FTensor, pmap: PointerMap,
-                          log_residuals: tuple[float, float]) -> ExactConditionResult:
+def check_exact_condition(f: FTensor, pmap: PointerMap) -> ExactConditionResult:
     """Test the exact measurement condition and its structural consequences.
 
     Satisfied iff every assigned diagonal entry is 1 to ``1e-10``.  The result
-    also reports how far the tensor is from the perfect-measurement form and
-    the reconstruction residuals ``log_residuals`` of
-    ``reconstruction_residuals``; for a satisfied tensor both are at roundoff.
+    also reports how far the tensor is from the perfect-measurement form, at
+    roundoff for a satisfied tensor.
     """
     diag = f.diagonal()
     inv = pmap.inverse
@@ -323,7 +307,6 @@ def check_exact_condition(f: FTensor, pmap: PointerMap,
         satisfied=bool(residual < EXACT_CONDITION_TOL),
         residual=float(residual),
         ideal_residual=ideal_residual,
-        log_residuals=tuple(map(float, log_residuals)),
     )
 
 
@@ -332,8 +315,8 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
     """Test the exponential condition ``max_r error_r <= exp(-c N)`` as ``max_r log
     error_r <= -c N``, which cannot pass as ``0 <= 0`` once both sides underflow.
 
-    Also reports the reconstruction residuals ``log_residuals`` of
-    ``reconstruction_residuals`` with the constant K such that the larger equals
+    Also reports, for the reconstruction residuals ``log_residuals`` of
+    ``reconstruction_residuals``, the constant K such that the larger equals
     ``K * exp(-c N / 2)``, as ``log K = log(max residual) + c N / 2``; K is
     reported, not asserted.
     """
@@ -349,40 +332,36 @@ def check_weakened_condition(f: FTensor, pmap: PointerMap, N: int, c: float,
     return MeasurementVerdict(
         errors=tuple(float(e) for e in eps),
         log_errors=tuple(float(e) for e in log_eps),
-        N=int(N),
-        bound_constant=float(c),
         satisfied=bool(log_eps.max() <= -c * N),
-        log_residuals=tuple(map(float, log_residuals)),
         correction_constant=correction,
         log_correction_constant=float(log_correction),
     )
 
 
-def fit_decay_rate(sweep: Sequence[tuple[int, float, float]]) -> DecayFit:
+def fit_decay_rate(sweep: Sequence[tuple[int, float]]) -> DecayFit:
     """Least-squares fit of ``log(max_r error_r)`` against chain size, over sweep
-    points ``(N, max_r error_r, max_r log error_r)``.
+    points ``(N, max_r log error_r)``.
 
     Points with an exactly zero error are excluded with a warning; at least
     four usable points spanning a factor of four in N are required.
     """
     if not sweep:
         raise PreconditionError("empty sweep")
-    points = [(int(N), float(eps), float(log_eps))
-              for N, eps, log_eps in sorted(sweep, key=lambda item: item[0])]
-    Ns_all = [N for N, _, _ in points]
+    points = [(int(N), float(log_eps)) for N, log_eps in sorted(sweep, key=lambda item: item[0])]
+    Ns_all = [N for N, _ in points]
     if len(set(Ns_all)) < 4:
         raise PreconditionError("need at least four distinct chain sizes")
     if max(Ns_all) < 4 * min(Ns_all):
         raise PreconditionError("chain sizes must span at least a factor of four")
-    usable = [(N, eps, log_eps) for N, eps, log_eps in points if log_eps > -np.inf]
-    excluded = tuple(N for N, eps, log_eps in points if log_eps == -np.inf)
+    usable = [(N, log_eps) for N, log_eps in points if log_eps > -np.inf]
+    excluded = tuple(N for N, log_eps in points if log_eps == -np.inf)
     for N in excluded:
         warnings.warn(f"sweep point N={N} has zero pointer error; excluded from the fit",
                       stacklevel=2)
     if len(usable) < 4:
         raise FitError(f"only {len(usable)} usable sweep points after exclusions")
-    x = np.array([N for N, _, _ in usable], dtype=float)
-    y = np.array([log_eps for _, _, log_eps in usable])
+    x = np.array([N for N, _ in usable], dtype=float)
+    y = np.array([log_eps for _, log_eps in usable])
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     sxy = float(np.sum((x - xm) * (y - ym)))
@@ -394,7 +373,7 @@ def fit_decay_rate(sweep: Sequence[tuple[int, float, float]]) -> DecayFit:
     ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
     r_squared = 1.0 if syy == 0.0 else max(0.0, 1.0 - ss_res / syy)
     return DecayFit(
-        sweep=tuple((N, eps) for N, eps, _ in usable),
+        used=tuple(N for N, _ in usable),
         slope=float(slope),
         intercept=float(intercept),
         r_squared=float(r_squared),
@@ -417,6 +396,5 @@ def stability_verdict(base_fit: DecayFit, pert_fit: DecayFit,
         base_fit=base_fit,
         perturbed_fit=pert_fit,
         relative_change=float(rel),
-        tolerance_band=STABILITY_BAND,
         bound_satisfied=bound_ok,
     )

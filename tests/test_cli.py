@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import pointer_cell_sim
-from pointer_cell_sim import cli, coarse_ldp, coleman_hepp, errors, logspace, runner, verify
+from pointer_cell_sim import cli, coarse_ldp, coleman_hepp, core, errors, logspace, runner, verify
 from pointer_cell_sim.cli import main
 from pointer_cell_sim.config import tokenize_kv
 from pointer_cell_sim.report import REPORT_HEADER, parse_f_tensor_text
@@ -934,9 +936,31 @@ DELETED = [
     (coarse_ldp.CellPartitionSpec, ("empty_cells",)),
     (coleman_hepp, ("diagonal_sector_product",)),
     (coleman_hepp.ChainSpec, ("with_overrides",)),
-    (runner, ("_sector_family",)),
+    (runner, ("_sector_family", "SweepPoint", "_sweep_csv")),
     (verify, ("stability_test", "RunModel", "RECONSTRUCTION_DRAWS", "_reconstruction_residuals")),
+    (verify.ExactConditionResult, ("von_neumann_residuals",)),
+    (verify.MeasurementVerdict, ("von_neumann_residuals",)),
     (errors, ("NonLocalPerturbationError",)),
+]
+
+#: parameters every caller left at one value, now constants; none may come back
+REMOVED_PARAMETERS = [
+    (core._check_hermitian, ("tol",)),
+    (core._check_positive_semidefinite, ("tol",)),
+    (core.check_f_properties, ("tol",)),
+    (core.EvolvedSectorStates.validate, ("tol", "spectra")),
+    (logspace._binomial_block, ("phase",)),
+    (verify.check_exact_condition, ("log_residuals",)),
+]
+
+#: fields that held one value or copied a function's own inputs back out
+REMOVED_FIELDS = [
+    (core.FPropertyReport, ("tol",)),
+    (verify.ExactConditionResult, ("log_residuals",)),
+    (verify.MeasurementVerdict, ("log_residuals", "N", "bound_constant")),
+    (verify.DecayFit, ("sweep",)),
+    (verify.StabilityResult, ("tolerance_band",)),
+    (coarse_ldp.LdpConditionReport, ("unique_max", "distinct_cells")),
 ]
 
 
@@ -948,3 +972,7 @@ def test_public_surface():
         for name in gone:
             assert not hasattr(owner, name), (owner, name)
             assert not hasattr(pointer_cell_sim, name), name
+    for function, gone in REMOVED_PARAMETERS:
+        assert not set(gone) & set(inspect.signature(function).parameters), function
+    for cls, gone in REMOVED_FIELDS:
+        assert not set(gone) & {f.name for f in dataclasses.fields(cls)}, cls

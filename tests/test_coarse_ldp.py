@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from pointer_cell_sim import coarse_ldp, logspace
 from pointer_cell_sim.coarse_ldp import (
     CellPartitionSpec,
-    RateFunctionEstimate,
     bernoulli_rate,
     check_ldp_conditions,
     estimate_rate,
@@ -21,6 +20,7 @@ from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     FactorizedSectorOverlap,
     chain_cells,
+    diagonal_sectors,
     factorized_f_tensor,
     polarized_site,
     sector_overlap,
@@ -467,12 +467,13 @@ class TestLdpConditions:
         assert 0.0 < report.stability_residual < 1e-15
         assert report.stability_ok
 
-    def test_sampled_curve_without_finite_value_refused(self):
-        est = RateFunctionEstimate(grid=(-0.5, 0.5), N_values=(40, 80, 160),
-                                   samples=np.full((3, 2), np.nan),
-                                   dropped=np.ones((3, 2), dtype=bool), analytic=None, p=None)
-        with pytest.raises(PreconditionError, match="no finite value"):
-            check_ldp_conditions([est, est], sign_cells(40), pointer=(1, 0))
+    def test_estimate_without_bernoulli_p_refused(self):
+        # a sector with an override site has no closed-form rate to judge
+        estimates, cells = self._chain_setup()
+        perturbed, _ = self._chain_setup(overrides={0: polarized_site(-0.6)})
+        assert perturbed[1].p is None
+        with pytest.raises(PreconditionError, match="^rate estimate 1 has no Bernoulli p"):
+            check_ldp_conditions([estimates[0], perturbed[1]], cells, pointer=(1, 0))
 
     def test_boundary_maximizer_fails_interiority(self):
         est = estimate_rate(product_sector(0.5), grid=[-0.5, 0.0, 0.5], N_values=[40, 80, 160])
@@ -491,6 +492,17 @@ class TestPerturbationBound:
                 total += max(abs(math.log(a / b))
                              for a, b in ((p1, p0), (1.0 - p1, 1.0 - p0)) if a != b)
         return total
+
+    @pytest.mark.parametrize("theta", [math.pi, 2.2, 1.0])
+    def test_diagonal_sectors_give_each_site_up_probability(self, theta):
+        # the probabilities the bound reads: the bulk, then each override site in order
+        spec = ChainSpec(N=100, m0=0.6, theta=theta,
+                         site_overrides={3: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2})
+        for r, (overlap, up) in enumerate(diagonal_sectors(spec, 400)):
+            ref = sector_up_probabilities(spec, r)
+            assert list(up) == [None, 1, 3]
+            assert up == pytest.approx({site: ref[site] for site in up}, abs=1e-15)
+            assert (overlap.b.size, overlap.b.p) == (398, up[None])
 
     def test_bound_matches_hand_computation(self):
         got = perturbation_residual_bound(10, {None: 0.8}, {None: 0.8, 3: 0.2})

@@ -590,23 +590,19 @@ class TestSpecHelpers:
                 ChainSpec(N=N, m0=0.6, theta=2.2, site_overrides={1: polarized_site(-0.6)})
             assert str(got.value) == str(built.value)
 
-    def test_traversal_family_matches_one_spec_per_size(self):
+    def test_traversal_family_matches_one_spec_per_size(self, chain_family):
         # one call over many sizes gives, bit for bit, each size's one-size call and
         # traversal_schedule; a size below an override site fails alone, as that chain does
-        flip_depolarize = {0: polarized_site(-0.6), 3: np.eye(2, dtype=complex) / 2}
-        for theta, overrides, fraction in itertools.product(
-                (math.pi, 2.2, 1.0, 4.0), (None, flip_depolarize), (1.0, 0.5, 0.37)):
-            spec = ChainSpec(N=4, m0=0.6, theta=theta, energies=(0.3, -0.2), site_overrides=overrides)
-            Ns = [*range(1, 61), *(50 * 2 ** k for k in range(12))]
-            Ns += [10 ** 6, 10 ** 9] if fraction == 1.0 else []
-            values, log_magnitude, failed = coleman_hepp.traversal_family(spec, fraction, Ns)
+        for theta, overridden, fraction in itertools.product(
+                (math.pi, 2.2, 1.0, 4.0), (False, True), (1.0, 0.5, 0.37)):
+            spec, Ns, values, log_magnitude, failed = chain_family(theta, fraction, overridden, (0.3, -0.4))
             assert values.shape == log_magnitude.shape == (len(Ns), 2, 2, 2)
             for i, N in enumerate(Ns):
-                context = (theta, overrides is None, fraction, N)
+                context = (theta, overridden, fraction, N)
                 one = coleman_hepp.traversal_family(spec, fraction, [N])
                 try:
-                    want = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.2),
-                                                        site_overrides=overrides), fraction)
+                    want = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.4),
+                                                        site_overrides=spec.site_overrides), fraction)
                 except StructuralError as exc:
                     assert type(failed[i]) is type(one[2][0]) is StructuralError, context
                     assert str(failed[i]) == str(one[2][0]) == str(exc), context
