@@ -199,7 +199,7 @@ class FactorizedSectorOverlap:
     k + 1 terms for k overrides, and in a partial traversal also the shorter
     bulk block, which ``a_has_bulk`` marks.  ``a_total`` is the log-coded sum
     of ``a``, the product of its factors' sums.  The product itself is never
-    formed: ``traversal_family`` sums every size's ``cell_terms`` at once.
+    formed: ``cell_terms`` gives each cell as a sum of ``len(a)`` terms.
     A diagonal sector at full traversal is also what ``ldp`` reads its rate
     functions from (``coarse_ldp.estimate_rate``), at every chain size.
     """
@@ -222,11 +222,12 @@ class FactorizedSectorOverlap:
         is ``j < h`` and the "+" cell ``j >= h``, so
         ``sum_{j in cell} (a * b)_j = sum_i a_i * tail_b(cell - i)``, and as
         ``b`` has one phase its tails are real.  Where ``a`` holds only the
-        override sites, ``binomial_log_tails`` takes each tail from an
-        incomplete-beta continued fraction, at a cost independent of the
-        chain length.  Where ``a`` also holds a bulk block, its length grows
-        with the chain, and the tails come from log-space running sums over
-        the materialised magnitudes of ``b`` instead.  Returns a row of log
+        override sites, one row of ``binomial_log_tails`` (``traversal_family``
+        takes a family's rows at once) gives each tail from an incomplete-beta
+        continued fraction, at a cost independent of the chain length.  Where
+        ``a`` also holds a bulk block, its length grows with the chain, and the
+        tails come from log-space running sums over the materialised
+        magnitudes of ``b`` instead.  Returns a row of log
         magnitudes per cell (``-inf`` outside it), the phases both share, and
         what each row's ``lc_sum_rows`` sum then takes: a shift, then a total.
         """
@@ -234,8 +235,10 @@ class FactorizedSectorOverlap:
         na, nb = a_lm.size, b.size + 1
         h = cells.prefix_split(na + nb - 1)
         if not self.a_has_bulk:  # a zero block: p = 0, so every tail is sure, and total -inf
-            tails, shift = binomial_log_tails(b.size, h, b.p, b.q, na)
-            return a_lm + tails, a_ph + b.phase, shift, b.log_total()
+            tails, shifts, failed = binomial_log_tails([(b.size, h, b.p, b.q)], na)
+            if failed:
+                raise failed[0]
+            return a_lm + tails[0], a_ph + b.phase, shifts[0], b.log_total()
         lm = np.full((2, na), -np.inf)
         if a_lm.max() == -np.inf:  # exact zeros, as the cross pairs of the exact flip: no term
             return lm, a_ph + b.phase, np.zeros(2), 0.0
@@ -250,19 +253,9 @@ class FactorizedSectorOverlap:
 
     def cell_log_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
         """Log-coded cell sums ``(log magnitudes, phases)``, as ``traversal_family`` forms them."""
-        lm, ph = _cell_sums([self.cell_terms(cells)], [self.global_phase])
-        return lm[0], ph[0]
-
-
-def _cell_sums(terms: Sequence[tuple], global_phases: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Cells ``(log magnitudes, phases)``, shape ``(len(terms), 2)``, from overlaps'
-    ``cell_terms`` and global phases in one ``lc_sum_rows``: k + 1 terms each, for
-    k override sites, or one overlap, whose rows may grow with N, left uncopied."""
-    t_lm, t_ph, shifts, totals = zip(*terms)
-    lm, ph = (t_lm[0][None], t_ph[0]) if len(terms) == 1 else (np.stack(t_lm), np.stack(t_ph)[:, None])
-    sums_lm, sums_ph = lc_sum_rows(lm, ph)
-    return (sums_lm + np.array(shifts) + np.array(totals)[:, None],
-            sums_ph + np.array(global_phases)[:, None])
+        lm, ph, shift, total = self.cell_terms(cells)
+        sums_lm, sums_ph = lc_sum_rows(lm, ph)
+        return sums_lm + shift + total, sums_ph + self.global_phase
 
 
 def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -317,6 +310,35 @@ def diagonal_sectors(spec: ChainSpec, N: int) -> list[tuple[FactorizedSectorOver
              {site: _binomial_block(0, *d[r][r]).p for site, d in diagonals.items()}) for r in range(2)]
 
 
+def _site_groups(N: int, rotated_count: int, diagonals: dict) -> tuple[tuple[int, ...], int, int]:
+    """The override sites below ``rotated_count``, and the bulk sites below and above it."""
+    override_sites = [k for k in diagonals if k is not None]
+    rotated = tuple(k for k in override_sites if k < rotated_count)
+    return rotated, rotated_count - len(rotated), (N - rotated_count) - (len(override_sites) - len(rotated))
+
+
+def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], diagonals: dict, memo: dict):
+    """Pair (r, s)'s bulk block makers, rotated and plain (None where both are one),
+    its energy phase, and for the ``rotated`` override sites their product polynomials,
+    its log sum and its phase, kept in ``memo`` for specs differing in N."""
+    if (r, s) not in memo:
+        # a pair the traversal does not touch has no plain maker: one closed form for the bulk
+        rot_key, plain_key = diagonals[None][r == 1][s == 1], diagonals[None][0][0]
+        scale = float(np.trace(polarized_site(spec.m0)).real) if r == s else None
+        memo[r, s] = (_bulk_block(*rot_key, scale),
+                      None if rot_key == plain_key else _bulk_block(*plain_key, scale),
+                      float((spec.energies[s] - spec.energies[r]) * spec.t))
+    if (r, s, rotated) not in memo:
+        override_sites = [k for k in diagonals if k is not None]
+        sites = [diagonals[k][r == 1 and k in rotated][s == 1 and k in rotated] for k in override_sites]
+        # a site's factor sums to its trace, in a diagonal sector Tr rho_k, which the rotation keeps
+        traces = [sum(diagonals[k][0][0] if r == s else d) for k, d in zip(override_sites, sites)]
+        polys = [reduce(lc_convolve, [_group_polynomial(1, *d) for d in sites])] if sites else []
+        memo[r, s, rotated] = (polys, sum(math.log(abs(z)) if z else -math.inf for z in traces),
+                               sum(cmath.phase(z) for z in traces))
+    return (*memo[r, s], memo[r, s, rotated])
+
+
 def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None,
                    diagonals: dict | None = None,
                    memo: dict | None = None) -> FactorizedSectorOverlap:
@@ -328,38 +350,18 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
     binomial bulk blocks, at most two; the longest is ``b``, and the
     override sites, in site order, and then the other block are convolved
     into ``a`` in log space.  ``diagonals`` is ``_site_diagonals(spec)``, and
-    ``memo`` keeps, for specs differing in N, the pair's bulk block makers and
-    energy phase, and its override sites' product and its sum per set of rotated sites.
+    ``memo`` is ``_pair_factors``'.
     """
     if rotated_count is None:
         rotated_count = spec.N
     if not (0 <= rotated_count <= spec.N):
         raise StructuralError("rotated site count outside the chain")
-    diagonals = diagonals or _site_diagonals(spec)
-    memo = {} if memo is None else memo
-    override_sites = [k for k in diagonals if k is not None]
-    rotated = tuple(k for k in override_sites if k < rotated_count)
-    n_rot = rotated_count - len(rotated)
-    n_plain = (spec.N - rotated_count) - (len(override_sites) - len(rotated))
-    if (r, s) not in memo:
-        # a pair the traversal does not touch has no plain maker: one closed form for the bulk
-        rot_key, plain_key = diagonals[None][r == 1][s == 1], diagonals[None][0][0]
-        scale = float(np.trace(polarized_site(spec.m0)).real) if r == s else None
-        memo[r, s] = (_bulk_block(*rot_key, scale),
-                      None if rot_key == plain_key else _bulk_block(*plain_key, scale),
-                      float((spec.energies[s] - spec.energies[r]) * spec.t))
-    rot, plain, delta_e = memo[r, s]
+    diagonals, memo = diagonals or _site_diagonals(spec), {} if memo is None else memo
+    rotated, n_rot, n_plain = _site_groups(spec.N, rotated_count, diagonals)
+    rot, plain, delta_e, (polys, lm, ph) = _pair_factors(spec, r, s, rotated, diagonals, memo)
     groups = [(n_rot, rot), (n_plain, plain)] if plain else [(n_rot + n_plain, rot)]
     blocks = sorted((make(size) for size, make in groups if size), key=lambda block: block.size)
     b = blocks.pop() if blocks else _binomial_block(0, 0.0, 1.0)
-    if (r, s, rotated) not in memo:
-        sites = [diagonals[k][r == 1 and k in rotated][s == 1 and k in rotated] for k in override_sites]
-        # a site's factor sums to its trace, in a diagonal sector Tr rho_k, which the rotation keeps
-        traces = [sum(diagonals[k][0][0] if r == s else d) for k, d in zip(override_sites, sites)]
-        polys = [reduce(lc_convolve, [_group_polynomial(1, *d) for d in sites])] if sites else []
-        memo[r, s, rotated] = (polys, sum(math.log(abs(z)) if z else -math.inf for z in traces),
-                               sum(cmath.phase(z) for z in traces))
-    polys, lm, ph = memo[r, s, rotated]
     for block in blocks:  # at most one: the shorter bulk block of a partial traversal
         polys = polys + [(block.log_magnitudes(), np.full(block.size + 1, block.phase))]
         lm, ph = lm + block.log_total(), ph + block.phase
@@ -402,28 +404,36 @@ def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
     ``Ns`` as stacks of values and log magnitudes, and by index the
     ``SimulationError`` of each size that raised one: it fails that size alone.
 
-    The site diagonals, each sector pair's bulk block makers and energy phase,
-    and its product of override sites per set of rotated sites are found once;
-    a size builds only its blocks and their scalar tails (``cell_terms``), and
-    one ``lc_sum_rows`` sums the cells of every size.  A pair whose ``a`` holds
-    a bulk block (partial traversal) has terms that grow with N: summed alone."""
+    Each pair's factors are found once (``_pair_factors``).  The pairs whose ``a`` holds
+    no bulk block form one family of rows over the sizes (block sizes, phases, log totals,
+    splits ``h``), whose tails one ``binomial_log_tails`` batch takes and one ``lc_sum_rows``
+    sums; a pair whose ``a`` holds a bulk block (partial traversal) is summed alone."""
     diagonals, memo = _site_diagonals(spec), {}
     lm, ph = np.full((len(Ns), 2, 2, 2), -np.inf), np.zeros((len(Ns), 2, 2, 2))
-    failed, stacked = {}, []  # stacked: (size index, r, s, cell terms, global phase)
-    for i, N in enumerate(Ns):
+    failed, family, rows, plain_a = {}, [], [], (np.zeros(1), np.zeros(1))
+    for i, N in enumerate(Ns):  # family: (size index, r, s, a, b's phase, log total, global phase)
         try:
-            sized, cells, rotated_count = spec.at_size(N), sign_cells(N), passed_sites(N, fraction)
-            for r, s in np.ndindex(2, 2):
-                ov = sector_overlap(sized, r, s, rotated_count, diagonals, memo)
-                if ov.a_has_bulk:
-                    lm[i, r, s], ph[i, r, s] = ov.cell_log_values(cells)
-                else:
-                    stacked.append((i, r, s, ov.cell_terms(cells), ov.global_phase))
+            sized, rotated_count = spec.at_size(N), passed_sites(N, fraction)
+            rotated, n_rot, n_plain = _site_groups(N, rotated_count, diagonals)
+            for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                rot, plain, delta_e, (polys, _, _) = _pair_factors(spec, r, s, rotated, diagonals, memo)
+                if plain and n_rot and n_plain:
+                    ov = sector_overlap(sized, r, s, rotated_count, diagonals, memo)
+                    lm[i, r, s], ph[i, r, s] = ov.cell_log_values(sign_cells(N))
+                    continue
+                size, make = (n_plain, plain) if plain and not n_rot else (n_rot + n_plain, rot)
+                b = make(size) if size else _binomial_block(0, 0.0, 1.0)
+                family.append((i, r, s, polys[0] if polys else plain_a, b.phase, b.log_total(), delta_e))
+                rows.append((size, (N + 1) // 2, b.p, b.q))  # h: sign_cells(N)'s first "+" up-count
         except SimulationError as exc:
             failed[i] = exc
-    if stacked:  # a failed size's rows are summed too
-        i, r, s, terms, phases = zip(*stacked)
-        lm[i, r, s], ph[i, r, s] = _cell_sums(terms, phases)
+    if family:  # a failed size's rows are summed too
+        i, r, s, a, b_phase, totals, phases = (np.array(v) for v in zip(*family))
+        tails, shifts, bad = binomial_log_tails(rows, a.shape[-1])
+        sums_lm, sums_ph = lc_sum_rows(a[:, 0, None] + tails, (a[:, 1] + b_phase[:, None])[:, None])
+        lm[i, r, s], ph[i, r, s] = sums_lm + shifts + totals[:, None], sums_ph + phases[:, None]
+        for row, exc in bad.items():
+            failed.setdefault(int(i[row]), exc)
     values, finite = np.zeros(lm.shape, dtype=complex), lm != -np.inf
     values[finite] = np.exp(lm[finite]) * np.exp(1j * ph[finite])
     return values, lm, failed

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -218,101 +219,129 @@ _CF_EPS = 2.0 ** -52
 _CF_DECIMAL_BELOW = 0.125
 
 
-def _beta_fraction(a: int, b: int, x: float) -> float:
-    """Continued fraction of ``I_x(a, b) = x**a (1 - x)**b / (a B(a, b)) * CF``.
-
-    DLMF 8.17.22, evaluated by the modified Lentz method (Numerical Recipes
-    §6.4, ``betacf``).  The caller keeps ``x < (a + 1) / (a + b + 2)``, where
-    it converges in a handful of steps.  Near that bound, the distribution's
-    mode, the step count grows: at ``x = 1/2`` and ``a + b = 10**k + 1`` it
-    takes 51, 241, 1120 and 5200 steps for k = 3, 5, 7 and 9, inside the
-    ``O(sqrt(max(a, b)))`` worst case.  There the leading denominator
-    ``1 - (a + b) x / (a + 1)`` also cancels, and in double precision the
-    fraction loses up to about ``7 / denominator`` ulps (measured over 3000
-    random splits within six standard deviations of the mode; 1.2e-13 at
-    ``a + b = 10**6``, 1.3 standard deviations from it).  Below
-    ``_CF_DECIMAL_BELOW`` the steps therefore run in 36-digit decimals,
-    exact from the double ``x``, and the result is rounded once.
-    """
-    if 1.0 - (a + b) * x / (a + 1) >= _CF_DECIMAL_BELOW:
-        return _lentz(a, b, x, 1.0, _CF_EPS)
-    import decimal  # only here: away from the mode it would cost memory and time for nothing
-
-    with decimal.localcontext(decimal.Context(prec=36)):
-        one = decimal.Decimal(1)
-        return float(_lentz(a, b, decimal.Decimal(x), one, one / 10 ** 20))
-
-
-def _lentz(a, b, x, one, eps):
-    """The modified Lentz steps of ``_beta_fraction`` in the arithmetic of ``x``."""
-    limit = 100 + 2 * math.isqrt(max(a, b))
-    tiny = one / 10 ** 300
-    c = one
-    d = one / (one - (a + b) * x / (a + 1))
-    frac = d
-    for m in range(1, limit + 1):
-        for coeff in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                      -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
-            d = one / ((one + coeff * d) or tiny)
-            c = (one + coeff / c) or tiny
-            step = c * d
-            frac *= step
-        if abs(step - one) <= eps:
-            return frac
-    raise NumericalError(f"incomplete-beta continued fraction I_{x}({a}, {b}) "
-                         f"did not converge in {limit} steps")
+def _lentz(a: np.ndarray, b: np.ndarray, x: np.ndarray, one, eps) -> tuple[np.ndarray, dict]:
+    """Modified Lentz steps (Numerical Recipes §6.4, ``betacf``) of the fraction of
+    ``I_x(a, b) = x**a (1 - x)**b / (a B(a, b)) * CF``, DLMF 8.17.22, elementwise in
+    the arithmetic of ``x``: float64, or ``Decimal`` objects over Python-int ``a``, ``b``.
+    Each element keeps the fraction of its own first settled step: the operations
+    of a scalar loop, in its order.  Returns the fractions and, by element, the
+    ``NumericalError`` of each unsettled after ``100 + 2 isqrt(max(a, b))`` steps."""
+    limit, m = np.array([100 + 2 * math.isqrt(int(v)) for v in np.maximum(a, b).tolist()], dtype=int), 0
+    ones = c = np.full_like(x, one)  # array operands: a scalar is converted at every operation
+    tiny, zeros, live, out, failed = one / 10 ** 300, ones - ones, np.arange(len(x)), np.empty_like(x), {}
+    frac = d = ones / (ones - (a + b) * x / (a + 1))
+    while live.size:  # eight steps at a time; an element that ends within them is carried to their end
+        k, ended, low = np.arange(m + 1, m + 9)[:, None], zeros != zeros, limit.min()  # k: the step numbers
+        for m, coeffs in enumerate(zip(k * (b - k) * x / ((a + 2 * k - 1) * (a + 2 * k)),
+                                       -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1))), m + 1):
+            for coeff in coeffs:
+                d = ones + coeff * d
+                d[d == zeros] = tiny
+                d = ones / d
+                c = ones + coeff / c
+                c[c == zeros] = tiny
+                step = c * d
+                frac = frac * step
+            done = (abs(step - ones) <= eps) > ended
+            if done.any():
+                out[live[done]] = frac[done]
+                ended |= done
+            if m >= low:
+                for j in np.flatnonzero((m == limit) > ended):
+                    failed[int(live[j])] = NumericalError(
+                        f"incomplete-beta continued fraction I_{float(x[j])}({int(a[j])}, {int(b[j])}) "
+                        f"did not converge in {m} steps")
+                ended |= m >= limit
+        live, a, b, x, c, d, frac, limit, ones, zeros = (
+            v[~ended] for v in (live, a, b, x, c, d, frac, limit, ones, zeros))
+    return out, failed
 
 
-def binomial_log_tails(n: int, t: int, p: float, q: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``log P(X < t - i)`` and ``log P(X >= t - i)`` for i = 0..k-1 as rows 0
-    and 1, and the ``shift`` each row's sum takes back after the sum.
+def _beta_fractions(abx: Sequence[tuple[int, int, float]]) -> tuple[np.ndarray, dict]:
+    """``_lentz`` for each ``(a, b, x)``, the fraction of ``I_x(a, b)`` with ``x < (a + 1)
+    / (a + b + 2)``, and by element the errors.  Near that bound, the distribution's
+    mode, the step count grows: at ``x = 1/2`` and ``a + b = 10**k + 1`` it takes 51,
+    241, 1120 and 5200 steps for k = 3, 5, 7 and 9, inside the ``O(sqrt(max(a, b)))``
+    worst case.  The leading denominator ``1 - (a + b) x / (a + 1)`` then cancels, and
+    in double precision the fraction loses up to about ``7 / denominator`` ulps (3000
+    random splits within six standard deviations of the mode; 1.2e-13 at ``a + b =
+    10**6``).  Below ``_CF_DECIMAL_BELOW`` those elements step in 36-digit decimals,
+    exact from the double ``x``, and each result is rounded once."""
+    fa, fb, fx = np.array(abx, dtype=float).reshape(-1, 3).T
+    near = 1.0 - (fa + fb) * fx / (fa + 1) < _CF_DECIMAL_BELOW
+    out, failed = np.empty(len(fx)), {}
 
-    X ~ Bin(n, p) with ``q = 1 - p``.  At each split ``s = t - i`` the tail on
-    the far side of the mode is a regularised incomplete beta, ``P(X >= s) =
-    I_p(s, n - s + 1) = Bin(s; n, p) q CF`` or ``P(X < s) = I_q(n - s + 1, s) =
-    Bin(s - 1; n, p) p CF``, with the fraction from ``_beta_fraction``; the
-    near tail is its ``log1p(-exp(.))`` complement.  One pmf, ``shift``, from
-    ``binomial_log_pmf_at`` at the first split, serves them all by the exact
-    ratios ``Bin(m - 1) / Bin(m) = m q / ((n - m + 1) p)``; the row of its far
-    tail holds values less it, as adding it to each term, far out of order n,
-    would round the terms' relative sizes, which set the phase of a mixed-phase
-    sum, to ulps of n.  Exact at p or q = 0 and for splits outside 1..n; the
-    cost is independent of n away from the mode.  Scalar ``math`` throughout:
-    numpy's ``exp``, ``log`` and ``log1p`` differ from it in the last bit.
-    """
-    below, above = [-math.inf] * k, [-math.inf] * k
-    sure = [False] * k  # splits with every outcome on one side
-    m_pmf, shift, far_upper = None, 0.0, False  # log Bin(m_pmf) = shift + rel
-    for i in range(k):
-        s = t - i
-        if s <= 0 or (q <= 0.0 and s <= n):  # X >= s surely
-            above[i], sure[i] = 0.0, True
+    def steps(idx, *args):
+        out[idx], bad = _lentz(*args)
+        failed.update((int(idx[j]), exc) for j, exc in bad.items())
+
+    idx = np.flatnonzero(~near)
+    steps(idx, fa[idx], fb[idx], fx[idx], 1.0, _CF_EPS)
+    if near.any():
+        import decimal  # only here: away from the mode it would cost memory and time for nothing
+
+        idx = np.flatnonzero(near)
+        with decimal.localcontext(decimal.Context(prec=36)):
+            one = decimal.Decimal(1)
+            steps(idx, *(np.array([f(abx[i][j]) for i in idx], dtype=object)
+                         for j, f in enumerate((int, int, decimal.Decimal))), one, one / 10 ** 20)
+    return out, failed
+
+
+def binomial_log_tails(rows: Sequence[tuple[int, int, float, float]], k: int
+                       ) -> tuple[np.ndarray, np.ndarray, dict[int, NumericalError]]:
+    """Per row ``(n, t, p, q)``, X ~ Bin(n, p) with ``q = 1 - p``: ``log P(X < t - i)``
+    and ``log P(X >= t - i)`` for i = 0..k-1, as rows 0 and 1 of ``(len(rows), 2, k)``
+    tails; the ``shift`` each row's sum takes back after the sum, ``(len(rows), 2)``;
+    and by row the ``NumericalError`` of each whose fraction did not converge.
+
+    At each split ``s = t - i`` the tail on the far side of the mode is a
+    regularised incomplete beta, ``P(X >= s) = I_p(s, n - s + 1) = Bin(s; n, p)
+    q CF`` or ``P(X < s) = I_q(n - s + 1, s) = Bin(s - 1; n, p) p CF``; the near
+    tail is its ``log1p(-exp(.))`` complement.  One pmf per row, ``shift``, from
+    ``binomial_log_pmf_at`` at its first split, serves its splits by the exact
+    ratios ``Bin(m - 1) / Bin(m) = m q / ((n - m + 1) p)``; the row of its far tail
+    holds values less it, as adding it to each term, far out of order n, would
+    round the terms' relative sizes, which set the phase of a mixed-phase sum, to
+    ulps of n.  Exact at p or q = 0 and for splits outside 1..n; the cost is
+    independent of n away from the mode.  All rows' fractions step at once; the
+    rest is scalar ``math``: numpy's ``exp``, ``log`` and ``log1p`` differ in the last bit."""
+    tails, anchors, jobs = [], [], []  # per fraction: (row, i, upper, log factor, a, b, x)
+    for row, (n, t, p, q) in enumerate(rows):
+        below, above = [-math.inf] * k, [-math.inf] * k
+        m_pmf, shift, far_upper = None, 0.0, False  # log Bin(m_pmf) = shift + rel
+        for i in range(k):
+            s = t - i
+            if s <= 0 or (q <= 0.0 and s <= n):  # X >= s surely
+                above[i] = 0.0
+            elif s > n or p <= 0.0:  # X < s surely
+                below[i] = 0.0
+            else:
+                upper = p * (n + 3) < s + 1
+                m = s if upper else s - 1
+                if m_pmf is None:
+                    m_pmf, shift, rel, far_upper = m, binomial_log_pmf_at(n, m, p, q), 0.0, upper
+                while m_pmf > m:
+                    rel += math.log(m_pmf * q / ((n - m_pmf + 1) * p))
+                    m_pmf -= 1
+                jobs.append((row, i, upper, rel + math.log(q if upper else p),
+                             *((s, n - s + 1, p) if upper else (n - s + 1, s, q))))
+        far = [v - shift for v in (above if far_upper else below)]  # the sure splits' values less shift
+        tails.append((below, far) if far_upper else (far, above))
+        anchors.append((shift, far_upper))
+    (fracs, bad), failed = _beta_fractions([job[4:] for job in jobs]), {}
+    for job, ((row, i, upper, factor, *_), frac) in enumerate(zip(jobs, fracs.tolist())):
+        if job in bad:
+            failed.setdefault(row, bad[job])
             continue
-        if s > n or p <= 0.0:  # X < s surely
-            below[i], sure[i] = 0.0, True
-            continue
-        upper = p * (n + 3) < s + 1
-        m = s if upper else s - 1
-        if m_pmf is None:
-            m_pmf, shift, rel, far_upper = m, binomial_log_pmf_at(n, m, p, q), 0.0, upper
-        while m_pmf > m:
-            rel += math.log(m_pmf * q / ((n - m_pmf + 1) * p))
-            m_pmf -= 1
-        if upper:
-            far = rel + math.log(q) + math.log(_beta_fraction(s, n - s + 1, p))
-        else:
-            far = rel + math.log(p) + math.log(_beta_fraction(n - s + 1, s, q))
+        shift, far_upper = anchors[row]
+        far = factor + math.log(frac)
         near = math.log1p(-math.exp(shift + far))
-        # the side of the first split's far tail holds values less shift
-        if upper == far_upper:
-            far_side, near_side = far, near
-        else:  # past the mode, where shift is of order log n
-            far_side, near_side = shift + far, near - shift
-        (above if upper else below)[i] = far_side
-        (below if upper else above)[i] = near_side
-    tails = np.array([below, above])
-    tails[int(far_upper), sure] -= shift
-    return tails, np.array([0.0, shift] if far_upper else [shift, 0.0])
+        if upper != far_upper:  # past the mode, where shift is of order log n
+            far, near = shift + far, near - shift
+        tails[row][int(upper)][i], tails[row][int(not upper)][i] = far, near
+    shifts = [(0.0, shift) if far_upper else (shift, 0.0) for shift, far_upper in anchors]
+    return np.array(tails).reshape(len(rows), 2, k), np.array(shifts).reshape(len(rows), 2), failed
 
 
 @dataclass(frozen=True)

@@ -204,10 +204,11 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+@functools.cache
 def _scipy_version() -> str:
-    """The installed scipy's version, read from the header block of its metadata
-    (the text before the first blank line), so neither scipy is imported nor its
-    long description parsed; ``importlib.metadata.version`` if the block has none."""
+    """The installed scipy's version, read once per process from the header block of
+    its metadata (the text before the first blank line), so neither scipy is imported
+    nor its long description parsed; ``importlib.metadata.version`` if the block has none."""
     # the reader is loaded here because only ``run`` records versions
     from importlib.metadata import distribution, version
     header = (distribution("scipy").read_text("METADATA") or "").split("\n\n", 1)[0]

@@ -88,7 +88,7 @@ class ExactConditionResult:
 @dataclass(frozen=True)
 class DecayFit:
     """Log-linear fit of the worst pointer error against chain size, over the sizes
-    ``used``; the sizes with a zero error are ``excluded``."""
+    ``used``; the sizes with a zero or NaN error are ``excluded``."""
 
     used: tuple[int, ...]
     slope: float
@@ -342,7 +342,7 @@ def fit_decay_rate(sweep: Sequence[tuple[int, float]]) -> DecayFit:
     """Least-squares fit of ``log(max_r error_r)`` against chain size, over sweep
     points ``(N, max_r log error_r)``.
 
-    Points with an exactly zero error are excluded with a warning; at least
+    Points with an exactly zero or a NaN error are excluded with a warning; at least
     four usable points spanning a factor of four in N are required.
     """
     if not sweep:
@@ -354,10 +354,10 @@ def fit_decay_rate(sweep: Sequence[tuple[int, float]]) -> DecayFit:
     if max(Ns_all) < 4 * min(Ns_all):
         raise PreconditionError("chain sizes must span at least a factor of four")
     usable = [(N, log_eps) for N, log_eps in points if log_eps > -np.inf]
-    excluded = tuple(N for N, log_eps in points if log_eps == -np.inf)
-    for N in excluded:
-        warnings.warn(f"sweep point N={N} has zero pointer error; excluded from the fit",
-                      stacklevel=2)
+    excluded = tuple((N, log_eps) for N, log_eps in points if not log_eps > -np.inf)  # -inf or NaN
+    for N, log_eps in excluded:
+        warnings.warn(f"sweep point N={N} has {'zero' if log_eps == -np.inf else 'NaN'} pointer error; "
+                      "excluded from the fit", stacklevel=2)
     if len(usable) < 4:
         raise FitError(f"only {len(usable)} usable sweep points after exclusions")
     x = np.array([N for N, _ in usable], dtype=float)
@@ -377,7 +377,7 @@ def fit_decay_rate(sweep: Sequence[tuple[int, float]]) -> DecayFit:
         slope=float(slope),
         intercept=float(intercept),
         r_squared=float(r_squared),
-        excluded=excluded,
+        excluded=tuple(N for N, _ in excluded),
     )
 
 

@@ -492,14 +492,16 @@ class TestSweepSizeFailure:
         # the sizes of a sweep are summed together, but a size that raises fails alone
         cfg = write_config(workdir, BASE + SWEEP)
         assert run_cli("sweep", "--config", cfg, "--out", workdir / "plain") == 0
-        inner = logspace._beta_fraction
+        inner = logspace._lentz
 
-        def fail_at_200(a, b, x):
-            if a + b == 201:  # a tail of the 200-site bulk block
-                raise errors.NumericalError("fraction did not converge")
-            return inner(a, b, x)
+        def fail_at_200(a, b, x, one, eps):
+            # the batched steps report every tail of the 200-site bulk block unsettled
+            fractions, failed = inner(a, b, x, one, eps)
+            failed.update((int(j), errors.NumericalError("fraction did not converge"))
+                          for j in np.flatnonzero(a + b == 201))
+            return fractions, failed
 
-        monkeypatch.setattr(logspace, "_beta_fraction", fail_at_200)
+        monkeypatch.setattr(logspace, "_lentz", fail_at_200)
         assert run_cli("sweep", "--config", cfg, "--out", workdir / "failed") == 0
         plain, failed = ((workdir / out / "sweep.csv").read_bytes().splitlines()
                          for out in ("plain", "failed"))

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pointer_cell_sim.coleman_hepp import ChainSpec, _group_polynomial, factorized_f_tensor
+from pointer_cell_sim.coleman_hepp import (ChainSpec, _group_polynomial, factorized_f_tensor, sector_overlap,
+                                          sign_cells)
 from pointer_cell_sim.errors import NumericalError
 from pointer_cell_sim import logspace
 from pointer_cell_sim.logspace import (
@@ -156,7 +157,8 @@ def binomial_tail_sums(n, t, p, q, lm, ph):
     """Log-coded ``sum_i c_i P(X < t - i)`` and ``sum_i c_i P(X >= t - i)``, X ~ Bin(n, p),
     ``c_i = exp(lm[i] + 1j * ph[i])``: the tails of ``logspace.binomial_log_tails``
     summed by ``lc_sum_rows`` and shifted, as the package sums a block's cells."""
-    tails, shift = logspace.binomial_log_tails(n, t, p, q, len(lm))
+    (tails,), (shift,), failed = logspace.binomial_log_tails([(n, t, p, q)], len(lm))
+    assert not failed
     sums_lm, sums_ph = lc_sum_rows(lm + tails, np.broadcast_to(ph, tails.shape))
     sums_lm = sums_lm + shift
     return (sums_lm[0], sums_ph[0]), (sums_lm[1], sums_ph[1])
@@ -231,6 +233,37 @@ class TestBinomialTails:
             ref_lm, ref_ph = _log_coded_sum(lm + np.array(tails), ph)
             assert_log_close(got_lm, ref_lm)
             assert abs(math.remainder(got_ph - ref_ph, 2 * math.pi)) <= 1e-12, (side, got_ph, ref_ph)
+
+    def test_batch_matches_each_row_alone(self, monkeypatch):
+        # one call over many rows equals each row called alone, bit for bit, with
+        # the rows in two orders: far tails (double steps), the near mode at p = 1/2,
+        # as theta = pi / 2 gives (decimal steps), sure splits (t <= 0, t > n, p or
+        # q = 0), k = 1 and 3, n up to 10**9; a batch mixes both arithmetics
+        batches, inner = [], logspace._lentz
+
+        def spy(a, b, x, one, eps):
+            batches.append(x.dtype.kind)
+            return inner(a, b, x, one, eps)
+
+        monkeypatch.setattr(logspace, "_lentz", spy)
+        rows = []
+        for n in (1, 2, 5, 50, 999, 100_001, 10 ** 7, 10 ** 9):
+            h = (n + 1) // 2
+            rows += [(n, h, 0.8, 0.19999999999999996), (n, h + 1, 0.2, 0.8), (n, n // 3, 0.999, 1.0 - 0.999),
+                     (n, h, 0.5, 0.5), (n, -1, 0.3, 0.7), (n, 0, 0.3, 0.7), (n, n + 1, 0.3, 0.7),
+                     (n, n + 3, 0.3, 0.7), (n, h, 0.0, 1.0), (n, h, 1.0, 0.0)]
+            rows += [(n, h + 3, 0.5, 0.5)] if n < 10 ** 9 else []  # 5200 decimal steps at 10**9
+        for k in (1, 3):
+            alone = [logspace.binomial_log_tails([row], k) for row in rows]
+            assert not any(failed for _, _, failed in alone)
+            for order in (np.arange(len(rows)), np.random.default_rng(k).permutation(len(rows))):
+                del batches[:]
+                tails, shifts, failed = logspace.binomial_log_tails([rows[j] for j in order], k)
+                assert not failed and tails.shape == (len(rows), 2, k) and shifts.shape == (len(rows), 2)
+                for got, j in enumerate(order):
+                    assert tails[got].tobytes() == alone[j][0][0].tobytes(), (rows[j], k)
+                    assert shifts[got].tobytes() == alone[j][1][0].tobytes(), (rows[j], k)
+                assert batches == ["f", "O"]
 
     def test_degenerate_probabilities_are_exact(self):
         # p = 0: X = 0; q = 0: X = n; t outside 1..n: one side is empty
@@ -321,8 +354,16 @@ class TestBinomialTails:
         assert binomial_log_pmf_at(4, 3, 1.0, 0.0) == -math.inf
 
     def test_fraction_stops_at_its_step_limit(self, monkeypatch):
-        # a fraction whose steps never settle (here: no step is small enough)
-        # ends in NumericalError after 100 + 2 isqrt(max(a, b)) steps
+        # a fraction whose steps never settle (here: no double step is small
+        # enough) fails its row after 100 + 2 isqrt(max(a, b)) steps, naming
+        # I_x(a, b); the near-mode row beside it steps in decimals and is kept
+        rows = [(1000, 500, 0.5, 0.5), (189, 100, 0.3, 0.7)]
+        want = logspace.binomial_log_tails(rows[:1], 1)
         monkeypatch.setattr(logspace, "_CF_EPS", -1.0)
-        with pytest.raises(NumericalError, match="did not converge in 120 steps"):
-            logspace._beta_fraction(100, 90, 0.3)
+        tails, shifts, failed = logspace.binomial_log_tails(rows, 1)
+        assert list(failed) == [1] and type(failed[1]) is NumericalError
+        assert str(failed[1]) == ("incomplete-beta continued fraction I_0.3(100, 90) "
+                                  "did not converge in 120 steps")
+        assert tails[:1].tobytes() == want[0].tobytes() and shifts[:1].tobytes() == want[1].tobytes()
+        with pytest.raises(NumericalError, match=r"I_0\.3\d*\(95, 95\) did not converge in 118 steps"):
+            sector_overlap(ChainSpec(N=189, m0=0.4), 0, 0).cell_log_values(sign_cells(189))

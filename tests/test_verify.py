@@ -543,6 +543,15 @@ class TestDecayFit:
         assert fit.excluded == (800,) and fit.used == (50, 100, 200, 400)
         assert abs(fit.c - 0.2) / 0.2 < 1e-6
 
+    def test_nan_error_points_excluded(self):
+        # a NaN max log error is excluded with a warning, as a zero error is:
+        # used plus excluded are the points given
+        points = [(50, math.nan), (100, -10.0), (200, -20.0), (400, -40.0), (800, -80.0)]
+        with pytest.warns(UserWarning, match="N=50 has NaN pointer error; excluded from the fit"):
+            fit = fit_decay_rate(points)
+        assert fit.excluded == (50,) and fit.used == (100, 200, 400, 800)
+        assert abs(fit.c - 0.1) <= 1e-15 and fit.r_squared == 1.0
+
     def test_too_few_points(self):
         pm = PointerMap(phi=(0, 1), confidence=(1.0, 1.0))
         sweep = [(N, error_tensor(math.exp(-0.2 * N)), pm) for N in (50, 100, 200)]
