@@ -117,7 +117,7 @@ def estimate_rate(
     if Ns[-1] < 4 * Ns[0]:
         raise PreconditionError("chain sizes must span at least a factor of four")
     (a, _), b = overlap.a, overlap.b
-    if overlap.a_has_bulk or b.size == 0:
+    if overlap.bulk is not None or b.size == 0:
         raise PreconditionError("a rate function reads a sector at full traversal with a bulk site")
     grid = [float(m) for m in grid]
     bulk = np.array(Ns) - (a.size - 1)

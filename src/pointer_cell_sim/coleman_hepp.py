@@ -31,7 +31,8 @@ from .core import (
     _diagonal_of,
 )
 from .errors import CapacityError, SimulationError, StructuralError
-from .logspace import BinomialBlock, _binomial_block, binomial_log_tails, lc_convolve, lc_sum_rows
+from .logspace import (BinomialBlock, _binomial_block, binomial_log_pmf, binomial_log_tails,
+                       binomial_pair_log_tails, lc_convolve, lc_sum_rows)
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
@@ -191,23 +192,19 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
 class FactorizedSectorOverlap:
     """Product-structure evaluation of one sector pair against the cells.
 
-    The sector operator's coefficient on the up-count-j subspace is the
-    j-th coefficient of the product polynomial ``a * b``, times
-    ``exp(1j * global_phase)``.  ``b`` is the longest bulk block, a
-    :class:`BinomialBlock`.  ``a = (lm, ph)`` is everything else as one
-    log-coded polynomial: the override sites, ``[1]`` for a plain chain and
-    k + 1 terms for k overrides, and in a partial traversal also the shorter
-    bulk block, which ``a_has_bulk`` marks.  ``a_total`` is the log-coded sum
-    of ``a``, the product of its factors' sums.  The product itself is never
-    formed: ``cell_terms`` gives each cell as a sum of ``len(a)`` terms.
-    A diagonal sector at full traversal is also what ``ldp`` reads its rate
-    functions from (``coarse_ldp.estimate_rate``), at every chain size.
+    The sector operator's coefficient on the up-count-j subspace is the j-th
+    coefficient of ``a * bulk * b``, times ``exp(1j * global_phase)``: ``b`` is the
+    longest bulk block and ``bulk`` the shorter one of a partial traversal, else
+    None, each a :class:`BinomialBlock`, and ``a = (lm, ph)`` the override sites as
+    one log-coded polynomial, ``[1]`` for a plain chain.  ``a_total`` is the sum of
+    ``a * bulk``, the product of its factors' sums.  ``ldp`` reads its rate
+    functions from a diagonal sector at full traversal (``coarse_ldp.estimate_rate``).
     """
 
     a: tuple[np.ndarray, np.ndarray]
     b: BinomialBlock
     global_phase: float
-    a_has_bulk: bool = False
+    bulk: BinomialBlock | None = None
     a_total: tuple[float, float] = (0.0, 0.0)
 
     def dp_total(self) -> tuple[float, float]:
@@ -217,39 +214,19 @@ class FactorizedSectorOverlap:
     def cell_terms(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Log-coded terms of the two cell sums over a two-cell partition.
 
-        The partition must split the up-counts into a prefix and a suffix,
-        as ``chain_cells`` does.  With ``h = cells.bounds[1]`` the "-" cell
-        is ``j < h`` and the "+" cell ``j >= h``, so
-        ``sum_{j in cell} (a * b)_j = sum_i a_i * tail_b(cell - i)``, and as
-        ``b`` has one phase its tails are real.  Where ``a`` holds only the
-        override sites, one row of ``binomial_log_tails`` (``traversal_family``
-        takes a family's rows at once) gives each tail from an incomplete-beta
-        continued fraction, at a cost independent of the chain length.  Where
-        ``a`` also holds a bulk block, its length grows with the chain, and the
-        tails come from log-space running sums over the materialised
-        magnitudes of ``b`` instead.  Returns a row of log
-        magnitudes per cell (``-inf`` outside it), the phases both share, and
-        what each row's ``lc_sum_rows`` sum then takes: a shift, then a total.
-        """
-        (a_lm, a_ph), b = self.a, self.b
-        na, nb = a_lm.size, b.size + 1
-        h = cells.prefix_split(na + nb - 1)
-        if not self.a_has_bulk:  # a zero block: p = 0, so every tail is sure, and total -inf
-            tails, shifts, failed = binomial_log_tails([(b.size, h, b.p, b.q)], na)
-            if failed:
-                raise failed[0]
-            return a_lm + tails[0], a_ph + b.phase, shifts[0], b.log_total()
-        lm = np.full((2, na), -np.inf)
-        if a_lm.max() == -np.inf:  # exact zeros, as the cross pairs of the exact flip: no term
-            return lm, a_ph + b.phase, np.zeros(2), 0.0
-        b_lm = b.log_magnitudes()
-        hi = min(h, na)  # "-" cell: i < hi, tail b_0 + ... + b_{h-1-i}
-        lo = max(h - nb + 1, 0)  # "+" cell: i >= lo, tail b_{h-i} + ... + b_{nb-1}
-        prefix = np.logaddexp.accumulate(b_lm)
-        suffix = np.logaddexp.accumulate(b_lm[::-1])[::-1]
-        lm[0, :hi] = a_lm[:hi] + prefix[np.minimum(h - 1 - np.arange(hi), nb - 1)]
-        lm[1, lo:] = a_lm[lo:] + suffix[np.maximum(h - np.arange(lo, na), 0)]
-        return lm, a_ph + b.phase, np.zeros(2), 0.0
+        The partition must split the up-counts into a prefix and a suffix, as
+        ``chain_cells`` does: with ``h = cells.bounds[1]`` a cell is ``sum_i a_i *
+        tail(h - i)``, a real tail of the up-count of ``bulk * b`` (``_block_tails``),
+        at a cost independent of N with one block and growing as the root of the
+        shorter block with two.  Returns a row of log magnitudes per cell (``-inf``
+        outside it), the phases both share, and what each row's ``lc_sum_rows`` sum
+        then takes: a shift, then a total."""
+        (a_lm, a_ph), b, bulk = self.a, self.b, self.bulk
+        h = cells.prefix_split(a_lm.size + b.size + (bulk.size if bulk else 0))
+        tails, shifts, phases, totals, failed = _block_tails([(bulk, b, h)], a_lm.size)
+        if failed:
+            raise failed[0]
+        return a_lm + tails[0], a_ph + phases[0], shifts[0], totals[0]
 
     def cell_log_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
         """Log-coded cell sums ``(log magnitudes, phases)``, as ``traversal_family`` forms them."""
@@ -258,11 +235,33 @@ class FactorizedSectorOverlap:
         return sums_lm + shift + total, sums_ph + self.global_phase
 
 
-def _group_polynomial(size: int, d0: complex, d1: complex) -> tuple[np.ndarray, np.ndarray]:
-    # log-coded (d1 + d0 z)**size, with phases j arg d0 + (size - j) arg d1
-    j = np.arange(size + 1, dtype=float)
-    return (_binomial_block(size, d0, d1).log_magnitudes(),
-            j * cmath.phase(d0) + (size - j) * cmath.phase(d1))
+def _block_tails(blocks: list, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Per ``(bulk, b, h)`` (``bulk`` None for one block): ``log P(X < h - i)``, ``log P(X >= h - i)``, i < k,
+    for the up-count X of ``bulk * b`` as ``(len(blocks), 2, k)`` rows, each row's shifts, phase and log total,
+    and by row the errors; one ``binomial_log_tails`` and one ``binomial_pair_log_tails`` batch, zero blocks none."""
+    one = [n for n, (bulk, _, _) in enumerate(blocks) if bulk is None]
+    two = [n for n, (bulk, b, _) in enumerate(blocks) if bulk and min(bulk.log_scale, b.log_scale) > -math.inf]
+    tails, shifts, bad = np.full((len(blocks), 2, k), -np.inf), np.zeros((len(blocks), 2)), {}
+    if one:
+        tails[one], shifts[one], bad = binomial_log_tails([(b.size, h, b.p, b.q) for _, b, h in
+                                                           map(blocks.__getitem__, one)], k)
+    if two:
+        tails[two] = binomial_pair_log_tails([(u.size, u.p, u.q, b.size, b.p, b.q, h) for u, b, h in
+                                              map(blocks.__getitem__, two)], k)
+    phase_total = np.array([(b.phase, b.log_total()) if u is None else (u.phase + b.phase, u.log_total()
+                            + b.log_total()) for u, b, _ in blocks]).reshape(-1, 2)
+    return tails, shifts, phase_total[:, 0], phase_total[:, 1], {one[row]: exc for row, exc in bad.items()}
+
+
+def _site_polynomials(diagonals: dict) -> dict:
+    """``(site, a, b)`` -> the log-coded ``d1 + d0 z`` of ``diagonals[site][a][b]``, per
+    override site, phases ``j arg d0 + (1 - j) arg d1``: one Loader call for all."""
+    keys = [(k, a, b) for k in diagonals if k is not None for a in range(2) for b in range(2)]
+    sites, j = [diagonals[k][a][b] for k, a, b in keys], np.arange(2, dtype=float)
+    blocks = np.array([(x.p, x.q, x.log_scale) for x in (_binomial_block(1, *d) for d in sites)])
+    lm = blocks[:, 2:] + binomial_log_pmf(1, blocks[:, :1], blocks[:, 1:2], np.tile(j, (len(keys), 1)))
+    args = np.array([(cmath.phase(d0), cmath.phase(d1)) for d0, d1 in sites])  # a zero site: lm -inf
+    return dict(zip(keys, zip(lm, j * args[:, :1] + (1 - j) * args[:, 1:])))
 
 
 def _bulk_block(d0: complex, d1: complex, scale: float | None) -> Callable[[int], BinomialBlock]:
@@ -305,8 +304,8 @@ def diagonal_sectors(spec: ChainSpec, N: int) -> list[tuple[FactorizedSectorOver
     """Per evolved diagonal sector r at full traversal: ``sector_overlap(spec.at_size(N),
     r, r)``, and the up-probability ``|d0| / (|d0| + |d1|)`` of each of its site states,
     key None the bulk, then the override sites in site order."""
-    diagonals, sized = _site_diagonals(spec), spec.at_size(N)
-    return [(sector_overlap(sized, r, r, diagonals=diagonals),
+    diagonals, sized, memo = _site_diagonals(spec), spec.at_size(N), {}
+    return [(sector_overlap(sized, r, r, diagonals=diagonals, memo=memo),
              {site: _binomial_block(0, *d[r][r]).p for site, d in diagonals.items()}) for r in range(2)]
 
 
@@ -317,10 +316,11 @@ def _site_groups(N: int, rotated_count: int, diagonals: dict) -> tuple[tuple[int
     return rotated, rotated_count - len(rotated), (N - rotated_count) - (len(override_sites) - len(rotated))
 
 
-def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], diagonals: dict, memo: dict):
-    """Pair (r, s)'s bulk block makers, rotated and plain (None where both are one),
-    its energy phase, and for the ``rotated`` override sites their product polynomials,
-    its log sum and its phase, kept in ``memo`` for specs differing in N."""
+def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], n_rot: int, n_plain: int,
+                  diagonals: dict, memo: dict):
+    """Pair (r, s)'s shorter bulk block (None unless both groups are nonempty and differ) and
+    longest of ``n_rot`` rotated and ``n_plain`` plain sites, its energy phase, and the ``rotated``
+    override sites' product polynomials, log sum and phase, all but the blocks kept in ``memo``."""
     if (r, s) not in memo:
         # a pair the traversal does not touch has no plain maker: one closed form for the bulk
         rot_key, plain_key = diagonals[None][r == 1][s == 1], diagonals[None][0][0]
@@ -329,14 +329,19 @@ def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], dia
                       None if rot_key == plain_key else _bulk_block(*plain_key, scale),
                       float((spec.energies[s] - spec.energies[r]) * spec.t))
     if (r, s, rotated) not in memo:
-        override_sites = [k for k in diagonals if k is not None]
-        sites = [diagonals[k][r == 1 and k in rotated][s == 1 and k in rotated] for k in override_sites]
+        keys = [(k, r == 1 and k in rotated, s == 1 and k in rotated) for k in diagonals if k is not None]
         # a site's factor sums to its trace, in a diagonal sector Tr rho_k, which the rotation keeps
-        traces = [sum(diagonals[k][0][0] if r == s else d) for k, d in zip(override_sites, sites)]
-        polys = [reduce(lc_convolve, [_group_polynomial(1, *d) for d in sites])] if sites else []
+        traces = [sum(diagonals[k][0][0] if r == s else diagonals[k][a][b]) for k, a, b in keys]
+        if keys and "sites" not in memo:
+            memo["sites"] = _site_polynomials(diagonals)
+        polys = [reduce(lc_convolve, [memo["sites"][key] for key in keys])] if keys else []
         memo[r, s, rotated] = (polys, sum(math.log(abs(z)) if z else -math.inf for z in traces),
                                sum(cmath.phase(z) for z in traces))
-    return (*memo[r, s], memo[r, s, rotated])
+    (rot, plain, delta_e), factors = memo[r, s], memo[r, s, rotated]
+    if not (plain and n_rot and n_plain):
+        size, make = (n_plain, plain) if plain and not n_rot else (n_rot + n_plain, rot)
+        return None, make(size) if size else _binomial_block(0, 0.0, 1.0), delta_e, factors
+    return (*((rot(n_rot), plain(n_plain)) if n_rot <= n_plain else (plain(n_plain), rot(n_rot))), delta_e, factors)
 
 
 def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None,
@@ -346,11 +351,11 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
 
     Sites with index below ``rotated_count`` have been passed by the
     traversing particle and carry the conditional rotation in the spin-down
-    sector; the remainder are untouched.  Identical sites collapse into
-    binomial bulk blocks, at most two; the longest is ``b``, and the
-    override sites, in site order, and then the other block are convolved
-    into ``a`` in log space.  ``diagonals`` is ``_site_diagonals(spec)``, and
-    ``memo`` is ``_pair_factors``'.
+    sector; the remainder are untouched.  Identical sites collapse into at
+    most two binomial bulk blocks, held by their parameters, the longest
+    ``b`` and the other ``bulk``; the override sites, in site order, are
+    convolved into ``a`` in log space.  ``diagonals`` is
+    ``_site_diagonals(spec)``, and ``memo`` is ``_pair_factors``'.
     """
     if rotated_count is None:
         rotated_count = spec.N
@@ -358,15 +363,11 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
         raise StructuralError("rotated site count outside the chain")
     diagonals, memo = diagonals or _site_diagonals(spec), {} if memo is None else memo
     rotated, n_rot, n_plain = _site_groups(spec.N, rotated_count, diagonals)
-    rot, plain, delta_e, (polys, lm, ph) = _pair_factors(spec, r, s, rotated, diagonals, memo)
-    groups = [(n_rot, rot), (n_plain, plain)] if plain else [(n_rot + n_plain, rot)]
-    blocks = sorted((make(size) for size, make in groups if size), key=lambda block: block.size)
-    b = blocks.pop() if blocks else _binomial_block(0, 0.0, 1.0)
-    for block in blocks:  # at most one: the shorter bulk block of a partial traversal
-        polys = polys + [(block.log_magnitudes(), np.full(block.size + 1, block.phase))]
-        lm, ph = lm + block.log_total(), ph + block.phase
-    a = reduce(lc_convolve, polys) if polys else (np.zeros(1), np.zeros(1))
-    return FactorizedSectorOverlap(a=a, b=b, global_phase=delta_e, a_has_bulk=bool(blocks), a_total=(lm, ph))
+    bulk, b, delta_e, (polys, lm, ph) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
+    if bulk:
+        lm, ph = lm + bulk.log_total(), ph + bulk.phase
+    a = polys[0] if polys else (np.zeros(1), np.zeros(1))
+    return FactorizedSectorOverlap(a=a, b=b, global_phase=delta_e, bulk=bulk, a_total=(lm, ph))
 
 
 def factorized_f_tensor(spec: ChainSpec) -> FTensor:
@@ -404,32 +405,25 @@ def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
     ``Ns`` as stacks of values and log magnitudes, and by index the
     ``SimulationError`` of each size that raised one: it fails that size alone.
 
-    Each pair's factors are found once (``_pair_factors``).  The pairs whose ``a`` holds
-    no bulk block form one family of rows over the sizes (block sizes, phases, log totals,
-    splits ``h``), whose tails one ``binomial_log_tails`` batch takes and one ``lc_sum_rows``
-    sums; a pair whose ``a`` holds a bulk block (partial traversal) is summed alone."""
+    Each pair's factors are found once (``_pair_factors``).  Every (size, pair) is one
+    row: its bulk blocks and split ``h``, whose tails one ``_block_tails`` call takes for
+    all rows, and its phases and log totals, all of which one ``lc_sum_rows`` sums."""
     diagonals, memo = _site_diagonals(spec), {}
     lm, ph = np.full((len(Ns), 2, 2, 2), -np.inf), np.zeros((len(Ns), 2, 2, 2))
-    failed, family, rows, plain_a = {}, [], [], (np.zeros(1), np.zeros(1))
-    for i, N in enumerate(Ns):  # family: (size index, r, s, a, b's phase, log total, global phase)
+    failed, rows, plain_a = {}, [], (np.zeros(1), np.zeros(1))
+    for i, N in enumerate(Ns):  # rows: (size index, r, s, a, global phase, (bulk, b, h)), h the first "+" count
         try:
-            sized, rotated_count = spec.at_size(N), passed_sites(N, fraction)
-            rotated, n_rot, n_plain = _site_groups(N, rotated_count, diagonals)
+            spec.at_size(N)
+            rotated, n_rot, n_plain = _site_groups(N, passed_sites(N, fraction), diagonals)
             for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                rot, plain, delta_e, (polys, _, _) = _pair_factors(spec, r, s, rotated, diagonals, memo)
-                if plain and n_rot and n_plain:
-                    ov = sector_overlap(sized, r, s, rotated_count, diagonals, memo)
-                    lm[i, r, s], ph[i, r, s] = ov.cell_log_values(sign_cells(N))
-                    continue
-                size, make = (n_plain, plain) if plain and not n_rot else (n_rot + n_plain, rot)
-                b = make(size) if size else _binomial_block(0, 0.0, 1.0)
-                family.append((i, r, s, polys[0] if polys else plain_a, b.phase, b.log_total(), delta_e))
-                rows.append((size, (N + 1) // 2, b.p, b.q))  # h: sign_cells(N)'s first "+" up-count
+                bulk, b, delta_e, (polys, _, _) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
+                rows.append((i, r, s, polys[0] if polys else plain_a, delta_e, (bulk, b, (N + 1) // 2)))
         except SimulationError as exc:
             failed[i] = exc
-    if family:  # a failed size's rows are summed too
-        i, r, s, a, b_phase, totals, phases = (np.array(v) for v in zip(*family))
-        tails, shifts, bad = binomial_log_tails(rows, a.shape[-1])
+    if rows:  # a failed size's rows are summed too
+        *columns, blocks = zip(*rows)
+        i, r, s, a, phases = (np.array(v) for v in columns)
+        tails, shifts, b_phase, totals, bad = _block_tails(list(blocks), a.shape[-1])
         sums_lm, sums_ph = lc_sum_rows(a[:, 0, None] + tails, (a[:, 1] + b_phase[:, None])[:, None])
         lm[i, r, s], ph[i, r, s] = sums_lm + shifts + totals[:, None], sums_ph + phases[:, None]
         for row, exc in bad.items():

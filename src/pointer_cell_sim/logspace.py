@@ -7,7 +7,6 @@ A value is ``exp(lm) * exp(1j * ph)``; ``lm = -inf`` encodes an exact zero.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,20 +40,19 @@ _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 118
 
 def _stirlerr(k: np.ndarray) -> np.ndarray:
     """Stirling-formula error ``stirlerr(k)`` over integers k >= 0 held as
-    floats, elementwise: the table below 16, the series above."""
-    out = np.empty(len(k))
+    floats, elementwise: the series, then the table below 16 over it."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 is read from the table
+        inv = np.reciprocal(k)
+        w = inv * inv
+        acc = w * _S4  # Horner in 1 / k**2, in place
+        for s in (_S3, _S2, _S1):
+            np.subtract(s, acc, out=acc)
+            acc *= w
+        np.subtract(_S0, acc, out=acc)
+        acc *= inv
     small = k < 16
-    out[small] = _STIRLERR_TABLE[k[small].astype(int)]
-    inv = np.reciprocal(k[~small])
-    w = inv * inv
-    acc = w * _S4  # Horner in 1 / k**2, in place
-    for s in (_S3, _S2, _S1):
-        np.subtract(s, acc, out=acc)
-        acc *= w
-    np.subtract(_S0, acc, out=acc)
-    acc *= inv
-    out[~small] = acc
-    return out
+    acc[small] = _STIRLERR_TABLE[k[small].astype(int)]
+    return acc
 
 
 def _saddle(n, k: np.ndarray, st_n, st_k: np.ndarray, st_nk: np.ndarray) -> np.ndarray:
@@ -66,18 +64,6 @@ def _saddle(n, k: np.ndarray, st_n, st_k: np.ndarray, st_nk: np.ndarray) -> np.n
     np.log(half_log, out=half_log)
     half_log *= 0.5
     return st_n - st_k - st_nk - half_log
-
-
-@functools.lru_cache(maxsize=4)
-def _saddle_log_pmf(n: int) -> np.ndarray:
-    """``_saddle`` over k = 0..n, 0 at k = 0 and n, ``stirlerr`` read reversed
-    for n - k; cached per n, read-only, for the sectors of a partial traversal."""
-    out = np.zeros(n + 1)
-    if n > 1:
-        st = _stirlerr(np.arange(n + 1, dtype=float))
-        out[1:n] = _saddle(n, np.arange(1, n, dtype=float), st[n], st[1:n], st[n - 1:0:-1])
-    out.setflags(write=False)
-    return out
 
 
 # 1 / (2j + 1) for the series terms j = 1..8 of bd0
@@ -108,69 +94,41 @@ def _bd0_series(x: np.ndarray, m, out: np.ndarray) -> np.ndarray:
 
 def _bd0(x: np.ndarray, m) -> np.ndarray:
     """``bd0(x, m)``, m > 0, elementwise over integers x held as floats, m a
-    scalar or an array like x: masks pick x = 0, the band and the rest."""
+    scalar or an array like x: the direct form, then masks pick the band and x = 0."""
     m = np.broadcast_to(m, x.shape)
-    out = np.empty(len(x))
-    zero = x == 0.0
-    out[zero] = m[zero]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 and the band are replaced
+        out = x * np.log(x / m) + m - x
     band = (x >= np.floor(m * 9.0 / 11.0) + 1.0) & (x < np.ceil(m * 11.0 / 9.0))
     out[band] = _bd0_series(x[band], m[band], np.empty(np.count_nonzero(band)))
-    side = ~(zero | band)
-    xs, ms = x[side], m[side]
-    out[side] = xs * np.log(xs / ms) + ms - xs
+    zero = x == 0.0
+    out[zero] = m[zero]
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _bd0_range(n: int, m: float) -> np.ndarray:
-    """``bd0`` over x = 0..n, its band a run of x, cached like ``_saddle_log_pmf``."""
-    x = np.arange(n + 1, dtype=float)
-    out = np.empty(n + 1)
-    zero, lo, hi = x.searchsorted((1, math.floor(m * 9.0 / 11.0) + 1, math.ceil(m * 11.0 / 9.0)))
-    hi = max(hi, lo)  # at m = 0 (n = 0) the band bounds cross
-    out[:zero] = m
-    _bd0_series(x[lo:hi], m, out[lo:hi])
-    for a, b in ((zero, lo), (hi, n + 1)):
-        xs, side = x[a:b], out[a:b]
-        np.divide(xs, m, out=side)
-        np.log(side, out=side)
-        side *= xs
-        side += m
-        side -= xs
-    out.setflags(write=False)
-    return out
-
-
-def binomial_log_pmf(n: int | np.ndarray, p: float, q: float, k: np.ndarray | None = None) -> np.ndarray:
+def binomial_log_pmf(n: int | np.ndarray, p: float | np.ndarray, q: float | np.ndarray, k=None) -> np.ndarray:
     """Log-pmf of Bin(n, p) over k = 0..n, or at the up-counts ``k``, with
     ``q = 1 - p``; exact at p or q = 0.
 
     Loader's saddle-point form (C. Loader, 2000, *Fast and Accurate
     Computation of Binomial Probabilities*): ``log Bin(k; n, k / n)`` minus
-    the deviances ``bd0(k, n p)`` and ``bd0(n - k, n q)``.  Near the mass
-    its absolute error is a few ulps of the result, where the direct sum
-    ``log C(n, k) + k log p + (n - k) log q`` loses ulps of ``n log n``.
-    ``q`` is passed rather than formed as ``1 - p`` so that a p within
-    rounding of 1 keeps the digits of its complement.
-
-    Given ``k``, in any order and with repeats, n is a scalar or an array
-    elementwise with k, so one call serves several chain sizes of one p.
-    Masks pick each entry's table, series and band; it costs the length of
-    k, not n, and equals the whole range's value at that k bit for bit.
+    the deviances ``bd0(k, n p)`` and ``bd0(n - k, n q)``, a few ulps of the
+    result near the mass, where the direct sum loses ulps of ``n log n``.
+    ``q`` is passed so that a p within rounding of 1 keeps its complement's
+    digits.  ``k`` may have any order, repeats and shape, and n, p and q
+    broadcast to it; masks pick each entry's table, series and band, so it
+    costs the size of k, and each entry's value does not depend on the others.
     """
-    if p <= 0.0 or q <= 0.0:
-        k = np.arange(n + 1) if k is None else np.asarray(k)
-        return np.where(k == (0 if p <= 0.0 else n), 0.0, -np.inf)
-    if k is None:
-        return _saddle_log_pmf(n) - _bd0_range(n, n * p) - _bd0_range(n, n * q)[::-1]
-    k = np.asarray(k, dtype=float)
-    n = np.broadcast_to(np.asarray(n, dtype=float), k.shape)
-    saddle = np.zeros(len(k))
+    k = np.arange(n + 1, dtype=float) if k is None else np.asarray(k, dtype=float)
+    n, p, q = np.broadcast_to(np.asarray(n, dtype=float), k.shape), np.asarray(p), np.asarray(q)
+    saddle = np.zeros(k.shape)
     inner = (k > 0.0) & (k < n)
-    ki, ni = k[inner], n[inner]
-    st = _stirlerr(np.concatenate((ki, ni - ki, ni))).reshape(3, -1)
-    saddle[inner] = _saddle(ni, ki, st[2], st[0], st[1])
-    return saddle - _bd0(k, n * p) - _bd0(n - k, n * q)
+    if inner.any():
+        ki, ni = k[inner], n[inner]
+        st = _stirlerr(np.concatenate((ki, ni - ki, ni))).reshape(3, -1)
+        saddle[inner] = _saddle(ni, ki, st[2], st[0], st[1])
+    out = saddle - _bd0(k, n * p) - _bd0(n - k, n * q)
+    sure = (p <= 0.0) | (q <= 0.0)  # one sure count, 0 or n, where bd0 is inf
+    return np.where(sure, np.where(k == np.where(p <= 0.0, 0.0, n), 0.0, -np.inf), out) if sure.any() else out
 
 
 def _stirlerr_at(k: int) -> float:
@@ -344,6 +302,70 @@ def binomial_log_tails(rows: Sequence[tuple[int, int, float, float]], k: int
     return np.array(tails).reshape(len(rows), 2, k), np.array(shifts).reshape(len(rows), 2), failed
 
 
+#: a window's first half-width in tilted deviations, the nats below its largest term
+#: that settle an open end, and the elements of one pass
+_WINDOW_SIGMAS, _WINDOW_DROP, _WINDOW_SIZE = 13.0, 60.0, 2 ** 15
+
+
+def binomial_pair_log_tails(rows: Sequence[tuple[int, float, float, int, float, float, int]], k: int) -> np.ndarray:
+    """Per row ``(na, pa, qa, nb, pb, qb, t)``, X = X_a + X_b for independent X_a ~ Bin(na, pa)
+    and X_b ~ Bin(nb, pb), ``q = 1 - p``: ``log P(X < t - i)`` and ``log P(X >= t - i)``,
+    i = 0..k-1, as rows 0 and 1 of ``(len(rows), 2, k)`` tails.
+
+    ``P(X >= s) = P(X' < na + nb + 1 - s)`` for the down counts X', and a lower tail is
+    the direct sum ``sum_j Bin(j; na, pa) P(X_b < s - j)`` over a window of j, its terms
+    log-concave (Saumard & Wellner, *Statistics Surveys* 8, 2014).  The window is centred
+    at X_a's tilted mean ``na pa x / (qa + pa x)`` given ``X = s - 1`` (x = 1 if the cell
+    holds the mean) and doubles from ``_WINDOW_SIGMAS`` tilted deviations until each open
+    end is ``_WINDOW_DROP`` nats below the largest term: the terms then fall outward, and a
+    geometric series bounds the rest below ``2**-60`` of the sum for n to 10**12.  X_b's
+    tails are a running log-sum of its pmfs over the k needed, cut the same way (a
+    gaussian estimate places the lower cut).  A row costs ``O(sqrt(na + nb))``; rows of similar
+    width share passes of about ``_WINDOW_SIZE`` elements, each keeping its own bits."""
+    def window(n, p, q, lo, hi):  # rows of log Bin(k; n, p) for k = lo..hi from column 0, -inf past hi
+        k = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
+        used, out = k <= hi[:, None], np.full(k.shape, -np.inf)
+        out[used] = binomial_log_pmf(*(np.broadcast_to(v[:, None], k.shape)[used] for v in (n, p, q)), k[used])
+        return out
+
+    jobs = [(na, pa, qa, nb, pb, qb, t - i) if side == 0 else (na, qa, pa, nb, qb, pb, na + nb + 1 - t + i)
+            for na, pa, qa, nb, pb, qb, t in rows for side in (0, 1) for i in range(k)]
+    na, pa, qa, nb, pb, qb, t = np.array(jobs, dtype=float).reshape(-1, 7).T
+    # no term where t <= 0, all where t > na + nb; the largest j with a term, and the tilted total
+    out, top, tau = np.where(t > na + nb, 0.0, -np.inf), np.minimum(na, t - 1.0), t - 1.0
+    a2, a1 = pa * pb * (na + nb - tau), na * pa * qb + nb * pb * qa - tau * (qa * pb + pa * qb)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a point mass: centre and width 0
+        root = np.sqrt(a1 * a1 + 4.0 * a2 * tau * qa * qb)
+        x = np.where(tau >= na * pa + nb * pb, 1.0, np.where(a1 > 0.0, 2.0 * tau * qa * qb / (a1 + root),
+                                                             (root - a1) / (2.0 * a2)))
+        centre = np.clip(np.nan_to_num(np.round(na * pa * x / (qa + pa * x))), 0.0, top)
+        half = np.ceil(_WINDOW_SIGMAS * np.nan_to_num(np.sqrt(na * pa * qa * x) / (qa + pa * x))) + 2.0
+    extra, mode = _WINDOW_SIGMAS * np.sqrt(nb * pb * qb), np.floor(nb * pb)  # X_b's cuts past its mode
+    live = np.flatnonzero((t >= 1.0) & (t <= na + nb))
+    while live.size:
+        lo, hi = np.maximum(centre - half, 0.0), np.minimum(centre + half, top)
+        k_need, k_end = np.minimum(tau - hi, nb), np.minimum(tau - lo, nb)  # the least and the largest tail's k
+        k_lo = np.maximum(mode - np.ceil(np.hypot(np.maximum(mode - k_need, 0.0), extra)) - 2.0, 0.0)
+        k_top = np.minimum(k_end, mode + extra + 2.0)
+        last, end, need = ((v - w).astype(int) for v, w in ((hi, lo), (k_top, k_lo), (np.minimum(k_need, k_top), k_lo)))
+        order, pending = live[np.argsort((last + end)[live], kind="stable")], []
+        for idx in np.split(order, np.flatnonzero(np.diff(np.cumsum(last[order] + end[order]) // _WINDOW_SIZE)) + 1):
+            pick = np.arange(len(idx))
+            b_pmf, f = (window(*(u[idx] for u in us)) for us in ((nb, pb, qb, k_lo, k_top), (na, pa, qa, lo, hi)))
+            tails = np.logaddexp.accumulate(b_pmf, axis=1)  # log P(k_lo <= X_b <= k)
+            col = (tau - lo - k_lo)[idx, None] - np.arange(f.shape[1])  # of k = s - 1 - j
+            f += np.take_along_axis(tails, np.clip(col, 0, end[idx, None]).astype(int), axis=1)
+            drop = f.max(axis=1) - _WINDOW_DROP
+            ends = ((lo[idx] == 0.0) | (f[:, 0] <= drop)) & ((hi[idx] == top[idx]) | (f[pick, last[idx]] <= drop))
+            cut = ((k_lo[idx] == 0.0) | (b_pmf[:, 0] <= tails[pick, need[idx]] - _WINDOW_DROP)) & (
+                (k_top[idx] == k_end[idx]) | (b_pmf[pick, end[idx]] <= tails[pick, end[idx]] - _WINDOW_DROP))
+            out[idx[ends & cut]] = lc_real_logsumexp_rows(f[ends & cut])
+            half[idx], extra[idx] = half[idx] * np.where(ends, 1.0, 2.0), extra[idx] * np.where(cut, 1.0, 2.0)
+            pending.append(idx[~(ends & cut)])
+        live = np.sort(np.concatenate(pending))
+    return out.reshape(len(rows), 2, k)
+
+
 @dataclass(frozen=True)
 class BinomialBlock:
     """``(d1 + d0 z)**size`` over the up-count power j, held by its parameters.
@@ -351,7 +373,7 @@ class BinomialBlock:
     Its coefficients are ``exp(size * log_scale) * Bin(j; size, p) *
     exp(1j * phase)``: all of them share the one phase, and
     ``log_scale = -inf`` marks a block of exact zeros.  No ``size + 1``
-    array exists until ``log_magnitudes`` is asked for.
+    array of it is built.
     """
 
     size: int
@@ -363,12 +385,6 @@ class BinomialBlock:
     def log_total(self) -> float:
         """log of the coefficient sum, ``size * log_scale`` (0 for size 0)."""
         return self.size * self.log_scale if self.size else 0.0
-
-    def log_magnitudes(self) -> np.ndarray:
-        """The ``size + 1`` coefficient log magnitudes."""
-        if self.log_scale == -math.inf:
-            return np.full(self.size + 1, -np.inf)
-        return self.size * self.log_scale + binomial_log_pmf(self.size, self.p, self.q)
 
 
 def _binomial_block(size: int, d0: complex, d1: complex, scale: float | None = None) -> BinomialBlock:
@@ -428,34 +444,23 @@ def lc_sum_rows(lm: np.ndarray, ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def lc_convolve(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Convolution of two log-coded coefficient arrays (polynomial product).
 
-    One pass over the shifts of the shorter side finds each output's largest
-    term; a second pass adds every shifted copy of the longer side, rescaled
-    by that maximum, into its slice of the output.  The cost is the product
-    of the two lengths.
+    Each shift of the shorter side places a copy of the longer one in a row of
+    the output's length; each output is the sum down its column, in the order
+    of the shifts, of its terms rescaled by their largest.  The cost is the
+    product of the two lengths.
     """
-    lma, pha = a
-    lmb, phb = b
-    if len(lma) < len(lmb):
-        (lma, pha), (lmb, phb) = (lmb, phb), (lma, pha)
+    (lma, pha), (lmb, phb) = (b, a) if len(a[0]) < len(b[0]) else (a, b)
     na, nb = len(lma), len(lmb)
-    out_len = na + nb - 1
-    if not np.isfinite(lma).any() or not np.isfinite(lmb).any():
-        return np.full(out_len, -np.inf), np.zeros(out_len)
-    m = np.full(out_len, -np.inf)
+    lm, ph = np.full((nb, na + nb - 1), -np.inf), np.zeros((nb, na + nb - 1))
     for shift in range(nb):
-        np.maximum(m[shift:shift + na], lma + lmb[shift], out=m[shift:shift + na])
+        lm[shift, shift:shift + na], ph[shift, shift:shift + na] = lma + lmb[shift], pha + phb[shift]
+    m = lm.max(axis=0)
     safe_m = np.where(np.isfinite(m), m, 0.0)
-    acc = np.zeros(out_len, dtype=complex)
     with np.errstate(invalid="ignore"):
-        for shift in range(nb):
-            window = slice(shift, shift + na)
-            acc[window] += (np.exp(lma + lmb[shift] - safe_m[window])
-                            * np.exp(1j * (pha + phb[shift])))
+        acc = (np.exp(lm - safe_m) * np.exp(1j * ph)).sum(axis=0)
     mag = np.abs(acc)
-    out_lm = np.where(np.isfinite(m) & (mag > 0),
-                      safe_m + np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-    out_ph = np.where(np.isfinite(out_lm), np.angle(acc), 0.0)
-    return out_lm, out_ph
+    out_lm = np.where(np.isfinite(m) & (mag > 0), safe_m + np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
+    return out_lm, np.where(np.isfinite(out_lm), np.angle(acc), 0.0)
 
 
 def bernoulli_relative_entropy(q: float, p: float) -> float:

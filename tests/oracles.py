@@ -237,6 +237,90 @@ def full_product_sector_cells(spec, r: int, s: int, rotated_count: int):
     return _log_coded_sum(lm, ph), tuple((c_lm, c_ph + energy) for c_lm, c_ph in cells)
 
 
+def block_log_magnitudes(block) -> np.ndarray:
+    """The ``size + 1`` coefficient log magnitudes of a ``logspace.BinomialBlock``,
+    from the package's log-pmf over its whole range."""
+    from pointer_cell_sim.logspace import binomial_log_pmf
+
+    if block.log_scale == -math.inf:
+        return np.full(block.size + 1, -np.inf)
+    return block.size * block.log_scale + binomial_log_pmf(block.size, block.p, block.q)
+
+
+def _kahan_running_sums(w: np.ndarray) -> np.ndarray:
+    """Running sums of the nonnegative ``longdouble`` terms ``w``, each to a few ulps:
+    Kahan-compensated running sums within blocks of about ``sqrt(len(w))`` terms,
+    stepped on every block at once, and the block offsets summed by Kahan's rule in turn."""
+    n = len(w)
+    width = max(math.isqrt(n), 1)
+    blocks = np.zeros(-(-n // width) * width, dtype=np.longdouble)
+    blocks[:n] = w
+    blocks = blocks.reshape(-1, width)
+    total, comp = np.zeros(len(blocks), dtype=np.longdouble), np.zeros(len(blocks), dtype=np.longdouble)
+    run = np.empty(blocks.shape, dtype=np.longdouble)
+    for col in range(width):
+        y = blocks[:, col] - comp
+        t = total + y
+        comp, total = (t - total) - y, t
+        run[:, col] = total - comp
+    offsets, offset, lost = np.empty(len(blocks), dtype=np.longdouble), np.longdouble(0), np.longdouble(0)
+    for m, block_sum in enumerate(total - comp):
+        offsets[m] = offset - lost
+        y = block_sum - lost
+        t = offset + y
+        lost, offset = (t - offset) - y, t
+    return (run + offsets[:, None]).reshape(-1)[:n]
+
+
+def compensated_cells(lA: np.ndarray, lB: np.ndarray, h: int, drop: float = 100.0) -> list[float]:
+    """log of the "-" and "+" cells ``sum_j A_j T(h - j)`` of the product of two
+    blocks with log coefficients ``lA`` and ``lB``, ``T(s)`` the sum of ``B_k`` over
+    ``k < s`` or ``k >= s``: a compensated linear reference.
+
+    Each tail is a Kahan running sum (``_kahan_running_sums``) of ``B_k`` over the
+    whole range the cell needs, in extended precision scaled by the largest of
+    them, so that tails far below the double floor keep their digits; the cell is
+    the ``math.fsum`` of its terms relative to the largest.  Terms more than
+    ``drop`` nats below the largest are left out, as found from log-space running
+    sums: from a log-concave sequence they add less than ``len(lA) e**-drop`` of it.
+    """
+    j = np.arange(len(lA))
+    forward, backward = np.logaddexp.accumulate(lB), np.logaddexp.accumulate(lB[::-1])[::-1]
+    out = []
+    for side in (0, 1):
+        # "-": T(h - j) sums k = 0 .. h - j - 1; "+": k = h - j .. len(lB) - 1
+        last = h - j - 1 if side == 0 else h - j
+        has = last >= 0 if side == 0 else last <= len(lB) - 1
+        rough = np.where(has, lA + (forward if side == 0 else backward)[np.clip(last, 0, len(lB) - 1)], -np.inf)
+        if rough.max() == -np.inf:
+            out.append(-math.inf)
+            continue
+        kept = np.flatnonzero(rough >= rough.max() - drop)
+        lo, hi = int(kept[0]), int(kept[-1])
+        js = np.arange(lo, hi + 1)
+        if side == 0:
+            k0, k1 = 0, min(h - lo - 1, len(lB) - 1)
+        else:
+            k0, k1 = max(h - hi, 0), len(lB) - 1
+        # and the B_k more than 200 nats below the smallest tail kept, a log-concave run
+        # falling away from it: they add less than len(lB) e**-200 of any tail
+        floor = rough[lo:hi + 1][rough[lo:hi + 1] > -np.inf].min() - lA.max() - 200.0
+        big = k0 + np.flatnonzero(lB[k0:k1 + 1] >= floor)
+        k0, k1 = (int(big[0]), k1) if side == 0 else (k0, int(big[-1]))
+        seg = lB[k0:k1 + 1].astype(np.longdouble)
+        scale = seg.max()
+        w = np.exp(seg - scale)
+        run = _kahan_running_sums(w) if side == 0 else _kahan_running_sums(w[::-1])[::-1]
+        at = np.clip(h - js - 1 - k0 if side == 0 else h - js - k0, 0, k1 - k0)
+        with np.errstate(divide="ignore"):
+            log_tails = (np.log(run[at]) + scale).astype(float)
+        terms = lA[lo:hi + 1] + log_tails
+        terms = terms[terms > -np.inf]
+        top = terms.max()
+        out.append(float(top + math.log(math.fsum(np.exp(terms - top)))))
+    return out
+
+
 def exact_log(value: Fraction) -> float:
     """log of a positive rational, from 50-digit decimal logarithms."""
     ctx = decimal.Context(prec=50)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from pointer_cell_sim.coleman_hepp import (
     chain_cells,
     factorized_f_tensor,
     log_trace_products,
+    passed_sites,
     polarized_site,
     sector_overlap,
     traversal_schedule,
@@ -27,10 +29,13 @@ from pointer_cell_sim.verify import find_pointer_map, log_pointer_errors, pointe
 
 from oracles import (
     binom_range_fraction,
+    block_log_magnitudes,
     chain_minus_cell_counts,
     chain_plus_cell_counts,
     chain_trace_product,
+    compensated_cells,
     decimal_sector_cells,
+    exact_log,
     full_product_sector_cells,
     kl_bernoulli,
     poisson_binomial_fraction,
@@ -385,6 +390,15 @@ def boundary_log_pmf(n: int, p: float, q: float, h: int) -> tuple[int, np.ndarra
     return lo, rel.astype(float)
 
 
+@functools.lru_cache(maxsize=4)
+def whole_log_pmf(n: int, p: float, q: float) -> np.ndarray:
+    """The package's log-pmf over k = 0..n, read-only, kept for the sectors of one
+    chain that share a block."""
+    out = binomial_log_pmf(n, p, q)
+    out.setflags(write=False)
+    return out
+
+
 def summed_sector_cells(ov, N: int):
     """The cells of a full-traversal overlap as ``sum_i a_i tail_b(h - i)``,
     each tail an O(N) logsumexp over the package's binomial log-pmf.
@@ -399,7 +413,7 @@ def summed_sector_cells(ov, N: int):
     h = (N + 1) // 2
     a_lm, a_ph = ov.a
     b = ov.b
-    pmf = binomial_log_pmf(b.size, b.p, b.q)
+    pmf = whole_log_pmf(b.size, b.p, b.q)
     lo, rel = 0, None
     if b.p > 0.0 and b.q > 0.0 and b.log_scale > -math.inf:
         lo, rel = boundary_log_pmf(b.size, b.p, b.q, h)
@@ -452,7 +466,7 @@ class TestFullTraversalTails:
         for r in range(2):
             for s in range(2):
                 ov = sector_overlap(spec, r, s)
-                assert not ov.a_has_bulk
+                assert ov.bulk is None
                 got = zip(*ov.cell_log_values(cells))
                 assert_cells_match(got, summed_sector_cells(ov, N), (r, s))
 
@@ -575,6 +589,64 @@ class TestLargeN:
             assert abs(f.values[r, r].real.sum() - 1.0) <= 1e-10
 
 
+    def test_partial_traversal_memory_grows_as_the_root_of_N(self):
+        # a two-block sector pair is summed over windows of its shorter block's width
+        def peak(N):
+            spec = ChainSpec(N=N, m0=0.6)
+            traversal_schedule(spec, 0.5)
+            tracemalloc.start()
+            try:
+                traversal_schedule(spec, 0.5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10 ** 9) < 150 * peak(10 ** 5)
+
+
+#: (m0, traversal fraction) at theta = pi: both cells of the spin-down sector
+#: near 1/2 at half traversal, one exponentially small at 0.37 and 0.75, and
+#: at m0 = 0.2 one whose window sits at the tilted peak, far from either mode
+COMPENSATED_ROWS = [(0.6, 0.37), (0.6, 0.5), (0.6, 0.75), (0.2, 0.75)]
+
+
+def assert_diagonal_cells_match_compensated_sums(N: int) -> None:
+    """Both diagonal sectors' cells, from the tensor and from the sector's own
+    ``cell_log_values``, against ``compensated_cells`` over the package's pmfs:
+    1e-13 relative in log magnitude (absolute below magnitude 1)."""
+    cells = chain_cells(N)[0]
+    for m0, fraction in COMPENSATED_ROWS:
+        spec = ChainSpec(N=N, m0=m0)
+        tensor = traversal_schedule(spec, fraction).log_magnitude
+        for r in range(2):
+            ov = sector_overlap(spec, r, r, passed_sites(N, fraction))
+            lA = block_log_magnitudes(ov.bulk) if ov.bulk else np.zeros(1)
+            ref = compensated_cells(lA, block_log_magnitudes(ov.b), cells.bounds[1])
+            for got in (tensor[r, r], ov.cell_log_values(cells)[0]):
+                for side in range(2):
+                    context = (N, m0, fraction, r, side, got[side], ref[side])
+                    assert abs(got[side] - ref[side]) <= 1e-13 * max(1.0, abs(ref[side])), context
+
+
+class TestCompensatedCells:
+    """A partial traversal's window sums hold their digits where the running
+    sums they replace drifted; N = 10**7 runs as a CI step."""
+
+    @pytest.mark.parametrize("N", [10 ** 5, 10 ** 6])
+    def test_diagonal_cells_match_compensated_sums(self, N):
+        assert_diagonal_cells_match_compensated_sums(N)
+
+    def test_reference_matches_exact_rationals(self):
+        # the reference itself, on a chain small enough for exact arithmetic
+        N, fraction = 60, 0.75
+        spec = ChainSpec(N=N, m0=0.2)
+        ov = sector_overlap(spec, 1, 1, passed_sites(N, fraction))
+        ref = compensated_cells(block_log_magnitudes(ov.bulk), block_log_magnitudes(ov.b), (N + 1) // 2)
+        pmf = poisson_binomial_fraction([Fraction(ov.bulk.p)] * ov.bulk.size + [Fraction(ov.b.p)] * ov.b.size)
+        for side, want in enumerate((sum(pmf[:(N + 1) // 2]), sum(pmf[(N + 1) // 2:]))):
+            assert abs(ref[side] - exact_log(want)) <= 1e-13 * max(1.0, abs(ref[side]))
+
+
 class TestSpecHelpers:
     def test_at_size_checks_only_what_depends_on_N(self, monkeypatch):
         spec = ChainSpec(N=8, m0=0.6, theta=2.2, site_overrides={1: polarized_site(-0.6)})
@@ -639,7 +711,7 @@ class TestSpecHelpers:
         # arguments pi and -pi, as cos(theta / 2) < 0 gives in a cross
         # sector, are one phase; a quarter turn between the two is not
         block = _bulk_block(complex(-0.3, 0.0), complex(-0.2, -0.0), None)(5)
-        assert block.log_magnitudes().shape == (6,) and block.phase == math.pi  # (-1)**5
+        assert block.size == 5 and block.phase == math.pi  # (-1)**5
         with pytest.raises(StructuralError, match="one phase"):
             _bulk_block(0.3 + 0j, 0.2j, None)
 

@@ -4,18 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pointer_cell_sim.coleman_hepp import (ChainSpec, _group_polynomial, factorized_f_tensor, sector_overlap,
+from pointer_cell_sim.coleman_hepp import (ChainSpec, _site_polynomials, factorized_f_tensor, sector_overlap,
                                           sign_cells)
 from pointer_cell_sim.errors import NumericalError
 from pointer_cell_sim import logspace
 from pointer_cell_sim.logspace import (
+    _binomial_block,
     binomial_log_pmf,
     binomial_log_pmf_at,
     lc_convolve,
     lc_sum_rows,
 )
 
-from oracles import _log_coded_sum, binom_range_log, exact_log, lc_sum
+from oracles import _log_coded_sum, binom_range_log, block_log_magnitudes, exact_log, lc_sum
 
 
 def log_code(x):
@@ -115,15 +116,18 @@ class TestBinomialLogPmf:
         # phases j arg d0 + (n - j) arg d1.  Each log magnitude is the scale
         # n log(|d0| + |d1|) (0 for the first pair, 37 for the second) plus
         # a log-pmf, so it is compared relative to the larger of the two.
+        # A single site, as an override's factor, is the same block at n = 1, all
+        # of a spec's sites taken in one Loader call.
         n = 300
-        lm, ph = _group_polynomial(n, d0, d1)
+        lm = block_log_magnitudes(_binomial_block(n, d0, d1))
         m0, m1 = Fraction(abs(d0)), Fraction(abs(d1))
         ref = np.array([exact_log(math.comb(n, j) * m0 ** j * m1 ** (n - j))
                         for j in range(n + 1)])
         scale = np.maximum(np.abs(ref), max(1.0, n * abs(math.log(abs(d0) + abs(d1)))))
         assert np.all(np.abs(lm - ref) <= 1e-14 * scale)
-        j = np.arange(n + 1)
-        assert np.array_equal(ph, j * np.angle(d0) + (n - j) * np.angle(d1))
+        site_lm, site_ph = _site_polynomials({None: None, 5: [[(d0, d1), (d1, d0)], [(0j, d1), (d0, 0j)]]})[5, 0, 0]
+        assert site_lm.tobytes() == block_log_magnitudes(_binomial_block(1, d0, d1)).tobytes()
+        assert np.array_equal(site_ph, [np.angle(d1), np.angle(d0)])
 
     def test_complement_near_zero_keeps_its_digits(self):
         # p rounds to 1, but q = 1e-20 still weights every term
@@ -170,9 +174,8 @@ def binomial_log_tails(n, t, p, q):
     return below, above
 
 
-def logsumexp_tails(n, t, p, q):
-    """``(log P(X < t), log P(X >= t))`` summed over the package's log-pmf."""
-    lm = binomial_log_pmf(n, p, q)
+def logsumexp_tails(lm, t):
+    """``(log P(X < t), log P(X >= t))`` summed over the package's log-pmf ``lm``."""
 
     def lse(x):
         x = x[x > -np.inf]
@@ -212,9 +215,10 @@ class TestBinomialTails:
         # m0 = 0.002 at the two largest n
         h = (n + 1) // 2
         for p in CHAIN_PS:
+            lm = binomial_log_pmf(n, p, 1.0 - p)
             for t in (h - 1, h, h + 1):
                 got = binomial_log_tails(n, t, p, 1.0 - p)
-                for g, r in zip(got, logsumexp_tails(n, t, p, 1.0 - p)):
+                for g, r in zip(got, logsumexp_tails(lm, t)):
                     assert_log_close(g, r)
 
     @pytest.mark.parametrize("n, t, p", [(4000, 2000, 0.8), (4000, 2007, 0.501), (4000, 4002, 0.2),
