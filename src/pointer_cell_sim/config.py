@@ -1,11 +1,12 @@
 """Line-oriented experiment configuration: parsing, validation, serialization.
 
 The format is INI-like: ``[section]`` headers group ``key = value`` lines,
-``#`` starts a comment, values are scalars or comma-separated lists.  Parsing
-is total: every defect in the text is collected and reported in one
-:class:`ConfigError` rather than stopping at the first.  Serialization prints
-floats with 17 significant digits so that parse -> serialize -> parse is the
-identity.
+``#`` starts a comment, values are scalars or comma-separated lists.  Each key
+is one entry of ``_FIELDS``, which parsing, validation and serialization all
+read.  Parsing is total: every defect in the text is collected and reported in
+one :class:`ConfigError` rather than stopping at the first.  Serialization
+prints floats with 17 significant digits so that parse -> serialize -> parse is
+the identity.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigError
 
@@ -51,6 +53,8 @@ def parse_angle(text: str) -> float:
         if m.group("sign") == "-":
             coef = -coef
         div = float(m.group("div")) if m.group("div") else 1.0
+        if div == 0.0:
+            raise ValueError(f"zero divisor in {text!r}")
         return coef * math.pi / div
     return float(text)
 
@@ -61,7 +65,7 @@ def tokenize_kv(text: str) -> tuple[dict[str, dict[str, str]], list[str]]:
     errors: list[str] = []
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -80,7 +84,8 @@ def tokenize_kv(text: str) -> tuple[dict[str, dict[str, str]], list[str]]:
         if current is None:
             errors.append(f"line {lineno}: key outside any [section]")
             continue
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
         if not key:
             errors.append(f"line {lineno}: empty key")
         elif key in sections[current]:
@@ -99,12 +104,12 @@ class ExperimentConfig:
     measurement_time: float
     parameters: tuple[tuple[str, object], ...]
     amplitudes: tuple[complex, ...]
-    observable_file: str | None = None
-    sweep: tuple[int, ...] | None = None
-    ldp_grid: tuple[float, ...] | None = None
-    perturbation: tuple[tuple[int, str], ...] | None = None
-    verify_instances: int = 50
-    verify_f_file: str | None = None
+    observable_file: str | None
+    sweep: tuple[int, ...] | None
+    ldp_grid: tuple[float, ...] | None
+    perturbation: tuple[tuple[int, str], ...] | None
+    verify_instances: int
+    verify_f_file: str | None
 
     @property
     def params(self) -> dict[str, object]:
@@ -114,281 +119,224 @@ class ExperimentConfig:
         return hashlib.sha256(serialize_config(self).encode("utf-8")).hexdigest()
 
 
-_KNOWN_KEYS = {
-    "model": {"name", "seed", "measurement_time"},
-    "state": {"amplitudes"},
-    "observable": {"file"},
-    "sweep": {"N"},
-    "ldp": {"grid"},
-    "verify": {"instances", "f_file"},
-}
-_PARAM_KEYS = {
-    "coleman_hepp": {"N", "m0", "theta", "energies", "t"},
-    "generic_dense": {"k_file", "v_files", "omega_file", "cells", "energies", "t", "labels"},
-}
-_REQUIRED_PARAMS = {
-    "coleman_hepp": {"N", "m0"},
-    "generic_dense": {"k_file", "v_files", "omega_file", "cells", "energies"},
-}
+@dataclass(frozen=True)
+class _Field:
+    """One config key: where it is written, what it fills, how its text is read and checked."""
+
+    section: str
+    key: str
+    attr: str | None  # the ExperimentConfig field it fills; None for a [parameters] entry
+    conv: Callable = str  # reads the text, or each comma-separated token of a list
+    bad: str = ""  # the message for a text conv refuses; {raw} is that text
+    checks: tuple = ()  # (test(value, model), message); the first test that fails is reported
+    default: object = None
+    models: tuple[str, ...] = MODELS  # the models that take it
+    required: tuple[str, ...] = ()  # the models that require it
+    listed: bool = False  # a comma-separated list, read into a tuple
+    missing: str = ""  # the message for a missing required key, if not "[section]: missing ..."
 
 
-def _parse_list(raw: str, conv, what: str, errors: list[str]):
-    items = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+def _model_name(text: str) -> str:
+    if text not in MODELS:
+        raise ValueError(text)
+    return text
+
+
+def _norm(amplitudes) -> float:
+    return sum(abs(c) ** 2 for c in amplitudes)
+
+
+def _outside(grid) -> list[float]:
+    return [m for m in grid if not (-1.0 <= m <= 1.0)]
+
+
+_CHAIN, _DENSE = MODELS[:1], MODELS[1:]
+_FIELDS = (
+    _Field("model", "name", "model", _model_name,
+           "[model]: unknown model {raw!r}; expected one of " + ", ".join(MODELS), required=MODELS),
+    _Field("model", "seed", "seed", int, "[model]: seed must be an integer, got {raw!r}", default=0),
+    _Field("model", "measurement_time", "measurement_time", float,
+           "[model]: measurement_time must be a number",
+           ((lambda v, m: 0.0 <= v <= 1.0,
+             "[model]: measurement_time (traversal fraction) must lie in [0, 1], got {value!r}"),),
+           default=1.0),
+    # [parameters] in the order their errors are collected; a model's required keys sort by name
+    _Field("parameters", "N", None, int, "[parameters]: N must be an integer, got {raw!r}",
+           ((lambda v, m: v >= 1, "[parameters]: N must be at least 1"),),
+           models=_CHAIN, required=_CHAIN),
+    _Field("parameters", "m0", None, float, "[parameters]: m0 must be a number, got {raw!r}",
+           ((lambda v, m: 0.0 < v <= 1.0, "[parameters]: m0 must lie in (0, 1]"),),
+           models=_CHAIN, required=_CHAIN),
+    _Field("parameters", "theta", None, parse_angle,
+           "[parameters]: theta must be a number or a pi form, got {raw!r}",
+           ((lambda v, m: 0.0 < v < 2.0 * math.pi,
+             "[parameters]: theta must lie in (0, 2*pi), got {raw!r}"),),
+           models=_CHAIN),
+    _Field("parameters", "cells", None, models=_DENSE, required=_DENSE),
+    _Field("parameters", "energies", None, float, "[parameters] energies: cannot parse {raw!r}",
+           ((lambda v, m: all(map(math.isfinite, v)), "[parameters]: energies must be finite"),
+            (lambda v, m: m != "coleman_hepp" or len(v) == 2,
+             "[parameters]: energies needs exactly two values")),
+           required=_DENSE, listed=True),
+    _Field("parameters", "k_file", None, models=_DENSE, required=_DENSE),
+    _Field("parameters", "omega_file", None, models=_DENSE, required=_DENSE),
+    _Field("parameters", "v_files", None, models=_DENSE, required=_DENSE, listed=True),
+    _Field("parameters", "labels", None, models=_DENSE),
+    _Field("parameters", "t", None, float, "[parameters]: t must be a number, got {raw!r}",
+           ((lambda v, m: math.isfinite(v), "[parameters]: t must be finite"),
+            (lambda v, m: m != "coleman_hepp" or v > 0.0, "[parameters]: t must be positive"))),
+    _Field("state", "amplitudes", "amplitudes", complex, "[state] amplitudes: cannot parse {raw!r}",
+           ((lambda v, m: len(v) > 0, "[state] amplitudes: empty list"),
+            (lambda v, m: abs(_norm(v) - 1.0) <= 1e-9,
+             lambda v: f"[state] amplitudes are not normalised: sum |c|^2 = {fmt_float(_norm(v))}")),
+           default=(), required=MODELS, listed=True,
+           missing="missing required key 'amplitudes' in section [state]"),
+    _Field("observable", "file", "observable_file", required=MODELS),
+    _Field("sweep", "N", "sweep", int, "[sweep] N: cannot parse {raw!r}",
+           ((lambda v, m: len(v) > 0, "[sweep] N: empty list"),
+            (lambda v, m: all(a < b for a, b in zip(v, v[1:])),
+             "[sweep] N: values must be strictly increasing"),
+            (lambda v, m: all(n >= 1 for n in v), "[sweep] N: values must be positive")),
+           models=_CHAIN, required=MODELS, listed=True),
+    _Field("ldp", "grid", "ldp_grid", float, "[ldp] grid: cannot parse {raw!r}",
+           ((lambda v, m: len(v) > 0, "[ldp] grid: empty grid"),
+            (lambda v, m: not _outside(v),
+             lambda v: f"[ldp] grid: points outside the spectrum range [-1, 1]: {_outside(v)}")),
+           models=_CHAIN, required=MODELS, listed=True),
+    _Field("verify", "instances", "verify_instances", int, "[verify]: instances must be an integer",
+           ((lambda v, m: v >= 1, "[verify]: instances must be positive"),), default=50),
+    _Field("verify", "f_file", "verify_f_file"),
+)
+_SECTIONS = ("model", "parameters", "state", "observable", "sweep", "ldp", "perturbation", "verify")
+_ALWAYS = ("model", "parameters", "state")  # written whatever they hold
+_DEFAULTS = {"perturbation": None, **{f.attr: f.default for f in _FIELDS if f.attr}}
+#: the error for a model that does not take a section's field
+_WRONG_MODEL = {"sweep": "[sweep]: chain-size sweeps require the coleman_hepp model",
+                "ldp": "[ldp]: rate estimation requires the coleman_hepp model"}
+_SITE = re.compile(r"site_(\d+)")
+
+
+def _section_plan(section: str, model: str | None):
+    """The fields of a section that a model reads, by key; those it requires; and the error for a
+    model that does not take the section, which is still read.  [parameters] holds the model's own
+    keys, and a field that every model requires is required before the model is known."""
+    fields = {f.key: f for f in _FIELDS if f.section == section and (f.attr or model in f.models)}
+    required = tuple(f for f in fields.values() if f.required == MODELS or model in f.required)
+    wrong = model is not None and any(model not in f.models for f in fields.values())
+    return fields, required, _WRONG_MODEL[section] if wrong else None
+
+
+_PLANS = {(section, model): _section_plan(section, model)
+          for section in _SECTIONS for model in (None, *MODELS)}
+
+
+def _convert(f: _Field, raw: str, model: str | None, errors: list[str]):
+    """The value of a field's text, or None if it does not read; the first failed check is an error."""
+    value = []
+    for tok in [t for t in map(str.strip, raw.split(",")) if t] if f.listed else (raw,):
         try:
-            items.append(conv(tok))
+            value.append(f.conv(tok))
         except (ValueError, TypeError):
-            errors.append(f"{what}: cannot parse {tok!r}")
+            errors.append(f.bad.format(raw=tok))
             return None
-    return items
+    value = tuple(value) if f.listed else value[0]
+    for test, message in f.checks:
+        if not test(value, model):
+            errors.append(message(value) if callable(message) else message.format(raw=raw, value=value))
+            break
+    return value
+
+
+def _unknown_keys(sections: dict[str, dict[str, str]], model: str | None) -> list[str]:
+    """Every unknown section and key in file order: nothing is silently ignored."""
+    errors = []
+    for name, body in sections.items():
+        if name not in _SECTIONS:
+            errors.append(f"unknown section [{name}]")
+        elif name == "perturbation":
+            errors += [f"[perturbation]: unknown key {key!r}; expected site_<index>"
+                       for key in body if not _SITE.fullmatch(key)]
+        elif name != "parameters" or model is not None:
+            known = _PLANS[name, model][0]
+            suffix = f" for model {model}" if name == "parameters" else ""
+            errors += [f"[{name}]: unknown key {key!r}{suffix}" for key in body if key not in known]
+    return errors
+
+
+def _perturbation(body: dict[str, str], errors: list[str]) -> tuple[tuple[int, str], ...] | None:
+    """The ``site_<i> = edit`` lines as sorted (site, edit) pairs; a site is named once."""
+    edits, named = [], {}
+    for key, edit in body.items():
+        m = _SITE.fullmatch(key)
+        if not m:
+            continue
+        site = int(m.group(1))
+        if site in named:
+            errors.append(f"[perturbation]: site {site} is named twice, as {named[site]!r} and {key!r}")
+        named.setdefault(site, key)
+        if edit not in PERTURBATION_EDITS:
+            errors.append(f"[perturbation] {key}: unknown edit {edit!r}; "
+                          f"expected one of {', '.join(PERTURBATION_EDITS)}")
+        else:
+            edits.append((site, edit))
+    return tuple(sorted(edits)) or None
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config, reporting every defect at once."""
+    """Parse and validate a config, reporting every defect at once: [model] first, then every
+    unknown section and key, then each other section in turn."""
     sections, errors = tokenize_kv(text)
-
-    model_sec = sections.get("model", {})
-    model = model_sec.get("name")
+    found = dict(_DEFAULTS)
+    params: dict[str, object] = {}
     if "model" not in sections:
         errors.append("missing required section [model]")
-    elif model is None:
-        errors.append("[model]: missing required key 'name'")
-    elif model not in MODELS:
-        errors.append(f"[model]: unknown model {model!r}; expected one of {', '.join(MODELS)}")
-        model = None
-
-    seed = 0
-    if "seed" in model_sec:
-        try:
-            seed = int(model_sec["seed"])
-        except ValueError:
-            errors.append(f"[model]: seed must be an integer, got {model_sec['seed']!r}")
-    measurement_time = 1.0
-    if "measurement_time" in model_sec:
-        try:
-            measurement_time = float(model_sec["measurement_time"])
-        except ValueError:
-            errors.append("[model]: measurement_time must be a number")
-        else:
-            if not (0.0 <= measurement_time <= 1.0):
-                errors.append(
-                    f"[model]: measurement_time (traversal fraction) must lie in [0, 1], "
-                    f"got {measurement_time!r}")
-
-    # unknown sections and keys are hard errors: nothing is silently ignored
-    allowed_sections = set(_KNOWN_KEYS) | {"parameters", "perturbation"}
-    for name, body in sections.items():
-        if name not in allowed_sections:
-            errors.append(f"unknown section [{name}]")
-            continue
+    for name in _SECTIONS:
+        model = found["model"]
         if name == "parameters":
-            if model is not None:
-                for key in body:
-                    if key not in _PARAM_KEYS[model]:
-                        errors.append(f"[parameters]: unknown key {key!r} for model {model}")
-        elif name == "perturbation":
-            for key in body:
-                if not re.fullmatch(r"site_\d+", key):
-                    errors.append(f"[perturbation]: unknown key {key!r}; expected site_<index>")
-        else:
-            for key in body:
-                if key not in _KNOWN_KEYS[name]:
-                    errors.append(f"[{name}]: unknown key {key!r}")
-
-    params: dict[str, object] = {}
-    body = sections.get("parameters", {})
-    if model == "coleman_hepp":
-        for key in sorted(_REQUIRED_PARAMS[model]):
-            if key not in body:
-                errors.append(f"[parameters]: missing required key {key!r}")
-        if "N" in body:
-            try:
-                params["N"] = int(body["N"])
-                if params["N"] < 1:
-                    errors.append("[parameters]: N must be at least 1")
-            except ValueError:
-                errors.append(f"[parameters]: N must be an integer, got {body['N']!r}")
-        if "m0" in body:
-            try:
-                params["m0"] = float(body["m0"])
-                if not (0.0 < params["m0"] <= 1.0):
-                    errors.append("[parameters]: m0 must lie in (0, 1]")
-            except ValueError:
-                errors.append(f"[parameters]: m0 must be a number, got {body['m0']!r}")
-        if "theta" in body:
-            try:
-                params["theta"] = parse_angle(body["theta"])
-                if not (0.0 < params["theta"] < 2.0 * math.pi):
-                    errors.append(f"[parameters]: theta must lie in (0, 2*pi), got {body['theta']!r}")
-            except ValueError:
-                errors.append(f"[parameters]: theta must be a number or a pi form, got {body['theta']!r}")
-    elif model == "generic_dense":
-        for key in sorted(_REQUIRED_PARAMS[model]):
-            if key not in body:
-                errors.append(f"[parameters]: missing required key {key!r}")
-        for key in ("k_file", "omega_file", "cells", "labels"):
-            if key in body:
-                params[key] = body[key]
-        if "v_files" in body:
-            params["v_files"] = tuple(tok.strip() for tok in body["v_files"].split(",") if tok.strip())
-    if model is not None and "energies" in body:
-        vals = _parse_list(body["energies"], float, "[parameters] energies", errors)
-        if vals is not None:
-            if not all(math.isfinite(e) for e in vals):
-                errors.append("[parameters]: energies must be finite")
-            elif model == "coleman_hepp" and len(vals) != 2:
-                errors.append("[parameters]: energies needs exactly two values")
-            else:
-                params["energies"] = tuple(vals)
-    if model is not None and "t" in body:
-        try:
-            params["t"] = float(body["t"])
-            if not math.isfinite(params["t"]):
-                errors.append("[parameters]: t must be finite")
-            elif model == "coleman_hepp" and params["t"] <= 0:
-                errors.append("[parameters]: t must be positive")
-        except ValueError:
-            errors.append(f"[parameters]: t must be a number, got {body['t']!r}")
-
-    amplitudes: tuple[complex, ...] = ()
-    if "state" not in sections or "amplitudes" not in sections.get("state", {}):
-        errors.append("missing required key 'amplitudes' in section [state]")
-    else:
-        vals = _parse_list(sections["state"]["amplitudes"], complex, "[state] amplitudes", errors)
-        if vals:
-            amplitudes = tuple(vals)
-            norm = sum(abs(c) ** 2 for c in amplitudes)
-            if abs(norm - 1.0) > 1e-9:
-                errors.append(
-                    f"[state] amplitudes are not normalised: sum |c|^2 = {fmt_float(norm)}")
-            if model == "coleman_hepp" and len(amplitudes) != 2:
-                errors.append("[state] amplitudes: coleman_hepp needs exactly two")
-        elif vals is not None:
-            errors.append("[state] amplitudes: empty list")
-
-    observable_file = sections.get("observable", {}).get("file")
-
-    sweep = None
-    if "sweep" in sections:
-        if model == "generic_dense":
-            errors.append("[sweep]: chain-size sweeps require the coleman_hepp model")
-        if "N" not in sections["sweep"]:
-            errors.append("[sweep]: missing required key 'N'")
-        else:
-            vals = _parse_list(sections["sweep"]["N"], int, "[sweep] N", errors)
-            if vals is not None:
-                if not vals:
-                    errors.append("[sweep] N: empty list")
-                elif any(b <= a for a, b in zip(vals, vals[1:])):
-                    errors.append("[sweep] N: values must be strictly increasing")
-                elif any(v < 1 for v in vals):
-                    errors.append("[sweep] N: values must be positive")
-                else:
-                    sweep = tuple(vals)
-
-    ldp_grid = None
-    if "ldp" in sections:
-        if model == "generic_dense":
-            errors.append("[ldp]: rate estimation requires the coleman_hepp model")
-        if "grid" not in sections["ldp"]:
-            errors.append("[ldp]: missing required key 'grid'")
-        else:
-            vals = _parse_list(sections["ldp"]["grid"], float, "[ldp] grid", errors)
-            if vals is not None:
-                if not vals:
-                    errors.append("[ldp] grid: empty grid")
-                else:
-                    outside = [m for m in vals if not (-1.0 <= m <= 1.0)]
-                    if outside:
-                        errors.append(
-                            f"[ldp] grid: points outside the spectrum range [-1, 1]: {outside}")
-                    else:
-                        ldp_grid = tuple(vals)
-
-    perturbation = None
-    if "perturbation" in sections:
-        edits = []
-        for key, value in sections["perturbation"].items():
-            m = re.fullmatch(r"site_(\d+)", key)
-            if not m:
-                continue
-            if value not in PERTURBATION_EDITS:
-                errors.append(
-                    f"[perturbation] {key}: unknown edit {value!r}; "
-                    f"expected one of {', '.join(PERTURBATION_EDITS)}")
-            else:
-                edits.append((int(m.group(1)), value))
-        perturbation = tuple(sorted(edits)) if edits else None
-
-    verify_instances = 50
-    verify_f_file = None
-    if "verify" in sections:
-        if "instances" in sections["verify"]:
-            try:
-                verify_instances = int(sections["verify"]["instances"])
-                if verify_instances < 1:
-                    errors.append("[verify]: instances must be positive")
-            except ValueError:
-                errors.append("[verify]: instances must be an integer")
-        verify_f_file = sections["verify"].get("f_file")
-
+            errors += _unknown_keys(sections, model)
+        if name not in sections and name not in ("parameters", "state"):
+            continue  # an absent [parameters] or [state] is read as empty: its missing keys are named
+        body = sections.get(name) or {}
+        if name == "perturbation":
+            found[name] = _perturbation(body, errors)
+            continue
+        fields, required, wrong_model = _PLANS[name, model]
+        if wrong_model:
+            errors.append(wrong_model)
+        errors += [f.missing or f"[{name}]: missing required key {f.key!r}"
+                   for f in required if f.key not in body]
+        for f in fields.values():
+            value = _convert(f, body[f.key], model, errors) if f.key in body else None
+            if value is not None:
+                (found if f.attr else params)[f.attr or f.key] = value
+        if name == "state" and model == "coleman_hepp" and len(found["amplitudes"]) not in (0, 2):
+            errors.append("[state] amplitudes: coleman_hepp needs exactly two")
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        model=model,
-        seed=seed,
-        measurement_time=measurement_time,
-        parameters=tuple(sorted(params.items())),
-        amplitudes=amplitudes,
-        observable_file=observable_file,
-        sweep=sweep,
-        ldp_grid=ldp_grid,
-        perturbation=perturbation,
-        verify_instances=verify_instances,
-        verify_f_file=verify_f_file,
-    )
+    return ExperimentConfig(parameters=tuple(sorted(params.items())), **found)
 
 
 def _value_text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt_float(value)
-    if isinstance(value, complex):
-        return fmt_complex(value)
-    if isinstance(value, (tuple, list)):
-        return ", ".join(_value_text(v) for v in value)
-    return str(value)
+    if isinstance(value, tuple):
+        return ", ".join(map(_value_text, value))
+    return {float: fmt_float, complex: fmt_complex}.get(type(value), str)(value)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form of a config; parse(serialize(cfg)) == cfg."""
-    lines = ["[model]",
-             f"name = {cfg.model}",
-             f"seed = {cfg.seed}",
-             f"measurement_time = {fmt_float(cfg.measurement_time)}",
-             "",
-             "[parameters]"]
-    for key, value in cfg.parameters:
-        lines.append(f"{key} = {_value_text(value)}")
-    lines += ["", "[state]",
-              f"amplitudes = {', '.join(fmt_complex(c) for c in cfg.amplitudes)}"]
-    if cfg.observable_file is not None:
-        lines += ["", "[observable]", f"file = {cfg.observable_file}"]
-    if cfg.sweep is not None:
-        lines += ["", "[sweep]", f"N = {', '.join(str(n) for n in cfg.sweep)}"]
-    if cfg.ldp_grid is not None:
-        lines += ["", "[ldp]", f"grid = {', '.join(fmt_float(m) for m in cfg.ldp_grid)}"]
-    if cfg.perturbation is not None:
-        lines += ["", "[perturbation]"]
-        lines += [f"site_{site} = {edit}" for site, edit in cfg.perturbation]
-    if cfg.verify_instances != 50 or cfg.verify_f_file is not None:
-        lines += ["", "[verify]", f"instances = {cfg.verify_instances}"]
-        if cfg.verify_f_file is not None:
-            lines.append(f"f_file = {cfg.verify_f_file}")
-    return "\n".join(lines) + "\n"
+    """Canonical text form of a config; parse(serialize(cfg)) == cfg.  A section other than
+    [model], [parameters] and [state] is written only when a field differs from its default."""
+    blocks = []
+    for name in _SECTIONS:
+        if name == "parameters":
+            items = cfg.parameters
+        elif name == "perturbation":
+            items = [(f"site_{site}", edit) for site, edit in cfg.perturbation or ()]
+        else:
+            fields = _PLANS[name, None][0].values()
+            values = [(f.key, getattr(cfg, f.attr), f.default) for f in fields]
+            if name not in _ALWAYS and all(value == default for _, value, default in values):
+                continue
+            items = [(key, value) for key, value, _ in values if value is not None]
+        if items or name in _ALWAYS:
+            blocks.append("\n".join([f"[{name}]", *(f"{k} = {_value_text(v)}" for k, v in items)]))
+    return "\n\n".join(blocks) + "\n"

@@ -52,15 +52,11 @@ def load_matrix_text(path: Path) -> np.ndarray:
 
 def chain_spec_from_config(cfg: ExperimentConfig, N: int | None = None,
                            overrides=None) -> coleman_hepp.ChainSpec:
+    """The config's chain, at ``N`` sites if given; ``ChainSpec`` supplies what the config omits."""
     params = cfg.params
-    return coleman_hepp.ChainSpec(
-        N=int(N if N is not None else params["N"]),
-        m0=float(params["m0"]),
-        theta=float(params.get("theta", math.pi)),
-        energies=tuple(params.get("energies", (0.0, 0.0))),
-        t=float(params.get("t", 1.0)),
-        site_overrides=overrides,
-    )
+    if N is not None:
+        params["N"] = N
+    return coleman_hepp.ChainSpec(**params, site_overrides=overrides)
 
 
 def _command_spec(cfg: ExperimentConfig, overrides=None):
@@ -487,8 +483,8 @@ def perturb(cfg: ExperimentConfig, base_dir: Path | None = None,
     if base_fit is not None and pert_fit is not None:
         result = verify.stability_verdict(base_fit, pert_fit, pert_points)
         items += [
-            ("c_base", fmt_float(result.base_fit.c)),
-            ("c_perturbed", fmt_float(result.perturbed_fit.c)),
+            ("c_base", fmt_float(base_fit.c)),
+            ("c_perturbed", fmt_float(pert_fit.c)),
             ("relative_change", fmt_float(result.relative_change)),
             ("tolerance_band", fmt_float(verify.STABILITY_BAND)),
             ("within_band", _flag(result.within_band)),

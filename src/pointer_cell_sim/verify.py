@@ -109,10 +109,9 @@ class DecayFit:
 class StabilityResult:
     """Comparison of decay fits before and after a localized perturbation."""
 
-    base_fit: DecayFit
-    perturbed_fit: DecayFit
     relative_change: float
     bound_satisfied: bool
+    perturbed_decays: bool  # the perturbed fit's slope is negative
 
     @property
     def within_band(self) -> bool:
@@ -120,7 +119,7 @@ class StabilityResult:
 
     @property
     def passed(self) -> bool:
-        return self.within_band and self.bound_satisfied and self.perturbed_fit.slope < 0.0
+        return self.within_band and self.bound_satisfied and self.perturbed_decays
 
 
 @functools.cache
@@ -392,9 +391,5 @@ def stability_verdict(base_fit: DecayFit, pert_fit: DecayFit,
     """
     rel = abs(pert_fit.c - base_fit.c) / abs(base_fit.c) if base_fit.c != 0 else math.inf
     bound_ok = all(log_eps <= -pert_fit.c * N for N, log_eps in pert_sweep)
-    return StabilityResult(
-        base_fit=base_fit,
-        perturbed_fit=pert_fit,
-        relative_change=float(rel),
-        bound_satisfied=bound_ok,
-    )
+    return StabilityResult(relative_change=float(rel), bound_satisfied=bound_ok,
+                           perturbed_decays=pert_fit.slope < 0.0)

@@ -469,6 +469,30 @@ class TestNonFiniteChainParameters:
         assert not out.exists()
 
 
+class TestConfigInputsNeverDropped:
+    """A zero pi divisor, a NaN amplitude, a site named twice and an [observable] without its
+    file are config errors for every command: exit 2, and nothing is written."""
+
+    NOT_NORMALISED = "[state] amplitudes are not normalised: sum |c|^2 = nan"
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("theta = pi", "theta = pi/0", "[parameters]: theta must be a number or a pi form, got 'pi/0'"),
+        ("amplitudes = 0.6, 0.8", "amplitudes = nan, 0.8", NOT_NORMALISED),
+        ("amplitudes = 0.6, 0.8", "amplitudes = 0.6, 0.8+nanj", NOT_NORMALISED),
+        ("site_1 = flip", "site_00 = up", "[perturbation]: site 0 is named twice, as 'site_0' and 'site_00'"),
+        ("file = sz.txt\n", "", "[observable]: missing required key 'file'"),
+    ], ids=["pi-over-zero", "nan-amplitude", "nan-imaginary-part", "site-named-twice", "observable-no-file"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "perturb", "ldp"])
+    def test_exit_2_with_nothing_written(self, workdir, capsys, command, old, new, message):
+        text = BASE + SWEEP + LDP + PERTURB
+        assert old in text
+        cfg = write_config(workdir, text.replace(old, new))
+        out = workdir / "out"
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        assert f"config error: {message}" in capsys.readouterr().err.splitlines()
+        assert not out.exists()
+
+
 class TestOverrideOutsideTheChain:
     CONFIG = (BASE.split("[observable]")[0] + "\n[sweep]\nN = 1, 2, 4, 8, 16\n"
               + LDP + "\n[perturbation]\nsite_1 = depolarize\n")
@@ -961,7 +985,7 @@ REMOVED_FIELDS = [
     (verify.ExactConditionResult, ("log_residuals",)),
     (verify.MeasurementVerdict, ("log_residuals", "N", "bound_constant")),
     (verify.DecayFit, ("sweep",)),
-    (verify.StabilityResult, ("tolerance_band",)),
+    (verify.StabilityResult, ("tolerance_band", "base_fit", "perturbed_fit")),
     (coarse_ldp.LdpConditionReport, ("unique_max", "distinct_cells")),
 ]
 

@@ -598,10 +598,13 @@ class TestStability:
                                  fit_decay_rate(fit_points(perturbed)), fit_points(perturbed))
 
     def test_empty_perturbation_identical(self):
-        result = self.stability({}, [50, 100, 200, 400])
+        Ns = [50, 100, 200, 400]
+        base, perturbed = (fit_decay_rate(fit_points([(N, *self.run_model(N, overrides)) for N in Ns]))
+                           for overrides in (None, {}))
+        assert base == perturbed
+        result = self.stability({}, Ns)
         assert result.relative_change == 0.0
         assert result.passed
-        assert result.base_fit == result.perturbed_fit
 
     def test_two_site_flip_within_band(self):
         pert = {0: polarized_site(-0.6), 1: polarized_site(-0.6)}
