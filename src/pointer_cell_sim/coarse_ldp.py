@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError
 from .logspace import bernoulli_relative_entropy, binomial_log_pmf, lc_real_logsumexp_rows
 
 if TYPE_CHECKING:
@@ -47,15 +47,6 @@ class CellPartitionSpec:
     @property
     def n_cells(self) -> int:
         return len(self.edges) - 1
-
-    def prefix_split(self, count: int) -> int:
-        """The first index of the second cell, for a two-cell prefix/suffix
-        partition of ``count`` points; any other partition is refused."""
-        if self.n_cells != 2 or self.bounds[-1] != count:
-            raise StructuralError(
-                "product-state cells are summed only over a two-cell prefix/suffix "
-                f"partition of the {count} up-counts (got bounds {self.bounds})")
-        return int(self.bounds[1])
 
     def cell_of_value(self, m: float) -> int:
         if m < self.edges[0] or m > self.edges[-1]:

@@ -32,7 +32,7 @@ from .core import (
 )
 from .errors import CapacityError, SimulationError, StructuralError
 from .logspace import (BinomialBlock, _binomial_block, binomial_log_pmf, binomial_log_tails,
-                       binomial_pair_log_tails, lc_convolve, lc_sum_rows)
+                       binomial_pair_log_tails, lc_convolve, lc_sum_rows, lc_values)
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
@@ -190,49 +190,20 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
 
 @dataclass(frozen=True)
 class FactorizedSectorOverlap:
-    """Product-structure evaluation of one sector pair against the cells.
+    """The factors of one sector pair: its operator's coefficient on the up-count-j
+    subspace is the j-th coefficient of ``a * bulk * b``, times the pair's energy phase.
 
-    The sector operator's coefficient on the up-count-j subspace is the j-th
-    coefficient of ``a * bulk * b``, times ``exp(1j * global_phase)``: ``b`` is the
-    longest bulk block and ``bulk`` the shorter one of a partial traversal, else
-    None, each a :class:`BinomialBlock`, and ``a = (lm, ph)`` the override sites as
-    one log-coded polynomial, ``[1]`` for a plain chain.  ``a_total`` is the sum of
-    ``a * bulk``, the product of its factors' sums.  ``ldp`` reads its rate
-    functions from a diagonal sector at full traversal (``coarse_ldp.estimate_rate``).
+    ``b`` is the longest bulk block and ``bulk`` the shorter one of a partial
+    traversal, else None, each a :class:`BinomialBlock`, and ``a = (lm, ph)`` the
+    override sites as one log-coded polynomial, ``[1]`` for a plain chain.  ``ldp``
+    reads its rate functions from a diagonal sector at full traversal
+    (``coarse_ldp.estimate_rate``); the cells and trace products of every sector pair
+    come from ``traversal_family``.
     """
 
     a: tuple[np.ndarray, np.ndarray]
     b: BinomialBlock
-    global_phase: float
     bulk: BinomialBlock | None = None
-    a_total: tuple[float, float] = (0.0, 0.0)
-
-    def dp_total(self) -> tuple[float, float]:
-        """Sum over every up-count: the product of the per-site traces, factor by factor."""
-        return self.a_total[0] + self.b.log_total(), self.a_total[1] + self.b.phase
-
-    def cell_terms(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Log-coded terms of the two cell sums over a two-cell partition.
-
-        The partition must split the up-counts into a prefix and a suffix, as
-        ``chain_cells`` does: with ``h = cells.bounds[1]`` a cell is ``sum_i a_i *
-        tail(h - i)``, a real tail of the up-count of ``bulk * b`` (``_block_tails``),
-        at a cost independent of N with one block and growing as the root of the
-        shorter block with two.  Returns a row of log magnitudes per cell (``-inf``
-        outside it), the phases both share, and what each row's ``lc_sum_rows`` sum
-        then takes: a shift, then a total."""
-        (a_lm, a_ph), b, bulk = self.a, self.b, self.bulk
-        h = cells.prefix_split(a_lm.size + b.size + (bulk.size if bulk else 0))
-        tails, shifts, phases, totals, failed = _block_tails([(bulk, b, h)], a_lm.size)
-        if failed:
-            raise failed[0]
-        return a_lm + tails[0], a_ph + phases[0], shifts[0], totals[0]
-
-    def cell_log_values(self, cells: CellPartitionSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Log-coded cell sums ``(log magnitudes, phases)``, as ``traversal_family`` forms them."""
-        lm, ph, shift, total = self.cell_terms(cells)
-        sums_lm, sums_ph = lc_sum_rows(lm, ph)
-        return sums_lm + shift + total, sums_ph + self.global_phase
 
 
 def _block_tails(blocks: list, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -320,7 +291,7 @@ def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], n_r
                   diagonals: dict, memo: dict):
     """Pair (r, s)'s shorter bulk block (None unless both groups are nonempty and differ) and
     longest of ``n_rot`` rotated and ``n_plain`` plain sites, its energy phase, and the ``rotated``
-    override sites' product polynomials, log sum and phase, all but the blocks kept in ``memo``."""
+    override sites' product polynomials and log trace sum, all but the blocks kept in ``memo``."""
     if (r, s) not in memo:
         # a pair the traversal does not touch has no plain maker: one closed form for the bulk
         rot_key, plain_key = diagonals[None][r == 1][s == 1], diagonals[None][0][0]
@@ -335,8 +306,7 @@ def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], n_r
         if keys and "sites" not in memo:
             memo["sites"] = _site_polynomials(diagonals)
         polys = [reduce(lc_convolve, [memo["sites"][key] for key in keys])] if keys else []
-        memo[r, s, rotated] = (polys, sum(math.log(abs(z)) if z else -math.inf for z in traces),
-                               sum(cmath.phase(z) for z in traces))
+        memo[r, s, rotated] = (polys, sum(math.log(abs(z)) if z else -math.inf for z in traces))
     (rot, plain, delta_e), factors = memo[r, s], memo[r, s, rotated]
     if not (plain and n_rot and n_plain):
         size, make = (n_plain, plain) if plain and not n_rot else (n_rot + n_plain, rot)
@@ -363,11 +333,8 @@ def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = 
         raise StructuralError("rotated site count outside the chain")
     diagonals, memo = diagonals or _site_diagonals(spec), {} if memo is None else memo
     rotated, n_rot, n_plain = _site_groups(spec.N, rotated_count, diagonals)
-    bulk, b, delta_e, (polys, lm, ph) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
-    if bulk:
-        lm, ph = lm + bulk.log_total(), ph + bulk.phase
-    a = polys[0] if polys else (np.zeros(1), np.zeros(1))
-    return FactorizedSectorOverlap(a=a, b=b, global_phase=delta_e, bulk=bulk, a_total=(lm, ph))
+    bulk, b, _, (polys, _) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
+    return FactorizedSectorOverlap(a=polys[0] if polys else (np.zeros(1), np.zeros(1)), b=b, bulk=bulk)
 
 
 def factorized_f_tensor(spec: ChainSpec) -> FTensor:
@@ -384,39 +351,35 @@ def passed_sites(N: int, fraction: float) -> int:
 
 def traversal_schedule(spec: ChainSpec, fraction: float) -> FTensor:
     """Tensor after the particle has passed the first ``floor(fraction * N)`` sites."""
-    values, log_magnitude, failed = traversal_family(spec, fraction, [spec.N])
+    lm, ph, _, failed = traversal_family(spec, fraction, [spec.N])
     if failed:
         raise failed[0]
-    return FTensor(values=values[0], t=spec.t, log_magnitude=log_magnitude[0])
-
-
-def log_trace_products(spec: ChainSpec, fraction: float) -> np.ndarray:
-    """``log |sum_alpha F[r, s, alpha]|`` of ``traversal_schedule(spec, fraction)``
-    per sector pair: each pair's product of per-site traces, ``dp_total``, finite
-    where the cells underflow and ``-inf`` where a site trace is an exact zero."""
-    rotated_count, diagonals, memo = passed_sites(spec.N, fraction), _site_diagonals(spec), {}
-    return np.array([[sector_overlap(spec, r, s, rotated_count, diagonals, memo).dp_total()[0]
-                      for s in range(2)] for r in range(2)])
+    return FTensor(values=lc_values(lm[0], ph[0]), t=spec.t, log_magnitude=lm[0])
 
 
 def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
-                     ) -> tuple[np.ndarray, np.ndarray, dict[int, SimulationError]]:
-    """The tensors ``traversal_schedule(spec.at_size(N), fraction)`` for the N of
-    ``Ns`` as stacks of values and log magnitudes, and by index the
-    ``SimulationError`` of each size that raised one: it fails that size alone.
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, SimulationError]]:
+    """The tensors ``traversal_schedule(spec.at_size(N), fraction)`` for the N of ``Ns``:
+    their log magnitudes and phases as ``(len(Ns), 2, 2, 2)`` stacks (``lc_values`` gives
+    the values), their log trace products ``log |sum_alpha F[r, s, alpha]|`` as a
+    ``(len(Ns), 2, 2)`` stack, and by index the ``SimulationError`` of each size that
+    raised one: it fails that size alone.  A trace product is the pair's product of
+    per-site traces, finite where the cells underflow and ``-inf`` where a site trace
+    is an exact zero.
 
     Each pair's factors are found once (``_pair_factors``).  Every (size, pair) is one
     row: its bulk blocks and split ``h``, whose tails one ``_block_tails`` call takes for
     all rows, and its phases and log totals, all of which one ``lc_sum_rows`` sums."""
     diagonals, memo = _site_diagonals(spec), {}
     lm, ph = np.full((len(Ns), 2, 2, 2), -np.inf), np.zeros((len(Ns), 2, 2, 2))
-    failed, rows, plain_a = {}, [], (np.zeros(1), np.zeros(1))
+    log_trace, failed, rows, plain_a = np.full((len(Ns), 2, 2), -np.inf), {}, [], (np.zeros(1), np.zeros(1))
     for i, N in enumerate(Ns):  # rows: (size index, r, s, a, global phase, (bulk, b, h)), h the first "+" count
         try:
             spec.at_size(N)
             rotated, n_rot, n_plain = _site_groups(N, passed_sites(N, fraction), diagonals)
             for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                bulk, b, delta_e, (polys, _, _) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
+                bulk, b, delta_e, (polys, a_lm) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
+                log_trace[i, r, s] = (a_lm + bulk.log_total() if bulk else a_lm) + b.log_total()
                 rows.append((i, r, s, polys[0] if polys else plain_a, delta_e, (bulk, b, (N + 1) // 2)))
         except SimulationError as exc:
             failed[i] = exc
@@ -428,7 +391,4 @@ def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
         lm[i, r, s], ph[i, r, s] = sums_lm + shifts + totals[:, None], sums_ph + phases[:, None]
         for row, exc in bad.items():
             failed.setdefault(int(i[row]), exc)
-    values, finite = np.zeros(lm.shape, dtype=complex), lm != -np.inf
-    values[finite] = np.exp(lm[finite]) * np.exp(1j * ph[finite])
-    return values, lm, failed
-
+    return lm, ph, log_trace, failed

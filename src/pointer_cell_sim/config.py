@@ -154,7 +154,8 @@ _CHAIN, _DENSE = MODELS[:1], MODELS[1:]
 _FIELDS = (
     _Field("model", "name", "model", _model_name,
            "[model]: unknown model {raw!r}; expected one of " + ", ".join(MODELS), required=MODELS),
-    _Field("model", "seed", "seed", int, "[model]: seed must be an integer, got {raw!r}", default=0),
+    _Field("model", "seed", "seed", int, "[model]: seed must be an integer, got {raw!r}",
+           ((lambda v, m: v >= 0, "[model]: seed must be a non-negative integer, got {value!r}"),), default=0),
     _Field("model", "measurement_time", "measurement_time", float,
            "[model]: measurement_time must be a number",
            ((lambda v, m: 0.0 <= v <= 1.0,

@@ -441,6 +441,13 @@ def lc_sum_rows(lm: np.ndarray, ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return out_lm.reshape(lm.shape[:-1]), out_ph.reshape(lm.shape[:-1])
 
 
+def lc_values(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """The complex values ``exp(lm) * exp(1j * ph)`` of log-coded arrays; 0 where ``lm`` is ``-inf``."""
+    values, finite = np.zeros(lm.shape, dtype=complex), lm != -np.inf
+    values[finite] = np.exp(lm[finite]) * np.exp(1j * ph[finite])
+    return values
+
+
 def lc_convolve(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Convolution of two log-coded coefficient arrays (polynomial product).
 

@@ -23,7 +23,7 @@ from . import __version__ as _package_version
 from . import coarse_ldp, coleman_hepp, core, instances, verify
 from .config import ExperimentConfig, fmt_float
 from .errors import AmbiguousPointerError, CapacityError, ConfigError, SimulationError, StructuralError
-from .logspace import bernoulli_relative_entropy
+from .logspace import bernoulli_relative_entropy, lc_values
 from .report import (LDP_COLUMNS, SWEEP_COLUMNS, f_tensor_items, parse_f_tensor_text,
                      property_items, render_csv, render_report)
 
@@ -225,8 +225,11 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
     oracle_disc, log_trace = None, None
     if cfg.model == "coleman_hepp":
         spec = chain_spec_from_config(cfg)
-        tensor = coleman_hepp.traversal_schedule(spec, cfg.measurement_time)
-        log_trace = coleman_hepp.log_trace_products(spec, cfg.measurement_time)
+        lm, ph, log_traces, failed = coleman_hepp.traversal_family(spec, cfg.measurement_time, [spec.N])
+        if failed:
+            raise failed[0]
+        tensor = core.FTensor(values=lc_values(lm[0], ph[0]), t=spec.t, log_magnitude=lm[0])
+        log_trace = log_traces[0]
         cell_labels = coleman_hepp.sign_cells(spec.N).labels
         backend = "factorized"
         if oracle:
@@ -321,7 +324,8 @@ def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
     if cfg.sweep is None:
         raise ConfigError(["sweep requested but the config has no [sweep] section"])
     spec = _command_spec(cfg, overrides)
-    values, log_magnitude, failed = coleman_hepp.traversal_family(spec(), cfg.measurement_time, cfg.sweep)
+    log_magnitude, phase, _, failed = coleman_hepp.traversal_family(spec(), cfg.measurement_time, cfg.sweep)
+    values = lc_values(log_magnitude, phase)
     eps, log_eps, weights, offdiag_max, unjudged = verify.judge_stack(values, log_magnitude, cfg.amplitudes)
     failed = {**unjudged, **failed}
     columns = np.stack([eps.max(axis=1), log_eps.max(axis=1), weights[:, CELL_PLUS],
@@ -399,12 +403,11 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     oracle_section = None
     if oracle:
         N0 = max(_dense_sizes(Ns))
-        sized, cells_spec = base().at_size(N0), coleman_hepp.sign_cells(N0)
-        dense = dense_chain_tensor(sized)
+        sized = base().at_size(N0)
+        dense, cell_lm = dense_chain_tensor(sized), coleman_hepp.factorized_f_tensor(sized).log_magnitude
         worst = 0.0
         for r in range(2):
-            cell_lm, _ = coleman_hepp.sector_overlap(sized, r, r).cell_log_values(cells_spec)
-            worst = max(worst, float(np.abs(dense.values[r, r].real - np.exp(cell_lm)).max()))
+            worst = max(worst, float(np.abs(dense.values[r, r].real - np.exp(cell_lm[r, r])).max()))
         oracle_section = ("oracle", [("identification_max_discrepancy", fmt_float(worst)),
                                      ("dense_chain_size", str(N0))])
 

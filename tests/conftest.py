@@ -6,6 +6,7 @@ import pytest
 
 from pointer_cell_sim import instances
 from pointer_cell_sim.coleman_hepp import ChainSpec, polarized_site, traversal_family
+from pointer_cell_sim.logspace import lc_values
 
 _CRITERION_PATTERN = re.compile(r"test_criterion_(\d+)_(\w+)")
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, str, float]] = {}
@@ -25,10 +26,10 @@ def small_instance(rng):
 @pytest.fixture(scope="session")
 def chain_family():
     """``(theta, traversal fraction, with overrides, energies) -> (spec, Ns, values,
-    log magnitudes, failed)``, one ``traversal_family`` call per grid point and
-    session, read-only: the chain ``N = 4, m0 = 0.6``, its overrides a flip at site
-    0 and a depolarized site 3, over N = 1 ... 60 and 50 * 2**k up to 102400, and
-    at full traversal also N = 10**6 and 10**9."""
+    log magnitudes, log trace products, failed)``, one ``traversal_family`` call per
+    grid point and session, read-only: the chain ``N = 4, m0 = 0.6``, its overrides a
+    flip at site 0 and a depolarized site 3, over N = 1 ... 60 and 50 * 2**k up to
+    102400, and at full traversal also N = 10**6 and 10**9."""
 
     @functools.cache
     def family(theta, fraction, overridden, energies):
@@ -36,10 +37,11 @@ def chain_family():
         spec = ChainSpec(N=4, m0=0.6, theta=theta, energies=energies, site_overrides=overrides)
         Ns = [*range(1, 61), *(50 * 2 ** k for k in range(12))]
         Ns += [10 ** 6, 10 ** 9] if fraction == 1.0 else []
-        values, log_magnitude, failed = traversal_family(spec, fraction, Ns)
-        values.setflags(write=False)
-        log_magnitude.setflags(write=False)
-        return spec, Ns, values, log_magnitude, failed
+        log_magnitude, phase, log_trace, failed = traversal_family(spec, fraction, Ns)
+        values = lc_values(log_magnitude, phase)
+        for array in (values, log_magnitude, log_trace):
+            array.setflags(write=False)
+        return spec, Ns, values, log_magnitude, log_trace, failed
 
     return family
 

@@ -15,6 +15,7 @@ from pointer_cell_sim.coleman_hepp import (
     factorized_f_tensor,
     polarized_site,
     sector_overlap,
+    traversal_family,
 )
 
 from oracles import kl_bernoulli
@@ -161,7 +162,7 @@ def test_criterion_5_off_diagonal_decoherence():
     for theta in (math.pi / 2, 3 * math.pi / 4):
         for N in (10, 100, 1000):
             spec = ChainSpec(N=N, m0=0.6, theta=theta)
-            lm, _ = sector_overlap(spec, 0, 1).dp_total()
+            lm = traversal_family(spec, 1.0, [N])[2][0, 0, 1]
             ref = N * math.log(abs(math.cos(theta / 2)))
             assert abs(math.exp(lm - ref) - 1.0) < 1e-9
     for N in (10, 100, 1000):

@@ -555,10 +555,10 @@ class TestSweepSizeFailure:
         inner = coleman_hepp.traversal_family
 
         def heavy_at_200(spec, fraction, Ns):
-            values, log_magnitude, failed = inner(spec, fraction, Ns)
+            log_magnitude, phase, log_trace, failed = inner(spec, fraction, Ns)
             for r in range(2):
-                values[list(Ns).index(200), r, r] *= 1 + 1e-9
-            return values, log_magnitude, failed
+                log_magnitude[list(Ns).index(200), r, r] += np.log1p(1e-9)
+            return log_magnitude, phase, log_trace, failed
 
         monkeypatch.setattr(coleman_hepp, "traversal_family", heavy_at_200)
         assert run_cli("sweep", "--config", cfg, "--out", workdir / "heavy") == 0
@@ -959,8 +959,9 @@ def test_command_paths_do_not_import_scipy(workdir):
 DELETED = [
     (coarse_ldp, ("IntensiveObservable", "coarse_grain", "cell_probability", "BernoulliProduct",
                   "cell_log_probability", "_factor_layout", "_override_log_pmf")),
-    (coarse_ldp.CellPartitionSpec, ("empty_cells",)),
-    (coleman_hepp, ("diagonal_sector_product",)),
+    (coarse_ldp.CellPartitionSpec, ("empty_cells", "prefix_split")),
+    (coleman_hepp, ("diagonal_sector_product", "log_trace_products")),
+    (coleman_hepp.FactorizedSectorOverlap, ("cell_terms", "cell_log_values", "dp_total")),
     (coleman_hepp.ChainSpec, ("with_overrides",)),
     (runner, ("_sector_family", "SweepPoint", "_sweep_csv")),
     (verify, ("stability_test", "RunModel", "RECONSTRUCTION_DRAWS", "_reconstruction_residuals")),
@@ -987,6 +988,7 @@ REMOVED_FIELDS = [
     (verify.DecayFit, ("sweep",)),
     (verify.StabilityResult, ("tolerance_band", "base_fit", "perturbed_fit")),
     (coarse_ldp.LdpConditionReport, ("unique_max", "distinct_cells")),
+    (coleman_hepp.FactorizedSectorOverlap, ("a_total", "global_phase")),
 ]
 
 

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from pointer_cell_sim import coarse_ldp, logspace
 from pointer_cell_sim.coarse_ldp import (
-    CellPartitionSpec,
     bernoulli_rate,
     check_ldp_conditions,
     estimate_rate,
@@ -25,9 +24,10 @@ from pointer_cell_sim.coleman_hepp import (
     polarized_site,
     sector_overlap,
     sign_cells,
+    traversal_family,
 )
 from pointer_cell_sim.core import PhaseCellPartition
-from pointer_cell_sim.errors import PreconditionError, StructuralError
+from pointer_cell_sim.errors import PreconditionError
 from pointer_cell_sim.logspace import BinomialBlock, binomial_log_pmf
 
 from oracles import (
@@ -59,7 +59,7 @@ def product_sector(p: float, overrides=None, N: int = 10 ** 9) -> FactorizedSect
     if p <= 0.5:
         assert not overrides
         return FactorizedSectorOverlap(a=(np.zeros(1), np.zeros(1)),
-                                       b=BinomialBlock(N, p, 1.0 - p, 0.0), global_phase=0.0)
+                                       b=BinomialBlock(N, p, 1.0 - p, 0.0))
     spec = ChainSpec(N=N, m0=2 * p - 1,
                      site_overrides={k: diagonal_site(q) for k, q in (overrides or {}).items()})
     return sector_overlap(spec, 0, 0)
@@ -67,7 +67,7 @@ def product_sector(p: float, overrides=None, N: int = 10 ** 9) -> FactorizedSect
 
 def cell_log_probs(spec: ChainSpec, r: int = 0) -> np.ndarray:
     """Log-probabilities of the sign cells of the chain's evolved diagonal sector r."""
-    return sector_overlap(spec, r, r).cell_log_values(sign_cells(spec.N))[0]
+    return traversal_family(spec, 1.0, [spec.N])[0][0, r, r]
 
 
 class TestSignCells:
@@ -150,15 +150,6 @@ class TestCellProbability:
         assert np.isfinite(got[0]) and got[0] < -745
         ref = binom_range_log(N, 0.8, chain_minus_cell_counts(N))
         assert abs(got[0] - ref) <= 1e-12 * abs(ref)
-
-    def test_wrong_partition_length_rejected(self):
-        with pytest.raises(StructuralError):
-            sector_overlap(ChainSpec(N=4, m0=0.6), 0, 0).cell_log_values(sign_cells(5))
-        # the sector's cells are binomial tails: a prefix and a suffix only
-        three = CellPartitionSpec(edges=(-1.0, -1 / 3, 1 / 3, 1.0), bounds=(0, 10, 20, 31),
-                                  labels=("0", "1", "2"))
-        with pytest.raises(StructuralError, match="two-cell"):
-            sector_overlap(ChainSpec(N=30, m0=0.6), 0, 0).cell_log_values(three)
 
 
 class TestRateFunction:
@@ -384,16 +375,18 @@ class TestLargeChains:
     @pytest.mark.parametrize("N", [100_000, 1_000_000])
     def test_cells_identify_with_the_chain_tensor(self, N, theta, overrides):
         # the sector built once at another size and read, as estimate_rate reads
-        # it, with N - k bulk sites for its k overrides: the chain tensor's cells at N
+        # it, with N - k bulk sites for its k overrides, is the sector at N, whose
+        # factors traversal_family sums into the chain tensor's cells at N
         edits = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2} if overrides else None
         spec = ChainSpec(N=10 ** 9, m0=0.6, theta=theta, site_overrides=edits)
         tensor = factorized_f_tensor(spec.at_size(N))
-        cells, _ = chain_cells(N)
+        cells = traversal_family(spec, 1.0, [N])[0][0]
         for r in range(2):
-            sector = sector_overlap(spec, r, r)
+            sector, at_N = sector_overlap(spec, r, r), sector_overlap(spec.at_size(N), r, r)
             sized = replace(sector, b=replace(sector.b, size=N - (sector.a[0].size - 1)))
-            got, _ = sized.cell_log_values(cells)
-            ref = tensor.log_magnitude[r, r]
+            assert sized.b == at_N.b and sized.bulk is at_N.bulk is None, r
+            assert [x.tobytes() for x in sized.a] == [x.tobytes() for x in at_N.a], r
+            got, ref = cells[r, r], tensor.log_magnitude[r, r]
             assert (np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))).all(), (r, got, ref)
 
 

@@ -10,21 +10,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pointer_cell_sim import coleman_hepp, core
-from pointer_cell_sim.coarse_ldp import CellPartitionSpec
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     _bulk_block,
     build_dense,
     chain_cells,
     factorized_f_tensor,
-    log_trace_products,
     passed_sites,
     polarized_site,
     sector_overlap,
+    traversal_family,
     traversal_schedule,
 )
 from pointer_cell_sim.errors import CapacityError, StructuralError
-from pointer_cell_sim.logspace import binomial_log_pmf
+from pointer_cell_sim.logspace import binomial_log_pmf, lc_sum_rows, lc_values
 from pointer_cell_sim.verify import find_pointer_map, log_pointer_errors, pointer_errors
 
 from oracles import (
@@ -52,6 +51,15 @@ def dense_tensor(spec: ChainSpec) -> core.FTensor:
     micro, apparatus = build_dense(spec)
     states = core.evolve_sectors(micro, apparatus, spec.t)
     return core.f_tensor(states, apparatus.cells)
+
+
+def family_cells(spec: ChainSpec, fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain's cells as ``(2, 2, 2)`` log magnitudes and phases and its ``(2, 2)`` log
+    trace products, from one ``traversal_family`` call at the spec's own size."""
+    lm, ph, log_trace, failed = traversal_family(spec, fraction, [spec.N])
+    if failed:
+        raise failed[0]
+    return lm[0], ph[0], log_trace[0]
 
 
 def sector_cell_masses(spec: ChainSpec, r: int) -> list[float]:
@@ -210,8 +218,7 @@ class TestOffDiagonal:
     def test_total_coherence_decay_law(self, theta, N):
         # per-site trace product: |sum_a F[0,1,a]| = |cos(theta/2)|**N
         spec = ChainSpec(N=N, m0=0.6, theta=theta)
-        ov = sector_overlap(spec, 0, 1)
-        lm, _ = ov.dp_total()
+        lm = family_cells(spec)[2][0, 1]
         ref = N * math.log(abs(math.cos(theta / 2)))
         assert abs(math.exp(lm - ref) - 1.0) < 1e-9
 
@@ -229,8 +236,10 @@ class TestOverlapInvariants:
     def test_accumulator_matches_trace_product(self, pair):
         overrides = {1: np.array([[0.5, 0.2j], [-0.2j, 0.5]])}
         spec = ChainSpec(N=7, m0=0.6, theta=2.2, site_overrides=overrides)
-        ov = sector_overlap(spec, *pair)
-        dp_lm, dp_ph = ov.dp_total()
+        lm, ph, log_trace = family_cells(spec)
+        # the magnitude is the product of the site traces; the phase that of the cells' sum
+        dp_lm, total = log_trace[pair], complex(lc_values(lm, ph)[pair].sum())
+        dp_ph = math.atan2(total.imag, total.real)
         tr_lm, tr_ph = chain_trace_product(spec, *pair)
         assert abs(math.exp(dp_lm - tr_lm) - 1.0) < 1e-9
         assert (math.cos(dp_ph - tr_ph)) == pytest.approx(1.0, abs=1e-9)
@@ -265,7 +274,7 @@ class TestExactTraceProducts:
     def test_diagonal_sectors_read_exactly_zero(self, theta, N, overrides):
         spec = ChainSpec(N=N, m0=0.6, theta=theta, site_overrides=self.OVERRIDES if overrides else None)
         for fraction in (1.0, 0.75, 0.5, 0.37):
-            lt = log_trace_products(spec, fraction)
+            lt = family_cells(spec, fraction)[2]
             assert lt[0, 0] == 0.0 and lt[1, 1] == 0.0, (fraction, lt)
             # at pi a passed site's cross factor is an exact zero
             assert np.isneginf(lt[0, 1]) == np.isneginf(lt[1, 0]) == (theta == math.pi), (fraction, lt)
@@ -311,15 +320,18 @@ class TestTraversal:
 def assert_matches_full_product(spec: ChainSpec, fraction: float) -> None:
     """Every sector's total and cell sums agree with the quadratic oracle.
 
-    Log magnitudes and phases must agree to 1e-12 relative (absolute below
-    magnitude 1, where a log difference is the relative value error).
+    The total's log magnitude is the sector's trace product, its phase that of
+    the cells' sum less the energy phase.  Log magnitudes and phases must agree
+    to 1e-12 relative (absolute below magnitude 1, where a log difference is
+    the relative value error).
     """
     rotated = int(math.floor(fraction * spec.N + 1e-12))
-    cells, _ = chain_cells(spec.N)
+    cell_lm, cell_ph, log_trace = family_cells(spec, fraction)
+    _, sums_ph = lc_sum_rows(cell_lm, cell_ph)
     for r in range(2):
         for s in range(2):
-            ov = sector_overlap(spec, r, s, rotated)
-            got = [ov.dp_total(), *zip(*ov.cell_log_values(cells))]
+            energy = (spec.energies[s] - spec.energies[r]) * spec.t
+            got = [(log_trace[r, s], sums_ph[r, s] - energy), *zip(cell_lm[r, s], cell_ph[r, s])]
             ref_total, ref_cells = full_product_sector_cells(spec, r, s, rotated)
             for (lm, ph), (ref_lm, ref_ph) in zip(got, [ref_total, *ref_cells]):
                 if ref_lm == -math.inf:
@@ -342,16 +354,6 @@ class TestPartialTraversalOracle:
     def test_cells_match_full_product_at_four_thousand_sites(self):
         spec = ChainSpec(N=4000, m0=0.6, theta=1.0, site_overrides=COMPLEX_OVERRIDE)
         assert_matches_full_product(spec, 0.5)
-
-    def test_rejects_partitions_other_than_prefix_suffix(self):
-        ov = sector_overlap(ChainSpec(N=30, m0=0.6, theta=2.2), 0, 1, 15)
-        three = CellPartitionSpec(edges=(-1.0, -1 / 3, 1 / 3, 1.0), bounds=(0, 10, 20, 31),
-                                  labels=("0", "1", "2"))
-        with pytest.raises(StructuralError):
-            ov.cell_terms(three)
-        shorter, _ = chain_cells(29)
-        with pytest.raises(StructuralError):
-            ov.cell_terms(shorter)
 
 
 def assert_cells_match(got, ref, context):
@@ -399,9 +401,10 @@ def whole_log_pmf(n: int, p: float, q: float) -> np.ndarray:
     return out
 
 
-def summed_sector_cells(ov, N: int):
-    """The cells of a full-traversal overlap as ``sum_i a_i tail_b(h - i)``,
-    each tail an O(N) logsumexp over the package's binomial log-pmf.
+def summed_sector_cells(ov, N: int, energy: float):
+    """The cells of a full-traversal overlap, of energy phase ``energy``, as
+    ``sum_i a_i tail_b(h - i)``, each tail an O(N) logsumexp over the package's
+    binomial log-pmf.
 
     On the far side of the mode, where the tails are far below 1, the terms
     are summed relative to the log-pmf at the cell boundary (see
@@ -435,7 +438,7 @@ def summed_sector_cells(ov, N: int):
         m = terms[finite].max()
         acc = complex(np.sum(np.exp(terms[finite] - m) * np.exp(1j * (a_ph[finite] + b.phase))))
         cells.append((m + math.log(abs(acc)) + shift + b.log_total(),
-                      math.atan2(acc.imag, acc.real) + ov.global_phase))
+                      math.atan2(acc.imag, acc.real) + energy))
     return cells
 
 
@@ -451,45 +454,42 @@ class TestFullTraversalTails:
     @pytest.mark.parametrize("N", [2, 37, 4000])
     def test_cells_match_decimal_sums(self, N, m0, theta, overrides):
         spec = ChainSpec(N=N, m0=m0, theta=theta, energies=(0.3, -0.2), site_overrides=overrides)
-        cells, _ = chain_cells(N)
+        lm, ph, _ = family_cells(spec)
         for r in range(2):
             for s in range(2):
-                got = zip(*sector_overlap(spec, r, s).cell_log_values(cells))
-                assert_cells_match(got, decimal_sector_cells(spec, r, s), (r, s))
+                assert_cells_match(zip(lm[r, s], ph[r, s]), decimal_sector_cells(spec, r, s), (r, s))
 
     @pytest.mark.parametrize("overrides", [None, COMPLEX_OVERRIDE], ids=["plain", "override"])
     @pytest.mark.parametrize("m0, theta", FULL_TRAVERSAL_GRID)
     def test_cells_match_summed_log_pmf_at_a_million_sites(self, m0, theta, overrides):
         N = 1_000_000
         spec = ChainSpec(N=N, m0=m0, theta=theta, energies=(0.3, -0.2), site_overrides=overrides)
-        cells, _ = chain_cells(N)
+        lm, ph, _ = family_cells(spec)
         for r in range(2):
             for s in range(2):
                 ov = sector_overlap(spec, r, s)
                 assert ov.bulk is None
-                got = zip(*ov.cell_log_values(cells))
-                assert_cells_match(got, summed_sector_cells(ov, N), (r, s))
+                ref = summed_sector_cells(ov, N, (spec.energies[s] - spec.energies[r]) * spec.t)
+                assert_cells_match(zip(lm[r, s], ph[r, s]), ref, (r, s))
 
     @pytest.mark.parametrize("m0", [0.6, 1.0])
     def test_single_site(self, m0):
         spec = ChainSpec(N=1, m0=m0, theta=2.2, energies=(0.3, -0.2))
-        cells, _ = chain_cells(1)
+        lm, ph, _ = family_cells(spec)
         for r in range(2):
             for s in range(2):
-                got = zip(*sector_overlap(spec, r, s).cell_log_values(cells))
-                assert_cells_match(got, decimal_sector_cells(spec, r, s), (r, s))
+                assert_cells_match(zip(lm[r, s], ph[r, s]), decimal_sector_cells(spec, r, s), (r, s))
 
     def test_every_site_overridden(self):
         # b is the empty block: the cells are the override polynomial's own
         overrides = {0: polarized_site(-0.6), **COMPLEX_OVERRIDE, 2: polarized_site(0.2)}
         spec = ChainSpec(N=3, m0=0.6, theta=2.2, energies=(0.3, -0.2), site_overrides=overrides)
-        cells, _ = chain_cells(3)
+        lm, ph, _ = family_cells(spec)
         for r in range(2):
             for s in range(2):
                 ov = sector_overlap(spec, r, s)
                 assert ov.b.size == 0 and ov.a[0].size == 4
-                got = zip(*ov.cell_log_values(cells))
-                assert_cells_match(got, decimal_sector_cells(spec, r, s), (r, s))
+                assert_cells_match(zip(lm[r, s], ph[r, s]), decimal_sector_cells(spec, r, s), (r, s))
         assert np.abs(dense_tensor(spec).values - factorized_f_tensor(spec).values).max() < 1e-12
 
     def test_fully_polarised_chain_has_structural_zeros(self):
@@ -522,10 +522,8 @@ class TestLargeN:
             spec = ChainSpec(N=N, m0=0.6, theta=theta)
             f = factorized_f_tensor(spec)
             assert type(f) is core.FTensor
-            want = np.zeros((2, 2, 2), dtype=bool)
-            for r, s in np.ndindex(2, 2):
-                log_mags, _ = sector_overlap(spec, r, s).cell_log_values(coleman_hepp.sign_cells(N))
-                want[r, s] = (log_mags != -math.inf) & (np.exp(log_mags) == 0.0)
+            log_mags = family_cells(spec)[0]
+            want = (log_mags != -math.inf) & (np.exp(log_mags) == 0.0)
             assert np.array_equal(f.underflow, want)
             assert want[0, 0, 0] and not want[0, 0, 1]
             assert want[0, 1].all() == cross
@@ -611,21 +609,21 @@ COMPENSATED_ROWS = [(0.6, 0.37), (0.6, 0.5), (0.6, 0.75), (0.2, 0.75)]
 
 
 def assert_diagonal_cells_match_compensated_sums(N: int) -> None:
-    """Both diagonal sectors' cells, from the tensor and from the sector's own
-    ``cell_log_values``, against ``compensated_cells`` over the package's pmfs:
+    """Both diagonal sectors' cells, from ``traversal_family``, against
+    ``compensated_cells`` over the package's pmfs of the sector's own blocks:
     1e-13 relative in log magnitude (absolute below magnitude 1)."""
     cells = chain_cells(N)[0]
     for m0, fraction in COMPENSATED_ROWS:
         spec = ChainSpec(N=N, m0=m0)
-        tensor = traversal_schedule(spec, fraction).log_magnitude
+        tensor = family_cells(spec, fraction)[0]
         for r in range(2):
             ov = sector_overlap(spec, r, r, passed_sites(N, fraction))
             lA = block_log_magnitudes(ov.bulk) if ov.bulk else np.zeros(1)
             ref = compensated_cells(lA, block_log_magnitudes(ov.b), cells.bounds[1])
-            for got in (tensor[r, r], ov.cell_log_values(cells)[0]):
-                for side in range(2):
-                    context = (N, m0, fraction, r, side, got[side], ref[side])
-                    assert abs(got[side] - ref[side]) <= 1e-13 * max(1.0, abs(ref[side])), context
+            got = tensor[r, r]
+            for side in range(2):
+                context = (N, m0, fraction, r, side, got[side], ref[side])
+                assert abs(got[side] - ref[side]) <= 1e-13 * max(1.0, abs(ref[side])), context
 
 
 class TestCompensatedCells:
@@ -667,22 +665,26 @@ class TestSpecHelpers:
         # traversal_schedule; a size below an override site fails alone, as that chain does
         for theta, overridden, fraction in itertools.product(
                 (math.pi, 2.2, 1.0, 4.0), (False, True), (1.0, 0.5, 0.37)):
-            spec, Ns, values, log_magnitude, failed = chain_family(theta, fraction, overridden, (0.3, -0.4))
+            spec, Ns, values, log_magnitude, log_trace, failed = chain_family(theta, fraction, overridden,
+                                                                              (0.3, -0.4))
             assert values.shape == log_magnitude.shape == (len(Ns), 2, 2, 2)
+            assert log_trace.shape == (len(Ns), 2, 2)
             for i, N in enumerate(Ns):
                 context = (theta, overridden, fraction, N)
-                one = coleman_hepp.traversal_family(spec, fraction, [N])
+                one_lm, one_ph, one_trace, one_failed = traversal_family(spec, fraction, [N])
                 try:
                     want = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.4),
                                                         site_overrides=spec.site_overrides), fraction)
                 except StructuralError as exc:
-                    assert type(failed[i]) is type(one[2][0]) is StructuralError, context
-                    assert str(failed[i]) == str(one[2][0]) == str(exc), context
+                    assert type(failed[i]) is type(one_failed[0]) is StructuralError, context
+                    assert str(failed[i]) == str(one_failed[0]) == str(exc), context
                     continue
-                assert i not in failed and not one[2], context
-                for got_values, got_lm in ((values[i], log_magnitude[i]), (one[0][0], one[1][0])):
+                assert i not in failed and not one_failed, context
+                one_values = lc_values(one_lm[0], one_ph[0])
+                for got_values, got_lm in ((values[i], log_magnitude[i]), (one_values, one_lm[0])):
                     assert got_values.tobytes() == want.values.tobytes(), context
                     assert got_lm.tobytes() == want.log_magnitude.tobytes(), context
+                assert log_trace[i].tobytes() == one_trace[0].tobytes(), context
 
     def test_traversal_never_builds_the_dense_partition(self, monkeypatch):
         built = []
@@ -695,7 +697,7 @@ class TestSpecHelpers:
         spec = ChainSpec(N=12, m0=0.6, site_overrides={1: polarized_site(-0.6)})
         traversal_schedule(spec, 1.0)
         traversal_schedule(spec, 0.5)
-        coleman_hepp.traversal_family(spec, 1.0, [12])
+        traversal_family(spec, 1.0, [12])
         assert built == []
         assert chain_cells(12)[1] is not None and built == [2 ** 12]  # the spy sees the dense path
 
@@ -723,10 +725,9 @@ class TestSpecHelpers:
         overrides = {3: np.array([[0.5, 0.25], [0.25, 0.5]]), **COMPLEX_OVERRIDE}
         spec = ChainSpec(N=12_000, m0=0.6, theta=2.0, energies=(0.3, -0.2),
                          site_overrides=overrides)
-        cells, _ = chain_cells(spec.N)
+        lm, ph, _ = family_cells(spec)
         for r, s in ((0, 1), (1, 0)):
-            lm, ph = sector_overlap(spec, r, s).cell_log_values(cells)
-            for got_lm, got_ph, (ref_lm, ref_ph) in zip(lm, ph, decimal_sector_cells(spec, r, s)):
+            for got_lm, got_ph, (ref_lm, ref_ph) in zip(lm[r, s], ph[r, s], decimal_sector_cells(spec, r, s)):
                 assert abs(got_lm - ref_lm) <= 1e-12 * max(1.0, abs(ref_lm)), (r, s, got_lm, ref_lm)
                 assert abs(math.remainder(got_ph - ref_ph, 2 * math.pi)) <= 1e-12, (r, s, got_ph, ref_ph)
 

@@ -53,6 +53,7 @@ PINNED_ERRORS = [
      ["[model]: unknown model 'ising'; expected one of coleman_hepp, generic_dense"]),
     (CHAIN, {"model.seed": "x"}, ["[model]: seed must be an integer, got 'x'"]),
     (CHAIN, {"model.seed": "1.5"}, ["[model]: seed must be an integer, got '1.5'"]),
+    (CHAIN, {"model.seed": "-3"}, ["[model]: seed must be a non-negative integer, got -3"]),
     (CHAIN, {"model.measurement_time": "x"}, ["[model]: measurement_time must be a number"]),
     (CHAIN, {"model.measurement_time": "1.50"},
      ["[model]: measurement_time (traversal fraction) must lie in [0, 1], got 1.5"]),

@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from pointer_cell_sim import core, runner
-from pointer_cell_sim.coleman_hepp import ChainSpec, build_dense, passed_sites, polarized_site, site_rotation
+from pointer_cell_sim.coleman_hepp import (ChainSpec, build_dense, factorized_f_tensor, passed_sites, polarized_site,
+                                          site_rotation)
 from pointer_cell_sim.errors import (
     NullMacrostateError,
     NumericalError,
@@ -1200,6 +1201,15 @@ class TestPropertyChecker:
         assert report.symmetry < 1e-10
         assert report.positivity < 1e-10
         assert report.cauchy_schwarz < 1e-9
+
+    @pytest.mark.parametrize("excess, passed", [(1.1e-9, False), (0.9e-9, True)])
+    def test_verdict_gate_at_1e_9(self, excess, passed):
+        # a chain tensor scaled by 1 + excess: its rows sum to 1 + excess, the worst
+        # residual, a hair either side of the gate at 1e-9
+        f = factorized_f_tensor(ChainSpec(N=50, m0=0.6, theta=2.2))
+        report = core.check_f_properties(core.FTensor(values=f.values * (1 + excess), t=f.t))
+        assert report.worst == pytest.approx(excess, rel=1e-6)
+        assert report.passed == passed
 
     def test_synthetic_cauchy_schwarz_violation(self):
         values = np.zeros((2, 2, 2), dtype=complex)

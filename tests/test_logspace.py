@@ -1,11 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pointer_cell_sim.coleman_hepp import (ChainSpec, _site_polynomials, factorized_f_tensor, sector_overlap,
-                                          sign_cells)
+from pointer_cell_sim.coleman_hepp import ChainSpec, _site_polynomials, factorized_f_tensor, traversal_family
 from pointer_cell_sim.errors import NumericalError
 from pointer_cell_sim import logspace
 from pointer_cell_sim.logspace import (
@@ -369,5 +369,6 @@ class TestBinomialTails:
         assert str(failed[1]) == ("incomplete-beta continued fraction I_0.3(100, 90) "
                                   "did not converge in 120 steps")
         assert tails[:1].tobytes() == want[0].tobytes() and shifts[:1].tobytes() == want[1].tobytes()
-        with pytest.raises(NumericalError, match=r"I_0\.3\d*\(95, 95\) did not converge in 118 steps"):
-            sector_overlap(ChainSpec(N=189, m0=0.4), 0, 0).cell_log_values(sign_cells(189))
+        failed = traversal_family(ChainSpec(N=189, m0=0.4), 1.0, [189])[3]
+        assert list(failed) == [0] and type(failed[0]) is NumericalError
+        assert re.search(r"I_0\.3\d*\(95, 95\) did not converge in 118 steps", str(failed[0]))

@@ -11,7 +11,6 @@ from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     build_dense,
     factorized_f_tensor,
-    log_trace_products,
     polarized_site,
     traversal_family,
     traversal_schedule,
@@ -23,6 +22,7 @@ from pointer_cell_sim.errors import (
     PreconditionError,
     SimulationError,
 )
+from pointer_cell_sim.logspace import lc_values
 from pointer_cell_sim.verify import (
     ENUMERATION_MAX,
     _residual_matrices,
@@ -275,7 +275,7 @@ class TestJudgeStack:
         for theta, fraction, overridden, energies in itertools.product(
                 (math.pi, 2.2, 1.0, 4.0), (1.0, 0.5, 0.37), (False, True),
                 ((0.0, 0.0), (0.3, -0.4))):
-            _, Ns, values, log_magnitude, failed = chain_family(theta, fraction, overridden, energies)
+            _, Ns, values, log_magnitude, _, failed = chain_family(theta, fraction, overridden, energies)
             sized = [i for i in range(len(Ns)) if i not in failed]  # below an override site: no tensor
             context = (theta, fraction, overridden, energies)
             raised = self.assert_judged_alone(values[sized], log_magnitude[sized], context)
@@ -286,7 +286,8 @@ class TestJudgeStack:
 
     def test_weight_sum_off_by_1e_9_fails_that_tensor_alone(self):
         spec = ChainSpec(N=4, m0=0.6, theta=2.2, energies=(0.3, -0.4))
-        values, log_magnitude, _ = traversal_family(spec, 1.0, [50, 100, 200])
+        log_magnitude, phase, _, _ = traversal_family(spec, 1.0, [50, 100, 200])
+        values = lc_values(log_magnitude, phase)
         values[1, 0, 0] *= 1 + 1e-9
         values[1, 1, 1] *= 1 + 1e-9
         raised = self.assert_judged_alone(values, log_magnitude, "heavy")
@@ -296,7 +297,8 @@ class TestJudgeStack:
     def test_negative_complementary_mass_is_no_error(self):
         # a roundoff-negative mass off the assigned cell clamps the error to 0
         spec = ChainSpec(N=4, m0=0.6, theta=2.2, energies=(0.3, -0.4))
-        values, log_magnitude, _ = traversal_family(spec, 1.0, [50, 100])
+        log_magnitude, phase, _, _ = traversal_family(spec, 1.0, [50, 100])
+        values = lc_values(log_magnitude, phase)
         values[1, 0, 0, np.argmin(values[1, 0, 0].real)] = -1e-13
         assert not self.assert_judged_alone(values, log_magnitude, "negative")
         errors, *_ = judge_stack(values, log_magnitude, self.AMPLITUDES)
@@ -365,6 +367,11 @@ def assert_log_close(got, ref, rel=1e-12):
         assert math.exp(got) == pytest.approx(ref, rel=rel, abs=0.0)
 
 
+def log_trace_of(spec: ChainSpec, fraction: float) -> np.ndarray:
+    """The chain's ``(2, 2)`` log trace products, from ``traversal_family`` at its own size."""
+    return traversal_family(spec, fraction, [spec.N])[2][0]
+
+
 def chain_cases():
     for N in (1, 2, 5, 8, 13, 21, 34, 60):
         for theta in (math.pi, 2.9, 2.2, 1.7):
@@ -400,12 +407,12 @@ class TestReconstructionResiduals:
                 for got, ref in zip(reconstruction_residuals(f, pm, c), trace_norm_residuals(f, pm, c)):
                     assert_log_close(got, ref)
                 # the chain's own trace products leave the conditional residual alone
-                assert (reconstruction_residuals(f, pm, c, log_trace_products(spec, fraction))[1]
+                assert (reconstruction_residuals(f, pm, c, log_trace_of(spec, fraction))[1]
                         == reconstruction_residuals(f, pm, c)[1])
 
     def test_chain_trace_products_match_the_cell_sums(self):
         for spec, fraction, f, pm in chain_cases():
-            lt = log_trace_products(spec, fraction)
+            lt = log_trace_of(spec, fraction)
             total = f.values.sum(axis=2)
             finite = total != 0
             assert np.array_equal(np.isneginf(lt), ~finite)
@@ -448,7 +455,7 @@ class TestReconstructionResiduals:
         # the expectation one |cos(theta / 2)|^N, exactly 0 at pi
         spec = ChainSpec(N=N, m0=0.6, theta=theta)
         f = factorized_f_tensor(spec)
-        got = reconstruction_residuals(f, find_pointer_map(f), (0.6, 0.8), log_trace_products(spec, 1.0))
+        got = reconstruction_residuals(f, find_pointer_map(f), (0.6, 0.8), log_trace_of(spec, 1.0))
         ref = decimal_log_residuals(spec, (0.6, 0.8))
         assert np.isfinite(got[1]) and (got[0] == -np.inf) == (theta == math.pi)
         for g, r in zip(got, ref):
@@ -524,6 +531,16 @@ class TestDecayFit:
         assert abs(fit.c - c_true) / c_true < 1e-6
         assert fit.r_squared > 1 - 1e-12
         assert fit.is_exponential()
+
+    @pytest.mark.parametrize("r_squared, exponential", [(0.99 - 1e-6, False), (0.99 + 1e-6, True)])
+    def test_r_squared_gate_at_0_99(self, r_squared, exponential):
+        # four sizes on a line of slope -0.01 with residuals a * (1, -1, -1, 1), orthogonal
+        # to the line: r^2 = 5 / (5 + 4 a^2), set a hair either side of the gate at 0.99
+        a = math.sqrt((5.0 / r_squared - 5.0) / 4.0)
+        fit = fit_decay_rate([(N, -0.01 * N + a * e) for N, e in zip((100, 200, 300, 400), (1, -1, -1, 1))])
+        assert fit.slope == pytest.approx(-0.01, rel=1e-12)
+        assert fit.r_squared == pytest.approx(r_squared, abs=1e-12)
+        assert fit.is_exponential() == exponential
 
     def test_power_law_flagged_non_exponential(self):
         sweep = []
