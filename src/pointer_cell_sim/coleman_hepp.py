@@ -31,8 +31,8 @@ from .core import (
     _diagonal_of,
 )
 from .errors import CapacityError, SimulationError, StructuralError
-from .logspace import (BinomialBlock, _binomial_block, binomial_log_pmf, binomial_log_tails,
-                       binomial_pair_log_tails, lc_convolve, lc_sum_rows, lc_values)
+from .logspace import (BinomialBlock, _binomial_block, binomial_log_tails, binomial_pair_log_tails,
+                       lc_convolve, lc_sum_rows, lc_values)
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
@@ -226,13 +226,13 @@ def _block_tails(blocks: list, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _site_polynomials(diagonals: dict) -> dict:
     """``(site, a, b)`` -> the log-coded ``d1 + d0 z`` of ``diagonals[site][a][b]``, per
-    override site, phases ``j arg d0 + (1 - j) arg d1``: one Loader call for all."""
+    override site: log magnitudes ``(log|d1|, log|d0|)``, ``-inf`` for a zero entry, and
+    phases ``(arg d1, arg d0)``."""
     keys = [(k, a, b) for k in diagonals if k is not None for a in range(2) for b in range(2)]
-    sites, j = [diagonals[k][a][b] for k, a, b in keys], np.arange(2, dtype=float)
-    blocks = np.array([(x.p, x.q, x.log_scale) for x in (_binomial_block(1, *d) for d in sites)])
-    lm = blocks[:, 2:] + binomial_log_pmf(1, blocks[:, :1], blocks[:, 1:2], np.tile(j, (len(keys), 1)))
-    args = np.array([(cmath.phase(d0), cmath.phase(d1)) for d0, d1 in sites])  # a zero site: lm -inf
-    return dict(zip(keys, zip(lm, j * args[:, :1] + (1 - j) * args[:, 1:])))
+    entries = [d for k, a, b in keys for d in reversed(diagonals[k][a][b])]
+    lm = np.array([math.log(abs(d)) if d else -math.inf for d in entries]).reshape(-1, 2)
+    ph = np.array([cmath.phase(d) for d in entries]).reshape(-1, 2)
+    return dict(zip(keys, zip(lm, ph)))
 
 
 def _bulk_block(d0: complex, d1: complex, scale: float | None) -> Callable[[int], BinomialBlock]:
@@ -252,7 +252,7 @@ def _bulk_block(d0: complex, d1: complex, scale: float | None) -> Callable[[int]
     if d0 and d1 and math.remainder(arg0 - arg1, 2.0 * math.pi) != 0.0:
         raise StructuralError(f"bulk site diagonal ({d0!r}, {d1!r}) does not share one phase")
     arg = arg1 if d1 else arg0
-    unit = _binomial_block(0, d0, d1, scale)
+    unit = _binomial_block(d0, d1, scale)
 
     def block(size: int) -> BinomialBlock:
         phase = math.pi * (size % 2) if abs(arg) == math.pi else size * arg
@@ -277,7 +277,7 @@ def diagonal_sectors(spec: ChainSpec, N: int) -> list[tuple[FactorizedSectorOver
     key None the bulk, then the override sites in site order."""
     diagonals, sized, memo = _site_diagonals(spec), spec.at_size(N), {}
     return [(sector_overlap(sized, r, r, diagonals=diagonals, memo=memo),
-             {site: _binomial_block(0, *d[r][r]).p for site, d in diagonals.items()}) for r in range(2)]
+             {site: _binomial_block(*d[r][r]).p for site, d in diagonals.items()}) for r in range(2)]
 
 
 def _site_groups(N: int, rotated_count: int, diagonals: dict) -> tuple[tuple[int, ...], int, int]:
@@ -310,7 +310,7 @@ def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], n_r
     (rot, plain, delta_e), factors = memo[r, s], memo[r, s, rotated]
     if not (plain and n_rot and n_plain):
         size, make = (n_plain, plain) if plain and not n_rot else (n_rot + n_plain, rot)
-        return None, make(size) if size else _binomial_block(0, 0.0, 1.0), delta_e, factors
+        return None, make(size) if size else _binomial_block(0.0, 1.0), delta_e, factors
     return (*((rot(n_rot), plain(n_plain)) if n_rot <= n_plain else (plain(n_plain), rot(n_rot))), delta_e, factors)
 
 

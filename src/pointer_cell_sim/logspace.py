@@ -39,17 +39,16 @@ _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 118
 
 
 def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """Stirling-formula error ``stirlerr(k)`` over integers k >= 0 held as
+    """Stirling-formula error ``stirlerr(k)`` over integers k >= 1 held as
     floats, elementwise: the series, then the table below 16 over it."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 is read from the table
-        inv = np.reciprocal(k)
-        w = inv * inv
-        acc = w * _S4  # Horner in 1 / k**2, in place
-        for s in (_S3, _S2, _S1):
-            np.subtract(s, acc, out=acc)
-            acc *= w
-        np.subtract(_S0, acc, out=acc)
-        acc *= inv
+    inv = np.reciprocal(k)
+    w = inv * inv
+    acc = w * _S4  # Horner in 1 / k**2, in place
+    for s in (_S3, _S2, _S1):
+        np.subtract(s, acc, out=acc)
+        acc *= w
+    np.subtract(_S0, acc, out=acc)
+    acc *= inv
     small = k < 16
     acc[small] = _STIRLERR_TABLE[k[small].astype(int)]
     return acc
@@ -92,22 +91,21 @@ def _bd0_series(x: np.ndarray, m, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bd0(x: np.ndarray, m) -> np.ndarray:
-    """``bd0(x, m)``, m > 0, elementwise over integers x held as floats, m a
-    scalar or an array like x: the direct form, then masks pick the band and x = 0."""
-    m = np.broadcast_to(m, x.shape)
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``bd0(x, m)``, m > 0, elementwise over integers x held as floats and an
+    array m like x: the direct form, then masks pick the band and x = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 and the band are replaced
         out = x * np.log(x / m) + m - x
     band = (x >= np.floor(m * 9.0 / 11.0) + 1.0) & (x < np.ceil(m * 11.0 / 9.0))
-    out[band] = _bd0_series(x[band], m[band], np.empty(np.count_nonzero(band)))
-    zero = x == 0.0
-    out[zero] = m[zero]
+    if band.any():
+        out[band] = _bd0_series(x[band], m[band], np.empty(np.count_nonzero(band)))
+    np.copyto(out, m, where=x == 0.0)
     return out
 
 
-def binomial_log_pmf(n: int | np.ndarray, p: float | np.ndarray, q: float | np.ndarray, k=None) -> np.ndarray:
-    """Log-pmf of Bin(n, p) over k = 0..n, or at the up-counts ``k``, with
-    ``q = 1 - p``; exact at p or q = 0.
+def binomial_log_pmf(n: int | np.ndarray, p: float | np.ndarray, q: float | np.ndarray, k) -> np.ndarray:
+    """Log-pmf of Bin(n, p) at the up-counts ``k``, with ``q = 1 - p``; exact
+    at p or q = 0.
 
     Loader's saddle-point form (C. Loader, 2000, *Fast and Accurate
     Computation of Binomial Probabilities*): ``log Bin(k; n, k / n)`` minus
@@ -118,7 +116,7 @@ def binomial_log_pmf(n: int | np.ndarray, p: float | np.ndarray, q: float | np.n
     broadcast to it; masks pick each entry's table, series and band, so it
     costs the size of k, and each entry's value does not depend on the others.
     """
-    k = np.arange(n + 1, dtype=float) if k is None else np.asarray(k, dtype=float)
+    k = np.asarray(k, dtype=float)
     n, p, q = np.broadcast_to(np.asarray(n, dtype=float), k.shape), np.asarray(p), np.asarray(q)
     saddle = np.zeros(k.shape)
     inner = (k > 0.0) & (k < n)
@@ -129,46 +127,6 @@ def binomial_log_pmf(n: int | np.ndarray, p: float | np.ndarray, q: float | np.n
     out = saddle - _bd0(k, n * p) - _bd0(n - k, n * q)
     sure = (p <= 0.0) | (q <= 0.0)  # one sure count, 0 or n, where bd0 is inf
     return np.where(sure, np.where(k == np.where(p <= 0.0, 0.0, n), 0.0, -np.inf), out) if sure.any() else out
-
-
-def _stirlerr_at(k: int) -> float:
-    """Scalar ``stirlerr(k)``: the same table and series as ``_stirlerr``."""
-    if k <= 15:
-        return float(_STIRLERR_TABLE[k])
-    inv = 1.0 / k
-    w = inv * inv
-    acc = w * _S4
-    for s in (_S3, _S2, _S1):
-        acc = (s - acc) * w
-    return (_S0 - acc) * inv
-
-
-def _bd0_at(x: float, m: float) -> float:
-    """Scalar ``bd0(x, m)`` for m > 0: the same band and series as ``_bd0``."""
-    if x == 0.0:
-        return m
-    d = x - m
-    if abs(d) >= 0.1 * (x + m):
-        return x * math.log(x / m) + m - x
-    v = d / (x + m)
-    w = v * v
-    band = _BD0_SERIES[-1]
-    for c in _BD0_SERIES[-2::-1]:
-        band = band * w + c
-    band *= w * x
-    return (band + band + d) * v
-
-
-def binomial_log_pmf_at(n: int, k: int, p: float, q: float) -> float:
-    """``log Bin(k; n, p)`` for one k, by the same saddle-point form as
-    ``binomial_log_pmf``, in scalar arithmetic: nothing of length n is built."""
-    if p <= 0.0 or q <= 0.0:
-        return 0.0 if k == (0 if p <= 0.0 else n) else -math.inf
-    saddle = 0.0
-    if 0 < k < n:
-        saddle = (_stirlerr_at(n) - _stirlerr_at(k) - _stirlerr_at(n - k)
-                  - 0.5 * math.log((n - k) * k * (2.0 * math.pi / n)))
-    return saddle - _bd0_at(float(k), n * p) - _bd0_at(float(n - k), n * q)
 
 
 #: a double-precision fraction step that moves it by less than this ends it
@@ -256,18 +214,19 @@ def binomial_log_tails(rows: Sequence[tuple[int, int, float, float]], k: int
     At each split ``s = t - i`` the tail on the far side of the mode is a
     regularised incomplete beta, ``P(X >= s) = I_p(s, n - s + 1) = Bin(s; n, p)
     q CF`` or ``P(X < s) = I_q(n - s + 1, s) = Bin(s - 1; n, p) p CF``; the near
-    tail is its ``log1p(-exp(.))`` complement.  One pmf per row, ``shift``, from
-    ``binomial_log_pmf_at`` at its first split, serves its splits by the exact
-    ratios ``Bin(m - 1) / Bin(m) = m q / ((n - m + 1) p)``; the row of its far tail
-    holds values less it, as adding it to each term, far out of order n, would
-    round the terms' relative sizes, which set the phase of a mixed-phase sum, to
-    ulps of n.  Exact at p or q = 0 and for splits outside 1..n; the cost is
-    independent of n away from the mode.  All rows' fractions step at once; the
-    rest is scalar ``math``: numpy's ``exp``, ``log`` and ``log1p`` differ in the last bit."""
+    tail is its ``log1p(-exp(.))`` complement.  One pmf per row, ``shift``, at its
+    first split inside 1..n, serves its splits by the exact ratios ``Bin(m - 1) /
+    Bin(m) = m q / ((n - m + 1) p)``, and one ``binomial_log_pmf`` call takes all
+    rows' shifts; the row of its far tail holds values less it, as adding it to
+    each term, far out of order n, would round the terms' relative sizes, which set
+    the phase of a mixed-phase sum, to ulps of n.  Exact at p or q = 0 and for
+    splits outside 1..n; the cost is independent of n away from the mode.  All
+    rows' fractions step at once; the rest is scalar ``math``: numpy's ``exp``,
+    ``log`` and ``log1p`` differ in the last bit."""
     tails, anchors, jobs = [], [], []  # per fraction: (row, i, upper, log factor, a, b, x)
     for row, (n, t, p, q) in enumerate(rows):
         below, above = [-math.inf] * k, [-math.inf] * k
-        m_pmf, shift, far_upper = None, 0.0, False  # log Bin(m_pmf) = shift + rel
+        m_pmf = None  # log Bin(m_pmf) = shift + rel
         for i in range(k):
             s = t - i
             if s <= 0 or (q <= 0.0 and s <= n):  # X >= s surely
@@ -277,28 +236,32 @@ def binomial_log_tails(rows: Sequence[tuple[int, int, float, float]], k: int
             else:
                 upper = p * (n + 3) < s + 1
                 m = s if upper else s - 1
-                if m_pmf is None:
-                    m_pmf, shift, rel, far_upper = m, binomial_log_pmf_at(n, m, p, q), 0.0, upper
+                if m_pmf is None:  # the row's shift is log Bin(m; n, p), its far tail on this side
+                    m_pmf, rel = m, 0.0
+                    anchors.append((row, upper, n, p, q, m))
                 while m_pmf > m:
                     rel += math.log(m_pmf * q / ((n - m_pmf + 1) * p))
                     m_pmf -= 1
                 jobs.append((row, i, upper, rel + math.log(q if upper else p),
                              *((s, n - s + 1, p) if upper else (n - s + 1, s, q))))
-        far = [v - shift for v in (above if far_upper else below)]  # the sure splits' values less shift
-        tails.append((below, far) if far_upper else (far, above))
-        anchors.append((shift, far_upper))
+        tails.append([below, above])
+    shift, far_upper = [0.0] * len(rows), [False] * len(rows)
+    if anchors:
+        at, upper, *npqm = zip(*anchors)
+        for row, u, value in zip(at, upper, binomial_log_pmf(*npqm).tolist()):
+            shift[row], far_upper[row] = value, u
+            tails[row][int(u)] = [v - value for v in tails[row][int(u)]]  # the sure splits' values less shift
     (fracs, bad), failed = _beta_fractions([job[4:] for job in jobs]), {}
     for job, ((row, i, upper, factor, *_), frac) in enumerate(zip(jobs, fracs.tolist())):
         if job in bad:
             failed.setdefault(row, bad[job])
             continue
-        shift, far_upper = anchors[row]
         far = factor + math.log(frac)
-        near = math.log1p(-math.exp(shift + far))
-        if upper != far_upper:  # past the mode, where shift is of order log n
-            far, near = shift + far, near - shift
+        near = math.log1p(-math.exp(shift[row] + far))
+        if upper != far_upper[row]:  # past the mode, where shift is of order log n
+            far, near = shift[row] + far, near - shift[row]
         tails[row][int(upper)][i], tails[row][int(not upper)][i] = far, near
-    shifts = [(0.0, shift) if far_upper else (shift, 0.0) for shift, far_upper in anchors]
+    shifts = [(0.0, s) if u else (s, 0.0) for s, u in zip(shift, far_upper)]
     return np.array(tails).reshape(len(rows), 2, k), np.array(shifts).reshape(len(rows), 2), failed
 
 
@@ -387,14 +350,14 @@ class BinomialBlock:
         return self.size * self.log_scale if self.size else 0.0
 
 
-def _binomial_block(size: int, d0: complex, d1: complex, scale: float | None = None) -> BinomialBlock:
-    # (d1 + d0 z)**size: scale**size * Bin(j; size, |d0| / (|d0| + |d1|)),
-    # scale |d0| + |d1| by default
+def _binomial_block(d0: complex, d1: complex, scale: float | None = None) -> BinomialBlock:
+    # the parameters of (d1 + d0 z)**size, scale**size * Bin(j; size, |d0| / (|d0| + |d1|)),
+    # scale |d0| + |d1| by default, as a block of size 0
     mag0, mag1 = abs(d0), abs(d1)
     total = mag0 + mag1
     if total == 0.0:
-        return BinomialBlock(size, 0.0, 1.0, -math.inf)
-    return BinomialBlock(size, mag0 / total, mag1 / total, math.log(scale or total))
+        return BinomialBlock(0, 0.0, 1.0, -math.inf)
+    return BinomialBlock(0, mag0 / total, mag1 / total, math.log(scale or total))
 
 
 def _count_groups(finite: np.ndarray, *arrays: np.ndarray):
@@ -451,23 +414,16 @@ def lc_values(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
 def lc_convolve(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Convolution of two log-coded coefficient arrays (polynomial product).
 
-    Each shift of the shorter side places a copy of the longer one in a row of
-    the output's length; each output is the sum down its column, in the order
-    of the shifts, of its terms rescaled by their largest.  The cost is the
-    product of the two lengths.
+    Each shift of the shorter side places a copy of the longer one in a column
+    of the output's length; ``lc_sum_rows`` sums each output's row, in the order
+    of the shifts.  The cost is the product of the two lengths.
     """
     (lma, pha), (lmb, phb) = (b, a) if len(a[0]) < len(b[0]) else (a, b)
     na, nb = len(lma), len(lmb)
-    lm, ph = np.full((nb, na + nb - 1), -np.inf), np.zeros((nb, na + nb - 1))
+    lm, ph = np.full((na + nb - 1, nb), -np.inf), np.zeros((na + nb - 1, nb))
     for shift in range(nb):
-        lm[shift, shift:shift + na], ph[shift, shift:shift + na] = lma + lmb[shift], pha + phb[shift]
-    m = lm.max(axis=0)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(invalid="ignore"):
-        acc = (np.exp(lm - safe_m) * np.exp(1j * ph)).sum(axis=0)
-    mag = np.abs(acc)
-    out_lm = np.where(np.isfinite(m) & (mag > 0), safe_m + np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-    return out_lm, np.where(np.isfinite(out_lm), np.angle(acc), 0.0)
+        lm[shift:shift + na, shift], ph[shift:shift + na, shift] = lma + lmb[shift], pha + phb[shift]
+    return lc_sum_rows(lm, ph)
 
 
 def bernoulli_relative_entropy(q: float, p: float) -> float:

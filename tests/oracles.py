@@ -244,7 +244,7 @@ def block_log_magnitudes(block) -> np.ndarray:
 
     if block.log_scale == -math.inf:
         return np.full(block.size + 1, -np.inf)
-    return block.size * block.log_scale + binomial_log_pmf(block.size, block.p, block.q)
+    return block.size * block.log_scale + binomial_log_pmf(block.size, block.p, block.q, np.arange(block.size + 1))
 
 
 def _kahan_running_sums(w: np.ndarray) -> np.ndarray:
@@ -521,13 +521,15 @@ def scalar_rate_samples(overlap, grid, Ns):
     ``overlap`` is a diagonal sector at full traversal; at size N its bulk
     ``b`` has ``n = N - k`` sites, for its k override sites.  Each window's
     up-counts are found in scalar arithmetic, and its probability ``sum_i
-    a_i sum_{j in window} b_{j-i}`` is summed from one scalar Loader pmf
-    (``binomial_log_pmf_at``) per term, a log-sum-exp over the j of each i,
-    then one over the i, and takes the bulk's scale ``n * b.log_scale``.
-    Returns the samples, the dropped flags and the warning texts, in the
-    order ``estimate_rate`` emits them.
+    a_i sum_{j in window} b_{j-i}`` is summed from one Loader pmf call
+    (``binomial_log_pmf`` at one count) per term, a log-sum-exp over the j of
+    each i, then one over the i, and takes the bulk's scale ``n * b.log_scale``.
+    The kernel's value at a count does not depend on the other counts of its
+    call, so each term has the bits ``estimate_rate`` reads.  Returns the
+    samples, the dropped flags and the warning texts, in the order
+    ``estimate_rate`` emits them.
     """
-    from pointer_cell_sim.logspace import binomial_log_pmf_at
+    from pointer_cell_sim.logspace import binomial_log_pmf
 
     Ns = sorted(Ns)
     (a, _), b = overlap.a, overlap.b
@@ -540,7 +542,7 @@ def scalar_rate_samples(overlap, grid, Ns):
             j_lo = math.ceil((m - 1.0 / N + 1.0) * N / 2.0 - 1e-9)
             j_hi = math.floor((m + 1.0 / N + 1.0) * N / 2.0 + 1e-9)
             counts = range(max(0, j_lo), min(N, j_hi) + 1)
-            tails = [_real_logsumexp([binomial_log_pmf_at(n, j - i, b.p, b.q)
+            tails = [_real_logsumexp([binomial_log_pmf(n, b.p, b.q, [j - i])[0]
                                       for j in counts if 0 <= j - i <= n])
                      for i in range(a.size)]
             logp = _real_logsumexp(a + np.array(tails)) + n * b.log_scale

@@ -968,6 +968,7 @@ DELETED = [
     (verify.ExactConditionResult, ("von_neumann_residuals",)),
     (verify.MeasurementVerdict, ("von_neumann_residuals",)),
     (errors, ("NonLocalPerturbationError",)),
+    (logspace, ("binomial_log_pmf_at", "_stirlerr_at", "_bd0_at")),
 ]
 
 #: parameters every caller left at one value, now constants; none may come back
@@ -977,6 +978,7 @@ REMOVED_PARAMETERS = [
     (core.check_f_properties, ("tol",)),
     (core.EvolvedSectorStates.validate, ("tol", "spectra")),
     (logspace._binomial_block, ("phase",)),
+    (logspace._binomial_block, ("size",)),
     (verify.check_exact_condition, ("log_residuals",)),
 ]
 

@@ -396,7 +396,7 @@ def boundary_log_pmf(n: int, p: float, q: float, h: int) -> tuple[int, np.ndarra
 def whole_log_pmf(n: int, p: float, q: float) -> np.ndarray:
     """The package's log-pmf over k = 0..n, read-only, kept for the sectors of one
     chain that share a block."""
-    out = binomial_log_pmf(n, p, q)
+    out = binomial_log_pmf(n, p, q, np.arange(n + 1))
     out.setflags(write=False)
     return out
 
