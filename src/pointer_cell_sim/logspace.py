@@ -112,11 +112,14 @@ def binomial_log_pmf(n: int | np.ndarray, p: float | np.ndarray, q: float | np.n
     the deviances ``bd0(k, n p)`` and ``bd0(n - k, n q)``, a few ulps of the
     result near the mass, where the direct sum loses ulps of ``n log n``.
     ``q`` is passed so that a p within rounding of 1 keeps its complement's
-    digits.  ``k`` may have any order, repeats and shape, and n, p and q
-    broadcast to it; masks pick each entry's table, series and band, so it
-    costs the size of k, and each entry's value does not depend on the others.
+    digits.  ``k`` may have any order, repeats and shape (one count gives one
+    value), and n, p and q broadcast to it; masks pick each entry's table,
+    series and band, so it costs the size of k, and each entry's value does
+    not depend on the others.
     """
     k = np.asarray(k, dtype=float)
+    if k.ndim == 0:  # the masks assign into arrays: one count runs at shape (1,)
+        return binomial_log_pmf(n, p, q, k[None])[0]
     n, p, q = np.broadcast_to(np.asarray(n, dtype=float), k.shape), np.asarray(p), np.asarray(q)
     saddle = np.zeros(k.shape)
     inner = (k > 0.0) & (k < n)

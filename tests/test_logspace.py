@@ -294,10 +294,20 @@ class TestBinomialTails:
         assert -n * rate - 2 * math.log(n) < below < -n * rate
         assert above == 0.0 or -1e-300 < above < 0.0
 
-    def test_sorted_counts_match_whole_range(self):
+    @pytest.mark.parametrize("p", [0.8, 0.5, 0.1, 1e-6])
+    @pytest.mark.parametrize("n", [1, 15, 16, 40, 3000])
+    def test_scalar_pmf_matches_vector(self, n, p):
+        # one count at a time gives the whole range's bits
+        q = 1.0 - p
+        vec = binomial_log_pmf(n, p, q, np.arange(n + 1))
+        got = np.array([binomial_log_pmf(n, p, q, k) for k in range(n + 1)])
+        assert np.array_equal(got, vec)
+
+    def test_sorted_counts_match_whole_range_and_scalar(self):
         # random (n, p) up to n = 10**9; k random, around the mean, or with
         # the ends and the Stirling table's edge, duplicates included; above
-        # the whole range's reach, the counts reversed give the same values
+        # the whole range's reach, the counts reversed give the same values;
+        # each count alone gives its value's bits
         rng = np.random.default_rng(12)
         for trial in range(300):
             n = int(rng.integers(1, 10 ** int(rng.integers(1, 10)) + 1))
@@ -312,8 +322,10 @@ class TestBinomialTails:
                 assert np.array_equal(got, binomial_log_pmf(n, p, q, np.arange(n + 1))[k]), (n, p)
             else:
                 assert np.array_equal(got, binomial_log_pmf(n, p, q, k[::-1])[::-1]), (n, p)
+            assert np.array_equal(got, [binomial_log_pmf(n, p, q, int(x)) for x in k]), (n, p)
         # no trial at n = 0: one certain outcome, whatever p
         assert binomial_log_pmf(0, 0.3, 0.7, np.array([0.0])).tolist() == [0.0]
+        assert binomial_log_pmf(0, 0.3, 0.7, 0) == 0.0
 
     def test_mixed_sizes_match_per_size_calls(self):
         # one call with the trial counts elementwise equals one call per
@@ -340,6 +352,12 @@ class TestBinomialTails:
             assert np.array_equal(got, np.concatenate(want)[order]), (sizes, p)
             pairs += len(sizes)
         assert pairs >= 300
+
+    def test_scalar_pmf_degenerate(self):
+        assert binomial_log_pmf(4, 0.0, 1.0, 0) == 0.0
+        assert binomial_log_pmf(4, 0.0, 1.0, 1) == -math.inf
+        assert binomial_log_pmf(4, 1.0, 0.0, 4) == 0.0
+        assert binomial_log_pmf(4, 1.0, 0.0, 3) == -math.inf
 
     def test_fraction_stops_at_its_step_limit(self, monkeypatch):
         # a fraction whose steps never settle (here: no double step is small
