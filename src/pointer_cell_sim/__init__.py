@@ -21,7 +21,6 @@ from .core import (
     sector_hamiltonians,
 )
 from .coarse_ldp import (
-    CellPartitionSpec,
     LdpConditionReport,
     RateFunctionEstimate,
     bernoulli_rate,
@@ -51,7 +50,6 @@ from .config import ExperimentConfig, parse_config, serialize_config
 
 __all__ = [
     "Apparatus",
-    "CellPartitionSpec",
     "ChainSpec",
     "DecayFit",
     "EvolvedSectorStates",

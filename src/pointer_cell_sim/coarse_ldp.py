@@ -1,16 +1,14 @@
-"""Phase cells of the chain magnetisation and rate functions of its sectors.
+"""Rate functions of the chain's evolved diagonal sectors, judged on its sign cells.
 
 The mean magnetisation of N two-level sites takes the values ``(2j - N) / N``
-for up counts ``j = 0 .. N``.  Cutting ``[-1, 1]`` into equal-length cells,
-left-closed right-open with the last cell closed, makes each cell a
-contiguous run of up counts: the two sign cells are ``j < (N + 1) // 2``
-("-") and the rest ("+").  An evolved diagonal sector of the chain is a
-product of Bernoulli sites, described by its ``FactorizedSectorOverlap``;
-the probability that its magnetisation lands in a window obeys a
-large-deviation principle whose rate function is, for a homogeneous chain,
-the negative relative entropy ``-D(q || p)``.  The concentration gap of that
-rate function across cell boundaries is what drives the exponential pointer
-fidelity.
+for up counts ``j = 0 .. N``; the pointer cells are its two signs,
+``coleman_hepp``'s "-" (``m < 0``) and "+" (the rest of ``[-1, 1]``).  An
+evolved diagonal sector of the chain is a product of Bernoulli sites,
+described by its ``FactorizedSectorOverlap``; the probability that its
+magnetisation lands in a window obeys a large-deviation principle whose rate
+function is, for a homogeneous chain, the negative relative entropy
+``-D(q || p)``.  The concentration gap of that rate function across the cell
+boundary 0 is what drives the exponential pointer fidelity.
 """
 
 from __future__ import annotations
@@ -18,41 +16,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .coleman_hepp import CELL_MINUS, FactorizedSectorOverlap
 from .errors import PreconditionError
 from .logspace import bernoulli_relative_entropy, binomial_log_pmf, lc_real_logsumexp_rows
-
-if TYPE_CHECKING:
-    from .coleman_hepp import FactorizedSectorOverlap
-
-
-@dataclass(frozen=True)
-class CellPartitionSpec:
-    """Equal-length interval partition of the spectrum range.
-
-    Intervals are left-closed, right-open, with the last interval closed, so
-    every spectrum point belongs to exactly one cell.  Because the spectrum
-    is sorted, each cell is a contiguous run of spectrum indices: cell ``a``
-    holds indices ``bounds[a]:bounds[a + 1]``, and ``bounds[-1]`` is the
-    spectrum length.
-    """
-
-    edges: tuple[float, ...]
-    bounds: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.edges) - 1
-
-    def cell_of_value(self, m: float) -> int:
-        if m < self.edges[0] or m > self.edges[-1]:
-            raise PreconditionError(f"value {m!r} outside the spectrum range")
-        idx = int(np.searchsorted(self.edges, m, side="right")) - 1
-        return min(idx, self.n_cells - 1)
 
 
 def bernoulli_rate(m, p: float):
@@ -213,61 +183,42 @@ class LdpConditionReport:
 
 def check_ldp_conditions(
     estimates: Sequence[RateFunctionEstimate],
-    cells: CellPartitionSpec,
     pointer,
     perturbed: Sequence[RateFunctionEstimate] | None = None,
     stability_bound: float | Sequence[float] | None = None,
 ) -> LdpConditionReport:
-    """Check the unique-maximiser, interiority, gap and stability conditions.
+    """Check the unique-maximiser, interiority, gap and stability conditions on the sign cells.
 
     ``estimates`` holds one rate estimate per microstate index r; ``pointer``
     is the cell-to-microstate permutation (anything exposing ``phi``).  Each
     estimate must carry its Bernoulli ``p``: its maximiser is ``2 p - 1`` and
-    its rate is read in closed form.  When ``perturbed`` estimates are
-    supplied, each one's maximum deviation from its unperturbed curve is
-    compared against its own ``stability_bound`` (one for all, or one per
-    microstate; for product states, :func:`perturbation_residual_bound`
-    divided by N).  The report holds the residual and bound of the
-    microstate with the smallest margin.
+    its rate is read in closed form.  A maximiser is interior when it lies in
+    its cell farther than ``_TOL`` from -1, 0 and 1; the gap is taken against
+    the other cell's grid points and the boundary 0.  When ``perturbed``
+    estimates are supplied, each one's maximum deviation from its unperturbed
+    curve is compared against its own ``stability_bound`` (one for all, or one
+    per microstate; for product states, :func:`perturbation_residual_bound`
+    divided by N).  The report holds the residual and bound of the microstate
+    with the smallest margin.
     """
     phi = tuple(getattr(pointer, "phi", pointer))
     n = len(estimates)
-    if sorted(phi) != list(range(n)):
-        raise PreconditionError("pointer map must be a permutation of the microstate indices")
+    if n != 2 or sorted(phi) != [0, 1]:
+        raise PreconditionError("need one rate estimate per sign cell and a pointer map permuting the two")
     inverse = {r: a for a, r in enumerate(phi)}
 
-    maximizers = []
-    interior = True
+    maximizers, interior, gap = [], True, np.inf
     for r, est in enumerate(estimates):
         if est.p is None:
             raise PreconditionError(f"rate estimate {r} has no Bernoulli p: a sector with override sites")
         m_r = 2.0 * est.p - 1.0
         maximizers.append(m_r)
-        a_r = inverse[r]
-        lo, hi = cells.edges[a_r], cells.edges[a_r + 1]
-        on_edge = any(abs(m_r - e) <= _TOL for e in cells.edges)
-        if on_edge or not (lo < m_r < hi):
-            interior = False
-        elif cells.cell_of_value(m_r) != a_r:
-            interior = False
-
-    gap = np.inf
-    for r, est in enumerate(estimates):
-        a_r = inverse[r]
-        peak = est.rate_at(maximizers[r])
-        # closure of the complement of the assigned cell: grid points landing
-        # in other cells, plus the shared boundary edges
-        candidates = [m for m in est.grid
-                      if cells.edges[0] <= m <= cells.edges[-1]
-                      and cells.cell_of_value(m) != a_r]
-        if a_r > 0:
-            candidates.append(cells.edges[a_r])
-        if a_r < cells.n_cells - 1:
-            candidates.append(cells.edges[a_r + 1])
-        if not candidates:
-            continue
-        outside = max(est.rate_at(m) for m in candidates)
-        gap = min(gap, peak - outside)
+        minus = inverse[r] == CELL_MINUS
+        lo, hi = (-1.0, 0.0) if minus else (0.0, 1.0)
+        interior = interior and min(m_r - lo, hi - m_r) > _TOL
+        # closure of the other cell: its grid points, and the boundary 0
+        outside = [m for m in est.grid if (0.0 <= m <= 1.0 if minus else -1.0 <= m < 0.0)] + [0.0]
+        gap = min(gap, est.rate_at(m_r) - max(map(est.rate_at, outside)))
 
     residual = bound = None
     if perturbed is not None:

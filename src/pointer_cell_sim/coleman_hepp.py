@@ -3,11 +3,13 @@
 An electron spin is read out by a chain of N two-level sites: the spin-down
 sector rotates every site it has passed by a fixed angle (a full reversal at
 the default angle pi), the spin-up sector leaves the chain untouched, and the
-pointer cells are the positive and negative halves of the mean-magnetisation
-spectrum.  ``build_dense`` materialises the full ``2**N``-dimensional
-apparatus for the generic dense machinery; ``factorized_f_tensor`` exploits
-the product structure to evaluate the same tensor exactly for chains far
-beyond dense reach, carrying magnitudes in log space.
+pointer cells are the two signs of the mean magnetisation ``(2j - N) / N``
+over the up counts ``j``: "-" holds ``j < sign_boundary(N)`` and "+" the
+rest, the boundary value 0 included.  ``build_dense`` materialises the full
+``2**N``-dimensional apparatus for the generic dense machinery;
+``factorized_f_tensor`` exploits the product structure to evaluate the same
+tensor exactly for chains far beyond dense reach, carrying magnitudes in log
+space.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .coarse_ldp import CellPartitionSpec
 from .core import (
     Apparatus,
     FTensor,
@@ -38,6 +39,9 @@ from .logspace import (BinomialBlock, _binomial_block, binomial_log_tails, binom
 DENSE_SITE_CAP = 12
 
 MICRO_LABELS = ("+", "-")  # index 0: spin-up sector, index 1: spin-down
+#: the pointer cells by index: the negative, then the nonnegative magnetisation
+CELL_LABELS = ("-", "+")
+CELL_MINUS, CELL_PLUS = 0, 1
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -124,31 +128,22 @@ class ChainSpec:
         return [self.site_overrides.get(k, base) for k in range(self.N)]
 
 
-def sign_cells(N: int) -> CellPartitionSpec:
-    """Two-cell magnetisation-sign partition; the boundary state joins "+".
-
-    The spectrum ``(2j - N) / N``, ``j = 0 .. N``, is cut at 0 into the
-    left-closed "-" interval ``[-1, 0)`` and the closed "+" interval
-    ``[0, 1]``; the magnetisation is negative exactly for ``j < (N + 1) // 2``.
-    """
-    if N < 1:
-        raise StructuralError("chain must have at least one site")
-    h = (N + 1) // 2
-    return CellPartitionSpec(edges=(-1.0, 0.0, 1.0), bounds=(0, h, N + 1), labels=("-", "+"))
+def sign_boundary(N: int) -> int:
+    """The least up count of the "+" cell: ``(2j - N) / N`` is negative exactly for ``j`` below it."""
+    return (N + 1) // 2
 
 
-def chain_cells(N: int) -> tuple[CellPartitionSpec, PhaseCellPartition | None]:
-    """``sign_cells(N)`` and, up to ``DENSE_SITE_CAP``, its phase cells for
-    ``build_dense``: basis index ``i`` has ``N - popcount(i)`` up spins (a set
-    bit is a down spin) and lies in "+" iff that count is at least ``bounds[1]``."""
-    cells = sign_cells(N)
+def chain_cells(N: int) -> PhaseCellPartition | None:
+    """The sign cells as phase cells for ``build_dense``, up to ``DENSE_SITE_CAP``:
+    basis index ``i`` has ``N - popcount(i)`` up spins (a set bit is a down spin)
+    and lies in "+" iff that count is at least ``sign_boundary(N)``."""
     if N > DENSE_SITE_CAP:
-        return cells, None
+        return None
     index = np.arange(2 ** N)
     ups = np.full(2 ** N, N)
     for bit in range(N):
         ups -= (index >> bit) & 1
-    return cells, PhaseCellPartition((ups >= cells.bounds[1]).astype(int), 2, labels=cells.labels)
+    return PhaseCellPartition((ups >= sign_boundary(N)).astype(int), 2, labels=CELL_LABELS)
 
 
 def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[MicroSystem, Apparatus]:
@@ -161,7 +156,7 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
     ``spec.theta`` per passed site.  ``K`` and the spin-up coupling are one
     zero vector; ``Omega`` is the Kronecker product of the site diagonals
     when every site state is diagonal, else of the site states.  The phase
-    cells are ``chain_cells(spec.N)[1]``, in the apparatus' own basis."""
+    cells are ``chain_cells(spec.N)``, in the apparatus' own basis."""
     if spec.N > DENSE_SITE_CAP:
         raise CapacityError(
             f"dense chain capped at {DENSE_SITE_CAP} sites (got {spec.N}); "
@@ -183,8 +178,7 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
         v_minus[index, index ^ (1 << (spec.N - 1 - k))] = coeff
     diagonals = [_diagonal_of(rho) for rho in spec.site_states()]
     omega = reduce(np.kron, spec.site_states() if any(d is None for d in diagonals) else diagonals)
-    _, partition = chain_cells(spec.N)
-    apparatus = Apparatus(K=zero, V=(zero, v_minus), Omega=omega, cells=partition)
+    apparatus = Apparatus(K=zero, V=(zero, v_minus), Omega=omega, cells=chain_cells(spec.N))
     return micro, apparatus
 
 
@@ -380,7 +374,7 @@ def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
             for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 bulk, b, delta_e, (polys, a_lm) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
                 log_trace[i, r, s] = (a_lm + bulk.log_total() if bulk else a_lm) + b.log_total()
-                rows.append((i, r, s, polys[0] if polys else plain_a, delta_e, (bulk, b, (N + 1) // 2)))
+                rows.append((i, r, s, polys[0] if polys else plain_a, delta_e, (bulk, b, sign_boundary(N))))
         except SimulationError as exc:
             failed[i] = exc
     if rows:  # a failed size's rows are summed too

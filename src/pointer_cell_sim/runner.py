@@ -27,8 +27,6 @@ from .logspace import bernoulli_relative_entropy, lc_values
 from .report import (LDP_COLUMNS, SWEEP_COLUMNS, f_tensor_items, parse_f_tensor_text,
                      property_items, render_csv, render_report)
 
-CELL_MINUS, CELL_PLUS = 0, 1
-
 
 def load_matrix_text(path: Path) -> np.ndarray:
     """Whitespace-separated complex matrix, one row per line, '#' comments."""
@@ -59,11 +57,9 @@ def chain_spec_from_config(cfg: ExperimentConfig, N: int | None = None,
     return coleman_hepp.ChainSpec(**params, site_overrides=overrides)
 
 
-def _command_spec(cfg: ExperimentConfig, overrides=None):
-    """A function giving the command's chain spec, built at the least size holding
-    every override site; its checks run again on each call until one passes."""
-    N = 1 + max(overrides or {}, default=0)
-    return functools.cache(lambda: chain_spec_from_config(cfg, N=N, overrides=overrides))
+def _command_spec(cfg: ExperimentConfig, overrides=None) -> coleman_hepp.ChainSpec:
+    """The command's chain spec, built at the least size holding every override site."""
+    return chain_spec_from_config(cfg, N=1 + max(overrides or {}, default=0), overrides=overrides)
 
 
 def perturbation_states(cfg: ExperimentConfig) -> dict[int, np.ndarray]:
@@ -230,7 +226,7 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None,
             raise failed[0]
         tensor = core.FTensor(values=lc_values(lm[0], ph[0]), t=spec.t, log_magnitude=lm[0])
         log_trace = log_traces[0]
-        cell_labels = coleman_hepp.sign_cells(spec.N).labels
+        cell_labels = coleman_hepp.CELL_LABELS
         backend = "factorized"
         if oracle:
             _dense_sizes([spec.N])
@@ -324,12 +320,12 @@ def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
     if cfg.sweep is None:
         raise ConfigError(["sweep requested but the config has no [sweep] section"])
     spec = _command_spec(cfg, overrides)
-    log_magnitude, phase, _, failed = coleman_hepp.traversal_family(spec(), cfg.measurement_time, cfg.sweep)
+    log_magnitude, phase, _, failed = coleman_hepp.traversal_family(spec, cfg.measurement_time, cfg.sweep)
     values = lc_values(log_magnitude, phase)
     eps, log_eps, weights, offdiag_max, unjudged = verify.judge_stack(values, log_magnitude, cfg.amplitudes)
     failed = {**unjudged, **failed}
-    columns = np.stack([eps.max(axis=1), log_eps.max(axis=1), weights[:, CELL_PLUS],
-                        weights[:, CELL_MINUS], offdiag_max], axis=1)
+    columns = np.stack([eps.max(axis=1), log_eps.max(axis=1), weights[:, coleman_hepp.CELL_PLUS],
+                        weights[:, coleman_hepp.CELL_MINUS], offdiag_max], axis=1)
     columns[list(failed)] = np.nan
     judged = [i for i in range(len(cfg.sweep)) if i not in failed]
     points = [(cfg.sweep[i], float(columns[i, 1])) for i in judged]
@@ -346,7 +342,7 @@ def _sweep(cfg: ExperimentConfig, overrides=None, oracle: bool = False):
     oracle_info = None
     if oracle:
         fits = _dense_sizes([N for N, _ in points])
-        worst = max(_dense_chain_discrepancy(spec().at_size(cfg.sweep[i]), values[i], cfg.measurement_time)
+        worst = max(_dense_chain_discrepancy(spec.at_size(cfg.sweep[i]), values[i], cfg.measurement_time)
                     for i in judged if cfg.sweep[i] in fits)
         oracle_info = (worst, len(fits))
     return csv, points, fit, fit_status, oracle_info
@@ -403,7 +399,7 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     oracle_section = None
     if oracle:
         N0 = max(_dense_sizes(Ns))
-        sized = base().at_size(N0)
+        sized = base.at_size(N0)
         dense, cell_lm = dense_chain_tensor(sized), coleman_hepp.factorized_f_tensor(sized).log_magnitude
         worst = 0.0
         for r in range(2):
@@ -415,9 +411,9 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     specs = [base, _command_spec(cfg, overrides)] if overrides else [base]
     for spec in specs:
         for N in Ns:
-            spec().at_size(N)  # a size fails as the chain of that size would
+            spec.at_size(N)  # a size fails as the chain of that size would
     # per spec and evolved diagonal sector: the sector and its site up-probabilities
-    sectors = [sector for spec in specs for sector in coleman_hepp.diagonal_sectors(spec(), max(Ns))]
+    sectors = [sector for spec in specs for sector in coleman_hepp.diagonal_sectors(spec, max(Ns))]
     estimates = [coarse_ldp.estimate_rate(overlap, grid, Ns) for overlap, _ in sectors]
     estimates, perturbed = estimates[:2], estimates[2:] or None
     up = estimates[0]
@@ -433,16 +429,14 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
                 rows.append((fmt_float(m), str(N), fmt_float(emp), fmt_float(ana),
                              fmt_float(emp - ana), "ok"))
 
-    cells = coleman_hepp.sign_cells(max(Ns))
-    tensor = coleman_hepp.factorized_f_tensor(base().at_size(min(Ns)))
+    tensor = coleman_hepp.factorized_f_tensor(base.at_size(min(Ns)))
     pointer = verify.find_pointer_map(tensor)
     bounds = None
     if overrides:  # condition (d), judged per sector at the least size
         N0 = min(Ns)
         bounds = [coarse_ldp.perturbation_residual_bound(N0, base_up, pert_up) / N0
                   for (_, base_up), (_, pert_up) in zip(sectors, sectors[2:])]
-    report = coarse_ldp.check_ldp_conditions(estimates, cells, pointer,
-                                             perturbed=perturbed, stability_bound=bounds)
+    report = coarse_ldp.check_ldp_conditions(estimates, pointer, perturbed=perturbed, stability_bound=bounds)
     items = [
         ("maximizers", ", ".join(fmt_float(m) for m in report.maximizers)),
         ("unique_max", _flag(report.unique_max)),

@@ -111,7 +111,7 @@ class StabilityResult:
 
     relative_change: float
     bound_satisfied: bool
-    perturbed_decays: bool  # the perturbed fit's slope is negative
+    exponential: bool  # both fits are exponential: a negative slope, r^2 at least EXPONENTIAL_R_SQUARED
 
     @property
     def within_band(self) -> bool:
@@ -119,7 +119,7 @@ class StabilityResult:
 
     @property
     def passed(self) -> bool:
-        return self.within_band and self.bound_satisfied and self.perturbed_decays
+        return self.within_band and self.bound_satisfied and self.exponential
 
 
 @functools.cache
@@ -384,7 +384,8 @@ def stability_verdict(base_fit: DecayFit, pert_fit: DecayFit,
                       pert_sweep: Sequence[tuple[int, float]]) -> StabilityResult:
     """Compare the decay fits before and after a perturbation.
 
-    The perturbed fit must stay within ``STABILITY_BAND`` of the base fit, and
+    Both fits must be exponential, so that their constants measure a decay;
+    the perturbed fit must stay within ``STABILITY_BAND`` of the base fit, and
     the exponential bound with the refitted constant must hold at every
     perturbed sweep point ``(N, max_r log error_r)``, compared in log space as
     ``check_weakened_condition`` does.
@@ -392,4 +393,4 @@ def stability_verdict(base_fit: DecayFit, pert_fit: DecayFit,
     rel = abs(pert_fit.c - base_fit.c) / abs(base_fit.c) if base_fit.c != 0 else math.inf
     bound_ok = all(log_eps <= -pert_fit.c * N for N, log_eps in pert_sweep)
     return StabilityResult(relative_change=float(rel), bound_satisfied=bound_ok,
-                           perturbed_decays=pert_fit.slope < 0.0)
+                           exponential=base_fit.is_exponential() and pert_fit.is_exponential())

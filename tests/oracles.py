@@ -106,13 +106,13 @@ def chain_minus_cell_counts(N: int):
 
 
 def sign_cells_reference(N: int):
-    """Edges, cell of each spectrum point and labels of the two equal intervals
-    of the chain spectrum ``(2j - N) / N``, left-closed, the last one closed."""
+    """Cell of each spectrum point and labels of the two equal intervals of the
+    chain spectrum ``(2j - N) / N``, left-closed, the last one closed."""
     spectrum = (2 * np.arange(N + 1) - N) / N
     lo, hi = spectrum[0], spectrum[-1]
     edges = tuple(float(lo + (hi - lo) * k / 2) for k in range(3))
     cell = np.minimum(np.searchsorted(edges, spectrum, side="right") - 1, 1)
-    return edges, cell, ("-", "+")
+    return cell, ("-", "+")
 
 
 def chain_trace_product(spec, r: int, s: int) -> tuple[float, float]:

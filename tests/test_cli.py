@@ -353,6 +353,25 @@ class TestPerturb:
         assert stats["exponential_bound_satisfied"] == "false"
         assert stats["passed"] == "false"
 
+    def test_non_exponential_fits_fail(self, workdir):
+        # at theta = pi/2 the error barely moves from N = 10^3 to 10^9: both fits read
+        # c near 7e-12 with r^2 near 0.08, a chain that does not measure, which stays
+        # within the band and under its own bound
+        sweep = ", ".join(str(10 ** k) for k in range(3, 10))
+        text = (BASE.split("[observable]")[0].replace("theta = pi", "theta = pi/2")
+                + f"\n[sweep]\nN = {sweep}\n" + "\n[perturbation]\nsite_0 = flip\nsite_1 = depolarize\n")
+        out = workdir / "out"
+        assert run_cli("perturb", "--config", write_config(workdir, text), "--out", out) == 0
+        stability = (out / "stability.txt").read_text(encoding="utf-8")
+        stats = tokenize_kv("\n".join(stability.splitlines()[1:]))[0]["stability"]
+        assert 0.0 < float(stats["c_base"]) < 1e-10 and 0.0 < float(stats["c_perturbed"]) < 1e-10
+        assert stats["within_band"] == stats["exponential_bound_satisfied"] == "true"
+        assert stats["passed"] == "false"
+        assert run_cli("sweep", "--config", write_config(workdir, text), "--out", out) == 0
+        fit_text = (out / "sweep_fit.txt").read_text(encoding="utf-8")
+        fit = tokenize_kv("\n".join(fit_text.splitlines()[1:]))[0]["decay_fit"]
+        assert float(fit["r_squared"]) < 0.99 and fit["is_exponential"] == "false"
+
     def test_deterministic(self, workdir):
         cfg = write_config(workdir, BASE + SWEEP + PERTURB)
         out1, out2 = workdir / "o1", workdir / "o2"
@@ -958,12 +977,11 @@ def test_command_paths_do_not_import_scipy(workdir):
 #: names no command reaches, deleted from the package; none may come back unnoticed
 DELETED = [
     (coarse_ldp, ("IntensiveObservable", "coarse_grain", "cell_probability", "BernoulliProduct",
-                  "cell_log_probability", "_factor_layout", "_override_log_pmf")),
-    (coarse_ldp.CellPartitionSpec, ("empty_cells", "prefix_split")),
-    (coleman_hepp, ("diagonal_sector_product", "log_trace_products")),
+                  "cell_log_probability", "_factor_layout", "_override_log_pmf", "CellPartitionSpec")),
+    (coleman_hepp, ("diagonal_sector_product", "log_trace_products", "sign_cells")),
     (coleman_hepp.FactorizedSectorOverlap, ("cell_terms", "cell_log_values", "dp_total")),
     (coleman_hepp.ChainSpec, ("with_overrides",)),
-    (runner, ("_sector_family", "SweepPoint", "_sweep_csv")),
+    (runner, ("_sector_family", "SweepPoint", "_sweep_csv", "CELL_MINUS", "CELL_PLUS")),
     (verify, ("stability_test", "RunModel", "RECONSTRUCTION_DRAWS", "_reconstruction_residuals")),
     (verify.ExactConditionResult, ("von_neumann_residuals",)),
     (verify.MeasurementVerdict, ("von_neumann_residuals",)),
@@ -980,6 +998,7 @@ REMOVED_PARAMETERS = [
     (logspace._binomial_block, ("phase",)),
     (logspace._binomial_block, ("size",)),
     (verify.check_exact_condition, ("log_residuals",)),
+    (coarse_ldp.check_ldp_conditions, ("cells",)),
 ]
 
 #: fields that held one value or copied a function's own inputs back out
@@ -988,7 +1007,7 @@ REMOVED_FIELDS = [
     (verify.ExactConditionResult, ("log_residuals",)),
     (verify.MeasurementVerdict, ("log_residuals", "N", "bound_constant")),
     (verify.DecayFit, ("sweep",)),
-    (verify.StabilityResult, ("tolerance_band", "base_fit", "perturbed_fit")),
+    (verify.StabilityResult, ("tolerance_band", "base_fit", "perturbed_fit", "perturbed_decays")),
     (coarse_ldp.LdpConditionReport, ("unique_max", "distinct_cells")),
     (coleman_hepp.FactorizedSectorOverlap, ("a_total", "global_phase")),
 ]

@@ -17,13 +17,14 @@ from pointer_cell_sim.coarse_ldp import (
 )
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
+    CELL_LABELS,
     FactorizedSectorOverlap,
     chain_cells,
     diagonal_sectors,
     factorized_f_tensor,
     polarized_site,
     sector_overlap,
-    sign_cells,
+    sign_boundary,
     traversal_family,
 )
 from pointer_cell_sim.core import PhaseCellPartition
@@ -72,11 +73,10 @@ def cell_log_probs(spec: ChainSpec, r: int = 0) -> np.ndarray:
 
 class TestSignCells:
     def test_four_site_chain_example(self):
-        spec, partition = chain_cells(4)
-        assert spec.edges == (-1.0, 0.0, 1.0)
-        # boundary value 0 joins the closed-left "+" interval
-        assert spec.bounds == (0, 2, 5)
-        assert partition.labels == spec.labels
+        partition = chain_cells(4)
+        # boundary value 0, two up spins of four, joins the closed-left "+" interval
+        assert sign_boundary(4) == 2
+        assert partition.labels == CELL_LABELS == ("-", "+")
         assert partition.members(1).size == math.comb(4, 2) + math.comb(4, 3) + math.comb(4, 4)
         assert partition.members(0).size == 2 ** 4 - 11
 
@@ -87,19 +87,16 @@ class TestSignCells:
 
     @pytest.mark.parametrize("N", range(1, 13))
     def test_every_point_in_exactly_one_cell(self, N):
-        spec = sign_cells(N)
-        spectrum = (2 * np.arange(N + 1) - N) / N
-        # the index ranges tile the spectrum in order
-        assert spec.bounds[0] == 0 and spec.bounds[-1] == len(spectrum)
-        assert all(lo <= hi for lo, hi in zip(spec.bounds, spec.bounds[1:]))
-        for a in range(spec.n_cells):
-            for i in range(spec.bounds[a], spec.bounds[a + 1]):
-                assert spec.cell_of_value(spectrum[i]) == a
+        cell_of_point, labels = sign_cells_reference(N)
+        # the boundary cuts the up counts 0 .. N into two nonempty runs, "-" first
+        h = sign_boundary(N)
+        assert 0 < h <= N and labels == CELL_LABELS
+        assert cell_of_point.tolist() == [int(j >= h) for j in range(N + 1)]
 
     @pytest.mark.parametrize("N", [2, 5, 9, 12])
     def test_partition_satisfies_core_identities(self, N):
-        _, cell_of_point, _ = sign_cells_reference(N)
-        _, partition = chain_cells(N)
+        cell_of_point, _ = sign_cells_reference(N)
+        partition = chain_cells(N)
         # every basis index lies in exactly one cell, so the projectors are
         # orthogonal and complete; each cell holds the up counts of its spectrum points
         assert partition.cell_count == 2 and partition.dim == 2 ** N
@@ -121,7 +118,7 @@ class TestCellProbability:
 
     def test_dense_trace_agrees_with_product_path(self, rng):
         N = 4
-        spec, partition = chain_cells(N)
+        partition = chain_cells(N)
         p = 0.73
         site = np.diag([p, 1 - p]).astype(complex)
         rho = site
@@ -396,11 +393,11 @@ class TestLdpConditions:
         Ns = [100, 200, 400, 800]
         spec = ChainSpec(N=max(Ns), m0=m0, site_overrides=overrides)
         estimates = [estimate_rate(sector_overlap(spec, r, r), grid, Ns) for r in range(2)]
-        return estimates, sign_cells(Ns[0])
+        return estimates
 
     def test_chain_conditions_pass(self):
-        estimates, cells = self._chain_setup()
-        report = check_ldp_conditions(estimates, cells, pointer=(1, 0))
+        estimates = self._chain_setup()
+        report = check_ldp_conditions(estimates, pointer=(1, 0))
         assert report.unique_max and report.interior and report.distinct_cells
         assert report.maximizers == pytest.approx((0.6, -0.6), abs=1e-12)
         # concentration gap equals the boundary relative entropy
@@ -409,33 +406,33 @@ class TestLdpConditions:
 
     def test_localized_perturbation_preserves_rates(self):
         overrides = {0: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2}
-        estimates, cells = self._chain_setup()
-        perturbed, _ = self._chain_setup(overrides=overrides)
+        estimates = self._chain_setup()
+        perturbed = self._chain_setup(overrides=overrides)
         base = sector_up_probabilities(ChainSpec(N=100, m0=0.6), 0)
         pert = sector_up_probabilities(ChainSpec(N=100, m0=0.6, site_overrides=overrides), 0)
         bound = perturbation_residual_bound(100, base, pert) / 100
-        report = check_ldp_conditions(estimates, cells, pointer=(1, 0),
+        report = check_ldp_conditions(estimates, pointer=(1, 0),
                                       perturbed=perturbed, stability_bound=bound)
         assert report.stability_residual <= bound
         assert report.passed
 
     def test_global_perturbation_fails_stability(self):
-        estimates, cells = self._chain_setup(m0=0.6)
+        estimates = self._chain_setup(m0=0.6)
         # a global polarisation change is not a localized edit: the rate
         # curves themselves move by O(1)
-        shifted, _ = self._chain_setup(m0=0.4)
-        report = check_ldp_conditions(estimates, cells, pointer=(1, 0),
+        shifted = self._chain_setup(m0=0.4)
+        report = check_ldp_conditions(estimates, pointer=(1, 0),
                                       perturbed=shifted, stability_bound=4.0 / 100)
         assert not report.stability_ok
         assert not report.passed
 
     def test_each_sector_judged_by_its_own_bound(self):
-        estimates, cells = self._chain_setup()
+        estimates = self._chain_setup()
 
         def judge(shifts, bound):
             perturbed = [replace(est, samples=est.samples + shift)
                          for est, shift in zip(estimates, shifts)]
-            return check_ldp_conditions(estimates, cells, pointer=(1, 0),
+            return check_ldp_conditions(estimates, pointer=(1, 0),
                                         perturbed=perturbed, stability_bound=bound)
 
         # under the larger bound the spin-down shift passes; under its own it fails
@@ -452,24 +449,36 @@ class TestLdpConditions:
 
     def test_rounding_above_the_bound_passes(self):
         # rates equal up to the rounding of two arithmetic paths meet a zero bound
-        estimates, cells = self._chain_setup()
+        estimates = self._chain_setup()
         perturbed = [replace(est, samples=est.samples * (1 + 2 ** -52)) for est in estimates]
-        report = check_ldp_conditions(estimates, cells, pointer=(1, 0),
+        report = check_ldp_conditions(estimates, pointer=(1, 0),
                                       perturbed=perturbed, stability_bound=(0.0, 0.0))
         assert 0.0 < report.stability_residual < 1e-15
         assert report.stability_ok
 
     def test_estimate_without_bernoulli_p_refused(self):
         # a sector with an override site has no closed-form rate to judge
-        estimates, cells = self._chain_setup()
-        perturbed, _ = self._chain_setup(overrides={0: polarized_site(-0.6)})
+        estimates = self._chain_setup()
+        perturbed = self._chain_setup(overrides={0: polarized_site(-0.6)})
         assert perturbed[1].p is None
         with pytest.raises(PreconditionError, match="^rate estimate 1 has no Bernoulli p"):
-            check_ldp_conditions([estimates[0], perturbed[1]], cells, pointer=(1, 0))
+            check_ldp_conditions([estimates[0], perturbed[1]], pointer=(1, 0))
+
+    def test_maximizers_in_the_wrong_cells(self):
+        # the identity map sends the spin-up maximiser 0.6 to "-" and -0.6 to "+":
+        # neither is interior, and each cell's peak lies in the other cell
+        report = check_ldp_conditions(self._chain_setup(), pointer=(0, 1))
+        assert report.maximizers == pytest.approx((0.6, -0.6), abs=1e-12)
+        assert not report.interior and not report.gap_positive and not report.passed
+
+    def test_two_sign_cells_only(self):
+        est = self._chain_setup()[0]
+        with pytest.raises(PreconditionError, match="^need one rate estimate per sign cell"):
+            check_ldp_conditions([est, est, est], pointer=(2, 1, 0))
 
     def test_boundary_maximizer_fails_interiority(self):
         est = estimate_rate(product_sector(0.5), grid=[-0.5, 0.0, 0.5], N_values=[40, 80, 160])
-        report = check_ldp_conditions([est, est], sign_cells(40), pointer=(1, 0))
+        report = check_ldp_conditions([est, est], pointer=(1, 0))
         assert not report.interior
         assert not report.passed
 

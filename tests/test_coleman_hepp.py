@@ -557,11 +557,11 @@ class TestLargeN:
     @pytest.mark.parametrize("Ns", [range(1, 2001), (10 ** 5, 10 ** 5 + 1)], ids=["small", "large"])
     def test_chain_cells_in_closed_form(self, Ns):
         for N in Ns:
-            cells, partition = chain_cells(N)
-            edges, cell_of_point, labels = sign_cells_reference(N)
-            assert (cells.edges, cells.labels) == (edges, labels)
-            assert cells.bounds[0] == 0
-            assert np.array_equal(np.repeat(np.arange(2), np.diff(cells.bounds)), cell_of_point)
+            partition = chain_cells(N)
+            cell_of_point, labels = sign_cells_reference(N)
+            assert coleman_hepp.CELL_LABELS == labels
+            h = coleman_hepp.sign_boundary(N)
+            assert np.array_equal(np.repeat(np.arange(2), (h, N + 1 - h)), cell_of_point)
             assert (partition is None) == (N > coleman_hepp.DENSE_SITE_CAP)
             if partition is not None:
                 # each basis index takes the cell of its up count's spectrum point
@@ -571,14 +571,14 @@ class TestLargeN:
 
     @pytest.mark.parametrize("N", range(1, 13))
     def test_dense_chain_cells_by_popcount(self, N):
-        _, partition = chain_cells(N)
+        partition = chain_cells(N)
         plus = [2 * (N - bin(i).count("1")) >= N for i in range(2 ** N)]
         assert partition.cell_of.tolist() == [int(p) for p in plus]
         assert partition.labels[1] == "+"
 
     def test_no_dense_chain_cells_above_the_dense_cap(self):
         assert coleman_hepp.DENSE_SITE_CAP == 12
-        assert chain_cells(13)[1] is None
+        assert chain_cells(13) is None
 
     def test_half_traversal_at_hundred_thousand_sites(self):
         f = traversal_schedule(ChainSpec(N=100_000, m0=0.6), 0.5)
@@ -612,14 +612,14 @@ def assert_diagonal_cells_match_compensated_sums(N: int) -> None:
     """Both diagonal sectors' cells, from ``traversal_family``, against
     ``compensated_cells`` over the package's pmfs of the sector's own blocks:
     1e-13 relative in log magnitude (absolute below magnitude 1)."""
-    cells = chain_cells(N)[0]
+    h = coleman_hepp.sign_boundary(N)
     for m0, fraction in COMPENSATED_ROWS:
         spec = ChainSpec(N=N, m0=m0)
         tensor = family_cells(spec, fraction)[0]
         for r in range(2):
             ov = sector_overlap(spec, r, r, passed_sites(N, fraction))
             lA = block_log_magnitudes(ov.bulk) if ov.bulk else np.zeros(1)
-            ref = compensated_cells(lA, block_log_magnitudes(ov.b), cells.bounds[1])
+            ref = compensated_cells(lA, block_log_magnitudes(ov.b), h)
             got = tensor[r, r]
             for side in range(2):
                 context = (N, m0, fraction, r, side, got[side], ref[side])
@@ -699,7 +699,7 @@ class TestSpecHelpers:
         traversal_schedule(spec, 0.5)
         traversal_family(spec, 1.0, [12])
         assert built == []
-        assert chain_cells(12)[1] is not None and built == [2 ** 12]  # the spy sees the dense path
+        assert chain_cells(12) is not None and built == [2 ** 12]  # the spy sees the dense path
 
     def test_partial_traversal_moderate_scale(self):
         # the untouched sector merges into one closed form; the flipped sector
@@ -732,9 +732,10 @@ class TestSpecHelpers:
                 assert abs(math.remainder(got_ph - ref_ph, 2 * math.pi)) <= 1e-12, (r, s, got_ph, ref_ph)
 
     def test_chain_cells_never_warn(self):
-        # the sign partition has no empty cell and a spectrum gap inside the cap
+        # no sign cell is empty, and none warns, at any size inside the cap
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for N in range(1, 65):
-                cells, _ = chain_cells(N)
-                assert all(lo < hi for lo, hi in zip(cells.bounds, cells.bounds[1:]))
+                assert 0 < coleman_hepp.sign_boundary(N) <= N
+                partition = chain_cells(N)
+                assert partition is None or min(partition.members(a).size for a in range(2)) > 0

@@ -646,6 +646,16 @@ class TestStability:
         assert steep.relative_change == pytest.approx(1.0, rel=1e-12)
         assert not steep.within_band and not steep.bound_satisfied and not steep.passed
 
+    def test_non_exponential_base_fit_fails(self):
+        # a base fit under the r^2 gate measures no decay: the verdict fails though
+        # the perturbed fit is the same, so in band and within its bound
+        points = fit_points([(N, *self.run_model(N, None)) for N in [50, 100, 200, 400, 800]])
+        fit = fit_decay_rate(points)
+        assert stability_verdict(fit, fit, points).passed
+        result = stability_verdict(dataclasses.replace(fit, r_squared=0.5), fit, points)
+        assert result.within_band and result.bound_satisfied
+        assert not result.exponential and not result.passed
+
 
 class TestPropositionDrawBreadth:
     def test_ideal_form_reconstructions_over_many_draws(self, rng):
