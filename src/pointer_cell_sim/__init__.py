@@ -29,10 +29,8 @@ from .coarse_ldp import (
 )
 from .coleman_hepp import (
     ChainSpec,
-    FactorizedSectorOverlap,
     build_dense,
     factorized_f_tensor,
-    traversal_schedule,
 )
 from .verify import (
     DecayFit,
@@ -56,7 +54,6 @@ __all__ = [
     "ExperimentConfig",
     "FPropertyReport",
     "FTensor",
-    "FactorizedSectorOverlap",
     "LdpConditionReport",
     "MeasurementVerdict",
     "MicroSystem",
@@ -85,5 +82,4 @@ __all__ = [
     "reconstruction_residuals",
     "sector_hamiltonians",
     "serialize_config",
-    "traversal_schedule",
 ]

@@ -4,10 +4,11 @@ The mean magnetisation of N two-level sites takes the values ``(2j - N) / N``
 for up counts ``j = 0 .. N``; the pointer cells are its two signs,
 ``coleman_hepp``'s "-" (``m < 0``) and "+" (the rest of ``[-1, 1]``).  An
 evolved diagonal sector of the chain is a product of Bernoulli sites,
-described by its ``FactorizedSectorOverlap``; the probability that its
-magnetisation lands in a window obeys a large-deviation principle whose rate
-function is, for a homogeneous chain, the negative relative entropy
-``-D(q || p)``.  The concentration gap of that rate function across the cell
+described by the factors ``coleman_hepp.diagonal_sectors`` gives, the
+override sites' polynomial ``a`` times the bulk's binomial block ``b``; the
+probability that its magnetisation lands in a window obeys a large-deviation
+principle whose rate function is, for a homogeneous chain, the negative
+relative entropy ``-D(q || p)``.  The concentration gap of that rate function across the cell
 boundary 0 is what drives the exponential pointer fidelity.
 """
 
@@ -20,16 +21,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coleman_hepp import CELL_MINUS, FactorizedSectorOverlap
+from .coleman_hepp import CELL_MINUS
 from .errors import PreconditionError
-from .logspace import bernoulli_relative_entropy, binomial_log_pmf, lc_real_logsumexp_rows
+from .logspace import BinomialBlock, bernoulli_relative_entropy, binomial_log_pmf, lc_real_logsumexp_rows
 
 
 def bernoulli_rate(m, p: float):
     """Rate function ``sigma(m) = -D((1 + m)/2 || p)`` of the mean magnetisation."""
-    m_arr = np.atleast_1d(np.asarray(m, dtype=float))
-    out = np.array([-bernoulli_relative_entropy((1.0 + x) / 2.0, p) for x in m_arr])
-    return out if np.ndim(m) else float(out[0])
+    return -bernoulli_relative_entropy((1.0 + np.asarray(m, dtype=float)) / 2.0, p)
 
 
 @dataclass(frozen=True)
@@ -50,55 +49,53 @@ class RateFunctionEstimate:
     analytic: np.ndarray | None
     p: float | None
 
-    def rate_at(self, m: float) -> float:
-        return float(bernoulli_rate(m, self.p))
-
 
 def estimate_rate(
-    overlap: FactorizedSectorOverlap,
+    a: tuple[np.ndarray, np.ndarray],
+    b: BinomialBlock,
     grid: Sequence[float],
     N_values: Sequence[int],
 ) -> RateFunctionEstimate:
     """Estimate the rate function of one evolved diagonal sector on a value grid.
 
-    ``overlap`` is the sector at full traversal, from ``sector_overlap(spec,
-    r, r)`` at any chain size: ``a`` holds the real up-count terms of its k
-    override sites (``k = a.size - 1``), and at size N the bulk is ``b`` with
-    ``N - k`` sites.  ``p`` and the analytic curve are set only when the
-    sector has no override term.  Requires at least three chain sizes
-    spanning a factor of four.  Grid points whose window probability is
-    exactly zero are dropped and flagged.  A window holds ``sum_i a_i sum_{j
-    in window} b_{j-i}``: one Loader kernel call takes every ``j - i`` of
-    every size, and two log-sum-exps, over the j and then the i, serve every
-    size at once.
+    ``a`` and ``b`` are the sector's factors at full traversal, from
+    ``coleman_hepp.diagonal_sectors`` at any chain size: ``a`` holds the real
+    up-count terms of its k override sites (``k = a[0].size - 1``), and at
+    size N the bulk is ``b`` with ``N - k`` sites.  ``p`` and the analytic
+    curve are set only when the sector has no override term.  Requires at
+    least three chain sizes spanning a factor of four.  Grid points whose
+    window probability is exactly zero are dropped and flagged.  A window
+    holds ``sum_i a_i sum_{j in window} b_{j-i}``: one Loader kernel call
+    takes every ``j - i`` of every size, and two log-sum-exps, over the j and
+    then the i, serve every size at once.
     """
     Ns = sorted(int(N) for N in N_values)
     if len(set(Ns)) < 3:
         raise PreconditionError("need at least three distinct chain sizes")
     if Ns[-1] < 4 * Ns[0]:
         raise PreconditionError("chain sizes must span at least a factor of four")
-    (a, _), b = overlap.a, overlap.b
-    if overlap.bulk is not None or b.size == 0:
+    if b.size == 0:
         raise PreconditionError("a rate function reads a sector at full traversal with a bulk site")
     grid = [float(m) for m in grid]
-    bulk = np.array(Ns) - (a.size - 1)
+    a_lm = a[0]  # the terms are real: their phases are 0
+    bulk = np.array(Ns) - (a_lm.size - 1)
     # spectrum point j sits at (2j - N) / N and the window is [m - 1/N, m + 1/N]:
     # two counts, a third from rounding near N = 10**9; three columns at any N
     n = np.array(Ns, dtype=float)[:, None]
     j_lo = np.maximum(np.ceil((np.array(grid) - 1.0 / n + 1.0) * n / 2.0 - 1e-9), 0.0)
     j_hi = np.minimum(np.floor((np.array(grid) + 1.0 / n + 1.0) * n / 2.0 + 1e-9), n)
     j = j_lo[..., None] + np.arange(max(int((j_hi - j_lo).max(initial=0)) + 1, 3))
-    k = j[:, :, None, :] - np.arange(a.size)[:, None]  # size, grid point, term i of a, count j
+    k = j[:, :, None, :] - np.arange(a_lm.size)[:, None]  # size, grid point, term i of a, count j
     sizes = np.broadcast_to(bulk[:, None, None, None], k.shape)
     used = (j <= j_hi[..., None])[:, :, None, :] & (k >= 0) & (k <= sizes)
     pmf = np.full(k.shape, -np.inf)
     pmf[used] = binomial_log_pmf(sizes[used], b.p, b.q, k[used])
-    logp = lc_real_logsumexp_rows(a + lc_real_logsumexp_rows(pmf)) + (bulk * b.log_scale)[:, None]
+    logp = lc_real_logsumexp_rows(a_lm + lc_real_logsumexp_rows(pmf)) + (bulk * b.log_scale)[:, None]
     dropped = logp == -np.inf
     for s, g in zip(*np.nonzero(dropped)):
         warnings.warn(f"window at m={grid[g]} has zero probability for N={Ns[s]}; point dropped",
                       stacklevel=2)
-    p = b.p if a.size == 1 else None
+    p = b.p if a_lm.size == 1 else None
     return RateFunctionEstimate(
         grid=tuple(grid),
         N_values=tuple(Ns),
@@ -183,25 +180,24 @@ class LdpConditionReport:
 
 def check_ldp_conditions(
     estimates: Sequence[RateFunctionEstimate],
-    pointer,
+    phi: Sequence[int],
     perturbed: Sequence[RateFunctionEstimate] | None = None,
     stability_bound: float | Sequence[float] | None = None,
 ) -> LdpConditionReport:
     """Check the unique-maximiser, interiority, gap and stability conditions on the sign cells.
 
-    ``estimates`` holds one rate estimate per microstate index r; ``pointer``
-    is the cell-to-microstate permutation (anything exposing ``phi``).  Each
-    estimate must carry its Bernoulli ``p``: its maximiser is ``2 p - 1`` and
-    its rate is read in closed form.  A maximiser is interior when it lies in
-    its cell farther than ``_TOL`` from -1, 0 and 1; the gap is taken against
-    the other cell's grid points and the boundary 0.  When ``perturbed``
+    ``estimates`` holds one rate estimate per microstate index r; ``phi`` is
+    the cell-to-microstate permutation.  Each estimate must carry its
+    Bernoulli ``p``: its maximiser is ``2 p - 1`` and its rate is read in
+    closed form, :func:`bernoulli_rate`.  A maximiser is interior when it
+    lies in its cell farther than ``_TOL`` from -1, 0 and 1; the gap is taken
+    against the other cell's grid points and the boundary 0.  When ``perturbed``
     estimates are supplied, each one's maximum deviation from its unperturbed
     curve is compared against its own ``stability_bound`` (one for all, or one
     per microstate; for product states, :func:`perturbation_residual_bound`
     divided by N).  The report holds the residual and bound of the microstate
     with the smallest margin.
     """
-    phi = tuple(getattr(pointer, "phi", pointer))
     n = len(estimates)
     if n != 2 or sorted(phi) != [0, 1]:
         raise PreconditionError("need one rate estimate per sign cell and a pointer map permuting the two")
@@ -218,7 +214,7 @@ def check_ldp_conditions(
         interior = interior and min(m_r - lo, hi - m_r) > _TOL
         # closure of the other cell: its grid points, and the boundary 0
         outside = [m for m in est.grid if (0.0 <= m <= 1.0 if minus else -1.0 <= m < 0.0)] + [0.0]
-        gap = min(gap, est.rate_at(m_r) - max(map(est.rate_at, outside)))
+        gap = min(gap, bernoulli_rate(m_r, est.p) - bernoulli_rate(outside, est.p).max())
 
     residual = bound = None
     if perturbed is not None:

@@ -182,24 +182,6 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
     return micro, apparatus
 
 
-@dataclass(frozen=True)
-class FactorizedSectorOverlap:
-    """The factors of one sector pair: its operator's coefficient on the up-count-j
-    subspace is the j-th coefficient of ``a * bulk * b``, times the pair's energy phase.
-
-    ``b`` is the longest bulk block and ``bulk`` the shorter one of a partial
-    traversal, else None, each a :class:`BinomialBlock`, and ``a = (lm, ph)`` the
-    override sites as one log-coded polynomial, ``[1]`` for a plain chain.  ``ldp``
-    reads its rate functions from a diagonal sector at full traversal
-    (``coarse_ldp.estimate_rate``); the cells and trace products of every sector pair
-    come from ``traversal_family``.
-    """
-
-    a: tuple[np.ndarray, np.ndarray]
-    b: BinomialBlock
-    bulk: BinomialBlock | None = None
-
-
 def _block_tails(blocks: list, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """Per ``(bulk, b, h)`` (``bulk`` None for one block): ``log P(X < h - i)``, ``log P(X >= h - i)``, i < k,
     for the up-count X of ``bulk * b`` as ``(len(blocks), 2, k)`` rows, each row's shifts, phase and log total,
@@ -265,13 +247,18 @@ def _site_diagonals(spec: ChainSpec) -> dict:
             for site, rho in states.items()}
 
 
-def diagonal_sectors(spec: ChainSpec, N: int) -> list[tuple[FactorizedSectorOverlap, dict]]:
-    """Per evolved diagonal sector r at full traversal: ``sector_overlap(spec.at_size(N),
-    r, r)``, and the up-probability ``|d0| / (|d0| + |d1|)`` of each of its site states,
-    key None the bulk, then the override sites in site order."""
-    diagonals, sized, memo = _site_diagonals(spec), spec.at_size(N), {}
-    return [(sector_overlap(sized, r, r, diagonals=diagonals, memo=memo),
-             {site: _binomial_block(*d[r][r]).p for site, d in diagonals.items()}) for r in range(2)]
+def diagonal_sectors(spec: ChainSpec, N: int) -> list[tuple[tuple[np.ndarray, np.ndarray], BinomialBlock, dict]]:
+    """Per evolved diagonal sector r of ``spec.at_size(N)`` at full traversal, its factors from
+    ``_pair_factors``: its coefficient on the up-count-j subspace is the j-th of ``a * b``, with
+    ``a = (lm, ph)`` the override sites as one log-coded polynomial and ``b`` the bulk's
+    ``BinomialBlock``; and the up-probability ``|d0| / (|d0| + |d1|)`` of each of its site
+    states, key None the bulk, then the override sites in site order."""
+    spec.at_size(N)  # a size fails as the chain of that size would
+    diagonals, memo = _site_diagonals(spec), {}
+    groups = _site_groups(N, N, diagonals)
+    sectors = [_pair_factors(spec, r, r, *groups, diagonals, memo) for r in range(2)]
+    return [(a, b, {site: _binomial_block(*d[r][r]).p for site, d in diagonals.items()})
+            for r, (_, b, _, (a, _)) in enumerate(sectors)]
 
 
 def _site_groups(N: int, rotated_count: int, diagonals: dict) -> tuple[tuple[int, ...], int, int]:
@@ -284,8 +271,9 @@ def _site_groups(N: int, rotated_count: int, diagonals: dict) -> tuple[tuple[int
 def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], n_rot: int, n_plain: int,
                   diagonals: dict, memo: dict):
     """Pair (r, s)'s shorter bulk block (None unless both groups are nonempty and differ) and
-    longest of ``n_rot`` rotated and ``n_plain`` plain sites, its energy phase, and the ``rotated``
-    override sites' product polynomials and log trace sum, all but the blocks kept in ``memo``."""
+    longest of ``n_rot`` rotated and ``n_plain`` plain sites, its energy phase, and the override
+    sites' product polynomial (``[1]`` for none; the ``rotated`` ones rotated) and log trace sum,
+    all but the blocks kept in ``memo``."""
     if (r, s) not in memo:
         # a pair the traversal does not touch has no plain maker: one closed form for the bulk
         rot_key, plain_key = diagonals[None][r == 1][s == 1], diagonals[None][0][0]
@@ -299,41 +287,13 @@ def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], n_r
         traces = [sum(diagonals[k][0][0] if r == s else diagonals[k][a][b]) for k, a, b in keys]
         if keys and "sites" not in memo:
             memo["sites"] = _site_polynomials(diagonals)
-        polys = [reduce(lc_convolve, [memo["sites"][key] for key in keys])] if keys else []
-        memo[r, s, rotated] = (polys, sum(math.log(abs(z)) if z else -math.inf for z in traces))
+        a = reduce(lc_convolve, [memo["sites"][key] for key in keys]) if keys else (np.zeros(1), np.zeros(1))
+        memo[r, s, rotated] = (a, sum(math.log(abs(z)) if z else -math.inf for z in traces))
     (rot, plain, delta_e), factors = memo[r, s], memo[r, s, rotated]
     if not (plain and n_rot and n_plain):
         size, make = (n_plain, plain) if plain and not n_rot else (n_rot + n_plain, rot)
         return None, make(size) if size else _binomial_block(0.0, 1.0), delta_e, factors
     return (*((rot(n_rot), plain(n_plain)) if n_rot <= n_plain else (plain(n_plain), rot(n_rot))), delta_e, factors)
-
-
-def sector_overlap(spec: ChainSpec, r: int, s: int, rotated_count: int | None = None,
-                   diagonals: dict | None = None,
-                   memo: dict | None = None) -> FactorizedSectorOverlap:
-    """Build the factorized accumulator for sector pair (r, s).
-
-    Sites with index below ``rotated_count`` have been passed by the
-    traversing particle and carry the conditional rotation in the spin-down
-    sector; the remainder are untouched.  Identical sites collapse into at
-    most two binomial bulk blocks, held by their parameters, the longest
-    ``b`` and the other ``bulk``; the override sites, in site order, are
-    convolved into ``a`` in log space.  ``diagonals`` is
-    ``_site_diagonals(spec)``, and ``memo`` is ``_pair_factors``'.
-    """
-    if rotated_count is None:
-        rotated_count = spec.N
-    if not (0 <= rotated_count <= spec.N):
-        raise StructuralError("rotated site count outside the chain")
-    diagonals, memo = diagonals or _site_diagonals(spec), {} if memo is None else memo
-    rotated, n_rot, n_plain = _site_groups(spec.N, rotated_count, diagonals)
-    bulk, b, _, (polys, _) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
-    return FactorizedSectorOverlap(a=polys[0] if polys else (np.zeros(1), np.zeros(1)), b=b, bulk=bulk)
-
-
-def factorized_f_tensor(spec: ChainSpec) -> FTensor:
-    """Pointer-statistics tensor after the full traversal, any chain size."""
-    return traversal_schedule(spec, 1.0)
 
 
 def passed_sites(N: int, fraction: float) -> int:
@@ -343,8 +303,9 @@ def passed_sites(N: int, fraction: float) -> int:
     return int(math.floor(fraction * N + 1e-12))
 
 
-def traversal_schedule(spec: ChainSpec, fraction: float) -> FTensor:
-    """Tensor after the particle has passed the first ``floor(fraction * N)`` sites."""
+def factorized_f_tensor(spec: ChainSpec, fraction: float = 1.0) -> FTensor:
+    """Pointer-statistics tensor, any chain size, after the particle has passed the first
+    ``floor(fraction * N)`` sites: by default all of them."""
     lm, ph, _, failed = traversal_family(spec, fraction, [spec.N])
     if failed:
         raise failed[0]
@@ -353,7 +314,7 @@ def traversal_schedule(spec: ChainSpec, fraction: float) -> FTensor:
 
 def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, SimulationError]]:
-    """The tensors ``traversal_schedule(spec.at_size(N), fraction)`` for the N of ``Ns``:
+    """The tensors ``factorized_f_tensor(spec.at_size(N), fraction)`` for the N of ``Ns``:
     their log magnitudes and phases as ``(len(Ns), 2, 2, 2)`` stacks (``lc_values`` gives
     the values), their log trace products ``log |sum_alpha F[r, s, alpha]|`` as a
     ``(len(Ns), 2, 2)`` stack, and by index the ``SimulationError`` of each size that
@@ -366,15 +327,15 @@ def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
     all rows, and its phases and log totals, all of which one ``lc_sum_rows`` sums."""
     diagonals, memo = _site_diagonals(spec), {}
     lm, ph = np.full((len(Ns), 2, 2, 2), -np.inf), np.zeros((len(Ns), 2, 2, 2))
-    log_trace, failed, rows, plain_a = np.full((len(Ns), 2, 2), -np.inf), {}, [], (np.zeros(1), np.zeros(1))
+    log_trace, failed, rows = np.full((len(Ns), 2, 2), -np.inf), {}, []
     for i, N in enumerate(Ns):  # rows: (size index, r, s, a, global phase, (bulk, b, h)), h the first "+" count
         try:
             spec.at_size(N)
             rotated, n_rot, n_plain = _site_groups(N, passed_sites(N, fraction), diagonals)
             for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                bulk, b, delta_e, (polys, a_lm) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
+                bulk, b, delta_e, (a, a_lm) = _pair_factors(spec, r, s, rotated, n_rot, n_plain, diagonals, memo)
                 log_trace[i, r, s] = (a_lm + bulk.log_total() if bulk else a_lm) + b.log_total()
-                rows.append((i, r, s, polys[0] if polys else plain_a, delta_e, (bulk, b, sign_boundary(N))))
+                rows.append((i, r, s, a, delta_e, (bulk, b, sign_boundary(N))))
         except SimulationError as exc:
             failed[i] = exc
     if rows:  # a failed size's rows are summed too

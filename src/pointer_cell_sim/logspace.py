@@ -429,15 +429,15 @@ def lc_convolve(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarra
     return lc_sum_rows(lm, ph)
 
 
-def bernoulli_relative_entropy(q: float, p: float) -> float:
-    """D(q || p) for Bernoulli distributions, with the 0 log 0 = 0 convention."""
-    if not (0.0 <= q <= 1.0 and 0.0 <= p <= 1.0):
+def bernoulli_relative_entropy(q, p):
+    """D(q || p) for Bernoulli distributions, elementwise over the broadcast ``q`` and ``p``
+    (a float for two scalars), with the 0 log 0 = 0 convention: ``inf`` where p is 0 or 1
+    and q is not p."""
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    if not (((0.0 <= q) & (q <= 1.0)).all() and ((0.0 <= p) & (p <= 1.0)).all()):
         raise ValueError("Bernoulli parameters must lie in [0, 1]")
-    if (p in (0.0, 1.0)) and q != p:
-        return np.inf
-    total = 0.0
-    if q > 0.0:
-        total += q * np.log(q / p)
-    if q < 1.0:
-        total += (1.0 - q) * np.log((1.0 - q) / (1.0 - p))
-    return total
+    with np.errstate(divide="ignore", invalid="ignore"):  # the masked terms
+        up = np.where(q > 0.0, q * np.log(q / p), 0.0)
+        down = np.where(q < 1.0, (1.0 - q) * np.log((1.0 - q) / (1.0 - p)), 0.0)
+    out = np.where(((p == 0.0) | (p == 1.0)) & (q != p), np.inf, up + down)
+    return out if out.ndim else float(out)

@@ -162,7 +162,7 @@ def composite_cross_check(micro, apparatus, t, tensor, c, observable=None) -> fl
 def dense_chain_tensor(spec: coleman_hepp.ChainSpec, fraction: float = 1.0) -> core.FTensor:
     """The chain tensor through the dense backend: the oracle for small N.
 
-    ``fraction`` is the traversal fraction of ``traversal_schedule``.
+    ``fraction`` is the traversal fraction of ``coleman_hepp.factorized_f_tensor``.
     """
     micro, apparatus = coleman_hepp.build_dense(spec, coleman_hepp.passed_sites(spec.N, fraction))
     return core.f_tensor(core.evolve_sectors(micro, apparatus, spec.t), apparatus.cells)
@@ -412,9 +412,9 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     for spec in specs:
         for N in Ns:
             spec.at_size(N)  # a size fails as the chain of that size would
-    # per spec and evolved diagonal sector: the sector and its site up-probabilities
+    # per spec and evolved diagonal sector: its factors a and b, and its site up-probabilities
     sectors = [sector for spec in specs for sector in coleman_hepp.diagonal_sectors(spec, max(Ns))]
-    estimates = [coarse_ldp.estimate_rate(overlap, grid, Ns) for overlap, _ in sectors]
+    estimates = [coarse_ldp.estimate_rate(a, b, grid, Ns) for a, b, _ in sectors]
     estimates, perturbed = estimates[:2], estimates[2:] or None
     up = estimates[0]
     rows = []
@@ -435,8 +435,8 @@ def ldp(cfg: ExperimentConfig, base_dir: Path | None = None,
     if overrides:  # condition (d), judged per sector at the least size
         N0 = min(Ns)
         bounds = [coarse_ldp.perturbation_residual_bound(N0, base_up, pert_up) / N0
-                  for (_, base_up), (_, pert_up) in zip(sectors, sectors[2:])]
-    report = coarse_ldp.check_ldp_conditions(estimates, pointer, perturbed=perturbed, stability_bound=bounds)
+                  for (*_, base_up), (*_, pert_up) in zip(sectors, sectors[2:])]
+    report = coarse_ldp.check_ldp_conditions(estimates, pointer.phi, perturbed=perturbed, stability_bound=bounds)
     items = [
         ("maximizers", ", ".join(fmt_float(m) for m in report.maximizers)),
         ("unique_max", _flag(report.unique_max)),

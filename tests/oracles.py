@@ -489,6 +489,20 @@ def kl_bernoulli(q: float, p: float) -> float:
     return out
 
 
+def bernoulli_relative_entropy_loop(q: float, p: float) -> float:
+    """``D(q || p)`` one pair at a time in the package's arithmetic, ``q log(q / p)
+    + (1 - q) log((1 - q) / (1 - p))`` with each term only where its weight is
+    nonzero, and ``inf`` where p is 0 or 1 and q is not p."""
+    if p in (0.0, 1.0) and q != p:
+        return math.inf
+    total = 0.0
+    if q > 0.0:
+        total += q * np.log(q / p)
+    if q < 1.0:
+        total += (1.0 - q) * np.log((1.0 - q) / (1.0 - p))
+    return float(total)
+
+
 def random_hermitian(rng, dim):
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (raw + raw.conj().T) / 2
@@ -515,11 +529,12 @@ def _real_logsumexp(lm) -> float:
     return float(m + np.log(np.sum(np.exp(lm[finite] - m))))
 
 
-def scalar_rate_samples(overlap, grid, Ns):
+def scalar_rate_samples(a, b, grid, Ns):
     """The rate-function samples of ``estimate_rate``, one window at a time.
 
-    ``overlap`` is a diagonal sector at full traversal; at size N its bulk
-    ``b`` has ``n = N - k`` sites, for its k override sites.  Each window's
+    ``a`` and ``b`` are a diagonal sector's factors at full traversal; at
+    size N its bulk ``b`` has ``n = N - k`` sites, for its k override sites
+    (``a`` holds real terms: only its log magnitudes are read).  Each window's
     up-counts are found in scalar arithmetic, and its probability ``sum_i
     a_i sum_{j in window} b_{j-i}`` is summed from one Loader pmf call
     (``binomial_log_pmf`` at one count) per term, a log-sum-exp over the j of
@@ -532,7 +547,7 @@ def scalar_rate_samples(overlap, grid, Ns):
     from pointer_cell_sim.logspace import binomial_log_pmf
 
     Ns = sorted(Ns)
-    (a, _), b = overlap.a, overlap.b
+    a = a[0]
     samples = np.full((len(Ns), len(grid)), np.nan)
     dropped = np.zeros((len(Ns), len(grid)), dtype=bool)
     messages = []

@@ -12,9 +12,9 @@ from pointer_cell_sim.coarse_ldp import estimate_rate
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     build_dense,
+    diagonal_sectors,
     factorized_f_tensor,
     polarized_site,
-    sector_overlap,
     traversal_family,
 )
 
@@ -174,8 +174,8 @@ def test_criterion_5_off_diagonal_decoherence():
 
 def test_criterion_6_ldp_convergence():
     watch = Stopwatch(60.0)
-    est = estimate_rate(sector_overlap(ChainSpec(N=800, m0=0.6), 0, 0),
-                        grid=[-0.2], N_values=[100, 200, 400, 800])
+    a, b, _ = diagonal_sectors(ChainSpec(N=800, m0=0.6), 800)[0]
+    est = estimate_rate(a, b, grid=[-0.2], N_values=[100, 200, 400, 800])
     assert abs(est.samples[-1, 0] - LDP_RATE_AT_MINUS_02) <= 0.02
     residuals = np.abs(est.samples[:, 0] - LDP_RATE_AT_MINUS_02)
     assert all(b < a for a, b in zip(residuals, residuals[1:]))

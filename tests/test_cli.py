@@ -978,8 +978,9 @@ def test_command_paths_do_not_import_scipy(workdir):
 DELETED = [
     (coarse_ldp, ("IntensiveObservable", "coarse_grain", "cell_probability", "BernoulliProduct",
                   "cell_log_probability", "_factor_layout", "_override_log_pmf", "CellPartitionSpec")),
-    (coleman_hepp, ("diagonal_sector_product", "log_trace_products", "sign_cells")),
-    (coleman_hepp.FactorizedSectorOverlap, ("cell_terms", "cell_log_values", "dp_total")),
+    (coleman_hepp, ("diagonal_sector_product", "log_trace_products", "sign_cells", "FactorizedSectorOverlap",
+                    "sector_overlap", "traversal_schedule")),
+    (coarse_ldp.RateFunctionEstimate, ("rate_at",)),
     (coleman_hepp.ChainSpec, ("with_overrides",)),
     (runner, ("_sector_family", "SweepPoint", "_sweep_csv", "CELL_MINUS", "CELL_PLUS")),
     (verify, ("stability_test", "RunModel", "RECONSTRUCTION_DRAWS", "_reconstruction_residuals")),
@@ -1009,7 +1010,6 @@ REMOVED_FIELDS = [
     (verify.DecayFit, ("sweep",)),
     (verify.StabilityResult, ("tolerance_band", "base_fit", "perturbed_fit", "perturbed_decays")),
     (coarse_ldp.LdpConditionReport, ("unique_max", "distinct_cells")),
-    (coleman_hepp.FactorizedSectorOverlap, ("a_total", "global_phase")),
 ]
 
 

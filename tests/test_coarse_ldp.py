@@ -18,12 +18,10 @@ from pointer_cell_sim.coarse_ldp import (
 from pointer_cell_sim.coleman_hepp import (
     ChainSpec,
     CELL_LABELS,
-    FactorizedSectorOverlap,
     chain_cells,
     diagonal_sectors,
     factorized_f_tensor,
     polarized_site,
-    sector_overlap,
     sign_boundary,
     traversal_family,
 )
@@ -50,20 +48,25 @@ def diagonal_site(q: float) -> np.ndarray:
     return np.diag([q, 1.0 - q]).astype(complex)
 
 
-def product_sector(p: float, overrides=None, N: int = 10 ** 9) -> FactorizedSectorOverlap:
-    """The diagonal sector of N Bernoulli sites: up-probability p in the bulk
-    and q at each override site of ``overrides``, ``{site: q}``.
+def product_sector(p: float, overrides=None,
+                   N: int = 10 ** 9) -> tuple[tuple[np.ndarray, np.ndarray], BinomialBlock]:
+    """The factors ``(a, b)`` of the diagonal sector of N Bernoulli sites: up-probability p
+    in the bulk and q at each override site of ``overrides``, ``{site: q}``.
 
     The spin-up sector of a chain polarised to ``2p - 1`` holds it; a p no
     chain reaches (the polarisation lies in (0, 1]) is laid out by hand.
     """
     if p <= 0.5:
         assert not overrides
-        return FactorizedSectorOverlap(a=(np.zeros(1), np.zeros(1)),
-                                       b=BinomialBlock(N, p, 1.0 - p, 0.0))
+        return (np.zeros(1), np.zeros(1)), BinomialBlock(N, p, 1.0 - p, 0.0)
     spec = ChainSpec(N=N, m0=2 * p - 1,
                      site_overrides={k: diagonal_site(q) for k, q in (overrides or {}).items()})
-    return sector_overlap(spec, 0, 0)
+    return sector_factors(spec, 0)
+
+
+def sector_factors(spec: ChainSpec, r: int) -> tuple[tuple[np.ndarray, np.ndarray], BinomialBlock]:
+    """The factors ``(a, b)`` of the chain's evolved diagonal sector r at its own size."""
+    return diagonal_sectors(spec, spec.N)[r][:2]
 
 
 def cell_log_probs(spec: ChainSpec, r: int = 0) -> np.ndarray:
@@ -160,7 +163,7 @@ class TestRateFunction:
             assert bernoulli_rate(m, 0.8) == pytest.approx(-kl_bernoulli(q, 0.8), abs=1e-14)
 
     def test_estimate_converges_to_analytic(self):
-        est = estimate_rate(product_sector(0.8), grid=[-0.2], N_values=[100, 200, 400, 800])
+        est = estimate_rate(*product_sector(0.8), grid=[-0.2], N_values=[100, 200, 400, 800])
         analytic = -kl_bernoulli(0.4, 0.8)
         final = est.samples[-1, 0]
         assert abs(final - analytic) < 0.02
@@ -177,39 +180,35 @@ class TestRateFunction:
     def test_precondition_errors(self):
         sector = product_sector(0.8)
         with pytest.raises(PreconditionError):
-            estimate_rate(sector, [-0.2], [100, 200])
+            estimate_rate(*sector, [-0.2], [100, 200])
         with pytest.raises(PreconditionError):
-            estimate_rate(sector, [-0.2], [100, 200, 300])
+            estimate_rate(*sector, [-0.2], [100, 200, 300])
 
     def test_sector_without_one_bulk_reading_refused(self):
-        # a partial traversal's a holds a bulk block, and a chain whose every site is
-        # overridden has no bulk probability to read at larger sizes
-        spec = ChainSpec(N=40, m0=0.6)
-        with pytest.raises(PreconditionError, match="full traversal with a bulk site"):
-            estimate_rate(sector_overlap(spec, 1, 1, rotated_count=20), [0.0], [10, 20, 40])
+        # a chain whose every site is overridden has no bulk probability to read at larger sizes
         every = ChainSpec(N=2, m0=0.6, site_overrides={0: diagonal_site(0.1), 1: diagonal_site(0.1)})
         with pytest.raises(PreconditionError, match="full traversal with a bulk site"):
-            estimate_rate(sector_overlap(every, 0, 0), [0.0], [2, 4, 8])
+            estimate_rate(*sector_factors(every, 0), [0.0], [2, 4, 8])
 
     def test_zero_probability_point_dropped(self):
         # one site pinned down makes the all-up window impossible
         with pytest.warns(UserWarning, match="zero probability"):
-            est = estimate_rate(product_sector(0.9, {0: 0.0}), grid=[1.0], N_values=[8, 16, 32])
+            est = estimate_rate(*product_sector(0.9, {0: 0.0}), grid=[1.0], N_values=[8, 16, 32])
         assert est.dropped.all()
 
     def test_p_set_only_without_override_term(self):
         # an override term, even one equal to the bulk or on every site, leaves p
         # and the analytic curve unset; the samples are the homogeneous chain's
         grid, Ns = [-0.2, 0.6], [40, 80, 160]
-        plain = estimate_rate(product_sector(0.7), grid, Ns)
+        plain = estimate_rate(*product_sector(0.7), grid, Ns)
         assert plain.p == 0.7 and plain.analytic is not None
         for overrides in ({2: 0.7}, {2: 0.1}):
-            est = estimate_rate(product_sector(0.7, overrides), grid, Ns)
+            est = estimate_rate(*product_sector(0.7, overrides), grid, Ns)
             assert est.p is None and est.analytic is None
-        same = estimate_rate(product_sector(0.7, {2: 0.7}), grid, Ns)
+        same = estimate_rate(*product_sector(0.7, {2: 0.7}), grid, Ns)
         assert_allclose(same.samples, plain.samples, rtol=1e-12)
         # at N = 2 every site is overridden alike, yet the family has override terms
-        every = estimate_rate(product_sector(0.7, {0: 0.1, 1: 0.1}, N=8), [-0.5, 0.5], [2, 4, 8])
+        every = estimate_rate(*product_sector(0.7, {0: 0.1, 1: 0.1}, N=8), [-0.5, 0.5], [2, 4, 8])
         assert every.p is None
 
 
@@ -229,7 +228,7 @@ class TestFactorLayout:
     def test_window_samples_match_exact_poisson_binomial(self, r, theta):
         Ns = (40, 80, 160)
         spec = self._spec(theta, max(Ns))
-        est = estimate_rate(sector_overlap(spec, r, r), self.GRID, Ns)
+        est = estimate_rate(*sector_factors(spec, r), self.GRID, Ns)
         assert not est.dropped.any()
         for i, N in enumerate(Ns):
             dist = poisson_binomial_fraction(
@@ -282,8 +281,8 @@ class TestWindowsAgainstScalarSum:
         sector = product_sector(p, overrides)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = estimate_rate(sector, grid, Ns)
-        samples, dropped, messages = scalar_rate_samples(sector, grid, Ns)
+            est = estimate_rate(*sector, grid, Ns)
+        samples, dropped, messages = scalar_rate_samples(*sector, grid, Ns)
         assert np.array_equal(est.samples, samples, equal_nan=True)
         assert np.array_equal(est.dropped, dropped)
         assert [str(w.message) for w in caught] == messages
@@ -292,7 +291,7 @@ class TestWindowsAgainstScalarSum:
         # m = -0.75 is the up count 1 at N = 8, which the certain sites exclude
         p, overrides = self.FAMILIES["certain sites only"]
         with pytest.warns(UserWarning, match="point dropped"):
-            est = estimate_rate(product_sector(p, overrides), [-1.0, -0.75, 0.0], self.SIZES)
+            est = estimate_rate(*product_sector(p, overrides), [-1.0, -0.75, 0.0], self.SIZES)
         assert est.dropped[:, 0].all() and not est.dropped[:, 2].any()
         assert est.dropped[0, 1] and not est.dropped[1:, 1].any()
 
@@ -322,7 +321,7 @@ class TestLargeChains:
     def test_window_samples_match_linear_sum(self, r, theta):
         spec = TestFactorLayout._spec(theta, max(self.LARGE_N))
         grid = TestFactorLayout.GRID
-        est = estimate_rate(sector_overlap(spec, r, r), grid, self.LARGE_N)
+        est = estimate_rate(*sector_factors(spec, r), grid, self.LARGE_N)
         for i, N in enumerate(self.LARGE_N):
             pmf = self._linear_log_pmf(N, sector_up_probabilities(spec, r))
             j = np.arange(N + 1)
@@ -343,21 +342,21 @@ class TestLargeChains:
         monkeypatch.setattr(coarse_ldp, "binomial_log_pmf", spy, raising=False)
         Ns = (400, 800, 1600)
         for r in range(2):
-            sector = sector_overlap(TestFactorLayout._spec(2.2, max(Ns)), r, r)
-            estimate_rate(sector, [-0.3, 0.45], Ns)
+            sector = sector_factors(TestFactorLayout._spec(2.2, max(Ns)), r)
+            estimate_rate(*sector, [-0.3, 0.45], Ns)
         # the windows' counts are taken; the N - 2 bulk sites are never built
         assert sizes and not set(sizes) & {N - 2 for N in Ns}
 
     def test_rate_memory_does_not_grow_with_N(self):
         def peak(N):
             Ns = (N // 4, N // 2, N)
-            sectors = [sector_overlap(TestFactorLayout._spec(2.2, N), r, r) for r in range(2)]
+            sectors = [sector_factors(TestFactorLayout._spec(2.2, N), r) for r in range(2)]
             for sector in sectors:  # first calls fill module-level caches
-                estimate_rate(sector, TestFactorLayout.GRID, Ns)
+                estimate_rate(*sector, TestFactorLayout.GRID, Ns)
             tracemalloc.start()
             try:
                 for sector in sectors:
-                    estimate_rate(sector, TestFactorLayout.GRID, Ns)
+                    estimate_rate(*sector, TestFactorLayout.GRID, Ns)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -378,10 +377,9 @@ class TestLargeChains:
         tensor = factorized_f_tensor(spec.at_size(N))
         cells = traversal_family(spec, 1.0, [N])[0][0]
         for r in range(2):
-            sector, at_N = sector_overlap(spec, r, r), sector_overlap(spec.at_size(N), r, r)
-            sized = replace(sector, b=replace(sector.b, size=N - (sector.a[0].size - 1)))
-            assert sized.b == at_N.b and sized.bulk is at_N.bulk is None, r
-            assert [x.tobytes() for x in sized.a] == [x.tobytes() for x in at_N.a], r
+            (a, b), (a_N, b_N) = sector_factors(spec, r), sector_factors(spec.at_size(N), r)
+            assert replace(b, size=N - (a[0].size - 1)) == b_N, r
+            assert [x.tobytes() for x in a] == [x.tobytes() for x in a_N], r
             got, ref = cells[r, r], tensor.log_magnitude[r, r]
             assert (np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))).all(), (r, got, ref)
 
@@ -392,12 +390,12 @@ class TestLdpConditions:
         grid = grid if grid is not None else [-0.9, -0.6, -0.3, -0.05, 0.05, 0.3, 0.6, 0.9]
         Ns = [100, 200, 400, 800]
         spec = ChainSpec(N=max(Ns), m0=m0, site_overrides=overrides)
-        estimates = [estimate_rate(sector_overlap(spec, r, r), grid, Ns) for r in range(2)]
+        estimates = [estimate_rate(*sector_factors(spec, r), grid, Ns) for r in range(2)]
         return estimates
 
     def test_chain_conditions_pass(self):
         estimates = self._chain_setup()
-        report = check_ldp_conditions(estimates, pointer=(1, 0))
+        report = check_ldp_conditions(estimates, phi=(1, 0))
         assert report.unique_max and report.interior and report.distinct_cells
         assert report.maximizers == pytest.approx((0.6, -0.6), abs=1e-12)
         # concentration gap equals the boundary relative entropy
@@ -411,7 +409,7 @@ class TestLdpConditions:
         base = sector_up_probabilities(ChainSpec(N=100, m0=0.6), 0)
         pert = sector_up_probabilities(ChainSpec(N=100, m0=0.6, site_overrides=overrides), 0)
         bound = perturbation_residual_bound(100, base, pert) / 100
-        report = check_ldp_conditions(estimates, pointer=(1, 0),
+        report = check_ldp_conditions(estimates, phi=(1, 0),
                                       perturbed=perturbed, stability_bound=bound)
         assert report.stability_residual <= bound
         assert report.passed
@@ -421,7 +419,7 @@ class TestLdpConditions:
         # a global polarisation change is not a localized edit: the rate
         # curves themselves move by O(1)
         shifted = self._chain_setup(m0=0.4)
-        report = check_ldp_conditions(estimates, pointer=(1, 0),
+        report = check_ldp_conditions(estimates, phi=(1, 0),
                                       perturbed=shifted, stability_bound=4.0 / 100)
         assert not report.stability_ok
         assert not report.passed
@@ -432,7 +430,7 @@ class TestLdpConditions:
         def judge(shifts, bound):
             perturbed = [replace(est, samples=est.samples + shift)
                          for est, shift in zip(estimates, shifts)]
-            return check_ldp_conditions(estimates, pointer=(1, 0),
+            return check_ldp_conditions(estimates, phi=(1, 0),
                                         perturbed=perturbed, stability_bound=bound)
 
         # under the larger bound the spin-down shift passes; under its own it fails
@@ -451,7 +449,7 @@ class TestLdpConditions:
         # rates equal up to the rounding of two arithmetic paths meet a zero bound
         estimates = self._chain_setup()
         perturbed = [replace(est, samples=est.samples * (1 + 2 ** -52)) for est in estimates]
-        report = check_ldp_conditions(estimates, pointer=(1, 0),
+        report = check_ldp_conditions(estimates, phi=(1, 0),
                                       perturbed=perturbed, stability_bound=(0.0, 0.0))
         assert 0.0 < report.stability_residual < 1e-15
         assert report.stability_ok
@@ -462,23 +460,23 @@ class TestLdpConditions:
         perturbed = self._chain_setup(overrides={0: polarized_site(-0.6)})
         assert perturbed[1].p is None
         with pytest.raises(PreconditionError, match="^rate estimate 1 has no Bernoulli p"):
-            check_ldp_conditions([estimates[0], perturbed[1]], pointer=(1, 0))
+            check_ldp_conditions([estimates[0], perturbed[1]], phi=(1, 0))
 
     def test_maximizers_in_the_wrong_cells(self):
         # the identity map sends the spin-up maximiser 0.6 to "-" and -0.6 to "+":
         # neither is interior, and each cell's peak lies in the other cell
-        report = check_ldp_conditions(self._chain_setup(), pointer=(0, 1))
+        report = check_ldp_conditions(self._chain_setup(), phi=(0, 1))
         assert report.maximizers == pytest.approx((0.6, -0.6), abs=1e-12)
         assert not report.interior and not report.gap_positive and not report.passed
 
     def test_two_sign_cells_only(self):
         est = self._chain_setup()[0]
         with pytest.raises(PreconditionError, match="^need one rate estimate per sign cell"):
-            check_ldp_conditions([est, est, est], pointer=(2, 1, 0))
+            check_ldp_conditions([est, est, est], phi=(2, 1, 0))
 
     def test_boundary_maximizer_fails_interiority(self):
-        est = estimate_rate(product_sector(0.5), grid=[-0.5, 0.0, 0.5], N_values=[40, 80, 160])
-        report = check_ldp_conditions([est, est], pointer=(1, 0))
+        est = estimate_rate(*product_sector(0.5), grid=[-0.5, 0.0, 0.5], N_values=[40, 80, 160])
+        report = check_ldp_conditions([est, est], phi=(1, 0))
         assert not report.interior
         assert not report.passed
 
@@ -499,11 +497,11 @@ class TestPerturbationBound:
         # the probabilities the bound reads: the bulk, then each override site in order
         spec = ChainSpec(N=100, m0=0.6, theta=theta,
                          site_overrides={3: polarized_site(-0.6), 1: np.eye(2, dtype=complex) / 2})
-        for r, (overlap, up) in enumerate(diagonal_sectors(spec, 400)):
+        for r, (_, b, up) in enumerate(diagonal_sectors(spec, 400)):
             ref = sector_up_probabilities(spec, r)
             assert list(up) == [None, 1, 3]
             assert up == pytest.approx({site: ref[site] for site in up}, abs=1e-15)
-            assert (overlap.b.size, overlap.b.p) == (398, up[None])
+            assert (b.size, b.p) == (398, up[None])
 
     def test_bound_matches_hand_computation(self):
         got = perturbation_residual_bound(10, {None: 0.8}, {None: 0.8, 3: 0.2})

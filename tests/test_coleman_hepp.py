@@ -18,12 +18,10 @@ from pointer_cell_sim.coleman_hepp import (
     factorized_f_tensor,
     passed_sites,
     polarized_site,
-    sector_overlap,
     traversal_family,
-    traversal_schedule,
 )
 from pointer_cell_sim.errors import CapacityError, StructuralError
-from pointer_cell_sim.logspace import binomial_log_pmf, lc_sum_rows, lc_values
+from pointer_cell_sim.logspace import BinomialBlock, binomial_log_pmf, lc_sum_rows, lc_values
 from pointer_cell_sim.verify import find_pointer_map, log_pointer_errors, pointer_errors
 
 from oracles import (
@@ -283,23 +281,23 @@ class TestExactTraceProducts:
 class TestTraversal:
     def test_fraction_zero_nothing_rotated(self):
         spec = ChainSpec(N=6, m0=0.6, energies=(0.2, -0.1))
-        f0 = traversal_schedule(spec, 0.0)
+        f0 = factorized_f_tensor(spec, 0.0)
         assert_allclose(f0.values[0, 0], f0.values[1, 1], atol=1e-14)
         assert_allclose(f0.values[0, 0].real, sector_cell_masses(spec, 0), atol=1e-12)
 
     def test_fraction_one_is_full_traversal(self):
         spec = ChainSpec(N=6, m0=0.6)
-        assert np.array_equal(traversal_schedule(spec, 1.0).values,
+        assert np.array_equal(factorized_f_tensor(spec, 1.0).values,
                               factorized_f_tensor(spec).values)
 
     def test_invalid_fraction(self):
         with pytest.raises(StructuralError):
-            traversal_schedule(ChainSpec(N=4, m0=0.6), 1.5)
+            factorized_f_tensor(ChainSpec(N=4, m0=0.6), 1.5)
 
     def test_partial_traversal_matches_mixture_oracle(self):
         N, cut = 9, 5
         spec = ChainSpec(N=N, m0=0.6)
-        f = traversal_schedule(spec, cut / N)
+        f = factorized_f_tensor(spec, cut / N)
         p = Fraction(4, 5)
         ps = [1 - p] * cut + [p] * (N - cut)  # down sector: first sites flipped
         dist = poisson_binomial_fraction(ps)
@@ -311,7 +309,7 @@ class TestTraversal:
         fractions = np.linspace(0.5, 1.0, 11)
         eps = []
         for frac in fractions:
-            f = traversal_schedule(spec, float(frac))
+            f = factorized_f_tensor(spec, float(frac))
             pm = find_pointer_map(f)
             eps.append(pointer_errors(f.diagonal(), pm.inverse).max())
         assert all(b <= a + 1e-15 for a, b in zip(eps, eps[1:]))
@@ -401,8 +399,18 @@ def whole_log_pmf(n: int, p: float, q: float) -> np.ndarray:
     return out
 
 
-def summed_sector_cells(ov, N: int, energy: float):
-    """The cells of a full-traversal overlap, of energy phase ``energy``, as
+def full_traversal_factors(spec: ChainSpec, r: int, s: int):
+    """Sector pair (r, s)'s factors ``(a, b)`` at full traversal, as ``traversal_family``
+    reads them from ``_pair_factors``: one bulk block, and the override polynomial."""
+    diagonals = coleman_hepp._site_diagonals(spec)
+    groups = coleman_hepp._site_groups(spec.N, spec.N, diagonals)
+    bulk, b, _, (a, _) = coleman_hepp._pair_factors(spec, r, s, *groups, diagonals, {})
+    assert bulk is None
+    return a, b
+
+
+def summed_sector_cells(a, b, N: int, energy: float):
+    """The cells of full-traversal factors ``a`` and ``b``, of energy phase ``energy``, as
     ``sum_i a_i tail_b(h - i)``, each tail an O(N) logsumexp over the package's
     binomial log-pmf.
 
@@ -414,8 +422,7 @@ def summed_sector_cells(ov, N: int, energy: float):
     of N.
     """
     h = (N + 1) // 2
-    a_lm, a_ph = ov.a
-    b = ov.b
+    a_lm, a_ph = a
     pmf = whole_log_pmf(b.size, b.p, b.q)
     lo, rel = 0, None
     if b.p > 0.0 and b.q > 0.0 and b.log_scale > -math.inf:
@@ -467,9 +474,8 @@ class TestFullTraversalTails:
         lm, ph, _ = family_cells(spec)
         for r in range(2):
             for s in range(2):
-                ov = sector_overlap(spec, r, s)
-                assert ov.bulk is None
-                ref = summed_sector_cells(ov, N, (spec.energies[s] - spec.energies[r]) * spec.t)
+                ref = summed_sector_cells(*full_traversal_factors(spec, r, s), N,
+                                          (spec.energies[s] - spec.energies[r]) * spec.t)
                 assert_cells_match(zip(lm[r, s], ph[r, s]), ref, (r, s))
 
     @pytest.mark.parametrize("m0", [0.6, 1.0])
@@ -487,8 +493,8 @@ class TestFullTraversalTails:
         lm, ph, _ = family_cells(spec)
         for r in range(2):
             for s in range(2):
-                ov = sector_overlap(spec, r, s)
-                assert ov.b.size == 0 and ov.a[0].size == 4
+                a, b = full_traversal_factors(spec, r, s)
+                assert b.size == 0 and a[0].size == 4
                 assert_cells_match(zip(lm[r, s], ph[r, s]), decimal_sector_cells(spec, r, s), (r, s))
         assert np.abs(dense_tensor(spec).values - factorized_f_tensor(spec).values).max() < 1e-12
 
@@ -581,7 +587,7 @@ class TestLargeN:
         assert chain_cells(13) is None
 
     def test_half_traversal_at_hundred_thousand_sites(self):
-        f = traversal_schedule(ChainSpec(N=100_000, m0=0.6), 0.5)
+        f = factorized_f_tensor(ChainSpec(N=100_000, m0=0.6), 0.5)
         assert core.check_f_properties(f).passed
         for r in range(2):
             assert abs(f.values[r, r].real.sum() - 1.0) <= 1e-10
@@ -591,10 +597,10 @@ class TestLargeN:
         # a two-block sector pair is summed over windows of its shorter block's width
         def peak(N):
             spec = ChainSpec(N=N, m0=0.6)
-            traversal_schedule(spec, 0.5)
+            factorized_f_tensor(spec, 0.5)
             tracemalloc.start()
             try:
-                traversal_schedule(spec, 0.5)
+                factorized_f_tensor(spec, 0.5)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -608,6 +614,18 @@ class TestLargeN:
 COMPENSATED_ROWS = [(0.6, 0.37), (0.6, 0.5), (0.6, 0.75), (0.2, 0.75)]
 
 
+def diagonal_blocks(N: int, m0: float, fraction: float, r: int):
+    """Diagonal sector r's bulk blocks at theta = pi after ``fraction`` of the chain, part of
+    it passed, as ``(shorter, longer)``, the shorter None for one block: the spin-down sector
+    flips each passed site, up-probability ``(1 - m0) / 2`` in place of ``(1 + m0) / 2``."""
+    up, down, n_rot = (1 + m0) / 2, (1 - m0) / 2, passed_sites(N, fraction)
+    assert 0 < n_rot < N
+    if r == 0:
+        return None, BinomialBlock(N, up, down, 0.0)
+    rot, plain = BinomialBlock(n_rot, down, up, 0.0), BinomialBlock(N - n_rot, up, down, 0.0)
+    return (rot, plain) if n_rot <= N - n_rot else (plain, rot)
+
+
 def assert_diagonal_cells_match_compensated_sums(N: int) -> None:
     """Both diagonal sectors' cells, from ``traversal_family``, against
     ``compensated_cells`` over the package's pmfs of the sector's own blocks:
@@ -617,9 +635,9 @@ def assert_diagonal_cells_match_compensated_sums(N: int) -> None:
         spec = ChainSpec(N=N, m0=m0)
         tensor = family_cells(spec, fraction)[0]
         for r in range(2):
-            ov = sector_overlap(spec, r, r, passed_sites(N, fraction))
-            lA = block_log_magnitudes(ov.bulk) if ov.bulk else np.zeros(1)
-            ref = compensated_cells(lA, block_log_magnitudes(ov.b), h)
+            bulk, b = diagonal_blocks(N, m0, fraction, r)
+            lA = block_log_magnitudes(bulk) if bulk else np.zeros(1)
+            ref = compensated_cells(lA, block_log_magnitudes(b), h)
             got = tensor[r, r]
             for side in range(2):
                 context = (N, m0, fraction, r, side, got[side], ref[side])
@@ -637,10 +655,9 @@ class TestCompensatedCells:
     def test_reference_matches_exact_rationals(self):
         # the reference itself, on a chain small enough for exact arithmetic
         N, fraction = 60, 0.75
-        spec = ChainSpec(N=N, m0=0.2)
-        ov = sector_overlap(spec, 1, 1, passed_sites(N, fraction))
-        ref = compensated_cells(block_log_magnitudes(ov.bulk), block_log_magnitudes(ov.b), (N + 1) // 2)
-        pmf = poisson_binomial_fraction([Fraction(ov.bulk.p)] * ov.bulk.size + [Fraction(ov.b.p)] * ov.b.size)
+        bulk, b = diagonal_blocks(N, 0.2, fraction, 1)
+        ref = compensated_cells(block_log_magnitudes(bulk), block_log_magnitudes(b), (N + 1) // 2)
+        pmf = poisson_binomial_fraction([Fraction(bulk.p)] * bulk.size + [Fraction(b.p)] * b.size)
         for side, want in enumerate((sum(pmf[:(N + 1) // 2]), sum(pmf[(N + 1) // 2:]))):
             assert abs(ref[side] - exact_log(want)) <= 1e-13 * max(1.0, abs(ref[side]))
 
@@ -662,7 +679,7 @@ class TestSpecHelpers:
 
     def test_traversal_family_matches_one_spec_per_size(self, chain_family):
         # one call over many sizes gives, bit for bit, each size's one-size call and
-        # traversal_schedule; a size below an override site fails alone, as that chain does
+        # factorized_f_tensor; a size below an override site fails alone, as that chain does
         for theta, overridden, fraction in itertools.product(
                 (math.pi, 2.2, 1.0, 4.0), (False, True), (1.0, 0.5, 0.37)):
             spec, Ns, values, log_magnitude, log_trace, failed = chain_family(theta, fraction, overridden,
@@ -673,7 +690,7 @@ class TestSpecHelpers:
                 context = (theta, overridden, fraction, N)
                 one_lm, one_ph, one_trace, one_failed = traversal_family(spec, fraction, [N])
                 try:
-                    want = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.4),
+                    want = factorized_f_tensor(ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.4),
                                                         site_overrides=spec.site_overrides), fraction)
                 except StructuralError as exc:
                     assert type(failed[i]) is type(one_failed[0]) is StructuralError, context
@@ -695,8 +712,8 @@ class TestSpecHelpers:
 
         monkeypatch.setattr(coleman_hepp, "PhaseCellPartition", spy)
         spec = ChainSpec(N=12, m0=0.6, site_overrides={1: polarized_site(-0.6)})
-        traversal_schedule(spec, 1.0)
-        traversal_schedule(spec, 0.5)
+        factorized_f_tensor(spec, 1.0)
+        factorized_f_tensor(spec, 0.5)
         traversal_family(spec, 1.0, [12])
         assert built == []
         assert chain_cells(12) is not None and built == [2 ** 12]  # the spy sees the dense path
@@ -705,7 +722,7 @@ class TestSpecHelpers:
         # the untouched sector merges into one closed form; the flipped sector
         # pays one heterogeneous convolution
         spec = ChainSpec(N=5000, m0=0.6)
-        f = traversal_schedule(spec, 0.62)
+        f = factorized_f_tensor(spec, 0.62)
         assert core.check_f_properties(f).passed
         assert f.values[1, 1, 0].real > 0.99  # flipped majority already formed
 

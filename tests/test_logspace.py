@@ -11,12 +11,14 @@ from pointer_cell_sim.errors import NumericalError
 from pointer_cell_sim import logspace
 from pointer_cell_sim.logspace import (
     _binomial_block,
+    bernoulli_relative_entropy,
     binomial_log_pmf,
     lc_convolve,
     lc_sum_rows,
 )
 
-from oracles import _log_coded_sum, binom_range_log, block_log_magnitudes, exact_log, lc_sum
+from oracles import (_log_coded_sum, bernoulli_relative_entropy_loop, binom_range_log, block_log_magnitudes,
+                     exact_log, kl_bernoulli, lc_sum)
 
 
 def log_code(x):
@@ -374,3 +376,51 @@ class TestBinomialTails:
         failed = traversal_family(ChainSpec(N=189, m0=0.4), 1.0, [189])[3]
         assert list(failed) == [0] and type(failed[0]) is NumericalError
         assert re.search(r"I_0\.3\d*\(95, 95\) did not converge in 118 steps", str(failed[0]))
+
+
+class TestBernoulliRelativeEntropy:
+    """``D(q || p)`` elementwise over broadcast arrays, a float for two scalars."""
+
+    def test_shape_in_is_shape_out(self):
+        q = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert bernoulli_relative_entropy(q, 0.3).shape == (3, 4)
+        assert bernoulli_relative_entropy(0.4, np.full((2, 1), 0.3)).shape == (2, 1)
+        assert bernoulli_relative_entropy(q[:, :1], np.full(4, 0.3)).shape == (3, 4)
+        assert bernoulli_relative_entropy(np.zeros(0), 0.3).shape == (0,)
+        assert type(bernoulli_relative_entropy(0.4, 0.3)) is float
+
+    def test_elements_match_the_closed_form(self):
+        q, p = np.meshgrid(np.linspace(0.0, 1.0, 21), [0.05, 0.3, 0.5, 0.8, 0.999])
+        got = bernoulli_relative_entropy(q, p)
+        for index in np.ndindex(q.shape):
+            ref = kl_bernoulli(float(q[index]), float(p[index]))
+            assert got[index] == pytest.approx(ref, rel=1e-12, abs=1e-15), index
+            assert bernoulli_relative_entropy(float(q[index]), float(p[index])) == got[index], index
+
+    def test_bits_of_the_pairwise_loop(self):
+        # the same arithmetic as one pair at a time, on every pair of the grid
+        q = np.concatenate([np.linspace(0.0, 1.0, 201), [1e-300, 5e-324, 1.0 - 2 ** -53]])
+        p = np.array([0.0, 1e-300, 0.05, 0.2, (1 + 0.6 * math.cos(2.2)) / 2, 0.5, 0.8, 1.0 - 2 ** -53, 1.0])
+        got = bernoulli_relative_entropy(q[:, None], p)
+        ref = np.array([[bernoulli_relative_entropy_loop(float(x), float(y)) for y in p] for x in q])
+        assert got.tobytes() == ref.tobytes()
+
+    def test_infinite_where_p_is_certain(self):
+        q = np.array([0.0, 1e-300, 0.3, 1.0])
+        with np.errstate(all="raise"):  # the masked terms raise no floating-point warning
+            assert bernoulli_relative_entropy(q, 0.0).tolist() == [0.0, math.inf, math.inf, math.inf]
+            assert bernoulli_relative_entropy(q, 1.0).tolist() == [math.inf, math.inf, math.inf, 0.0]
+        assert bernoulli_relative_entropy(0.5, 0.0) == math.inf
+
+    def test_zero_at_q_equal_to_p(self):
+        p = np.array([0.0, 1e-300, 0.2, 0.5, 0.8, 1.0])
+        assert bernoulli_relative_entropy(p, p).tolist() == [0.0] * p.size
+        assert bernoulli_relative_entropy(0.5, 0.5) == 0.0
+
+    @pytest.mark.parametrize("q, p", [
+        (-0.1, 0.5), (0.5, 1.1), (np.array([0.2, 1.5]), 0.5), (0.5, np.array([0.5, -1e-12])),
+        (math.nan, 0.5), (0.5, np.array([0.3, math.nan]))],
+        ids=["q-negative", "p-above-1", "q-array", "p-array", "q-nan", "p-nan"])
+    def test_outside_the_unit_interval_refused(self, q, p):
+        with pytest.raises(ValueError, match=r"^Bernoulli parameters must lie in \[0, 1\]$"):
+            bernoulli_relative_entropy(q, p)

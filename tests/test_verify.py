@@ -13,7 +13,6 @@ from pointer_cell_sim.coleman_hepp import (
     factorized_f_tensor,
     polarized_site,
     traversal_family,
-    traversal_schedule,
 )
 from pointer_cell_sim.errors import (
     AmbiguousPointerError,
@@ -377,7 +376,7 @@ def chain_cases():
         for theta in (math.pi, 2.9, 2.2, 1.7):
             for fraction in (1.0, 0.75, 0.5):
                 spec = ChainSpec(N=N, m0=0.6, theta=theta, energies=(0.3, -0.4))
-                f = traversal_schedule(spec, fraction)
+                f = factorized_f_tensor(spec, fraction)
                 try:
                     pm = find_pointer_map(f)
                 except AmbiguousPointerError:
@@ -445,7 +444,7 @@ class TestReconstructionResiduals:
     @pytest.mark.parametrize("N", [2, 4, 6])
     def test_residual_is_attained_on_chains(self, N):
         for fraction in (1.0, 0.5):
-            f = traversal_schedule(ChainSpec(N=N, m0=0.6, theta=2.2, energies=(0.3, -0.4)), fraction)
+            f = factorized_f_tensor(ChainSpec(N=N, m0=0.6, theta=2.2, energies=(0.3, -0.4)), fraction)
             for c in CHAIN_AMPLITUDES[:2]:
                 self.assert_attained(f, find_pointer_map(f), np.array(c, dtype=complex))
 
