@@ -6,8 +6,8 @@ one function in :mod:`pointer_cell_sim.runner` that takes the parsed config,
 the config's directory and the oracle flag, and returns its artifacts (file
 name -> text) with the exit code; this module only parses arguments and
 writes the artifacts into ``--out``.
-Exit codes: 0 success, 2 config error, 3 capacity error, 4 property-suite
-failure.
+Exit codes: 0 success, 2 config error or an unwritable ``--out``, 3 capacity
+error, 4 property-suite failure.
 """
 
 from __future__ import annotations
@@ -75,10 +75,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write artifacts to {out}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -32,8 +32,7 @@ from .core import (
     _diagonal_of,
 )
 from .errors import CapacityError, SimulationError, StructuralError
-from .logspace import (BinomialBlock, _binomial_block, binomial_log_tails, binomial_pair_log_tails,
-                       lc_convolve, lc_sum_rows, lc_values)
+from .logspace import BinomialBlock, _binomial_block, binomial_pair_log_tails, lc_convolve, lc_sum_rows, lc_values
 
 #: largest chain the dense backend will materialise (2**N * 2 state dimension)
 DENSE_SITE_CAP = 12
@@ -182,22 +181,17 @@ def build_dense(spec: ChainSpec, rotated_count: int | None = None) -> tuple[Micr
     return micro, apparatus
 
 
-def _block_tails(blocks: list, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+def _block_tails(blocks: list, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per ``(bulk, b, h)`` (``bulk`` None for one block): ``log P(X < h - i)``, ``log P(X >= h - i)``, i < k,
-    for the up-count X of ``bulk * b`` as ``(len(blocks), 2, k)`` rows, each row's shifts, phase and log total,
-    and by row the errors; one ``binomial_log_tails`` and one ``binomial_pair_log_tails`` batch, zero blocks none."""
-    one = [n for n, (bulk, _, _) in enumerate(blocks) if bulk is None]
-    two = [n for n, (bulk, b, _) in enumerate(blocks) if bulk and min(bulk.log_scale, b.log_scale) > -math.inf]
-    tails, shifts, bad = np.full((len(blocks), 2, k), -np.inf), np.zeros((len(blocks), 2)), {}
-    if one:
-        tails[one], shifts[one], bad = binomial_log_tails([(b.size, h, b.p, b.q) for _, b, h in
-                                                           map(blocks.__getitem__, one)], k)
-    if two:
-        tails[two] = binomial_pair_log_tails([(u.size, u.p, u.q, b.size, b.p, b.q, h) for u, b, h in
-                                              map(blocks.__getitem__, two)], k)
+    for the up-count X of ``bulk * b`` as ``(len(blocks), 2, k)`` rows less each row's shifts, the shifts, and each
+    row's phase and log total; one ``binomial_pair_log_tails`` call takes every row but a zero block's."""
+    live = [n for n, (bulk, b, _) in enumerate(blocks) if min(b.log_scale, bulk.log_scale if bulk else 0.0) > -math.inf]
+    tails, shifts = np.full((len(blocks), 2, k), -np.inf), np.zeros((len(blocks), 2))
+    tails[live], shifts[live] = binomial_pair_log_tails([(u.size, u.p, u.q, b.size, b.p, b.q, h) if u else (
+        b.size, b.p, b.q, 0, 0.5, 0.5, h) for u, b, h in map(blocks.__getitem__, live)], k)
     phase_total = np.array([(b.phase, b.log_total()) if u is None else (u.phase + b.phase, u.log_total()
                             + b.log_total()) for u, b, _ in blocks]).reshape(-1, 2)
-    return tails, shifts, phase_total[:, 0], phase_total[:, 1], {one[row]: exc for row, exc in bad.items()}
+    return tails, shifts, phase_total[:, 0], phase_total[:, 1]
 
 
 def _site_polynomials(diagonals: dict) -> dict:
@@ -297,10 +291,13 @@ def _pair_factors(spec: ChainSpec, r: int, s: int, rotated: tuple[int, ...], n_r
 
 
 def passed_sites(N: int, fraction: float) -> int:
-    """Number of sites, ``floor(fraction * N)``, a traversal fraction has passed."""
+    """Number of sites, ``floor(fraction * N)``, a traversal fraction has passed, the fraction read
+    exactly as the digits it prints as: 0.29 passes 29 % of the sites at any N."""
     if not (0.0 <= fraction <= 1.0):
         raise StructuralError(f"traversal fraction must lie in [0, 1], got {fraction!r}")
-    return int(math.floor(fraction * N + 1e-12))
+    mantissa, _, exponent = repr(float(fraction)).partition("e")  # a numpy float's repr is not a number
+    whole, _, part = mantissa.partition(".")
+    return int(whole + part) * N // 10 ** (len(part) - int(exponent or 0))  # the exponent is not positive
 
 
 def factorized_f_tensor(spec: ChainSpec, fraction: float = 1.0) -> FTensor:
@@ -341,9 +338,7 @@ def traversal_family(spec: ChainSpec, fraction: float, Ns: Sequence[int]
     if rows:  # a failed size's rows are summed too
         *columns, blocks = zip(*rows)
         i, r, s, a, phases = (np.array(v) for v in columns)
-        tails, shifts, b_phase, totals, bad = _block_tails(list(blocks), a.shape[-1])
+        tails, shifts, b_phase, totals = _block_tails(list(blocks), a.shape[-1])
         sums_lm, sums_ph = lc_sum_rows(a[:, 0, None] + tails, (a[:, 1] + b_phase[:, None])[:, None])
         lm[i, r, s], ph[i, r, s] = sums_lm + shifts + totals[:, None], sums_ph + phases[:, None]
-        for row, exc in bad.items():
-            failed.setdefault(int(i[row]), exc)
     return lm, ph, log_trace, failed

@@ -13,8 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError
-
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n / e)**n) for n = 0..15, with
 # stirlerr(0) = 0; above 15 the Stirling series below is used
 _STIRLERR_TABLE = np.array([
@@ -132,204 +130,124 @@ def binomial_log_pmf(n: int | np.ndarray, p: float | np.ndarray, q: float | np.n
     return np.where(sure, np.where(k == np.where(p <= 0.0, 0.0, n), 0.0, -np.inf), out) if sure.any() else out
 
 
-#: a double-precision fraction step that moves it by less than this ends it
-_CF_EPS = 2.0 ** -52
-#: below this leading denominator the fraction runs in decimal arithmetic
-_CF_DECIMAL_BELOW = 0.125
-
-
-def _lentz(a: np.ndarray, b: np.ndarray, x: np.ndarray, one, eps) -> tuple[np.ndarray, dict]:
-    """Modified Lentz steps (Numerical Recipes §6.4, ``betacf``) of the fraction of
-    ``I_x(a, b) = x**a (1 - x)**b / (a B(a, b)) * CF``, DLMF 8.17.22, elementwise in
-    the arithmetic of ``x``: float64, or ``Decimal`` objects over Python-int ``a``, ``b``.
-    Each element keeps the fraction of its own first settled step: the operations
-    of a scalar loop, in its order.  Returns the fractions and, by element, the
-    ``NumericalError`` of each unsettled after ``100 + 2 isqrt(max(a, b))`` steps."""
-    limit, m = np.array([100 + 2 * math.isqrt(int(v)) for v in np.maximum(a, b).tolist()], dtype=int), 0
-    ones = c = np.full_like(x, one)  # array operands: a scalar is converted at every operation
-    tiny, zeros, live, out, failed = one / 10 ** 300, ones - ones, np.arange(len(x)), np.empty_like(x), {}
-    frac = d = ones / (ones - (a + b) * x / (a + 1))
-    while live.size:  # eight steps at a time; an element that ends within them is carried to their end
-        k, ended, low = np.arange(m + 1, m + 9)[:, None], zeros != zeros, limit.min()  # k: the step numbers
-        for m, coeffs in enumerate(zip(k * (b - k) * x / ((a + 2 * k - 1) * (a + 2 * k)),
-                                       -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1))), m + 1):
-            for coeff in coeffs:
-                d = ones + coeff * d
-                d[d == zeros] = tiny
-                d = ones / d
-                c = ones + coeff / c
-                c[c == zeros] = tiny
-                step = c * d
-                frac = frac * step
-            done = (abs(step - ones) <= eps) > ended
-            if done.any():
-                out[live[done]] = frac[done]
-                ended |= done
-            if m >= low:
-                for j in np.flatnonzero((m == limit) > ended):
-                    failed[int(live[j])] = NumericalError(
-                        f"incomplete-beta continued fraction I_{float(x[j])}({int(a[j])}, {int(b[j])}) "
-                        f"did not converge in {m} steps")
-                ended |= m >= limit
-        live, a, b, x, c, d, frac, limit, ones, zeros = (
-            v[~ended] for v in (live, a, b, x, c, d, frac, limit, ones, zeros))
-    return out, failed
-
-
-def _beta_fractions(abx: Sequence[tuple[int, int, float]]) -> tuple[np.ndarray, dict]:
-    """``_lentz`` for each ``(a, b, x)``, the fraction of ``I_x(a, b)`` with ``x < (a + 1)
-    / (a + b + 2)``, and by element the errors.  Near that bound, the distribution's
-    mode, the step count grows: at ``x = 1/2`` and ``a + b = 10**k + 1`` it takes 51,
-    241, 1120 and 5200 steps for k = 3, 5, 7 and 9, inside the ``O(sqrt(max(a, b)))``
-    worst case.  The leading denominator ``1 - (a + b) x / (a + 1)`` then cancels, and
-    in double precision the fraction loses up to about ``7 / denominator`` ulps (3000
-    random splits within six standard deviations of the mode; 1.2e-13 at ``a + b =
-    10**6``).  Below ``_CF_DECIMAL_BELOW`` those elements step in 36-digit decimals,
-    exact from the double ``x``, and each result is rounded once."""
-    fa, fb, fx = np.array(abx, dtype=float).reshape(-1, 3).T
-    near = 1.0 - (fa + fb) * fx / (fa + 1) < _CF_DECIMAL_BELOW
-    out, failed = np.empty(len(fx)), {}
-
-    def steps(idx, *args):
-        out[idx], bad = _lentz(*args)
-        failed.update((int(idx[j]), exc) for j, exc in bad.items())
-
-    idx = np.flatnonzero(~near)
-    steps(idx, fa[idx], fb[idx], fx[idx], 1.0, _CF_EPS)
-    if near.any():
-        import decimal  # only here: away from the mode it would cost memory and time for nothing
-
-        idx = np.flatnonzero(near)
-        with decimal.localcontext(decimal.Context(prec=36)):
-            one = decimal.Decimal(1)
-            steps(idx, *(np.array([f(abx[i][j]) for i in idx], dtype=object)
-                         for j, f in enumerate((int, int, decimal.Decimal))), one, one / 10 ** 20)
-    return out, failed
-
-
-def binomial_log_tails(rows: Sequence[tuple[int, int, float, float]], k: int
-                       ) -> tuple[np.ndarray, np.ndarray, dict[int, NumericalError]]:
-    """Per row ``(n, t, p, q)``, X ~ Bin(n, p) with ``q = 1 - p``: ``log P(X < t - i)``
-    and ``log P(X >= t - i)`` for i = 0..k-1, as rows 0 and 1 of ``(len(rows), 2, k)``
-    tails; the ``shift`` each row's sum takes back after the sum, ``(len(rows), 2)``;
-    and by row the ``NumericalError`` of each whose fraction did not converge.
-
-    At each split ``s = t - i`` the tail on the far side of the mode is a
-    regularised incomplete beta, ``P(X >= s) = I_p(s, n - s + 1) = Bin(s; n, p)
-    q CF`` or ``P(X < s) = I_q(n - s + 1, s) = Bin(s - 1; n, p) p CF``; the near
-    tail is its ``log1p(-exp(.))`` complement.  One pmf per row, ``shift``, at its
-    first split inside 1..n, serves its splits by the exact ratios ``Bin(m - 1) /
-    Bin(m) = m q / ((n - m + 1) p)``, and one ``binomial_log_pmf`` call takes all
-    rows' shifts; the row of its far tail holds values less it, as adding it to
-    each term, far out of order n, would round the terms' relative sizes, which set
-    the phase of a mixed-phase sum, to ulps of n.  Exact at p or q = 0 and for
-    splits outside 1..n; the cost is independent of n away from the mode.  All
-    rows' fractions step at once; the rest is scalar ``math``: numpy's ``exp``,
-    ``log`` and ``log1p`` differ in the last bit."""
-    tails, anchors, jobs = [], [], []  # per fraction: (row, i, upper, log factor, a, b, x)
-    for row, (n, t, p, q) in enumerate(rows):
-        below, above = [-math.inf] * k, [-math.inf] * k
-        m_pmf = None  # log Bin(m_pmf) = shift + rel
-        for i in range(k):
-            s = t - i
-            if s <= 0 or (q <= 0.0 and s <= n):  # X >= s surely
-                above[i] = 0.0
-            elif s > n or p <= 0.0:  # X < s surely
-                below[i] = 0.0
-            else:
-                upper = p * (n + 3) < s + 1
-                m = s if upper else s - 1
-                if m_pmf is None:  # the row's shift is log Bin(m; n, p), its far tail on this side
-                    m_pmf, rel = m, 0.0
-                    anchors.append((row, upper, n, p, q, m))
-                while m_pmf > m:
-                    rel += math.log(m_pmf * q / ((n - m_pmf + 1) * p))
-                    m_pmf -= 1
-                jobs.append((row, i, upper, rel + math.log(q if upper else p),
-                             *((s, n - s + 1, p) if upper else (n - s + 1, s, q))))
-        tails.append([below, above])
-    shift, far_upper = [0.0] * len(rows), [False] * len(rows)
-    if anchors:
-        at, upper, *npqm = zip(*anchors)
-        for row, u, value in zip(at, upper, binomial_log_pmf(*npqm).tolist()):
-            shift[row], far_upper[row] = value, u
-            tails[row][int(u)] = [v - value for v in tails[row][int(u)]]  # the sure splits' values less shift
-    (fracs, bad), failed = _beta_fractions([job[4:] for job in jobs]), {}
-    for job, ((row, i, upper, factor, *_), frac) in enumerate(zip(jobs, fracs.tolist())):
-        if job in bad:
-            failed.setdefault(row, bad[job])
-            continue
-        far = factor + math.log(frac)
-        near = math.log1p(-math.exp(shift[row] + far))
-        if upper != far_upper[row]:  # past the mode, where shift is of order log n
-            far, near = shift[row] + far, near - shift[row]
-        tails[row][int(upper)][i], tails[row][int(not upper)][i] = far, near
-    shifts = [(0.0, s) if u else (s, 0.0) for s, u in zip(shift, far_upper)]
-    return np.array(tails).reshape(len(rows), 2, k), np.array(shifts).reshape(len(rows), 2), failed
-
-
-#: a window's first half-width in tilted deviations, the nats below its largest term
-#: that settle an open end, and the elements of one pass
+#: a window's first half-width in tilted deviations, the nats that settle an open end, and the elements of a pass
 _WINDOW_SIGMAS, _WINDOW_DROP, _WINDOW_SIZE = 13.0, 60.0, 2 ** 15
 
 
-def binomial_pair_log_tails(rows: Sequence[tuple[int, float, float, int, float, float, int]], k: int) -> np.ndarray:
+def _ratio_window(n, p, q, anchor, lo, hi) -> np.ndarray:
+    """Rows of ``log Bin(j; n, p) - log Bin(anchor; n, p)`` for j = lo..hi from column 0, -inf past hi,
+    lo <= anchor: running sums outward from the anchor of the logged exact ratios ``Bin(i + 1) / Bin(i)
+    = (n - i) p / ((i + 1) q)``, each ``log1p`` of ``(n + 1) p - (i + 1) (p + q)``, with ``(n + 1) p`` split
+    exactly in two (Dekker), over the smaller: near the mode, where they are nearly 1, they keep their digits."""
+    m, excess = n + 1.0, (np.maximum(p, q) - 1.0) + np.minimum(p, q)  # p + q - 1, exact
+    m1, p1 = (v * 134217729.0 - (v * 134217729.0 - v) for v in (m, p))  # the high 26 bits of each
+    head = m * p  # (n + 1) p = head + tail exactly
+    tail = (m - m1) * (p - p1) - (((head - m1 * p1) - (m - m1) * p1) - m1 * (p - p1))
+    j = lo[:, None] + np.arange(int((np.maximum(hi, anchor) - lo).max()) + 1)
+    up = j > anchor[:, None]
+    i1 = j + (1.0 - up)  # i + 1 for the ratio of each j to its neighbour nearer the anchor
+    fall, gap = i1 * q[:, None], (head[:, None] - i1) + (tail[:, None] - i1 * excess[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):  # the columns past a row's span
+        step = np.copysign(np.log1p(np.abs(gap) / (fall + np.minimum(gap, 0.0))), gap)
+    rel = np.cumsum(np.where(up, step, 0.0), axis=1)
+    rel -= np.cumsum(np.where(j < anchor[:, None], step, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    out = rel[:, :int((hi - lo).max()) + 1]
+    out[np.arange(out.shape[1]) > (hi - lo)[:, None]] = -np.inf
+    return out
+
+
+def binomial_pair_log_tails(rows: Sequence[tuple[int, float, float, int, float, float, int]], k: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """Per row ``(na, pa, qa, nb, pb, qb, t)``, X = X_a + X_b for independent X_a ~ Bin(na, pa)
-    and X_b ~ Bin(nb, pb), ``q = 1 - p``: ``log P(X < t - i)`` and ``log P(X >= t - i)``,
-    i = 0..k-1, as rows 0 and 1 of ``(len(rows), 2, k)`` tails.
+    and X_b ~ Bin(nb, pb), ``q = 1 - p``, nb = 0 for one block: ``log P(X < t - i)`` and
+    ``log P(X >= t - i)``, i = 0..k-1, as rows 0 and 1 of ``(len(rows), 2, k)`` tails, each
+    side less its entry of the ``(len(rows), 2)`` shifts; exact at p or q = 0 and for splits
+    outside 1..na + nb.  A block's odds are p / q, and with one block ``(1 - x) / x`` of the far
+    side's down-probability x alone, as the incomplete beta ``I_x`` reads them.
 
-    ``P(X >= s) = P(X' < na + nb + 1 - s)`` for the down counts X', and a lower tail is
-    the direct sum ``sum_j Bin(j; na, pa) P(X_b < s - j)`` over a window of j, its terms
-    log-concave (Saumard & Wellner, *Statistics Surveys* 8, 2014).  The window is centred
-    at X_a's tilted mean ``na pa x / (qa + pa x)`` given ``X = s - 1`` (x = 1 if the cell
-    holds the mean) and doubles from ``_WINDOW_SIGMAS`` tilted deviations until each open
-    end is ``_WINDOW_DROP`` nats below the largest term: the terms then fall outward, and a
-    geometric series bounds the rest below ``2**-60`` of the sum for n to 10**12.  X_b's
-    tails are a running log-sum of its pmfs over the k needed, cut the same way (a
-    gaussian estimate places the lower cut).  A row costs ``O(sqrt(na + nb))``; rows of similar
-    width share passes of about ``_WINDOW_SIZE`` elements, each keeping its own bits."""
-    def window(n, p, q, lo, hi):  # rows of log Bin(k; n, p) for k = lo..hi from column 0, -inf past hi
-        k = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
-        used, out = k <= hi[:, None], np.full(k.shape, -np.inf)
-        out[used] = binomial_log_pmf(*(np.broadcast_to(v[:, None], k.shape)[used] for v in (n, p, q)), k[used])
-        return out
-
-    jobs = [(na, pa, qa, nb, pb, qb, t - i) if side == 0 else (na, qa, pa, nb, qb, pb, na + nb + 1 - t + i)
-            for na, pa, qa, nb, pb, qb, t in rows for side in (0, 1) for i in range(k)]
-    na, pa, qa, nb, pb, qb, t = np.array(jobs, dtype=float).reshape(-1, 7).T
-    # no term where t <= 0, all where t > na + nb; the largest j with a term, and the tilted total
-    out, top, tau = np.where(t > na + nb, 0.0, -np.inf), np.minimum(na, t - 1.0), t - 1.0
-    a2, a1 = pa * pb * (na + nb - tau), na * pa * qb + nb * pb * qa - tau * (qa * pb + pa * qb)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a point mass: centre and width 0
-        root = np.sqrt(a1 * a1 + 4.0 * a2 * tau * qa * qb)
-        x = np.where(tau >= na * pa + nb * pb, 1.0, np.where(a1 > 0.0, 2.0 * tau * qa * qb / (a1 + root),
-                                                             (root - a1) / (2.0 * a2)))
-        centre = np.clip(np.nan_to_num(np.round(na * pa * x / (qa + pa * x))), 0.0, top)
-        half = np.ceil(_WINDOW_SIGMAS * np.nan_to_num(np.sqrt(na * pa * qa * x) / (qa + pa * x))) + 2.0
-    extra, mode = _WINDOW_SIGMAS * np.sqrt(nb * pb * qb), np.floor(nb * pb)  # X_b's cuts past its mode
-    live = np.flatnonzero((t >= 1.0) & (t <= na + nb))
+    At a split s the far tail, the side of ``s - 1/2`` without the mean, is a sum, and the near
+    tail its ``log1p(-exp(.))`` complement.  ``P(X >= s) = P(X' < na + nb + 1 - s)`` for the
+    down counts X', and a lower tail is ``sum_j Bin(j; na, pa) P(X_b < s - j)`` over a window of
+    j, its terms log-concave (Saumard & Wellner, *Statistics Surveys* 8, 2014), centred at X_a's
+    tilted mean ``na pa x / (qa + pa x)`` given ``X = s - 1``.  It starts ``_WINDOW_SIGMAS``
+    tilted deviations wide, or with one block as many steps of the slope ``-log x`` as fall
+    ``_WINDOW_DROP`` nats if fewer, and doubles until each open end is that far below the largest
+    term: a geometric series then bounds the rest below ``2**-60`` of the sum for n to 10**12.
+    X_b's tails are a running log-sum, cut the same way.  A side's far tails in a row are exact
+    ratios (``_ratio_window``) from one anchor, its first split's pmfs at the centre, from one
+    ``binomial_log_pmf`` call: an O(n) log-pmf added to each term would round their relative
+    sizes, which set the phase of a mixed-phase sum, to ulps of n.  A row costs O(sqrt(n)) at
+    the mode and O(1) far from it; rows of similar width share passes, each with its own bits."""
+    out, summed = np.full((len(rows), 2, k), -np.inf), np.zeros((len(rows), 2, k), dtype=bool)
+    jobs, at, lead = [], [], {}  # per far tail: its lower-tail row; (row, side, i, its side's first)
+    for row, (na, pa, qa, nb, pb, qb, t) in enumerate(rows):
+        blocks = [(n, p, q) for n, p, q in ((na, pa, qa), (nb, pb, qb)) if n]
+        t -= sum(n for n, p, q in blocks if q <= 0.0)  # a block with q = 0 is up surely, p = 0 down
+        (na, pa, qa), (nb, pb, qb) = ([b for b in blocks if min(b[1:]) > 0.0] + [(0, 0.5, 0.5)] * 2)[:2]
+        for i in range(k):
+            s = t - i
+            if s <= 0 or s > na + nb:  # one side surely holds X
+                out[row, :, i] = (-math.inf, 0.0) if s <= 0 else (0.0, -math.inf)
+                continue
+            upper = s - 0.5 > na * pa + nb * pb
+            at.append((row, int(upper), i, lead.setdefault((row, upper), len(jobs))))
+            job = (na, qa, pa, nb, qb, pb, na + nb - s) if upper else (na, pa, qa, nb, pb, qb, s - 1)
+            jobs.append(job if nb else (na, 1.0 - job[2], *job[2:]))  # one block: odds from x = job[2] alone
+    na, pa, qa, nb, pb, qb, tau = np.array(jobs, dtype=float).reshape(-1, 7).T
+    top, two = np.minimum(na, tau), nb.any()  # the largest j with a term; any row of two blocks
+    with np.errstate(divide="ignore", invalid="ignore"):  # tau = 0: x = 0, a point mass
+        x = tau * qa / (pa * (na - tau))  # one block: the tilt x = e^lambda that puts X_a's mean at tau
+        if two:  # two: the tilt that puts X_a + X_b's there, from a quadratic in x
+            a2, a1 = pa * pb * (na + nb - tau), na * pa * qb + nb * pb * qa - tau * (qa * pb + pa * qb)
+            root = np.sqrt(a1 * a1 + 4.0 * a2 * tau * qa * qb)
+            x = np.where(nb > 0.0, np.where(a1 > 0.0, 2.0 * tau * qa * qb / (a1 + root), (root - a1) / (2.0 * a2)), x)
+        half = np.minimum(_WINDOW_SIGMAS * np.sqrt(na * pa * qa * x) / (qa + pa * x),
+                          np.where(nb > 0.0, np.inf, _WINDOW_DROP / -np.log(x))) + 2.0
+    grain = 2.0 ** np.maximum(np.floor(np.log2(half)) - 2.0, 0.0)  # whole counts, four widths an octave
+    half = np.ceil(half / grain) * grain
+    centre = np.clip(np.round(na * pa * x / (qa + pa * x)), 0.0, top)
+    row, side, col, first = np.array(at, dtype=int).reshape(-1, 4).T
+    anchor_a, anchor_b = centre[first], np.clip(tau[first] - centre[first], 0.0, nb)
+    anchor, live, far = binomial_log_pmf(na, pa, qa, anchor_a), np.arange(len(jobs)), np.empty(len(jobs))
+    if two:  # X_b's anchors, and its cuts past its mode
+        anchor += binomial_log_pmf(nb, pb, qb, anchor_b)
+        extra, mode = _WINDOW_SIGMAS * np.sqrt(nb * pb * qb), np.floor(nb * pb)
     while live.size:
-        lo, hi = np.maximum(centre - half, 0.0), np.minimum(centre + half, top)
-        k_need, k_end = np.minimum(tau - hi, nb), np.minimum(tau - lo, nb)  # the least and the largest tail's k
-        k_lo = np.maximum(mode - np.ceil(np.hypot(np.maximum(mode - k_need, 0.0), extra)) - 2.0, 0.0)
-        k_top = np.minimum(k_end, mode + extra + 2.0)
-        last, end, need = ((v - w).astype(int) for v, w in ((hi, lo), (k_top, k_lo), (np.minimum(k_need, k_top), k_lo)))
-        order, pending = live[np.argsort((last + end)[live], kind="stable")], []
-        for idx in np.split(order, np.flatnonzero(np.diff(np.cumsum(last[order] + end[order]) // _WINDOW_SIZE)) + 1):
+        lo, hi = np.minimum(np.maximum(centre - half, 0.0), anchor_a), np.minimum(centre + half, top)
+        size = last = (hi - lo).astype(int)
+        if two:  # X_b's cuts: the least and the largest tail's k, and the lower cut from a gaussian estimate
+            k_need, k_end = np.minimum(tau - hi, nb), np.minimum(tau - lo, nb)
+            k_lo = np.minimum(np.maximum(mode - np.ceil(np.hypot(np.maximum(mode - k_need, 0.0), extra)) - 2.0, 0.0),
+                              anchor_b)
+            k_top = np.minimum(k_end, mode + extra + 2.0)
+            end, need = ((v - k_lo).astype(int) for v in (k_top, np.minimum(k_need, k_top)))
+            size = last + end
+        order, pending = live[np.argsort(size[live], kind="stable")], []
+        for idx in np.split(order, np.flatnonzero(np.diff(np.cumsum(size[order]) // _WINDOW_SIZE)) + 1):
             pick = np.arange(len(idx))
-            b_pmf, f = (window(*(u[idx] for u in us)) for us in ((nb, pb, qb, k_lo, k_top), (na, pa, qa, lo, hi)))
-            tails = np.logaddexp.accumulate(b_pmf, axis=1)  # log P(k_lo <= X_b <= k)
-            col = (tau - lo - k_lo)[idx, None] - np.arange(f.shape[1])  # of k = s - 1 - j
-            f += np.take_along_axis(tails, np.clip(col, 0, end[idx, None]).astype(int), axis=1)
-            drop = f.max(axis=1) - _WINDOW_DROP
+            f, cut = _ratio_window(na[idx], pa[idx], qa[idx], anchor_a[idx], lo[idx], hi[idx]), True
+            if nb[idx].any():  # X_b's tails, 0 where it is empty
+                b_pmf = _ratio_window(nb[idx], pb[idx], qb[idx], anchor_b[idx], k_lo[idx], k_top[idx])
+                tails = np.logaddexp.accumulate(b_pmf, axis=1)  # log P(k_lo <= X_b <= k), less X_b's anchor
+                cols = (tau - lo - k_lo)[idx, None] - np.arange(f.shape[1])  # of k = s - 1 - j
+                f += np.take_along_axis(tails, np.clip(cols, 0, end[idx, None]).astype(int), axis=1)
+                cut = ((k_lo[idx] == 0.0) | (b_pmf[:, 0] <= tails[pick, need[idx]] - _WINDOW_DROP)) & (
+                    (k_top[idx] == k_end[idx]) | (b_pmf[pick, end[idx]] <= tails[pick, end[idx]] - _WINDOW_DROP))
+                extra[idx] *= np.where(cut, 1.0, 2.0)
+            top_term = f.max(axis=1)
+            drop = top_term - _WINDOW_DROP
             ends = ((lo[idx] == 0.0) | (f[:, 0] <= drop)) & ((hi[idx] == top[idx]) | (f[pick, last[idx]] <= drop))
-            cut = ((k_lo[idx] == 0.0) | (b_pmf[:, 0] <= tails[pick, need[idx]] - _WINDOW_DROP)) & (
-                (k_top[idx] == k_end[idx]) | (b_pmf[pick, end[idx]] <= tails[pick, end[idx]] - _WINDOW_DROP))
-            out[idx[ends & cut]] = lc_real_logsumexp_rows(f[ends & cut])
-            half[idx], extra[idx] = half[idx] * np.where(ends, 1.0, 2.0), extra[idx] * np.where(cut, 1.0, 2.0)
-            pending.append(idx[~(ends & cut)])
+            done = ends & cut
+            for c in set(last[idx[done]].tolist()):  # a window's terms fill its first columns: those of
+                group = done & (last[idx] == c)        # one length are summed together, each as alone
+                far[idx[group]] = top_term[group] + np.log(np.exp(f[group, :c + 1] - top_term[group, None]).sum(axis=1))
+            half[idx] *= np.where(ends, 1.0, 2.0)
+            pending.append(idx[~done])
         live = np.sort(np.concatenate(pending))
-    return out.reshape(len(rows), 2, k)
+    out[row, side, col], out[row, 1 - side, col], summed[row, side, col] = far, np.log1p(-np.exp(anchor + far)), True
+    shifts = np.zeros((len(rows), 2))
+    shifts[row, side] = anchor
+    return np.where(summed, out, out - shifts[:, :, None]), shifts
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,53 @@ def binom_range_log(N: int, p: float, j_values, digits: int = 50) -> float:
         return float(total.ln())
 
 
+def decimal_fraction_log_tails(n: int, t: int, p: float, q: float, k: int, digits: int = 36
+                               ) -> list[tuple[float, float]]:
+    """``(log P(X < t - i), log P(X >= t - i))`` for i = 0..k-1, X ~ Bin(n, p) with ``q = 1 - p``,
+    one split at a time, in the arithmetic of an incomplete-beta tail kernel.
+
+    At a split s inside 1..n the tail on the far side of the mode is a regularised
+    incomplete beta (DLMF 8.17.22): ``P(X >= s) = I_p(s, n - s + 1) = Bin(s; n, p) q CF``
+    where ``p (n + 3) < s + 1``, else ``P(X < s) = I_q(n - s + 1, s) = Bin(s - 1; n, p) p CF``.
+    The pmf is the package's Loader kernel, ``logspace.binomial_log_pmf``, which other tests
+    pin to exact rationals, and the fraction CF runs the modified Lentz steps (Numerical
+    Recipes §6.4, ``betacf``) in ``digits``-digit decimals from the double x, until a step
+    moves it by less than 1e-20.  The near tail is ``log1p(-exp(far))``.  Exact at p or
+    q = 0 and for splits outside 1..n.
+    """
+    from pointer_cell_sim.logspace import binomial_log_pmf
+
+    out = []
+    for s in range(t, t - k, -1):
+        if s <= 0 or (q <= 0.0 and s <= n):
+            out.append((-math.inf, 0.0))
+            continue
+        if s > n or p <= 0.0:
+            out.append((0.0, -math.inf))
+            continue
+        upper = p * (n + 3) < s + 1
+        a, b, x = (s, n - s + 1, p) if upper else (n - s + 1, s, q)
+        with decimal.localcontext(decimal.Context(prec=digits)):
+            x, tiny, settled = decimal.Decimal(x), decimal.Decimal(10) ** -300, decimal.Decimal(10) ** -20
+            c, d = decimal.Decimal(1), 1 / ((1 - (a + b) * x / (a + 1)) or tiny)
+            frac = d
+            for m in range(1, 100 + 2 * math.isqrt(max(a, b)) + 1):
+                for coeff in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                              -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+                    d = 1 / ((1 + coeff * d) or tiny)
+                    c = (1 + coeff / c) or tiny
+                    frac *= c * d
+                if abs(c * d - 1) < settled:
+                    break
+            else:
+                raise AssertionError(f"I_{x}({a}, {b}): the fraction did not settle")
+            log_frac = float(frac.ln())
+        far = float(binomial_log_pmf(n, p, q, s if upper else s - 1)) + math.log(q if upper else p) + log_frac
+        near = math.log1p(-math.exp(far))
+        out.append((near, far) if upper else (far, near))
+    return out
+
+
 def poisson_binomial_fraction(ps: list[Fraction]) -> list[Fraction]:
     """Exact up-count distribution of independent heterogeneous sites.
 

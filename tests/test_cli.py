@@ -61,6 +61,16 @@ def run_cli(*args) -> int:
     return main([str(a) for a in args])
 
 
+def test_unwritable_out_exits_2(workdir, capsys):
+    # an --out naming an existing file: one stderr line and the config error's exit code
+    blocker = workdir / "taken"
+    blocker.write_text("a file\n", encoding="utf-8")
+    assert run_cli("run", "--config", write_config(workdir, BASE), "--out", blocker) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write artifacts to {blocker}: ") and err.count("\n") == 1, err
+    assert blocker.read_text(encoding="utf-8") == "a file\n"
+
+
 class TestRun:
     def test_report_contents(self, workdir):
         cfg = write_config(workdir, BASE)
@@ -535,16 +545,15 @@ class TestSweepSizeFailure:
         # the sizes of a sweep are summed together, but a size that raises fails alone
         cfg = write_config(workdir, BASE + SWEEP)
         assert run_cli("sweep", "--config", cfg, "--out", workdir / "plain") == 0
-        inner = logspace._lentz
+        inner = coleman_hepp._pair_factors
 
-        def fail_at_200(a, b, x, one, eps):
-            # the batched steps report every tail of the 200-site bulk block unsettled
-            fractions, failed = inner(a, b, x, one, eps)
-            failed.update((int(j), errors.NumericalError("fraction did not converge"))
-                          for j in np.flatnonzero(a + b == 201))
-            return fractions, failed
+        def fail_at_200(spec, r, s, rotated, n_rot, n_plain, *args):
+            # a per-size step raises for the 200-site chain alone
+            if len(rotated) + n_rot + n_plain == 200:
+                raise errors.NumericalError("fraction did not converge")
+            return inner(spec, r, s, rotated, n_rot, n_plain, *args)
 
-        monkeypatch.setattr(logspace, "_lentz", fail_at_200)
+        monkeypatch.setattr(coleman_hepp, "_pair_factors", fail_at_200)
         assert run_cli("sweep", "--config", cfg, "--out", workdir / "failed") == 0
         plain, failed = ((workdir / out / "sweep.csv").read_bytes().splitlines()
                          for out in ("plain", "failed"))
@@ -987,7 +996,8 @@ DELETED = [
     (verify.ExactConditionResult, ("von_neumann_residuals",)),
     (verify.MeasurementVerdict, ("von_neumann_residuals",)),
     (errors, ("NonLocalPerturbationError",)),
-    (logspace, ("binomial_log_pmf_at", "_stirlerr_at", "_bd0_at")),
+    (logspace, ("binomial_log_pmf_at", "_stirlerr_at", "_bd0_at", "binomial_log_tails", "_lentz", "_beta_fractions",
+                "_CF_EPS", "_CF_DECIMAL_BELOW")),
 ]
 
 #: parameters every caller left at one value, now constants; none may come back

@@ -663,6 +663,21 @@ class TestCompensatedCells:
 
 
 class TestSpecHelpers:
+    def test_passed_sites_reads_the_fraction_as_it_prints(self):
+        # floor(fraction * N) of the fraction's own digits at any N; the float product falls
+        # just below the integer for 0.29 at N = 10**5 and 0.7 at N = 7 * 10**5; a numpy float and
+        # one printed with an exponent are read the same way; and every 1- to 3-digit fraction at
+        # N = {1, 3, 7} * 10**2..10**9
+        assert passed_sites(100, 0.29) == 29 and passed_sites(100_000, 0.29) == 29_000
+        assert passed_sites(700_000, 0.7) == 490_000 and passed_sites(700_000, np.float64(0.7)) == 490_000
+        assert passed_sites(10 ** 9, 1.5e-05) == 15_000 and passed_sites(10 ** 9, 5e-324) == 0  # printed with e
+        Ns = [m * 10 ** e for e in range(2, 10) for m in (1, 3, 7)]
+        for digits in (1, 2, 3):
+            for m in range(10 ** digits + 1):
+                fraction = m / 10 ** digits
+                for N in Ns:
+                    assert passed_sites(N, fraction) == m * N // 10 ** digits, (fraction, N)
+
     def test_at_size_checks_only_what_depends_on_N(self, monkeypatch):
         spec = ChainSpec(N=8, m0=0.6, theta=2.2, site_overrides={1: polarized_site(-0.6)})
         checked = []

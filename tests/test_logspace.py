@@ -1,13 +1,11 @@
 import dataclasses
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pointer_cell_sim.coleman_hepp import ChainSpec, _site_polynomials, factorized_f_tensor, traversal_family
-from pointer_cell_sim.errors import NumericalError
+from pointer_cell_sim.coleman_hepp import ChainSpec, _site_polynomials, factorized_f_tensor
 from pointer_cell_sim import logspace
 from pointer_cell_sim.logspace import (
     _binomial_block,
@@ -18,7 +16,7 @@ from pointer_cell_sim.logspace import (
 )
 
 from oracles import (_log_coded_sum, bernoulli_relative_entropy_loop, binom_range_log, block_log_magnitudes,
-                     exact_log, kl_bernoulli, lc_sum)
+                     decimal_fraction_log_tails, exact_log, kl_bernoulli, lc_sum)
 
 
 def log_code(x):
@@ -165,18 +163,23 @@ def assert_log_close(got, ref, rtol=1e-13):
         assert abs(got - ref) <= rtol * max(1.0, abs(ref)), (got, ref)
 
 
+def one_block_tails(rows, k):
+    """``logspace.binomial_pair_log_tails`` over one-block rows ``(n, t, p, q)``, X ~ Bin(n, p):
+    each row's second block is empty."""
+    return logspace.binomial_pair_log_tails([(n, p, q, 0, 0.5, 0.5, t) for n, t, p, q in rows], k)
+
+
 def binomial_tail_sums(n, t, p, q, lm, ph):
     """Log-coded ``sum_i c_i P(X < t - i)`` and ``sum_i c_i P(X >= t - i)``, X ~ Bin(n, p),
-    ``c_i = exp(lm[i] + 1j * ph[i])``: the tails of ``logspace.binomial_log_tails``
-    summed by ``lc_sum_rows`` and shifted, as the package sums a block's cells."""
-    (tails,), (shift,), failed = logspace.binomial_log_tails([(n, t, p, q)], len(lm))
-    assert not failed
+    ``c_i = exp(lm[i] + 1j * ph[i])``: the tails of ``one_block_tails`` summed by
+    ``lc_sum_rows`` and shifted, as the package sums a block's cells."""
+    (tails,), (shift,) = one_block_tails([(n, t, p, q)], len(lm))
     sums_lm, sums_ph = lc_sum_rows(lm + tails, np.broadcast_to(ph, tails.shape))
     sums_lm = sums_lm + shift
     return (sums_lm[0], sums_ph[0]), (sums_lm[1], sums_ph[1])
 
 
-def binomial_log_tails(n, t, p, q):
+def log_tails(n, t, p, q):
     """``(log P(X < t), log P(X >= t))`` from ``binomial_tail_sums`` with one unit term."""
     (below, _), (above, _) = binomial_tail_sums(n, t, p, q, np.zeros(1), np.zeros(1))
     return below, above
@@ -202,6 +205,22 @@ CHAIN_PS = sorted({w * (1 + m0) / 2 + (1 - w) * (1 - m0) / 2
                    for w in (1.0, 0.0) + tuple(math.cos(th / 2) ** 2 for th in (1.0, 2.2, 4.0))})
 
 
+def assert_near_mode_tails_match_the_decimal_fraction(N: int) -> None:
+    """Three columns of tails at the chain's split ``(N + 1) // 2`` against
+    ``decimal_fraction_log_tails``, 1e-13 relative, for p = 1/2 + 0.3 / sqrt(N) and
+    1/2 - 1.7 / sqrt(N), within a few deviations of the mode, and (1 + 0.6 cos 1.7) / 2,
+    far from it.  q = 1 - p and then p = 1 - q: p + q = 1 exactly, so the kernel's odds
+    and the fraction's one parameter describe the same distribution."""
+    h = (N + 1) // 2
+    for p in (0.5 + 0.3 / math.sqrt(N), 0.5 - 1.7 / math.sqrt(N), (1.0 + 0.6 * math.cos(1.7)) / 2.0):
+        q = 1.0 - p
+        p = 1.0 - q
+        (tails,), (shift,) = one_block_tails([(N, h, p, q)], 3)
+        for i, (below, above) in enumerate(decimal_fraction_log_tails(N, h, p, q, 3)):
+            assert_log_close(tails[0, i] + shift[0], below)
+            assert_log_close(tails[1, i] + shift[1], above)
+
+
 class TestBinomialTails:
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 101, 1000, 4000])
     @pytest.mark.parametrize("p", [0.8, 0.55, 0.501, 0.2, 0.999, 1e-3])
@@ -211,7 +230,7 @@ class TestBinomialTails:
         ts = {0, 1, n // 2, (n + 1) // 2, n - 1, n, n + 1,
               int(p * n) - 1, int(p * n), int(p * n) + 1, int(p * n) + 2}
         for t in sorted(t for t in ts if -1 <= t <= n + 1):
-            below, above = binomial_log_tails(n, t, p, q)
+            below, above = log_tails(n, t, p, q)
             assert_log_close(below, binom_range_log(n, p, range(t)) if t > 0 else -math.inf)
             assert_log_close(above, binom_range_log(n, p, range(max(t, 0), n + 1))
                              if t <= n else -math.inf)
@@ -225,7 +244,7 @@ class TestBinomialTails:
         for p in CHAIN_PS:
             lm = binomial_log_pmf(n, p, 1.0 - p, np.arange(n + 1))
             for t in (h - 1, h, h + 1):
-                got = binomial_log_tails(n, t, p, 1.0 - p)
+                got = log_tails(n, t, p, 1.0 - p)
                 for g, r in zip(got, logsumexp_tails(lm, t)):
                     assert_log_close(g, r)
 
@@ -246,52 +265,73 @@ class TestBinomialTails:
             assert_log_close(got_lm, ref_lm)
             assert abs(math.remainder(got_ph - ref_ph, 2 * math.pi)) <= 1e-12, (side, got_ph, ref_ph)
 
-    def test_batch_matches_each_row_alone(self, monkeypatch):
+    def test_near_mode_rows_match_the_decimal_fraction(self):
+        # 48 seeded rows whose split lies within 1/8 of the mean, relative, and from a tenth of
+        # a deviation to 30 deviations from it, on alternate sides: n from 10**3 to 10**7,
+        # k = 1 and 3; p + q = 1 exactly, as in assert_near_mode_tails_match_the_decimal_fraction
+        rng = np.random.default_rng(37)
+        for trial in range(48):
+            n, q = int(10 ** rng.uniform(3.0, 7.0)), 1.0 - rng.uniform(0.05, 0.95)
+            p = 1.0 - q
+            offset = min(math.sqrt(n * p * q) * 10 ** rng.uniform(-1.0, 1.5), n * p / 8.0)
+            t, k = round(n * p + (offset if trial % 2 else -offset)), (1, 3)[trial // 2 % 2]
+            (tails,), (shift,) = one_block_tails([(n, t, p, q)], k)
+            for i, (below, above) in enumerate(decimal_fraction_log_tails(n, t, p, q, k)):
+                assert_log_close(tails[0, i] + shift[0], below)
+                assert_log_close(tails[1, i] + shift[1], above)
+
+    def test_steep_far_tails_match_the_decimal_fraction(self):
+        # q down to 1e-13 at n = 10**9: the tilt's slope asks for a window of about two terms,
+        # and the window's half-width is still a whole number of counts
+        for n, t, q in ((10 ** 9, 11, 1e-12), (10 ** 9, 21, 1e-12), (10 ** 9, 7, 1e-13), (10 ** 9, 3, 1e-4)):
+            p = 1.0 - q
+            q = 1.0 - p
+            (tails,), (shift,) = one_block_tails([(n, t, p, q)], 2)
+            for i, (below, above) in enumerate(decimal_fraction_log_tails(n, t, p, q, 2)):
+                assert_log_close(tails[0, i] + shift[0], below)
+                assert_log_close(tails[1, i] + shift[1], above)
+
+    @pytest.mark.parametrize("N", [10 ** 5 + 1, 10 ** 6 + 1])
+    def test_chain_split_matches_the_decimal_fraction(self, N):
+        # the CI step runs N = 10**8 + 1 and 10**9 + 1
+        assert_near_mode_tails_match_the_decimal_fraction(N)
+
+    def test_batch_matches_each_row_alone(self):
         # one call over many rows equals each row called alone, bit for bit, with
-        # the rows in two orders: far tails (double steps), the near mode at p = 1/2,
-        # as theta = pi / 2 gives (decimal steps), sure splits (t <= 0, t > n, p or
-        # q = 0), k = 1 and 3, n up to 10**9; a batch mixes both arithmetics
-        batches, inner = [], logspace._lentz
-
-        def spy(a, b, x, one, eps):
-            batches.append(x.dtype.kind)
-            return inner(a, b, x, one, eps)
-
-        monkeypatch.setattr(logspace, "_lentz", spy)
+        # the rows in two orders: far tails (short windows), the near mode at p = 1/2,
+        # as theta = pi / 2 gives (windows of O(sqrt(n)) terms), sure splits (t <= 0,
+        # t > n, p or q = 0), k = 1 and 3, n up to 10**9
         rows = []
         for n in (1, 2, 5, 50, 999, 100_001, 10 ** 7, 10 ** 9):
             h = (n + 1) // 2
             rows += [(n, h, 0.8, 0.19999999999999996), (n, h + 1, 0.2, 0.8), (n, n // 3, 0.999, 1.0 - 0.999),
                      (n, h, 0.5, 0.5), (n, -1, 0.3, 0.7), (n, 0, 0.3, 0.7), (n, n + 1, 0.3, 0.7),
                      (n, n + 3, 0.3, 0.7), (n, h, 0.0, 1.0), (n, h, 1.0, 0.0)]
-            rows += [(n, h + 3, 0.5, 0.5)] if n < 10 ** 9 else []  # 5200 decimal steps at 10**9
+            rows += [(n, h + 3, 0.5, 0.5)] if n < 10 ** 9 else []
         for k in (1, 3):
-            alone = [logspace.binomial_log_tails([row], k) for row in rows]
-            assert not any(failed for _, _, failed in alone)
+            alone = [one_block_tails([row], k) for row in rows]
             for order in (np.arange(len(rows)), np.random.default_rng(k).permutation(len(rows))):
-                del batches[:]
-                tails, shifts, failed = logspace.binomial_log_tails([rows[j] for j in order], k)
-                assert not failed and tails.shape == (len(rows), 2, k) and shifts.shape == (len(rows), 2)
+                tails, shifts = one_block_tails([rows[j] for j in order], k)
+                assert tails.shape == (len(rows), 2, k) and shifts.shape == (len(rows), 2)
                 for got, j in enumerate(order):
                     assert tails[got].tobytes() == alone[j][0][0].tobytes(), (rows[j], k)
                     assert shifts[got].tobytes() == alone[j][1][0].tobytes(), (rows[j], k)
-                assert batches == ["f", "O"]
 
     def test_degenerate_probabilities_are_exact(self):
         # p = 0: X = 0; q = 0: X = n; t outside 1..n: one side is empty
-        assert binomial_log_tails(5, 1, 0.0, 1.0) == (0.0, -math.inf)
-        assert binomial_log_tails(5, 0, 0.0, 1.0) == (-math.inf, 0.0)
-        assert binomial_log_tails(5, 5, 1.0, 0.0) == (-math.inf, 0.0)
-        assert binomial_log_tails(5, 6, 1.0, 0.0) == (0.0, -math.inf)
-        assert binomial_log_tails(0, 0, 1.0, 0.0) == (-math.inf, 0.0)
-        assert binomial_log_tails(0, 1, 0.5, 0.5) == (0.0, -math.inf)
-        assert binomial_log_tails(7, -3, 0.3, 0.7) == (-math.inf, 0.0)
+        assert log_tails(5, 1, 0.0, 1.0) == (0.0, -math.inf)
+        assert log_tails(5, 0, 0.0, 1.0) == (-math.inf, 0.0)
+        assert log_tails(5, 5, 1.0, 0.0) == (-math.inf, 0.0)
+        assert log_tails(5, 6, 1.0, 0.0) == (0.0, -math.inf)
+        assert log_tails(0, 0, 1.0, 0.0) == (-math.inf, 0.0)
+        assert log_tails(0, 1, 0.5, 0.5) == (0.0, -math.inf)
+        assert log_tails(7, -3, 0.3, 0.7) == (-math.inf, 0.0)
 
     def test_far_below_the_double_floor(self):
         # P(Bin(10**9, 0.8) < 5 * 10**8) = exp(-2.2e8): against the Chernoff
         # exponent n D(1/2 || 0.8), which it undercuts by O(log n)
         n = 10 ** 9
-        below, above = binomial_log_tails(n, n // 2, 0.8, 0.19999999999999996)
+        below, above = log_tails(n, n // 2, 0.8, 0.19999999999999996)
         rate = 0.5 * math.log(0.5 / 0.8) + 0.5 * math.log(0.5 / 0.19999999999999996)
         assert -n * rate - 2 * math.log(n) < below < -n * rate
         assert above == 0.0 or -1e-300 < above < 0.0
@@ -360,22 +400,6 @@ class TestBinomialTails:
         assert binomial_log_pmf(4, 0.0, 1.0, 1) == -math.inf
         assert binomial_log_pmf(4, 1.0, 0.0, 4) == 0.0
         assert binomial_log_pmf(4, 1.0, 0.0, 3) == -math.inf
-
-    def test_fraction_stops_at_its_step_limit(self, monkeypatch):
-        # a fraction whose steps never settle (here: no double step is small
-        # enough) fails its row after 100 + 2 isqrt(max(a, b)) steps, naming
-        # I_x(a, b); the near-mode row beside it steps in decimals and is kept
-        rows = [(1000, 500, 0.5, 0.5), (189, 100, 0.3, 0.7)]
-        want = logspace.binomial_log_tails(rows[:1], 1)
-        monkeypatch.setattr(logspace, "_CF_EPS", -1.0)
-        tails, shifts, failed = logspace.binomial_log_tails(rows, 1)
-        assert list(failed) == [1] and type(failed[1]) is NumericalError
-        assert str(failed[1]) == ("incomplete-beta continued fraction I_0.3(100, 90) "
-                                  "did not converge in 120 steps")
-        assert tails[:1].tobytes() == want[0].tobytes() and shifts[:1].tobytes() == want[1].tobytes()
-        failed = traversal_family(ChainSpec(N=189, m0=0.4), 1.0, [189])[3]
-        assert list(failed) == [0] and type(failed[0]) is NumericalError
-        assert re.search(r"I_0\.3\d*\(95, 95\) did not converge in 118 steps", str(failed[0]))
 
 
 class TestBernoulliRelativeEntropy:
