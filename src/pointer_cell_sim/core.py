@@ -283,13 +283,14 @@ class Apparatus:
 
 @dataclass(frozen=True)
 class EvolvedSectorStates:
-    """All sector states ``U_r(t)^dag Omega U_s(t)`` at one time, kept by their
-    factors ``left[r] = U_r^dag Omega`` and ``propagators[s] = U_s`` (vectors as
-    in :func:`_adjoint_times`) and by the block diagonals ``diagonals[r, s]``."""
+    """All sector states ``U_r(t)^dag Omega U_s(t)`` at one time, kept by the
+    propagators ``propagators[r] = U_r`` (vectors as in :func:`_adjoint_times`), the
+    initial state ``Omega`` and the block diagonals ``diagonals[r, s]``; no left
+    factor ``U_r^dag Omega`` is kept."""
 
     t: float
-    left: tuple[np.ndarray, ...]
     propagators: tuple[np.ndarray, ...]
+    Omega: np.ndarray
     diagonals: np.ndarray  # shape (n, n, dim_K)
 
     @property
@@ -300,9 +301,15 @@ class EvolvedSectorStates:
     def dim_K(self) -> int:
         return self.diagonals.shape[2]
 
+    def left(self, r: int) -> np.ndarray:
+        """The left factor ``U_r^dag Omega``, with an ``Omega`` that has no nonzero
+        off-diagonal entry taken by its diagonal."""
+        diag = _diagonal_of(self.Omega)
+        return _adjoint_times(self.propagators[r], self.Omega if diag is None else diag)
+
     def block(self, r: int, s: int) -> np.ndarray:
         """The full block ``U_r^dag Omega U_s``."""
-        return _as_matrix(_times(self.left[r], self.propagators[s]))
+        return _as_matrix(_times(self.left(r), self.propagators[s]))
 
     def validate(self) -> None:
         """Reject states whose diagonal blocks are not of unit trace, or whose blocks
@@ -403,24 +410,26 @@ def sector_hamiltonians(system: MicroSystem, apparatus: Apparatus) -> Iterator[n
     iterator of ndarray
         One Hermitian ``dim_K x dim_K`` matrix per microsystem eigenstate, or
         its diagonal where ``K`` and ``V_r`` are both vectors, each built when
-        reached; the sector count is checked on the call.
+        reached and held by nothing but its consumer; the sector count is
+        checked on the call.
     """
     if apparatus.n_sectors != system.n:
         raise StructuralError(
             f"apparatus carries {apparatus.n_sectors} couplings for a "
             f"{system.n}-dimensional microsystem")
+    return (_sector_hamiltonian(apparatus.K, V, energy) for V, energy in zip(apparatus.V, system.energies))
 
-    def hams():
-        K = apparatus.K
-        for V, energy in zip(apparatus.V, system.energies):
-            diag = (K if K.ndim == 1 else K.diagonal()) + (V if V.ndim == 1 else V.diagonal()) + energy
-            if K.ndim == V.ndim == 1:
-                yield diag
-            else:  # off the diagonal, a vector's np.diag form and a dense identity would add 0.0
-                Kr = K + V if K.ndim == V.ndim else (K if K.ndim == 2 else V) + 0.0
-                np.fill_diagonal(Kr, diag)
-                yield Kr
-    return hams()
+
+def _sector_hamiltonian(K: np.ndarray, V: np.ndarray, energy: float) -> np.ndarray:
+    """``K + V + energy * I``, a vector where ``K`` and ``V`` both are.  Its caller's
+    generator yields the result without naming it, so a suspended generator holds no ``K_r``."""
+    diag = (K if K.ndim == 1 else K.diagonal()) + (V if V.ndim == 1 else V.diagonal()) + energy
+    if K.ndim == V.ndim == 1:
+        return diag
+    # off the diagonal, a vector's np.diag form and a dense identity would add 0.0
+    Kr = K + V if K.ndim == V.ndim else (K if K.ndim == 2 else V) + 0.0
+    np.fill_diagonal(Kr, diag)
+    return Kr
 
 
 def _propagator(K: np.ndarray, t: float) -> np.ndarray:
@@ -444,6 +453,11 @@ def _propagator(K: np.ndarray, t: float) -> np.ndarray:
     a stack holding one is not split.  A real stack splits in real arithmetic
     and turns complex at its leaves, which carry the ``1/2`` of every level:
     a power of two commutes with rounding.
+
+    The input stack is released at its first split: once a stack is split, no
+    name refers to it.  The reassembly levels alternate between two buffers, one
+    of the result's size and one of half of it, so each level is a view and
+    none is allocated on its own; the arithmetic of each level is unchanged.
     """
     splits = []  # the block count m of every stack that was split
     while (diag := K if K.ndim == 2 else _diagonal_of(K)) is None:
@@ -456,17 +470,24 @@ def _propagator(K: np.ndarray, t: float) -> np.ndarray:
         K = np.empty((2 * m, h, h), dtype=K.dtype)
         np.add(A, BJ, out=K[:m])
         np.subtract(A, BJ, out=K[m:])
+        del A, BJ  # the last views of the stack just split
         splits.append(m)
     else:
         U = np.exp(1j * t * diag.real)
     U *= 0.5 ** len(splits)  # the 1/2 of every reassembly level, at the leaves
-    for m in reversed(splits):
-        if U.ndim == 2:  # diagonal blocks as full matrices
-            U, diag = np.zeros(U.shape + U.shape[1:], dtype=complex), U
-            U.reshape(len(U), -1)[:, ::U.shape[1] + 1] = diag
-        h = U.shape[1]
+    if not splits:
+        return U
+    # level k of the reassembly (0 the result, len(splits) the leaves) has size / 2^k entries
+    size = len(U) * U.shape[1] ** 2 << len(splits)
+    buffers = np.empty(size, dtype=complex), np.empty(size // 2, dtype=complex)
+    if U.ndim == 2:  # diagonal blocks as full matrices
+        U, diag = buffers[len(splits) % 2][:size >> len(splits)].reshape(U.shape + U.shape[1:]), U
+        U.fill(0)
+        U.reshape(len(U), -1)[:, ::U.shape[1] + 1] = diag
+    for level in reversed(range(len(splits))):
+        m, h = splits[level], U.shape[1]
         Ue, Uo = U[:m], U[m:]
-        U = np.empty((m, 2 * h, 2 * h), dtype=complex)
+        U = buffers[level % 2][:size >> level].reshape(m, 2 * h, 2 * h)
         np.add(Ue, Uo, out=U[:, :h, :h])
         np.subtract(Ue, Uo, out=U[:, :h, h:][:, :, ::-1])
         U[:, h:] = U[:, :h][:, ::-1, ::-1]  # the propagator is centrosymmetric too
@@ -499,10 +520,32 @@ def _times(X: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_of_product(X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``diag(X U)`` for the factors of :func:`_times`, without the product."""
-    if X.ndim == 1:
-        return X * (U if U.ndim == 1 else U.diagonal())
+    """``diag(X U)`` for a full matrix ``X`` and a propagator from :func:`_propagator`,
+    without the product."""
     return X.diagonal() * U if U.ndim == 1 else np.einsum("ij,ji->i", X, U)
+
+
+def _sector_diagonal(Ur: np.ndarray, omega: np.ndarray, Us: np.ndarray) -> np.ndarray:
+    """``diag(U_r^dag Omega U_s)`` for a diagonal ``Omega`` given as its diagonal
+    ``omega`` and two propagators from :func:`_propagator`:
+    ``sum_j conj(U_r[j, i]) U_s[j, i] omega_j``.
+
+    A vector propagator reads only the other one's diagonal.  Two full ones
+    are read ``_TILE`` contiguous rows at a time, through one reused tile:
+    neither ``U_r^dag`` nor a full-size product is formed.
+    """
+    if Ur.ndim == 1 or Us.ndim == 1:
+        return (Ur if Ur.ndim == 1 else Ur.diagonal()).conj() * (Us if Us.ndim == 1 else Us.diagonal()) * omega
+    d = len(omega)
+    out = np.zeros(d, dtype=complex)
+    tile = np.empty((min(_TILE, d), d), dtype=complex)
+    for i in range(0, d, _TILE):
+        rows = tile[:min(_TILE, d - i)]
+        np.conjugate(Ur[i:i + _TILE], out=rows)
+        rows *= Us[i:i + _TILE]
+        rows *= omega[i:i + _TILE, None]
+        out += rows.sum(axis=0)
+    return out
 
 
 def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> EvolvedSectorStates:
@@ -511,23 +554,25 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
     The propagators are ``U_r(t) = exp(i K_r t)`` and the block ``(r, s)``
     of the result is ``U_r(t)^dag Omega U_s(t)``; diagonal blocks are the
     apparatus states conditioned on the microsystem eigenstate.  Each
-    ``K_r`` goes to :func:`_propagator` as a stack of one: a diagonal one (a
-    vector, or no nonzero off-diagonal entry) gives the vector
-    ``exp(i t diag K_r)``, whose products are row and column scalings; a
-    chain's is split one level at a time on stacked blocks down to diagonal
-    ones; random instances take ``eigh``.
+    ``K_r`` goes to :func:`_propagator` as a stack of one, which holds the
+    only reference to it: a diagonal one (a vector, or no nonzero
+    off-diagonal entry) gives the vector ``exp(i t diag K_r)``, whose products
+    are row and column scalings; a chain's is split one level at a time on
+    stacked blocks down to diagonal ones, and released at its first split;
+    random instances take ``eigh``.
 
-    A 1-D ``Omega``, or one with no nonzero off-diagonal entry, enters by its
-    diagonal: ``U_r^dag Omega``, formed once per sector, is ``U_r^dag`` with
-    its columns scaled.  Any other ``Omega`` is multiplied in full.
-
-    The blocks are kept by these factors.  Only their diagonals, every number
-    cells in the apparatus' own basis read, are formed: each in
-    ``O(dim_K^2)`` from its own pair of factors, so the adjoint pairing that
-    ``validate`` checks compares independently computed diagonals.  A full
-    block is formed only for cells in a rotated basis.  Every route is
-    unitary to roundoff; the full-composite oracle
-    (``runner.composite_cross_check``) keeps its own eigendecomposition.
+    The blocks are kept by the propagators and ``Omega``.  Only their
+    diagonals, every number cells in the apparatus' own basis read, are
+    formed, each from its own pair of propagators, so the adjoint pairing
+    that ``validate`` checks compares independently computed diagonals.  A
+    1-D ``Omega``, or one with no nonzero off-diagonal entry, enters by its
+    diagonal: ``diag(U_r^dag Omega U_s)`` is summed over row tiles of the two
+    propagators (:func:`_sector_diagonal`), with no left factor.  Any other
+    ``Omega`` is multiplied in full: ``U_r^dag Omega``, formed once per
+    sector, gives the diagonals of its row.  A full block is formed only for
+    cells in a rotated basis.  Every route is unitary to roundoff; the
+    full-composite oracle (``runner.composite_cross_check``) keeps its own
+    eigendecomposition.
     """
     if not math.isfinite(t):
         raise PreconditionError(f"time must be finite, got {t!r}")
@@ -535,17 +580,21 @@ def evolve_sectors(system: MicroSystem, apparatus: Apparatus, t: float) -> Evolv
         raise CapacityError(
             f"dense backend cap exceeded: n * dim_K = {system.n * apparatus.dim_K} "
             f"> {DENSE_CAP}; use a factorized backend")
+    hams = sector_hamiltonians(system, apparatus)
     Us = []
-    for r, Kr in enumerate(sector_hamiltonians(system, apparatus)):
-        try:
-            Us.append(_propagator(Kr[None], t)[0])
+    for r in range(system.n):
+        try:  # next(hams)[None] is bound by _propagator alone, which drops it at its first split
+            Us.append(_propagator(next(hams)[None], t)[0])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed for sector {r}: {exc}") from exc
-    del Kr  # the last K_r: only its propagator is needed from here on
-    diag = _diagonal_of(apparatus.Omega)
-    left = tuple(_adjoint_times(U, apparatus.Omega if diag is None else diag) for U in Us)
-    diagonals = np.array([[_diagonal_of_product(L, U) for U in Us] for L in left])
-    states = EvolvedSectorStates(t=float(t), left=left, propagators=tuple(Us), diagonals=diagonals)
+    Omega = apparatus.Omega
+    diag = _diagonal_of(Omega)
+    if diag is None:
+        diagonals = np.array([[_diagonal_of_product(L, U) for U in Us]
+                              for L in (_adjoint_times(U, Omega) for U in Us)])
+    else:
+        diagonals = np.array([[_sector_diagonal(Ur, diag, U) for U in Us] for Ur in Us])
+    states = EvolvedSectorStates(t=float(t), propagators=tuple(Us), Omega=Omega, diagonals=diagonals)
     states.validate()
     return states
 
@@ -561,10 +610,12 @@ def f_tensor(states: EvolvedSectorStates, cells: PhaseCellPartition) -> FTensor:
         raise StructuralError(
             f"partition has {cells.cell_count} cells; the pointer correspondence "
             f"requires exactly n = {n}")
-    values = np.empty((n, n, n), dtype=complex)
-    for r, s in np.ndindex(n, n):
-        values[r, s] = cells.trace_all(states.diagonals[r, s] if cells.basis is None else states.block(r, s))
-    return FTensor(values=values, t=states.t)
+    if cells.basis is None:
+        values = [[cells.trace_all(d) for d in row] for row in states.diagonals]
+    else:  # each left factor U_r^dag Omega formed once, for its row of blocks
+        values = [[cells.trace_all(_as_matrix(_times(L, U))) for U in states.propagators]
+                  for L in map(states.left, range(n))]
+    return FTensor(values=np.array(values, dtype=complex), t=states.t)
 
 
 def sector_pair_expectations(f: FTensor, c, observable: ObservableS) -> np.ndarray:
